@@ -18,6 +18,9 @@ from fractions import Fraction
 from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
+from mpmath import mp
+
+from szego_lab.xlinalg import _MP_LOCK
 
 __all__ = [
     "LaurentPolynomial",
@@ -132,7 +135,10 @@ class LaurentPolynomial:
     def conj_reflect(self) -> "LaurentPolynomial":
         """conj(f(1/conj(z))): coefficient at j becomes conj(c_{-j})."""
         if self.coeffs.dtype == object:
-            rev = np.array([c.conjugate() for c in self.coeffs[::-1]], dtype=object)
+            # mpc.conjugate rounds at the ambient precision
+            with _MP_LOCK, mp.workprec(self.precision):
+                rev = np.array([c.conjugate() for c in self.coeffs[::-1]],
+                               dtype=object)
         else:
             rev = np.conj(self.coeffs[::-1])
         return LaurentPolynomial(-self.hi, rev, self.precision)

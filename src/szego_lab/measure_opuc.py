@@ -2,23 +2,24 @@
 
 The measure is dm/|psi|^2 on the unit circle plus finitely many point masses
 at |z_k| > 1, psi a zero-free-on-the-closed-disk Taylor polynomial with
-psi(0) > 0.  This module computes trigonometric moments (cached, grid
-quadrature with doubling), Gram matrices over polynomial and Laurent spans,
-the leading coefficients of the orthonormal elements through the
-extended-precision Schur route, the orthonormal elements themselves, a
-contour-integral residue identity connecting the Laurent leading coefficient
-to point evaluations at the masses, and the slow-decay condition report for
-mass sequences accumulating at the circle.
+psi(0) > 0.  This module computes trigonometric moments (cached, exact:
+a small linear system and the recurrence that psi defines), Gram matrices
+over polynomial and Laurent spans, the leading coefficients of the
+orthonormal elements through the extended-precision Schur route, the
+orthonormal elements themselves, a contour-integral residue identity
+connecting the Laurent leading coefficient to point evaluations at the
+masses, and the slow-decay condition report for mass sequences accumulating
+at the circle.
 
-Precision escalation is explicit: a Gram factorization that fails at the
-measure's tag is retried at the next tag and the failure is reported, never
+Precision escalation is explicit: the Gram factorization starts at the
+first tag that holds its entries (at least the measure's tag), a failure
+there is retried at the next tag, and the failure is reported, never
 hidden.
 """
 
 from __future__ import annotations
 
 import math
-import threading
 from dataclasses import dataclass, field
 from typing import Sequence
 
@@ -193,15 +194,12 @@ def target_limit(mu: MeasureSpec) -> float:
 # ----------------------------------------------------------------------
 # trigonometric moments of the absolutely continuous part
 
-_GRID_CAP = 1 << 20
-
 
 class _MomentTable:
-    __slots__ = ("values", "grid")
+    __slots__ = ("values",)
 
-    def __init__(self, values: list, grid: int):
+    def __init__(self, values: list):
         self.values = values  # t_m for m = 0..len-1
-        self.grid = grid
 
 
 _moment_cache: dict = {}
@@ -219,32 +217,41 @@ def _eval_poly_mp(coeffs: list, z):
     return acc
 
 
-def _trig_table_at(weight: OuterWeight, m_max: int, grid: int, bits: int,
-                   values_cache: dict) -> list:
-    """DFT of 1/|psi|^2 on a fixed power-of-two grid, orders 0..m_max."""
-    coeffs = _psi_mp(weight, bits)
-    if grid not in values_cache:
-        two_over = mp.mpf(2) / grid
-        vals = []
-        for p in range(grid):
-            x = mp.expjpi(two_over * p)
-            w = _eval_poly_mp(coeffs, x)
-            vals.append(1 / (w * mp.conj(w)))
-        values_cache[grid] = vals
-    vals = values_cache[grid]
-    roots = [mp.expjpi(mp.mpf(2 * q) / grid) for q in range(grid)]
-    out = []
-    for m in range(m_max + 1):
-        terms = (vals[p] * roots[(-m * p) % grid] for p in range(grid))
-        out.append(mp.fsum(terms) / grid)
-    return out
+def _bernstein_szego_head(coeffs: list) -> list:
+    """t_0..t_d for psi = sum_j c_j z^j of degree d (see _trig_moments).
+
+    psi/|psi|^2 = 1/conj(psi) has no positive frequencies and constant term
+    1/c_0, so sum_j c_j t_(k-j) = [k == 0]/c_0 for k >= 0, where
+    t_(-m) = conj(t_m).  Rows k = 0..d are a real linear system in the re
+    and im parts of t_0..t_d; it is nonsingular, since with the recurrence
+    for k > d they determine every moment.
+    """
+    d = len(coeffs) - 1
+    size = 2 * (d + 1)
+    a = mp.matrix(size, size)
+    rhs = mp.matrix(size, 1)
+    for k in range(d + 1):
+        for j in range(d + 1):
+            cre, cim = mp.re(coeffs[j]), mp.im(coeffs[j])
+            m = k - j
+            sign = 1 if m >= 0 else -1  # t_m, or conj(t_|m|) when m < 0
+            col = 2 * abs(m)
+            a[2 * k, col] += cre
+            a[2 * k, col + 1] -= sign * cim
+            a[2 * k + 1, col] += cim
+            a[2 * k + 1, col + 1] += sign * cre
+    rhs[0] = 1 / mp.re(coeffs[0])
+    x = mp.lu_solve(a, rhs)
+    return [mp.mpc(x[2 * m], x[2 * m + 1] if m else 0) for m in range(d + 1)]
 
 
 def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> _MomentTable:
-    """t_m = circle mean of e^(i m t)/|psi|^2 for m = 0..m_max, cached.
+    """t_m = circle mean of e^(-i m t)/|psi|^2 for m = 0..m_max, cached.
 
-    The grid doubles until two successive grids agree to 2^(6-bits) relative
-    to t_0; the cap at 2^20 nodes raises QuadratureError.
+    Exact up to rounding at bits + 32: t_0..t_d solve the linear system of
+    _bernstein_szego_head, and every higher moment follows from
+    t_k = -(1/c_0) sum_(j=1..d) c_j t_(k-j).  The recurrence is stable: its
+    characteristic roots 1/r_j, r_j the roots of psi, lie inside the disk.
     """
     key = (weight.coeff_key(), bits)
     with _MP_LOCK:
@@ -252,26 +259,15 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> _MomentTable:
         if tab is not None and len(tab.values) > m_max:
             return tab
         with mp.workprec(bits + 32):
-            tol = mp.mpf(2) ** (6 - bits)
-            grid = _next_pow2(max(2 * m_max + 2,
-                                  8 * (len(weight.psi.coeffs) + 1), 256))
-            if tab is not None:
-                grid = max(grid, tab.grid // 2)
-            values_cache: dict = {}
-            prev = _trig_table_at(weight, m_max, grid, bits, values_cache)
-            while True:
-                if 2 * grid > _GRID_CAP:
-                    raise QuadratureError(
-                        f"moment quadrature did not converge by {_GRID_CAP} nodes")
-                cur = _trig_table_at(weight, m_max, 2 * grid, bits, values_cache)
-                scale = abs(cur[0])
-                worst = max(abs(a - b) for a, b in zip(prev, cur))
-                if worst <= tol * scale:
-                    tab = _MomentTable(cur, 2 * grid)
-                    _moment_cache[key] = tab
-                    return tab
-                prev = cur
-                grid *= 2
+            coeffs = _psi_mp(weight, bits + 32)
+            t = (list(tab.values) if tab is not None
+                 else _bernstein_szego_head(coeffs))
+            for k in range(len(t), m_max + 1):
+                t.append(-mp.fsum(coeffs[j] * t[k - j]
+                                  for j in range(1, len(coeffs))) / coeffs[0])
+            tab = _MomentTable(t)
+            _moment_cache[key] = tab
+            return tab
 
 
 def _trig_moment(weight: OuterWeight, m: int, bits: int):
@@ -338,10 +334,29 @@ def gram_laurent(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianM
     return _gram_from_exponents(mu, range(-(n - 1), n + 1), bits or mu.precision)
 
 
-def _escalate(mu: MeasureSpec, build_and_solve):
-    """Run build_and_solve(bits) under the explicit escalation protocol."""
+def _precision_floor(mu: MeasureSpec, n: int) -> int:
+    """First tag that holds the Gram entries of degree n, at least mu's.
+
+    Entries reach |z_k|^(2n), so 64 + 2n log2 max|z_k| bits keep 64 bits
+    after that cancellation; a tag too short for it can fail silently, with
+    every pivot positive and a wrong leading coefficient.  Capped at the top
+    tag.
+    """
+    need = mu.precision
+    if mu.spectrum.masses:
+        z_max = max(abs(z) for z, _ in mu.spectrum.masses)
+        need = max(need, 64 + math.ceil(2 * n * math.log2(z_max)))
+    for bits in PRECISION_BITS:
+        if bits >= need:
+            return bits
+    return PRECISION_BITS[-1]
+
+
+def _escalate(mu: MeasureSpec, n: int, build_and_solve):
+    """Run build_and_solve(bits) under the explicit escalation protocol,
+    starting at the precision floor for degree n."""
     tried = []
-    bits = mu.precision
+    bits = _precision_floor(mu, n)
     last = None
     while bits is not None:
         tried.append(bits)
@@ -355,12 +370,12 @@ def _escalate(mu: MeasureSpec, build_and_solve):
 
 def tau_n(mu: MeasureSpec, n: int):
     """Leading coefficient of the degree-n orthonormal polynomial (mpf)."""
-    return _escalate(mu, lambda b: schur_leading(gram_polynomial(mu, n, b)))
+    return _escalate(mu, n, lambda b: schur_leading(gram_polynomial(mu, n, b)))
 
 
 def eta_n(mu: MeasureSpec, n: int):
     """Leading coefficient of the orthonormal Laurent element (mpf)."""
-    return _escalate(mu, lambda b: schur_leading(gram_laurent(mu, n, b)))
+    return _escalate(mu, n, lambda b: schur_leading(gram_laurent(mu, n, b)))
 
 
 def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> LaurentPolynomial:
@@ -380,11 +395,13 @@ def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> Laure
         arr[:] = wit
         return LaurentPolynomial(lo, arr, precision=bits)
 
-    return _escalate(mu, solve)
+    return _escalate(mu, n, solve)
 
 
 # ----------------------------------------------------------------------
 # residue identity
+
+_GRID_CAP = 1 << 20
 
 
 def _reflected_factors(masses: Sequence) -> list:

@@ -13,7 +13,9 @@ Oracles used here:
     compared against exact optima computed by the Gram-matrix code.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -38,6 +40,8 @@ from szego_lab.circle_fourier import LaurentPolynomial
 from szego_lab.measure_opuc import MeasureSpec, OuterWeight, PointSpectrum
 
 import szego_lab.asymptotics as asym
+
+D2_MEASURE = Path(__file__).parents[1] / "bench" / "defects" / "d2-measure.json"
 
 
 TWO_MASS = PointSpectrum(((1.5, 0.3), (-1.25, 0.1)))
@@ -356,6 +360,16 @@ def test_tail_case_n8():
     assert cert.bookkeeping_gap <= 1e-12
     assert cert.schwarz_pass
     assert cert.lower_bound_achieved <= ETA8_TWO_MASS
+
+
+def test_bookkeeping_gap_off_the_real_axis():
+    # masses at 1.3 and 1.1i: the n = 128 competitor is evaluated where
+    # |z|^n reaches 2.7e14, so its coefficients must keep their working
+    # precision through the conjugate reflection
+    mu = MeasureSpec.from_json(json.loads(D2_MEASURE.read_text()))
+    _, cert = vp_approximant(mu.spectrum, mu.weight, 128,
+                             precision=mu.precision)
+    assert cert.bookkeeping_gap <= 1e-12
 
 
 def test_defect_decay_and_lower_bound_trend(vp64, ty64):

@@ -7,7 +7,9 @@ moments are a^|m| / (1 - a^2) and the orthonormal polynomial leading
 coefficients are sqrt(1 - a^2) at degree zero and exactly 1 afterwards.
 """
 
+import json
 import math
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -34,6 +36,8 @@ from szego_lab.measure_opuc import (
 from szego_lab.xlinalg import NotPositiveDefinite, schur_leading
 
 import szego_lab.measure_opuc as mo
+
+D1_MEASURE = Path(__file__).parents[1] / "bench" / "defects" / "d1-measure.json"
 
 
 def one_mass(precision=256):
@@ -163,12 +167,41 @@ def test_bernstein_szego_moments_closed_form():
             assert abs(moment(mu, m, 0) - exact) < 1e-30
 
 
+def test_near_circle_moments_exact():
+    # psi = 1 - a z with its root 1e-3 outside the circle: the moments decay
+    # only like a^m, and the recurrence reproduces a^m / (1 - a^2) exactly
+    a = 1.0 / (1.0 + 1e-3)
+    psi = OuterWeight(LaurentPolynomial(0, [1.0, -a]))
+    tab = mo._trig_moments(psi, 3000, 256)
+    with mp.workprec(256):
+        am = mp.mpf(a)
+        t0 = 1 / (1 - am ** 2)
+        for m in (0, 1, 2, 17, 1000, 3000):
+            assert abs(tab.values[m] - am ** m * t0) < mp.mpf(2) ** -240 * t0
+
+
+@pytest.mark.parametrize("coeffs", [
+    [1.0, 0.4 - 0.3j],
+    [1.3, 0.3 - 0.2j, 0.1j],
+    [0.7, 0.2 + 0.1j, -0.05j, 0.03 - 0.02j],
+])
+def test_moments_match_fft_of_weight(coeffs):
+    # t_m is the circle mean of e^(-i m t)/|psi|^2: numpy's forward FFT
+    # divided by the grid size, exact to rounding on a fine grid
+    grid = 4096
+    nodes = np.exp(2j * np.pi * np.arange(grid) / grid)
+    psi_vals = np.polynomial.polynomial.polyval(nodes, coeffs)
+    fft = np.fft.fft(1.0 / np.abs(psi_vals) ** 2) / grid
+    tab = mo._trig_moments(OuterWeight(LaurentPolynomial(0, coeffs)), 40, 128)
+    for m in range(41):
+        assert abs(complex(tab.values[m]) - fft[m]) < 1e-14
+
+
 def test_quadrature_cap_raises(monkeypatch):
-    monkeypatch.setattr(mo, "_GRID_CAP", 4096)
-    psi = OuterWeight(LaurentPolynomial(0, [1.0, -1.0 / (1.0 + 1e-3)]))
-    mu = MeasureSpec(psi, PointSpectrum.empty(), 53)
+    # the residue quadrature doubles its grid past the cap and gives up
+    monkeypatch.setattr(mo, "_GRID_CAP", 256)
     with pytest.raises(QuadratureError):
-        moment(mu, 0, 0)
+        residue_identity_check(one_mass(), 4, 1)
 
 
 # ----------------------------------------------------------------------
@@ -335,6 +368,27 @@ def test_escalation_recovers_ill_conditioned_case():
         schur_leading(gram_polynomial(mu, 60, 53))
     v = tau_n(mu, 60)
     assert abs(v - mp.mpf(2) / 3) < 1e-8
+
+
+def test_precision_floor_follows_mass_growth():
+    # Gram entries reach |z|^(2n): 64 + 2n log2|z| bits, rounded up to a tag
+    assert mo._precision_floor(one_mass(53), 2) == 128
+    assert mo._precision_floor(one_mass(53), 60) == 256
+    assert mo._precision_floor(one_mass(512), 2) == 512
+    empty = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
+    assert mo._precision_floor(empty, 1000) == 53
+
+
+def test_128_bit_request_starts_above_the_floor():
+    # psi = 1 - 0.4z, masses at 2.5 and -1.2i: at 128 bits the n = 48 Gram
+    # (entries up to 2.5^96 = 2^127) used to factor without a nonpositive
+    # pivot and return eta_48 < tau_48
+    mu = MeasureSpec.from_json(json.loads(D1_MEASURE.read_text()))
+    assert mu.precision == 128
+    tau, eta = tau_n(mu, 48), eta_n(mu, 48)
+    assert tau <= eta
+    assert abs(tau - mp.mpf("0.3333333381")) < 1e-9
+    assert abs(eta - mp.mpf("0.3333333399")) < 1e-9
 
 
 def test_precision_exhausted_reports_ladder(monkeypatch):
