@@ -24,7 +24,6 @@ from dataclasses import dataclass
 from typing import Callable, Sequence
 
 import numpy as np
-from mpmath import mp
 
 from szego_lab.blaschke import (
     BlaschkeProduct,
@@ -52,7 +51,7 @@ from szego_lab.measure_opuc import (
     tau_n,
     eta_n,
 )
-from szego_lab.xlinalg import _MP_LOCK
+from szego_lab.xlinalg import context
 
 __all__ = [
     "SCHEDULE_FAMILIES",
@@ -193,28 +192,13 @@ def _reflected_pairs(spectrum: PointSpectrum) -> list:
     return [(1.0 / z.conjugate(), m) for z, m in spectrum.masses]
 
 
-def _select(spectrum: PointSpectrum, cap: int) -> tuple[list, list]:
-    """Split the mass points into the selected few and the near-circle tail.
+def _selection(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
+    """Selection cap, dilation numbers, and the split of the mass points.
 
-    Selection looks at the reflected moduli: below 1 - 1/cap, smallest
-    first, at most cap of them.  Returns original (point, mass) pairs.
-    """
-    masses = list(spectrum.masses)
-    refl = [1.0 / abs(z) for z, _ in masses]
-    order = sorted(range(len(masses)), key=lambda i: refl[i])
-    threshold = 1.0 - 1.0 / cap
-    chosen = [i for i in order if refl[i] < threshold][:cap]
-    chosen_set = set(chosen)
-    selected = [masses[i] for i in chosen]
-    tail = [masses[i] for i in range(len(masses)) if i not in chosen_set]
-    return selected, tail
-
-
-def partial_product(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
-    """Selection cap, dilation numbers, and the partial reflected product.
-
-    Returns (product, cap, margin_reciprocal, radius) where radius
-    = 1 + 1/margin_reciprocal.
+    Returns (cap, margin_reciprocal, radius, selected, tail) where radius
+    = 1 + 1/margin_reciprocal.  Selection looks at the reflected moduli:
+    below 1 - 1/cap, smallest first, at most cap of them; the rest is the
+    near-circle tail.  Both lists hold original (point, mass) pairs.
     """
     if n < 8:
         raise ValueError("pipelines need n >= 8")
@@ -226,7 +210,24 @@ def partial_product(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
             f"gives an empty selection cap at n={n}")
     margin = math.ceil(a * cap)
     radius = 1.0 + 1.0 / margin
-    selected, _ = _select(spectrum, cap)
+    masses = list(spectrum.masses)
+    refl = [1.0 / abs(z) for z, _ in masses]
+    order = sorted(range(len(masses)), key=lambda i: refl[i])
+    threshold = 1.0 - 1.0 / cap
+    chosen = [i for i in order if refl[i] < threshold][:cap]
+    chosen_set = set(chosen)
+    selected = [masses[i] for i in chosen]
+    tail = [masses[i] for i in range(len(masses)) if i not in chosen_set]
+    return cap, margin, radius, selected, tail
+
+
+def partial_product(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
+    """Selection cap, dilation numbers, and the partial reflected product.
+
+    Returns (product, cap, margin_reciprocal, radius) where radius
+    = 1 + 1/margin_reciprocal.
+    """
+    cap, margin, radius, selected, _ = _selection(spectrum, n, sched)
     product = ReflectedBlaschke(BlaschkeProduct(ZeroSet(
         tuple(1.0 / z.conjugate() for z, _ in selected))))
     return product, cap, margin, radius
@@ -245,24 +246,24 @@ def _bphi_series(zetas: Sequence, radius: float, upto: int,
     back-reflection factor |zeta|^(-n), so the coefficients need roughly
     n*log2(1/|zeta|) bits beyond the target accuracy.  Object array out.
     """
-    with _MP_LOCK, mp.workprec(bits):
-        rr = mp.mpf(radius)
-        scaled = [mp.mpc(zt) / rr for zt in zetas]
-        c = [mp.mpc(0)] * (upto + 1)
-        c[0] = mp.mpc(1)
-        for a in scaled:
-            rot = -abs(a) / a if a != 0 else mp.mpc(1)
-            nxt = [mp.mpc(0)] * (upto + 1)
-            nxt[0] = -a * c[0] * rot
+    ctx = context(bits)
+    rr = ctx.mpf(radius)
+    scaled = [ctx.mpc(zt) / rr for zt in zetas]
+    c = [ctx.mpc(0)] * (upto + 1)
+    c[0] = ctx.mpc(1)
+    for a in scaled:
+        rot = -abs(a) / a if a != 0 else ctx.mpc(1)
+        nxt = [ctx.mpc(0)] * (upto + 1)
+        nxt[0] = -a * c[0] * rot
+        for j in range(1, upto + 1):
+            nxt[j] = (c[j - 1] - a * c[j]) * rot
+        w = ctx.conj(a)
+        if w != 0:
             for j in range(1, upto + 1):
-                nxt[j] = (c[j - 1] - a * c[j]) * rot
-            w = mp.conj(a)
-            if w != 0:
-                for j in range(1, upto + 1):
-                    nxt[j] = nxt[j] + w * nxt[j - 1]
-            c = nxt
-        count = len(scaled)
-        out = [c[j] * rr ** (count - j) for j in range(upto + 1)]
+                nxt[j] = nxt[j] + w * nxt[j - 1]
+        c = nxt
+    count = len(scaled)
+    out = [c[j] * rr ** (count - j) for j in range(upto + 1)]
     return np.array(out, dtype=object)
 
 
@@ -275,30 +276,29 @@ def _inverse_weight(weight: OuterWeight, tail_target: float = 1e-12,
     precision (object array) so downstream products stay cancellation-safe.
     """
     p = weight.psi.as_complex128()
-    with _MP_LOCK, mp.workprec(bits):
-        if p.hi == 0:
-            inv0 = 1 / mp.mpc(complex(p.coefficient(0)))
-            return np.array([inv0], dtype=object), 0.0
-        roots = np.roots(p.coeffs[::-1])
-        rho = (1.0 + float(np.min(np.abs(roots)))) / 2.0
-        nodes = rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
-        m_rho = float(np.max(1.0 / np.abs(p(nodes))))
+    ctx = context(bits)
+    psi = p.at_precision(bits).coeffs
+    if p.hi == 0:
+        return np.array([1 / psi[0]], dtype=object), 0.0
+    roots = np.roots(p.coeffs[::-1])
+    rho = (1.0 + float(np.min(np.abs(roots)))) / 2.0
+    nodes = rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
+    m_rho = float(np.max(1.0 / np.abs(p(nodes))))
 
-        def tail(d: int) -> float:
-            return m_rho * rho ** (-(d + 1)) / (1.0 - 1.0 / rho)
+    def tail(d: int) -> float:
+        return m_rho * rho ** (-(d + 1)) / (1.0 - 1.0 / rho)
 
-        degree = 1
-        while tail(degree) > tail_target and degree < cap:
-            degree *= 2
-        degree = min(degree, cap)
-        psi = [mp.mpc(complex(c)) for c in p.coeffs]
-        inv = [mp.mpc(0)] * (degree + 1)
-        inv[0] = 1 / psi[0]
-        for j in range(1, degree + 1):
-            acc = mp.mpc(0)
-            for i in range(1, min(j, p.hi) + 1):
-                acc += psi[i] * inv[j - i]
-            inv[j] = -acc / psi[0]
+    degree = 1
+    while tail(degree) > tail_target and degree < cap:
+        degree *= 2
+    degree = min(degree, cap)
+    inv = [ctx.mpc(0)] * (degree + 1)
+    inv[0] = 1 / psi[0]
+    for j in range(1, degree + 1):
+        acc = ctx.mpc(0)
+        for i in range(1, min(j, p.hi) + 1):
+            acc += psi[i] * inv[j - i]
+        inv[j] = -acc / psi[0]
     return np.array(inv, dtype=object), tail(degree)
 
 
@@ -390,12 +390,6 @@ class PipelineCertificate:
         return abs(self.total_norm ** 2 - pieces) / self.total_norm ** 2
 
 
-def _to_mp(c):
-    if isinstance(c, (mp.mpc, mp.mpf)):
-        return c
-    return mp.mpc(complex(c))
-
-
 def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum,
                  competitor: LaurentPolynomial, r_small: LaurentPolynomial,
                  selected: list, tail: list, bits: int):
@@ -409,40 +403,34 @@ def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum,
     agreement then certifies the reflection step rather than the rounding
     of the points.
     """
-    with _MP_LOCK, mp.workprec(bits):
-        exps = list(range(competitor.lo, competitor.hi + 1))
-        span = competitor.hi - competitor.lo
-        table = _trig_moments(weight, span, bits)
-        v = [_to_mp(c) for c in competitor.coeffs]
+    ctx = context(bits)
+    competitor = competitor.at_precision(bits)
+    r_small = r_small.at_precision(bits)
+    v = competitor.coeffs
+    span = len(v) - 1
+    values = _trig_moments(weight, span, bits).values
+    # t_(c-r) for c - r = -span..span: conjugates rounded at bits, the
+    # others as the table holds them
+    t_diff = [ctx.conj(t) for t in values[span:0:-1]] + values[: span + 1]
 
-        def t_at(d: int):
-            t = table.values[abs(d)]
-            return mp.conj(t) if d < 0 else t
+    ac = ctx.re(ctx.fsum(
+        ctx.conj(v[r]) * ctx.fsum(v[c] * t_diff[span + c - r]
+                                  for c in range(len(v)))
+        for r in range(len(v))))
 
-        ac = mp.re(mp.fsum(
-            mp.conj(v[r]) * mp.fsum(v[c] * t_at(exps[c] - exps[r])
-                                    for c in range(len(v)))
-            for r in range(len(v))))
+    mass_part = ctx.mpf(0)
+    for z, m in spectrum.masses:
+        mass_part += m * abs(competitor(ctx.mpc(z))) ** 2
+    total_sq = ac + mass_part
 
-        def poly_at(poly: LaurentPolynomial, x):
-            acc = _to_mp(poly.coeffs[-1])
-            for cf in poly.coeffs[-2::-1]:
-                acc = acc * x + _to_mp(cf)
-            return acc * x ** poly.lo
-
-        mass_part = mp.mpf(0)
-        for z, m in spectrum.masses:
-            mass_part += m * abs(poly_at(competitor, mp.mpc(z))) ** 2
-        total_sq = ac + mass_part
-
-        inside = mp.mpf(0)
-        for z, m in selected:
-            inside += m * abs(poly_at(r_small, 1 / mp.conj(mp.mpc(z)))) ** 2
-        tail_sum = mp.mpf(0)
-        for z, m in tail:
-            tail_sum += m * abs(poly_at(r_small, 1 / mp.conj(mp.mpc(z)))) ** 2
-        return (float(ac), float(inside), float(tail_sum),
-                float(mp.sqrt(total_sq)))
+    inside = ctx.mpf(0)
+    for z, m in selected:
+        inside += m * abs(r_small(1 / ctx.conj(ctx.mpc(z)))) ** 2
+    tail_sum = ctx.mpf(0)
+    for z, m in tail:
+        tail_sum += m * abs(r_small(1 / ctx.conj(ctx.mpc(z)))) ** 2
+    return (float(ac), float(inside), float(tail_sum),
+            float(ctx.sqrt(total_sq)))
 
 
 def _schwarz_excess(approx: LaurentPolynomial, corrector, inv_poly, n: int,
@@ -460,37 +448,31 @@ def _schwarz_excess(approx: LaurentPolynomial, corrector, inv_poly, n: int,
 def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
                   sched: ScheduleParams, kernel: KernelSpec, route: str,
                   seed: int, precision: int):
-    _, cap, margin, radius = partial_product(spectrum, n, sched)
-    selected, tail = _select(spectrum, cap)
+    cap, margin, radius, selected, tail = _selection(spectrum, n, sched)
 
     # reflected back, a coefficient error e shows up as e * |z_max|^n
-    corrector = None
-    zetas: list = []
     bits_pipe = 128
     if selected:
         z_max = max(abs(z) for z, _ in selected)
         bits_pipe = max(128, 64 + math.ceil(n * math.log2(z_max)))
-        with _MP_LOCK, mp.workprec(bits_pipe):
-            zetas = [1 / mp.conj(mp.mpc(z)) for z, _ in selected]
+    ctx = context(bits_pipe)
+    upto = 2 * n - 1 if route == "vp" else n
+    corrector = None
+    if selected:
+        zetas = [1 / ctx.conj(ctx.mpc(z)) for z, _ in selected]
         corrector = corrector_with_radius(
             ZeroSet(tuple(complex(zt) for zt in zetas)), radius)
-
-    upto = 2 * n - 1 if route == "vp" else n
-    if selected:
         base = _bphi_series(zetas, radius, upto, bits_pipe)
     else:
-        base = np.array([mp.mpc(1)], dtype=object)
+        base = np.array([ctx.mpc(1)], dtype=object)
 
     def assemble(inv_coeffs: np.ndarray) -> LaurentPolynomial:
-        # object coefficients round at the ambient mpmath precision, so the
-        # product and the kernel multipliers must run inside the context
-        with _MP_LOCK, mp.workprec(bits_pipe):
-            if len(inv_coeffs) > 1:
-                series = np.convolve(base, inv_coeffs)[: upto + 1]
-            else:
-                series = base * inv_coeffs[0]
-            return convolve(LaurentPolynomial(0, series, precision=bits_pipe),
-                            kernel)
+        if len(inv_coeffs) > 1:
+            series = np.convolve(base, inv_coeffs)[: upto + 1]
+        else:
+            series = base * inv_coeffs[0]
+        return convolve(LaurentPolynomial(0, series, precision=bits_pipe),
+                        kernel)
 
     # reciprocal-weight truncation is re-tightened until its tail sits two
     # orders below the measured kernel defect

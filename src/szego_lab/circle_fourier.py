@@ -15,17 +15,15 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Iterable, NamedTuple, Sequence
+from typing import NamedTuple
 
 import numpy as np
-from mpmath import mp
 
-from szego_lab.xlinalg import _MP_LOCK
+from szego_lab.xlinalg import context
 
 __all__ = [
     "LaurentPolynomial",
     "KernelSpec",
-    "CircleGrid",
     "KernelDomainError",
     "SupBound",
     "vallee_poussin",
@@ -34,11 +32,9 @@ __all__ = [
     "dirichlet",
     "kernel_multiplier",
     "kernel_support",
-    "kernel_coeffs",
     "convolve",
     "kernel_identity_vk_vpn",
     "grid_nodes",
-    "sample_on_grid",
     "sup_norm",
     "sup_norm_certified",
     "lp_norm",
@@ -116,8 +112,19 @@ class LaurentPolynomial:
         arr = np.array([complex(c) for c in self.coeffs], dtype=np.complex128)
         return LaurentPolynomial(self.lo, arr, precision=53)
 
+    def at_precision(self, bits: int) -> "LaurentPolynomial":
+        """The same coefficients in context(bits), converted without
+        rounding, so that evaluating the result rounds at bits."""
+        ctx = context(bits)
+        arr = np.array([ctx.convert(c) for c in self.coeffs], dtype=object)
+        return LaurentPolynomial(self.lo, arr, bits)
+
     def __call__(self, z):
-        """Evaluate by two-sided Horner; z may be a scalar or ndarray."""
+        """Evaluate by two-sided Horner; z may be a scalar or ndarray.
+
+        The running value is the left operand of every step, so object
+        coefficients round at their own context (see at_precision).
+        """
         acc = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
             acc = acc * z + c
@@ -135,10 +142,9 @@ class LaurentPolynomial:
     def conj_reflect(self) -> "LaurentPolynomial":
         """conj(f(1/conj(z))): coefficient at j becomes conj(c_{-j})."""
         if self.coeffs.dtype == object:
-            # mpc.conjugate rounds at the ambient precision
-            with _MP_LOCK, mp.workprec(self.precision):
-                rev = np.array([c.conjugate() for c in self.coeffs[::-1]],
-                               dtype=object)
+            ctx = context(self.precision)
+            rev = np.array([ctx.conj(c) for c in self.coeffs[::-1]],
+                           dtype=object)
         else:
             rev = np.conj(self.coeffs[::-1])
         return LaurentPolynomial(-self.hi, rev, self.precision)
@@ -158,26 +164,6 @@ class LaurentPolynomial:
         return LaurentPolynomial(self.lo, self.coeffs * scalar, self.precision)
 
     __rmul__ = __mul__
-
-    def to_pairs(self) -> list:
-        """JSON form: list of [exponent, re, im] triples."""
-        out = []
-        for j, c in zip(range(self.lo, self.hi + 1), self.coeffs):
-            cc = complex(c)
-            out.append([int(j), cc.real, cc.imag])
-        return out
-
-    @classmethod
-    def from_pairs(cls, pairs: Iterable[Sequence]) -> "LaurentPolynomial":
-        items = [(int(j), complex(re, im)) for j, re, im in pairs]
-        if not items:
-            return cls.zero()
-        lo = min(j for j, _ in items)
-        hi = max(j for j, _ in items)
-        arr = np.zeros(hi - lo + 1, dtype=np.complex128)
-        for j, c in items:
-            arr[j - lo] += c
-        return cls(lo, arr)
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -331,11 +317,6 @@ def _multiplier_array(spec: KernelSpec, lo: int, hi: int) -> np.ndarray:
     return num.astype(np.float64) / float(den)
 
 
-def kernel_coeffs(spec: KernelSpec) -> LaurentPolynomial:
-    lo, hi = kernel_support(spec)
-    return LaurentPolynomial(lo, _multiplier_array(spec, lo, hi))
-
-
 def convolve(f: LaurentPolynomial, spec: KernelSpec) -> LaurentPolynomial:
     """Coefficientwise product with the kernel multiplier: (f * K)^(j) = f^(j) K^(j)."""
     klo, khi = kernel_support(spec)
@@ -373,20 +354,6 @@ def kernel_identity_vk_vpn(k: int, n: int) -> bool:
 # grids and norms
 
 
-@dataclass(frozen=True)
-class CircleGrid:
-    """Equispaced samples f(exp(2 pi i p / size)), size a power of two."""
-
-    size: int
-    values: np.ndarray
-
-    def __post_init__(self):
-        if self.size & (self.size - 1) or self.size <= 0:
-            raise ValueError("grid size must be a power of two")
-        if len(self.values) != self.size:
-            raise ValueError("values length must equal size")
-
-
 def grid_nodes(size: int) -> np.ndarray:
     return np.exp(2j * np.pi * np.arange(size) / size)
 
@@ -398,15 +365,6 @@ def _analytic_values(coeffs: np.ndarray, size: int) -> np.ndarray:
         chunk = coeffs[start : start + size]
         padded[: len(chunk)] += chunk
     return np.fft.ifft(padded) * size
-
-
-def sample_on_grid(f: LaurentPolynomial, size: int | None = None, oversample: int = 4) -> CircleGrid:
-    g = f.as_complex128()
-    m = _next_pow2(max(size or 1, oversample * (g.span + 1), 4))
-    vals = _analytic_values(g.coeffs, m)
-    if g.lo:
-        vals = vals * grid_nodes(m) ** g.lo
-    return CircleGrid(m, vals)
 
 
 class SupBound(NamedTuple):

@@ -24,7 +24,7 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from mpmath import mp
+from mpmath import MPContext
 
 from szego_lab.blaschke import BlaschkeProduct, ZeroSet
 from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2
@@ -33,8 +33,8 @@ from szego_lab.xlinalg import (
     HermitianMatrix,
     NotPositiveDefinite,
     PrecisionTag,
-    _MP_LOCK,
     constrained_max_leading,
+    context,
     next_tag,
     schur_leading,
 )
@@ -202,37 +202,31 @@ class _MomentTable:
         self.values = values  # t_m for m = 0..len-1
 
 
+# Threads that miss together each fill the entry with the same values, so
+# the later write is as good as the earlier one.
 _moment_cache: dict = {}
 
 
-def _psi_mp(weight: OuterWeight, bits: int) -> list:
-    with mp.workprec(bits):
-        return [mp.mpc(complex(c)) for c in weight.psi.as_complex128().coeffs]
-
-
-def _eval_poly_mp(coeffs: list, z):
-    acc = coeffs[-1]
-    for c in coeffs[-2::-1]:
-        acc = acc * z + c
-    return acc
-
-
-def _bernstein_szego_head(coeffs: list) -> list:
+def _bernstein_szego_head(coeffs: list, bits: int) -> list:
     """t_0..t_d for psi = sum_j c_j z^j of degree d (see _trig_moments).
 
     psi/|psi|^2 = 1/conj(psi) has no positive frequencies and constant term
     1/c_0, so sum_j c_j t_(k-j) = [k == 0]/c_0 for k >= 0, where
     t_(-m) = conj(t_m).  Rows k = 0..d are a real linear system in the re
     and im parts of t_0..t_d; it is nonsingular, since with the recurrence
-    for k > d they determine every moment.
+    for k > d they determine every moment.  Returns mpc in context(bits).
     """
+    # lu_solve raises its context's precision while it runs, so it gets a
+    # context of its own rather than the shared one
+    solver = MPContext()
+    solver.prec = bits
     d = len(coeffs) - 1
     size = 2 * (d + 1)
-    a = mp.matrix(size, size)
-    rhs = mp.matrix(size, 1)
+    a = solver.matrix(size, size)
+    rhs = solver.matrix(size, 1)
     for k in range(d + 1):
         for j in range(d + 1):
-            cre, cim = mp.re(coeffs[j]), mp.im(coeffs[j])
+            cre, cim = coeffs[j].real, coeffs[j].imag
             m = k - j
             sign = 1 if m >= 0 else -1  # t_m, or conj(t_|m|) when m < 0
             col = 2 * abs(m)
@@ -240,9 +234,10 @@ def _bernstein_szego_head(coeffs: list) -> list:
             a[2 * k, col + 1] -= sign * cim
             a[2 * k + 1, col] += cim
             a[2 * k + 1, col + 1] += sign * cre
-    rhs[0] = 1 / mp.re(coeffs[0])
-    x = mp.lu_solve(a, rhs)
-    return [mp.mpc(x[2 * m], x[2 * m + 1] if m else 0) for m in range(d + 1)]
+    rhs[0] = 1 / coeffs[0].real
+    x = solver.lu_solve(a, rhs)
+    ctx = context(bits)
+    return [ctx.mpc(x[2 * m], x[2 * m + 1] if m else 0) for m in range(d + 1)]
 
 
 def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> _MomentTable:
@@ -254,26 +249,19 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> _MomentTable:
     characteristic roots 1/r_j, r_j the roots of psi, lie inside the disk.
     """
     key = (weight.coeff_key(), bits)
-    with _MP_LOCK:
-        tab = _moment_cache.get(key)
-        if tab is not None and len(tab.values) > m_max:
-            return tab
-        with mp.workprec(bits + 32):
-            coeffs = _psi_mp(weight, bits + 32)
-            t = (list(tab.values) if tab is not None
-                 else _bernstein_szego_head(coeffs))
-            for k in range(len(t), m_max + 1):
-                t.append(-mp.fsum(coeffs[j] * t[k - j]
-                                  for j in range(1, len(coeffs))) / coeffs[0])
-            tab = _MomentTable(t)
-            _moment_cache[key] = tab
-            return tab
-
-
-def _trig_moment(weight: OuterWeight, m: int, bits: int):
-    tab = _trig_moments(weight, abs(m), bits)
-    t = tab.values[abs(m)]
-    return mp.conj(t) if m < 0 else t
+    tab = _moment_cache.get(key)
+    if tab is not None and len(tab.values) > m_max:
+        return tab
+    ctx = context(bits + 32)
+    coeffs = list(weight.psi.as_complex128().at_precision(bits + 32).coeffs)
+    t = (list(tab.values) if tab is not None
+         else _bernstein_szego_head(coeffs, bits + 32))
+    for k in range(len(t), m_max + 1):
+        t.append(-ctx.fsum(coeffs[j] * t[k - j]
+                           for j in range(1, len(coeffs))) / coeffs[0])
+    tab = _MomentTable(t)
+    _moment_cache[key] = tab
+    return tab
 
 
 def moment(mu: MeasureSpec, j: int, k: int):
@@ -283,41 +271,42 @@ def moment(mu: MeasureSpec, j: int, k: int):
     1/|psi|^2.  Point part: sum of mu_l * z_l^j * conj(z_l)^k.
     """
     bits = mu.precision
-    with _MP_LOCK, mp.workprec(bits):
-        total = mp.mpc(_trig_moment(mu.weight, j - k, bits))
-        for z, m in mu.spectrum.masses:
-            zl = mp.mpc(z)
-            total += m * zl ** j * mp.conj(zl) ** k
-        return total
+    ctx = context(bits)
+    t = _trig_moments(mu.weight, abs(j - k), bits).values[abs(j - k)]
+    total = ctx.mpc(ctx.conj(t) if j < k else t)
+    for z, m in mu.spectrum.masses:
+        zl = ctx.mpc(z)
+        total += m * zl ** j * ctx.conj(zl) ** k
+    return total
 
 
 def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> HermitianMatrix:
     n = len(exps)
     lo, hi = min(exps), max(exps)
-    table = _trig_moments(mu.weight, hi - lo, bits)
-    with _MP_LOCK, mp.workprec(bits):
-        powers = []
-        for z, m in mu.spectrum.masses:
-            zl = mp.mpc(z)
-            pw = {0: mp.mpc(1)}
-            for e in range(1, hi + 1):
-                pw[e] = pw[e - 1] * zl
-            inv = 1 / zl
-            for e in range(-1, lo - 1, -1):
-                pw[e] = pw[e + 1] * inv
-            powers.append((mp.mpf(m), pw))
-        cols: list[list] = [[None] * n for _ in range(n)]
-        for c in range(n):
-            for r in range(c, n):
-                d = exps[c] - exps[r]
-                t = table.values[abs(d)]
-                val = mp.conj(t) if d < 0 else mp.mpc(t)
-                for m, pw in powers:
-                    val += m * pw[exps[c]] * mp.conj(pw[exps[r]])
-                cols[c][r] = val
-                if r != c:
-                    cols[r][c] = mp.conj(val)
-        return HermitianMatrix(cols, bits)
+    values = _trig_moments(mu.weight, hi - lo, bits).values
+    ctx = context(bits)
+    conj_t = [ctx.conj(t) for t in values[: hi - lo + 1]]
+    powers = []
+    for z, m in mu.spectrum.masses:
+        zl = ctx.mpc(z)
+        pw = {0: ctx.mpc(1)}
+        for e in range(1, hi + 1):
+            pw[e] = pw[e - 1] * zl
+        inv = 1 / zl
+        for e in range(-1, lo - 1, -1):
+            pw[e] = pw[e + 1] * inv
+        powers.append((ctx.mpf(m), pw))
+    cols: list[list] = [[None] * n for _ in range(n)]
+    for c in range(n):
+        for r in range(c, n):
+            d = exps[c] - exps[r]
+            val = conj_t[-d] if d < 0 else ctx.mpc(values[d])
+            for m, pw in powers:
+                val += m * pw[exps[c]] * ctx.conj(pw[exps[r]])
+            cols[c][r] = val
+            if r != c:
+                cols[r][c] = ctx.conj(val)
+    return HermitianMatrix(cols, bits)
 
 
 def gram_polynomial(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianMatrix:
@@ -404,19 +393,19 @@ def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> Laure
 _GRID_CAP = 1 << 20
 
 
-def _reflected_factors(masses: Sequence) -> list:
+def _reflected_factors(ctx, masses: Sequence) -> list:
     """(zeta_i, rot_i) for the positively normalized reflected product."""
     out = []
     for z, _ in masses:
-        zeta = 1 / mp.conj(mp.mpc(z))
+        zeta = 1 / ctx.conj(ctx.mpc(z))
         out.append((zeta, -abs(zeta) / zeta))
     return out
 
 
-def _blaschke_mp(factors: list, x):
-    acc = mp.mpc(1)
+def _blaschke_mp(ctx, factors: list, x):
+    acc = ctx.mpc(1)
     for zeta, rot in factors:
-        acc *= rot * (x - zeta) / (1 - mp.conj(zeta) * x)
+        acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
     return acc
 
 
@@ -438,72 +427,65 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int) -> dict:
             if pts[i][0] == pts[j][0]:
                 raise ValueError("chosen mass points must be distinct")
     bits = mu.precision
-    r_elem = orthonormal_element(mu, n, laurent=True)
-    with _MP_LOCK, mp.workprec(bits):
-        psi_coeffs = _psi_mp(mu.weight, bits)
-        factors = _reflected_factors(pts)
-        eta = mp.re(r_elem.coefficient(n))
-        coeffs = list(r_elem.coeffs)
+    ctx = context(bits)
+    # an escalated element keeps its coefficients but is evaluated at bits
+    r_elem = orthonormal_element(mu, n, laurent=True).at_precision(bits)
+    psi = mu.weight.psi.as_complex128().at_precision(bits)
+    factors = _reflected_factors(ctx, pts)
+    eta = r_elem.coefficient(n).real
 
-        def r_at(x):
-            acc = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                acc = acc * x + c
-            return acc * x ** r_elem.lo
+    # closed-form side
+    b0 = ctx.mpf(1)
+    for zeta, _ in factors:
+        b0 *= abs(zeta)
+    rhs = eta / (b0 * ctx.mpf(mu.weight.psi0))
+    majorant = ctx.mpf(0)
+    for i, (z, mass) in enumerate(pts):
+        zi = ctx.mpc(z)
+        zeta_i, rot_i = factors[i]
+        deriv = ctx.conj(rot_i) * (-ctx.conj(zeta_i) ** 2 / (1 - abs(zeta_i) ** 2))
+        for j, (zeta_j, rot_j) in enumerate(factors):
+            if j != i:
+                deriv *= ctx.conj(rot_j) * (1 - ctx.conj(zeta_j) * zi) / (zi - zeta_j)
+        if deriv == 0:
+            raise ValueError("degenerate double point in the reflected product")
+        denom = deriv * ctx.conj(psi(zeta_i)) * zi ** (n + 1)
+        rhs -= r_elem(zi) / denom
+        majorant += 1 / (abs(denom) ** 2 * mass)
 
-        # closed-form side
-        b0 = mp.mpf(1)
-        for zeta, _ in factors:
-            b0 *= abs(zeta)
-        rhs = eta / (b0 * mp.mpf(mu.weight.psi0))
-        majorant = mp.mpf(0)
-        for i, (z, mass) in enumerate(pts):
-            zi = mp.mpc(z)
-            zeta_i, rot_i = factors[i]
-            deriv = mp.conj(rot_i) * (-mp.conj(zeta_i) ** 2 / (1 - abs(zeta_i) ** 2))
-            for j, (zeta_j, rot_j) in enumerate(factors):
-                if j != i:
-                    deriv *= mp.conj(rot_j) * (1 - mp.conj(zeta_j) * zi) / (zi - zeta_j)
-            if deriv == 0:
-                raise ValueError("degenerate double point in the reflected product")
-            psi_star = mp.conj(_eval_poly_mp(psi_coeffs, zeta_i))
-            denom = deriv * psi_star * zi ** (n + 1)
-            rhs -= r_at(zi) / denom
-            majorant += 1 / (abs(denom) ** 2 * mass)
+    # quadrature side
+    def mean_at(grid: int):
+        two_over = ctx.mpf(2) / grid
+        terms = []
+        for p in range(grid):
+            x = ctx.expjpi(two_over * p)
+            num = r_elem(x) * x ** (-n)
+            den = ctx.conj(psi(x)) * ctx.conj(_blaschke_mp(ctx, factors, x))
+            terms.append(num / den)
+        return ctx.fsum(terms) / grid
 
-        # quadrature side
-        def mean_at(grid: int):
-            two_over = mp.mpf(2) / grid
-            terms = []
-            for p in range(grid):
-                x = mp.expjpi(two_over * p)
-                num = r_at(x) * x ** (-n)
-                den = mp.conj(_eval_poly_mp(psi_coeffs, x)) * mp.conj(_blaschke_mp(factors, x))
-                terms.append(num / den)
-            return mp.fsum(terms) / grid
-
-        tol = mp.mpf(2) ** (-min(bits, 160) + 20)
-        grid = _next_pow2(max(8 * (n + 1), 256))
-        prev = mean_at(grid)
-        while True:
-            if 2 * grid > _GRID_CAP:
-                raise QuadratureError(
-                    f"residue quadrature did not converge by {_GRID_CAP} nodes")
-            cur = mean_at(2 * grid)
-            if abs(cur - prev) <= tol:
-                break
-            prev = cur
-            grid *= 2
-        lhs = cur
-        return {
-            "n": n,
-            "k": k,
-            "lhs": lhs,
-            "rhs": rhs,
-            "abs_diff": abs(lhs - rhs),
-            "schwarz_majorant": majorant,
-            "grid": 2 * grid,
-        }
+    tol = ctx.mpf(2) ** (-min(bits, 160) + 20)
+    grid = _next_pow2(max(8 * (n + 1), 256))
+    prev = mean_at(grid)
+    while True:
+        if 2 * grid > _GRID_CAP:
+            raise QuadratureError(
+                f"residue quadrature did not converge by {_GRID_CAP} nodes")
+        cur = mean_at(2 * grid)
+        if abs(cur - prev) <= tol:
+            break
+        prev = cur
+        grid *= 2
+    lhs = cur
+    return {
+        "n": n,
+        "k": k,
+        "lhs": lhs,
+        "rhs": rhs,
+        "abs_diff": abs(lhs - rhs),
+        "schwarz_majorant": majorant,
+        "grid": 2 * grid,
+    }
 
 
 # ----------------------------------------------------------------------

@@ -8,21 +8,29 @@ maximizer built from the full inverse applied to the last basis vector.
 Both routes are kept deliberately distinct so their agreement is a check,
 not a tautology.
 
+Precision is a value, not ambient state: context(bits) is the mpmath
+context that rounds at bits, and every number keeps the context that made
+it.  An mpmath operation rounds at the context of its left operand, and
+ctx.mpc(x) rounds x to ctx.prec.  The contexts are never mutated, so threads
+share them without a lock, and nothing here reads or sets mpmath.mp's
+precision.
+
 Precision never escalates silently: a failed pivot raises
 NotPositiveDefinite and the caller decides whether to retry higher.
 """
 
 from __future__ import annotations
 
-import threading
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
-from mpmath import mp
+from mpmath import MPContext, mp
 
 __all__ = [
     "PRECISION_BITS",
     "PrecisionTag",
+    "context",
     "next_tag",
     "HermitianMatrix",
     "CholeskyFactor",
@@ -37,9 +45,17 @@ __all__ = [
 
 PRECISION_BITS = (53, 128, 256, 512)
 
-# mpmath's working precision is process-global; serialize precision-scoped
-# regions so threaded certificate sweeps stay correct.
-_MP_LOCK = threading.RLock()
+
+@functools.lru_cache(maxsize=64)
+def context(bits: int) -> MPContext:
+    """The shared mpmath context with prec = bits; callers must not mutate it.
+
+    An evicted context stays valid for the numbers that hold it, and a new
+    one at the same precision rounds identically.
+    """
+    ctx = MPContext()
+    ctx.prec = bits
+    return ctx
 
 
 @dataclass(frozen=True)
@@ -69,11 +85,6 @@ class NotPositiveDefinite(ArithmeticError):
                          (f" (value {mp.nstr(value, 8)})" if value is not None else ""))
 
 
-def _round_to(x, bits: int):
-    with mp.workprec(bits):
-        return +mp.mpc(x)
-
-
 class HermitianMatrix:
     """Hermitian matrix in dense column storage at a precision tag.
 
@@ -85,22 +96,21 @@ class HermitianMatrix:
 
     def __init__(self, columns: Sequence[Sequence], bits: int = 53, _skip_check: bool = False):
         PrecisionTag(bits)
-        with _MP_LOCK:
-            cols = tuple(tuple(_round_to(v, bits) for v in col) for col in columns)
-            n = len(cols)
-            if any(len(col) != n for col in cols):
-                raise ValueError("matrix must be square")
-            if not _skip_check:
-                with mp.workprec(bits):
-                    ulp = mp.mpf(2) ** (1 - bits)
-                    for k in range(n):
-                        for j in range(k, n):
-                            a = cols[k][j]
-                            b = mp.conj(cols[j][k])
-                            scale = max(abs(a), abs(b), mp.mpf(1))
-                            if abs(a - b) > ulp * scale:
-                                raise ValueError(
-                                    f"not Hermitian at ({j},{k}): {a} vs conj {b}")
+        ctx = context(bits)
+        cols = tuple(tuple(ctx.mpc(v) for v in col) for col in columns)
+        n = len(cols)
+        if any(len(col) != n for col in cols):
+            raise ValueError("matrix must be square")
+        if not _skip_check:
+            ulp = ctx.mpf(2) ** (1 - bits)
+            for k in range(n):
+                for j in range(k, n):
+                    a = cols[k][j]
+                    b = ctx.conj(cols[j][k])
+                    scale = max(abs(a), abs(b), ctx.mpf(1))
+                    if abs(a - b) > ulp * scale:
+                        raise ValueError(
+                            f"not Hermitian at ({j},{k}): {a} vs conj {b}")
         self.dim = n
         self.columns = cols
         self.bits = bits
@@ -143,7 +153,7 @@ class CholeskyFactor:
 
     def entry(self, i: int, j: int):
         if j > i:
-            return mp.mpc(0)
+            return context(self.bits).mpc(0)
         return self.rows[i][j]
 
 
@@ -155,42 +165,42 @@ def cholesky(g: HermitianMatrix) -> CholeskyFactor:
     protocol.
     """
     n = g.dim
-    with _MP_LOCK, mp.workprec(g.bits):
-        rows: list[list] = []
-        for i in range(n):
-            row = []
-            for j in range(i):
-                s = mp.fdot(row[:j], rows[j][:j], conjugate=True) if j else mp.mpc(0)
-                row.append((g.entry(i, j) - s) / rows[j][j])
-            s = mp.fdot(row, row, conjugate=True) if row else mp.mpf(0)
-            pivot = mp.re(g.entry(i, i) - s)
-            if pivot <= 0:
-                raise NotPositiveDefinite(i, pivot)
-            row.append(mp.sqrt(pivot))
-            rows.append(row)
-        return CholeskyFactor(tuple(tuple(r) for r in rows), g.bits)
+    ctx = context(g.bits)
+    rows: list[list] = []
+    for i in range(n):
+        row = []
+        for j in range(i):
+            s = ctx.fdot(row[:j], rows[j][:j], conjugate=True) if j else ctx.mpc(0)
+            row.append((g.entry(i, j) - s) / rows[j][j])
+        s = ctx.fdot(row, row, conjugate=True) if row else ctx.mpf(0)
+        pivot = ctx.re(g.entry(i, i) - s)
+        if pivot <= 0:
+            raise NotPositiveDefinite(i, pivot)
+        row.append(ctx.sqrt(pivot))
+        rows.append(row)
+    return CholeskyFactor(tuple(tuple(r) for r in rows), g.bits)
 
 
 def solve_lower(l: CholeskyFactor, b: Sequence) -> list:
     """Forward substitution for L y = b."""
-    with _MP_LOCK, mp.workprec(l.bits):
-        y: list = []
-        for i in range(l.dim):
-            s = mp.fdot(l.rows[i][:i], y) if i else mp.mpc(0)
-            y.append((mp.mpc(b[i]) - s) / l.rows[i][i])
-        return y
+    ctx = context(l.bits)
+    y: list = []
+    for i in range(l.dim):
+        s = ctx.fdot(l.rows[i][:i], y) if i else ctx.mpc(0)
+        y.append((ctx.mpc(b[i]) - s) / l.rows[i][i])
+    return y
 
 
 def solve_upper_conj(l: CholeskyFactor, y: Sequence) -> list:
     """Back substitution for L* x = y."""
     n = l.dim
-    with _MP_LOCK, mp.workprec(l.bits):
-        x: list = [mp.mpc(0)] * n
-        for i in range(n - 1, -1, -1):
-            s = mp.fdot((mp.conj(l.rows[k][i]) for k in range(i + 1, n)),
-                        (x[k] for k in range(i + 1, n)))
-            x[i] = (mp.mpc(y[i]) - s) / mp.conj(l.rows[i][i])
-        return x
+    ctx = context(l.bits)
+    x: list = [ctx.mpc(0)] * n
+    for i in range(n - 1, -1, -1):
+        s = ctx.fdot((ctx.conj(l.rows[k][i]) for k in range(i + 1, n)),
+                     (x[k] for k in range(i + 1, n)))
+        x[i] = (ctx.mpc(y[i]) - s) / ctx.conj(l.rows[i][i])
+    return x
 
 
 def schur_leading(g: HermitianMatrix):
@@ -201,17 +211,17 @@ def schur_leading(g: HermitianMatrix):
     pivot to the span of the others.  Returns an mpf.
     """
     n = g.dim
-    with _MP_LOCK, mp.workprec(g.bits):
-        if n == 1:
-            s = mp.re(g.entry(0, 0))
-        else:
-            sub = cholesky(g.principal_block(n - 1))
-            coupling = [g.entry(j, n - 1) for j in range(n - 1)]
-            y = solve_lower(sub, coupling)
-            s = mp.re(g.entry(n - 1, n - 1)) - mp.re(mp.fdot(y, y, conjugate=True))
-        if s <= 0:
-            raise NotPositiveDefinite(n - 1, s)
-        return 1 / mp.sqrt(s)
+    ctx = context(g.bits)
+    if n == 1:
+        s = ctx.re(g.entry(0, 0))
+    else:
+        sub = cholesky(g.principal_block(n - 1))
+        coupling = [g.entry(j, n - 1) for j in range(n - 1)]
+        y = solve_lower(sub, coupling)
+        s = ctx.re(g.entry(n - 1, n - 1)) - ctx.re(ctx.fdot(y, y, conjugate=True))
+    if s <= 0:
+        raise NotPositiveDefinite(n - 1, s)
+    return 1 / ctx.sqrt(s)
 
 
 def constrained_max_leading(g: HermitianMatrix):
@@ -222,30 +232,30 @@ def constrained_max_leading(g: HermitianMatrix):
     """
     n = g.dim
     l = cholesky(g)
-    with _MP_LOCK, mp.workprec(g.bits):
-        e_n = [mp.mpc(0)] * n
-        e_n[n - 1] = mp.mpc(1)
-        y = solve_lower(l, e_n)
-        x = solve_upper_conj(l, y)
-        w = mp.re(x[n - 1])
-        if w <= 0:
-            raise NotPositiveDefinite(n - 1, w)
-        eta = mp.sqrt(w)
-        witness = tuple(xi / eta for xi in x)
-        return eta, witness
+    ctx = context(g.bits)
+    e_n = [ctx.mpc(0)] * n
+    e_n[n - 1] = ctx.mpc(1)
+    y = solve_lower(l, e_n)
+    x = solve_upper_conj(l, y)
+    w = ctx.re(x[n - 1])
+    if w <= 0:
+        raise NotPositiveDefinite(n - 1, w)
+    eta = ctx.sqrt(w)
+    witness = tuple(xi / eta for xi in x)
+    return eta, witness
 
 
 def frobenius_residual(g: HermitianMatrix, l: CholeskyFactor):
     """||L L* - G||_F / ||G||_F, measured 64 bits above the working tag."""
     n = g.dim
-    with _MP_LOCK, mp.workprec(g.bits + 64):
-        num = mp.mpf(0)
-        den = mp.mpf(0)
-        for i in range(n):
-            for j in range(n):
-                m = min(i, j) + 1
-                rec = mp.fdot(l.rows[i][:m], l.rows[j][:m], conjugate=True)
-                diff = rec - g.entry(i, j)
-                num += abs(diff) ** 2
-                den += abs(g.entry(i, j)) ** 2
-        return mp.sqrt(num) / mp.sqrt(den)
+    ctx = context(g.bits + 64)
+    num = ctx.mpf(0)
+    den = ctx.mpf(0)
+    for i in range(n):
+        for j in range(n):
+            m = min(i, j) + 1
+            rec = ctx.fdot(l.rows[i][:m], l.rows[j][:m], conjugate=True)
+            gij = ctx.mpc(g.entry(i, j))
+            num += abs(rec - gij) ** 2
+            den += abs(gij) ** 2
+    return ctx.sqrt(num) / ctx.sqrt(den)

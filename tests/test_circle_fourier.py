@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 from fractions import Fraction
+from mpmath import mp
 
 from szego_lab.circle_fourier import (
     KernelDomainError,
@@ -8,19 +9,17 @@ from szego_lab.circle_fourier import (
     besov_seminorm,
     convolve,
     dirichlet,
-    grid_nodes,
-    kernel_coeffs,
     kernel_identity_vk_vpn,
     kernel_multiplier,
     kernel_support,
     lp_norm,
     modified_v,
     modified_vp,
-    sample_on_grid,
     sup_norm,
     sup_norm_certified,
     vallee_poussin,
 )
+from szego_lab.xlinalg import context
 
 
 # ---------------------------------------------------------------- polynomials
@@ -69,10 +68,25 @@ def test_conj_reflect():
         assert abs(r(z) - np.conj(f(z))) < 1e-12
 
 
-def test_pairs_roundtrip():
-    f = LaurentPolynomial(-2, [1.0 + 2j, 0.0, 3.0])
-    g = LaurentPolynomial.from_pairs(f.to_pairs())
-    assert g.lo == f.lo and np.allclose(g.coeffs, f.coeffs)
+def test_at_precision_rounds_evaluation_not_coefficients():
+    ctx = context(256)
+    coeffs = [ctx.mpc(j + 1, -j) / 3 for j in range(7)]  # 256-bit mantissas
+    f = LaurentPolynomial(-3, np.array(coeffs, dtype=object), precision=256)
+    z = context(128).mpc(0.6, 0.7) / 7
+    got = f.at_precision(128)(z)
+    # reference: the Horner loop at an ambient precision of 128 bits over
+    # the unrounded coefficients
+    with mp.workprec(256):
+        ref_coeffs = [mp.mpc(c) for c in coeffs]
+    with mp.workprec(128):
+        x = mp.mpc(z)
+        acc = ref_coeffs[-1]
+        for c in ref_coeffs[-2::-1]:
+            acc = acc * x + c
+        ref = acc * x ** -3
+    assert got._mpc_ == ref._mpc_
+    assert got.context.prec == 128
+    assert f(z)._mpc_ != got._mpc_  # the 256-bit evaluation differs
 
 
 # ------------------------------------------------------------------- kernels
@@ -129,7 +143,9 @@ def test_kernel_support_matches_multiplier():
 
 def test_kernel_coeffs_agree_with_multiplier():
     spec = vallee_poussin(3)
-    kc = kernel_coeffs(spec)
+    lo, hi = kernel_support(spec)
+    kc = convolve(LaurentPolynomial(lo, np.ones(hi - lo + 1)), spec)
+    assert (kc.lo, kc.hi) == (lo, hi)
     for j in range(kc.lo, kc.hi + 1):
         assert kc.coefficient(j) == float(kernel_multiplier(spec, j))
 
@@ -306,13 +322,3 @@ def test_besov_rejects_laurent_input():
     assert besov_seminorm(LaurentPolynomial.zero(), 1.0, np.inf) == 0.0
 
 
-# ------------------------------------------------------------------- grids
-
-
-def test_grid_sampling_matches_direct_eval():
-    rng = np.random.default_rng(51)
-    f = LaurentPolynomial(-3, rng.standard_normal(9) + 1j * rng.standard_normal(9))
-    grid = sample_on_grid(f, size=64)
-    nodes = grid_nodes(grid.size)
-    direct = f(nodes)
-    assert np.max(np.abs(grid.values - direct)) < 1e-10
