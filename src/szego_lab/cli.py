@@ -47,6 +47,7 @@ from szego_lab.measure_opuc import (
     PrecisionExhausted,
     QuadratureError,
     log_condition_report,
+    orthonormal_element,
     residue_identity_check,
     target_limit,
 )
@@ -499,8 +500,9 @@ def _run_residue_check(man: RunManifest):
                 "k_list", f"measure has only {n_masses} mass points")
     rows = []
     for n in man.n_grid:
+        element = orthonormal_element(mu, n, laurent=True)
         for k in ks:
-            rec = residue_identity_check(mu, n, k)
+            rec = residue_identity_check(mu, n, k, element=element)
             rows.append({
                 "n": n, "k": k,
                 "lhs_re": float(rec["lhs"].real),

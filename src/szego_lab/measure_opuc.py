@@ -4,17 +4,26 @@ The measure is dm/|psi|^2 on the unit circle plus finitely many point masses
 at |z_k| > 1, psi a zero-free-on-the-closed-disk Taylor polynomial with
 psi(0) > 0.  This module computes trigonometric moments (cached, exact:
 a small linear system and the recurrence that psi defines), Gram matrices
-over polynomial and Laurent spans, the leading coefficients of the
-orthonormal elements through the extended-precision Schur route, the
-orthonormal elements themselves, a contour-integral residue identity
-connecting the Laurent leading coefficient to point evaluations at the
-masses, and the slow-decay condition report for mass sequences accumulating
-at the circle.
+over polynomial and Laurent spans, the leading coefficients tau_n and eta_n
+of the orthonormal elements, the orthonormal elements themselves, a
+contour-integral residue identity connecting the Laurent leading
+coefficient to point evaluations at the masses, and the slow-decay
+condition report for mass sequences accumulating at the circle.
+
+tau_n and eta_n have two routes.  With masses and degree at least deg psi
+they come from Uvarov's closed form: the Bernstein-Szego orthonormal
+polynomials and their Christoffel-Darboux kernel reduce the Gram solve to
+a K-by-K system for K masses, whatever n is.  Mass-free measures, where
+the closed form is the constant psi(0), and lower degrees take the Gram
+route, the extended-precision Schur complement, which stays the oracle
+for the closed form; the orthonormal elements are the extremal witnesses
+of the same Gram matrices.
 
 Precision escalation is explicit: the Gram factorization starts at the
 first tag that holds its entries (at least the measure's tag), a failure
 there is retried at the next tag, and the failure is reported, never
-hidden.
+hidden.  The closed form works 32 bits above the measure's tag and raises
+NotPositiveDefinite if its system loses positivity.
 """
 
 from __future__ import annotations
@@ -357,14 +366,87 @@ def _escalate(mu: MeasureSpec, n: int, build_and_solve):
     raise PrecisionExhausted(tuple(tried), last.pivot)
 
 
+def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
+    """tau_n (or eta_n with laurent) by the Gram route: the Schur complement
+    of the pivot z^n under the escalation protocol.  The oracle for the
+    closed form, and the route for mass-free measures and n < deg psi."""
+    gram = gram_laurent if laurent else gram_polynomial
+    return _escalate(mu, n, lambda b: schur_leading(gram(mu, n, b)))
+
+
+def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
+    """Uvarov's formula for tau_n, n >= deg psi, with each mass m_i
+    reweighted by |z_i|^(-2 shift); O(K^3 + K^2 d) for K masses, any n.
+
+    Writing psi = sum_j c_j z^j, the Gram route's continuous part (see
+    moment) has weight 1/|p|^2, p(z) = sum_j conj(c_j) z^j, and orthonormal
+    polynomials phi_k(z) = sum_j c_j z^(k-j) = z^k psi(1/z) for k >= d, with
+    Christoffel-Darboux kernel
+    K_n(z, w) = [p(z) conj p(w) - phi_(n+1)(z) conj phi_(n+1)(w)] / (1 - z conj w).
+    The masses add sum_i m_i u_i^H u_i, u_i = (phi_k(z_i))_k, to the identity
+    Gram matrix of phi_0..phi_n, and Woodbury gives
+    tau_n^2 = c_0^2 (1 - f^H S^-1 f), S_il = [i == l]/m_i + K_n(z_i, z_l),
+    f_i = phi_n(z_i).  Row and column i are scaled by |z_i|^-(n+1), so the
+    entries stay bounded as n grows.  1 - f^H S^-1 f is the last pivot of
+    the Cholesky factorization of [[S, f], [f^H, 1]].  Works at
+    mu.precision + 32 bits and rounds the result to mu.precision.
+    """
+    ctx = context(mu.precision + 32)
+    psi = mu.weight.psi.as_complex128().at_precision(mu.precision + 32)
+    # per mass: z; p(z), phi_(n+1)(z) and phi_n(z) times |z|^-(n+1); and
+    # 1/m times |z|^-2(n+1) (the shift reweights m)
+    points = []
+    for z, m in mu.spectrum.masses:
+        z = ctx.mpc(z)
+        r = 1 / abs(z)
+        scale = r ** (n + 1)
+        f = z ** n * scale * psi(1 / z)
+        points.append((z, scale * ctx.conj(psi(ctx.conj(z))), f * z, f,
+                       r ** (2 * (n + 1 - shift)) / m))
+    # lower triangle of [[S, f], [f^H, 1]], factored in place
+    mat = []
+    for i, (z_i, p_i, phi_i, _, inv_m) in enumerate(points):
+        row = [(p_i * ctx.conj(p_l) - phi_i * ctx.conj(phi_l))
+               / (1 - z_i * ctx.conj(z_l))
+               for z_l, p_l, phi_l, _, _ in points[: i + 1]]
+        row[i] += inv_m
+        mat.append(row)
+    mat.append([ctx.conj(f) for _, _, _, f, _ in points] + [ctx.mpf(1)])
+    for i, row in enumerate(mat):
+        for l in range(i):
+            row[l] = (row[l] - ctx.fdot(row[:l], mat[l][:l],
+                                        conjugate=True)) / mat[l][l]
+        pivot = ctx.re(row[i]) - ctx.re(ctx.fdot(row[:i], row[:i],
+                                                 conjugate=True))
+        if pivot <= 0:
+            raise NotPositiveDefinite(i, pivot)
+        row[i] = ctx.sqrt(pivot)
+    c0 = ctx.mpf(mu.weight.psi0)
+    return context(mu.precision).mpf(c0 * mat[-1][-1])
+
+
 def tau_n(mu: MeasureSpec, n: int):
-    """Leading coefficient of the degree-n orthonormal polynomial (mpf)."""
-    return _escalate(mu, n, lambda b: schur_leading(gram_polynomial(mu, n, b)))
+    """Leading coefficient of the degree-n orthonormal polynomial (mpf).
+
+    With masses and n >= deg psi, by the closed form (_closed_form_leading);
+    otherwise by the Gram route (_gram_leading).
+    """
+    if mu.spectrum.masses and n >= mu.weight.psi.hi:
+        return _closed_form_leading(mu, n)
+    return _gram_leading(mu, n, laurent=False)
 
 
 def eta_n(mu: MeasureSpec, n: int):
-    """Leading coefficient of the orthonormal Laurent element (mpf)."""
-    return _escalate(mu, n, lambda b: schur_leading(gram_laurent(mu, n, b)))
+    """Leading coefficient of the orthonormal Laurent element (mpf).
+
+    Multiplying the span {z^-(n-1), ..., z^n} by z^(n-1) makes eta_n the
+    tau_(2n-1) of the measure with masses m_i |z_i|^(-2(n-1)); with masses
+    and 2n - 1 >= deg psi that goes through the closed form, otherwise
+    through the Gram route.
+    """
+    if mu.spectrum.masses and n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
+        return _closed_form_leading(mu, 2 * n - 1, shift=n - 1)
+    return _gram_leading(mu, n, laurent=True)
 
 
 def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> LaurentPolynomial:
@@ -409,7 +491,8 @@ def _blaschke_mp(ctx, factors: list, x):
     return acc
 
 
-def residue_identity_check(mu: MeasureSpec, n: int, k: int) -> dict:
+def residue_identity_check(mu: MeasureSpec, n: int, k: int,
+                           element: LaurentPolynomial | None = None) -> dict:
     """Contour-integral identity for the Laurent element R_n and the first k
     masses.
 
@@ -417,7 +500,9 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int) -> dict:
     quadrature of the contour integral of R_n/(psi_* z^(n+1) B^k_*).
     RHS: eta_n/(B^k(0) psi(0)) minus the residue sum at the first k mass
     points.  Returns both sides, their gap, and the Cauchy-Schwarz majorant
-    of the residue sum.
+    of the residue sum.  element is orthonormal_element(mu, n, laurent=True),
+    solved here when not given; a caller checking several k at one n solves
+    it once.
     """
     if not 0 <= k <= len(mu.spectrum):
         raise ValueError("k must be between 0 and the number of masses")
@@ -428,8 +513,12 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int) -> dict:
                 raise ValueError("chosen mass points must be distinct")
     bits = mu.precision
     ctx = context(bits)
+    if element is None:
+        element = orthonormal_element(mu, n, laurent=True)
+    elif (element.lo, element.hi) != (-(n - 1), n):
+        raise ValueError("element must be the Laurent element of degree n")
     # an escalated element keeps its coefficients but is evaluated at bits
-    r_elem = orthonormal_element(mu, n, laurent=True).at_precision(bits)
+    r_elem = element.at_precision(bits)
     psi = mu.weight.psi.as_complex128().at_precision(bits)
     factors = _reflected_factors(ctx, pts)
     eta = r_elem.coefficient(n).real
@@ -453,29 +542,34 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int) -> dict:
         rhs -= r_elem(zi) / denom
         majorant += 1 / (abs(denom) ** 2 * mass)
 
-    # quadrature side
-    def mean_at(grid: int):
+    # quadrature side: the nodes of a grid are the even nodes of the grid
+    # twice its size (2/g * p == 1/g * 2p exactly), so doubling evaluates
+    # only the odd nodes and interleaves them with the kept terms
+    def terms_at(grid: int, start: int, step: int) -> list:
         two_over = ctx.mpf(2) / grid
-        terms = []
-        for p in range(grid):
+        out = []
+        for p in range(start, grid, step):
             x = ctx.expjpi(two_over * p)
             num = r_elem(x) * x ** (-n)
             den = ctx.conj(psi(x)) * ctx.conj(_blaschke_mp(ctx, factors, x))
-            terms.append(num / den)
-        return ctx.fsum(terms) / grid
+            out.append(num / den)
+        return out
 
     tol = ctx.mpf(2) ** (-min(bits, 160) + 20)
     grid = _next_pow2(max(8 * (n + 1), 256))
-    prev = mean_at(grid)
+    terms = terms_at(grid, 0, 1)
+    prev = ctx.fsum(terms) / grid
     while True:
         if 2 * grid > _GRID_CAP:
             raise QuadratureError(
                 f"residue quadrature did not converge by {_GRID_CAP} nodes")
-        cur = mean_at(2 * grid)
+        odd = terms_at(2 * grid, 1, 2)
+        terms = [t for pair in zip(terms, odd) for t in pair]
+        grid *= 2
+        cur = ctx.fsum(terms) / grid
         if abs(cur - prev) <= tol:
             break
         prev = cur
-        grid *= 2
     lhs = cur
     return {
         "n": n,
@@ -484,7 +578,7 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int) -> dict:
         "rhs": rhs,
         "abs_diff": abs(lhs - rhs),
         "schwarz_majorant": majorant,
-        "grid": 2 * grid,
+        "grid": grid,
     }
 
 

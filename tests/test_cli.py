@@ -19,6 +19,7 @@ from szego_lab.measure_opuc import QuadratureError
 from szego_lab.cli import generate_zeros, main
 
 import szego_lab.cli as cli
+import szego_lab.measure_opuc as mo
 
 
 TWO_MASS_JSON = {"psi": [[1.0, 0.0]],
@@ -185,6 +186,26 @@ def test_residue_check_artifacts(tmp_path, capsys):
     for row in rows:
         assert float(row["abs_diff"]) <= 1e-8
     assert read_report(str(tmp_path / "out"))["summary"]["max_abs_diff"] <= 1e-8
+
+
+def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
+                                               monkeypatch):
+    solves = []
+    real = cli.orthonormal_element
+
+    def counted(mu, n, laurent=False):
+        solves.append((n, laurent))
+        return real(mu, n, laurent)
+
+    monkeypatch.setattr(cli, "orthonormal_element", counted)
+    monkeypatch.setattr(mo, "orthonormal_element", counted)
+    measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [4, 6], "k_list": [0, 1, 2],
+        "out_dir": str(tmp_path / "out")})
+    assert run_main(capsys, "residue-check", "--manifest", man)[0] == 0
+    assert len(read_rows(str(tmp_path / "out"))) == 6
+    assert solves == [(4, True), (6, True)]
 
 
 def test_log_condition_artifacts(tmp_path, capsys):

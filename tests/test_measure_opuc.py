@@ -311,6 +311,64 @@ def test_bernstein_szego_leading_coefficients():
         assert abs(eta_n(mu, 8) - 1) < 1e-10
 
 
+# psi of degree 0-2 and 1-3 masses off the real axis, for the route checks
+ROUTE_MEASURES = {
+    "deg0-one-mass": ([1.3], ((1.5 + 0.8j, 0.3),)),
+    "deg1-two-mass": ([1.0, 0.4 - 0.3j],
+                      ((-1.2 + 0.9j, 0.2), (0.3 - 1.7j, 0.6))),
+    "deg2-three-mass": ([1.0, 0.3 - 0.2j, 0.1j],
+                        ((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2),
+                         (0.2 - 2.1j, 0.5))),
+}
+
+
+def route_measure(name, bits):
+    coeffs, masses = ROUTE_MEASURES[name]
+    return MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                       PointSpectrum(masses), bits)
+
+
+@pytest.mark.parametrize("bits", [256, 128, 53])
+@pytest.mark.parametrize("name", sorted(ROUTE_MEASURES))
+def test_closed_form_schur_and_witness_agree(name, bits):
+    # three routes to tau_n and eta_n: Uvarov's closed form (tau_n, eta_n),
+    # the Schur complement of the Gram matrix, and the z^n coefficient of
+    # the extremal witness; psi with non-real coefficients pins the moment
+    # convention the closed form shares with the Gram route
+    mu = route_measure(name, bits)
+    d = mu.weight.psi.hi
+    top = (48,) if bits == 256 else ()  # the n = 48 Gram solves take seconds
+    for n in sorted({d, d + 1, 7, 20, *top}):
+        for laurent in (False, True) if n else (False,):
+            closed = (eta_n if laurent else tau_n)(mu, n)
+            schur = mo._gram_leading(mu, n, laurent)
+            witness = orthonormal_element(mu, n, laurent).coefficient(n)
+            assert mp.im(witness) == 0
+            if bits == 256:
+                for other in (schur, witness.real):
+                    assert abs(closed - other) < 1e-30 * closed, (n, laurent)
+            else:
+                assert float(closed) == float(schur) == float(witness.real), (
+                    n, laurent)
+
+
+def test_closed_form_reaches_the_limit_at_large_n():
+    mu = route_measure("deg2-three-mass", 256)
+    target = target_limit(mu)
+    for n in (1000, 10 ** 6):
+        assert abs(tau_n(mu, n) - target) < 1e-14
+        assert abs(eta_n(mu, n) - target) < 1e-14
+
+
+def test_closed_form_raises_on_an_indefinite_system():
+    # a negative weight is not a measure: S = M^-1 + K loses positivity, and
+    # the closed form reports it rather than returning a number
+    mu = one_mass()
+    object.__setattr__(mu.spectrum, "masses", ((1.5, -1e-3),))
+    with pytest.raises(NotPositiveDefinite):
+        tau_n(mu, 4)
+
+
 # ----------------------------------------------------------------------
 # orthonormal elements
 
@@ -366,7 +424,7 @@ def test_escalation_recovers_ill_conditioned_case():
     mu = one_mass(53)
     with pytest.raises(NotPositiveDefinite):
         schur_leading(gram_polynomial(mu, 60, 53))
-    v = tau_n(mu, 60)
+    v = mo._gram_leading(mu, 60, laurent=False)
     assert abs(v - mp.mpf(2) / 3) < 1e-8
 
 
@@ -385,10 +443,14 @@ def test_128_bit_request_starts_above_the_floor():
     # pivot and return eta_48 < tau_48
     mu = MeasureSpec.from_json(json.loads(D1_MEASURE.read_text()))
     assert mu.precision == 128
-    tau, eta = tau_n(mu, 48), eta_n(mu, 48)
+    tau = mo._gram_leading(mu, 48, laurent=False)
+    eta = mo._gram_leading(mu, 48, laurent=True)
     assert tau <= eta
     assert abs(tau - mp.mpf("0.3333333381")) < 1e-9
     assert abs(eta - mp.mpf("0.3333333399")) < 1e-9
+    # the closed form, which builds no Gram matrix, gives the same values
+    assert float(tau_n(mu, 48)) == float(tau)
+    assert float(eta_n(mu, 48)) == float(eta)
 
 
 def test_precision_exhausted_reports_ladder(monkeypatch):
@@ -397,7 +459,7 @@ def test_precision_exhausted_reports_ladder(monkeypatch):
 
     monkeypatch.setattr(mo, "schur_leading", always_fail)
     with pytest.raises(PrecisionExhausted) as info:
-        tau_n(one_mass(256), 2)
+        mo._gram_leading(one_mass(256), 2, laurent=False)
     assert info.value.bits_tried == (256, 512)
     assert info.value.last_pivot == 2
 
@@ -439,6 +501,27 @@ def test_residue_identity_with_weight():
     assert abs(rec["lhs"]) <= 1 + 1e-30
 
 
+def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
+    # doubling the grid reuses the terms of the coarser grid, so the
+    # integrand is evaluated once per node of the final grid
+    calls = []
+    real = mo._blaschke_mp
+
+    def counted(ctx, factors, x):
+        calls.append(x)
+        return real(ctx, factors, x)
+
+    mu = two_mass()
+    element = orthonormal_element(mu, 6, laurent=True)
+    plain = residue_identity_check(mu, 6, 2)
+    monkeypatch.setattr(mo, "_blaschke_mp", counted)
+    rec = residue_identity_check(mu, 6, 2, element=element)
+    assert len(calls) == rec["grid"] > 256
+    assert len(set(calls)) == len(calls)
+    # a given element gives the same record, bit for bit
+    assert all(rec[key] == plain[key] for key in plain)
+
+
 def test_residue_identity_validation():
     mu = one_mass()
     with pytest.raises(ValueError):
@@ -449,6 +532,9 @@ def test_residue_identity_validation():
                       PointSpectrum(((1.5, 0.1), (1.5, 0.2))), 256)
     with pytest.raises(ValueError):
         residue_identity_check(dup, 3, 2)
+    with pytest.raises(ValueError):
+        residue_identity_check(mu, 4, 1,
+                               element=orthonormal_element(mu, 3, laurent=True))
 
 
 # ----------------------------------------------------------------------
