@@ -22,8 +22,9 @@ of the same Gram matrices.
 Precision escalation is explicit: the Gram factorization starts at the
 first tag that holds its entries (at least the measure's tag), a failure
 there is retried at the next tag, and the failure is reported, never
-hidden.  The closed form works 32 bits above the measure's tag and raises
-NotPositiveDefinite if its system loses positivity.
+hidden.  The closed form adds guard bits above the measure's tag, 32 and
+then twice as many each time, until two runs agree, and raises
+NotPositiveDefinite if its system loses positivity at every try.
 """
 
 from __future__ import annotations
@@ -374,25 +375,15 @@ def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
     return _escalate(mu, n, lambda b: schur_leading(gram(mu, n, b)))
 
 
-def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
-    """Uvarov's formula for tau_n, n >= deg psi, with each mass m_i
-    reweighted by |z_i|^(-2 shift); O(K^3 + K^2 d) for K masses, any n.
+def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int):
+    """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading).
 
-    Writing psi = sum_j c_j z^j, the Gram route's continuous part (see
-    moment) has weight 1/|p|^2, p(z) = sum_j conj(c_j) z^j, and orthonormal
-    polynomials phi_k(z) = sum_j c_j z^(k-j) = z^k psi(1/z) for k >= d, with
-    Christoffel-Darboux kernel
-    K_n(z, w) = [p(z) conj p(w) - phi_(n+1)(z) conj phi_(n+1)(w)] / (1 - z conj w).
-    The masses add sum_i m_i u_i^H u_i, u_i = (phi_k(z_i))_k, to the identity
-    Gram matrix of phi_0..phi_n, and Woodbury gives
-    tau_n^2 = c_0^2 (1 - f^H S^-1 f), S_il = [i == l]/m_i + K_n(z_i, z_l),
-    f_i = phi_n(z_i).  Row and column i are scaled by |z_i|^-(n+1), so the
-    entries stay bounded as n grows.  1 - f^H S^-1 f is the last pivot of
-    the Cholesky factorization of [[S, f], [f^H, 1]].  Works at
-    mu.precision + 32 bits and rounds the result to mu.precision.
+    Row and column i are scaled by |z_i|^-(n+1), so the entries stay
+    bounded as n grows; 1 - f^H S^-1 f is the last pivot of the Cholesky
+    factorization of [[S, f], [f^H, 1]].
     """
-    ctx = context(mu.precision + 32)
-    psi = mu.weight.psi.as_complex128().at_precision(mu.precision + 32)
+    ctx = context(bits)
+    psi = mu.weight.psi.as_complex128().at_precision(bits)
     # per mass: z; p(z), phi_(n+1)(z) and phi_n(z) times |z|^-(n+1); and
     # 1/m times |z|^-2(n+1) (the shift reweights m)
     points = []
@@ -421,8 +412,48 @@ def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
         if pivot <= 0:
             raise NotPositiveDefinite(i, pivot)
         row[i] = ctx.sqrt(pivot)
-    c0 = ctx.mpf(mu.weight.psi0)
-    return context(mu.precision).mpf(c0 * mat[-1][-1])
+    return mat[-1][-1]
+
+
+_GUARD_CAP = 1 << 14
+
+
+def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
+    """Uvarov's formula for tau_n, n >= deg psi, with each mass m_i
+    reweighted by |z_i|^(-2 shift); O(K^3 + K^2 d) for K masses, any n.
+
+    Writing psi = sum_j c_j z^j, the Gram route's continuous part (see
+    moment) has weight 1/|p|^2, p(z) = sum_j conj(c_j) z^j, and orthonormal
+    polynomials phi_k(z) = sum_j c_j z^(k-j) = z^k psi(1/z) for k >= d, with
+    Christoffel-Darboux kernel
+    K_n(z, w) = [p(z) conj p(w) - phi_(n+1)(z) conj phi_(n+1)(w)] / (1 - z conj w).
+    The masses add sum_i m_i u_i^H u_i, u_i = (phi_k(z_i))_k, to the identity
+    Gram matrix of phi_0..phi_n, and Woodbury gives
+    tau_n^2 = c_0^2 (1 - f^H S^-1 f), S_il = [i == l]/m_i + K_n(z_i, z_l),
+    f_i = phi_n(z_i).
+
+    1 - f^H S^-1 f is about prod |z_i|^-2 at large n and is computed as 1
+    minus a sum near 1; masses near the circle cancel in the kernel's
+    numerator and denominator.  So no fixed number of guard bits suffices:
+    the value is computed with 32, 64, ... guard bits until two runs agree
+    to mu.precision + 8 bits, and the later one is rounded to mu.precision.
+    If the runs have not settled by _GUARD_CAP guard bits, the last pivot
+    is not told apart from zero and NotPositiveDefinite is raised.
+    """
+    out = context(mu.precision)
+    guard, prev = 32, None
+    while True:
+        try:
+            cur = _uvarov_ratio(mu, n, shift, mu.precision + guard)
+        except NotPositiveDefinite as err:
+            cur, failed = None, err
+        if (cur is not None and prev is not None
+                and abs(cur - prev) <= cur * 2 ** -(mu.precision + 8)):
+            return out.mpf(mu.weight.psi0 * cur)
+        if guard >= _GUARD_CAP:
+            raise failed if cur is None else NotPositiveDefinite(
+                len(mu.spectrum), cur ** 2)
+        prev, guard = cur, 2 * guard
 
 
 def tau_n(mu: MeasureSpec, n: int):
@@ -515,7 +546,8 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     ctx = context(bits)
     if element is None:
         element = orthonormal_element(mu, n, laurent=True)
-    elif (element.lo, element.hi) != (-(n - 1), n):
+    elif element.hi != n or element.lo < -(n - 1):
+        # exact zeros are trimmed, so lo may sit above -(n - 1)
         raise ValueError("element must be the Laurent element of degree n")
     # an escalated element keeps its coefficients but is evaluated at bits
     r_elem = element.at_precision(bits)

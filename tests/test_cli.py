@@ -188,6 +188,20 @@ def test_residue_check_artifacts(tmp_path, capsys):
     assert read_report(str(tmp_path / "out"))["summary"]["max_abs_diff"] <= 1e-8
 
 
+def test_residue_check_without_masses(tmp_path, capsys):
+    measure = write_json(tmp_path / "mu.json", {"psi": [[1.0, 0.0]],
+                                                "precision_bits": 53})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [1, 2, 4],
+        "out_dir": str(tmp_path / "out")})
+    code, _ = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 0
+    rows = read_rows(str(tmp_path / "out"))
+    assert [(r["n"], r["k"]) for r in rows] == [("1", "0"), ("2", "0"),
+                                                ("4", "0")]
+    assert all(float(r["abs_diff"]) == 0.0 for r in rows)
+
+
 def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
                                                monkeypatch):
     solves = []

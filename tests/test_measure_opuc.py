@@ -360,6 +360,31 @@ def test_closed_form_reaches_the_limit_at_large_n():
         assert abs(eta_n(mu, n) - target) < 1e-14
 
 
+# psi, masses and degrees where a fixed 32 guard bits lose the last bits
+FAR_AND_NEAR_MEASURES = {
+    # the last pivot is about |z|^-2 = 1e-20, so 1 minus a sum near 1
+    # loses 66 bits
+    "far": ([1.0], ((1e10, 1.0),), (1, 2, 3)),
+    "far-complex": ([1.0, 0.3 + 0.2j], ((3e9 + 1e10j, 0.5),), (1, 2, 3)),
+    # a pivot of 1e-60 is rounding noise at 32 guard bits
+    "farther": ([1.0], ((1e30, 1.0),), (1,)),
+    # 1 - |z|^2 = -2e-12 cancels in the kernel's denominator and numerator
+    "near-circle": ([1.0], ((1 + 1e-12, 1.0),), (1, 3, 8)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FAR_AND_NEAR_MEASURES))
+def test_closed_form_keeps_the_precision_of_the_gram_route(name):
+    # the Gram route starts at the precision floor for the masses' growth,
+    # so on these small degrees it is right to the last bit of a 53-bit tag
+    psi, masses, ns = FAR_AND_NEAR_MEASURES[name]
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
+                     PointSpectrum(masses), 53)
+    for n in ns:
+        assert float(tau_n(mu, n)) == float(mo._gram_leading(mu, n, False)), n
+        assert float(eta_n(mu, n)) == float(mo._gram_leading(mu, n, True)), n
+
+
 def test_closed_form_raises_on_an_indefinite_system():
     # a negative weight is not a measure: S = M^-1 + K loses positivity, and
     # the closed form reports it rather than returning a number
@@ -520,6 +545,18 @@ def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
     assert len(set(calls)) == len(calls)
     # a given element gives the same record, bit for bit
     assert all(rec[key] == plain[key] for key in plain)
+
+
+@pytest.mark.parametrize("n", [2, 4])
+def test_residue_identity_without_masses(n):
+    # the moments of dm are exactly 0 off the diagonal, so the witness has
+    # exact zero coefficients below z^n and its span trims to {z^n}
+    mu = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
+    element = orthonormal_element(mu, n, laurent=True)
+    assert (element.lo, element.hi) == (n, n)
+    rec = residue_identity_check(mu, n, 0, element=element)
+    assert rec == residue_identity_check(mu, n, 0)
+    assert rec["lhs"] == rec["rhs"] == 1
 
 
 def test_residue_identity_validation():
