@@ -4,11 +4,16 @@ Given zeros z_1..z_n inside the unit disk and a dilation radius R > 1, the
 corrector phi0(z) = prod (1 - conj(z_k) z)/(1 - conj(z_k) z / R^2) is outer,
 equals 1 at the origin, and the combined product B(z) phi0(z) coincides with
 R^n times the Blaschke product whose zeros are z_k / R evaluated at z / R.
-That dilated form is unimodular-factor stable and is the evaluation route for
-every certified quantity here: sup norms on the circle, derivative sup norms
-(closed-form logarithmic differentiation at order 1, Cauchy-integral
-quadrature on an intermediate circle at higher orders), Taylor coefficients
-with a certified aliasing bound, and the per-instance certificate records.
+That dilated form is unimodular-factor stable and is how B phi0 is evaluated.
+
+The certificate samples B phi0 once, on the alias grid of its Taylor
+coefficients a_0..a_D, and takes everything from those coefficients: the sup
+of |B phi0| on the circle, the sup of its s-th derivative from the series
+with multipliers j(j-1)...(j-s+1), and the dyadic Besov blocks.  Each sup
+goes through circle_fourier._sup_with_bound and comes as a bracket: a
+Newton-refined grid max, and an upper bound that adds the truncation tail
+and the aliasing error, both from the Cauchy estimates of _tail_envelope,
+to the grid bound.
 """
 
 from __future__ import annotations
@@ -21,9 +26,11 @@ import numpy as np
 
 from szego_lab.circle_fourier import (
     LaurentPolynomial,
+    SupBound,
     besov_seminorm,
     grid_nodes,
     _next_pow2,
+    _sup_with_bound,
 )
 
 __all__ = [
@@ -142,9 +149,6 @@ class BlaschkeProduct:
     def degree(self) -> int:
         return len(self.zeros)
 
-    def value_at_zero(self) -> complex:
-        return self.rotation * math.prod(abs(z) for z in self.zeros)
-
 
 def eval_blaschke(b: BlaschkeProduct, z):
     """Factor-by-factor evaluation; scalar or ndarray argument.
@@ -259,136 +263,6 @@ def eval_B_phi(c: DilatedCorrector, z):
 
 
 # ----------------------------------------------------------------------
-# derivatives
-
-
-def _log_derivative_sums(c: DilatedCorrector, z: np.ndarray):
-    """(L1, L2, L3): first three z-derivatives of log(B phi0), summed over
-    factors (z - z_k)/(1 - w_k z) with w_k = conj(z_k)/R^2."""
-    zs = c.zero_array()
-    w = np.conj(zs) / (c.radius_R * c.radius_R)
-    l1 = np.zeros(z.shape, dtype=np.complex128)
-    l2 = np.zeros(z.shape, dtype=np.complex128)
-    l3 = np.zeros(z.shape, dtype=np.complex128)
-    for zk, wk in zip(zs, w):
-        a = 1.0 / (z - zk)
-        l1 += a
-        l2 -= a * a
-        l3 += 2.0 * a * a * a
-        if wk != 0:
-            b = wk / (1.0 - wk * z)
-            l1 += b
-            l2 += b * b
-            l3 += 2.0 * b * b * b
-    return l1, l2, l3
-
-
-class DerivSup(NamedTuple):
-    value: float
-    apriori: float
-
-
-def _newton_circle_max(val_d1_d2, theta0: float, h: float, best: float) -> float:
-    """Refine a grid maximum of |g(e^(i theta))| by Newton on |g|^2.
-
-    val_d1_d2(theta) returns (g, dg/dtheta, d2g/dtheta2).  Steps are clamped
-    to the grid spacing h; concave-up curvature stops the iteration.
-    """
-    theta = theta0
-    for _ in range(3):
-        g, g1, g2 = val_d1_d2(theta)
-        q1 = 2.0 * (np.conj(g) * g1).real
-        q2 = 2.0 * (abs(g1) ** 2 + (np.conj(g) * g2).real)
-        if q2 >= 0.0:
-            break
-        step = -q1 / q2
-        if abs(step) > h:
-            step = math.copysign(h, step)
-        theta += step
-        g, _, _ = val_d1_d2(theta)
-        best = max(best, abs(g))
-    return best
-
-
-def _unit_circle_sup_of_product(c: DilatedCorrector, order0: bool, m_grid: int) -> float:
-    """sup over the unit circle of |B phi0| (order0) or |(B phi0)'|."""
-    nodes = grid_nodes(m_grid)
-    f = eval_B_phi(c, nodes)
-    l1, l2, _ = _log_derivative_sums(c, nodes)
-    target = np.abs(f) if order0 else np.abs(f * l1)
-    k = int(np.argmax(target))
-    best = float(target[k])
-    h = 2.0 * np.pi / m_grid
-
-    def at(theta: float):
-        w = np.exp(1j * theta)
-        wa = np.array([w])
-        fv = eval_B_phi(c, wa)[0]
-        s1, s2, s3 = (x[0] for x in _log_derivative_sums(c, wa))
-        d1 = fv * s1
-        d2 = fv * (s1 * s1 + s2)
-        if order0:
-            g, gz, gzz = fv, d1, d2
-        else:
-            d3 = fv * (s1 ** 3 + 3.0 * s1 * s2 + s3)
-            g, gz, gzz = d1, d2, d3
-        # theta-derivatives of g(e^(i theta))
-        gt = gz * 1j * w
-        gtt = -gzz * w * w - gz * w
-        return g, gt, gtt
-
-    return _newton_circle_max(at, 2.0 * np.pi * k / m_grid, h, best)
-
-
-def derivative_sup(c: DilatedCorrector, order: int, oversample: int = 16) -> DerivSup:
-    """Sup over the unit circle of the order-th derivative of B phi0.
-
-    Order 1 uses the closed-form logarithmic derivative with grid search and
-    Newton refinement.  Order >= 2 uses Cauchy-integral quadrature on the
-    circle of radius r = (1+R)/2, evaluated at all boundary nodes at once by
-    an FFT correlation.  The second member is the a-priori Cauchy bound
-    order! * R^n * mean(r / |r e^(i t) - 1|^(order+1)), with the exact value
-    r/(r^2 - 1) of the mean at order 1.
-    """
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    n = c.n
-    big_r = c.radius_R
-    r = 0.5 * (1.0 + big_r)
-    if order == 1:
-        m = _next_pow2(max(64 * n, 4 * oversample * (n + 1), 512))
-        value = _unit_circle_sup_of_product(c, order0=False, m_grid=m)
-        apriori = (big_r ** n) * r / (r * r - 1.0)
-        return DerivSup(value, apriori)
-    # quadrature grid fine enough for the pole pair at distance r - 1
-    m = _next_pow2(max(64 * n, 4 * oversample * (n + 1),
-                       math.ceil(66.0 / (big_r - 1.0)), 1024))
-    vals, i_m = _cauchy_derivative_values(c, order, m)
-    fact = math.factorial(order)
-    value = float(np.max(np.abs(vals)))
-    apriori = fact * (big_r ** n) * i_m
-    return DerivSup(value, apriori)
-
-
-def _cauchy_derivative_values(c: DilatedCorrector, order: int, m: int):
-    """Order-th derivative of B phi0 at all m unit-circle nodes, plus the
-    quadrature value of mean(r/|r e^(i t) - 1|^(order+1)) on the same grid.
-
-    Cauchy integral over |z| = r = (1+R)/2, discretized at the m-th roots of
-    unity; the node coupling is a circular correlation, done by FFT.
-    """
-    r = 0.5 * (1.0 + c.radius_R)
-    nodes = r * grid_nodes(m)
-    g = eval_B_phi(c, nodes) * nodes
-    h = (nodes - 1.0) ** (-(order + 1))
-    corr = np.fft.ifft(np.fft.fft(g) * np.conj(np.fft.fft(np.conj(h))))
-    phases = grid_nodes(m) ** (-(order + 1))
-    vals = (math.factorial(order) / m) * phases * corr
-    i_m = float(np.mean(r * np.abs(h)))
-    return vals, i_m
-
-
-# ----------------------------------------------------------------------
 # Taylor coefficients
 
 
@@ -426,6 +300,18 @@ def _alias_bound(c: DilatedCorrector, m: int) -> float:
     return best
 
 
+def _alias_grid(c: DilatedCorrector, upto: int, tol: float) -> int:
+    """The power-of-two grid taylor_coeffs samples on: at least
+    max(2(upto+1), 64n, 256) nodes, doubled until the aliasing bound is below
+    tol; TaylorToleranceError past 2^22 nodes."""
+    m = _next_pow2(max(2 * (upto + 1), 64 * c.n, 256))
+    while _alias_bound(c, m) > tol:
+        if m >= 1 << 22:
+            raise TaylorToleranceError(_alias_bound(c, m), tol)
+        m <<= 1
+    return m
+
+
 def taylor_coeffs(c: DilatedCorrector, upto: int, tol: float = 1e-12) -> LaurentPolynomial:
     """Taylor coefficients of B phi0 on [0, upto] by sampled-circle DFT.
 
@@ -445,14 +331,9 @@ def taylor_coeffs(c: DilatedCorrector, upto: int, tol: float = 1e-12) -> Laurent
         if c.n <= upto:
             coeffs[c.n] = 1.0
         return LaurentPolynomial(0, coeffs)
-    m = _next_pow2(max(2 * (upto + 1), 64 * c.n, 256))
-    cap = 1 << 22
-    while _alias_bound(c, m) > tol:
-        if m >= cap:
-            raise TaylorToleranceError(_alias_bound(c, m), tol)
-        m <<= 1
-    vals = eval_B_phi(c, grid_nodes(m))
-    coeffs = np.fft.fft(vals)[: upto + 1] / m
+    m = _alias_grid(c, upto, tol)
+    # the samples are dropped as soon as their FFT is taken
+    coeffs = np.fft.fft(eval_B_phi(c, grid_nodes(m)))[: upto + 1] / m
     return LaurentPolynomial(0, coeffs)
 
 
@@ -479,36 +360,138 @@ def _truncation_degree(c: DilatedCorrector, s_max: int, tol: float) -> int:
     return hi
 
 
-def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
-                          oversample: int = 16) -> dict:
-    """Per-instance certificate record.
+# ----------------------------------------------------------------------
+# the sampled form: every sup from one set of Taylor coefficients
 
-    Keys: n, epsilon, sup_phi (sup of |phi0| on the circle, equal to the sup
-    of |B phi0| there), phi0_err = |phi0(0) - 1|, and for each s in s_list
-    the pair ratio_s{s} = derivative_sup(s)/n^s and besov_ratio_s{s} =
-    besov_seminorm(Taylor truncation, s, inf)/n^s, plus deriv_apriori_s{s}.
+
+def _falling_factorial(d: int, s: int) -> np.ndarray:
+    """j (j-1) ... (j-s+1) for j = 0..d: the order-s derivative multipliers."""
+    js = np.arange(d + 1, dtype=np.float64)
+    out = np.ones(d + 1)
+    for k in range(s):
+        out *= js - k
+    return out
+
+
+def _series_error(c: DilatedCorrector, d: int, m: int, s: int) -> float:
+    """Bound on sum_j j^s |a_j - a~_j| over all j, where a~ holds the m-point
+    DFT coefficients on 0..d and zero beyond.
+
+    From the Cauchy estimates |a_j| <= A rho^-j of _tail_envelope: the
+    truncation tail sum_(j>d) j^s |a_j| <= A N^s rho^-N / (1 - r) with
+    N = d+1 and r = ((N+1)/N)^s / rho < 1, plus the aliases folded onto 0..d,
+    sum_(j<=d) j^s |a_(j+m) + a_(j+2m) + ...| <= A rho^-m / (1 - rho^-m)
+    sum_(j<=d) j^s rho^-j.  Each term takes its best rho.
+    """
+    big_n = d + 1
+    powers = np.arange(big_n, dtype=np.float64) ** s
+    tail = alias = math.inf
+    for rho, a in _tail_envelope(c):
+        if not math.isfinite(a):
+            continue
+        r = ((big_n + 1) / big_n) ** s / rho
+        if r < 1.0:
+            tail = min(tail, a * big_n ** s * rho ** (-big_n) / (1.0 - r))
+        q = rho ** (-m)
+        if q < 1.0:
+            decay = rho ** -np.arange(big_n, dtype=np.float64)
+            alias = min(alias, a * q / (1.0 - q) * float(powers @ decay))
+    return tail + alias
+
+
+def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
+                  oversample: int) -> tuple[LaurentPolynomial, dict]:
+    """B phi0 sampled once, and the sup of each derivative from its samples.
+
+    Returns the Taylor truncation of degree D = _truncation_degree(c, max
+    order, 1e-9), taken on the alias grid of taylor_coeffs(c, D, 1e-10), and
+    {s: SupBound} for s in orders.  The order-s sup is that of the series
+    sum j(j-1)...(j-s+1) a_j z^j, whose modulus on the circle is that of
+    the s-th derivative of the truncation; its value is the Newton-refined
+    grid max of _sup_with_bound, and its upper bound is the grid bound plus
+    _series_error, so value <= sup |(B phi0)^(s)| <= upper up to rounding.
+    """
+    exact = not np.any(c.zero_array())  # B phi0 = z^n
+    d = c.n if exact else _truncation_degree(c, max(orders), 1e-9)
+    trunc = taylor_coeffs(c, d, tol=1e-10)
+    a = np.zeros(d + 1, dtype=np.complex128)
+    a[trunc.lo : trunc.hi + 1] = trunc.coeffs
+    m = 0 if exact else _alias_grid(c, d, 1e-10)
+    sups = {}
+    for s in orders:
+        series = LaurentPolynomial(0, _falling_factorial(d, s) * a)
+        grid = _sup_with_bound(series, oversample)
+        err = 0.0 if exact else _series_error(c, d, m, s)
+        sups[s] = SupBound(grid.value, grid.upper + err)
+    return trunc, sups
+
+
+class DerivSup(NamedTuple):
+    value: float
+    apriori: float
+
+
+def _derivative_apriori(c: DilatedCorrector, order: int, oversample: int) -> float:
+    """The a-priori Cauchy bound on sup |(B phi0)^(order)| over the circle.
+
+    order! * R^n * mean(r / |r e^(i t) - 1|^(order+1)) on the circle of
+    radius r = (1+R)/2: the mean is r/(r^2 - 1) exactly at order 1, and a
+    grid mean fine enough for the pole pair at distance r - 1 above.
     """
     n = c.n
-    m = _next_pow2(max(64 * n, 4 * oversample * (n + 1), 512))
-    sup_phi = _unit_circle_sup_of_product(c, order0=True, m_grid=m)
+    big_r = c.radius_R
+    r = 0.5 * (1.0 + big_r)
+    if order == 1:
+        return (big_r ** n) * r / (r * r - 1.0)
+    m = _next_pow2(max(64 * n, 4 * oversample * (n + 1),
+                       math.ceil(66.0 / (big_r - 1.0)), 1024))
+    h = (r * grid_nodes(m) - 1.0) ** (-(order + 1))
+    i_m = float(np.mean(r * np.abs(h)))
+    return math.factorial(order) * (big_r ** n) * i_m
+
+
+def derivative_sup(c: DilatedCorrector, order: int, oversample: int = 16) -> DerivSup:
+    """Sup over the unit circle of the order-th derivative of B phi0.
+
+    The value comes from the sampled form (_sampled_sups): the Taylor
+    coefficients with falling-factorial multipliers, maximized on a grid of
+    oversample nodes per coefficient and refined by Newton steps.  The
+    second member is the a-priori Cauchy bound of _derivative_apriori.
+    """
+    if order < 1:
+        raise ValueError("derivative order must be >= 1")
+    _, sups = _sampled_sups(c, (order,), oversample)
+    return DerivSup(sups[order].value, _derivative_apriori(c, order, oversample))
+
+
+def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
+                          oversample: int = 16) -> dict:
+    """Per-instance certificate record, every sup from one sampling of B phi0.
+
+    Keys: n, epsilon, sup_phi (sup of |phi0| on the circle, equal to the sup
+    of |B phi0| there) with its certified upper bound sup_phi_upper,
+    phi0_err = |phi0(0) - 1|, and for each s in s_list ratio_s{s} =
+    sup |(B phi0)^(s)| / n^s with ratio_s{s}_upper, besov_ratio_s{s} =
+    besov_seminorm(Taylor truncation, s, inf) / n^s and the a-priori Cauchy
+    bound deriv_apriori_s{s}.  Each value <= true sup <= its upper, up to
+    rounding (see _sampled_sups).  The upper bounds do not count rounding:
+    each Taylor coefficient carries about u R^n of it, which the falling
+    factorials amplify to about 1e-10 of the value at order 2 for D ~ 3e4,
+    against a grid-bound margin of more than 10%.
+    """
+    n = c.n
+    trunc, sups = _sampled_sups(c, (0, *s_list), oversample)
     record = {
         "n": n,
         "epsilon": c.epsilon,
-        "sup_phi": sup_phi,
+        "sup_phi": sups[0].value,
+        "sup_phi_upper": sups[0].upper,
         "phi0_err": abs(eval_phi0(c, 0.0) - 1.0),
     }
     for s in s_list:
-        ds = derivative_sup(c, s, oversample)
-        record[f"ratio_s{s}"] = ds.value / float(n) ** s
-        record[f"deriv_apriori_s{s}"] = ds.apriori
-    if s_list:
-        s_max = max(s_list)
-        zs = c.zero_array()
-        if np.all(zs == 0):
-            trunc = LaurentPolynomial(n, [1.0])
-        else:
-            d = _truncation_degree(c, s_max, 1e-9)
-            trunc = taylor_coeffs(c, d, tol=1e-10)
-        for s in s_list:
-            record[f"besov_ratio_s{s}"] = besov_seminorm(trunc, s, np.inf) / float(n) ** s
+        scale = float(n) ** s
+        record[f"ratio_s{s}"] = sups[s].value / scale
+        record[f"ratio_s{s}_upper"] = sups[s].upper / scale
+        record[f"deriv_apriori_s{s}"] = _derivative_apriori(c, s, oversample)
+        record[f"besov_ratio_s{s}"] = besov_seminorm(trunc, s, np.inf) / scale
     return record

@@ -226,8 +226,8 @@ def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifes
         val = overrides.get(key)
         if val is not None:
             setattr(man, "out_dir" if key == "out" else key, val)
-    if man.oversample < 1:
-        raise ManifestError("oversample", "must be at least 1")
+    if man.oversample < 4:
+        raise ManifestError("oversample", "must be at least 4")
     if man.precision_bits is not None:
         try:
             PrecisionTag(man.precision_bits)
@@ -397,6 +397,7 @@ def _run_vs_bound(man: RunManifest):
              for kind in man.kinds
              for n in man.n_grid
              for s in range(man.seed, man.seed + man.seeds)]
+    bracketed = ["sup_phi"] + [f"ratio_s{sm}" for sm in man.smoothness]
 
     def work(task):
         kind, n, s = task
@@ -410,6 +411,9 @@ def _run_vs_bound(man: RunManifest):
             row[f"ratio_s{sm}"] = float(cert[f"ratio_s{sm}"])
             row[f"besov_ratio_s{sm}"] = float(cert[f"besov_ratio_s{sm}"])
         row["max_ratio"] = max(row[f"ratio_s{sm}"] for sm in man.smoothness)
+        # certified upper bounds: report.json only, not certificates.csv
+        for key in bracketed:
+            row[f"{key}_upper"] = float(cert[f"{key}_upper"])
         return row
 
     rows = _map_ordered(work, tasks)
@@ -422,6 +426,9 @@ def _run_vs_bound(man: RunManifest):
         "max_phi0_err": max(r["phi0_err"] for r in rows),
         "max_sup_phi_excess": max(
             r["sup_phi"] - (1.0 + 1.0 / r["n"]) ** r["n"] for r in rows),
+        "max_upper_over_value": {
+            key: max(r[f"{key}_upper"] / r[key] for r in rows)
+            for key in bracketed},
     }
     return columns, rows, {"summary": summary}
 

@@ -191,9 +191,6 @@ class ReflectedBlaschke:
         zetas = tuple(1.0 / z.conjugate() for z, _ in pts)
         return cls(BlaschkeProduct(ZeroSet(zetas)))
 
-    def value_at_zero(self) -> float:
-        return float(self.product.value_at_zero().real)
-
 
 def target_limit(mu: MeasureSpec) -> float:
     """The common limit of the leading coefficients: B(0) * psi(0)."""

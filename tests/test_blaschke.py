@@ -1,4 +1,7 @@
+import csv
+import json
 import math
+import os
 
 import numpy as np
 import pytest
@@ -17,9 +20,13 @@ from szego_lab.blaschke import (
     eval_blaschke,
     eval_phi0,
     taylor_coeffs,
-    _log_derivative_sums,
+    _falling_factorial,
+    _truncation_degree,
 )
-from szego_lab.circle_fourier import grid_nodes
+from szego_lab.circle_fourier import grid_nodes, _analytic_values
+from szego_lab.cli import generate_zeros, main
+
+DATA = os.path.join(os.path.dirname(__file__), "data")
 
 
 def random_zeros(rng, n, rmax=0.9):
@@ -187,6 +194,65 @@ def test_derivative_monomial_exact():
     assert abs(derivative_sup(c8, 3).value - 336.0) < 1e-7
 
 
+def _log_derivative_sums(c: DilatedCorrector, z: np.ndarray):
+    """(L1, L2, L3): first three z-derivatives of log(B phi0), summed over
+    factors (z - z_k)/(1 - w_k z) with w_k = conj(z_k)/R^2.  The closed-form
+    oracle for the derivatives of the sampled form."""
+    zs = c.zero_array()
+    w = np.conj(zs) / (c.radius_R * c.radius_R)
+    l1 = np.zeros(z.shape, dtype=np.complex128)
+    l2 = np.zeros(z.shape, dtype=np.complex128)
+    l3 = np.zeros(z.shape, dtype=np.complex128)
+    for zk, wk in zip(zs, w):
+        a = 1.0 / (z - zk)
+        l1 += a
+        l2 -= a * a
+        l3 += 2.0 * a * a * a
+        if wk != 0:
+            b = wk / (1.0 - wk * z)
+            l1 += b
+            l2 += b * b
+            l3 += 2.0 * b * b * b
+    return l1, l2, l3
+
+
+def _closed_form_derivative(c: DilatedCorrector, order: int, z: np.ndarray):
+    f = eval_B_phi(c, z)
+    if order == 0:
+        return f
+    l1, l2, l3 = _log_derivative_sums(c, z)
+    if order == 1:
+        return f * l1
+    if order == 2:
+        return f * (l1 ** 2 + l2)
+    return f * (l1 ** 3 + 3 * l1 * l2 + l3)
+
+
+def _closed_form_sup(c: DilatedCorrector, order: int) -> float:
+    """sup over the unit circle of |(B phi0)^(order)| from the closed form.
+
+    The grid max over 2^16 nodes sits up to about 5e-5 below the sup at
+    n = 64, epsilon = 0.1, so the four best nodes are refined twice more on
+    257-point local grids, each 128 times finer than the last.
+    """
+    def modulus(theta):
+        return np.abs(_closed_form_derivative(c, order, np.exp(1j * theta)))
+
+    h = 2.0 * np.pi / (1 << 16)
+    theta = h * np.arange(1 << 16)
+    vals = modulus(theta)
+    best = float(np.max(vals))
+    for k in np.argsort(vals)[-4:]:
+        center, width = theta[k], h
+        for _ in range(2):
+            local = center + width * np.linspace(-1.0, 1.0, 257)
+            lv = modulus(local)
+            j = int(np.argmax(lv))
+            best = max(best, float(lv[j]))
+            center, width = local[j], width / 128.0
+    return best
+
+
 def test_log_derivative_sums_against_difference_quotient():
     rng = np.random.default_rng(37)
     c = build_corrector(ZeroSet(random_zeros(rng, 5)), 1.0)
@@ -203,32 +269,48 @@ def test_log_derivative_sums_against_difference_quotient():
     assert l3.shape == (1,)
 
 
-def test_cauchy_route_matches_closed_form():
-    # derivative values recomputed from the logarithmic-derivative closed
-    # forms on the unit circle: an independent route, compared pointwise
-    from szego_lab.blaschke import _cauchy_derivative_values
-
+def test_spectral_route_matches_closed_form():
+    # derivative values of the sampled form (Taylor coefficients times the
+    # falling factorials, summed by FFT at the nodes) against the
+    # logarithmic-derivative closed forms: an independent route, compared
+    # pointwise
     rng = np.random.default_rng(41)
     c = build_corrector(ZeroSet(random_zeros(rng, 6, rmax=0.8)), 1.0)
     m = 2048
     nodes = grid_nodes(m)
-    f = eval_B_phi(c, nodes)
-    l1, l2, l3 = _log_derivative_sums(c, nodes)
-    oracle2 = f * (l1 ** 2 + l2)
-    oracle3 = f * (l1 ** 3 + 3 * l1 * l2 + l3)
-    got2, _ = _cauchy_derivative_values(c, 2, m)
-    got3, _ = _cauchy_derivative_values(c, 3, m)
-    scale2 = np.max(np.abs(oracle2))
-    scale3 = np.max(np.abs(oracle3))
-    assert np.max(np.abs(got2 - oracle2)) < 1e-9 * scale2
-    assert np.max(np.abs(got3 - oracle3)) < 1e-9 * scale3
-    # the sup-norm route agrees with the closed-form grid sup
-    d2 = derivative_sup(c, 2)
-    d3 = derivative_sup(c, 3)
-    assert abs(d2.value - scale2) < 1e-3 * scale2
-    assert abs(d3.value - scale3) < 1e-3 * scale3
-    assert d2.value <= d2.apriori
-    assert d3.value <= d3.apriori
+    d = _truncation_degree(c, 3, 1e-9)
+    trunc = taylor_coeffs(c, d, tol=1e-10)
+    a = np.array([trunc.coefficient(j) for j in range(d + 1)])
+    for order in (2, 3):
+        oracle = _closed_form_derivative(c, order, nodes)
+        got = _analytic_values(_falling_factorial(d, order) * a, m) * nodes ** (-order)
+        scale = np.max(np.abs(oracle))
+        assert np.max(np.abs(got - oracle)) < 1e-9 * scale
+        # the sup-norm route agrees with the closed-form grid sup
+        ds = derivative_sup(c, order)
+        assert abs(ds.value - scale) < 1e-3 * scale
+        assert ds.value <= ds.apriori
+
+
+@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster"])
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+@pytest.mark.parametrize("n", [6, 20, 64])
+def test_certificate_sups_bracket_the_closed_form(n, eps, kind):
+    # value <= sup <= upper, up to rounding.  The value's rounding is that
+    # of the Taylor coefficients, about u R^n each, amplified by the falling
+    # factorials: it reaches 1e-10 relative at order 2 with D = 31639 (n =
+    # 64, epsilon = 0.1), and is allowed 16 u R^n sqrt(sum_(j<=D) j^(2s))
+    c = build_corrector(generate_zeros(kind, n, 0), eps)
+    cert = corrector_certificate(c, (1, 2))
+    js = np.arange(_truncation_degree(c, 2, 1e-9) + 1, dtype=np.float64)
+    u = np.finfo(np.float64).eps
+    for order, key in enumerate(("sup_phi", "ratio_s1", "ratio_s2")):
+        scale = float(n) ** order
+        oracle = _closed_form_sup(c, order) / scale
+        rounding = 16.0 * u * c.radius_R ** n * math.sqrt(
+            float(np.sum(js ** (2 * order)))) / scale
+        assert cert[key] <= oracle * (1.0 + 1e-12) + rounding, key
+        assert oracle <= cert[f"{key}_upper"] * (1.0 + 1e-12), key
 
 
 def test_first_derivative_apriori_holds_on_random_sets():
@@ -335,3 +417,30 @@ def test_certificate_sup_bounds():
     # derivative ratios sit below their Cauchy a-priori counterparts
     assert cert1["ratio_s1"] * 64.0 <= cert1["deriv_apriori_s1"]
     assert cert1["ratio_s2"] * 64.0 ** 2 <= cert1["deriv_apriori_s2"]
+
+
+def test_vs_bound_matches_the_frozen_csv(tmp_path, capsys):
+    # vs-bound as written before the corrector certificate took every sup
+    # from one sampling of B phi0.  sup_phi, ratio_s1 and the Besov ratios
+    # agree to 1e-9; ratio_s2 (and max_ratio, its max with ratio_s1) to
+    # 1e-4, as it came from a Cauchy quadrature without a refinement step
+    man = tmp_path / "man.json"
+    man.write_text(json.dumps({
+        "command": "vs-bound", "out_dir": str(tmp_path / "out"),
+        "kinds": ["uniform_disk", "boundary_cluster", "radial_line"],
+        "n_grid": [4, 16, 64], "seeds": 2, "smoothness": [1, 2]}))
+    assert main(["vs-bound", "--manifest", str(man)]) == 0
+    capsys.readouterr()
+    with open(os.path.join(DATA, "vs_bound_frozen.csv"), newline="") as fh:
+        frozen = list(csv.DictReader(fh))
+    with open(tmp_path / "out" / "certificates.csv", newline="") as fh:
+        got = list(csv.DictReader(fh))
+    assert len(got) == len(frozen) == 18
+    rel = {"sup_phi": 1e-9, "ratio_s1": 1e-9, "besov_ratio_s1": 1e-9,
+           "besov_ratio_s2": 1e-9, "ratio_s2": 1e-4, "max_ratio": 1e-4}
+    for old, new in zip(frozen, got):
+        assert list(new) == list(old)
+        for key in ("kind", "n", "seed", "epsilon", "phi0_err"):
+            assert new[key] == old[key]
+        for key, tol in rel.items():
+            assert float(new[key]) == pytest.approx(float(old[key]), rel=tol), key

@@ -268,6 +268,19 @@ def test_pipeline_determinism(tmp_path, capsys):
     assert blobs[0] == blobs[1]
 
 
+@pytest.mark.parametrize("oversample, code", [(3, 2), (4, 0)])
+def test_oversample_minimum(tmp_path, capsys, oversample, code):
+    # the sup refiner needs at least four grid nodes per coefficient
+    man = write_json(tmp_path / "man.json", {
+        "n_grid": [4], "kinds": ["uniform_disk"],
+        "out_dir": str(tmp_path / "out")})
+    got, out = run_main(capsys, "vs-bound", "--manifest", man,
+                        "--oversample", str(oversample))
+    assert got == code, out
+    if code:
+        assert error_payload(out)["field"] == "oversample"
+
+
 def test_seed_flag_shifts_sweep(tmp_path, capsys):
     man_obj = {"n_grid": [4], "kinds": ["uniform_disk"]}
     man = write_json(tmp_path / "man.json",
