@@ -384,7 +384,8 @@ def _series_error(c: DilatedCorrector, d: int, m: int, s: int) -> float:
     sum_(j<=d) j^s rho^-j.  Each term takes its best rho.
     """
     big_n = d + 1
-    powers = np.arange(big_n, dtype=np.float64) ** s
+    js = np.arange(big_n, dtype=np.float64)
+    powers = js ** s
     tail = alias = math.inf
     for rho, a in _tail_envelope(c):
         if not math.isfinite(a):
@@ -394,7 +395,7 @@ def _series_error(c: DilatedCorrector, d: int, m: int, s: int) -> float:
             tail = min(tail, a * big_n ** s * rho ** (-big_n) / (1.0 - r))
         q = rho ** (-m)
         if q < 1.0:
-            decay = rho ** -np.arange(big_n, dtype=np.float64)
+            decay = np.exp(-math.log(rho) * js)
             alias = min(alias, a * q / (1.0 - q) * float(powers @ decay))
     return tail + alias
 

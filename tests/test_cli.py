@@ -114,6 +114,10 @@ def test_vs_bound_artifacts(tmp_path, capsys):
                                               float(row["ratio_s2"]))
     report = read_report(str(tmp_path / "out"))
     assert report["summary"]["max_sup_phi_excess"] < 0.0
+    # the upper bounds go to report.json only, as the worst upper/value
+    worst = report["summary"]["max_upper_over_value"]
+    assert list(worst) == ["sup_phi", "ratio_s1", "ratio_s2"]
+    assert all(1.0 < v < 1.5 for v in worst.values())
 
 
 def test_besov_artifacts(tmp_path, capsys):
