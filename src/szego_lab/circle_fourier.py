@@ -396,7 +396,8 @@ def _sup_with_bound(f: LaurentPolynomial, oversample: int) -> SupBound:
     r = m // part
     grid_max, kbest = -1.0, 0
     for t in range(r):
-        av = np.abs(_analytic_values(c * np.exp(1j * h * t * js), part))
+        twisted = c * np.exp(1j * h * t * js) if t else c
+        av = np.abs(_analytic_values(twisted, part))
         q = int(np.argmax(av))
         if av[q] > grid_max:
             grid_max, kbest = float(av[q]), q * r + t
