@@ -396,7 +396,7 @@ def _series_error(c: DilatedCorrector, d: int, m: int, s: int) -> float:
         q = rho ** (-m)
         if q < 1.0:
             decay = np.exp(-math.log(rho) * js)
-            alias = min(alias, a * q / (1.0 - q) * float(powers @ decay))
+            alias = min(alias, a * q / (1.0 - q) * float((powers * decay).sum()))
     return tail + alias
 
 

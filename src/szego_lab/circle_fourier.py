@@ -406,10 +406,11 @@ def _sup_with_bound(f: LaurentPolynomial, oversample: int) -> SupBound:
         theta = h * kbest
         terms = c * np.exp(1j * theta * js)
         for _ in range(3):
-            # f and its first two theta-derivatives at e^(i theta)
+            # f and its first two theta-derivatives at e^(i theta); sums,
+            # not BLAS dot products, whose threads take milliseconds to wake
             f0 = terms.sum()
-            f1 = 1j * (js @ terms)
-            f2 = -((js * js) @ terms)
+            f1 = 1j * (js * terms).sum()
+            f2 = -(js * js * terms).sum()
             q1 = 2.0 * (np.conj(f0) * f1).real
             q2 = 2.0 * (abs(f1) ** 2 + (np.conj(f0) * f2).real)
             if q2 >= 0.0:
