@@ -12,9 +12,11 @@ lower bound.  Every run emits a PipelineCertificate with the measured
 defect, a norm decomposition over the circle part, the selected masses and
 the tail masses, and interior-point Schwarz checks.
 
-For a nonconstant weight the approximated function is the product divided
-by the weight, with the reciprocal expanded as a truncated Taylor series;
-the truncation tail is recorded in the certificate.
+The approximated function is the product times the weight polynomial, the
+factor that the Bernstein-Szego extremal of the weight carries.  The
+weight is a polynomial, so its product series is exact through the order
+the kernel sees: nothing is truncated, and the certificate's inverse_tail
+is always 0.
 """
 
 from __future__ import annotations
@@ -267,48 +269,13 @@ def _bphi_series(zetas: Sequence, radius: float, upto: int,
     return np.array(out, dtype=object)
 
 
-def _inverse_weight(weight: OuterWeight, tail_target: float = 1e-12,
-                    cap: int = 4096, bits: int = 128) -> tuple[np.ndarray, float]:
-    """Truncated Taylor series of the reciprocal weight and its tail bound.
-
-    The tail bound comes from coefficient decay at a circle halfway to the
-    nearest root of the weight.  Coefficients come out at the requested
-    precision (object array) so downstream products stay cancellation-safe.
-    """
-    p = weight.psi.as_complex128()
-    ctx = context(bits)
-    psi = p.at_precision(bits).coeffs
-    if p.hi == 0:
-        return np.array([1 / psi[0]], dtype=object), 0.0
-    roots = np.roots(p.coeffs[::-1])
-    rho = (1.0 + float(np.min(np.abs(roots)))) / 2.0
-    nodes = rho * np.exp(2j * np.pi * np.arange(4096) / 4096)
-    m_rho = float(np.max(1.0 / np.abs(p(nodes))))
-
-    def tail(d: int) -> float:
-        return m_rho * rho ** (-(d + 1)) / (1.0 - 1.0 / rho)
-
-    degree = 1
-    while tail(degree) > tail_target and degree < cap:
-        degree *= 2
-    degree = min(degree, cap)
-    inv = [ctx.mpc(0)] * (degree + 1)
-    inv[0] = 1 / psi[0]
-    for j in range(1, degree + 1):
-        acc = ctx.mpc(0)
-        for i in range(1, min(j, p.hi) + 1):
-            acc += psi[i] * inv[j - i]
-        inv[j] = -acc / psi[0]
-    return np.array(inv, dtype=object), tail(degree)
-
-
 def _target_values(corrector: DilatedCorrector | None,
-                   inv_poly: LaurentPolynomial, pts: np.ndarray) -> np.ndarray:
+                   weight_poly: LaurentPolynomial, pts: np.ndarray) -> np.ndarray:
     base = eval_B_phi(corrector, pts) if corrector is not None else 1.0
-    return base * inv_poly(pts)
+    return base * weight_poly(pts)
 
 
-def _defect_sup(approx: LaurentPolynomial, corrector, inv_poly,
+def _defect_sup(approx: LaurentPolynomial, corrector, weight_poly,
                 start_grid: int) -> float:
     """Sampled sup of approximant minus target on the circle.
 
@@ -320,7 +287,7 @@ def _defect_sup(approx: LaurentPolynomial, corrector, inv_poly,
     while True:
         theta = 2.0 * np.pi * np.arange(grid) / grid
         nodes = np.exp(1j * theta)
-        diff = np.abs(approx(nodes) - _target_values(corrector, inv_poly, nodes))
+        diff = np.abs(approx(nodes) - _target_values(corrector, weight_poly, nodes))
         if np.ndim(diff) == 0:
             # constant approximant against constant target
             return float(diff)
@@ -339,7 +306,7 @@ def _defect_sup(approx: LaurentPolynomial, corrector, inv_poly,
         shift = float(np.clip(shift, -h, h))
         node = np.exp(1j * (theta[p] + shift))
         refined = abs(complex(approx(node))
-                      - complex(_target_values(corrector, inv_poly,
+                      - complex(_target_values(corrector, weight_poly,
                                                np.array([node]))[0]))
         cur = max(cur, refined)
     return cur
@@ -433,14 +400,14 @@ def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum,
             float(ctx.sqrt(total_sq)))
 
 
-def _schwarz_excess(approx: LaurentPolynomial, corrector, inv_poly, n: int,
+def _schwarz_excess(approx: LaurentPolynomial, corrector, weight_poly, n: int,
                     sup_defect: float, seed: int,
                     radii=(0.5, 0.9), count: int = 32) -> float:
     rng = np.random.default_rng(seed)
     worst = -math.inf
     for r in radii:
         pts = r * np.exp(2j * np.pi * rng.random(count))
-        diff = np.abs(approx(pts) - _target_values(corrector, inv_poly, pts))
+        diff = np.abs(approx(pts) - _target_values(corrector, weight_poly, pts))
         worst = max(worst, float(np.max(diff - sup_defect * r ** n)))
     return worst
 
@@ -466,45 +433,29 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     else:
         base = np.array([ctx.mpc(1)], dtype=object)
 
-    def assemble(inv_coeffs: np.ndarray) -> LaurentPolynomial:
-        if len(inv_coeffs) > 1:
-            series = np.convolve(base, inv_coeffs)[: upto + 1]
-        else:
-            series = base * inv_coeffs[0]
-        return convolve(LaurentPolynomial(0, series, precision=bits_pipe),
-                        kernel)
-
-    # reciprocal-weight truncation is re-tightened until its tail sits two
-    # orders below the measured kernel defect
-    tail_target = 1e-12
-    inv_coeffs, inv_tail = _inverse_weight(weight, tail_target,
-                                           bits=bits_pipe)
-    start_grid = _next_pow2(max(16 * n, 1024))
-    for _ in range(6):
-        approx = assemble(inv_coeffs)
-        approx_f = approx.as_complex128()
-        inv_poly = LaurentPolynomial(0, inv_coeffs,
-                                     precision=bits_pipe).as_complex128()
-        sup_defect = _defect_sup(approx_f, corrector, inv_poly, start_grid)
-        if inv_tail <= 1e-2 * sup_defect or inv_tail == 0.0:
-            break
-        tail_target = min(tail_target, 5e-3 * sup_defect)
-        prev_len = len(inv_coeffs)
-        inv_coeffs, inv_tail = _inverse_weight(weight, tail_target,
-                                               bits=bits_pipe)
-        if len(inv_coeffs) == prev_len:
-            break
+    # the weight polynomial p(z) = sum conj(c_j) z^j, which is psi for real
+    # coefficients: the moment table integrates against 1/|p|^2 (see
+    # measure_opuc.moment)
+    weight_poly = LaurentPolynomial(
+        0, [ctx.conj(c) for c in weight.psi.at_precision(bits_pipe).coeffs],
+        precision=bits_pipe)
+    series = np.convolve(base, weight_poly.coeffs)[: upto + 1]
+    approx = convolve(LaurentPolynomial(0, series, precision=bits_pipe), kernel)
+    approx_f = approx.as_complex128()
+    weight_f = weight_poly.as_complex128()
+    sup_defect = _defect_sup(approx_f, corrector, weight_f,
+                             _next_pow2(max(16 * n, 1024)))
 
     count = len(selected)
     rho_nodes = radius * np.exp(2j * np.pi * np.arange(2048) / 2048)
-    m_radius = radius ** count * float(np.max(np.abs(inv_poly(rho_nodes))))
+    m_radius = radius ** count * float(np.max(np.abs(weight_f(rho_nodes))))
     apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
 
     r_small = approx.times_z_power(-n)
     competitor = r_small.conj_reflect()
 
     b_full = math.prod(abs(z) for z, _ in _reflected_pairs(spectrum))
-    target0 = b_full / weight.psi0
+    target0 = b_full * weight.psi0
     leading_gap = abs(complex(approx.coefficient(0)) - target0)
 
     ac, inside, tail_sum, total_norm = _norm_pieces(
@@ -520,13 +471,13 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     except OverflowError:
         majorant = math.inf if tail_mu else 0.0
 
-    excess = _schwarz_excess(approx_f, corrector, inv_poly, n, sup_defect,
+    excess = _schwarz_excess(approx_f, corrector, weight_f, n, sup_defect,
                              seed)
     cert = PipelineCertificate(
         route=route, n=n, selection_cap=cap, margin_reciprocal=margin,
         radius=radius, selected_count=count, sup_defect=sup_defect,
         apriori_defect=apriori, schedule_decay=sched.decay(n),
-        inverse_tail=inv_tail, leading_gap=leading_gap, ac_norm=ac,
+        inverse_tail=0.0, leading_gap=leading_gap, ac_norm=ac,
         inside_mass_sum=inside, tail_mass_sum=tail_sum,
         tail_majorant=majorant, total_norm=total_norm,
         lower_bound_achieved=abs(complex(approx.coefficient(0))) / total_norm,

@@ -459,8 +459,8 @@ def lp_norm(f: LaurentPolynomial, p) -> float:
     raise ValueError("p must be 1, 2 or inf")
 
 
-def besov_seminorm(f: LaurentPolynomial, s: float, p) -> float:
-    """sup over dyadic windows n of 2^(n s) * ||f * W_n||_p.
+def _besov_blocks(f: LaurentPolynomial, p) -> list[tuple[int, float]]:
+    """(n, ||f * W_n||_p) for every dyadic window n with a nonzero block.
 
     W_n is the vallee_poussin(n) trapezoid; the n=0 window is the multiplier
     carried by 1 + z.  Only analytic inputs (nonnegative exponents) are
@@ -468,10 +468,10 @@ def besov_seminorm(f: LaurentPolynomial, s: float, p) -> float:
     """
     g = f.as_complex128()
     if g.is_zero:
-        return 0.0
+        return []
     if g.lo < 0:
         raise ValueError("besov seminorm requires nonnegative exponents")
-    best = 0.0
+    blocks = []
     n = 0
     while True:
         spec = vallee_poussin(n)
@@ -480,6 +480,12 @@ def besov_seminorm(f: LaurentPolynomial, s: float, p) -> float:
             break
         block = convolve(g, spec)
         if not block.is_zero:
-            best = max(best, float(2.0 ** (n * s)) * lp_norm(block, p))
+            blocks.append((n, lp_norm(block, p)))
         n += 1
-    return best
+    return blocks
+
+
+def besov_seminorm(f: LaurentPolynomial, s: float, p) -> float:
+    """sup over dyadic windows n of 2^(n s) * ||f * W_n||_p (see _besov_blocks)."""
+    return max((2.0 ** (n * s) * norm for n, norm in _besov_blocks(f, p)),
+               default=0.0)

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import json
 import os
 import subprocess
@@ -353,6 +354,7 @@ def _jsonable(value):
     raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
+@functools.cache
 def _version_string() -> str:
     try:
         from importlib.metadata import version

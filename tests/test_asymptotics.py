@@ -5,8 +5,6 @@ Oracles used here:
     decay sequence collapses to 1/log(n) exactly,
   * selection thresholds are rational, so dyadic mass families make the
     selected set computable by hand,
-  * the inverse of the halving weight 1 - z/2 has coefficients 2^-j,
-    exact in binary,
   * the product series is cross-checked against an independent route
     (sampled-circle Taylor coefficients of the same dilated corrector),
   * full-run certificate numbers are frozen from high-precision runs and
@@ -28,7 +26,6 @@ from szego_lab.asymptotics import (
     ScheduleParams,
     ScheduleViolation,
     _bphi_series,
-    _inverse_weight,
     convergence_experiment,
     partial_product,
     taylor_approximant,
@@ -42,11 +39,22 @@ from szego_lab.blaschke import (
     taylor_coeffs,
 )
 from szego_lab.circle_fourier import LaurentPolynomial
-from szego_lab.measure_opuc import MeasureSpec, OuterWeight, PointSpectrum
+from szego_lab.measure_opuc import (
+    MeasureSpec,
+    OuterWeight,
+    PointSpectrum,
+    eta_n,
+    tau_n,
+)
 
 import szego_lab.asymptotics as asym
 
-D2_MEASURE = Path(__file__).parents[1] / "bench" / "defects" / "d2-measure.json"
+DEFECTS = Path(__file__).parents[1] / "bench" / "defects"
+D2_MEASURE = DEFECTS / "d2-measure.json"
+D3_MEASURE = DEFECTS / "d3-measure.json"
+COMPLEX_PSI_MEASURE = {"psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
+                       "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]],
+                       "precision_bits": 256}
 
 
 TWO_MASS = PointSpectrum(((1.5, 0.3), (-1.25, 0.1)))
@@ -218,7 +226,7 @@ def test_partial_product_empty_cap():
 
 
 # ----------------------------------------------------------------------
-# corrector series and inverse weights
+# corrector series
 
 
 def test_series_dual_route():
@@ -247,23 +255,6 @@ def test_series_empty_zero_set():
     assert len(s) == 13
     assert complex(s[0]) == 1.0 + 0.0j
     assert all(complex(c) == 0.0 for c in s[1:])
-
-
-def test_inverse_weight_halving():
-    inv, tail = _inverse_weight(halving_weight(), tail_target=1e-12)
-    assert len(inv) == 129
-    worst = max(abs(complex(c) - 2.0 ** -j) for j, c in enumerate(inv))
-    assert worst == 0.0
-    assert tail == pytest.approx(2.3089196928328756e-22, rel=1e-9)
-    # the reported tail majorizes the true dropped remainder sum 2^-128
-    assert tail > 2.0 ** -128
-
-
-def test_inverse_weight_constant():
-    inv, tail = _inverse_weight(OuterWeight(LaurentPolynomial(0, [2.0])))
-    assert len(inv) == 1
-    assert complex(inv[0]) == 0.5 + 0.0j
-    assert tail == 0.0
 
 
 # ----------------------------------------------------------------------
@@ -338,12 +329,11 @@ def test_empty_spectrum_run():
 
 def test_psi_case_certificate(psi16):
     _, cert = psi16
-    assert cert.lower_bound_achieved == pytest.approx(0.5000136245182337,
+    assert cert.lower_bound_achieved == pytest.approx(0.6443646993467514,
                                                       rel=1e-9)
-    assert cert.sup_defect == pytest.approx(1.6384462324214866e-05, rel=1e-6)
-    assert cert.ac_norm == pytest.approx(1.7776808962635515, rel=1e-9)
-    assert cert.inverse_tail == pytest.approx(2.3089196928328756e-22, rel=1e-6)
-    assert cert.inverse_tail <= 1e-2 * cert.sup_defect
+    assert cert.sup_defect == pytest.approx(2.820594258157172e-08, rel=1e-6)
+    assert cert.ac_norm == pytest.approx(1.0704194740274162, rel=1e-9)
+    assert cert.inverse_tail == 0.0
     assert cert.leading_gap <= 1e-15
     assert cert.bookkeeping_gap <= 1e-12
     assert cert.schwarz_pass
@@ -387,6 +377,25 @@ def test_defect_decay_and_lower_bound_trend(vp64, ty64):
             assert defects[i + 1] <= 2.0 * defects[i]
             assert lowers[i + 1] > lowers[i] - 1e-12
         assert defects[3] < defects[0]
+
+
+@pytest.mark.parametrize("measure", ["d3", "complex_psi"])
+def test_lower_bound_rises_with_a_nonconstant_weight(measure):
+    # with the weight polynomial as the factor, the bound approaches
+    # B(0) psi(0) for a nonconstant (here also complex) weight too
+    obj = (json.loads(D3_MEASURE.read_text()) if measure == "d3"
+           else COMPLEX_PSI_MEASURE)
+    mu = MeasureSpec.from_json(obj)
+    for route, exact in ((vp_approximant, eta_n), (taylor_approximant, tau_n)):
+        lowers = []
+        for n in (16, 32, 64):
+            _, cert = route(mu.spectrum, mu.weight, n, precision=mu.precision)
+            opt = float(exact(mu, n))
+            assert cert.lower_bound_achieved <= opt + 1e-10
+            assert cert.schwarz_pass and cert.bookkeeping_gap <= 1e-12
+            lowers.append(cert.lower_bound_achieved)
+        assert lowers[0] < lowers[1] < lowers[2]
+        assert lowers[2] >= 0.98 * opt
 
 
 def test_log_condition_gate(monkeypatch):

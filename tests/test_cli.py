@@ -154,6 +154,29 @@ def test_opuc_artifacts(tmp_path, capsys):
     assert report["reproducibility"]["schedule"] is None
 
 
+def test_version_probe_runs_once_per_process(tmp_path, monkeypatch):
+    calls = []
+
+    def fake_run(args, **kwargs):
+        calls.append(args)
+        return subprocess.CompletedProcess(args, 0, stdout="abc1234\n",
+                                           stderr="")
+
+    monkeypatch.setattr(subprocess, "run", fake_run)
+    cli._version_string.cache_clear()
+    try:
+        for name in ("a", "b"):
+            path = write_json(tmp_path / f"{name}.json", {
+                "n_grid": [8], "out_dir": str(tmp_path / name)})
+            cli.run(cli.load_manifest("besov", path, {}))
+            version = read_report(str(tmp_path / name))[
+                "reproducibility"]["version"]
+            assert version.endswith("+gabc1234")
+    finally:
+        cli._version_string.cache_clear()
+    assert len(calls) <= 1
+
+
 def test_pipeline_artifacts(tmp_path, capsys):
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
     man = write_json(tmp_path / "man.json", {
