@@ -357,11 +357,52 @@ class PipelineCertificate:
         return abs(self.total_norm ** 2 - pieces) / self.total_norm ** 2
 
 
+def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
+    """Exact integral of |Q|^2/|p|^2 over the circle, Q = sum_k q_k z^k.
+
+    p(z) = sum_j conj(c_j) z^j is the weight polynomial that the moment
+    table integrates against (see measure_opuc.moment); it is zero-free on
+    the closed disk, so Q/p = sum_k a_k z^k there and Parseval gives the
+    integral as sum_k |a_k|^2.  The head a_0..a_D, D = deg Q, follows from
+    the recurrence p_0 a_k = q_k - sum_(j=1..d) p_j a_(k-j).  Past D,
+    Q - p A_D = z^(D+1) h with deg h < d, where A_D is the head as a
+    polynomial, so the rest of Q/p is z^(D+1) h/p, orthogonal to A_D: its
+    squared norm is h^H T h, with T the d-by-d Toeplitz block of the
+    moments t_0..t_(d-1).  O(D d + d^2) in all, and nothing is truncated.
+    """
+    ctx = context(bits)
+    p = [ctx.conj(ctx.mpc(c)) for c in weight.psi.as_complex128().coeffs]
+    d = len(p) - 1
+    top = len(q) - 1
+    rev = p[:0:-1]  # p_d, ..., p_1
+    # a[d + k] = a_k; the d leading zeros stand for a_(-d)..a_(-1)
+    a = [ctx.mpc(0)] * d
+    for qk in q:
+        a.append((qk - ctx.fdot(rev, a[len(a) - d:])) / p[0])
+    head = ctx.fdot(a, a, conjugate=True).real
+    if d == 0:
+        return head
+    h = [-ctx.fdot(p[i + 1:], a[top + i + 1:top + d + 1][::-1])
+         for i in range(d)]
+    t = _trig_moments(weight, d - 1, bits).values
+    rest = ctx.mpf(0)
+    for r in range(d):
+        for c in range(d):
+            t_cr = t[c - r] if c >= r else ctx.conj(t[r - c])
+            rest += (ctx.conj(h[r]) * h[c] * t_cr).real
+    return head + rest
+
+
 def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum,
                  competitor: LaurentPolynomial, r_small: LaurentPolynomial,
                  selected: list, tail: list, bits: int):
     """Norm bookkeeping in extended precision.
 
+    The circle part is the integral of |Q|^2/|p|^2, Q = competitor *
+    z^(-lo) and p(z) = sum_j conj(c_j) z^j the weight polynomial the
+    moment table uses: Parseval on the power series of Q/p plus an exact
+    d-by-d moment block (_circle_norm_sq), O(N d + d^2) for a competitor of
+    span N and a weight of degree d.
     The circle part and the mass part of the competitor's squared norm are
     evaluated at the mass points themselves; the inside/tail split is
     evaluated independently at the reflected points through the
@@ -373,17 +414,7 @@ def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum,
     ctx = context(bits)
     competitor = competitor.at_precision(bits)
     r_small = r_small.at_precision(bits)
-    v = competitor.coeffs
-    span = len(v) - 1
-    values = _trig_moments(weight, span, bits).values
-    # t_(c-r) for c - r = -span..span: conjugates rounded at bits, the
-    # others as the table holds them
-    t_diff = [ctx.conj(t) for t in values[span:0:-1]] + values[: span + 1]
-
-    ac = ctx.re(ctx.fsum(
-        ctx.conj(v[r]) * ctx.fsum(v[c] * t_diff[span + c - r]
-                                  for c in range(len(v)))
-        for r in range(len(v))))
+    ac = _circle_norm_sq(weight, competitor.coeffs, bits)
 
     mass_part = ctx.mpf(0)
     for z, m in spectrum.masses:

@@ -8,7 +8,9 @@ Oracles used here:
   * the product series is cross-checked against an independent route
     (sampled-circle Taylor coefficients of the same dilated corrector),
   * full-run certificate numbers are frozen from high-precision runs and
-    compared against exact optima computed by the Gram-matrix code.
+    compared against exact optima computed by the Gram-matrix code,
+  * the Parseval circle norm is checked against the O(N^2) double sum over
+    the moment table, and against a float grid mean of |Q|^2/|p|^2.
 """
 
 import json
@@ -43,9 +45,11 @@ from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
     PointSpectrum,
+    _trig_moments,
     eta_n,
     tau_n,
 )
+from szego_lab.xlinalg import context
 
 import szego_lab.asymptotics as asym
 
@@ -55,6 +59,18 @@ D3_MEASURE = DEFECTS / "d3-measure.json"
 COMPLEX_PSI_MEASURE = {"psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
                        "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]],
                        "precision_bits": 256}
+# psi with roots at 1.05 e^i and at 2: the moments of 1/|p|^2 decay like
+# 1.05^-m, so the h^H T h term of the circle norm carries real weight
+_R1 = complex(math.cos(1.0), math.sin(1.0)) * 1.05
+_C1, _C2 = -(1 / _R1 + 0.5), 1 / (2 * _R1)
+NEAR_ROOT_MEASURE = {"psi": [[1.0, 0.0], [_C1.real, _C1.imag],
+                             [_C2.real, _C2.imag]],
+                     "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]],
+                     "precision_bits": 256}
+CONST_THREE_MASS_MEASURE = {"psi": [[1.0, 0.0]],
+                            "masses": [[1.5, 0.0, 0.3], [-1.25, 0.0, 0.2],
+                                       [0.4, 1.3, 0.1]],
+                            "precision_bits": 256}
 
 
 TWO_MASS = PointSpectrum(((1.5, 0.3), (-1.25, 0.1)))
@@ -396,6 +412,71 @@ def test_lower_bound_rises_with_a_nonconstant_weight(measure):
             lowers.append(cert.lower_bound_achieved)
         assert lowers[0] < lowers[1] < lowers[2]
         assert lowers[2] >= 0.98 * opt
+
+
+def _double_sum_circle_norm(weight, q, bits):
+    """The O(N^2) route: sum over r, c of conj(q_r) q_c t_(c-r)."""
+    ctx = context(bits)
+    span = len(q) - 1
+    values = _trig_moments(weight, span, bits).values
+    t_diff = [ctx.conj(t) for t in values[span:0:-1]] + values[: span + 1]
+    return ctx.re(ctx.fsum(
+        ctx.conj(q[r]) * ctx.fsum(q[c] * t_diff[span + c - r]
+                                  for c in range(len(q)))
+        for r in range(len(q))))
+
+
+def _captured_runs(monkeypatch, obj):
+    """(cert, weight, q) per run of both routes at n = 16, 32, 64, with q
+    the coefficients the pipeline hands to the circle norm."""
+    mu = MeasureSpec.from_json(obj)
+    seen = []
+    real = asym._circle_norm_sq
+
+    def spy(weight, q, bits):
+        seen.append((weight, list(q)))
+        return real(weight, q, bits)
+
+    monkeypatch.setattr(asym, "_circle_norm_sq", spy)
+    out = []
+    for route in (vp_approximant, taylor_approximant):
+        for n in (16, 32, 64):
+            _, cert = route(mu.spectrum, mu.weight, n, precision=mu.precision)
+            out.append((cert,) + seen[-1])
+    return out
+
+
+@pytest.mark.parametrize("obj", [
+    json.loads(D3_MEASURE.read_text()), COMPLEX_PSI_MEASURE,
+    CONST_THREE_MASS_MEASURE, NEAR_ROOT_MEASURE,
+], ids=["d3", "complex_psi", "const_three_mass", "near_root"])
+def test_circle_norm_matches_the_double_sum(monkeypatch, obj):
+    for cert, weight, q in _captured_runs(monkeypatch, obj):
+        new = asym._circle_norm_sq(weight, q, 256)
+        old = _double_sum_circle_norm(weight, q, 256)
+        assert abs(new - old) <= 1e-60 * abs(old)
+        assert float(old) == cert.ac_norm
+
+
+def test_circle_norm_matches_a_grid_mean(monkeypatch):
+    nodes = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
+    for cert, weight, q in _captured_runs(monkeypatch, COMPLEX_PSI_MEASURE):
+        qf = LaurentPolynomial(0, [complex(c) for c in q])
+        pf = LaurentPolynomial(0, np.conj(weight.psi.as_complex128().coeffs))
+        mean = float(np.mean(np.abs(qf(nodes)) ** 2 / np.abs(pf(nodes)) ** 2))
+        assert mean == pytest.approx(cert.ac_norm, rel=1e-10)
+
+
+def test_vp_bound_at_large_n():
+    # the exact circle norm costs O(N d), so the pipeline reaches n = 1024
+    mu = MeasureSpec.from_json(json.loads(D3_MEASURE.read_text()))
+    certs = [vp_approximant(mu.spectrum, mu.weight, n,
+                            precision=mu.precision)[1] for n in (512, 1024)]
+    for cert in certs:
+        assert cert.bookkeeping_gap <= 1e-12
+        assert cert.schwarz_pass
+    lower512, lower1024 = (c.lower_bound_achieved for c in certs)
+    assert lower512 < lower1024 <= float(eta_n(mu, 1024))
 
 
 def test_log_condition_gate(monkeypatch):
