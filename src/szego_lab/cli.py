@@ -47,6 +47,7 @@ from szego_lab.measure_opuc import (
     MeasureSpec,
     PrecisionExhausted,
     QuadratureError,
+    ResidueNodes,
     log_condition_report,
     orthonormal_element,
     residue_identity_check,
@@ -508,10 +509,12 @@ def _run_residue_check(man: RunManifest):
             raise ManifestError(
                 "k_list", f"measure has only {n_masses} mass points")
     rows = []
+    nodes = ResidueNodes(mu, max(ks, default=0))
     for n in man.n_grid:
         element = orthonormal_element(mu, n, laurent=True)
         for k in ks:
-            rec = residue_identity_check(mu, n, k, element=element)
+            rec = residue_identity_check(mu, n, k, element=element,
+                                         nodes=nodes)
             rows.append({
                 "n": n, "k": k,
                 "lhs_re": float(rec["lhs"].real),

@@ -10,6 +10,14 @@ contour-integral residue identity connecting the Laurent leading
 coefficient to point evaluations at the masses, and the slow-decay
 condition report for mass sequences accumulating at the circle.
 
+The residue identity's quadrature evaluates its integrand at the nodes of
+a power-of-two circle grid.  A ResidueNodes table, passed as nodes=, holds
+those nodes for one measure with psi and the reflected Blaschke prefix
+products already evaluated, so the checks of several (n, k) evaluate psi
+and the Blaschke factors once per node and each Laurent element once per
+node; a check without a table builds its own, and both give the same
+record bit for bit.
+
 tau_n and eta_n have two routes.  With masses and degree at least deg psi
 they come from Uvarov's closed form: the Bernstein-Szego orthonormal
 polynomials and their Christoffel-Darboux kernel reduce the Gram solve to
@@ -54,6 +62,7 @@ __all__ = [
     "PointSpectrum",
     "MeasureSpec",
     "ReflectedBlaschke",
+    "ResidueNodes",
     "QuadratureError",
     "PrecisionExhausted",
     "moment",
@@ -310,10 +319,16 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
             val = conj_t[-d] if d < 0 else ctx.mpc(values[d])
             for m, pw in powers:
                 val += m * pw[exps[c]] * ctx.conj(pw[exps[r]])
-            cols[c][r] = val
             if r != c:
+                cols[c][r] = val
                 cols[r][c] = ctx.conj(val)
-    return HermitianMatrix(cols, bits)
+            else:
+                # the mass terms m z^j conj(z)^j leave a rounding-size
+                # imaginary part; cholesky and schur_leading read only the
+                # real part of the diagonal, so dropping it moves no result
+                cols[c][c] = ctx.mpc(val.real)
+    # Hermitian by construction, so the O(n^2) symmetry check is skipped
+    return HermitianMatrix(cols, bits, _skip_check=True)
 
 
 def gram_polynomial(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianMatrix:
@@ -512,15 +527,99 @@ def _reflected_factors(ctx, masses: Sequence) -> list:
     return out
 
 
-def _blaschke_mp(ctx, factors: list, x):
-    acc = ctx.mpc(1)
-    for zeta, rot in factors:
-        acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
-    return acc
+def _node_values(ctx, x, psi, factors, element, n: int) -> tuple:
+    """The residue integrand's pieces at the node x: (dens, num).
+
+    With psi given, dens[k] = conj(psi(x)) conj(B^k(x)) for k = 0..K, where
+    B^k is the product of the first k reflected factors, taken as prefix
+    products in one pass.  With element given, num = R_n(x) x^(-n).  Either
+    is None when its input is.
+    """
+    dens = None
+    if psi is not None:
+        conj_psi = ctx.conj(psi(x))
+        acc = ctx.mpc(1)
+        dens = [conj_psi * ctx.conj(acc)]
+        for zeta, rot in factors:
+            acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
+            dens.append(conj_psi * ctx.conj(acc))
+    num = None if element is None else element(x) * x ** (-n)
+    return dens, num
+
+
+class ResidueNodes:
+    """The residue quadrature's nodes for one measure, shared by the checks
+    of every (n, k) on it.
+
+    The table sits on the finest power-of-two grid asked for so far, in
+    node order.  It holds each node x_p = exp(2 pi i p / G), the
+    denominators conj(psi(x_p)) conj(B^k(x_p)) for k = 0..k_max (the first
+    k_max masses, all by default), and the numerators R_n(x_p) x_p^(-n) of
+    the element in use only: about k_max + 3 numbers per node.  A grid of
+    g = G/m nodes reads every m-th node, since 2/g * p == 2/G * (m p)
+    exactly; growing to twice the size evaluates only the odd nodes.
+    """
+
+    def __init__(self, mu: MeasureSpec, k_max: int | None = None):
+        masses = mu.spectrum.masses[:k_max]
+        self.mu = mu
+        self.k_max = len(masses)
+        self._ctx = context(mu.precision)
+        self._psi = mu.weight.psi.as_complex128().at_precision(mu.precision)
+        self._factors = _reflected_factors(self._ctx, masses)
+        self._x: list = []
+        self._dens: list = []
+        self._nums: list = []
+        self._given = self._element = None
+        self._n = 0
+
+    @property
+    def grid(self) -> int:
+        return len(self._x)
+
+    def use(self, element: LaurentPolynomial, n: int) -> LaurentPolynomial:
+        """Make element, the Laurent element of degree n, the one whose
+        numerators the table holds; returns it at the measure's precision."""
+        if element is not self._given:
+            self._given, self._n = element, n
+            self._element = element.at_precision(self.mu.precision)
+            self._nums = [None] * self.grid
+        return self._element
+
+    def terms(self, k: int, grid: int, start: int, step: int) -> list:
+        """num/den_k of the element in use at the nodes start, start + step,
+        ... of the grid of that size."""
+        self._grow(grid)
+        ctx, m = self._ctx, self.grid // grid
+        out = []
+        for i in range(start * m, self.grid, step * m):
+            if self._nums[i] is None:
+                self._nums[i] = _node_values(ctx, self._x[i], None, None,
+                                             self._element, self._n)[1]
+            out.append(self._nums[i] / self._dens[i][k])
+        return out
+
+    def _grow(self, grid: int) -> None:
+        ctx = self._ctx
+        while self.grid < grid:
+            old = self.grid
+            size = 2 * old if old else grid
+            two_over = ctx.mpf(2) / size
+            fresh = []
+            for p in range(1 if old else 0, size, 2 if old else 1):
+                x = ctx.expjpi(two_over * p)
+                fresh.append((x, *_node_values(ctx, x, self._psi, self._factors,
+                                               self._element, self._n)))
+            if old:
+                # the kept nodes are the even ones of the new grid
+                fresh = [v for pair in zip(zip(self._x, self._dens, self._nums),
+                                           fresh) for v in pair]
+            self._x, self._dens, self._nums = (list(c) for c in zip(*fresh))
 
 
 def residue_identity_check(mu: MeasureSpec, n: int, k: int,
-                           element: LaurentPolynomial | None = None) -> dict:
+                           element: LaurentPolynomial | None = None,
+                           nodes: ResidueNodes | None = None) -> dict:
     """Contour-integral identity for the Laurent element R_n and the first k
     masses.
 
@@ -530,7 +629,10 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     points.  Returns both sides, their gap, and the Cauchy-Schwarz majorant
     of the residue sum.  element is orthonormal_element(mu, n, laurent=True),
     solved here when not given; a caller checking several k at one n solves
-    it once.
+    it once.  nodes is a ResidueNodes table of mu, built here when not
+    given; a caller checking several (n, k) shares one, so each node's
+    psi and Blaschke values are computed once and its element value once
+    per n.  The record is the same bit for bit either way.
     """
     if not 0 <= k <= len(mu.spectrum):
         raise ValueError("k must be between 0 and the number of masses")
@@ -539,6 +641,10 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
         for j in range(i + 1, k):
             if pts[i][0] == pts[j][0]:
                 raise ValueError("chosen mass points must be distinct")
+    if nodes is None:
+        nodes = ResidueNodes(mu, k)
+    elif nodes.mu is not mu or nodes.k_max < k:
+        raise ValueError("nodes must be a table of this measure holding k masses")
     bits = mu.precision
     ctx = context(bits)
     if element is None:
@@ -547,7 +653,7 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
         # exact zeros are trimmed, so lo may sit above -(n - 1)
         raise ValueError("element must be the Laurent element of degree n")
     # an escalated element keeps its coefficients but is evaluated at bits
-    r_elem = element.at_precision(bits)
+    r_elem = nodes.use(element, n)
     psi = mu.weight.psi.as_complex128().at_precision(bits)
     factors = _reflected_factors(ctx, pts)
     eta = r_elem.coefficient(n).real
@@ -571,28 +677,17 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
         rhs -= r_elem(zi) / denom
         majorant += 1 / (abs(denom) ** 2 * mass)
 
-    # quadrature side: the nodes of a grid are the even nodes of the grid
-    # twice its size (2/g * p == 1/g * 2p exactly), so doubling evaluates
-    # only the odd nodes and interleaves them with the kept terms
-    def terms_at(grid: int, start: int, step: int) -> list:
-        two_over = ctx.mpf(2) / grid
-        out = []
-        for p in range(start, grid, step):
-            x = ctx.expjpi(two_over * p)
-            num = r_elem(x) * x ** (-n)
-            den = ctx.conj(psi(x)) * ctx.conj(_blaschke_mp(ctx, factors, x))
-            out.append(num / den)
-        return out
-
+    # quadrature side: doubling the grid reads only its odd nodes and
+    # interleaves them with the kept terms (see ResidueNodes)
     tol = ctx.mpf(2) ** (-min(bits, 160) + 20)
     grid = _next_pow2(max(8 * (n + 1), 256))
-    terms = terms_at(grid, 0, 1)
+    terms = nodes.terms(k, grid, 0, 1)
     prev = ctx.fsum(terms) / grid
     while True:
         if 2 * grid > _GRID_CAP:
             raise QuadratureError(
                 f"residue quadrature did not converge by {_GRID_CAP} nodes")
-        odd = terms_at(2 * grid, 1, 2)
+        odd = nodes.terms(k, 2 * grid, 1, 2)
         terms = [t for pair in zip(terms, odd) for t in pair]
         grid *= 2
         cur = ctx.fsum(terms) / grid

@@ -249,6 +249,40 @@ def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
     assert solves == [(4, True), (6, True)]
 
 
+RESIDUE_FROZEN = os.path.join(os.path.dirname(__file__), "data",
+                              "residue_check_frozen.csv")
+
+# the README's two-mass measure and a complex psi with two complex masses
+RESIDUE_FROZEN_MEASURES = {
+    "readme_two_mass": {"psi": [[1.0, 0.0], [-0.5, 0.0]],
+                        "masses": [[1.5, 0.0, 0.3], [-1.25, 0.0, 0.1]],
+                        "precision_bits": 256},
+    "complex_psi": {"psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
+                    "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]],
+                    "precision_bits": 128},
+}
+
+
+def test_residue_check_matches_frozen_csv(tmp_path, capsys):
+    # residue_check_frozen.csv holds certificates.csv of both measures, each
+    # line prefixed with the measure's name; the output must match it byte
+    # for byte
+    lines = []
+    for label, measure in RESIDUE_FROZEN_MEASURES.items():
+        man = write_json(tmp_path / f"{label}-man.json", {
+            "measure_file": write_json(tmp_path / f"{label}.json", measure),
+            "n_grid": [4, 8, 12], "k_list": [0, 1, 2],
+            "out_dir": str(tmp_path / label)})
+        assert run_main(capsys, "residue-check", "--manifest", man)[0] == 0
+        with open(tmp_path / label / "certificates.csv", "rb") as fh:
+            header, *rows = fh.read().splitlines(keepends=True)
+        if not lines:
+            lines.append(b"measure," + header)
+        lines += [label.encode() + b"," + row for row in rows]
+    with open(RESIDUE_FROZEN, "rb") as fh:
+        assert b"".join(lines) == fh.read()
+
+
 def test_log_condition_artifacts(tmp_path, capsys):
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
     man = write_json(tmp_path / "man.json", {
@@ -422,10 +456,14 @@ def test_module_entry_point(tmp_path):
     man.write_text(json.dumps({"measure_file": str(measure),
                                "n_grid": [2, 4],
                                "out_dir": str(tmp_path / "out")}))
+    # the child imports the package this process imported, installed or not
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    path = os.pathsep.join(filter(None, [src, os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
         [sys.executable, "-m", "szego_lab.cli", "opuc",
          "--manifest", str(man)],
-        capture_output=True, text=True)
+        capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "certificates.csv" in proc.stdout
     assert (tmp_path / "out" / "report.json").is_file()

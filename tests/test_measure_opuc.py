@@ -24,6 +24,7 @@ from szego_lab.measure_opuc import (
     PrecisionExhausted,
     QuadratureError,
     ReflectedBlaschke,
+    ResidueNodes,
     eta_n,
     gram_laurent,
     gram_polynomial,
@@ -233,6 +234,24 @@ def test_gram_laurent_negative_power_entry():
     # basis z^-1, 1, z, z^2: the (z^-1, z^-1) entry is 1 + 0.3/1.5^2
     assert abs(g.entry(0, 0) - 17.0 / 15.0) < 1e-14
     assert g.dim == 4
+
+
+def complex_two_mass(precision):
+    psi = OuterWeight(LaurentPolynomial(0, [1.0, 0.3 - 0.2j, 0.1j]))
+    return MeasureSpec(psi, PointSpectrum(((1.5 + 0.8j, 0.3),
+                                           (-1.2 + 0.9j, 0.2))), precision)
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("gram", [gram_polynomial, gram_laurent])
+def test_gram_is_hermitian_bit_for_bit(gram, bits):
+    # the Gram build skips HermitianMatrix's symmetry check, so it must
+    # write an exactly Hermitian matrix, real diagonal included
+    g = gram(complex_two_mass(bits), 9)
+    assert g.bits == bits
+    for j in range(g.dim):
+        for k in range(g.dim):
+            assert g.entry(j, k) == g.entry(k, j).conjugate()
 
 
 def test_gram_validation():
@@ -528,24 +547,67 @@ def test_residue_identity_with_weight():
 
 
 def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
-    # doubling the grid reuses the terms of the coarser grid, so the
-    # integrand is evaluated once per node of the final grid
-    calls = []
-    real = mo._blaschke_mp
+    # one table shared by every (n, k): psi and the Blaschke prefix products
+    # are evaluated once per node of the finest grid, the element once per
+    # node per n (a doubled grid reuses the nodes of the coarser one)
+    dens, nums = [], {}
+    real = mo._node_values
 
-    def counted(ctx, factors, x):
-        calls.append(x)
-        return real(ctx, factors, x)
+    def counted(ctx, x, psi, factors, element, n):
+        if psi is not None:
+            dens.append(x)
+        if element is not None:
+            nums.setdefault(n, []).append(x)
+        return real(ctx, x, psi, factors, element, n)
 
     mu = two_mass()
-    element = orthonormal_element(mu, 6, laurent=True)
+    elements = {n: orthonormal_element(mu, n, laurent=True) for n in (4, 6)}
     plain = residue_identity_check(mu, 6, 2)
-    monkeypatch.setattr(mo, "_blaschke_mp", counted)
-    rec = residue_identity_check(mu, 6, 2, element=element)
-    assert len(calls) == rec["grid"] > 256
-    assert len(set(calls)) == len(calls)
-    # a given element gives the same record, bit for bit
-    assert all(rec[key] == plain[key] for key in plain)
+    monkeypatch.setattr(mo, "_node_values", counted)
+    nodes = ResidueNodes(mu)
+    recs = {(n, k): residue_identity_check(mu, n, k, element=elements[n],
+                                           nodes=nodes)
+            for n in (4, 6) for k in (0, 1, 2)}
+    finest = max(rec["grid"] for rec in recs.values())
+    assert finest > 256 and nodes.grid == finest
+    assert len(dens) == len(set(dens)) == finest
+    for n in (4, 6):
+        assert len(nums[n]) == len(set(nums[n])) == max(
+            recs[n, k]["grid"] for k in (0, 1, 2))
+    # a given element and a shared table give the same record, bit for bit
+    assert all(recs[6, 2][key] == plain[key] for key in plain)
+
+
+@pytest.mark.parametrize("mu, rows", [
+    # a mass at |z| = 1.048 needs 4096 nodes at k = 1 where k = 0 needs
+    # 512, so the table doubles while it holds the numerators of an element
+    (MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.3])),
+                 PointSpectrum(((0.42 + 0.96j, 0.2), (-1.5, 0.3))), 256),
+     [(2, 0), (4, 1), (4, 0), (2, 2), (6, 0)]),
+    (two_mass(128), [(n, k) for n in (4, 8) for k in (0, 1, 2)]),
+], ids=["near-circle-256", "two-mass-128"])
+def test_shared_nodes_give_the_unshared_records(mu, rows):
+    nodes = ResidueNodes(mu)
+    elements = {n: orthonormal_element(mu, n, laurent=True) for n, _ in rows}
+    grids = []
+    for n, k in rows:
+        shared = residue_identity_check(mu, n, k, element=elements[n],
+                                        nodes=nodes)
+        plain = residue_identity_check(mu, n, k, element=elements[n])
+        assert list(shared) == list(plain)
+        for key in plain:
+            assert shared[key] == plain[key], (n, k, key)
+        grids.append(shared["grid"])
+    assert nodes.grid == max(grids)
+    assert any(a < b for a, b in zip(grids, grids[1:]))
+
+
+def test_residue_nodes_validation():
+    mu = two_mass()
+    with pytest.raises(ValueError):
+        residue_identity_check(mu, 4, 2, nodes=ResidueNodes(mu, 1))
+    with pytest.raises(ValueError):
+        residue_identity_check(mu, 4, 1, nodes=ResidueNodes(one_mass()))
 
 
 @pytest.mark.parametrize("n", [2, 4])
