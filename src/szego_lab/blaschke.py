@@ -11,9 +11,11 @@ coefficients a_0..a_D, and takes everything from those coefficients: the sup
 of |B phi0| on the circle, the sup of its s-th derivative from the series
 with multipliers j(j-1)...(j-s+1), and the dyadic Besov blocks.  Each sup
 goes through circle_fourier._sup_with_bound and comes as a bracket: a
-Newton-refined grid max, and an upper bound that adds the truncation tail
-and the aliasing error, both from the Cauchy estimates of _tail_envelope,
-to the grid bound.
+Newton-refined grid max, and an upper bound that adds to the grid bound the
+truncation tail and the aliasing error, both from the Cauchy estimates of
+_tail_envelope (the product of each factor's exact sup on circles between R
+and the nearest pole), and the rounding of the samples, the FFTs and the
+grid values.
 """
 
 from __future__ import annotations
@@ -153,22 +155,34 @@ class BlaschkeProduct:
 def eval_blaschke(b: BlaschkeProduct, z):
     """Factor-by-factor evaluation; scalar or ndarray argument.
 
-    Raises PoleProximityError if z comes within 2^-40 of a pole 1/conj(z_k).
+    Each factor is rk*(z - z_k)/(1 - conj(z_k)*z), computed in that order of
+    operations into two buffers reused by every factor.  Raises
+    PoleProximityError if z comes within 2^-40 of a pole 1/conj(z_k); the
+    elementwise distance is taken only for a pole that |pole| - max|z| (with
+    a factor 2 for its rounding) does not already keep that far away.
     """
     zs = np.asarray(b.zeros.zeros, dtype=np.complex128)
     za = np.asarray(z, dtype=np.complex128)
     scalar = za.ndim == 0
     za = np.atleast_1d(za)
     out = np.full(za.shape, complex(b.rotation), dtype=np.complex128)
+    num = np.empty_like(out)
+    den = np.empty_like(out)
+    zmax = float(np.max(np.abs(za), initial=0.0))
     rots = _factor_rotations(zs)
     for zk, rk in zip(zs, rots):
         if zk == 0:
             out *= za
             continue
         pole = 1.0 / np.conj(zk)
-        if np.min(np.abs(za - pole)) < _POLE_TOL:
+        if (abs(pole) - zmax < 2.0 * _POLE_TOL
+                and np.min(np.abs(za - pole)) < _POLE_TOL):
             raise PoleProximityError(f"evaluation within 2^-40 of pole {pole}")
-        out *= rk * (za - zk) / (1.0 - np.conj(zk) * za)
+        np.subtract(za, zk, out=num)
+        np.multiply(rk, num, out=num)
+        np.multiply(np.conj(zk), za, out=den)
+        np.subtract(1.0, den, out=den)
+        out *= np.divide(num, den, out=num)
     return complex(out[0]) if scalar else out
 
 
@@ -267,10 +281,20 @@ def eval_B_phi(c: DilatedCorrector, z):
 
 
 def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
-    """Candidate (rho, sup bound on |B phi0| over |z| = rho) pairs.
+    """Candidate (rho, A) pairs with |B phi0| <= A on the circle |z| = rho.
 
-    rho = R gives the exact sup R^n; larger rho up to the nearest pole gives
-    faster geometric decay at the price of a larger constant.
+    A is the product of the exact per-factor sups.  On |z| = rho, with
+    R <= rho < R^2/|z_k|, the factor of zero z_k has modulus
+    |z - z_k| / |1 - conj(z_k) z / R^2|, which in the dilated variable
+    w = z/R, a = z_k/R is R |phi_a(w)| with
+    |phi_a(w)|^2 = 1 + (1 - |a|^2)(|w|^2 - 1) / |1 - conj(a) w|^2;
+    for |w| >= 1 that is largest where |1 - conj(a) w| = 1 - |a| |w|, so
+    the sup is (rho - |z_k|) / (1 - |z_k| rho / R^2).  At rho = R every
+    factor has sup R and A = R^n exactly.  The ladder rho_t = R^(1-t) P^t,
+    t = 1 - 2^-k for k = 1..7, toward the nearest pole P = R^2/max|z_k|
+    trades a larger A for the faster decay rho^-j of the Cauchy estimate
+    |a_j| <= A rho^-j; it is densest near P, where the best rho for a high
+    degree lies, as A grows only like a power of the distance to P.
     """
     n = c.n
     big_r = c.radius_R
@@ -279,37 +303,45 @@ def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
     zmax = float(np.max(moduli))
     if zmax > 0.0:
         pole = big_r * big_r / zmax
-        for t in (0.25, 0.5, 0.75):
+        for t in 1.0 - 2.0 ** -np.arange(1, 8):
             rho = big_r ** (1.0 - t) * pole ** t
             if rho <= big_r:
                 continue
             # log-sum: the factor product overflows floats for many zeros
             log_bound = float(np.sum(
-                np.log((rho + moduli) / (1.0 - moduli * rho / big_r ** 2))))
+                np.log((rho - moduli) / (1.0 - moduli * rho / big_r ** 2))))
             bound = math.exp(log_bound) if log_bound < 700.0 else math.inf
             out.append((rho, bound))
     return out
 
 
-def _alias_bound(c: DilatedCorrector, m: int) -> float:
+def _alias_bound(env: list, m: int) -> float:
     best = math.inf
-    for rho, a in _tail_envelope(c):
+    for rho, a in env:
         q = rho ** (-m)
         if q < 1.0:
             best = min(best, a * q / (1.0 - q))
     return best
 
 
-def _alias_grid(c: DilatedCorrector, upto: int, tol: float) -> int:
+def _alias_grid(c: DilatedCorrector, upto: int, tol: float, env: list) -> int:
     """The power-of-two grid taylor_coeffs samples on: at least
-    max(2(upto+1), 64n, 256) nodes, doubled until the aliasing bound is below
-    tol; TaylorToleranceError past 2^22 nodes."""
+    max(2(upto+1), 64n, 256) nodes, doubled until the aliasing bound from
+    the envelope env of _tail_envelope is below tol; TaylorToleranceError
+    past 2^22 nodes."""
     m = _next_pow2(max(2 * (upto + 1), 64 * c.n, 256))
-    while _alias_bound(c, m) > tol:
+    while _alias_bound(env, m) > tol:
         if m >= 1 << 22:
-            raise TaylorToleranceError(_alias_bound(c, m), tol)
+            raise TaylorToleranceError(_alias_bound(env, m), tol)
         m <<= 1
     return m
+
+
+def _dft_coeffs(c: DilatedCorrector, upto: int, m: int) -> LaurentPolynomial:
+    """a_0..a_upto of B phi0 from its samples on the m-point grid."""
+    # the samples are dropped as soon as their FFT is taken
+    coeffs = np.fft.fft(eval_B_phi(c, grid_nodes(m)))[: upto + 1] / m
+    return LaurentPolynomial(0, coeffs)
 
 
 def taylor_coeffs(c: DilatedCorrector, upto: int, tol: float = 1e-12) -> LaurentPolynomial:
@@ -331,19 +363,31 @@ def taylor_coeffs(c: DilatedCorrector, upto: int, tol: float = 1e-12) -> Laurent
         if c.n <= upto:
             coeffs[c.n] = 1.0
         return LaurentPolynomial(0, coeffs)
-    m = _alias_grid(c, upto, tol)
-    # the samples are dropped as soon as their FFT is taken
-    coeffs = np.fft.fft(eval_B_phi(c, grid_nodes(m)))[: upto + 1] / m
-    return LaurentPolynomial(0, coeffs)
+    return _dft_coeffs(c, upto, _alias_grid(c, upto, tol, _tail_envelope(c)))
 
 
-def _truncation_degree(c: DilatedCorrector, s_max: int, tol: float) -> int:
-    """Smallest degree D with (2D)^s_max * tail-sup beyond D below tol."""
+def _tail_bound(env: list, big_n: int, s: int) -> float:
+    """Bound on sum_(j>=N) j^s |a_j| from the Cauchy estimates |a_j| <= A
+    rho^-j of env: A N^s rho^-N / (1 - r), as the terms fall by at least
+    r = ((N+1)/N)^s / rho < 1 from one to the next; the best rho."""
+    best = math.inf
+    for rho, a in env:
+        r = ((big_n + 1) / big_n) ** s / rho
+        if r < 1.0 and math.isfinite(a):
+            best = min(best, a * big_n ** s * rho ** (-big_n) / (1.0 - r))
+    return best
+
+
+def _truncation_degree(c: DilatedCorrector, s_max: int, tol: float,
+                       env: list | None = None) -> int:
+    """Smallest degree D > n whose truncation tail sum_(j>D) j^s_max |a_j|
+    has _tail_bound below tol, from the envelope env (by default
+    _tail_envelope(c))."""
+    if env is None:
+        env = _tail_envelope(c)
+
     def ok(d: int) -> bool:
-        best = math.inf
-        for rho, a in _tail_envelope(c):
-            best = min(best, a * rho ** (-d) * rho / (rho - 1.0))
-        return best * float(2 * d) ** s_max <= tol
+        return _tail_bound(env, d + 1, s_max) <= tol
 
     lo = c.n + 1
     hi = lo
@@ -373,56 +417,90 @@ def _falling_factorial(d: int, s: int) -> np.ndarray:
     return out
 
 
-def _series_error(c: DilatedCorrector, d: int, m: int, s: int) -> float:
-    """Bound on sum_j j^s |a_j - a~_j| over all j, where a~ holds the m-point
-    DFT coefficients on 0..d and zero beyond.
+def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
+                  oversample: int) -> float:
+    """What the order-s grid bound of _sampled_sups misses: a bound on
+    sum_j j^s |a_j - a~_j| over all j, where a~ holds the computed m-point
+    DFT coefficients on 0..d and zero beyond, plus the rounding of the grid
+    values themselves.
 
-    From the Cauchy estimates |a_j| <= A rho^-j of _tail_envelope: the
-    truncation tail sum_(j>d) j^s |a_j| <= A N^s rho^-N / (1 - r) with
-    N = d+1 and r = ((N+1)/N)^s / rho < 1, plus the aliases folded onto 0..d,
-    sum_(j<=d) j^s |a_(j+m) + a_(j+2m) + ...| <= A rho^-m / (1 - rho^-m)
-    sum_(j<=d) j^s rho^-j.  Each term takes its best rho.
+    From the Cauchy estimates |a_j| <= A rho^-j of the envelope env: the
+    truncation tail _tail_bound(env, d+1, s), plus the aliases folded onto
+    0..d, sum_(j<=d) j^s |a_(j+m) + a_(j+2m) + ...| <= A rho^-m /
+    (1 - rho^-m) sum_(j<=d) j^s rho^-j at its best rho.
+
+    Rounding, to first order in u = 2^-53, with real operations within u,
+    complex products within sqrt(5) u and complex quotients (Smith's
+    algorithm) allowed 8u, is u R^n ((64 K + 8 log2 m) sqrt(S_2) + G S_1)
+    with S_1 = sum_(j<=d) j^s, S_2 = sum_(j<=d) j^(2s) and K = sum_k
+    kappa_k, kappa_k = 1/(1 - |z_k|/R^2) >= 1:
+    - a sample of eval_B_phi is R^n prod phi_k(w) with |phi_k| <= 1 and
+      |phi_k'| <= 2 kappa_k on |w| = 1/R.  The node exp(2 pi i p/m) is off
+      by 15u and w = z/R by 16u/R, which moves the product by 32u K; the
+      rounded zero z_k/R moves its factor by 2 kappa_k u, the cancellation
+      in 1 - conj(a) w costs sqrt(5) kappa_k u, and the factor's five other
+      operations and its rotation -|a|/a about 24u <= 24 kappa_k u.  With the
+      final scaling by R^n each sample is within 64 u R^n K.
+    - by Parseval the m-point DFT divided by m maps sample errors of at most
+      e to coefficient errors of l2 norm at most e, and the FFT adds l2
+      norm at most 8 u log2 m R^n (Higham, Accuracy and Stability of
+      Numerical Algorithms, Thm. 24.2: eta = mu + gamma_4 (sqrt(2) + mu)
+      < 8u for twiddles within mu = u).  Cauchy-Schwarz against the
+      multipliers f_j <= j^s gives sqrt(S_2).
+    - _sup_with_bound evaluates sum f_j a~_j z^j (s + 1 products per
+      coefficient) on coset FFTs of at most 2^16 nodes after a twist
+      e^(i j t h) of phase below 2 pi (d+1)/2^16 (overlap sums included:
+      6 + 20 (d+1)/2^16 roundings).  Each output of such an FFT comes
+      through 16 butterfly stages of one twiddle product and one sum, so
+      within 128u sum f_j |a~_j| <= 128u R^n S_1, as |a_j| <= R^n by
+      Cauchy on |z| = R.  The grid bound divides the grid max by
+      1 - pi d/M > 1 - pi/oversample, which gives
+      G = (135 + s + 20 (d+1)/2^16) / (1 - pi/oversample).
     """
     big_n = d + 1
     js = np.arange(big_n, dtype=np.float64)
     powers = js ** s
-    tail = alias = math.inf
-    for rho, a in _tail_envelope(c):
-        if not math.isfinite(a):
-            continue
-        r = ((big_n + 1) / big_n) ** s / rho
-        if r < 1.0:
-            tail = min(tail, a * big_n ** s * rho ** (-big_n) / (1.0 - r))
+    alias = math.inf
+    for rho, a in env:
         q = rho ** (-m)
-        if q < 1.0:
+        if q < 1.0 and math.isfinite(a):
             decay = np.exp(-math.log(rho) * js)
             alias = min(alias, a * q / (1.0 - q) * float((powers * decay).sum()))
-    return tail + alias
+    big_r = c.radius_R
+    kappa = float(np.sum(1.0 / (1.0 - np.abs(c.zero_array()) / big_r ** 2)))
+    sampled = (64.0 * kappa + 8.0 * math.log2(m)) * math.sqrt(float((powers * powers).sum()))
+    grid = (135 + s + 20 * big_n / 2 ** 16) / (1.0 - math.pi / oversample)
+    rounding = (np.finfo(np.float64).eps / 2 * big_r ** c.n
+                * (sampled + grid * float(powers.sum())))
+    return _tail_bound(env, big_n, s) + alias + rounding
 
 
 def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
                   oversample: int) -> tuple[LaurentPolynomial, dict]:
     """B phi0 sampled once, and the sup of each derivative from its samples.
 
-    Returns the Taylor truncation of degree D = _truncation_degree(c, max
-    order, 1e-9), taken on the alias grid of taylor_coeffs(c, D, 1e-10), and
-    {s: SupBound} for s in orders.  The order-s sup is that of the series
-    sum j(j-1)...(j-s+1) a_j z^j, whose modulus on the circle is that of
-    the s-th derivative of the truncation; its value is the Newton-refined
-    grid max of _sup_with_bound, and its upper bound is the grid bound plus
-    _series_error, so value <= sup |(B phi0)^(s)| <= upper up to rounding.
+    One envelope env = _tail_envelope(c) sets the degree D =
+    _truncation_degree(c, max order, 1e-9, env) and the alias grid
+    _alias_grid(c, D, 1e-10, env).  Returns the Taylor truncation of degree
+    D taken on that grid, and {s: SupBound} for s in orders.  The order-s
+    sup is that of the series sum j(j-1)...(j-s+1) a_j z^j, whose modulus
+    on the circle is that of the s-th derivative of the truncation; its
+    value is the Newton-refined grid max of _sup_with_bound, and its upper
+    bound is the grid bound plus _series_error, which counts truncation,
+    aliasing and rounding, so value <= sup |(B phi0)^(s)| <= upper.
     """
     exact = not np.any(c.zero_array())  # B phi0 = z^n
-    d = c.n if exact else _truncation_degree(c, max(orders), 1e-9)
-    trunc = taylor_coeffs(c, d, tol=1e-10)
+    env = _tail_envelope(c)
+    d = c.n if exact else _truncation_degree(c, max(orders), 1e-9, env)
+    m = 0 if exact else _alias_grid(c, d, 1e-10, env)
+    trunc = taylor_coeffs(c, d) if exact else _dft_coeffs(c, d, m)
     a = np.zeros(d + 1, dtype=np.complex128)
     a[trunc.lo : trunc.hi + 1] = trunc.coeffs
-    m = 0 if exact else _alias_grid(c, d, 1e-10)
     sups = {}
     for s in orders:
         series = LaurentPolynomial(0, _falling_factorial(d, s) * a)
         grid = _sup_with_bound(series, oversample)
-        err = 0.0 if exact else _series_error(c, d, m, s)
+        err = 0.0 if exact else _series_error(c, env, d, m, s, oversample)
         sups[s] = SupBound(grid.value, grid.upper + err)
     return trunc, sups
 
@@ -474,11 +552,10 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
     phi0_err = |phi0(0) - 1|, and for each s in s_list ratio_s{s} =
     sup |(B phi0)^(s)| / n^s with ratio_s{s}_upper, besov_ratio_s{s} =
     besov_seminorm(Taylor truncation, s, inf) / n^s and the a-priori Cauchy
-    bound deriv_apriori_s{s}.  Each value <= true sup <= its upper, up to
-    rounding (see _sampled_sups).  The upper bounds do not count rounding:
-    each Taylor coefficient carries about u R^n of it, which the falling
-    factorials amplify to about 1e-10 of the value at order 2 for D ~ 3e4,
-    against a grid-bound margin of more than 10%.
+    bound deriv_apriori_s{s}.  Each value <= true sup <= its upper (see
+    _sampled_sups).  The upper bounds count rounding (_series_error); a
+    value may exceed the sup by its own rounding, about u R^n per Taylor
+    coefficient amplified by the falling factorials.
     """
     n = c.n
     trunc, sups = _sampled_sups(c, (0, *s_list), oversample)

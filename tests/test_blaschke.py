@@ -20,9 +20,12 @@ from szego_lab.blaschke import (
     eval_blaschke,
     eval_phi0,
     taylor_coeffs,
+    _factor_rotations,
     _falling_factorial,
+    _tail_envelope,
     _truncation_degree,
 )
+import szego_lab.blaschke as blaschke_module
 from szego_lab.circle_fourier import grid_nodes, _analytic_values
 from szego_lab.cli import generate_zeros, main
 
@@ -102,6 +105,37 @@ def test_pole_proximity_raises():
     c = build_corrector(ZeroSet((0.5,)), 1.0)
     with pytest.raises(ValueError):
         eval_B_phi(c, 4.5)
+
+
+def _eval_blaschke_oracle(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
+    """The factor loop as one expression per factor, allocating its
+    temporaries: the reference the buffered loop must match bit for bit."""
+    zs = np.asarray(b.zeros.zeros, dtype=np.complex128)
+    out = np.full(z.shape, complex(b.rotation), dtype=np.complex128)
+    for zk, rk in zip(zs, _factor_rotations(zs)):
+        if zk == 0:
+            out *= z
+            continue
+        out *= rk * (z - zk) / (1.0 - np.conj(zk) * z)
+    return out
+
+
+def test_factor_loop_is_bit_identical_to_the_expression():
+    rng = np.random.default_rng(71)
+    b = BlaschkeProduct(ZeroSet(generate_zeros("uniform_disk", 255, 3).zeros + (0,)))
+    z = 0.999 * grid_nodes(1 << 15) * np.exp(0.1j * rng.uniform(size=1 << 15))
+    assert np.array_equal(eval_blaschke(b, z), _eval_blaschke_oracle(b, z))
+
+
+def test_pole_check_falls_back_to_the_elementwise_distance():
+    # |pole| - max|z| cannot rule the pole 2 out for either array, so both
+    # take the elementwise distance: -2 is far from it, 2 + 2^-45 is not
+    b = BlaschkeProduct(ZeroSet((0.5, 0.3j)))
+    far = np.concatenate([0.5 * grid_nodes(1024), [-2.0]])
+    assert np.array_equal(eval_blaschke(b, far), _eval_blaschke_oracle(b, far))
+    near = np.concatenate([0.5 * grid_nodes(1024), [2.0 + 2.0 ** -45]])
+    with pytest.raises(PoleProximityError):
+        eval_blaschke(b, near)
 
 
 def test_rotation_field_validation():
@@ -313,6 +347,16 @@ def test_certificate_sups_bracket_the_closed_form(n, eps, kind):
         assert oracle <= cert[f"{key}_upper"] * (1.0 + 1e-12), key
 
 
+@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster"])
+def test_certified_uppers_need_no_slack(kind):
+    # the upper bounds count rounding too, so they hold as they are
+    c = build_corrector(generate_zeros(kind, 64, 0), 0.1)
+    cert = corrector_certificate(c, (1, 2))
+    for order, key in enumerate(("sup_phi", "ratio_s1", "ratio_s2")):
+        oracle = _closed_form_sup(c, order) / 64.0 ** order
+        assert oracle <= cert[f"{key}_upper"], key
+
+
 def test_first_derivative_apriori_holds_on_random_sets():
     rng = np.random.default_rng(43)
     for n in (2, 6, 20):
@@ -326,6 +370,56 @@ def test_derivative_order_validation():
     c = build_corrector(ZeroSet((0.5,)), 1.0)
     with pytest.raises(ValueError):
         derivative_sup(c, 0)
+
+
+def _dilated_values(c: DilatedCorrector, z: np.ndarray) -> np.ndarray:
+    """B phi0 = R^n Btilde(z/R) out to the poles R^2/conj(z_k), past the
+    |z| < R^2 that eval_B_phi accepts."""
+    scaled = BlaschkeProduct(ZeroSet(tuple(zk / c.radius_R for zk in c.zeros)))
+    return c.radius_R ** c.n * eval_blaschke(scaled, z / c.radius_R)
+
+
+@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster", "radial_line"])
+@pytest.mark.parametrize("n", [1, 6, 64])
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_tail_envelope_bounds_every_circle(kind, n, eps):
+    # each (rho, A) bounds |B phi0| on |z| = rho; the grid is turned so that
+    # a node lies on the ray of the first zero, where the one factor of
+    # n = 1 attains its sup, so there A is met to rounding
+    c = build_corrector(generate_zeros(kind, n, 2), eps)
+    env = _tail_envelope(c)
+    assert env[0] == (c.radius_R, c.radius_R ** n)
+    assert len(env) == 8 and all(r < s for (r, _), (s, _) in zip(env, env[1:]))
+    ray = c.zeros.zeros[0] / abs(c.zeros.zeros[0])
+    nodes = ray * grid_nodes(1 << 14)
+    for rho, a in env:
+        if not math.isfinite(a):
+            continue
+        top = float(np.max(np.abs(_dilated_values(c, rho * nodes))))
+        assert top <= a * (1.0 + 1e-12), (rho, top, a)
+        if n == 1:
+            assert top >= a * (1.0 - 1e-12), (rho, top, a)
+
+
+def test_truncation_degree_follows_the_envelope():
+    # boundary_cluster, n = 64, eps = 0.1, seed 1: with each factor bounded
+    # by (rho + |z_k|)/(1 - |z_k| rho/R^2) no radius past R paid off and D was
+    # 31639; the exact factor sups bring it to about a third
+    c = build_corrector(generate_zeros("boundary_cluster", 64, 1), 0.1)
+    assert _truncation_degree(c, 2, 1e-9) <= 0.34 * 31639
+
+
+def test_certificate_computes_one_envelope(monkeypatch):
+    calls = []
+
+    def counted(c):
+        calls.append(c)
+        return _tail_envelope(c)
+
+    monkeypatch.setattr(blaschke_module, "_tail_envelope", counted)
+    c = build_corrector(generate_zeros("uniform_disk", 16, 0), 0.1)
+    corrector_certificate(c, (1, 2))
+    assert calls == [c]
 
 
 # ------------------------------------------------------------------ Taylor
@@ -444,3 +538,35 @@ def test_vs_bound_matches_the_frozen_csv(tmp_path, capsys):
             assert new[key] == old[key]
         for key, tol in rel.items():
             assert float(new[key]) == pytest.approx(float(old[key]), rel=tol), key
+
+
+# vs-bound before the per-factor Cauchy envelope: the eps-0.1 runs at n = 16
+# and 64, where the truncation degree fell most, and n = 256 at eps = 1
+CORRECTOR_FROZEN_RUNS = ((0.1, [16, 64]), (1.0, [256]))
+
+
+def test_vs_bound_matches_the_corrector_frozen_csv(tmp_path, capsys):
+    # vs_bound_corrector_frozen.csv holds certificates.csv of both runs under
+    # one header; every float column agrees to 1e-9, as the envelope moves
+    # only the truncation degree and the grids, not the coefficients
+    got = []
+    for eps, n_grid in CORRECTOR_FROZEN_RUNS:
+        out = tmp_path / f"out{eps}"
+        man = tmp_path / f"man{eps}.json"
+        man.write_text(json.dumps({
+            "command": "vs-bound", "out_dir": str(out), "epsilon": eps,
+            "kinds": ["uniform_disk", "boundary_cluster", "radial_line"],
+            "n_grid": n_grid, "seeds": 2, "smoothness": [1, 2]}))
+        assert main(["vs-bound", "--manifest", str(man)]) == 0
+        with open(out / "certificates.csv", newline="") as fh:
+            got += list(csv.DictReader(fh))
+    capsys.readouterr()
+    path = os.path.join(DATA, "vs_bound_corrector_frozen.csv")
+    with open(path, newline="") as fh:
+        frozen = list(csv.DictReader(fh))
+    assert len(got) == len(frozen) == 18
+    for old, new in zip(frozen, got):
+        assert list(new) == list(old)
+        assert new["kind"] == old["kind"]
+        for key in list(old)[1:]:
+            assert float(new[key]) == pytest.approx(float(old[key]), rel=1e-9), key
