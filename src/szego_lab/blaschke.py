@@ -241,21 +241,35 @@ def corrector_with_radius(zeros: ZeroSet, radius_R: float) -> DilatedCorrector:
 
 
 def eval_phi0(c: DilatedCorrector, z):
-    """Direct product form of the corrector alone; scalar or ndarray."""
-    zs = c.zero_array()
-    za = np.asarray(z, dtype=np.complex128)
-    scalar = za.ndim == 0
-    za = np.atleast_1d(za)
-    out = np.ones(za.shape, dtype=np.complex128)
+    """Direct product form of the corrector alone; scalar or ndarray.
+
+    Raises PoleProximityError where a factor's denominator
+    1 - conj(z_k) z / R^2 falls below 2^-40 in modulus, that is at or next
+    to a pole R^2/conj(z_k).  A scalar z takes a loop over Python complex
+    numbers, with no array per factor.
+    """
     rr = c.radius_R * c.radius_R
-    for zk in zs:
+    if np.ndim(z) == 0:
+        z = complex(z)
+        out = 1.0 + 0.0j
+        for zk in c.zeros.zeros:
+            if zk == 0:
+                continue
+            denom = 1.0 - (zk.conjugate() / rr) * z
+            if abs(denom) < _POLE_TOL:
+                raise PoleProximityError("evaluation too close to a corrector pole")
+            out *= (1.0 - zk.conjugate() * z) / denom
+        return out
+    za = np.asarray(z, dtype=np.complex128)
+    out = np.ones(za.shape, dtype=np.complex128)
+    for zk in c.zero_array():
         if zk == 0:
             continue
         denom = 1.0 - (np.conj(zk) / rr) * za
         if np.min(np.abs(denom)) < _POLE_TOL:
             raise PoleProximityError("evaluation too close to a corrector pole")
         out *= (1.0 - np.conj(zk) * za) / denom
-    return complex(out[0]) if scalar else out
+    return out
 
 
 def eval_B_phi(c: DilatedCorrector, z):

@@ -15,8 +15,10 @@ a power-of-two circle grid.  A ResidueNodes table, passed as nodes=, holds
 those nodes for one measure with psi and the reflected Blaschke prefix
 products already evaluated, so the checks of several (n, k) evaluate psi
 and the Blaschke factors once per node and each Laurent element once per
-node; a check without a table builds its own, and both give the same
-record bit for bit.
+node.  Since every power of a node is another node of the grid, each
+numerator R_n(x) x^(-n) is one fdot of the element's coefficients against
+table nodes.  A check without a table builds its own, and both give the
+same record bit for bit.
 
 tau_n and eta_n have two routes.  With masses and degree at least deg psi
 they come from Uvarov's closed form: the Bernstein-Szego orthonormal
@@ -44,7 +46,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import MPContext
 
-from szego_lab.blaschke import BlaschkeProduct, ZeroSet
+from szego_lab.blaschke import BlaschkeProduct
 from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2
 from szego_lab.xlinalg import (
     PRECISION_BITS,
@@ -152,14 +154,6 @@ class PointSpectrum:
     def __len__(self) -> int:
         return len(self.masses)
 
-    @property
-    def blaschke_sum(self) -> float:
-        return float(sum(abs(z) - 1.0 for z, _ in self.masses))
-
-    @property
-    def total_mass(self) -> float:
-        return float(sum(m for _, m in self.masses))
-
     @classmethod
     def empty(cls) -> "PointSpectrum":
         return cls(())
@@ -193,12 +187,6 @@ class ReflectedBlaschke:
     """Blaschke product on the disk-reflected mass points 1/conj(z_k)."""
 
     product: BlaschkeProduct
-
-    @classmethod
-    def from_spectrum(cls, spectrum: PointSpectrum, count: int | None = None) -> "ReflectedBlaschke":
-        pts = spectrum.masses if count is None else spectrum.masses[:count]
-        zetas = tuple(1.0 / z.conjugate() for z, _ in pts)
-        return cls(BlaschkeProduct(ZeroSet(zetas)))
 
 
 def target_limit(mu: MeasureSpec) -> float:
@@ -527,24 +515,20 @@ def _reflected_factors(ctx, masses: Sequence) -> list:
     return out
 
 
-def _node_values(ctx, x, psi, factors, element, n: int) -> tuple:
-    """The residue integrand's pieces at the node x: (dens, num).
+def _node_values(ctx, x, psi, factors) -> list:
+    """The residue integrand's denominators at the node x.
 
-    With psi given, dens[k] = conj(psi(x)) conj(B^k(x)) for k = 0..K, where
-    B^k is the product of the first k reflected factors, taken as prefix
-    products in one pass.  With element given, num = R_n(x) x^(-n).  Either
-    is None when its input is.
+    dens[k] = conj(psi(x)) conj(B^k(x)) for k = 0..K, where B^k is the
+    product of the first k reflected factors, taken as prefix products in
+    one pass.
     """
-    dens = None
-    if psi is not None:
-        conj_psi = ctx.conj(psi(x))
-        acc = ctx.mpc(1)
-        dens = [conj_psi * ctx.conj(acc)]
-        for zeta, rot in factors:
-            acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
-            dens.append(conj_psi * ctx.conj(acc))
-    num = None if element is None else element(x) * x ** (-n)
-    return dens, num
+    conj_psi = ctx.conj(psi(x))
+    acc = ctx.mpc(1)
+    dens = [conj_psi * ctx.conj(acc)]
+    for zeta, rot in factors:
+        acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
+        dens.append(conj_psi * ctx.conj(acc))
+    return dens
 
 
 class ResidueNodes:
@@ -558,6 +542,12 @@ class ResidueNodes:
     the element in use only: about k_max + 3 numbers per node.  A grid of
     g = G/m nodes reads every m-th node, since 2/g * p == 2/G * (m p)
     exactly; growing to twice the size evaluates only the odd nodes.
+
+    A numerator is sum_j c_j x_p^(j-n), and x_p^e is itself the table node
+    x_((e p) mod G); so each numerator is one fdot of the element's
+    coefficients against table nodes, filled once every node of the grid
+    exists.  The same node comes out on any grid that holds x_p, so a
+    shared and an unshared table give the same numerators bit for bit.
     """
 
     def __init__(self, mu: MeasureSpec, k_max: int | None = None):
@@ -571,6 +561,7 @@ class ResidueNodes:
         self._dens: list = []
         self._nums: list = []
         self._given = self._element = None
+        self._coeffs: list = []
         self._n = 0
 
     @property
@@ -583,6 +574,10 @@ class ResidueNodes:
         if element is not self._given:
             self._given, self._n = element, n
             self._element = element.at_precision(self.mu.precision)
+            # a real coefficient costs fdot two products per node, not four;
+            # the two it drops are exact zeros, so no sum changes
+            self._coeffs = [c.real if c.imag == 0 else c
+                            for c in self._element.coeffs]
             self._nums = [None] * self.grid
         return self._element
 
@@ -590,14 +585,20 @@ class ResidueNodes:
         """num/den_k of the element in use at the nodes start, start + step,
         ... of the grid of that size."""
         self._grow(grid)
-        ctx, m = self._ctx, self.grid // grid
+        m = self.grid // grid
         out = []
         for i in range(start * m, self.grid, step * m):
             if self._nums[i] is None:
-                self._nums[i] = _node_values(ctx, self._x[i], None, None,
-                                             self._element, self._n)[1]
+                self._nums[i] = self._numerator(i)
             out.append(self._nums[i] / self._dens[i][k])
         return out
+
+    def _numerator(self, p: int):
+        """R_n(x_p) x_p^(-n) of the element in use, as one fdot."""
+        size, coeffs = self.grid, self._coeffs
+        e0 = self._element.lo - self._n
+        return self._ctx.fdot(coeffs, [self._x[(e * p) % size]
+                                       for e in range(e0, e0 + len(coeffs))])
 
     def _grow(self, grid: int) -> None:
         ctx = self._ctx
@@ -608,8 +609,8 @@ class ResidueNodes:
             fresh = []
             for p in range(1 if old else 0, size, 2 if old else 1):
                 x = ctx.expjpi(two_over * p)
-                fresh.append((x, *_node_values(ctx, x, self._psi, self._factors,
-                                               self._element, self._n)))
+                fresh.append((x, _node_values(ctx, x, self._psi, self._factors),
+                              None))
             if old:
                 # the kept nodes are the even ones of the new grid
                 fresh = [v for pair in zip(zip(self._x, self._dens, self._nums),

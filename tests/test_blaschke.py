@@ -177,6 +177,30 @@ def test_phi0_at_origin_exact():
         assert eval_phi0(c, 0.0) == 1.0
 
 
+def test_phi0_scalar_path_matches_the_array_path():
+    rng = np.random.default_rng(41)
+    c = build_corrector(ZeroSet(random_zeros(rng, 33) + (0,)), 0.5)
+    pts = 0.99 * np.sqrt(rng.uniform(size=64)) * np.exp(2j * np.pi * rng.uniform(size=64))
+    vals = eval_phi0(c, pts)
+    for z, want in zip(pts, vals):
+        got = eval_phi0(c, complex(z))
+        assert type(got) is complex
+        assert abs(got - want) <= 1e-14 * abs(want)
+    assert eval_phi0(c, np.complex128(0.0)) == 1.0
+
+
+def test_phi0_pole_proximity_raises_for_scalars_and_arrays():
+    # R = 2, so the pole of the factor of 0.5 sits at R^2/0.5 = 8
+    c = build_corrector(ZeroSet((0.5,)), 1.0)
+    for z in (8.0, 8.0 + 2.0 ** -45, 8.0 - 2.0 ** -45 * 1j):
+        with pytest.raises(PoleProximityError):
+            eval_phi0(c, z)
+        with pytest.raises(PoleProximityError):
+            eval_phi0(c, np.array([0.0, z]))
+    # 2^-30 off the pole the denominator is -2^-33: no raise
+    assert abs(eval_phi0(c, 8.0 + 2.0 ** -30) - (3 * 2.0 ** 33 + 4)) < 1e-3
+
+
 def test_corrector_with_radius_records_epsilon():
     c = corrector_with_radius(ZeroSet((0.5, 0.2)), 1.25)
     assert c.radius_R == 1.25

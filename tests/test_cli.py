@@ -263,24 +263,42 @@ RESIDUE_FROZEN_MEASURES = {
 }
 
 
+# columns that must match residue_check_frozen.csv byte for byte; lhs_re,
+# lhs_im and abs_diff carry the rounding of the quadrature's numerator sum
+RESIDUE_EXACT_COLUMNS = ("n", "k", "rhs_re", "rhs_im", "schwarz_majorant",
+                         "grid")
+
+
 def test_residue_check_matches_frozen_csv(tmp_path, capsys):
     # residue_check_frozen.csv holds certificates.csv of both measures, each
-    # line prefixed with the measure's name; the output must match it byte
-    # for byte
-    lines = []
+    # line prefixed with the measure's name.  The header and the exact
+    # columns match it byte for byte; lhs_re and lhs_im lie within
+    # 2^(16 - bits) of it, and abs_diff is at most 2^(16 - bits)
+    with open(RESIDUE_FROZEN, newline="") as fh:
+        frozen_header = fh.readline()
+        frozen = list(csv.DictReader(fh, fieldnames=frozen_header.strip().split(",")))
+    got = []
     for label, measure in RESIDUE_FROZEN_MEASURES.items():
         man = write_json(tmp_path / f"{label}-man.json", {
             "measure_file": write_json(tmp_path / f"{label}.json", measure),
             "n_grid": [4, 8, 12], "k_list": [0, 1, 2],
             "out_dir": str(tmp_path / label)})
         assert run_main(capsys, "residue-check", "--manifest", man)[0] == 0
-        with open(tmp_path / label / "certificates.csv", "rb") as fh:
-            header, *rows = fh.read().splitlines(keepends=True)
-        if not lines:
-            lines.append(b"measure," + header)
-        lines += [label.encode() + b"," + row for row in rows]
-    with open(RESIDUE_FROZEN, "rb") as fh:
-        assert b"".join(lines) == fh.read()
+        with open(tmp_path / label / "certificates.csv", newline="") as fh:
+            assert "measure," + fh.readline() == frozen_header
+            fh.seek(0)
+            got += [(measure["precision_bits"], dict(row, measure=label))
+                    for row in csv.DictReader(fh)]
+    assert len(got) == len(frozen)
+    for (bits, row), want in zip(got, frozen):
+        tol = 2.0 ** (16 - bits)
+        where = (row["measure"], row["n"], row["k"])
+        assert row["measure"] == want["measure"], where
+        for col in RESIDUE_EXACT_COLUMNS:
+            assert row[col] == want[col], (where, col)
+        for col in ("lhs_re", "lhs_im"):
+            assert abs(float(row[col]) - float(want[col])) <= tol, (where, col)
+        assert float(row["abs_diff"]) <= tol, where
 
 
 def test_log_condition_artifacts(tmp_path, capsys):

@@ -15,7 +15,7 @@ import numpy as np
 import pytest
 from mpmath import mp
 
-from szego_lab.blaschke import eval_blaschke
+from szego_lab.blaschke import BlaschkeProduct, ZeroSet, eval_blaschke
 from szego_lab.circle_fourier import LaurentPolynomial
 from szego_lab.measure_opuc import (
     MeasureSpec,
@@ -99,10 +99,8 @@ def test_point_spectrum_rejects_nonpositive_mass():
         PointSpectrum(((1.5, -0.2),))
 
 
-def test_point_spectrum_sums():
+def test_point_spectrum_length():
     sp = PointSpectrum(((1.5, 0.3), (1.25, 0.7)))
-    assert abs(sp.blaschke_sum - 0.75) < 1e-15
-    assert abs(sp.total_mass - 1.0) < 1e-15
     assert len(sp) == 2
     assert len(PointSpectrum.empty()) == 0
 
@@ -122,13 +120,20 @@ def test_measure_spec_json_roundtrip():
                        mu.weight.psi.as_complex128().coeffs)
 
 
+def reflected(spectrum, count=None):
+    """The reflected product of the first count masses (all by default)."""
+    pts = spectrum.masses[:count]
+    return ReflectedBlaschke(BlaschkeProduct(ZeroSet(
+        tuple(1.0 / z.conjugate() for z, _ in pts))))
+
+
 def test_reflected_blaschke():
-    rb = ReflectedBlaschke.from_spectrum(two_mass().spectrum)
+    rb = reflected(two_mass().spectrum)
     zeros = rb.product.zeros.zeros
     assert abs(zeros[0] - 2.0 / 3.0) < 1e-15
     assert abs(zeros[1] - 0.8) < 1e-15
     assert abs(eval_blaschke(rb.product, 0.0) - 8.0 / 15.0) < 1e-15
-    rb1 = ReflectedBlaschke.from_spectrum(two_mass().spectrum, count=1)
+    rb1 = reflected(two_mass().spectrum, count=1)
     assert abs(eval_blaschke(rb1.product, 0.0) - 2.0 / 3.0) < 1e-15
 
 
@@ -551,19 +556,21 @@ def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
     # are evaluated once per node of the finest grid, the element once per
     # node per n (a doubled grid reuses the nodes of the coarser one)
     dens, nums = [], {}
-    real = mo._node_values
+    real_dens, real_num = mo._node_values, ResidueNodes._numerator
 
-    def counted(ctx, x, psi, factors, element, n):
-        if psi is not None:
-            dens.append(x)
-        if element is not None:
-            nums.setdefault(n, []).append(x)
-        return real(ctx, x, psi, factors, element, n)
+    def counted_dens(ctx, x, psi, factors):
+        dens.append(x)
+        return real_dens(ctx, x, psi, factors)
+
+    def counted_num(self, p):
+        nums.setdefault(self._n, []).append(self._x[p])
+        return real_num(self, p)
 
     mu = two_mass()
     elements = {n: orthonormal_element(mu, n, laurent=True) for n in (4, 6)}
     plain = residue_identity_check(mu, 6, 2)
-    monkeypatch.setattr(mo, "_node_values", counted)
+    monkeypatch.setattr(mo, "_node_values", counted_dens)
+    monkeypatch.setattr(ResidueNodes, "_numerator", counted_num)
     nodes = ResidueNodes(mu)
     recs = {(n, k): residue_identity_check(mu, n, k, element=elements[n],
                                            nodes=nodes)
@@ -576,6 +583,34 @@ def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
             recs[n, k]["grid"] for k in (0, 1, 2))
     # a given element and a shared table give the same record, bit for bit
     assert all(recs[6, 2][key] == plain[key] for key in plain)
+
+
+COMPLEX_PSI = MeasureSpec(
+    OuterWeight(LaurentPolynomial(0, [1.0, 0.3 - 0.2j, 0.1j])),
+    PointSpectrum(((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2))), 128)
+
+
+@pytest.mark.parametrize("mu, n, trimmed", [
+    (two_mass(256), 12, False),
+    (COMPLEX_PSI, 8, False),
+    (two_mass(53), 6, False),
+    (MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53), 4,
+     True),
+], ids=["two-mass-256", "complex-psi-128", "two-mass-53", "trimmed-53"])
+def test_residue_numerators_match_horner(mu, n, trimmed):
+    # each numerator is one fdot over table nodes x_((e p) mod G); the
+    # oracle evaluates the element by Horner and powers the node
+    element = orthonormal_element(mu, n, laurent=True)
+    assert ((element.lo, element.hi) == (n, n)) == trimmed
+    nodes = ResidueNodes(mu)
+    r_elem = nodes.use(element, n)
+    nodes.terms(0, 1024, 0, 1)
+    assert nodes.grid == 1024
+    tol = mp.mpf(2) ** (8 - mu.precision)
+    for p in range(nodes.grid):
+        x = nodes._x[p]
+        want = r_elem(x) * x ** (-n)
+        assert abs(nodes._numerator(p) - want) <= tol * abs(want), p
 
 
 @pytest.mark.parametrize("mu, rows", [
