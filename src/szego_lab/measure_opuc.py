@@ -561,7 +561,6 @@ class ResidueNodes:
         self._dens: list = []
         self._nums: list = []
         self._given = self._element = None
-        self._coeffs: list = []
         self._n = 0
 
     @property
@@ -574,10 +573,6 @@ class ResidueNodes:
         if element is not self._given:
             self._given, self._n = element, n
             self._element = element.at_precision(self.mu.precision)
-            # a real coefficient costs fdot two products per node, not four;
-            # the two it drops are exact zeros, so no sum changes
-            self._coeffs = [c.real if c.imag == 0 else c
-                            for c in self._element.coeffs]
             self._nums = [None] * self.grid
         return self._element
 
@@ -595,7 +590,7 @@ class ResidueNodes:
 
     def _numerator(self, p: int):
         """R_n(x_p) x_p^(-n) of the element in use, as one fdot."""
-        size, coeffs = self.grid, self._coeffs
+        size, coeffs = self.grid, self._element.coeffs
         e0 = self._element.lo - self._n
         return self._ctx.fdot(coeffs, [self._x[(e * p) % size]
                                        for e in range(e0, e0 + len(coeffs))])
