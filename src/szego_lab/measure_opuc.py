@@ -308,6 +308,8 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
             for m, pw in powers:
                 val += m * pw[exps[c]] * ctx.conj(pw[exps[r]])
             if r != c:
+                # conj_t keeps the moments' guard bits, so round once here
+                val = ctx.mpc(val)
                 cols[c][r] = val
                 cols[r][c] = ctx.conj(val)
             else:
@@ -315,7 +317,8 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
                 # imaginary part; cholesky and schur_leading read only the
                 # real part of the diagonal, so dropping it moves no result
                 cols[c][c] = ctx.mpc(val.real)
-    # Hermitian by construction, so the O(n^2) symmetry check is skipped
+    # rounded to the tag and Hermitian by construction, so HermitianMatrix
+    # neither re-rounds the entries nor checks the symmetry
     return HermitianMatrix(cols, bits, _skip_check=True)
 
 
@@ -516,19 +519,19 @@ def _reflected_factors(ctx, masses: Sequence) -> list:
 
 
 def _node_values(ctx, x, psi, factors) -> list:
-    """The residue integrand's denominators at the node x.
+    """The residue integrand's weights at the node x.
 
-    dens[k] = conj(psi(x)) conj(B^k(x)) for k = 0..K, where B^k is the
-    product of the first k reflected factors, taken as prefix products in
-    one pass.
+    w[k] = B^k(x) / conj(psi(x)) for k = 0..K, where B^k is the product of
+    the first k reflected factors, taken as prefix products in one pass.
+    Each factor is unimodular on the circle, so w[k] is
+    1 / (conj(psi(x)) conj(B^k(x))), and a term is numerator times weight.
     """
-    conj_psi = ctx.conj(psi(x))
-    acc = ctx.mpc(1)
-    dens = [conj_psi * ctx.conj(acc)]
+    acc = 1 / ctx.conj(psi(x))
+    weights = [acc]
     for zeta, rot in factors:
         acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
-        dens.append(conj_psi * ctx.conj(acc))
-    return dens
+        weights.append(acc)
+    return weights
 
 
 class ResidueNodes:
@@ -536,9 +539,9 @@ class ResidueNodes:
     of every (n, k) on it.
 
     The table sits on the finest power-of-two grid asked for so far, in
-    node order.  It holds each node x_p = exp(2 pi i p / G), the
-    denominators conj(psi(x_p)) conj(B^k(x_p)) for k = 0..k_max (the first
-    k_max masses, all by default), and the numerators R_n(x_p) x_p^(-n) of
+    node order.  It holds each node x_p = exp(2 pi i p / G), the weights
+    B^k(x_p) / conj(psi(x_p)) for k = 0..k_max (the first k_max masses, all
+    by default; see _node_values), and the numerators R_n(x_p) x_p^(-n) of
     the element in use only: about k_max + 3 numbers per node.  A grid of
     g = G/m nodes reads every m-th node, since 2/g * p == 2/G * (m p)
     exactly; growing to twice the size evaluates only the odd nodes.
@@ -558,7 +561,7 @@ class ResidueNodes:
         self._psi = mu.weight.psi.as_complex128().at_precision(mu.precision)
         self._factors = _reflected_factors(self._ctx, masses)
         self._x: list = []
-        self._dens: list = []
+        self._weights: list = []
         self._nums: list = []
         self._given = self._element = None
         self._n = 0
@@ -577,15 +580,16 @@ class ResidueNodes:
         return self._element
 
     def terms(self, k: int, grid: int, start: int, step: int) -> list:
-        """num/den_k of the element in use at the nodes start, start + step,
-        ... of the grid of that size."""
+        """The terms R_n(x) x^(-n) / (conj(psi(x)) conj(B^k(x))) of the
+        element in use at the nodes start, start + step, ... of the grid of
+        that size."""
         self._grow(grid)
         m = self.grid // grid
         out = []
         for i in range(start * m, self.grid, step * m):
             if self._nums[i] is None:
                 self._nums[i] = self._numerator(i)
-            out.append(self._nums[i] / self._dens[i][k])
+            out.append(self._nums[i] * self._weights[i][k])
         return out
 
     def _numerator(self, p: int):
@@ -608,9 +612,9 @@ class ResidueNodes:
                               None))
             if old:
                 # the kept nodes are the even ones of the new grid
-                fresh = [v for pair in zip(zip(self._x, self._dens, self._nums),
+                fresh = [v for pair in zip(zip(self._x, self._weights, self._nums),
                                            fresh) for v in pair]
-            self._x, self._dens, self._nums = (list(c) for c in zip(*fresh))
+            self._x, self._weights, self._nums = (list(c) for c in zip(*fresh))
 
 
 def residue_identity_check(mu: MeasureSpec, n: int, k: int,

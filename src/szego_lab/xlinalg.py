@@ -1,12 +1,21 @@
 """Extended-precision Hermitian linear algebra for Gram-matrix certificates.
 
 Dense column-stored Hermitian matrices at a fixed mantissa-bit tag, a
-left-looking Cholesky factorization, and the two routes to the constrained
-leading-coefficient extremal problem: the Schur complement of the pivoted
-last coordinate (via the leading principal sub-block) and the explicit
-maximizer built from the full inverse applied to the last basis vector.
-Both routes are kept deliberately distinct so their agreement is a check,
-not a tautology.
+Cholesky factorization in fixed point on Python integers, and the two routes
+to the constrained leading-coefficient extremal problem: the Schur
+complement of the pivoted last coordinate (via the leading principal
+sub-block) and the explicit maximizer built from the full inverse applied to
+the last basis vector.  Both routes are kept deliberately distinct so their
+agreement is a check, not a tautology.
+
+The factorization first equilibrates: it scales G to S G S with S a
+diagonal of powers of two, S_ii^2 g_ii in [1/4, 1), so every entry of the
+scaled matrix and of its factor has modulus below 1 (van der Sluis's
+scaling, within a factor 2).  It holds each scaled entry as a pair of
+integers at bits + 32 fractional bits, takes every inner product exactly
+and rounds it once, and undoes the scaling exactly.  A pivot at or below
+that fixed-point resolution, 2^-(bits + 32) of the scaled diagonal, is not
+told apart from zero and raises NotPositiveDefinite.
 
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
@@ -23,9 +32,12 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
+from math import isqrt
+from operator import mul
 from typing import Sequence
 
 from mpmath import MPContext, mp
+from mpmath.libmp import from_man_exp, round_nearest
 
 __all__ = [
     "PRECISION_BITS",
@@ -40,7 +52,6 @@ __all__ = [
     "solve_upper_conj",
     "schur_leading",
     "constrained_max_leading",
-    "frobenius_residual",
 ]
 
 PRECISION_BITS = (53, 128, 256, 512)
@@ -88,8 +99,10 @@ class NotPositiveDefinite(ArithmeticError):
 class HermitianMatrix:
     """Hermitian matrix in dense column storage at a precision tag.
 
-    columns[k][j] is the (j, k) entry.  Construction verifies Hermitian
-    symmetry to one unit in the last place of the tag.
+    columns[k][j] is the (j, k) entry, a context(bits) mpc.  Construction
+    rounds every entry to the tag and verifies Hermitian symmetry to one
+    unit in the last place.  With _skip_check the caller vouches for both,
+    and the entries are kept as given.
     """
 
     __slots__ = ("dim", "columns", "bits")
@@ -97,7 +110,10 @@ class HermitianMatrix:
     def __init__(self, columns: Sequence[Sequence], bits: int = 53, _skip_check: bool = False):
         PrecisionTag(bits)
         ctx = context(bits)
-        cols = tuple(tuple(ctx.mpc(v) for v in col) for col in columns)
+        if _skip_check:
+            cols = tuple(map(tuple, columns))
+        else:
+            cols = tuple(tuple(ctx.mpc(v) for v in col) for col in columns)
         n = len(cols)
         if any(len(col) != n for col in cols):
             raise ValueError("matrix must be square")
@@ -122,13 +138,10 @@ class HermitianMatrix:
         return tuple(self.columns[k][j] for k in range(self.dim))
 
     @classmethod
-    def from_rows(cls, rows: Sequence[Sequence], bits: int = 53) -> "HermitianMatrix":
-        n = len(rows)
-        return cls([[rows[j][k] for j in range(n)] for k in range(n)], bits)
-
-    @classmethod
     def identity(cls, n: int, bits: int = 53) -> "HermitianMatrix":
-        return cls([[1 if j == k else 0 for j in range(n)] for k in range(n)],
+        ctx = context(bits)
+        one, zero = ctx.mpc(1), ctx.mpc(0)
+        return cls([[one if j == k else zero for j in range(n)] for k in range(n)],
                    bits, _skip_check=True)
 
     def principal_block(self, m: int) -> "HermitianMatrix":
@@ -157,28 +170,82 @@ class CholeskyFactor:
         return self.rows[i][j]
 
 
-def cholesky(g: HermitianMatrix) -> CholeskyFactor:
-    """Left-looking Cholesky L with L L* = G.
+# fractional bits of the fixed-point factorization beyond the tag
+_GUARD_BITS = 32
 
-    Raises NotPositiveDefinite (with the pivot index) on a nonpositive
-    diagonal pivot; that signal drives the caller-side precision escalation
-    protocol.
+
+def _fixed(part: tuple, shift: int) -> int:
+    """The mpf tuple part times 2^shift, rounded to an integer."""
+    sign, man, exp, _ = part
+    e = exp + shift
+    v = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
+    return -v if sign else v
+
+
+def cholesky(g: HermitianMatrix) -> CholeskyFactor:
+    """Cholesky factor L with L L* = G, row by row.
+
+    G is equilibrated to A = S G S, S = diag(2^-k_i) with a_ii in [1/4, 1),
+    and A's lower triangle is read from the entries' mpf tuples as integers
+    at f = bits + 32 fractional bits.  Row i of A's factor is
+    l_ij = (a_ij - sum_(m<j) l_im conj(l_jm)) / l_jj and
+    l_ii = sqrt(a_ii - sum_(m<i) |l_im|^2); each sum is exact over the
+    integer real and imaginary parts and is rounded once, by one integer
+    division or by isqrt.  L = S^-1 L_A is rounded to the tag, as mpc below
+    the diagonal and mpf on it.
+
+    Raises NotPositiveDefinite at the first row, in order, whose pivot is
+    at or below 2^-f (a diagonal entry <= 0 fails as its row is reached);
+    that signal drives the caller-side precision escalation protocol.
     """
-    n = g.dim
-    ctx = context(g.bits)
-    rows: list[list] = []
+    n, bits = g.dim, g.bits
+    f = bits + _GUARD_BITS
+    ctx = context(bits)
+    cols = g.columns
+    scale: list[int] = []  # k_i
+    res: list[list[int]] = []  # off-diagonal real parts of L_A, per row
+    ims: list[list[int]] = []
+    diag: list[int] = []  # l_ii * 2^f
+    rows: list[tuple] = []
     for i in range(n):
-        row = []
+        d_part = cols[i][i]._mpc_[0]
+        sign, man, exp, bc = d_part
+        if sign or not man:
+            raise NotPositiveDefinite(i, ctx.make_mpf(d_part))
+        k_i = (exp + bc + 1) // 2
+        scale.append(k_i)
+        re_i: list[int] = []
+        im_i: list[int] = []
+        col_i = [c[i] for c in cols[:i]]
         for j in range(i):
-            s = ctx.fdot(row[:j], rows[j][:j], conjugate=True) if j else ctx.mpc(0)
-            row.append((g.entry(i, j) - s) / rows[j][j])
-        s = ctx.fdot(row, row, conjugate=True) if row else ctx.mpf(0)
-        pivot = ctx.re(g.entry(i, i) - s)
-        if pivot <= 0:
-            raise NotPositiveDefinite(i, pivot)
-        row.append(ctx.sqrt(pivot))
-        rows.append(row)
-    return CholeskyFactor(tuple(tuple(r) for r in rows), g.bits)
+            a_re, a_im = col_i[j]._mpc_
+            shift = f - k_i - scale[j]
+            re_j, im_j = res[j], ims[j]
+            # (a_ij 2^f) 2^f - sum_m l_im conj(l_jm) 2^(2f)
+            s_re = (_fixed(a_re, shift) << f) - (sum(map(mul, re_i, re_j))
+                                                 + sum(map(mul, im_i, im_j)))
+            s_im = (_fixed(a_im, shift) << f) - (sum(map(mul, im_i, re_j))
+                                                 - sum(map(mul, re_i, im_j)))
+            d2 = 2 * diag[j]
+            re_i.append((2 * s_re + diag[j]) // d2)
+            im_i.append((2 * s_im + diag[j]) // d2)
+        pivot = (_fixed(d_part, 2 * f - 2 * k_i)
+                 - sum(map(mul, re_i, re_i)) - sum(map(mul, im_i, im_i)))
+        if pivot <= 1 << f:
+            raise NotPositiveDefinite(
+                i, ctx.make_mpf(from_man_exp(pivot, 2 * k_i - 2 * f, bits,
+                                             round_nearest)))
+        l_ii = isqrt(pivot)
+        res.append(re_i)
+        ims.append(im_i)
+        diag.append(l_ii)
+        e = k_i - f
+        rows.append(tuple(
+            ctx.make_mpc((from_man_exp(re, e, bits, round_nearest),
+                          from_man_exp(im, e, bits, round_nearest)))
+            for re, im in zip(re_i, im_i))
+            + (ctx.make_mpf(from_man_exp(l_ii, e, bits, round_nearest)),))
+    return CholeskyFactor(tuple(rows), bits)
 
 
 def solve_lower(l: CholeskyFactor, b: Sequence) -> list:
@@ -243,19 +310,3 @@ def constrained_max_leading(g: HermitianMatrix):
     eta = ctx.sqrt(w)
     witness = tuple(xi / eta for xi in x)
     return eta, witness
-
-
-def frobenius_residual(g: HermitianMatrix, l: CholeskyFactor):
-    """||L L* - G||_F / ||G||_F, measured 64 bits above the working tag."""
-    n = g.dim
-    ctx = context(g.bits + 64)
-    num = ctx.mpf(0)
-    den = ctx.mpf(0)
-    for i in range(n):
-        for j in range(n):
-            m = min(i, j) + 1
-            rec = ctx.fdot(l.rows[i][:m], l.rows[j][:m], conjugate=True)
-            gij = ctx.mpc(g.entry(i, j))
-            num += abs(rec - gij) ** 2
-            den += abs(gij) ** 2
-    return ctx.sqrt(num) / ctx.sqrt(den)

@@ -1,0 +1,138 @@
+"""Rewrite the frozen CSVs in this directory from a given source tree.
+
+    python tests/data/make_frozen.py CHECKOUT [FILE ...]
+
+CHECKOUT is a source tree of this project, such as a git clone or an
+unpacked ``git archive``.  Every run below goes through that tree's own CLI,
+in a subprocess with CHECKOUT/src first on PYTHONPATH, so the files hold what
+that tree wrote.  With FILE names only those files are rewritten, otherwise
+every file in FROZEN is.
+
+A frozen file guards a change against the output of the code before it: it
+is written from the parent commit's tree when the change lands, and the
+tests that read it say how closely the new output must agree.  A file is
+the certificates.csv of each of its runs under one header; where runs carry
+labels, each line starts with them.
+"""
+
+from __future__ import annotations
+
+import json
+import os
+import subprocess
+import sys
+import tempfile
+
+HERE = os.path.dirname(os.path.abspath(__file__))
+
+VS_BOUND = {"command": "vs-bound",
+            "kinds": ["uniform_disk", "boundary_cluster", "radial_line"],
+            "seeds": 2, "smoothness": [1, 2]}
+
+README_TWO_MASS = {"psi": [[1.0, 0.0], [-0.5, 0.0]],
+                   "masses": [[1.5, 0.0, 0.3], [-1.25, 0.0, 0.1]]}
+# psi = 1 + (0.3 - 0.2i) z + 0.1i z^2 with two complex masses
+COMPLEX_TWO_MASS = {"psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
+                    "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]]}
+
+# mass-free measures with complex psi of degree 1 to 3, then both two-mass
+# measures; each at three precisions
+OPUC_MEASURES = {
+    "complex_d1": {"psi": [[1.0, 0.0], [0.4, -0.3]], "masses": []},
+    "complex_d2": {"psi": COMPLEX_TWO_MASS["psi"], "masses": []},
+    "complex_d3": {"psi": [[1.0, 0.0], [-0.3, 0.2], [0.1, 0.15], [0.05, -0.05]],
+                   "masses": []},
+    "readme_two_mass": README_TWO_MASS,
+    "complex_two_mass": COMPLEX_TWO_MASS,
+}
+OPUC_BITS = (53, 128, 256)
+
+# file -> (label columns, runs); a run is (labels, manifest, measure or None)
+FROZEN = {
+    "vs_bound_frozen.csv": ((), [
+        ((), dict(VS_BOUND, n_grid=[4, 16, 64]), None),
+    ]),
+    "vs_bound_corrector_frozen.csv": ((), [
+        ((), dict(VS_BOUND, epsilon=0.1, n_grid=[16, 64]), None),
+        ((), dict(VS_BOUND, epsilon=1.0, n_grid=[256]), None),
+    ]),
+    "residue_check_frozen.csv": (("measure",), [
+        ((label,), {"command": "residue-check", "n_grid": [4, 8, 12],
+                    "k_list": [0, 1, 2]}, dict(measure, precision_bits=bits))
+        for label, measure, bits in (("readme_two_mass", README_TWO_MASS, 256),
+                                     ("complex_psi", COMPLEX_TWO_MASS, 128))
+    ]),
+    "opuc_frozen.csv": (("measure", "bits"), [
+        ((label, str(bits)), {"command": "opuc", "n_grid": [4, 8, 16],
+                              "which": "both"},
+         dict(measure, precision_bits=bits))
+        for label, measure in OPUC_MEASURES.items() for bits in OPUC_BITS
+    ]),
+}
+
+
+def frozen_text(name: str, run_cli) -> str:
+    """The text of FROZEN[name], with run_cli(command, manifest_path) running
+    one CLI call and returning its exit code."""
+    label_columns, runs = FROZEN[name]
+    header, lines = None, []
+    with tempfile.TemporaryDirectory() as tmp:
+        for i, (labels, manifest, measure) in enumerate(runs):
+            manifest = dict(manifest, out_dir=os.path.join(tmp, f"out{i}"))
+            if measure is not None:
+                manifest["measure_file"] = os.path.join(tmp, f"measure{i}.json")
+                with open(manifest["measure_file"], "w", encoding="utf-8") as fh:
+                    json.dump(measure, fh)
+            path = os.path.join(tmp, f"manifest{i}.json")
+            with open(path, "w", encoding="utf-8") as fh:
+                json.dump(manifest, fh)
+            code = run_cli(manifest["command"], path)
+            if code != 0:
+                raise RuntimeError(f"{name}: run {i} exited with {code}")
+            csv_path = os.path.join(manifest["out_dir"], "certificates.csv")
+            with open(csv_path, encoding="utf-8", newline="") as fh:
+                first, *rows = fh.read().splitlines(keepends=True)
+            prefix = "".join(f"{v}," for v in labels)
+            if header is None:
+                header = "".join(f"{c}," for c in label_columns) + first
+            elif "".join(f"{c}," for c in label_columns) + first != header:
+                raise RuntimeError(f"{name}: run {i} has another header")
+            lines += [prefix + row for row in rows]
+    return header + "".join(lines)
+
+
+def subprocess_cli(checkout: str):
+    """run_cli for frozen_text that runs the CLI of the tree at checkout."""
+    env = dict(os.environ)
+    src = os.path.join(os.path.abspath(checkout), "src")
+    env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+
+    def run_cli(command: str, manifest: str) -> int:
+        return subprocess.run(
+            [sys.executable, "-m", "szego_lab.cli", command, "--manifest", manifest],
+            env=env, cwd=os.path.dirname(manifest),
+            stdout=subprocess.DEVNULL).returncode
+
+    return run_cli
+
+
+def main(argv: list[str]) -> int:
+    if not argv or argv[0].startswith("-"):
+        print(__doc__, file=sys.stderr)
+        return 2
+    checkout, names = argv[0], argv[1:] or list(FROZEN)
+    unknown = [n for n in names if n not in FROZEN]
+    if unknown:
+        print(f"unknown frozen files: {', '.join(unknown)}", file=sys.stderr)
+        return 2
+    run_cli = subprocess_cli(checkout)
+    for name in names:
+        text = frozen_text(name, run_cli)
+        with open(os.path.join(HERE, name), "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        print(f"wrote {name}: {text.count(chr(10)) - 1} rows")
+    return 0
+
+
+if __name__ == "__main__":
+    sys.exit(main(sys.argv[1:]))

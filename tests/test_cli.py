@@ -7,6 +7,7 @@ four classes, and byte determinism is checked serial and threaded.
 """
 
 import csv
+import importlib.util
 import json
 import os
 import subprocess
@@ -299,6 +300,46 @@ def test_residue_check_matches_frozen_csv(tmp_path, capsys):
         for col in ("lhs_re", "lhs_im"):
             assert abs(float(row[col]) - float(want[col])) <= tol, (where, col)
         assert float(row["abs_diff"]) <= tol, where
+
+
+def _make_frozen():
+    path = os.path.join(os.path.dirname(__file__), "data", "make_frozen.py")
+    spec = importlib.util.spec_from_file_location("make_frozen", path)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_opuc_matches_frozen_csv(capsys):
+    # opuc_frozen.csv holds the opuc CSVs of three mass-free measures with
+    # complex psi of degree 1 to 3 and two measures with two masses, each at
+    # 53, 128 and 256 bits, as the code before the fixed-point Cholesky
+    # wrote them (make_frozen.py).  The 128- and 256-bit rows match byte for
+    # byte.  At 53 bits the Schur complement's last rounding can land on the
+    # other neighbour: tau_n = eta_n = 1 exactly for complex_d3 at n >= 3,
+    # and at n = 8 and 16 the frozen 1.0000000000000002 now reads 1.0; so
+    # there the values agree to 2^-50
+    make_frozen = _make_frozen()
+    name = "opuc_frozen.csv"
+    got = make_frozen.frozen_text(
+        name, lambda command, manifest: main([command, "--manifest", manifest]))
+    capsys.readouterr()
+    with open(os.path.join(make_frozen.HERE, name), encoding="utf-8",
+              newline="") as fh:
+        want = fh.read()
+    assert got.splitlines()[0] == want.splitlines()[0]
+    got_rows = list(csv.DictReader(got.splitlines()))
+    want_rows = list(csv.DictReader(want.splitlines()))
+    assert len(got_rows) == len(want_rows) == 45
+    for new, old in zip(got_rows, want_rows):
+        where = (old["measure"], old["bits"], old["n"])
+        if old["bits"] != "53":
+            assert new == old, where
+            continue
+        for key in ("measure", "bits", "n", "target"):
+            assert new[key] == old[key], where
+        for key in ("tau_n", "eta_n", "tau_error", "eta_error"):
+            assert abs(float(new[key]) - float(old[key])) <= 2.0 ** -50, (where, key)
 
 
 def test_log_condition_artifacts(tmp_path, capsys):

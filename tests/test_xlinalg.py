@@ -12,12 +12,54 @@ from szego_lab.xlinalg import (
     PrecisionTag,
     cholesky,
     constrained_max_leading,
-    frobenius_residual,
+    context,
     next_tag,
     schur_leading,
     solve_lower,
     solve_upper_conj,
 )
+
+
+def from_rows(rows, bits=53):
+    """HermitianMatrix from its rows, checked for symmetry."""
+    n = len(rows)
+    return HermitianMatrix([[rows[j][k] for j in range(n)] for k in range(n)], bits)
+
+
+def frobenius_residual(g, l):
+    """||L L* - G||_F / ||G||_F, measured 64 bits above the working tag."""
+    n = g.dim
+    ctx = context(g.bits + 64)
+    num = ctx.mpf(0)
+    den = ctx.mpf(0)
+    for i in range(n):
+        for j in range(n):
+            m = min(i, j) + 1
+            rec = ctx.fdot(l.rows[i][:m], l.rows[j][:m], conjugate=True)
+            gij = ctx.mpc(g.entry(i, j))
+            num += abs(rec - gij) ** 2
+            den += abs(gij) ** 2
+    return ctx.sqrt(num) / ctx.sqrt(den)
+
+
+def oracle_cholesky(g):
+    """Left-looking Cholesky in mpmath at the tag, one fdot per entry: the
+    factorization the fixed-point kernel replaced, kept as its oracle."""
+    n = g.dim
+    ctx = context(g.bits)
+    rows = []
+    for i in range(n):
+        row = []
+        for j in range(i):
+            s = ctx.fdot(row[:j], rows[j][:j], conjugate=True) if j else ctx.mpc(0)
+            row.append((g.entry(i, j) - s) / rows[j][j])
+        s = ctx.fdot(row, row, conjugate=True) if row else ctx.mpf(0)
+        pivot = ctx.re(g.entry(i, i) - s)
+        if pivot <= 0:
+            raise NotPositiveDefinite(i, pivot)
+        row.append(ctx.sqrt(pivot))
+        rows.append(row)
+    return CholeskyFactor(tuple(tuple(r) for r in rows), g.bits)
 
 
 def random_pd(rng, n, bits, shift=None):
@@ -33,6 +75,17 @@ def random_pd(rng, n, bits, shift=None):
     return HermitianMatrix(cols, bits)
 
 
+def spread_pd(rng, n, bits, span):
+    """random_pd scaled to D G D, D = diag(2^e_i) with e_i in [-span, span],
+    so the diagonal spreads over 2^(+-2 span), as in a Laurent Gram matrix
+    with masses off the circle."""
+    g = random_pd(rng, n, bits)
+    ctx = context(bits)
+    e = [int(v) for v in rng.integers(-span, span + 1, n)]
+    return HermitianMatrix([[g.entry(j, k) * ctx.ldexp(1, e[j] + e[k])
+                             for j in range(n)] for k in range(n)], bits)
+
+
 # ---------------------------------------------------------------- structure
 
 
@@ -45,19 +98,27 @@ def test_precision_tag_validation():
 
 
 def test_hermitian_validation():
-    HermitianMatrix.from_rows([[1.0, 2.0 + 1j], [2.0 - 1j, 5.0]])
+    from_rows([[1.0, 2.0 + 1j], [2.0 - 1j, 5.0]])
     with pytest.raises(ValueError):
-        HermitianMatrix.from_rows([[1.0, 2.0], [3.0, 1.0]])
+        from_rows([[1.0, 2.0], [3.0, 1.0]])
     with pytest.raises(ValueError):
         HermitianMatrix([[1.0, 2.0]], 53)  # not square
 
 
 def test_row_column_accessors():
-    g = HermitianMatrix.from_rows([[2.0, 1j], [-1j, 3.0]], 128)
+    g = from_rows([[2.0, 1j], [-1j, 3.0]], 128)
     assert g.entry(0, 1) == mp.mpc(1j)
     assert g.row(1) == (mp.mpc(-1j), mp.mpc(3.0))
     sub = g.principal_block(1)
     assert sub.dim == 1 and sub.entry(0, 0) == mp.mpc(2.0)
+
+
+@pytest.mark.parametrize("bits", PRECISION_BITS)
+def test_identity_holds_tag_entries(bits):
+    g = HermitianMatrix.identity(3, bits)
+    mpc = type(context(bits).mpc(0))
+    assert all(type(v) is mpc for col in g.columns for v in col)
+    assert [g.entry(j, j) for j in range(3)] == [1, 1, 1] and g.entry(0, 2) == 0
 
 
 # ------------------------------------------------------------------ cholesky
@@ -69,7 +130,7 @@ def test_cholesky_identity_and_scalar():
         for j in range(3):
             want = 1.0 if i == j else 0.0
             assert l3.entry(i, j) == want
-    l1 = cholesky(HermitianMatrix.from_rows([[4.0]]))
+    l1 = cholesky(from_rows([[4.0]]))
     assert l1.entry(0, 0) == 2.0
 
 
@@ -77,7 +138,7 @@ def test_cholesky_2x2_hand_oracle():
     # G = [[1, a], [conj(a), 1 + |a|^2]] factors as L = [[1, 0], [conj(a), 1]]
     a = 1.0 + 1.0j
     sq = (a * a.conjugate()).real  # exactly 2
-    g = HermitianMatrix.from_rows([[1.0, a], [a.conjugate(), 1.0 + sq]])
+    g = from_rows([[1.0, a], [a.conjugate(), 1.0 + sq]])
     l = cholesky(g)
     assert l.entry(0, 0) == 1.0
     assert l.entry(1, 0) == mp.mpc(a.conjugate())
@@ -93,16 +154,75 @@ def test_cholesky_residual_contract():
             assert res <= n * mp.mpf(2) ** (-bits + 8)
 
 
+@pytest.mark.parametrize("bits", PRECISION_BITS)
+def test_cholesky_matches_the_fdot_oracle(bits):
+    # each factor entry l_ij agrees with the oracle's to 2^(8 - bits) of its
+    # row's scale sqrt(g_ii), and L L* reproduces G to 2^(8 - bits) of
+    # sqrt(g_ii g_jj), with the diagonal plain or spread over 2^(+-150)
+    rng = np.random.default_rng(bits)
+    ctx = context(bits + 64)
+    tol = ctx.ldexp(1, 8 - bits)
+    for n, span in ((3, 0), (12, 0), (24, 0), (12, 75), (24, 75)):
+        g = spread_pd(rng, n, bits, span)
+        got, want = cholesky(g), oracle_cholesky(g)
+        root = [ctx.sqrt(ctx.re(g.entry(i, i))) for i in range(n)]
+        for i in range(n):
+            for j in range(i + 1):
+                diff = abs(ctx.mpc(got.entry(i, j)) - want.entry(i, j))
+                assert diff <= tol * root[i], (n, span, i, j)
+                rec = ctx.fdot(got.rows[i][:j + 1], got.rows[j][:j + 1],
+                               conjugate=True)
+                assert abs(rec - g.entry(i, j)) <= tol * root[i] * root[j], (n, span, i, j)
+
+
 def test_not_positive_definite_pivot_index():
     with pytest.raises(NotPositiveDefinite) as e:
-        cholesky(HermitianMatrix.from_rows([[1.0, 2.0], [2.0, 1.0]]))
+        cholesky(from_rows([[1.0, 2.0], [2.0, 1.0]]))
     assert e.value.pivot == 1
     with pytest.raises(NotPositiveDefinite) as e:
-        cholesky(HermitianMatrix.from_rows([[-1.0]]))
+        cholesky(from_rows([[-1.0]]))
     assert e.value.pivot == 0
     with pytest.raises(NotPositiveDefinite) as e:
-        cholesky(HermitianMatrix.from_rows([[0.0]]))
+        cholesky(from_rows([[0.0]]))
     assert e.value.pivot == 0
+    # the first failing pivot is 1, ahead of the negative diagonal at 2
+    with pytest.raises(NotPositiveDefinite) as e:
+        cholesky(from_rows([[1.0, 2.0, 0.0], [2.0, 1.0, 0.0], [0.0, 0.0, -1.0]]))
+    assert e.value.pivot == 1
+
+
+def test_indefinite_raises_at_the_oracle_pivot():
+    rng = np.random.default_rng(37)
+    pivots = set()
+    for bits in PRECISION_BITS:
+        for _ in range(6):
+            n = 12
+            g = random_pd(rng, n, bits, shift=-float(rng.uniform(0.5, 2 * n)))
+            with pytest.raises(NotPositiveDefinite) as want:
+                oracle_cholesky(g)
+            with pytest.raises(NotPositiveDefinite) as got:
+                cholesky(g)
+            assert got.value.pivot == want.value.pivot
+            pivots.add(got.value.pivot)
+    assert len(pivots) > 1
+
+
+def test_pivot_below_the_resolution_raises():
+    # [[1, 1], [1, 1 + d]] has the exact pivot d.  At 53 bits the kernel
+    # works at 2^-85, so d = 2^-100 is below its resolution and raises,
+    # while d = 2^-80 factors exactly; the entries are finer than the tag,
+    # which the trusted path keeps
+    fine = context(128)
+    one = fine.mpc(1)
+    for d, fails in ((-100, True), (-80, False)):
+        g = HermitianMatrix([[one, one], [one, one + fine.ldexp(1, d)]], 53,
+                            _skip_check=True)
+        if fails:
+            with pytest.raises(NotPositiveDefinite) as e:
+                cholesky(g)
+            assert e.value.pivot == 1
+        else:
+            assert cholesky(g).entry(1, 1) == mp.ldexp(1, d // 2)
 
 
 def test_triangular_solves_roundtrip():
@@ -124,9 +244,9 @@ def test_triangular_solves_roundtrip():
 
 def test_schur_leading_examples():
     assert schur_leading(HermitianMatrix.identity(4)) == 1.0
-    v = schur_leading(HermitianMatrix.from_rows([[1.3]]))
+    v = schur_leading(from_rows([[1.3]]))
     assert abs(v - 1.0 / math.sqrt(1.3)) < 1e-15
-    d = HermitianMatrix.from_rows([[1.0, 0.0], [0.0, 4.0]])
+    d = from_rows([[1.0, 0.0], [0.0, 4.0]])
     assert abs(schur_leading(d) - 0.5) < 1e-15
 
 
@@ -135,7 +255,7 @@ def test_constrained_max_leading_examples():
     assert abs(eta - 1.0) < 1e-15
     assert abs(wit[0]) < 1e-15 and abs(wit[1] - 1.0) < 1e-15
     eta, wit = constrained_max_leading(
-        HermitianMatrix.from_rows([[1.0, 0.0], [0.0, 4.0]]))
+        from_rows([[1.0, 0.0], [0.0, 4.0]]))
     assert abs(eta - 0.5) < 1e-15
     assert abs(wit[1] - 0.5) < 1e-15
 
@@ -208,7 +328,7 @@ def test_escalation_is_explicit():
         g22 = (1 - eps) ** 2 + eps ** 4
     rows = [[g11, g12], [g12, g22]]
     with pytest.raises(NotPositiveDefinite):
-        cholesky(HermitianMatrix.from_rows(rows, 53))
+        cholesky(from_rows(rows, 53))
     bits = next_tag(53)
-    l = cholesky(HermitianMatrix.from_rows(rows, bits))
+    l = cholesky(from_rows(rows, bits))
     assert l.dim == 2
