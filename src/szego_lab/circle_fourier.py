@@ -169,10 +169,6 @@ class LaurentPolynomial:
     def zero(cls) -> "LaurentPolynomial":
         return cls(0, [0.0])
 
-    @classmethod
-    def monomial(cls, j: int, c=1.0) -> "LaurentPolynomial":
-        return cls(j, [c])
-
     def __repr__(self) -> str:  # pragma: no cover
         return f"LaurentPolynomial(lo={self.lo}, hi={self.hi}, precision={self.precision})"
 

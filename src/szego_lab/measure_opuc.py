@@ -11,14 +11,16 @@ coefficient to point evaluations at the masses, and the slow-decay
 condition report for mass sequences accumulating at the circle.
 
 The residue identity's quadrature evaluates its integrand at the nodes of
-a power-of-two circle grid.  A ResidueNodes table, passed as nodes=, holds
-those nodes for one measure with psi and the reflected Blaschke prefix
-products already evaluated, so the checks of several (n, k) evaluate psi
-and the Blaschke factors once per node and each Laurent element once per
-node.  Since every power of a node is another node of the grid, each
-numerator R_n(x) x^(-n) is one fdot of the element's coefficients against
-table nodes.  A check without a table builds its own, and both give the
-same record bit for bit.
+a power-of-two circle grid, in fixed point on Python integers.  A
+ResidueNodes table, passed as nodes=, holds for one measure each node and
+its weights B^k/conj(psi) as integer pairs at bits + 32 fractional bits,
+so the checks of several (n, k) evaluate psi and the Blaschke factors once
+per node and each Laurent element once per node.  Since every power of a
+node is another node of the grid, each numerator R_n(x) x^(-n) is one
+exact integer dot product of the element's coefficients against table
+nodes, rounded once, and each grid mean is the exact integer sum of its
+terms, rounded once to the measure's precision.  A check without a table
+builds its own, and both give the same record bit for bit.
 
 tau_n and eta_n have two routes.  With masses and degree at least deg psi
 they come from Uvarov's closed form: the Bernstein-Szego orthonormal
@@ -41,18 +43,22 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from operator import mul
 from typing import Sequence
 
 import numpy as np
 from mpmath import MPContext
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
 
 from szego_lab.blaschke import BlaschkeProduct
 from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2
 from szego_lab.xlinalg import (
+    _GUARD_BITS,
     PRECISION_BITS,
     HermitianMatrix,
     NotPositiveDefinite,
     PrecisionTag,
+    _fixed,
     constrained_max_leading,
     context,
     next_tag,
@@ -289,6 +295,19 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
     lo, hi = min(exps), max(exps)
     values = _trig_moments(mu.weight, hi - lo, bits).values
     ctx = context(bits)
+    cols: list[list] = [[None] * n for _ in range(n)]
+    if not mu.spectrum.masses:
+        # every entry is a moment or its conjugate: round each moment once
+        # (rounding commutes with conj) and let the entries share them
+        rounded = [ctx.mpc(t) for t in values[: hi - lo + 1]]
+        rounded[0] = ctx.mpc(values[0].real)
+        conj_r = [ctx.conj(t) for t in rounded]
+        for c in range(n):
+            for r in range(c, n):
+                d = exps[r] - exps[c]
+                cols[c][r], cols[r][c] = ((conj_r[d], rounded[d]) if d >= 0
+                                          else (rounded[-d], conj_r[-d]))
+        return HermitianMatrix(cols, bits, _skip_check=True)
     conj_t = [ctx.conj(t) for t in values[: hi - lo + 1]]
     powers = []
     for z, m in mu.spectrum.masses:
@@ -300,7 +319,6 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
         for e in range(-1, lo - 1, -1):
             pw[e] = pw[e + 1] * inv
         powers.append((ctx.mpf(m), pw))
-    cols: list[list] = [[None] * n for _ in range(n)]
     for c in range(n):
         for r in range(c, n):
             d = exps[c] - exps[r]
@@ -518,39 +536,116 @@ def _reflected_factors(ctx, masses: Sequence) -> list:
     return out
 
 
-def _node_values(ctx, x, psi, factors) -> list:
-    """The residue integrand's weights at the node x.
+def _fixed_pair(z, f: int) -> tuple:
+    """The mpc z times 2^f, each part rounded to an integer."""
+    re, im = z._mpc_
+    return _fixed(re, f), _fixed(im, f)
 
-    w[k] = B^k(x) / conj(psi(x)) for k = 0..K, where B^k is the product of
-    the first k reflected factors, taken as prefix products in one pass.
-    Each factor is unimodular on the circle, so w[k] is
+
+def _circle_nodes(size: int, start: int, step: int, f: int) -> list:
+    """exp(2 pi i p / size) for p = start, start + step, ... below size, as
+    integer pairs at f fractional bits; size is a power of two and step
+    divides size/4.
+
+    Each node of the first quadrant is evaluated at f + 4 bits and rounded
+    once; node p + j size/4 is that node times i^j, an exact swap and
+    negation.  The value depends only on p/size, so every grid that holds a
+    node gives the same pair.
+    """
+    quarter = size // 4
+    scale = size.bit_length() - 2  # 2p/size = p 2^-scale
+    first = []
+    for p in range(start, quarter, step):
+        c, s = mpf_cos_sin_pi(from_man_exp(p, -scale), f + 4, round_nearest)
+        first.append((_fixed(c, f), _fixed(s, f)))
+    return (first + [(-im, re) for re, im in first]
+            + [(-re, -im) for re, im in first] + [(im, -re) for re, im in first])
+
+
+def _rdiv(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _node_values(x: tuple, psi: list, factors: list, f: int) -> list:
+    """The residue integrand's weights at the node x, in fixed point.
+
+    x, psi's coefficients (constant first) and each reflected factor's
+    (zeta, rot) are integer pairs at f fractional bits, and so is each
+    weight w[k] = B^k(x) / conj(psi(x)) for k = 0..K, B^k the product of the
+    first k reflected factors, taken as prefix products in one pass.  psi(x)
+    is evaluated by Horner, 1/conj(psi) = psi/|psi|^2 by one integer
+    division per part, and each factor rot (x - zeta) / (1 - conj(zeta) x)
+    enters the running product by one integer complex division.  Each
+    factor is unimodular on the circle, so w[k] is
     1 / (conj(psi(x)) conj(B^k(x))), and a term is numerator times weight.
     """
-    acc = 1 / ctx.conj(psi(x))
-    weights = [acc]
-    for zeta, rot in factors:
-        acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
-        weights.append(acc)
+    one, half = 1 << f, 1 << (f - 1)
+    xr, xi = x
+    pr, pi = psi[-1]
+    for cr, ci in psi[-2::-1]:
+        pr, pi = ((pr * xr - pi * xi + (cr << f) + half) >> f,
+                  (pr * xi + pi * xr + (ci << f) + half) >> f)
+    den = pr * pr + pi * pi
+    wr, wi = _rdiv(pr << 2 * f, den), _rdiv(pi << 2 * f, den)
+    weights = [(wr, wi)]
+    for (zr, zi), (rr, ri) in factors:
+        # u = rot (x - zeta) and v = 1 - conj(zeta) x, rounded at f
+        ur = (rr * (xr - zr) - ri * (xi - zi) + half) >> f
+        ui = (rr * (xi - zi) + ri * (xr - zr) + half) >> f
+        vr = ((one << f) - zr * xr - zi * xi + half) >> f
+        vi = (zi * xr - zr * xi + half) >> f
+        # w u conj(v) / |v|^2, rounded once
+        ar, ai = wr * ur - wi * ui, wr * ui + wi * ur
+        den = vr * vr + vi * vi
+        wr, wi = _rdiv(ar * vr + ai * vi, den), _rdiv(ai * vr - ar * vi, den)
+        weights.append((wr, wi))
     return weights
+
+
+def _interleave(even: list, odd: list) -> list:
+    out = [None] * (len(even) + len(odd))
+    out[::2], out[1::2] = even, odd
+    return out
 
 
 class ResidueNodes:
     """The residue quadrature's nodes for one measure, shared by the checks
-    of every (n, k) on it.
+    of every (n, k) on it, in fixed point on Python integers.
 
     The table sits on the finest power-of-two grid asked for so far, in
-    node order.  It holds each node x_p = exp(2 pi i p / G), the weights
+    node order.  It holds, as integer pairs at f = bits + _GUARD_BITS
+    fractional bits, each node x_p = exp(2 pi i p / G), the weights
     B^k(x_p) / conj(psi(x_p)) for k = 0..k_max (the first k_max masses, all
     by default; see _node_values), and the numerators R_n(x_p) x_p^(-n) of
-    the element in use only: about k_max + 3 numbers per node.  A grid of
-    g = G/m nodes reads every m-th node, since 2/g * p == 2/G * (m p)
-    exactly; growing to twice the size evaluates only the odd nodes.
+    the element in use only: about k_max + 3 pairs per node.  A grid of
+    g = G/m nodes reads every m-th node, and growing to twice the size
+    evaluates only the odd nodes.
 
-    A numerator is sum_j c_j x_p^(j-n), and x_p^e is itself the table node
-    x_((e p) mod G); so each numerator is one fdot of the element's
-    coefficients against table nodes, filled once every node of the grid
-    exists.  The same node comes out on any grid that holds x_p, so a
-    shared and an unshared table give the same numerators bit for bit.
+    A numerator is sum_j a_j x_p^(j-n), and x_p^e is itself the table node
+    x_((e p) mod G); so each numerator is one exact integer dot product of
+    the element's coefficients against table nodes, rounded once, filled
+    once every node of the grid exists.  A term is one exact integer
+    complex product of numerator and weight, and a grid mean (mean) is the
+    exact integer sum of its terms rounded once to bits.  The same node
+    comes out on any grid that holds x_p and an integer sum does not depend
+    on its order, so a shared and an unshared table give the same mean bit
+    for bit.
+
+    Error bound.  Let eps = 2^-f.  Every input (a node, a coefficient c_j
+    of psi, a reflected zero zeta_i and its rotation, a coefficient a_j of
+    the element) is held within eps in modulus, and every rounding adds at
+    most eps.  Write L for the number of element coefficients,
+    A = sum |a_j|, d = deg psi, S = sum |c_j|, delta = min |psi| on the
+    circle and rho_i = 1 - |zeta_i|.  To first order in eps a numerator is
+    within (A + L + 1) eps, the weight w[k] within E_k eps with
+    E_k = (1 + d (S + 2)) / delta^2 + 1 + sum_(i <= k) (8 / (delta rho_i) + 1),
+    and so every term and the unrounded mean within
+    (A E_k + (A + L + 1) / delta) eps of the exact trapezoidal sum of the
+    element as given.  The mean's rounding adds a relative 2^-bits.  On
+    the measures of the tests, n up to 12, the bracket stays below 2^13
+    (largest for a root of psi at |z| = 1.05, where delta = 1/21), so the
+    table adds at most 2^(-19 - bits), 2^-35 of the check's 2^(16 - bits).
     """
 
     def __init__(self, mu: MeasureSpec, k_max: int | None = None):
@@ -558,17 +653,23 @@ class ResidueNodes:
         self.mu = mu
         self.k_max = len(masses)
         self._ctx = context(mu.precision)
-        self._psi = mu.weight.psi.as_complex128().at_precision(mu.precision)
-        self._factors = _reflected_factors(self._ctx, masses)
-        self._x: list = []
-        self._weights: list = []
-        self._nums: list = []
+        self._f = f = mu.precision + _GUARD_BITS
+        wide = context(f + 4)
+        self._psi = [_fixed_pair(wide.mpc(c), f)
+                     for c in mu.weight.psi.as_complex128().coeffs]
+        self._factors = [(_fixed_pair(zeta, f), _fixed_pair(rot, f))
+                         for zeta, rot in _reflected_factors(wide, masses)]
+        # node, weight and numerator columns: real and imaginary parts
+        self._x: list = [[], []]
+        self._w: list = [[[], []] for _ in range(self.k_max + 1)]
+        self._num: list = [[], []]
         self._given = self._element = None
+        self._coeffs: tuple = ((), ())
         self._n = 0
 
     @property
     def grid(self) -> int:
-        return len(self._x)
+        return len(self._x[0])
 
     def use(self, element: LaurentPolynomial, n: int) -> LaurentPolynomial:
         """Make element, the Laurent element of degree n, the one whose
@@ -576,45 +677,66 @@ class ResidueNodes:
         if element is not self._given:
             self._given, self._n = element, n
             self._element = element.at_precision(self.mu.precision)
-            self._nums = [None] * self.grid
+            # wide enough to hold every coefficient unrounded
+            wide = context(max(self._f, element.precision))
+            pairs = [_fixed_pair(wide.mpc(c), self._f)
+                     for c in self._element.coeffs]
+            self._coeffs = tuple(map(list, zip(*pairs)))
+            self._num = [[None] * self.grid, [None] * self.grid]
         return self._element
 
-    def terms(self, k: int, grid: int, start: int, step: int) -> list:
-        """The terms R_n(x) x^(-n) / (conj(psi(x)) conj(B^k(x))) of the
-        element in use at the nodes start, start + step, ... of the grid of
-        that size."""
+    def mean(self, k: int, grid: int):
+        """The circle mean over the grid of that size of the terms
+        R_n(x) x^(-n) / (conj(psi(x)) conj(B^k(x))) of the element in use:
+        the exact integer sum of the terms, rounded once to an mpc at the
+        measure's precision."""
         self._grow(grid)
         m = self.grid // grid
-        out = []
-        for i in range(start * m, self.grid, step * m):
-            if self._nums[i] is None:
-                self._nums[i] = self._numerator(i)
-            out.append(self._nums[i] * self._weights[i][k])
-        return out
+        num_re, num_im = self._num
+        for p in range(0, self.grid, m):
+            if num_re[p] is None:
+                num_re[p], num_im[p] = self._numerator(p)
+        nr, ni = num_re[::m], num_im[::m]
+        wr, wi = (col[::m] for col in self._w[k])
+        re = sum(map(mul, nr, wr)) - sum(map(mul, ni, wi))
+        im = sum(map(mul, nr, wi)) + sum(map(mul, ni, wr))
+        e = -2 * self._f - (grid.bit_length() - 1)
+        bits = self.mu.precision
+        return self._ctx.make_mpc((from_man_exp(re, e, bits, round_nearest),
+                                   from_man_exp(im, e, bits, round_nearest)))
 
-    def _numerator(self, p: int):
-        """R_n(x_p) x_p^(-n) of the element in use, as one fdot."""
-        size, coeffs = self.grid, self._element.coeffs
+    def _numerator(self, p: int) -> tuple:
+        """R_n(x_p) x_p^(-n) of the element in use, the exact dot product of
+        its coefficients with table nodes rounded once to f bits."""
+        size, f = self.grid, self._f
+        cr, ci = self._coeffs
         e0 = self._element.lo - self._n
-        return self._ctx.fdot(coeffs, [self._x[(e * p) % size]
-                                       for e in range(e0, e0 + len(coeffs))])
+        idx = [(e * p) % size for e in range(e0, e0 + len(cr))]
+        x_re, x_im = self._x
+        xr = [x_re[i] for i in idx]
+        xi = [x_im[i] for i in idx]
+        half = 1 << (f - 1)
+        return ((sum(map(mul, cr, xr)) - sum(map(mul, ci, xi)) + half) >> f,
+                (sum(map(mul, cr, xi)) + sum(map(mul, ci, xr)) + half) >> f)
 
     def _grow(self, grid: int) -> None:
-        ctx = self._ctx
         while self.grid < grid:
             old = self.grid
             size = 2 * old if old else grid
-            two_over = ctx.mpf(2) / size
-            fresh = []
-            for p in range(1 if old else 0, size, 2 if old else 1):
-                x = ctx.expjpi(two_over * p)
-                fresh.append((x, _node_values(ctx, x, self._psi, self._factors),
-                              None))
+            # the kept nodes are the even ones of the new grid
+            xs = _circle_nodes(size, 1 if old else 0, 2 if old else 1, self._f)
+            ws = [_node_values(x, self._psi, self._factors, self._f)
+                  for x in xs]
+            fresh = [list(col) for col in zip(*xs)]
+            fresh_w = [[list(col) for col in zip(*w)] for w in zip(*ws)]
+            fresh_num = [[None] * len(xs), [None] * len(xs)]
             if old:
-                # the kept nodes are the even ones of the new grid
-                fresh = [v for pair in zip(zip(self._x, self._weights, self._nums),
-                                           fresh) for v in pair]
-            self._x, self._weights, self._nums = (list(c) for c in zip(*fresh))
+                fresh = [_interleave(a, b) for a, b in zip(self._x, fresh)]
+                fresh_w = [[_interleave(a, b) for a, b in zip(wa, wb)]
+                           for wa, wb in zip(self._w, fresh_w)]
+                fresh_num = [_interleave(a, b)
+                             for a, b in zip(self._num, fresh_num)]
+            self._x, self._w, self._num = fresh, fresh_w, fresh_num
 
 
 def residue_identity_check(mu: MeasureSpec, n: int, k: int,
@@ -677,20 +799,17 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
         rhs -= r_elem(zi) / denom
         majorant += 1 / (abs(denom) ** 2 * mass)
 
-    # quadrature side: doubling the grid reads only its odd nodes and
-    # interleaves them with the kept terms (see ResidueNodes)
+    # quadrature side: each doubling of the grid evaluates only its odd
+    # nodes (see ResidueNodes)
     tol = ctx.mpf(2) ** (-min(bits, 160) + 20)
     grid = _next_pow2(max(8 * (n + 1), 256))
-    terms = nodes.terms(k, grid, 0, 1)
-    prev = ctx.fsum(terms) / grid
+    prev = nodes.mean(k, grid)
     while True:
         if 2 * grid > _GRID_CAP:
             raise QuadratureError(
                 f"residue quadrature did not converge by {_GRID_CAP} nodes")
-        odd = nodes.terms(k, 2 * grid, 1, 2)
-        terms = [t for pair in zip(terms, odd) for t in pair]
         grid *= 2
-        cur = ctx.fsum(terms) / grid
+        cur = nodes.mean(k, grid)
         if abs(cur - prev) <= tol:
             break
         prev = cur

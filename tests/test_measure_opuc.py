@@ -14,6 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from szego_lab.blaschke import BlaschkeProduct, ZeroSet, eval_blaschke
 from szego_lab.circle_fourier import LaurentPolynomial
@@ -35,7 +36,7 @@ from szego_lab.measure_opuc import (
     target_limit,
     tau_n,
 )
-from szego_lab.xlinalg import NotPositiveDefinite, schur_leading
+from szego_lab.xlinalg import NotPositiveDefinite, context, schur_leading
 
 import szego_lab.measure_opuc as mo
 
@@ -257,6 +258,45 @@ def test_gram_is_hermitian_bit_for_bit(gram, bits):
     for j in range(g.dim):
         for k in range(g.dim):
             assert g.entry(j, k) == g.entry(k, j).conjugate()
+
+
+def per_entry_gram(mu, exps, bits):
+    """The mass-free Gram build that rounds every entry on its own: the
+    oracle for the build that rounds each distinct moment once."""
+    n = len(exps)
+    values = mo._trig_moments(mu.weight, max(exps) - min(exps), bits).values
+    ctx = context(bits)
+    cols = [[None] * n for _ in range(n)]
+    for c in range(n):
+        for r in range(c, n):
+            d = exps[c] - exps[r]
+            val = ctx.conj(values[-d]) if d < 0 else ctx.mpc(values[d])
+            if r != c:
+                val = ctx.mpc(val)
+                cols[c][r] = val
+                cols[r][c] = ctx.conj(val)
+            else:
+                cols[c][c] = ctx.mpc(val.real)
+    return cols
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+@pytest.mark.parametrize("coeffs", [
+    [1.0, 0.4 - 0.3j],
+    [1.3, 0.3 - 0.2j, 0.1j],
+    [0.7, 0.2 + 0.1j, -0.05j, 0.03 - 0.02j],
+], ids=["d1", "d2", "d3"])
+def test_mass_free_gram_matches_per_entry_build(coeffs, bits):
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                     PointSpectrum.empty(), bits)
+    for n in (3, 12, 24):
+        for gram, exps in ((gram_polynomial, range(n + 1)),
+                           (gram_laurent, range(-(n - 1), n + 1))):
+            want = per_entry_gram(mu, exps, bits)
+            got = gram(mu, n)
+            assert got.bits == bits
+            assert ([[v._mpc_ for v in col] for col in got.columns]
+                    == [[v._mpc_ for v in col] for col in want]), (n, gram)
 
 
 def test_gram_validation():
@@ -558,12 +598,12 @@ def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
     dens, nums = [], {}
     real_dens, real_num = mo._node_values, ResidueNodes._numerator
 
-    def counted_dens(ctx, x, psi, factors):
+    def counted_dens(x, psi, factors, f):
         dens.append(x)
-        return real_dens(ctx, x, psi, factors)
+        return real_dens(x, psi, factors, f)
 
     def counted_num(self, p):
-        nums.setdefault(self._n, []).append(self._x[p])
+        nums.setdefault(self._n, []).append((self._x[0][p], self._x[1][p]))
         return real_num(self, p)
 
     mu = two_mass()
@@ -590,6 +630,12 @@ COMPLEX_PSI = MeasureSpec(
     PointSpectrum(((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2))), 128)
 
 
+def fixed_to_mpc(ctx, re, im, f):
+    """The integer pair (re, im) at f fractional bits as an mpc of ctx,
+    without rounding."""
+    return ctx.make_mpc((from_man_exp(re, -f), from_man_exp(im, -f)))
+
+
 @pytest.mark.parametrize("mu, n, trimmed", [
     (two_mass(256), 12, False),
     (COMPLEX_PSI, 8, False),
@@ -598,19 +644,22 @@ COMPLEX_PSI = MeasureSpec(
      True),
 ], ids=["two-mass-256", "complex-psi-128", "two-mass-53", "trimmed-53"])
 def test_residue_numerators_match_horner(mu, n, trimmed):
-    # each numerator is one fdot over table nodes x_((e p) mod G); the
-    # oracle evaluates the element by Horner and powers the node
+    # each numerator is one exact integer dot product over table nodes
+    # x_((e p) mod G), rounded once; the oracle evaluates the element by
+    # Horner at the table node and powers the node
     element = orthonormal_element(mu, n, laurent=True)
     assert ((element.lo, element.hi) == (n, n)) == trimmed
     nodes = ResidueNodes(mu)
     r_elem = nodes.use(element, n)
-    nodes.terms(0, 1024, 0, 1)
+    nodes.mean(0, 1024)
     assert nodes.grid == 1024
+    ctx = context(mu.precision)
     tol = mp.mpf(2) ** (8 - mu.precision)
     for p in range(nodes.grid):
-        x = nodes._x[p]
+        x = fixed_to_mpc(ctx, nodes._x[0][p], nodes._x[1][p], nodes._f)
         want = r_elem(x) * x ** (-n)
-        assert abs(nodes._numerator(p) - want) <= tol * abs(want), p
+        got = fixed_to_mpc(ctx, *nodes._numerator(p), nodes._f)
+        assert abs(got - want) <= tol * abs(want), p
 
 
 @pytest.mark.parametrize("mu, rows", [
@@ -635,6 +684,99 @@ def test_shared_nodes_give_the_unshared_records(mu, rows):
         grids.append(shared["grid"])
     assert nodes.grid == max(grids)
     assert any(a < b for a, b in zip(grids, grids[1:]))
+
+
+def oracle_node_values(ctx, x, psi, factors):
+    """B^k(x) / conj(psi(x)) for k = 0..K by mpc arithmetic: psi by Horner,
+    one mpc division for 1/conj(psi) and one per reflected factor."""
+    acc = 1 / ctx.conj(psi(x))
+    weights = [acc]
+    for zeta, rot in factors:
+        acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
+        weights.append(acc)
+    return weights
+
+
+def oracle_quadrature(mu, n, ks, element):
+    """{k: (lhs, grid)} of the residue quadrature by mpmath at the
+    measure's precision: nodes by expjpi, each numerator one fdot of the
+    element's coefficients against grid nodes, and each grid mean an fsum
+    of numerator times weight; the integer table's oracle."""
+    bits = mu.precision
+    ctx = context(bits)
+    psi = mu.weight.psi.as_complex128().at_precision(bits)
+    factors = mo._reflected_factors(ctx, mu.spectrum.masses[:max(ks)])
+    r_elem = element.at_precision(bits)
+    exps = range(r_elem.lo - n, r_elem.hi - n + 1)
+    # node q of the finest grid, exp(2 pi i q / cap), stands for every
+    # node p = q G / cap of a coarser grid G
+    cap = mo._GRID_CAP
+    nodes, values = {}, {}
+
+    def node(q):
+        if q not in nodes:
+            nodes[q] = ctx.expjpi(ctx.mpf(2 * q) / cap)
+        return nodes[q]
+
+    def value(q):  # the numerator and the weights at node q
+        if q not in values:
+            num = ctx.fdot(r_elem.coeffs, [node(e * q % cap) for e in exps])
+            values[q] = num, oracle_node_values(ctx, node(q), psi, factors)
+        return values[q]
+
+    def mean(k, grid):
+        terms = (num * w[k]
+                 for num, w in map(value, range(0, cap, cap // grid)))
+        return ctx.fsum(terms) / grid
+
+    tol = ctx.mpf(2) ** (-min(bits, 160) + 20)
+    out = {}
+    for k in ks:
+        grid = mo._next_pow2(max(8 * (n + 1), 256))
+        prev = mean(k, grid)
+        while True:
+            grid *= 2
+            cur = mean(k, grid)
+            if abs(cur - prev) <= tol:
+                break
+            prev = cur
+        out[k] = cur, grid
+    return out
+
+
+ORACLE_MEASURES = {
+    "readme-two-mass": (LaurentPolynomial(0, [1.0, -0.5]),
+                        PointSpectrum(((1.5, 0.3), (-1.25, 0.1)))),
+    "complex-psi": (COMPLEX_PSI.weight.psi, COMPLEX_PSI.spectrum),
+    # above 53 bits k = 1 needs 4096 nodes where k = 0 needs 512
+    "near-circle": (LaurentPolynomial(0, [1.0, -0.3]),
+                    PointSpectrum(((0.42 + 0.96j, 0.2), (-1.5, 0.3)))),
+    "mass-free": (LaurentPolynomial(0, [1.0, 0.4 - 0.3j]),
+                  PointSpectrum.empty()),
+    # psi's root at 1.05 (0.6 + 0.8i), so min |psi| on the circle is 1/21
+    "psi-root-1.05": (LaurentPolynomial(0, [1.0, (-0.6 + 0.8j) / 1.05]),
+                      PointSpectrum(((2.0 + 0.5j, 0.3),))),
+}
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+@pytest.mark.parametrize("name", list(ORACLE_MEASURES))
+def test_integer_quadrature_matches_mpmath_oracle(name, bits):
+    psi, spectrum = ORACLE_MEASURES[name]
+    mu = MeasureSpec(OuterWeight(psi), spectrum, bits)
+    n = 4
+    ks = range(len(spectrum) + 1)
+    element = orthonormal_element(mu, n, laurent=True)
+    want = oracle_quadrature(mu, n, ks, element)
+    nodes = ResidueNodes(mu)
+    tol = mp.mpf(2) ** (8 - bits)
+    for k in ks:
+        rec = residue_identity_check(mu, n, k, element=element, nodes=nodes)
+        lhs, grid = want[k]
+        assert rec["grid"] == grid, k
+        assert abs(rec["lhs"] - lhs) <= tol * max(1, abs(lhs)), k
+    if name == "near-circle" and bits > 53:
+        assert (want[0][1], want[1][1]) == (512, 4096)
 
 
 def test_residue_nodes_validation():
