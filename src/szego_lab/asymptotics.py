@@ -28,7 +28,6 @@ from typing import Callable, Sequence
 import numpy as np
 
 from szego_lab.blaschke import (
-    BlaschkeProduct,
     DilatedCorrector,
     ZeroSet,
     corrector_with_radius,
@@ -46,7 +45,6 @@ from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
     PointSpectrum,
-    ReflectedBlaschke,
     _trig_moments,
     log_condition_report,
     target_limit,
@@ -63,7 +61,6 @@ __all__ = [
     "LogConditionFailed",
     "PipelineCertificate",
     "validate_schedule",
-    "partial_product",
     "vp_approximant",
     "taylor_approximant",
     "convergence_experiment",
@@ -187,7 +184,7 @@ def validate_schedule(sched: ScheduleParams, ns: Sequence[int]) -> None:
 
 
 # ----------------------------------------------------------------------
-# partial products and corrector series
+# mass selection and corrector series
 
 
 def _reflected_pairs(spectrum: PointSpectrum) -> list:
@@ -221,18 +218,6 @@ def _selection(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
     selected = [masses[i] for i in chosen]
     tail = [masses[i] for i in range(len(masses)) if i not in chosen_set]
     return cap, margin, radius, selected, tail
-
-
-def partial_product(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
-    """Selection cap, dilation numbers, and the partial reflected product.
-
-    Returns (product, cap, margin_reciprocal, radius) where radius
-    = 1 + 1/margin_reciprocal.
-    """
-    cap, margin, radius, selected, _ = _selection(spectrum, n, sched)
-    product = ReflectedBlaschke(BlaschkeProduct(ZeroSet(
-        tuple(1.0 / z.conjugate() for z, _ in selected))))
-    return product, cap, margin, radius
 
 
 def _bphi_series(zetas: Sequence, radius: float, upto: int,
@@ -384,7 +369,7 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
         return head
     h = [-ctx.fdot(p[i + 1:], a[top + i + 1:top + d + 1][::-1])
          for i in range(d)]
-    t = _trig_moments(weight, d - 1, bits).values
+    t = _trig_moments(weight, d - 1, bits)
     rest = ctx.mpf(0)
     for r in range(d):
         for c in range(d):

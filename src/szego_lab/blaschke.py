@@ -10,7 +10,7 @@ The certificate samples B phi0 once, on the alias grid of its Taylor
 coefficients a_0..a_D, and takes everything from those coefficients: the sup
 of |B phi0| on the circle, the sup of its s-th derivative from the series
 with multipliers j(j-1)...(j-s+1), and the dyadic Besov blocks.  Each sup
-goes through circle_fourier._sup_with_bound and comes as a bracket: a
+goes through circle_fourier.sup_norm_certified and comes as a bracket: a
 Newton-refined grid max, and an upper bound that adds to the grid bound the
 truncation tail and the aliasing error, both from the Cauchy estimates of
 _tail_envelope (the product of each factor's exact sup on circles between R
@@ -21,8 +21,8 @@ grid values.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple, Sequence
+from dataclasses import dataclass
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -32,12 +32,10 @@ from szego_lab.circle_fourier import (
     grid_nodes,
     _besov_blocks,
     _next_pow2,
-    _sup_with_bound,
+    sup_norm_certified,
 )
 
 __all__ = [
-    "INSIDE_DISK",
-    "OUTSIDE_DISK",
     "ZeroSet",
     "BlaschkeProduct",
     "DilatedCorrector",
@@ -53,9 +51,6 @@ __all__ = [
     "taylor_coeffs",
     "corrector_certificate",
 ]
-
-INSIDE_DISK = "inside_disk"
-OUTSIDE_DISK = "outside_disk"
 
 _POLE_TOL = 2.0 ** -40
 
@@ -77,48 +72,23 @@ class TaylorToleranceError(ArithmeticError):
 
 @dataclass(frozen=True)
 class ZeroSet:
-    """Finite multiset of zeros, all strictly inside or all strictly outside
-    the unit circle.  Multiplicity by repetition."""
+    """Finite multiset of zeros strictly inside the unit circle.
+    Multiplicity by repetition."""
 
     zeros: tuple
-    where: str = INSIDE_DISK
 
     def __post_init__(self):
         zs = tuple(complex(z) for z in self.zeros)
         object.__setattr__(self, "zeros", zs)
-        if self.where not in (INSIDE_DISK, OUTSIDE_DISK):
-            raise ValueError(f"unknown location tag {self.where!r}")
-        if self.where == INSIDE_DISK:
-            bad = [z for z in zs if abs(z) >= 1.0]
-        else:
-            bad = [z for z in zs if abs(z) <= 1.0]
+        bad = [z for z in zs if abs(z) >= 1.0]
         if bad:
-            raise ValueError(f"zeros violate {self.where}: {bad[:3]}")
+            raise ValueError(f"zeros must lie inside the disk: {bad[:3]}")
 
     def __len__(self) -> int:
         return len(self.zeros)
 
     def __iter__(self):
         return iter(self.zeros)
-
-    @property
-    def blaschke_sum(self) -> float:
-        if self.where == INSIDE_DISK:
-            return float(sum(1.0 - abs(z) for z in self.zeros))
-        return float(sum(abs(z) - 1.0 for z in self.zeros))
-
-    def reflected(self) -> "ZeroSet":
-        """Image under z -> 1/conj(z), swapping inside and outside."""
-        flipped = tuple(1.0 / z.conjugate() for z in self.zeros)
-        other = OUTSIDE_DISK if self.where == INSIDE_DISK else INSIDE_DISK
-        return ZeroSet(flipped, other)
-
-    def to_json(self) -> list:
-        return [[z.real, z.imag] for z in self.zeros]
-
-    @classmethod
-    def from_json(cls, pairs: Iterable[Sequence[float]], where: str = INSIDE_DISK) -> "ZeroSet":
-        return cls(tuple(complex(re, im) for re, im in pairs), where)
 
 
 def _factor_rotations(zeros: np.ndarray) -> np.ndarray:
@@ -135,17 +105,9 @@ class BlaschkeProduct:
 
     Each factor (z - z_k)/(1 - conj(z_k) z) carries the multiplier
     -|z_k|/z_k (plain z for z_k = 0), so the value at 0 is prod |z_k| >= 0.
-    An extra global rotation may be supplied; the default keeps positivity.
     """
 
     zeros: ZeroSet
-    rotation: complex = 1.0 + 0.0j
-
-    def __post_init__(self):
-        if self.zeros.where != INSIDE_DISK:
-            raise ValueError("Blaschke product zeros must lie inside the disk")
-        if abs(abs(complex(self.rotation)) - 1.0) > 1e-12:
-            raise ValueError("rotation must be unimodular")
 
     @property
     def degree(self) -> int:
@@ -165,7 +127,7 @@ def eval_blaschke(b: BlaschkeProduct, z):
     za = np.asarray(z, dtype=np.complex128)
     scalar = za.ndim == 0
     za = np.atleast_1d(za)
-    out = np.full(za.shape, complex(b.rotation), dtype=np.complex128)
+    out = np.ones(za.shape, dtype=np.complex128)
     num = np.empty_like(out)
     den = np.empty_like(out)
     zmax = float(np.max(np.abs(za), initial=0.0))
@@ -200,8 +162,6 @@ class DilatedCorrector:
     epsilon: float
 
     def __post_init__(self):
-        if self.zeros.where != INSIDE_DISK:
-            raise ValueError("corrector zeros must lie inside the disk")
         if len(self.zeros) == 0:
             raise ValueError("corrector requires a nonempty zero set")
         if not self.radius_R > 1.0:
@@ -213,14 +173,6 @@ class DilatedCorrector:
 
     def zero_array(self) -> np.ndarray:
         return np.asarray(self.zeros.zeros, dtype=np.complex128)
-
-    def outer_margin(self) -> float:
-        """min(|zero or pole of phi0|) - 1; positive certifies outerness."""
-        moduli = [abs(z) for z in self.zeros.zeros if z != 0]
-        if not moduli:
-            return math.inf
-        zmax = max(moduli)
-        return 1.0 / zmax - 1.0  # zeros at 1/conj(z_k) are nearest
 
 
 def build_corrector(zeros: ZeroSet, epsilon: float = 1.0) -> DilatedCorrector:
@@ -393,12 +345,9 @@ def _tail_bound(env: list, big_n: int, s: int) -> float:
 
 
 def _truncation_degree(c: DilatedCorrector, s_max: int, tol: float,
-                       env: list | None = None) -> int:
+                       env: list) -> int:
     """Smallest degree D > n whose truncation tail sum_(j>D) j^s_max |a_j|
-    has _tail_bound below tol, from the envelope env (by default
-    _tail_envelope(c))."""
-    if env is None:
-        env = _tail_envelope(c)
+    has _tail_bound below tol, from the envelope env of _tail_envelope."""
 
     def ok(d: int) -> bool:
         return _tail_bound(env, d + 1, s_max) <= tol
@@ -461,7 +410,7 @@ def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
       Numerical Algorithms, Thm. 24.2: eta = mu + gamma_4 (sqrt(2) + mu)
       < 8u for twiddles within mu = u).  Cauchy-Schwarz against the
       multipliers f_j <= j^s gives sqrt(S_2).
-    - _sup_with_bound evaluates sum f_j a~_j z^j (s + 1 products per
+    - sup_norm_certified evaluates sum f_j a~_j z^j (s + 1 products per
       coefficient) on coset FFTs of at most 2^16 nodes after a twist
       e^(i j t h) of phase below 2 pi (d+1)/2^16 (overlap sums included:
       6 + 20 (d+1)/2^16 roundings).  Each output of such an FFT comes
@@ -499,7 +448,7 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
     D taken on that grid, and {s: SupBound} for s in orders.  The order-s
     sup is that of the series sum j(j-1)...(j-s+1) a_j z^j, whose modulus
     on the circle is that of the s-th derivative of the truncation; its
-    value is the Newton-refined grid max of _sup_with_bound, and its upper
+    value is the Newton-refined grid max of sup_norm_certified, and its upper
     bound is the grid bound plus _series_error, which counts truncation,
     aliasing and rounding, so value <= sup |(B phi0)^(s)| <= upper.
     """
@@ -513,7 +462,7 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
     sups = {}
     for s in orders:
         series = LaurentPolynomial(0, _falling_factorial(d, s) * a)
-        grid = _sup_with_bound(series, oversample)
+        grid = sup_norm_certified(series, oversample)
         err = 0.0 if exact else _series_error(c, env, d, m, s, oversample)
         sups[s] = SupBound(grid.value, grid.upper + err)
     return trunc, sups

@@ -132,10 +132,6 @@ class LaurentPolynomial:
             acc = acc * z**self.lo
         return acc
 
-    def derivative(self) -> "LaurentPolynomial":
-        js = np.arange(self.lo, self.hi + 1)
-        return LaurentPolynomial(self.lo - 1, self.coeffs * js, self.precision)
-
     def times_z_power(self, m: int) -> "LaurentPolynomial":
         return LaurentPolynomial(self.lo + m, self.coeffs, self.precision)
 
@@ -148,22 +144,6 @@ class LaurentPolynomial:
         else:
             rev = np.conj(self.coeffs[::-1])
         return LaurentPolynomial(-self.hi, rev, self.precision)
-
-    def __add__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        lo = min(self.lo, other.lo)
-        hi = max(self.hi, other.hi)
-        out = np.zeros(hi - lo + 1, dtype=np.complex128)
-        out[self.lo - lo : self.lo - lo + len(self.coeffs)] += self.coeffs
-        out[other.lo - lo : other.lo - lo + len(other.coeffs)] += other.coeffs
-        return LaurentPolynomial(lo, out, max(self.precision, other.precision))
-
-    def __sub__(self, other: "LaurentPolynomial") -> "LaurentPolynomial":
-        return self + (-1.0) * other
-
-    def __mul__(self, scalar):
-        return LaurentPolynomial(self.lo, self.coeffs * scalar, self.precision)
-
-    __rmul__ = __mul__
 
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
@@ -368,8 +348,9 @@ class SupBound(NamedTuple):
     upper: float
 
 
-def _sup_with_bound(f: LaurentPolynomial, oversample: int) -> SupBound:
-    """(value, upper) for sup |f| on the circle, the one grid-max refiner.
+def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
+    """(value, upper) with value <= sup |f| <= upper on the circle, from the
+    one grid-max refiner.
 
     |f| there equals |sum c_j z^j| over its d+1 coefficients.  value is the
     max on a power-of-two grid of at least oversample*(d+1) nodes, refined by
@@ -427,12 +408,7 @@ def sup_norm(f: LaurentPolynomial, oversample: int = 16) -> float:
     guaranteed >= true sup / (1 + pi*span/M) for the M-point grid; use
     sup_norm_certified for the matching upper bound.
     """
-    return _sup_with_bound(f, oversample).value
-
-
-def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
-    """(value, upper) with value <= sup|f| <= upper."""
-    return _sup_with_bound(f, oversample)
+    return sup_norm_certified(f, oversample).value
 
 
 def lp_norm(f: LaurentPolynomial, p) -> float:

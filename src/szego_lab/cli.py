@@ -31,6 +31,7 @@ from szego_lab.asymptotics import (
     PipelineCertificate,
     ScheduleParams,
     ScheduleViolation,
+    convergence_experiment,
     taylor_approximant,
     validate_schedule,
     vp_approximant,
@@ -53,7 +54,6 @@ from szego_lab.measure_opuc import (
     residue_identity_check,
     target_limit,
 )
-from szego_lab.asymptotics import convergence_experiment
 from szego_lab.xlinalg import NotPositiveDefinite, PrecisionTag
 
 __all__ = ["COMMANDS", "ManifestError", "RunManifest", "generate_zeros",
@@ -428,7 +428,8 @@ def _run_vs_bound(man: RunManifest):
         "max_ratio": max(r["max_ratio"] for r in rows),
         "max_phi0_err": max(r["phi0_err"] for r in rows),
         "max_sup_phi_excess": max(
-            r["sup_phi"] - (1.0 + 1.0 / r["n"]) ** r["n"] for r in rows),
+            r["sup_phi"] - (1.0 + r["epsilon"] / r["n"]) ** r["n"]
+            for r in rows),
         "max_upper_over_value": {
             key: max(r[f"{key}_upper"] / r[key] for r in rows)
             for key in bracketed},

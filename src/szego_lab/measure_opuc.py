@@ -50,7 +50,6 @@ import numpy as np
 from mpmath import MPContext
 from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
 
-from szego_lab.blaschke import BlaschkeProduct
 from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2
 from szego_lab.xlinalg import (
     _GUARD_BITS,
@@ -69,7 +68,6 @@ __all__ = [
     "OuterWeight",
     "PointSpectrum",
     "MeasureSpec",
-    "ReflectedBlaschke",
     "ResidueNodes",
     "QuadratureError",
     "PrecisionExhausted",
@@ -188,13 +186,6 @@ class MeasureSpec:
                    int(obj.get("precision_bits", 256)))
 
 
-@dataclass(frozen=True)
-class ReflectedBlaschke:
-    """Blaschke product on the disk-reflected mass points 1/conj(z_k)."""
-
-    product: BlaschkeProduct
-
-
 def target_limit(mu: MeasureSpec) -> float:
     """The common limit of the leading coefficients: B(0) * psi(0)."""
     b0 = math.prod(1.0 / abs(z) for z, _ in mu.spectrum.masses)
@@ -203,13 +194,6 @@ def target_limit(mu: MeasureSpec) -> float:
 
 # ----------------------------------------------------------------------
 # trigonometric moments of the absolutely continuous part
-
-
-class _MomentTable:
-    __slots__ = ("values",)
-
-    def __init__(self, values: list):
-        self.values = values  # t_m for m = 0..len-1
 
 
 # Threads that miss together each fill the entry with the same values, so
@@ -250,8 +234,9 @@ def _bernstein_szego_head(coeffs: list, bits: int) -> list:
     return [ctx.mpc(x[2 * m], x[2 * m + 1] if m else 0) for m in range(d + 1)]
 
 
-def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> _MomentTable:
-    """t_m = circle mean of e^(-i m t)/|psi|^2 for m = 0..m_max, cached.
+def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> list:
+    """t_m = circle mean of e^(-i m t)/|psi|^2 for m = 0..m_max, cached: a
+    list of mpc that holds at least those moments and may hold more.
 
     Exact up to rounding at bits + 32: t_0..t_d solve the linear system of
     _bernstein_szego_head, and every higher moment follows from
@@ -259,19 +244,18 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> _MomentTable:
     characteristic roots 1/r_j, r_j the roots of psi, lie inside the disk.
     """
     key = (weight.coeff_key(), bits)
-    tab = _moment_cache.get(key)
-    if tab is not None and len(tab.values) > m_max:
-        return tab
+    cached = _moment_cache.get(key)
+    if cached is not None and len(cached) > m_max:
+        return cached
     ctx = context(bits + 32)
     coeffs = list(weight.psi.as_complex128().at_precision(bits + 32).coeffs)
-    t = (list(tab.values) if tab is not None
+    t = (list(cached) if cached is not None
          else _bernstein_szego_head(coeffs, bits + 32))
     for k in range(len(t), m_max + 1):
         t.append(-ctx.fsum(coeffs[j] * t[k - j]
                            for j in range(1, len(coeffs))) / coeffs[0])
-    tab = _MomentTable(t)
-    _moment_cache[key] = tab
-    return tab
+    _moment_cache[key] = t
+    return t
 
 
 def moment(mu: MeasureSpec, j: int, k: int):
@@ -282,7 +266,7 @@ def moment(mu: MeasureSpec, j: int, k: int):
     """
     bits = mu.precision
     ctx = context(bits)
-    t = _trig_moments(mu.weight, abs(j - k), bits).values[abs(j - k)]
+    t = _trig_moments(mu.weight, abs(j - k), bits)[abs(j - k)]
     total = ctx.mpc(ctx.conj(t) if j < k else t)
     for z, m in mu.spectrum.masses:
         zl = ctx.mpc(z)
@@ -293,7 +277,7 @@ def moment(mu: MeasureSpec, j: int, k: int):
 def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> HermitianMatrix:
     n = len(exps)
     lo, hi = min(exps), max(exps)
-    values = _trig_moments(mu.weight, hi - lo, bits).values
+    values = _trig_moments(mu.weight, hi - lo, bits)
     ctx = context(bits)
     cols: list[list] = [[None] * n for _ in range(n)]
     if not mu.spectrum.masses:

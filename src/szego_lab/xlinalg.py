@@ -3,9 +3,9 @@
 Dense column-stored Hermitian matrices at a fixed mantissa-bit tag, a
 Cholesky factorization in fixed point on Python integers, and the two routes
 to the constrained leading-coefficient extremal problem: the Schur
-complement of the pivoted last coordinate (via the leading principal
-sub-block) and the explicit maximizer built from the full inverse applied to
-the last basis vector.  Both routes are kept deliberately distinct so their
+complement of the pivoted last coordinate, which is the factor's last pivot,
+and the explicit maximizer built from the full inverse applied to the last
+basis vector.  Both routes are kept deliberately distinct so their
 agreement is a check, not a tautology.
 
 The factorization first equilibrates: it scales G to S G S with S a
@@ -144,14 +144,6 @@ class HermitianMatrix:
         return cls([[one if j == k else zero for j in range(n)] for k in range(n)],
                    bits, _skip_check=True)
 
-    def principal_block(self, m: int) -> "HermitianMatrix":
-        """Leading m-by-m principal sub-block (shares the tag)."""
-        out = HermitianMatrix.__new__(HermitianMatrix)
-        out.dim = m
-        out.columns = tuple(col[:m] for col in self.columns[:m])
-        out.bits = self.bits
-        return out
-
 
 @dataclass(frozen=True)
 class CholeskyFactor:
@@ -273,22 +265,12 @@ def solve_upper_conj(l: CholeskyFactor, y: Sequence) -> list:
 def schur_leading(g: HermitianMatrix):
     """1/sqrt of the Schur complement of the last coordinate.
 
-    The leading (N-1)-block is factored and the coupling column forward
-    solved; the complement G_NN - |y|^2 is the squared distance from the
-    pivot to the span of the others.  Returns an mpf.
+    The factor's last row is the forward-solved coupling column y, and its
+    diagonal is sqrt(G_NN - |y|^2), the distance from the pivot to the span
+    of the others, which cholesky takes on integers at its guard bits and
+    rounds once to the tag.  Returns an mpf.
     """
-    n = g.dim
-    ctx = context(g.bits)
-    if n == 1:
-        s = ctx.re(g.entry(0, 0))
-    else:
-        sub = cholesky(g.principal_block(n - 1))
-        coupling = [g.entry(j, n - 1) for j in range(n - 1)]
-        y = solve_lower(sub, coupling)
-        s = ctx.re(g.entry(n - 1, n - 1)) - ctx.re(ctx.fdot(y, y, conjugate=True))
-    if s <= 0:
-        raise NotPositiveDefinite(n - 1, s)
-    return 1 / ctx.sqrt(s)
+    return 1 / cholesky(g).rows[-1][-1]
 
 
 def constrained_max_leading(g: HermitianMatrix):

@@ -42,19 +42,6 @@ def test_eval_against_naive():
         assert abs(f(z) - naive) < 1e-12 * max(1.0, abs(naive))
 
 
-def test_arithmetic_and_derivative():
-    f = LaurentPolynomial(0, [1.0, 2.0])
-    g = LaurentPolynomial(-1, [3.0, 0.0, 0.0, 4.0])
-    h = f + g
-    assert h.lo == -1 and h.coefficient(0) == 1.0 and h.coefficient(2) == 4.0
-    d = g.derivative()
-    # d/dz (3/z + 4 z^2) = -3/z^2 + 8 z
-    assert d.coefficient(-2) == -3.0 and d.coefficient(1) == 8.0
-    s = f - f
-    assert s.is_zero
-    assert (2.0 * f).coefficient(1) == 4.0
-
-
 def test_conj_reflect():
     f = LaurentPolynomial(-1, [1j, 2.0, 3.0 - 1j])
     r = f.conj_reflect()
@@ -169,13 +156,14 @@ def test_convolve_laurent_clipping():
 def test_convolve_dyadic_linearity_exact():
     # dyadic coefficients and dyadic multipliers: float arithmetic is exact
     rng = np.random.default_rng(3)
-    num = rng.integers(-16, 17, size=9)
-    a = LaurentPolynomial(0, num / 8.0)
-    b = LaurentPolynomial(0, rng.integers(-16, 17, size=9) / 4.0)
+    ca = rng.integers(-16, 17, size=9) / 8.0
+    cb = rng.integers(-16, 17, size=9) / 4.0
     spec = vallee_poussin(2)
-    lhs = convolve(a + b, spec)
-    rhs = convolve(a, spec) + convolve(b, spec)
-    assert lhs.lo == rhs.lo and np.array_equal(lhs.coeffs, rhs.coeffs)
+    lhs = convolve(LaurentPolynomial(0, ca + cb), spec)
+    parts = (convolve(LaurentPolynomial(0, c), spec) for c in (ca, cb))
+    rhs = sum(np.array([p.coefficient(j) for j in range(9)]) for p in parts)
+    assert np.array_equal([lhs.coefficient(j) for j in range(9)], rhs)
+    assert lhs.lo == np.flatnonzero(rhs)[0]
 
 
 def test_dirichlet_idempotent():

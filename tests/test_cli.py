@@ -121,6 +121,29 @@ def test_vs_bound_artifacts(tmp_path, capsys):
     assert all(1.0 < v < 1.5 for v in worst.values())
 
 
+def test_vs_bound_summary_measures_the_run_epsilon(tmp_path, capsys,
+                                                  monkeypatch):
+    # a sup_phi 1% above (1 + eps/n)^n breaks the bound of an eps = 0.1 run
+    # while staying far below (1 + 1/n)^n, so the summary must show it
+    real = cli.corrector_certificate
+
+    def inflated(c, *args):
+        cert = real(c, *args)
+        cert["sup_phi"] = 1.01 * (1.0 + c.epsilon / c.n) ** c.n
+        return cert
+
+    monkeypatch.setattr(cli, "corrector_certificate", inflated)
+    man = write_json(tmp_path / "man.json", {
+        "command": "vs-bound", "n_grid": [4, 8], "seeds": 1,
+        "epsilon": 0.1, "kinds": ["uniform_disk"],
+        "out_dir": str(tmp_path / "out")})
+    code, _ = run_main(capsys, "vs-bound", "--manifest", man)
+    assert code == 0
+    excess = read_report(str(tmp_path / "out"))["summary"]["max_sup_phi_excess"]
+    bound = max((1.0 + 0.1 / n) ** n for n in (4, 8))
+    assert excess == pytest.approx(0.01 * bound, rel=1e-12)
+
+
 def test_besov_artifacts(tmp_path, capsys):
     man = write_json(tmp_path / "man.json", {
         "n_grid": [8, 32], "out_dir": str(tmp_path / "out")})
