@@ -27,11 +27,15 @@ they come from Uvarov's closed form: the Bernstein-Szego orthonormal
 polynomials and their Christoffel-Darboux kernel reduce the Gram solve to
 a K-by-K system for K masses, whatever n is.  Mass-free measures, where
 the closed form is the constant psi(0), and lower degrees take the Gram
-route, the extended-precision Schur complement, which stays the oracle
-for the closed form; the orthonormal elements are the extremal witnesses
+route: 1/sqrt of the Schur complement of z^n in the Gram matrix, in
+extended precision.  Without masses that matrix is Toeplitz, and the
+Szego recursion on its first column gives the Schur complement in O(n^2)
+(toeplitz_leading); with masses the Cholesky factor's last pivot gives it
+in O(n^3) (schur_leading), which stays the oracle for the recursion and
+for the closed form.  The orthonormal elements are the extremal witnesses
 of the same Gram matrices.
 
-Precision escalation is explicit: the Gram factorization starts at the
+Precision escalation is explicit: the Gram route starts at the
 first tag that holds its entries (at least the measure's tag), a failure
 there is retried at the next tag, and the failure is reported, never
 hidden.  The closed form adds guard bits above the measure's tag, 32 and
@@ -62,6 +66,7 @@ from szego_lab.xlinalg import (
     context,
     next_tag,
     schur_leading,
+    toeplitz_leading,
 )
 
 __all__ = [
@@ -293,6 +298,9 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
                                           else (rounded[-d], conj_r[-d]))
         return HermitianMatrix(cols, bits, _skip_check=True)
     conj_t = [ctx.conj(t) for t in values[: hi - lo + 1]]
+    # per mass, m z^e for each column and conj(z)^e for each row: the mass
+    # term (m z^(e_c)) conj(z)^(e_r) of entry (r, c) is then one product,
+    # with the roundings it had when formed entry by entry
     powers = []
     for z, m in mu.spectrum.masses:
         zl = ctx.mpc(z)
@@ -302,13 +310,15 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
         inv = 1 / zl
         for e in range(-1, lo - 1, -1):
             pw[e] = pw[e + 1] * inv
-        powers.append((ctx.mpf(m), pw))
+        m = ctx.mpf(m)
+        powers.append(([m * pw[e] for e in exps],
+                       [ctx.conj(pw[e]) for e in exps]))
     for c in range(n):
         for r in range(c, n):
             d = exps[c] - exps[r]
             val = conj_t[-d] if d < 0 else ctx.mpc(values[d])
-            for m, pw in powers:
-                val += m * pw[exps[c]] * ctx.conj(pw[exps[r]])
+            for m_pw, conj_pw in powers:
+                val += m_pw[c] * conj_pw[r]
             if r != c:
                 # conj_t keeps the moments' guard bits, so round once here
                 val = ctx.mpc(val)
@@ -373,11 +383,15 @@ def _escalate(mu: MeasureSpec, n: int, build_and_solve):
 
 
 def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
-    """tau_n (or eta_n with laurent) by the Gram route: the Schur complement
-    of the pivot z^n under the escalation protocol.  The oracle for the
-    closed form, and the route for mass-free measures and n < deg psi."""
+    """tau_n (or eta_n with laurent) by the Gram route, under the escalation
+    protocol: 1/sqrt of the Schur complement of the pivot z^n.  Without
+    masses the Gram matrix is Toeplitz and the Szego recursion gives it in
+    O(N^2) (toeplitz_leading); with masses, where the route serves n < deg
+    psi and is the oracle for the closed form, the Cholesky factor's last
+    pivot does (schur_leading), and it stays the oracle for the recursion."""
     gram = gram_laurent if laurent else gram_polynomial
-    return _escalate(mu, n, lambda b: schur_leading(gram(mu, n, b)))
+    leading = schur_leading if mu.spectrum.masses else toeplitz_leading
+    return _escalate(mu, n, lambda b: leading(gram(mu, n, b)))
 
 
 def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int):

@@ -6,7 +6,10 @@ to the constrained leading-coefficient extremal problem: the Schur
 complement of the pivoted last coordinate, which is the factor's last pivot,
 and the explicit maximizer built from the full inverse applied to the last
 basis vector.  Both routes are kept deliberately distinct so their
-agreement is a check, not a tautology.
+agreement is a check, not a tautology.  For a Toeplitz Gram matrix the
+Szego recursion gives the same Schur complement in O(N^2) instead of
+O(N^3), in the same fixed point (toeplitz_leading); the factor's last pivot
+is its oracle.
 
 The factorization first equilibrates: it scales G to S G S with S a
 diagonal of powers of two, S_ii^2 g_ii in [1/4, 1), so every entry of the
@@ -51,6 +54,7 @@ __all__ = [
     "solve_lower",
     "solve_upper_conj",
     "schur_leading",
+    "toeplitz_leading",
     "constrained_max_leading",
 ]
 
@@ -271,6 +275,69 @@ def schur_leading(g: HermitianMatrix):
     rounds once to the tag.  Returns an mpf.
     """
     return 1 / cholesky(g).rows[-1][-1]
+
+
+def toeplitz_leading(g: HermitianMatrix):
+    """schur_leading of a Hermitian Toeplitz G in O(N^2), by the Szego
+    recursion on G's first column.
+
+    G_jk = c_(j-k), c_j = G_j0 and c_(-j) = conj(c_j), is the Gram matrix
+    <z^j, z^k> of a circle measure.  The monic Phi_k orthogonal to
+    1, ..., z^(k-1) has E_k = ||Phi_k||^2 = det G_(k+1) / det G_k, the
+    square of cholesky's pivot k, and (Levinson's algorithm)
+    Phi_(k+1) = z Phi_k - gamma_k Phi_k^*,  gamma_k = <z Phi_k, 1> / E_k,
+    E_(k+1) = E_k (1 - |gamma_k|^2),  <z Phi_k, 1> = sum_j p_j c_(j+1)
+    for Phi_k = sum_j p_j z^j.  Returns 1/sqrt(E_(N-1)), an mpf.
+
+    Fixed point as in cholesky: G is equilibrated to A = 2^-2s G with
+    c_0 in [1/4, 1) after scaling, the c_j and p_j are integers at
+    f = bits + 32 fractional bits and E_k at 2f.  Each <z Phi_k, 1> is
+    exact, gamma_k and each p_j are rounded once, and
+    E_(k+1) = E_k - |<z Phi_k, 1>|^2 / E_k is rounded once.  Raises
+    NotPositiveDefinite(k) at the first E_k at or below 2^-f, cholesky's
+    threshold and pivot index.  The root is taken by isqrt and rounded
+    once to the tag, as schur_leading's is.  G's Toeplitz structure is the
+    caller's promise; only its first column is read.
+    """
+    n, bits = g.dim, g.bits
+    f = bits + _GUARD_BITS
+    ctx = context(bits)
+    col = g.columns[0]
+    d_part = col[0]._mpc_[0]
+    sign, man, exp, bc = d_part
+    if sign or not man:
+        raise NotPositiveDefinite(0, ctx.make_mpf(d_part))
+    s = (exp + bc + 1) // 2
+    # c_1..c_(N-1) of A
+    c_re = [_fixed(v._mpc_[0], f - 2 * s) for v in col[1:]]
+    c_im = [_fixed(v._mpc_[1], f - 2 * s) for v in col[1:]]
+    half = 1 << (f - 1)
+    p_re, p_im = [1 << f], [0]  # Phi_k 2^f, constant coefficient first
+    err = _fixed(d_part, 2 * f - 2 * s)  # E_k 2^(2f)
+    for k in range(n):
+        if err <= 1 << f:
+            raise NotPositiveDefinite(
+                k, ctx.make_mpf(from_man_exp(err, 2 * s - 2 * f, bits,
+                                             round_nearest)))
+        if k == n - 1:
+            break
+        # <z Phi_k, 1> 2^(2f)
+        cr, ci = c_re[: k + 1], c_im[: k + 1]
+        d_re = sum(map(mul, cr, p_re)) - sum(map(mul, ci, p_im))
+        d_im = sum(map(mul, cr, p_im)) + sum(map(mul, ci, p_re))
+        if k < n - 2:
+            # gamma_k 2^f; Phi_k^* has the coefficients conj(p_(k-j))
+            e2 = 2 * err
+            g_re = ((d_re << (f + 1)) + err) // e2
+            g_im = ((d_im << (f + 1)) + err) // e2
+            q_re, q_im = p_re[::-1], p_im[::-1]
+            p_re = [a - ((g_re * qr + g_im * qi + half) >> f)
+                    for a, qr, qi in zip([0] + p_re, q_re, q_im)] + [1 << f]
+            p_im = [a - ((g_im * qr - g_re * qi + half) >> f)
+                    for a, qr, qi in zip([0] + p_im, q_re, q_im)] + [0]
+        err -= (2 * (d_re * d_re + d_im * d_im) + err) // (2 * err)
+    return 1 / ctx.make_mpf(from_man_exp(isqrt(err), s - f, bits,
+                                         round_nearest))
 
 
 def constrained_max_leading(g: HermitianMatrix):

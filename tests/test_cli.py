@@ -338,10 +338,10 @@ def test_opuc_matches_frozen_csv(capsys):
     # complex psi of degree 1 to 3 and two measures with two masses, each at
     # 53, 128 and 256 bits, as the code before the fixed-point Cholesky
     # wrote them (make_frozen.py).  The 128- and 256-bit rows match byte for
-    # byte.  At 53 bits the Schur complement's last rounding can land on the
-    # other neighbour: tau_n = eta_n = 1 exactly for complex_d3 at n >= 3,
-    # and at n = 8 and 16 the frozen 1.0000000000000002 now reads 1.0; so
-    # there the values agree to 2^-50
+    # byte.  At 53 bits every mass-free row now reads tau_n = eta_n =
+    # psi(0) = 1.0 exactly, where the frozen file holds 1.0000000000000002
+    # for complex_d1 at n = 4, 8, 16, complex_d3's eta_n at n = 4 and both
+    # at n = 8, 16; so at 53 bits the values agree to 2^-50
     make_frozen = _make_frozen()
     name = "opuc_frozen.csv"
     got = make_frozen.frozen_text(

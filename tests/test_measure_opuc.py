@@ -35,7 +35,12 @@ from szego_lab.measure_opuc import (
     target_limit,
     tau_n,
 )
-from szego_lab.xlinalg import NotPositiveDefinite, context, schur_leading
+from szego_lab.xlinalg import (
+    NotPositiveDefinite,
+    context,
+    schur_leading,
+    toeplitz_leading,
+)
 
 import szego_lab.measure_opuc as mo
 
@@ -258,16 +263,31 @@ def test_gram_is_hermitian_bit_for_bit(gram, bits):
 
 
 def per_entry_gram(mu, exps, bits):
-    """The mass-free Gram build that rounds every entry on its own: the
-    oracle for the build that rounds each distinct moment once."""
+    """The Gram build that rounds every entry on its own and forms each
+    mass term m z^j conj(z)^k entry by entry: the oracle for the build
+    that rounds each distinct moment once and, with masses, forms m z^j and
+    conj(z)^k once per exponent."""
     n = len(exps)
-    values = mo._trig_moments(mu.weight, max(exps) - min(exps), bits)
+    lo, hi = min(exps), max(exps)
+    values = mo._trig_moments(mu.weight, hi - lo, bits)
     ctx = context(bits)
+    powers = []
+    for z, m in mu.spectrum.masses:
+        zl = ctx.mpc(z)
+        pw = {0: ctx.mpc(1)}
+        for e in range(1, hi + 1):
+            pw[e] = pw[e - 1] * zl
+        inv = 1 / zl
+        for e in range(-1, lo - 1, -1):
+            pw[e] = pw[e + 1] * inv
+        powers.append((ctx.mpf(m), pw))
     cols = [[None] * n for _ in range(n)]
     for c in range(n):
         for r in range(c, n):
             d = exps[c] - exps[r]
             val = ctx.conj(values[-d]) if d < 0 else ctx.mpc(values[d])
+            for m, pw in powers:
+                val += m * pw[exps[c]] * ctx.conj(pw[exps[r]])
             if r != c:
                 val = ctx.mpc(val)
                 cols[c][r] = val
@@ -275,6 +295,17 @@ def per_entry_gram(mu, exps, bits):
             else:
                 cols[c][c] = ctx.mpc(val.real)
     return cols
+
+
+def assert_gram_matches_per_entry_build(mu, bits, degrees):
+    for n in degrees:
+        for gram, exps in ((gram_polynomial, range(n + 1)),
+                           (gram_laurent, range(-(n - 1), n + 1))):
+            want = per_entry_gram(mu, exps, bits)
+            got = gram(mu, n)
+            assert got.bits == bits
+            assert ([[v._mpc_ for v in col] for col in got.columns]
+                    == [[v._mpc_ for v in col] for col in want]), (n, gram)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
@@ -286,14 +317,16 @@ def per_entry_gram(mu, exps, bits):
 def test_mass_free_gram_matches_per_entry_build(coeffs, bits):
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
                      PointSpectrum.empty(), bits)
-    for n in (3, 12, 24):
-        for gram, exps in ((gram_polynomial, range(n + 1)),
-                           (gram_laurent, range(-(n - 1), n + 1))):
-            want = per_entry_gram(mu, exps, bits)
-            got = gram(mu, n)
-            assert got.bits == bits
-            assert ([[v._mpc_ for v in col] for col in got.columns]
-                    == [[v._mpc_ for v in col] for col in want]), (n, gram)
+    assert_gram_matches_per_entry_build(mu, bits, (3, 12, 24))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", ["deg1-two-mass", "deg2-three-mass"])
+def test_mass_gram_matches_per_entry_build(name, bits):
+    # m z^j once per column and conj(z)^k once per row round as the
+    # per-entry products did, so the build is the same bit for bit
+    assert_gram_matches_per_entry_build(route_measure(name, bits), bits,
+                                        (1, 3, 12))
 
 
 def test_gram_validation():
@@ -387,6 +420,66 @@ def test_bernstein_szego_leading_coefficients():
         for n in range(1, 13):
             assert abs(tau_n(mu, n) - 1) < 1e-20
         assert abs(eta_n(mu, 8) - 1) < 1e-10
+
+
+# mass-free measures: psi of degree 0-3 with complex coefficients
+MASS_FREE_PSI = {
+    "d0": [1.3],
+    "d1": [0.8, 0.4 - 0.3j],
+    "d2": [1.3, 0.3 - 0.2j, 0.1j],
+    "d3": [0.7, 0.2 + 0.1j, -0.05j, 0.03 - 0.02j],
+}
+
+
+def mass_free(name, bits):
+    return MeasureSpec(OuterWeight(LaurentPolynomial(0, MASS_FREE_PSI[name])),
+                       PointSpectrum.empty(), bits)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+@pytest.mark.parametrize("name", sorted(MASS_FREE_PSI))
+def test_szego_recursion_matches_the_schur_complement(name, bits):
+    # without masses the Gram route runs the Szego recursion on the
+    # Toeplitz Gram matrix; the Cholesky factor's last pivot is its oracle
+    mu = mass_free(name, bits)
+    d = mu.weight.psi.hi
+    for n in sorted({d, d + 1, 7, 20, 48}):
+        for laurent in (False, True) if n else (False,):
+            g = (gram_laurent if laurent else gram_polynomial)(mu, n)
+            got, want = toeplitz_leading(g), schur_leading(g)
+            assert mo._gram_leading(mu, n, laurent) == got
+            if bits >= 256:
+                assert abs(got - want) <= 1e-60 * want, (n, laurent)
+            else:
+                assert float(got) == float(want), (n, laurent)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+@pytest.mark.parametrize("name", sorted(MASS_FREE_PSI))
+def test_szego_recursion_gives_psi0_past_deg_psi(name, bits):
+    # Bernstein-Szego: tau_n = eta_n = psi(0) for n >= deg psi.  The Gram
+    # entries are the moments rounded to the tag, so the values agree with
+    # psi(0) to one unit in the last place
+    mu = mass_free(name, bits)
+    d = mu.weight.psi.hi
+    psi0 = mu.weight.psi0
+    ulp = context(bits).ldexp(psi0, 1 - bits)
+    for n in sorted({d, d + 1, 5, 16}):
+        assert abs(tau_n(mu, n) - psi0) <= ulp, ("tau", n)
+        if n:
+            assert abs(eta_n(mu, n) - psi0) <= ulp, ("eta", n)
+
+
+def test_gram_route_dispatches_on_the_masses(monkeypatch):
+    calls = []
+    for name in ("schur_leading", "toeplitz_leading"):
+        def spy(g, real=getattr(mo, name), name=name):
+            calls.append(name)
+            return real(g)
+        monkeypatch.setattr(mo, name, spy)
+    mo._gram_leading(mass_free("d2", 128), 4, laurent=True)
+    mo._gram_leading(route_measure("deg2-three-mass", 128), 1, laurent=False)
+    assert calls == ["toeplitz_leading", "schur_leading"]
 
 
 # psi of degree 0-2 and 1-3 masses off the real axis, for the route checks

@@ -17,6 +17,7 @@ from szego_lab.xlinalg import (
     schur_leading,
     solve_lower,
     solve_upper_conj,
+    toeplitz_leading,
 )
 
 
@@ -315,6 +316,89 @@ def test_schur_monotone_under_span_growth():
         if prev is not None:
             assert val >= prev * (1 - mp.mpf(2) ** -60)
         prev = val
+
+
+# ---------------------------------------------------------------- toeplitz
+
+
+def random_toeplitz(rng, n, bits, shift=0.0, masses=None):
+    """Hermitian Toeplitz G_jk = c_(j-k) with c_m = sum_i w_i e^(-i m t_i)
+    + shift [m == 0], the moments of point masses on the circle (2n unless
+    given): of rank min(n, masses) when shift = 0, so positive definite for
+    shift > 0 and, with fewer masses than n, indefinite for shift < 0."""
+    count = 2 * n if masses is None else masses
+    t = rng.uniform(0, 2 * np.pi, count)
+    w = rng.uniform(0.1, 1.0, count)
+    c = [complex(np.sum(w * np.exp(-1j * m * t))) for m in range(n)]
+    c[0] = c[0].real + shift
+    cols = [[c[j - k] if j >= k else c[k - j].conjugate() for j in range(n)]
+            for k in range(n)]
+    return HermitianMatrix(cols, bits)
+
+
+def test_toeplitz_leading_examples():
+    assert toeplitz_leading(HermitianMatrix.identity(4)) == 1.0
+    assert toeplitz_leading(from_rows([[4.0]])) == 0.5
+    # [[2, 1], [1, 2]]: Schur complement 2 - 1/2 = 3/2
+    v = toeplitz_leading(from_rows([[2.0, 1.0], [1.0, 2.0]], 128))
+    ref = context(192)
+    assert abs(v - 1 / ref.sqrt(ref.mpf(1.5))) < ref.ldexp(1, -127)
+
+
+@pytest.mark.parametrize("bits", PRECISION_BITS)
+def test_toeplitz_leading_matches_the_factor_pivot(bits):
+    # the recursion and the Cholesky factor's last pivot (schur_leading)
+    # round the same Schur complement once, at the same guard bits
+    rng = np.random.default_rng(41 + bits)
+    ctx = context(bits + 64)
+    for n in (1, 2, 5, 17, 40):
+        for shift in (1.0, 1e-3):
+            g = random_toeplitz(rng, n, bits, shift)
+            got, want = toeplitz_leading(g), schur_leading(g)
+            assert abs(ctx.mpf(got) - want) <= want * ctx.ldexp(1, 4 - bits), (n, shift)
+
+
+def test_toeplitz_indefinite_raises_at_the_cholesky_pivot():
+    rng = np.random.default_rng(43)
+    pivots = set()
+    for bits in PRECISION_BITS:
+        for _ in range(6):
+            n = 12
+            g = random_toeplitz(rng, n, bits, -float(rng.uniform(0.01, 1.0)),
+                                int(rng.integers(1, n)))
+            with pytest.raises(NotPositiveDefinite) as want:
+                cholesky(g)
+            with pytest.raises(NotPositiveDefinite) as got:
+                toeplitz_leading(g)
+            assert got.value.pivot == want.value.pivot
+            pivots.add(got.value.pivot)
+    assert len(pivots) > 1
+    for rows, pivot in (([[-1.0]], 0), ([[0.0, 0.0], [0.0, 0.0]], 0),
+                        ([[1.0, 2.0], [2.0, 1.0]], 1),
+                        ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], 1)):
+        with pytest.raises(NotPositiveDefinite) as e:
+            toeplitz_leading(from_rows(rows))
+        assert e.value.pivot == pivot
+
+
+def test_toeplitz_pivot_below_the_resolution_raises():
+    # [[1, c], [conj(c), 1]], c = 1 - 2^-83 + i b, has the pivot
+    # 1 - |c|^2 = 2^-82 - b^2 - 2^-166, and a quarter of it once scaled to
+    # c_0 = 1/4.  At 53 bits both routes resolve 2^-85 of the scaled
+    # matrix: b = 0 leaves about 2^-84 and factors; b = 2^-41 - 2^-83
+    # leaves about 2^-125, above zero but below the resolution, and raises
+    fine = context(128)
+    one = fine.mpc(1)
+    for b, fails in ((0, False), (fine.ldexp(1, -41) - fine.ldexp(1, -83), True)):
+        c = fine.mpc(1 - fine.ldexp(1, -83), b)
+        g = HermitianMatrix([[one, fine.conj(c)], [c, one]], 53, _skip_check=True)
+        if fails:
+            for leading in (toeplitz_leading, schur_leading):
+                with pytest.raises(NotPositiveDefinite) as e:
+                    leading(g)
+                assert e.value.pivot == 1
+        else:
+            assert toeplitz_leading(g) == schur_leading(g)
 
 
 def test_escalation_is_explicit():
