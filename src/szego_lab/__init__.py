@@ -1,155 +1,16 @@
 """Certified correctors for finite Blaschke products and leading-coefficient
-asymptotics of orthogonal systems on the unit circle."""
+asymptotics of orthogonal systems on the unit circle.
 
-from szego_lab.asymptotics import (
-    SCHEDULE_FAMILIES,
-    LogConditionFailed,
-    PipelineCertificate,
-    ScheduleFn,
-    ScheduleParams,
-    ScheduleViolation,
-    convergence_experiment,
-    taylor_approximant,
-    validate_schedule,
-    vp_approximant,
-)
-from szego_lab.blaschke import (
-    BlaschkeProduct,
-    DerivSup,
-    DilatedCorrector,
-    PoleProximityError,
-    TaylorToleranceError,
-    ZeroSet,
-    build_corrector,
-    corrector_certificate,
-    corrector_with_radius,
-    derivative_sup,
-    eval_B_phi,
-    eval_blaschke,
-    eval_phi0,
-    taylor_coeffs,
-)
-from szego_lab.circle_fourier import (
-    KernelDomainError,
-    KernelSpec,
-    LaurentPolynomial,
-    SupBound,
-    besov_seminorm,
-    convolve,
-    dirichlet,
-    kernel_identity_vk_vpn,
-    kernel_multiplier,
-    kernel_support,
-    lp_norm,
-    modified_v,
-    modified_vp,
-    sup_norm,
-    sup_norm_certified,
-    vallee_poussin,
-)
-from szego_lab.measure_opuc import (
-    MeasureSpec,
-    OuterWeight,
-    PointSpectrum,
-    PrecisionExhausted,
-    QuadratureError,
-    ResidueNodes,
-    eta_n,
-    gram_laurent,
-    gram_polynomial,
-    log_condition_report,
-    moment,
-    orthonormal_element,
-    residue_identity_check,
-    target_limit,
-    tau_n,
-)
-from szego_lab.xlinalg import (
-    PRECISION_BITS,
-    CholeskyFactor,
-    HermitianMatrix,
-    NotPositiveDefinite,
-    PrecisionTag,
-    cholesky,
-    constrained_max_leading,
-    context,
-    next_tag,
-    schur_leading,
-    solve_lower,
-    solve_upper_conj,
-    toeplitz_leading,
-)
+The package exports the public names of its five library modules, each as
+its module's __all__ lists them, so that list is kept in one place.
+"""
+
+from szego_lab import asymptotics, blaschke, circle_fourier, measure_opuc, xlinalg
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "BlaschkeProduct",
-    "CholeskyFactor",
-    "DerivSup",
-    "DilatedCorrector",
-    "HermitianMatrix",
-    "KernelDomainError",
-    "KernelSpec",
-    "LaurentPolynomial",
-    "LogConditionFailed",
-    "MeasureSpec",
-    "NotPositiveDefinite",
-    "OuterWeight",
-    "PRECISION_BITS",
-    "PipelineCertificate",
-    "PointSpectrum",
-    "PoleProximityError",
-    "PrecisionExhausted",
-    "PrecisionTag",
-    "QuadratureError",
-    "ResidueNodes",
-    "SCHEDULE_FAMILIES",
-    "ScheduleFn",
-    "ScheduleParams",
-    "ScheduleViolation",
-    "SupBound",
-    "TaylorToleranceError",
-    "ZeroSet",
-    "besov_seminorm",
-    "build_corrector",
-    "cholesky",
-    "constrained_max_leading",
-    "context",
-    "convergence_experiment",
-    "convolve",
-    "corrector_certificate",
-    "corrector_with_radius",
-    "derivative_sup",
-    "dirichlet",
-    "eta_n",
-    "eval_B_phi",
-    "eval_blaschke",
-    "eval_phi0",
-    "gram_laurent",
-    "gram_polynomial",
-    "kernel_identity_vk_vpn",
-    "kernel_multiplier",
-    "kernel_support",
-    "log_condition_report",
-    "lp_norm",
-    "modified_v",
-    "modified_vp",
-    "moment",
-    "next_tag",
-    "orthonormal_element",
-    "residue_identity_check",
-    "schur_leading",
-    "solve_lower",
-    "solve_upper_conj",
-    "sup_norm",
-    "sup_norm_certified",
-    "target_limit",
-    "tau_n",
-    "taylor_approximant",
-    "taylor_coeffs",
-    "toeplitz_leading",
-    "validate_schedule",
-    "vallee_poussin",
-    "vp_approximant",
-    "__version__",
-]
+__all__ = ["__version__"]
+for _module in (asymptotics, blaschke, circle_fourier, measure_opuc, xlinalg):
+    globals().update((name, getattr(_module, name)) for name in _module.__all__)
+    __all__ += _module.__all__
+del _module

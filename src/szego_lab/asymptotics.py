@@ -17,12 +17,18 @@ factor that the Bernstein-Szego extremal of the weight carries.  The
 weight is a polynomial, so its product series is exact through the order
 the kernel sees: nothing is truncated, and the certificate's inverse_tail
 is always 0.
+
+The exact part runs on Python integers at bits_pipe + 32 fractional bits
+(xlinalg's fixed point): the product's series, the kernel's rational
+multipliers and the norm bookkeeping, each output rounded once.  The
+defect is sampled in double precision, on FFT grids.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Callable, Sequence
 
 import numpy as np
@@ -36,9 +42,11 @@ from szego_lab.blaschke import (
 from szego_lab.circle_fourier import (
     KernelSpec,
     LaurentPolynomial,
+    _analytic_values,
+    _multiplier_scaled,
     _next_pow2,
-    convolve,
     dirichlet,
+    kernel_support,
     modified_vp,
 )
 from szego_lab.measure_opuc import (
@@ -51,7 +59,18 @@ from szego_lab.measure_opuc import (
     tau_n,
     eta_n,
 )
-from szego_lab.xlinalg import context
+from szego_lab.xlinalg import (
+    _GUARD_BITS,
+    _dot,
+    _fixed,
+    _fixed_pair,
+    _horner,
+    _rdiv,
+    _reflect,
+    _to_mpf,
+    _to_mpc,
+    context,
+)
 
 __all__ = [
     "SCHEDULE_FAMILIES",
@@ -220,38 +239,67 @@ def _selection(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
     return cap, margin, radius, selected, tail
 
 
-def _bphi_series(zetas: Sequence, radius: float, upto: int,
-                 bits: int = 128) -> np.ndarray:
-    """Taylor coefficients of the dilated product, exact factor recurrences.
-
-    Works in the rescaled variable w = z/R where every factor is a plain
-    Blaschke factor with zero a = zeta/R; multiplying by (w - a) is a shift
-    and subtract, dividing by (1 - conj(a) w) is a running recurrence.  The
-    coefficient of z^j then picks up R^(count - j).
-
-    Runs at the given precision; the values at a reflected point carry the
-    back-reflection factor |zeta|^(-n), so the coefficients need roughly
-    n*log2(1/|zeta|) bits beyond the target accuracy.  Object array out.
+def _quotient_series(num: Sequence, den: Sequence, count: int,
+                     f: int) -> list:
+    """The first count Taylor coefficients of num/den, polynomials given as
+    integer pairs at f fractional bits, constant first; den_0 > 0 and den
+    is zero-free on the closed disk.  a_k = (num_k - sum_(j=1..d) den_j
+    a_(k-j)) / den_0, the sum exact and a_k rounded once: stable, as the
+    characteristic roots, the reciprocals of den's roots, lie in the disk.
     """
-    ctx = context(bits)
-    rr = ctx.mpf(radius)
-    scaled = [ctx.mpc(zt) / rr for zt in zetas]
-    c = [ctx.mpc(0)] * (upto + 1)
-    c[0] = ctx.mpc(1)
-    for a in scaled:
-        rot = -abs(a) / a if a != 0 else ctx.mpc(1)
-        nxt = [ctx.mpc(0)] * (upto + 1)
-        nxt[0] = -a * c[0] * rot
-        for j in range(1, upto + 1):
-            nxt[j] = (c[j - 1] - a * c[j]) * rot
-        w = ctx.conj(a)
-        if w != 0:
-            for j in range(1, upto + 1):
-                nxt[j] = nxt[j] + w * nxt[j - 1]
-        c = nxt
-    count = len(scaled)
-    out = [c[j] * rr ** (count - j) for j in range(upto + 1)]
-    return np.array(out, dtype=object)
+    d = len(den) - 1
+    rev_re = [c[0] for c in den[:0:-1]]  # den_d, ..., den_1
+    rev_im = [c[1] for c in den[:0:-1]]
+    a_re, a_im = [0] * d, [0] * d  # d leading zeros: a_(-d)..a_(-1)
+    for k in range(count):
+        nr, ni = num[k] if k < len(num) else (0, 0)
+        s_re, s_im = _dot(rev_re, rev_im, a_re[k:], a_im[k:])
+        a_re.append(_rdiv((nr << f) - s_re, den[0][0]))
+        a_im.append(_rdiv((ni << f) - s_im, den[0][0]))
+    return list(zip(a_re[d:], a_im[d:]))
+
+
+def _bphi_series(zetas: Sequence, radius: float, upto: int, f: int,
+                 times: Sequence) -> list:
+    """Taylor coefficients of z^0..z^upto of the dilated product times the
+    polynomial times, as integer pairs at f fractional bits (times too,
+    constant first).
+
+    The dilated product R^count B(z/R), B with zeros zeta_i/R, is
+    prod_i (rot_i z - rot_i zeta_i) / (1 - w_i z), rot_i = -|zeta_i|/zeta_i
+    and w_i = conj(zeta_i)/R^2.  Numerator and denominator take one linear
+    factor each per zero, every coefficient rounded once, and
+    _quotient_series divides them.  The values at a reflected point carry
+    the back-reflection factor |zeta|^(-n), so the coefficients need roughly
+    n*log2(1/|zeta|) bits beyond the target accuracy.
+    """
+    wide = context(f + 4)
+    one = (1 << f, 0)
+    num, den = list(times), [one]
+    for zt in zetas:
+        z = wide.mpc(zt)
+        rot = -abs(z) / z if z else wide.mpc(1)
+        num = _times_linear(num, _fixed_pair(-rot * z, f),
+                            _fixed_pair(rot, f), f)
+        den = _times_linear(den, one, _fixed_pair(
+            -wide.conj(z) / wide.mpf(radius) ** 2, f), f)
+    return _quotient_series(num, den, upto + 1, f)
+
+
+def _times_linear(poly: list, c0: tuple, c1: tuple, f: int) -> list:
+    """poly (c0 + c1 z) for integer pairs at f fractional bits, each
+    coefficient exact at 2f bits and rounded once."""
+    (ar, ai), (br, bi), half = c0, c1, 1 << (f - 1)
+    return [((pr * ar - pi * ai + qr * br - qi * bi + half) >> f,
+             (pr * ai + pi * ar + qr * bi + qi * br + half) >> f)
+            for (pr, pi), (qr, qi) in zip(poly + [(0, 0)], [(0, 0)] + poly)]
+
+
+def _values_at(poly: LaurentPolynomial, pts: np.ndarray) -> np.ndarray:
+    """A complex128 polynomial with exponents >= 0 at points of the disk, as
+    power sums, the powers by cumulative products (np.vander)."""
+    c = np.pad(poly.coeffs, (poly.lo, 0))
+    return (np.vander(pts, len(c), increasing=True) * c).sum(axis=1)
 
 
 def _target_values(corrector: DilatedCorrector | None,
@@ -264,21 +312,33 @@ def _defect_sup(approx: LaurentPolynomial, corrector, weight_poly,
                 start_grid: int) -> float:
     """Sampled sup of approximant minus target on the circle.
 
-    Doubles the grid until the running max stabilizes to 0.1% (or 2^16
-    nodes), then refines the peak with one parabolic step.
+    On each grid the approximant is evaluated by FFT (_analytic_values).
+    Without a corrector the target is the weight polynomial, so one FFT of
+    the coefficient difference is the defect: 0 for an exact approximant.
+    Doubles the grid until the running max stabilizes to 0.1%, sinks to
+    the samples' rounding level (2^-43 times the sum of the approximant's
+    |coefficients|) or reaches 2^16 nodes, then refines the peak with one
+    parabolic step.
     """
+    coeffs = np.pad(approx.coeffs, (approx.lo, 0))
+    floor = 2.0 ** -43 * float(np.sum(np.abs(coeffs)))
+    if corrector is None:
+        w = weight_poly.coeffs
+        size = max(len(coeffs), len(w))
+        coeffs = np.pad(coeffs, (0, size - len(coeffs))) - np.pad(
+            w, (0, size - len(w)))
     grid = start_grid
     prev = None
     while True:
         theta = 2.0 * np.pi * np.arange(grid) / grid
         nodes = np.exp(1j * theta)
-        diff = np.abs(approx(nodes) - _target_values(corrector, weight_poly, nodes))
-        if np.ndim(diff) == 0:
-            # constant approximant against constant target
-            return float(diff)
+        values = _analytic_values(coeffs, grid)
+        if corrector is not None:
+            values = values - _target_values(corrector, weight_poly, nodes)
+        diff = np.abs(values)
         cur = float(np.max(diff))
-        if (prev is not None and abs(cur - prev) <= 1e-3 * max(cur, 1e-300)) \
-                or grid >= (1 << 16):
+        if (cur <= floor or grid >= (1 << 16) or prev is not None
+                and abs(cur - prev) <= 1e-3 * cur):
             break
         prev = cur
         grid *= 2
@@ -289,11 +349,10 @@ def _defect_sup(approx: LaurentPolynomial, corrector, weight_poly,
     if denom < 0:
         shift = 0.5 * h * (ym - yp) / denom
         shift = float(np.clip(shift, -h, h))
-        node = np.exp(1j * (theta[p] + shift))
-        refined = abs(complex(approx(node))
-                      - complex(_target_values(corrector, weight_poly,
-                                               np.array([node]))[0]))
-        cur = max(cur, refined)
+        node = np.exp(1j * np.array([theta[p] + shift]))
+        refined = abs(_values_at(approx, node)[0]
+                      - _target_values(corrector, weight_poly, node)[0])
+        cur = max(cur, float(refined))
     return cur
 
 
@@ -343,75 +402,98 @@ class PipelineCertificate:
 
 
 def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
-    """Exact integral of |Q|^2/|p|^2 over the circle, Q = sum_k q_k z^k.
+    """Exact integral of |Q|^2/|p|^2 over the circle, Q = sum_k q_k z^k,
+    in fixed point at bits fractional bits; an mpf of context(bits).
 
     p(z) = sum_j conj(c_j) z^j is the weight polynomial that the moment
     table integrates against (see measure_opuc.moment); it is zero-free on
     the closed disk, so Q/p = sum_k a_k z^k there and Parseval gives the
     integral as sum_k |a_k|^2.  The head a_0..a_D, D = deg Q, follows from
-    the recurrence p_0 a_k = q_k - sum_(j=1..d) p_j a_(k-j).  Past D,
-    Q - p A_D = z^(D+1) h with deg h < d, where A_D is the head as a
-    polynomial, so the rest of Q/p is z^(D+1) h/p, orthogonal to A_D: its
-    squared norm is h^H T h, with T the d-by-d Toeplitz block of the
-    moments t_0..t_(d-1).  O(D d + d^2) in all, and nothing is truncated.
+    the recurrence p_0 a_k = q_k - sum_(j=1..d) p_j a_(k-j)
+    (_quotient_series).  Past D, Q - p A_D = z^(D+1) h with deg h < d,
+    where A_D is the head as a polynomial, so the rest of Q/p is
+    z^(D+1) h/p, orthogonal to A_D: its squared norm is h^H T h, with T the
+    d-by-d Toeplitz block of the moments t_0..t_(d-1).  The q_k (mpc) and
+    the moments are read at bits fractional bits, both sums are exact, and
+    the result is rounded once.  O(D d + d^2) in all, and nothing is
+    truncated.
     """
     ctx = context(bits)
-    p = [ctx.conj(ctx.mpc(c)) for c in weight.psi.as_complex128().coeffs]
+    f = bits
+    p = [_fixed_pair(ctx.conj(ctx.mpc(c)), f)
+         for c in weight.psi.as_complex128().coeffs]
     d = len(p) - 1
     top = len(q) - 1
-    rev = p[:0:-1]  # p_d, ..., p_1
-    # a[d + k] = a_k; the d leading zeros stand for a_(-d)..a_(-1)
-    a = [ctx.mpc(0)] * d
-    for qk in q:
-        a.append((qk - ctx.fdot(rev, a[len(a) - d:])) / p[0])
-    head = ctx.fdot(a, a, conjugate=True).real
+    a = _quotient_series([_fixed_pair(c, f) for c in q], p, top + 1, f)
+    a_re, a_im = ([0] * d + list(part) for part in zip(*a))
+    head = sum(map(mul, a_re, a_re)) + sum(map(mul, a_im, a_im))
     if d == 0:
-        return head
-    h = [-ctx.fdot(p[i + 1:], a[top + i + 1:top + d + 1][::-1])
-         for i in range(d)]
-    t = _trig_moments(weight, d - 1, bits)
-    rest = ctx.mpf(0)
-    for r in range(d):
-        for c in range(d):
-            t_cr = t[c - r] if c >= r else ctx.conj(t[r - c])
-            rest += (ctx.conj(h[r]) * h[c] * t_cr).real
-    return head + rest
+        return _to_mpf(ctx, head, -2 * f)
+    p_re, p_im = map(list, zip(*p))
+    half = 1 << (f - 1)
+    # h_i = -sum_j p_(i+1+j) a_(D-j), rounded once to f bits
+    h = [_dot(p_re[i + 1:], p_im[i + 1:], a_re[top + d:top + i:-1],
+              a_im[top + d:top + i:-1]) for i in range(d)]
+    h = [((half - hr) >> f, (half - hi) >> f) for hr, hi in h]
+    t = [_fixed_pair(v, f) for v in _trig_moments(weight, d - 1, bits)[:d]]
+    rest = 0
+    for r, (rr, ri) in enumerate(h):
+        for c, (cr, ci) in enumerate(h):
+            tr, ti = t[c - r] if c >= r else (t[r - c][0], -t[r - c][1])
+            # Re(conj(h_r) h_c t_(c-r)), at 3f
+            rest += (rr * cr + ri * ci) * tr - (rr * ci - ri * cr) * ti
+    return _to_mpf(ctx, (head << f) + rest, -3 * f)
+
+
+def _laurent_value(coeffs: Sequence, lo: int, x: tuple, f: int) -> tuple:
+    """sum_j c_j x^(lo + j) for integer pairs at f fractional bits, c_0
+    first: Horner's rule at x over the exponents >= 0 and at 1/x (rounded
+    once) over the negative ones, so no part divides by a power of x."""
+    if lo > 0:
+        coeffs, lo = [(0, 0)] * lo + list(coeffs), 0
+    neg, pos = coeffs[:-lo], coeffs[-lo:]
+    vr = vi = 0
+    if pos:
+        vr, vi = _horner(pos, x, f)
+    if neg:
+        yr, yi = _reflect(x, f)  # 1/conj(x); 1/x is its conjugate
+        nr, ni = _horner([(0, 0)] + neg[::-1], (yr, -yi), f)
+        vr, vi = vr + nr, vi + ni
+    return vr, vi
 
 
 def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum,
                  competitor: LaurentPolynomial, r_small: LaurentPolynomial,
                  selected: list, tail: list, bits: int):
-    """Norm bookkeeping in extended precision.
+    """Norm bookkeeping in fixed point at bits fractional bits.
 
-    The circle part is the integral of |Q|^2/|p|^2, Q = competitor *
-    z^(-lo) and p(z) = sum_j conj(c_j) z^j the weight polynomial the
-    moment table uses: Parseval on the power series of Q/p plus an exact
-    d-by-d moment block (_circle_norm_sq), O(N d + d^2) for a competitor of
-    span N and a weight of degree d.
-    The circle part and the mass part of the competitor's squared norm are
-    evaluated at the mass points themselves; the inside/tail split is
-    evaluated independently at the reflected points through the
-    un-inverted function.  Reflecting the mass points here, at working
-    precision, makes both evaluations see the same point exactly; their
-    agreement then certifies the reflection step rather than the rounding
-    of the points.
+    The circle part is _circle_norm_sq of Q = competitor * z^(-lo).  The
+    mass part of the competitor's squared norm is evaluated at the mass
+    points themselves; the inside/tail split is evaluated independently at
+    the reflected points through the un-inverted function.  Each value is a
+    two-sided Horner sum (_laurent_value), and each sum of m |value|^2 is
+    exact and rounded once.  Reflecting the mass points here, in the same
+    fixed point, makes both evaluations see the same point up to one
+    rounding; their agreement then certifies the reflection step rather
+    than the rounding of the points.
     """
     ctx = context(bits)
-    competitor = competitor.at_precision(bits)
-    r_small = r_small.at_precision(bits)
+    f = bits
     ac = _circle_norm_sq(weight, competitor.coeffs, bits)
 
-    mass_part = ctx.mpf(0)
-    for z, m in spectrum.masses:
-        mass_part += m * abs(competitor(ctx.mpc(z))) ** 2
-    total_sq = ac + mass_part
+    def mass_sum(poly: LaurentPolynomial, masses: list, reflect: bool):
+        coeffs = [_fixed_pair(c, f) for c in poly.coeffs]
+        total = 0
+        for z, m in masses:
+            x = _fixed_pair(ctx.mpc(z), f)
+            vr, vi = _laurent_value(coeffs, poly.lo,
+                                    _reflect(x, f) if reflect else x, f)
+            total += _fixed(ctx.mpf(m)._mpf_, f) * (vr * vr + vi * vi)
+        return _to_mpf(ctx, total, -3 * f)
 
-    inside = ctx.mpf(0)
-    for z, m in selected:
-        inside += m * abs(r_small(1 / ctx.conj(ctx.mpc(z)))) ** 2
-    tail_sum = ctx.mpf(0)
-    for z, m in tail:
-        tail_sum += m * abs(r_small(1 / ctx.conj(ctx.mpc(z)))) ** 2
+    total_sq = ac + mass_sum(competitor, spectrum.masses, False)
+    inside = mass_sum(r_small, selected, True)
+    tail_sum = mass_sum(r_small, tail, True)
     return (float(ac), float(inside), float(tail_sum),
             float(ctx.sqrt(total_sq)))
 
@@ -420,12 +502,11 @@ def _schwarz_excess(approx: LaurentPolynomial, corrector, weight_poly, n: int,
                     sup_defect: float, seed: int,
                     radii=(0.5, 0.9), count: int = 32) -> float:
     rng = np.random.default_rng(seed)
-    worst = -math.inf
-    for r in radii:
-        pts = r * np.exp(2j * np.pi * rng.random(count))
-        diff = np.abs(approx(pts) - _target_values(corrector, weight_poly, pts))
-        worst = max(worst, float(np.max(diff - sup_defect * r ** n)))
-    return worst
+    r = np.repeat(radii, count)
+    pts = r * np.exp(2j * np.pi * rng.random(r.size))
+    diff = np.abs(_values_at(approx, pts)
+                  - _target_values(corrector, weight_poly, pts))
+    return float(np.max(diff - sup_defect * r ** n))
 
 
 def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
@@ -438,27 +519,29 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     if selected:
         z_max = max(abs(z) for z, _ in selected)
         bits_pipe = max(128, 64 + math.ceil(n * math.log2(z_max)))
+    f = bits_pipe + _GUARD_BITS
     ctx = context(bits_pipe)
     upto = 2 * n - 1 if route == "vp" else n
-    corrector = None
-    if selected:
-        zetas = [1 / ctx.conj(ctx.mpc(z)) for z, _ in selected]
-        corrector = corrector_with_radius(
-            ZeroSet(tuple(complex(zt) for zt in zetas)), radius)
-        base = _bphi_series(zetas, radius, upto, bits_pipe)
-    else:
-        base = np.array([ctx.mpc(1)], dtype=object)
+    zetas = [1 / ctx.conj(ctx.mpc(z)) for z, _ in selected]
+    corrector = corrector_with_radius(ZeroSet(tuple(
+        complex(zt) for zt in zetas)), radius) if selected else None
 
     # the weight polynomial p(z) = sum conj(c_j) z^j, which is psi for real
     # coefficients: the moment table integrates against 1/|p|^2 (see
     # measure_opuc.moment)
-    weight_poly = LaurentPolynomial(
-        0, [ctx.conj(c) for c in weight.psi.at_precision(bits_pipe).coeffs],
+    weight_f = LaurentPolynomial(0, np.conj(weight.psi.as_complex128().coeffs))
+    series = _bphi_series(zetas, radius, upto, f,
+                          [_fixed_pair(ctx.mpc(c), f) for c in weight_f.coeffs])
+    # the kernel's rational multipliers num_j/den on the series, in fixed
+    # point, each coefficient then rounded to bits_pipe
+    klo, khi = kernel_support(kernel)
+    lo, hi = max(0, klo), min(upto, khi)
+    nums, den = _multiplier_scaled(kernel, np.arange(lo, hi + 1))
+    approx = LaurentPolynomial(lo, [
+        _to_mpc(ctx, _rdiv(re * k, den), _rdiv(im * k, den), -f)
+        for (re, im), k in zip(series[lo:hi + 1], nums.tolist())],
         precision=bits_pipe)
-    series = np.convolve(base, weight_poly.coeffs)[: upto + 1]
-    approx = convolve(LaurentPolynomial(0, series, precision=bits_pipe), kernel)
     approx_f = approx.as_complex128()
-    weight_f = weight_poly.as_complex128()
     sup_defect = _defect_sup(approx_f, corrector, weight_f,
                              _next_pow2(max(16 * n, 1024)))
 
@@ -476,7 +559,7 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
 
     ac, inside, tail_sum, total_norm = _norm_pieces(
         weight, spectrum, competitor, r_small, selected, tail,
-        max(precision, bits_pipe + 32))
+        max(precision, f))
 
     c_run = sched.c_bound
     if c_run is None:

@@ -18,6 +18,7 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
+from mpmath.libmp import fzero
 
 from szego_lab.xlinalg import context
 
@@ -60,6 +61,21 @@ def _next_pow2(m: int) -> int:
     return n
 
 
+def _nonzero_ends(arr: np.ndarray) -> tuple | None:
+    """(first, last) index of the nonzero entries of an object array, or
+    None.  Only the ends are looked at, and an mpmath number by its tuple:
+    its __eq__ converts the other operand first."""
+    def nonzero(c) -> bool:
+        t = getattr(c, "_mpc_", None) or getattr(c, "_mpf_", None)
+        return c != 0 if t is None else t not in ((fzero, fzero), fzero)
+
+    first = next((i for i, c in enumerate(arr) if nonzero(c)), None)
+    if first is None:
+        return None
+    return first, next(i for i in range(len(arr) - 1, first - 1, -1)
+                       if nonzero(arr[i]))
+
+
 class LaurentPolynomial:
     """Finite two-sided coefficient sequence c_lo z^lo + ... + c_hi z^hi.
 
@@ -77,13 +93,16 @@ class LaurentPolynomial:
             raise ValueError("coefficients must form a nonempty 1-d sequence")
         if arr.dtype != object:
             arr = arr.astype(np.complex128)
-        nz = np.flatnonzero(arr != 0)
-        if nz.size == 0:
+            nz = np.flatnonzero(arr)
+            ends = (int(nz[0]), int(nz[-1])) if nz.size else None
+        else:
+            ends = _nonzero_ends(arr)
+        if ends is None:
             lo = 0
             arr = np.zeros(1, dtype=np.complex128)
         else:
-            arr = arr[nz[0] : nz[-1] + 1].copy()
-            lo = int(lo) + int(nz[0])
+            arr = arr[ends[0] : ends[1] + 1].copy()
+            lo = int(lo) + ends[0]
         self.lo = int(lo)
         self.coeffs = arr
         self.precision = int(precision)

@@ -47,12 +47,10 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from operator import mul
 from typing import Sequence
 
 import numpy as np
 from mpmath import MPContext
-from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
 
 from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2
 from szego_lab.xlinalg import (
@@ -61,7 +59,13 @@ from szego_lab.xlinalg import (
     HermitianMatrix,
     NotPositiveDefinite,
     PrecisionTag,
-    _fixed,
+    _circle_nodes,
+    _dot,
+    _fixed_pair,
+    _horner,
+    _rdiv,
+    _reflect,
+    _to_mpc,
     constrained_max_leading,
     context,
     next_tag,
@@ -534,37 +538,6 @@ def _reflected_factors(ctx, masses: Sequence) -> list:
     return out
 
 
-def _fixed_pair(z, f: int) -> tuple:
-    """The mpc z times 2^f, each part rounded to an integer."""
-    re, im = z._mpc_
-    return _fixed(re, f), _fixed(im, f)
-
-
-def _circle_nodes(size: int, start: int, step: int, f: int) -> list:
-    """exp(2 pi i p / size) for p = start, start + step, ... below size, as
-    integer pairs at f fractional bits; size is a power of two and step
-    divides size/4.
-
-    Each node of the first quadrant is evaluated at f + 4 bits and rounded
-    once; node p + j size/4 is that node times i^j, an exact swap and
-    negation.  The value depends only on p/size, so every grid that holds a
-    node gives the same pair.
-    """
-    quarter = size // 4
-    scale = size.bit_length() - 2  # 2p/size = p 2^-scale
-    first = []
-    for p in range(start, quarter, step):
-        c, s = mpf_cos_sin_pi(from_man_exp(p, -scale), f + 4, round_nearest)
-        first.append((_fixed(c, f), _fixed(s, f)))
-    return (first + [(-im, re) for re, im in first]
-            + [(-re, -im) for re, im in first] + [(im, -re) for re, im in first])
-
-
-def _rdiv(a: int, b: int) -> int:
-    """a / b rounded to the nearest integer, for b > 0."""
-    return (2 * a + b) // (2 * b)
-
-
 def _node_values(x: tuple, psi: list, factors: list, f: int) -> list:
     """The residue integrand's weights at the node x, in fixed point.
 
@@ -580,12 +553,7 @@ def _node_values(x: tuple, psi: list, factors: list, f: int) -> list:
     """
     one, half = 1 << f, 1 << (f - 1)
     xr, xi = x
-    pr, pi = psi[-1]
-    for cr, ci in psi[-2::-1]:
-        pr, pi = ((pr * xr - pi * xi + (cr << f) + half) >> f,
-                  (pr * xi + pi * xr + (ci << f) + half) >> f)
-    den = pr * pr + pi * pi
-    wr, wi = _rdiv(pr << 2 * f, den), _rdiv(pi << 2 * f, den)
+    wr, wi = _reflect(_horner(psi, x, f), f)
     weights = [(wr, wi)]
     for (zr, zi), (rr, ri) in factors:
         # u = rot (x - zeta) and v = 1 - conj(zeta) x, rounded at f
@@ -694,14 +662,10 @@ class ResidueNodes:
         for p in range(0, self.grid, m):
             if num_re[p] is None:
                 num_re[p], num_im[p] = self._numerator(p)
-        nr, ni = num_re[::m], num_im[::m]
         wr, wi = (col[::m] for col in self._w[k])
-        re = sum(map(mul, nr, wr)) - sum(map(mul, ni, wi))
-        im = sum(map(mul, nr, wi)) + sum(map(mul, ni, wr))
-        e = -2 * self._f - (grid.bit_length() - 1)
-        bits = self.mu.precision
-        return self._ctx.make_mpc((from_man_exp(re, e, bits, round_nearest),
-                                   from_man_exp(im, e, bits, round_nearest)))
+        re, im = _dot(num_re[::m], num_im[::m], wr, wi)
+        return _to_mpc(self._ctx, re, im,
+                       -2 * self._f - (grid.bit_length() - 1))
 
     def _numerator(self, p: int) -> tuple:
         """R_n(x_p) x_p^(-n) of the element in use, the exact dot product of
@@ -711,11 +675,9 @@ class ResidueNodes:
         e0 = self._element.lo - self._n
         idx = [(e * p) % size for e in range(e0, e0 + len(cr))]
         x_re, x_im = self._x
-        xr = [x_re[i] for i in idx]
-        xi = [x_im[i] for i in idx]
+        re, im = _dot(cr, ci, [x_re[i] for i in idx], [x_im[i] for i in idx])
         half = 1 << (f - 1)
-        return ((sum(map(mul, cr, xr)) - sum(map(mul, ci, xi)) + half) >> f,
-                (sum(map(mul, cr, xi)) + sum(map(mul, ci, xr)) + half) >> f)
+        return (re + half) >> f, (im + half) >> f
 
     def _grow(self, grid: int) -> None:
         while self.grid < grid:

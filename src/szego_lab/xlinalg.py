@@ -20,6 +20,14 @@ and rounds it once, and undoes the scaling exactly.  A pivot at or below
 that fixed-point resolution, 2^-(bits + 32) of the scaled diagonal, is not
 told apart from zero and raises NotPositiveDefinite.
 
+The fixed point is one section of helpers, shared with the residue
+quadrature (measure_opuc) and the lower-bound pipeline (asymptotics): a
+real number x is the integer round(x 2^f) at f fractional bits, a complex
+one a pair of them (real, imaginary).  Sums and products of such integers
+are exact; a product goes back to f bits by a rounded shift, a quotient by
+_rdiv, and a result to an mpmath number by one rounding (_to_mpf,
+_to_mpc).
+
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
 it.  An mpmath operation rounds at the context of its left operand, and
@@ -40,7 +48,7 @@ from operator import mul
 from typing import Sequence
 
 from mpmath import MPContext, mp
-from mpmath.libmp import from_man_exp, round_nearest
+from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
 
 __all__ = [
     "PRECISION_BITS",
@@ -166,7 +174,10 @@ class CholeskyFactor:
         return self.rows[i][j]
 
 
-# fractional bits of the fixed-point factorization beyond the tag
+# ----------------------------------------------------------------------
+# fixed point on Python integers (see the module docstring)
+
+# fractional bits of the fixed point beyond the precision of its results
 _GUARD_BITS = 32
 
 
@@ -176,6 +187,79 @@ def _fixed(part: tuple, shift: int) -> int:
     e = exp + shift
     v = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
     return -v if sign else v
+
+
+def _fixed_pair(z, f: int) -> tuple:
+    """The mpc z times 2^f, each part rounded to an integer."""
+    re, im = z._mpc_
+    return _fixed(re, f), _fixed(im, f)
+
+
+def _rdiv(a: int, b: int) -> int:
+    """a / b rounded to the nearest integer, for b > 0."""
+    return (2 * a + b) // (2 * b)
+
+
+def _dot(ar: Sequence, ai: Sequence, br: Sequence, bi: Sequence) -> tuple:
+    """sum_k a_k b_k, exactly, for complex integer vectors a and b given
+    by their real and imaginary parts."""
+    return (sum(map(mul, ar, br)) - sum(map(mul, ai, bi)),
+            sum(map(mul, ar, bi)) + sum(map(mul, ai, br)))
+
+
+def _horner(coeffs: Sequence, x: tuple, f: int) -> tuple:
+    """sum_j c_j x^j for integer pairs at f fractional bits, c_0 first, by
+    Horner's rule with each step rounded to f bits."""
+    half = 1 << (f - 1)
+    xr, xi = x
+    pr, pi = coeffs[-1]
+    for cr, ci in coeffs[-2::-1]:
+        pr, pi = ((pr * xr - pi * xi + (cr << f) + half) >> f,
+                  (pr * xi + pi * xr + (ci << f) + half) >> f)
+    return pr, pi
+
+
+def _reflect(x: tuple, f: int) -> tuple:
+    """1/conj(x) = x/|x|^2 for a nonzero pair at f fractional bits, each
+    part rounded once."""
+    xr, xi = x
+    den = xr * xr + xi * xi
+    return _rdiv(xr << 2 * f, den), _rdiv(xi << 2 * f, den)
+
+
+def _circle_nodes(size: int, start: int, step: int, f: int) -> list:
+    """exp(2 pi i p / size) for p = start, start + step, ... below size, as
+    integer pairs at f fractional bits; size is a power of two and step
+    divides size/4.
+
+    Each node of the first quadrant is evaluated at f + 4 bits and rounded
+    once; node p + j size/4 is that node times i^j, an exact swap and
+    negation.  The value depends only on p/size, so every grid that holds a
+    node gives the same pair.
+    """
+    quarter = size // 4
+    scale = size.bit_length() - 2  # 2p/size = p 2^-scale
+    first = []
+    for p in range(start, quarter, step):
+        c, s = mpf_cos_sin_pi(from_man_exp(p, -scale), f + 4, round_nearest)
+        first.append((_fixed(c, f), _fixed(s, f)))
+    return (first + [(-im, re) for re, im in first]
+            + [(-re, -im) for re, im in first] + [(im, -re) for re, im in first])
+
+
+def _to_mpf(ctx: MPContext, x: int, e: int):
+    """x 2^e rounded once to an mpf of ctx."""
+    return ctx.make_mpf(from_man_exp(x, e, ctx.prec, round_nearest))
+
+
+def _to_mpc(ctx: MPContext, re: int, im: int, e: int):
+    """(re + i im) 2^e, each part rounded once, as an mpc of ctx."""
+    return ctx.make_mpc((from_man_exp(re, e, ctx.prec, round_nearest),
+                         from_man_exp(im, e, ctx.prec, round_nearest)))
+
+
+# ----------------------------------------------------------------------
+# factorizations
 
 
 def cholesky(g: HermitianMatrix) -> CholeskyFactor:
@@ -200,7 +284,7 @@ def cholesky(g: HermitianMatrix) -> CholeskyFactor:
     cols = g.columns
     scale: list[int] = []  # k_i
     res: list[list[int]] = []  # off-diagonal real parts of L_A, per row
-    ims: list[list[int]] = []
+    cims: list[list[int]] = []  # and their negated imaginary parts
     diag: list[int] = []  # l_ii * 2^f
     rows: list[tuple] = []
     for i in range(n):
@@ -216,31 +300,24 @@ def cholesky(g: HermitianMatrix) -> CholeskyFactor:
         for j in range(i):
             a_re, a_im = col_i[j]._mpc_
             shift = f - k_i - scale[j]
-            re_j, im_j = res[j], ims[j]
             # (a_ij 2^f) 2^f - sum_m l_im conj(l_jm) 2^(2f)
-            s_re = (_fixed(a_re, shift) << f) - (sum(map(mul, re_i, re_j))
-                                                 + sum(map(mul, im_i, im_j)))
-            s_im = (_fixed(a_im, shift) << f) - (sum(map(mul, im_i, re_j))
-                                                 - sum(map(mul, re_i, im_j)))
-            d2 = 2 * diag[j]
-            re_i.append((2 * s_re + diag[j]) // d2)
-            im_i.append((2 * s_im + diag[j]) // d2)
+            d_re, d_im = _dot(re_i, im_i, res[j], cims[j])
+            s_re = (_fixed(a_re, shift) << f) - d_re
+            s_im = (_fixed(a_im, shift) << f) - d_im
+            re_i.append(_rdiv(s_re, diag[j]))
+            im_i.append(_rdiv(s_im, diag[j]))
         pivot = (_fixed(d_part, 2 * f - 2 * k_i)
                  - sum(map(mul, re_i, re_i)) - sum(map(mul, im_i, im_i)))
         if pivot <= 1 << f:
-            raise NotPositiveDefinite(
-                i, ctx.make_mpf(from_man_exp(pivot, 2 * k_i - 2 * f, bits,
-                                             round_nearest)))
+            raise NotPositiveDefinite(i, _to_mpf(ctx, pivot, 2 * k_i - 2 * f))
         l_ii = isqrt(pivot)
         res.append(re_i)
-        ims.append(im_i)
+        cims.append([-v for v in im_i])
         diag.append(l_ii)
         e = k_i - f
-        rows.append(tuple(
-            ctx.make_mpc((from_man_exp(re, e, bits, round_nearest),
-                          from_man_exp(im, e, bits, round_nearest)))
-            for re, im in zip(re_i, im_i))
-            + (ctx.make_mpf(from_man_exp(l_ii, e, bits, round_nearest)),))
+        rows.append(tuple(_to_mpc(ctx, re, im, e)
+                          for re, im in zip(re_i, im_i))
+                    + (_to_mpf(ctx, l_ii, e),))
     return CholeskyFactor(tuple(rows), bits)
 
 
@@ -316,28 +393,21 @@ def toeplitz_leading(g: HermitianMatrix):
     err = _fixed(d_part, 2 * f - 2 * s)  # E_k 2^(2f)
     for k in range(n):
         if err <= 1 << f:
-            raise NotPositiveDefinite(
-                k, ctx.make_mpf(from_man_exp(err, 2 * s - 2 * f, bits,
-                                             round_nearest)))
+            raise NotPositiveDefinite(k, _to_mpf(ctx, err, 2 * s - 2 * f))
         if k == n - 1:
             break
         # <z Phi_k, 1> 2^(2f)
-        cr, ci = c_re[: k + 1], c_im[: k + 1]
-        d_re = sum(map(mul, cr, p_re)) - sum(map(mul, ci, p_im))
-        d_im = sum(map(mul, cr, p_im)) + sum(map(mul, ci, p_re))
+        d_re, d_im = _dot(c_re[: k + 1], c_im[: k + 1], p_re, p_im)
         if k < n - 2:
             # gamma_k 2^f; Phi_k^* has the coefficients conj(p_(k-j))
-            e2 = 2 * err
-            g_re = ((d_re << (f + 1)) + err) // e2
-            g_im = ((d_im << (f + 1)) + err) // e2
+            g_re, g_im = _rdiv(d_re << f, err), _rdiv(d_im << f, err)
             q_re, q_im = p_re[::-1], p_im[::-1]
             p_re = [a - ((g_re * qr + g_im * qi + half) >> f)
                     for a, qr, qi in zip([0] + p_re, q_re, q_im)] + [1 << f]
             p_im = [a - ((g_im * qr - g_re * qi + half) >> f)
                     for a, qr, qi in zip([0] + p_im, q_re, q_im)] + [0]
-        err -= (2 * (d_re * d_re + d_im * d_im) + err) // (2 * err)
-    return 1 / ctx.make_mpf(from_man_exp(isqrt(err), s - f, bits,
-                                         round_nearest))
+        err -= _rdiv(d_re * d_re + d_im * d_im, err)
+    return 1 / _to_mpf(ctx, isqrt(err), s - f)
 
 
 def constrained_max_leading(g: HermitianMatrix):

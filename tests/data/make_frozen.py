@@ -47,6 +47,19 @@ OPUC_MEASURES = {
 }
 OPUC_BITS = (53, 128, 256)
 
+with open(os.path.join(HERE, "..", "..", "bench", "defects", "d3-measure.json"),
+          encoding="utf-8") as _fh:
+    D3_MEASURE = json.load(_fh)
+
+# both routes on three measures: the README's two-mass measure at 128 bits,
+# where the norm bookkeeping works at the pipeline's own precision, then the
+# complex two-mass measure and d3 (the README measure at 256 bits)
+PIPELINE_MEASURES = {
+    "readme_two_mass_128": dict(README_TWO_MASS, precision_bits=128),
+    "complex_two_mass": dict(COMPLEX_TWO_MASS, precision_bits=256),
+    "d3": D3_MEASURE,
+}
+
 # file -> (label columns, runs); a run is (labels, manifest, measure or None)
 FROZEN = {
     "vs_bound_frozen.csv": ((), [
@@ -67,6 +80,11 @@ FROZEN = {
                               "which": "both"},
          dict(measure, precision_bits=bits))
         for label, measure in OPUC_MEASURES.items() for bits in OPUC_BITS
+    ]),
+    "pipeline_frozen.csv": (("measure",), [
+        ((label,), {"command": "pipeline", "route": "both",
+                    "n_grid": [8, 16, 32, 64]}, measure)
+        for label, measure in PIPELINE_MEASURES.items()
     ]),
 }
 

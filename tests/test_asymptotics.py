@@ -50,7 +50,7 @@ from szego_lab.measure_opuc import (
     eta_n,
     tau_n,
 )
-from szego_lab.xlinalg import context
+from szego_lab.xlinalg import _to_mpc, context
 
 import szego_lab.asymptotics as asym
 
@@ -255,12 +255,21 @@ def test_partial_product_empty_cap():
 # corrector series
 
 
+def series(zetas, radius, upto, bits):
+    """_bphi_series of the product alone (times 1) at bits fractional bits,
+    each coefficient as an mpc."""
+    ctx = context(bits)
+    return [_to_mpc(ctx, re, im, -bits)
+            for re, im in _bphi_series(zetas, radius, upto, bits,
+                                       [(1 << bits, 0)])]
+
+
 def test_series_dual_route():
     # factor recurrences against sampled-circle Taylor coefficients of the
     # same dilated product
     zetas = [1.0 / (1.5 + 0j).conjugate(), 1.0 / (-1.25 + 0j).conjugate()]
     corr = corrector_with_radius(ZeroSet(tuple(zetas)), 1.0625)
-    s1 = _bphi_series(zetas, 1.0625, 40, 128)
+    s1 = series(zetas, 1.0625, 40, 128)
     s2 = taylor_coeffs(corr, 40, tol=1e-13)
     diff = max(abs(complex(a) - complex(b)) for a, b in zip(s1, s2.coeffs))
     assert diff <= 5e-15
@@ -268,7 +277,7 @@ def test_series_dual_route():
 
 def test_series_constant_term():
     zetas = [2.0 / 3.0, -0.8]
-    s = _bphi_series(zetas, 1.0625, 8, 128)
+    s = series(zetas, 1.0625, 8, 128)
     with mp.workprec(128):
         want = mp.mpf(2.0 / 3.0) * mp.mpf(0.8)
         gap = float(abs(s[0] - want))
@@ -277,7 +286,7 @@ def test_series_constant_term():
 
 
 def test_series_empty_zero_set():
-    s = _bphi_series([], 1.25, 12, 128)
+    s = series([], 1.25, 12, 128)
     assert len(s) == 13
     assert complex(s[0]) == 1.0 + 0.0j
     assert all(complex(c) == 0.0 for c in s[1:])
@@ -351,6 +360,17 @@ def test_empty_spectrum_run():
     assert cert.bookkeeping_gap <= 1e-14
     competitor = approx.times_z_power(-16).conj_reflect()
     assert (competitor.lo, competitor.hi) == (16, 16)
+
+
+def test_mass_free_weight_run_is_exact():
+    # without masses the approximant is the weight polynomial itself, and
+    # one FFT of the coefficient difference reads the defect as exactly 0
+    for route in (vp_approximant, taylor_approximant):
+        approx, cert = route(PointSpectrum.empty(), halving_weight(), 16)
+        assert [complex(c) for c in approx.coeffs] == [1.0, -0.5]
+        assert cert.sup_defect == 0.0
+        assert cert.lower_bound_achieved == pytest.approx(1.0, abs=1e-15)
+        assert cert.bookkeeping_gap <= 1e-14 and cert.schwarz_pass
 
 
 def test_psi_case_certificate(psi16):
@@ -444,7 +464,11 @@ def _captured_runs(monkeypatch, obj):
     real = asym._circle_norm_sq
 
     def spy(weight, q, bits):
-        seen.append((weight, list(q)))
+        # q as the norm's precision holds it: the pipeline hands over the
+        # approximant's own coefficients, in their narrower context, and
+        # mpmath rounds at the context of the left operand
+        ctx = context(bits)
+        seen.append((weight, [ctx.convert(c) for c in q]))
         return real(weight, q, bits)
 
     monkeypatch.setattr(asym, "_circle_norm_sq", spy)

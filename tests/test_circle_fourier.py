@@ -33,6 +33,41 @@ def test_trim_and_canonical_zero():
     assert z.is_zero and z.lo == 0 and len(z.coeffs) == 1
 
 
+def _trim_by_eq(lo, coeffs):
+    """The trim the constructor made through mpmath's __eq__ (arr != 0)."""
+    arr = np.asarray(coeffs, dtype=object)
+    nz = np.flatnonzero(arr != 0)
+    if nz.size == 0:
+        return 0, list(np.zeros(1, dtype=np.complex128))
+    return lo + int(nz[0]), list(arr[nz[0]:nz[-1] + 1])
+
+
+@pytest.mark.parametrize("lo, coeffs", [
+    # mixed mpc, mpf and int zeros at both ends, an interior zero of each
+    (-4, [0, "mpc0", "mpf0", "mpc1", "mpc0", "mpf2", 0, "mpfi", "mpc0", 0]),
+    # a purely imaginary end coefficient is not zero
+    (2, ["mpf0", "mpci", "mpf0"]),
+    # all zero
+    (5, [0, "mpc0", "mpf0", 0.0]),
+    (0, ["mpf0"]),
+    # nothing to trim
+    (-1, ["mpf2", "mpc0", "mpc1"]),
+])
+def test_object_trim_reads_mpmath_tuples(lo, coeffs):
+    ctx = context(128)
+    values = {"mpc0": ctx.mpc(0), "mpf0": ctx.mpf(0), "mpc1": ctx.mpc(1, -2),
+              "mpf2": ctx.mpf(2), "mpfi": ctx.mpf(3) / 7, "mpci": ctx.mpc(0, 1)}
+    arr = np.array([values.get(c, c) if isinstance(c, str) else c
+                    for c in coeffs], dtype=object)
+    f = LaurentPolynomial(lo, arr, precision=128)
+    want_lo, want = _trim_by_eq(lo, arr)
+    assert (f.lo, f.precision) == (want_lo, 128)
+    assert len(f.coeffs) == len(want)
+    assert all(type(a) is type(b) and a == b for a, b in zip(f.coeffs, want))
+    assert f.is_zero == (want == [0j])
+    assert f.coeffs.dtype == (np.complex128 if f.is_zero else object)
+
+
 def test_eval_against_naive():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(7) + 1j * rng.standard_normal(7)

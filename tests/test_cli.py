@@ -9,6 +9,7 @@ four classes, and byte determinism is checked serial and threaded.
 import csv
 import importlib.util
 import json
+import math
 import os
 import subprocess
 import sys
@@ -363,6 +364,52 @@ def test_opuc_matches_frozen_csv(capsys):
             assert new[key] == old[key], where
         for key in ("tau_n", "eta_n", "tau_error", "eta_error"):
             assert abs(float(new[key]) - float(old[key])) <= 2.0 ** -50, (where, key)
+
+
+# pipeline_frozen.csv columns within 1e-13 relative; the other columns but
+# sup_defect and schwarz_excess are integers, bools and doubles from
+# unchanged double-precision code, and match byte for byte
+PIPELINE_CLOSE_COLUMNS = ("ac_norm", "inside_mass_sum", "tail_mass_sum",
+                          "total_norm", "lower_bound_achieved", "leading_gap")
+
+
+def test_pipeline_matches_frozen_csv(capsys):
+    # pipeline_frozen.csv holds both routes at n = 8, 16, 32, 64 on three
+    # measures, as the code before the fixed-point pipeline wrote them
+    # (make_frozen.py).  The approximant's coefficients are now rounded
+    # once from fixed point instead of by mpmath recurrences; both round at
+    # the pipeline's working bits, and values at the mass points see that
+    # rounding amplified by |z|^n to about 2^-64 of the coefficient scale,
+    # so a mass sum m |v|^2 moves by up to 2^-63 sqrt of itself, which the
+    # relative bound misses only for sums below ~1e-26.  sup_defect and
+    # schwarz_excess are maxima of |approximant - target| sampled in double
+    # precision, now with FFT values on the defect grid and power sums at
+    # the Schwarz points: they agree to 4e-15 absolute, 16 units of
+    # rounding of the size-one values they are differences of
+    make_frozen = _make_frozen()
+    name = "pipeline_frozen.csv"
+    got = make_frozen.frozen_text(
+        name, lambda command, manifest: main([command, "--manifest", manifest]))
+    capsys.readouterr()
+    with open(os.path.join(make_frozen.HERE, name), encoding="utf-8",
+              newline="") as fh:
+        want = fh.read()
+    assert got.splitlines()[0] == want.splitlines()[0]
+    got_rows = list(csv.DictReader(got.splitlines()))
+    want_rows = list(csv.DictReader(want.splitlines()))
+    assert len(got_rows) == len(want_rows) == 24
+    for new, old in zip(got_rows, want_rows):
+        where = (old["measure"], old["route"], old["n"])
+        for key in old:
+            a, b = new[key], old[key]
+            if key in ("sup_defect", "schwarz_excess"):
+                assert abs(float(a) - float(b)) <= 4e-15, (where, key)
+            elif key in PIPELINE_CLOSE_COLUMNS:
+                a, b = float(a), float(b)
+                floor = 2.0 ** -63 * math.sqrt(abs(b)) if "mass" in key else 0.0
+                assert abs(a - b) <= 1e-13 * abs(b) + floor, (where, key)
+            else:
+                assert a == b, (where, key)
 
 
 def test_log_condition_artifacts(tmp_path, capsys):

@@ -64,3 +64,14 @@ def test_every_exported_name_resolves(module):
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
 
+
+
+@pytest.mark.parametrize("name", ["_fixed", "_fixed_pair", "_rdiv",
+                                  "_circle_nodes"])
+def test_fixed_point_helpers_are_defined_once(name):
+    # one implementation per idea: each fixed-point helper has one home
+    homes = [module for module in MODULES
+             if any(isinstance(node, ast.FunctionDef) and node.name == name
+                    for node in ast.walk(ast.parse(
+                        (SRC / f"{module}.py").read_text(encoding="utf-8"))))]
+    assert homes == ["xlinalg"]

@@ -18,6 +18,13 @@ from szego_lab.xlinalg import (
     solve_lower,
     solve_upper_conj,
     toeplitz_leading,
+    _dot,
+    _fixed,
+    _fixed_pair,
+    _horner,
+    _rdiv,
+    _reflect,
+    _to_mpc,
 )
 
 
@@ -415,3 +422,67 @@ def test_escalation_is_explicit():
     bits = next_tag(53)
     l = cholesky(from_rows(rows, bits))
     assert l.dim == 2
+
+
+# ------------------------------------------------------------- fixed point
+
+
+def test_fixed_rounds_ties_up_and_negatives_by_magnitude():
+    ctx = context(53)
+    # 2.5, 3.5, -2.5 and -2.25 at 0 fractional bits: a tie rounds its
+    # magnitude up, and the sign is applied after rounding
+    assert [_fixed(ctx.mpf(x)._mpf_, 0) for x in (2.5, 3.5, -2.5, -2.25)] \
+        == [3, 4, -3, -2]
+    assert _fixed(ctx.mpf(0.375)._mpf_, 4) == 6  # exact
+    assert _fixed(ctx.mpf(-0.375)._mpf_, 2) == -2  # -1.5 -> -2
+    assert _fixed(ctx.mpf(0)._mpf_, 40) == 0
+    assert _fixed_pair(ctx.mpc(1.25, -0.75), 2) == (5, -3)
+
+
+def test_rdiv_rounds_to_nearest_with_ties_up():
+    assert [_rdiv(a, 4) for a in (5, 6, 7, -5, -6, -7)] \
+        == [1, 2, 2, -1, -1, -2]
+    assert [_rdiv(a, 3) for a in (4, 5, -4, -5)] == [1, 2, -1, -2]
+    assert _rdiv(10 ** 40 + 1, 10 ** 40) == 1
+    rng = np.random.default_rng(3)
+    for a, b in zip(rng.integers(-10 ** 9, 10 ** 9, 200),
+                    rng.integers(1, 10 ** 6, 200)):
+        q = _rdiv(int(a), int(b))
+        assert abs(2 * (int(a) - q * int(b))) <= int(b)
+
+
+def test_fixed_point_horner_and_reflection_against_mpmath():
+    # the integer complex Horner rounds each step at f bits, so at f = 288
+    # it agrees with a 512-bit mpmath Horner to about 2^-280
+    f = 288
+    ctx = context(512)
+    rng = np.random.default_rng(5)
+    coeffs = [ctx.mpc(complex(a, b)) for a, b in rng.standard_normal((40, 2))]
+    pairs = [_fixed_pair(c, f) for c in coeffs]
+    for x in (ctx.mpc(0.3, -0.8), ctx.mpc(-1.1, 0.4), ctx.mpc(0.97, 0.2)):
+        want = ctx.mpc(0)
+        for c in reversed(coeffs):
+            want = want * x + c
+        got = _to_mpc(ctx, *_horner(pairs, _fixed_pair(x, f), f), -f)
+        assert abs(got - want) <= ctx.mpf(2) ** -270 * (1 + abs(want))
+        refl = _to_mpc(ctx, *_reflect(_fixed_pair(x, f), f), -f)
+        assert abs(refl - 1 / ctx.conj(x)) <= ctx.mpf(2) ** (1 - f) * 4
+
+
+def test_exact_dot_against_fdot():
+    # _dot is exact, so rounded once it is fdot's correctly rounded sum
+    ctx = context(128)
+    f = 100
+    rng = np.random.default_rng(9)
+    a = [complex(u, v) for u, v in rng.standard_normal((50, 2))]
+    b = [complex(u, v) for u, v in rng.standard_normal((50, 2))]
+    ar, ai = zip(*(_fixed_pair(ctx.mpc(z), f) for z in a))
+    br, bi = zip(*(_fixed_pair(ctx.mpc(z), f) for z in b))
+    got = _to_mpc(ctx, *_dot(ar, ai, br, bi), -2 * f)
+    wide = context(1024)
+    want = wide.fdot([wide.mpc(z) for z in a], [wide.mpc(z) for z in b])
+    assert got == ctx.mpc(want)
+    assert abs(got - ctx.fdot([ctx.mpc(z) for z in a],
+                              [ctx.mpc(z) for z in b])) \
+        <= ctx.mpf(2) ** -120 * abs(want)
+    assert _dot([], [], [], []) == (0, 0)
