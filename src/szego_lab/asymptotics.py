@@ -20,8 +20,9 @@ is always 0.
 
 The exact part runs on Python integers at bits_pipe + 32 fractional bits
 (xlinalg's fixed point): the product's series, the kernel's rational
-multipliers and the norm bookkeeping, each output rounded once.  The
-defect is sampled in double precision, on FFT grids.
+multipliers, whose outputs are the certified approximant, and the norm
+bookkeeping, each output rounded once.  The defect is sampled on FFT grids,
+from the approximant's complex128 image.
 """
 
 from __future__ import annotations
@@ -68,7 +69,6 @@ from szego_lab.xlinalg import (
     _rdiv,
     _reflect,
     _to_mpf,
-    _to_mpc,
     context,
 )
 
@@ -402,8 +402,8 @@ class PipelineCertificate:
 
 
 def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
-    """Exact integral of |Q|^2/|p|^2 over the circle, Q = sum_k q_k z^k,
-    in fixed point at bits fractional bits; an mpf of context(bits).
+    """Exact integral of |Q|^2/|p|^2 over the circle, Q = sum_k q_k z^k with
+    the q_k integer pairs at bits fractional bits; an mpf of context(bits).
 
     p(z) = sum_j conj(c_j) z^j is the weight polynomial that the moment
     table integrates against (see measure_opuc.moment); it is zero-free on
@@ -413,10 +413,9 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
     (_quotient_series).  Past D, Q - p A_D = z^(D+1) h with deg h < d,
     where A_D is the head as a polynomial, so the rest of Q/p is
     z^(D+1) h/p, orthogonal to A_D: its squared norm is h^H T h, with T the
-    d-by-d Toeplitz block of the moments t_0..t_(d-1).  The q_k (mpc) and
-    the moments are read at bits fractional bits, both sums are exact, and
-    the result is rounded once.  O(D d + d^2) in all, and nothing is
-    truncated.
+    d-by-d Toeplitz block of the moments t_0..t_(d-1).  The moments are
+    read at bits fractional bits, both sums are exact, and the result is
+    rounded once.  O(D d + d^2) in all, and nothing is truncated.
     """
     ctx = context(bits)
     f = bits
@@ -424,7 +423,7 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
          for c in weight.psi.as_complex128().coeffs]
     d = len(p) - 1
     top = len(q) - 1
-    a = _quotient_series([_fixed_pair(c, f) for c in q], p, top + 1, f)
+    a = _quotient_series(q, p, top + 1, f)
     a_re, a_im = ([0] * d + list(part) for part in zip(*a))
     head = sum(map(mul, a_re, a_re)) + sum(map(mul, a_im, a_im))
     if d == 0:
@@ -447,10 +446,9 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
 
 def _laurent_value(coeffs: Sequence, lo: int, x: tuple, f: int) -> tuple:
     """sum_j c_j x^(lo + j) for integer pairs at f fractional bits, c_0
-    first: Horner's rule at x over the exponents >= 0 and at 1/x (rounded
-    once) over the negative ones, so no part divides by a power of x."""
-    if lo > 0:
-        coeffs, lo = [(0, 0)] * lo + list(coeffs), 0
+    first, and lo <= 0 <= lo + len(coeffs): Horner's rule at x over the
+    exponents >= 0 and at 1/x (rounded once) over the negative ones, so no
+    part divides by a power of x."""
     neg, pos = coeffs[:-lo], coeffs[-lo:]
     vr = vi = 0
     if pos:
@@ -462,38 +460,40 @@ def _laurent_value(coeffs: Sequence, lo: int, x: tuple, f: int) -> tuple:
     return vr, vi
 
 
-def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum,
-                 competitor: LaurentPolynomial, r_small: LaurentPolynomial,
-                 selected: list, tail: list, bits: int):
+def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum, r_small: list,
+                 lo: int, selected: list, tail: list, bits: int):
     """Norm bookkeeping in fixed point at bits fractional bits.
 
-    The circle part is _circle_norm_sq of Q = competitor * z^(-lo).  The
-    mass part of the competitor's squared norm is evaluated at the mass
-    points themselves; the inside/tail split is evaluated independently at
-    the reflected points through the un-inverted function.  Each value is a
-    two-sided Horner sum (_laurent_value), and each sum of m |value|^2 is
-    exact and rounded once.  Reflecting the mass points here, in the same
-    fixed point, makes both evaluations see the same point up to one
-    rounding; their agreement then certifies the reflection step rather
-    than the rounding of the points.
+    r_small lists the pairs of z^lo, z^(lo+1), ...; the competitor,
+    conj(r_small(1/conj(z))), lists their conjugates in reverse.  The
+    circle part is the competitor's _circle_norm_sq.  The mass part of its
+    squared norm is evaluated at the mass points themselves; the
+    inside/tail split is evaluated independently at the reflected points
+    through r_small.  Each value is a two-sided Horner sum
+    (_laurent_value), and each sum of m |value|^2 is exact and rounded
+    once.  Reflecting the mass points here, in the same fixed point, makes
+    both evaluations see the same point up to one rounding; their
+    agreement then certifies the reflection step rather than the rounding
+    of the points.
     """
     ctx = context(bits)
     f = bits
-    ac = _circle_norm_sq(weight, competitor.coeffs, bits)
+    competitor = [(re, -im) for re, im in reversed(r_small)]
+    ac = _circle_norm_sq(weight, competitor, bits)
 
-    def mass_sum(poly: LaurentPolynomial, masses: list, reflect: bool):
-        coeffs = [_fixed_pair(c, f) for c in poly.coeffs]
+    def mass_sum(coeffs: list, lo: int, masses: list, reflect: bool):
         total = 0
         for z, m in masses:
             x = _fixed_pair(ctx.mpc(z), f)
-            vr, vi = _laurent_value(coeffs, poly.lo,
+            vr, vi = _laurent_value(coeffs, lo,
                                     _reflect(x, f) if reflect else x, f)
             total += _fixed(ctx.mpf(m)._mpf_, f) * (vr * vr + vi * vi)
         return _to_mpf(ctx, total, -3 * f)
 
-    total_sq = ac + mass_sum(competitor, spectrum.masses, False)
-    inside = mass_sum(r_small, selected, True)
-    tail_sum = mass_sum(r_small, tail, True)
+    total_sq = ac + mass_sum(competitor, 1 - lo - len(r_small),
+                             spectrum.masses, False)
+    inside = mass_sum(r_small, lo, selected, True)
+    tail_sum = mass_sum(r_small, lo, tail, True)
     return (float(ac), float(inside), float(tail_sum),
             float(ctx.sqrt(total_sq)))
 
@@ -532,17 +532,17 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     weight_f = LaurentPolynomial(0, np.conj(weight.psi.as_complex128().coeffs))
     series = _bphi_series(zetas, radius, upto, f,
                           [_fixed_pair(ctx.mpc(c), f) for c in weight_f.coeffs])
-    # the kernel's rational multipliers num_j/den on the series, in fixed
-    # point, each coefficient then rounded to bits_pipe
+    # the kernel's rational multipliers num_j/den on the series, each
+    # coefficient rounded once to f bits: the certified approximant
     klo, khi = kernel_support(kernel)
     lo, hi = max(0, klo), min(upto, khi)
     nums, den = _multiplier_scaled(kernel, np.arange(lo, hi + 1))
-    approx = LaurentPolynomial(lo, [
-        _to_mpc(ctx, _rdiv(re * k, den), _rdiv(im * k, den), -f)
-        for (re, im), k in zip(series[lo:hi + 1], nums.tolist())],
-        precision=bits_pipe)
-    approx_f = approx.as_complex128()
-    sup_defect = _defect_sup(approx_f, corrector, weight_f,
+    coeffs = [(_rdiv(re * k, den), _rdiv(im * k, den))
+              for (re, im), k in zip(series[lo:hi + 1], nums.tolist())]
+    scale = 1 << f
+    approx = LaurentPolynomial(lo, [complex(re / scale, im / scale)
+                                    for re, im in coeffs])
+    sup_defect = _defect_sup(approx, corrector, weight_f,
                              _next_pow2(max(16 * n, 1024)))
 
     count = len(selected)
@@ -550,16 +550,15 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     m_radius = radius ** count * float(np.max(np.abs(weight_f(rho_nodes))))
     apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
 
-    r_small = approx.times_z_power(-n)
-    competitor = r_small.conj_reflect()
-
     b_full = math.prod(abs(z) for z, _ in _reflected_pairs(spectrum))
     target0 = b_full * weight.psi0
     leading_gap = abs(complex(approx.coefficient(0)) - target0)
 
+    # r_small = approx z^(-n): exponents lo-n <= 0 <= hi-n, at the norm's bits
+    bits = max(precision, f)
+    r_small = [(re << (bits - f), im << (bits - f)) for re, im in coeffs]
     ac, inside, tail_sum, total_norm = _norm_pieces(
-        weight, spectrum, competitor, r_small, selected, tail,
-        max(precision, f))
+        weight, spectrum, r_small, lo - n, selected, tail, bits)
 
     c_run = sched.c_bound
     if c_run is None:
@@ -570,8 +569,7 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     except OverflowError:
         majorant = math.inf if tail_mu else 0.0
 
-    excess = _schwarz_excess(approx_f, corrector, weight_f, n, sup_defect,
-                             seed)
+    excess = _schwarz_excess(approx, corrector, weight_f, n, sup_defect, seed)
     cert = PipelineCertificate(
         route=route, n=n, selection_cap=cap, margin_reciprocal=margin,
         radius=radius, selected_count=count, sup_defect=sup_defect,
@@ -590,7 +588,8 @@ def vp_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     """Kernel-convolution approximant and its certificate (Laurent route).
 
     The multiplier is flat through order n and vanishes beyond 2n, so the
-    competitor has exponent support inside [-(n-1), n].
+    competitor, conj(approx(1/conj(z))) z^n, has exponent support inside
+    [-(n-1), n].  The approximant is the certified one's complex128 image.
     """
     sched = sched or ScheduleParams.default()
     return _run_pipeline(spectrum, weight, n, sched, modified_vp(n), "vp",
@@ -604,7 +603,7 @@ def taylor_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
 
     Requires the near-circle mass tails to pass the slow-decay report for
     at least one exponent; the competitor is a polynomial with support in
-    [0, n].
+    [0, n].  The approximant is the certified one's complex128 image.
     """
     sched = sched or ScheduleParams.default()
     if len(spectrum):

@@ -151,19 +151,6 @@ class LaurentPolynomial:
             acc = acc * z**self.lo
         return acc
 
-    def times_z_power(self, m: int) -> "LaurentPolynomial":
-        return LaurentPolynomial(self.lo + m, self.coeffs, self.precision)
-
-    def conj_reflect(self) -> "LaurentPolynomial":
-        """conj(f(1/conj(z))): coefficient at j becomes conj(c_{-j})."""
-        if self.coeffs.dtype == object:
-            ctx = context(self.precision)
-            rev = np.array([ctx.conj(c) for c in self.coeffs[::-1]],
-                           dtype=object)
-        else:
-            rev = np.conj(self.coeffs[::-1])
-        return LaurentPolynomial(-self.hi, rev, self.precision)
-
     @classmethod
     def zero(cls) -> "LaurentPolynomial":
         return cls(0, [0.0])

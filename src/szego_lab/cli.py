@@ -45,6 +45,7 @@ from szego_lab.blaschke import (
 )
 from szego_lab.circle_fourier import KernelDomainError, kernel_identity_vk_vpn
 from szego_lab.measure_opuc import (
+    FieldError,
     MeasureSpec,
     PrecisionExhausted,
     QuadratureError,
@@ -75,12 +76,8 @@ _DEFAULT_GRIDS = {
 _NEEDS_MEASURE = ("opuc", "pipeline", "residue-check", "log-condition")
 
 
-class ManifestError(ValueError):
+class ManifestError(FieldError):
     """Invalid manifest or input file; carries the offending field name."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(message)
-        self.field = field_name
 
 
 @dataclass
@@ -125,6 +122,8 @@ def _int_tuple(key, val, minimum=1):
         out = tuple(int(v) for v in val)
     except (TypeError, ValueError) as exc:
         raise ManifestError(key, "expected a list of integers") from exc
+    if not out:
+        raise ManifestError(key, "must not be empty")
     if any(v < minimum for v in out):
         raise ManifestError(key, f"entries must be at least {minimum}")
     return out
@@ -251,13 +250,9 @@ def _load_measure(man: RunManifest) -> MeasureSpec:
             obj = json.load(fh)
     except json.JSONDecodeError as exc:
         raise ManifestError("measure_file", f"not valid JSON: {exc}") from exc
-    try:
-        mu = MeasureSpec.from_json(obj)
-    except KeyError as exc:
-        raise ManifestError(str(exc.args[0]), "missing measure field") from exc
-    except (TypeError, ValueError) as exc:
-        bad = "masses" if "mass" in str(exc) else "psi"
-        raise ManifestError(bad, str(exc)) from exc
+    if not isinstance(obj, dict):
+        raise ManifestError("measure_file", "top level must be a JSON object")
+    mu = MeasureSpec.from_json(obj)
     if man.precision_bits is not None and man.precision_bits != mu.precision:
         mu = MeasureSpec(mu.weight, mu.spectrum, man.precision_bits)
     return mu
@@ -342,17 +337,11 @@ def _write_outputs(man: RunManifest, columns, rows, extra: dict) -> dict:
         report["reproducibility"] = _reproducibility(man)
         json_path = os.path.join(man.out_dir, "report.json")
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2, default=_jsonable)
+            json.dump(report, fh, indent=2)
             fh.write("\n")
     except OSError as exc:
         raise ManifestError("out_dir", str(exc)) from exc
     return {"csv": csv_path, "json": json_path, "rows": len(rows)}
-
-
-def _jsonable(value):
-    if isinstance(value, tuple):
-        return list(value)
-    raise TypeError(f"not JSON serializable: {type(value).__name__}")
 
 
 @functools.cache
@@ -455,10 +444,8 @@ def _run_besov(man: RunManifest):
 
 def _run_opuc(man: RunManifest):
     mu = man.measure
-    if man.pipeline:
-        low = min(man.n_grid)
-        if low < 8:
-            raise ManifestError("n_grid", "pipeline lower bounds need n >= 8")
+    if man.pipeline and min(man.n_grid) < 8:
+        raise ManifestError("n_grid", "pipeline lower bounds need n >= 8")
     rec = convergence_experiment(mu, man.n_grid, which=man.which,
                                  pipeline=man.pipeline, sched=man.schedule,
                                  seed=man.seed)
@@ -576,7 +563,9 @@ def _emit_error(code: int, exc: Exception) -> None:
     print(json.dumps(payload))
 
 
-def main(argv=None) -> int:
+@functools.cache
+def _parser() -> argparse.ArgumentParser:
+    """Built once, on first use: a build costs about thirty parses."""
     parser = argparse.ArgumentParser(
         prog="szego-lab",
         description="Certificate sweeps, kernel checks, and convergence "
@@ -590,14 +579,18 @@ def main(argv=None) -> int:
         sp.add_argument("--precision-bits", type=int, default=None,
                         dest="precision_bits")
         sp.add_argument("--oversample", type=int, default=None)
-    args = parser.parse_args(argv)
+    return parser
+
+
+def main(argv=None) -> int:
+    args = _parser().parse_args(argv)
     overrides = {"out": args.out, "seed": args.seed,
                  "precision_bits": args.precision_bits,
                  "oversample": args.oversample}
     try:
         man = load_manifest(args.command, args.manifest, overrides)
         result = run(man)
-    except ManifestError as exc:
+    except FieldError as exc:  # ManifestError, or a measure file's field
         _emit_error(2, exc)
         return 2
     except (ScheduleViolation, LogConditionFailed) as exc:

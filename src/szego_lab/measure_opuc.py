@@ -77,6 +77,7 @@ __all__ = [
     "OuterWeight",
     "PointSpectrum",
     "MeasureSpec",
+    "FieldError",
     "ResidueNodes",
     "QuadratureError",
     "PrecisionExhausted",
@@ -90,6 +91,14 @@ __all__ = [
     "residue_identity_check",
     "log_condition_report",
 ]
+
+
+class FieldError(ValueError):
+    """Invalid input: a missing or malformed field, named by field."""
+
+    def __init__(self, field_name: str, message: str):
+        super().__init__(message)
+        self.field = field_name
 
 
 class QuadratureError(ArithmeticError):
@@ -189,10 +198,21 @@ class MeasureSpec:
 
     @classmethod
     def from_json(cls, obj: dict) -> "MeasureSpec":
-        psi = LaurentPolynomial(0, [complex(re, im) for re, im in obj["psi"]])
-        masses = tuple((complex(re, im), float(m)) for re, im, m in obj.get("masses", []))
-        return cls(OuterWeight(psi), PointSpectrum(masses),
-                   int(obj.get("precision_bits", 256)))
+        """The measure a JSON object describes; FieldError names a missing
+        or malformed field."""
+        key = "psi"
+        try:
+            weight = OuterWeight(LaurentPolynomial(
+                0, [complex(re, im) for re, im in obj[key]]))
+            key = "masses"
+            spectrum = PointSpectrum(tuple(
+                (complex(re, im), float(m)) for re, im, m in obj.get(key, [])))
+            key = "precision_bits"
+            return cls(weight, spectrum, int(obj.get(key, 256)))
+        except KeyError as exc:
+            raise FieldError(key, "missing measure field") from exc
+        except (TypeError, ValueError) as exc:
+            raise FieldError(key, str(exc)) from exc
 
 
 def target_limit(mu: MeasureSpec) -> float:

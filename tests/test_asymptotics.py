@@ -20,6 +20,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 from mpmath import mp
+from mpmath.libmp import from_man_exp
 
 from szego_lab.asymptotics import (
     LogConditionFailed,
@@ -50,7 +51,7 @@ from szego_lab.measure_opuc import (
     eta_n,
     tau_n,
 )
-from szego_lab.xlinalg import _to_mpc, context
+from szego_lab.xlinalg import _fixed_pair, _to_mpc, context
 
 import szego_lab.asymptotics as asym
 
@@ -321,9 +322,10 @@ def test_vp_certificate_two_mass(vp64):
 
 
 def test_vp_competitor_support(vp64):
+    # the competitor is conj(approx(1/conj(z))) z^n
     approx, _ = vp64
-    competitor = approx.times_z_power(-64).conj_reflect()
-    assert (competitor.lo, competitor.hi) == (-63, 64)
+    assert approx.coeffs.dtype == np.complex128
+    assert (64 - approx.hi, 64 - approx.lo) == (-63, 64)
 
 
 def test_vp_dominated_by_exact_optimum(vp64):
@@ -345,9 +347,8 @@ def test_taylor_certificate_two_mass(ty64):
 
 def test_taylor_competitor_support(ty64):
     approx, _ = ty64
-    competitor = approx.times_z_power(-64).conj_reflect()
-    assert (competitor.lo, competitor.hi) == (0, 64)
-    top = complex(competitor.coeffs[-1])
+    assert (64 - approx.hi, 64 - approx.lo) == (0, 64)
+    top = complex(approx.coefficient(0)).conjugate()
     assert abs(top.imag) <= 1e-12
     assert top.real == pytest.approx(8.0 / 15.0, rel=1e-12)
 
@@ -358,8 +359,7 @@ def test_empty_spectrum_run():
     assert cert.total_norm == pytest.approx(1.0, abs=1e-12)
     assert cert.sup_defect == 0.0
     assert cert.bookkeeping_gap <= 1e-14
-    competitor = approx.times_z_power(-16).conj_reflect()
-    assert (competitor.lo, competitor.hi) == (16, 16)
+    assert (16 - approx.hi, 16 - approx.lo) == (16, 16)
 
 
 def test_mass_free_weight_run_is_exact():
@@ -401,6 +401,31 @@ def test_tail_case_n8():
     assert cert.bookkeeping_gap <= 1e-12
     assert cert.schwarz_pass
     assert cert.lower_bound_achieved <= ETA8_TWO_MASS
+
+
+def test_tail_only_run():
+    # the one mass reflects above the selection threshold, so nothing is
+    # selected: the approximant is 1 and the tail sum m |z|^(2n) is read at
+    # the reflected point through r_small = z^(-n)
+    for route in (vp_approximant, taylor_approximant):
+        _, cert = route(PointSpectrum(((1.02, 0.3),)), ONE, 16)
+        assert cert.selected_count == 0
+        assert cert.tail_mass_sum == pytest.approx(0.3 * 1.02 ** 32,
+                                                   rel=1e-14)
+        assert cert.bookkeeping_gap <= 1e-14
+
+
+@pytest.mark.parametrize("lo", [-3, -1, 0])
+def test_laurent_value_against_mpmath(lo):
+    # exponents lo..lo+2: negative up to -1, straddling 0, and from 0
+    f = 128
+    ctx = context(256)
+    cs = [ctx.mpc(1, 2), ctx.mpc(-0.5, 0.25), ctx.mpc(0.125, -1)]
+    x = ctx.mpc(0.7, -0.4)
+    got = asym._laurent_value([_fixed_pair(c, f) for c in cs], lo,
+                              _fixed_pair(x, f), f)
+    want = sum(c * x ** (lo + j) for j, c in enumerate(cs))
+    assert abs(_to_mpc(ctx, *got, -f) - want) <= 1e-35
 
 
 def test_bookkeeping_gap_off_the_real_axis():
@@ -457,19 +482,22 @@ def _double_sum_circle_norm(weight, q, bits):
 
 
 def _captured_runs(monkeypatch, obj):
-    """(cert, weight, q) per run of both routes at n = 16, 32, 64, with q
-    the coefficients the pipeline hands to the circle norm."""
+    """(cert, weight, q, norm) per run of both routes at n = 16, 32, 64,
+    with q the exact values of the integer pairs the pipeline hands to the
+    circle norm, and norm what the circle norm returned."""
     mu = MeasureSpec.from_json(obj)
     seen = []
     real = asym._circle_norm_sq
 
     def spy(weight, q, bits):
-        # q as the norm's precision holds it: the pipeline hands over the
-        # approximant's own coefficients, in their narrower context, and
-        # mpmath rounds at the context of the left operand
+        # mpc values in context(bits), as mpmath rounds at the context of
+        # the left operand
         ctx = context(bits)
-        seen.append((weight, [ctx.convert(c) for c in q]))
-        return real(weight, q, bits)
+        norm = real(weight, q, bits)
+        seen.append((weight, [ctx.make_mpc((from_man_exp(re, -bits),
+                                            from_man_exp(im, -bits)))
+                              for re, im in q], norm))
+        return norm
 
     monkeypatch.setattr(asym, "_circle_norm_sq", spy)
     out = []
@@ -485,8 +513,7 @@ def _captured_runs(monkeypatch, obj):
     CONST_THREE_MASS_MEASURE, NEAR_ROOT_MEASURE,
 ], ids=["d3", "complex_psi", "const_three_mass", "near_root"])
 def test_circle_norm_matches_the_double_sum(monkeypatch, obj):
-    for cert, weight, q in _captured_runs(monkeypatch, obj):
-        new = asym._circle_norm_sq(weight, q, 256)
+    for cert, weight, q, new in _captured_runs(monkeypatch, obj):
         old = _double_sum_circle_norm(weight, q, 256)
         assert abs(new - old) <= 1e-60 * abs(old)
         assert float(old) == cert.ac_norm
@@ -494,7 +521,7 @@ def test_circle_norm_matches_the_double_sum(monkeypatch, obj):
 
 def test_circle_norm_matches_a_grid_mean(monkeypatch):
     nodes = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
-    for cert, weight, q in _captured_runs(monkeypatch, COMPLEX_PSI_MEASURE):
+    for cert, weight, q, _ in _captured_runs(monkeypatch, COMPLEX_PSI_MEASURE):
         qf = LaurentPolynomial(0, [complex(c) for c in q])
         pf = LaurentPolynomial(0, np.conj(weight.psi.as_complex128().coeffs))
         mean = float(np.mean(np.abs(qf(nodes)) ** 2 / np.abs(pf(nodes)) ** 2))

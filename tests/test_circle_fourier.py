@@ -77,19 +77,6 @@ def test_eval_against_naive():
         assert abs(f(z) - naive) < 1e-12 * max(1.0, abs(naive))
 
 
-def test_conj_reflect():
-    f = LaurentPolynomial(-1, [1j, 2.0, 3.0 - 1j])
-    r = f.conj_reflect()
-    assert r.lo == -1
-    assert r.coefficient(-1) == 3.0 + 1j
-    assert r.coefficient(0) == 2.0
-    assert r.coefficient(1) == -1j
-    # on the circle, r(z) == conj(f(z))
-    for th in (0.1, 2.2, 4.0):
-        z = np.exp(1j * th)
-        assert abs(r(z) - np.conj(f(z))) < 1e-12
-
-
 def test_at_precision_rounds_evaluation_not_coefficients():
     ctx = context(256)
     coeffs = [ctx.mpc(j + 1, -j) / 3 for j in range(7)]  # 256-bit mantissas

@@ -534,6 +534,22 @@ def test_input_error_cases(tmp_path, capsys):
     expect_field({"command": "opuc"}, "command", command="besov")
     expect_field({"measure_file": measure, "k_list": [0, 1, 2, 3]}, "k_list",
                  command="residue-check")
+    # explicit empty lists
+    expect_field({"n_grid": []}, "n_grid", command="vs-bound")
+    expect_field({"smoothness": []}, "smoothness", command="vs-bound")
+    expect_field({"measure_file": measure, "n_grid": []}, "n_grid",
+                 command="residue-check")
+    expect_field({"measure_file": measure, "k_list": []}, "k_list",
+                 command="residue-check")
+    # malformed measure files name the key the error came from
+    for obj, field in ((dict(TWO_MASS_JSON, precision_bits=100),
+                        "precision_bits"),
+                       (dict(TWO_MASS_JSON, precision_bits="abc"),
+                        "precision_bits"),
+                       (dict(TWO_MASS_JSON, masses=[[2.0, 0.0]]), "masses"),
+                       ([TWO_MASS_JSON], "measure_file")):
+        bad_measure = write_json(tmp_path / "bad_mu.json", obj)
+        expect_field({"measure_file": bad_measure}, field)
     # manifest that is not JSON at all
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -3,16 +3,21 @@
 Each module of src/szego_lab is parsed with ast.  An import whose bound
 name never appears in the module, as a name or in the module's __all__, is
 debris a deletion left behind.  Every name that a module's __all__ (and
-the package's) exports must resolve.
+the package's) exports must resolve.  A function, method or class that no
+other package code refers to, that no __all__ lists and that the README's
+"API kept on purpose" list does not name is dead code.
 """
 
 import ast
 import importlib
+import re
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).parents[1] / "src" / "szego_lab"
+README = Path(__file__).parents[1] / "README.md"
 MODULES = sorted(p.stem for p in SRC.glob("*.py"))
 
 
@@ -75,3 +80,58 @@ def test_fixed_point_helpers_are_defined_once(name):
                     for node in ast.walk(ast.parse(
                         (SRC / f"{module}.py").read_text(encoding="utf-8"))))]
     assert homes == ["xlinalg"]
+
+
+def _references(node: ast.AST) -> Counter:
+    """How often each name occurs under node as a name, an attribute, an
+    imported name or a whole string constant."""
+    out = Counter()
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name):
+            out[n.id] += 1
+        elif isinstance(n, ast.Attribute):
+            out[n.attr] += 1
+        elif isinstance(n, ast.alias):
+            out[n.name] += 1
+        elif isinstance(n, ast.Constant) and isinstance(n.value, str):
+            out[n.value] += 1
+    return out
+
+
+def _definitions(body: list, prefix: str = "") -> list:
+    """(qualified name, node) of each module-level function and class and
+    of each class member, dunders excepted."""
+    out = []
+    for node in body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            if not (node.name.startswith("__") and node.name.endswith("__")):
+                out.append((prefix + node.name, node))
+            if isinstance(node, ast.ClassDef):
+                out += _definitions(node.body, f"{prefix}{node.name}.")
+    return out
+
+
+def _kept_on_purpose() -> set:
+    """The names the README's "API kept on purpose" list gives: each item
+    starts with them, in backquotes, before any colon."""
+    text = README.read_text(encoding="utf-8")
+    section = text.split("## API kept on purpose", 1)[1].split("\n## ", 1)[0]
+    heads = re.findall(r"^- ((?:[^:\n]|\n  )*)", section, re.M)
+    return {name for head in heads for name in re.findall(r"`([^`]+)`", head)}
+
+
+def test_every_definition_is_used_or_kept_on_purpose():
+    trees = [ast.parse((SRC / f"{m}.py").read_text(encoding="utf-8"))
+             for m in MODULES]
+    refs = sum((_references(tree) for tree in trees), Counter())
+    exported = set().union(*map(_exported, trees))
+    kept = _kept_on_purpose()
+    defined, unused = set(), []
+    for tree in trees:
+        for qualname, node in _definitions(tree.body):
+            defined.add(qualname)
+            outside = refs[node.name] - _references(node)[node.name]
+            if not outside and node.name not in exported and qualname not in kept:
+                unused.append(qualname)
+    assert unused == []
+    assert sorted(kept - defined) == []
