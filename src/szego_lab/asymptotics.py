@@ -221,11 +221,14 @@ def _selection(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
     if n < 8:
         raise ValueError("pipelines need n >= 8")
     a, eps = sched.a(n), sched.eps(n)
+    name = f"schedule {sched.eps_fn.family}/{sched.a_fn.family}"
+    if not math.isfinite(a * eps * n):
+        raise ScheduleViolation(f"{name} overflows the selection cap at n={n}")
     cap = math.floor(a * eps * n)
     if cap < 1:
-        raise ScheduleViolation(
-            f"schedule {sched.eps_fn.family}/{sched.a_fn.family} "
-            f"gives an empty selection cap at n={n}")
+        raise ScheduleViolation(f"{name} gives an empty selection cap at n={n}")
+    if not math.isfinite(a * cap):
+        raise ScheduleViolation(f"{name} overflows the dilation margin at n={n}")
     margin = math.ceil(a * cap)
     radius = 1.0 + 1.0 / margin
     masses = list(spectrum.masses)
@@ -419,8 +422,7 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
     """
     ctx = context(bits)
     f = bits
-    p = [_fixed_pair(ctx.conj(ctx.mpc(c)), f)
-         for c in weight.psi.as_complex128().coeffs]
+    p = [_fixed_pair(ctx.conj(ctx.mpc(c)), f) for c in weight.psi.coeffs]
     d = len(p) - 1
     top = len(q) - 1
     a = _quotient_series(q, p, top + 1, f)
@@ -529,7 +531,7 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     # the weight polynomial p(z) = sum conj(c_j) z^j, which is psi for real
     # coefficients: the moment table integrates against 1/|p|^2 (see
     # measure_opuc.moment)
-    weight_f = LaurentPolynomial(0, np.conj(weight.psi.as_complex128().coeffs))
+    weight_f = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
     series = _bphi_series(zetas, radius, upto, f,
                           [_fixed_pair(ctx.mpc(c), f) for c in weight_f.coeffs])
     # the kernel's rational multipliers num_j/den on the series, each

@@ -514,11 +514,10 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
     of |B phi0| there) with its certified upper bound sup_phi_upper,
     phi0_err = |phi0(0) - 1|, and for each s in s_list ratio_s{s} =
     sup |(B phi0)^(s)| / n^s with ratio_s{s}_upper, besov_ratio_s{s} =
-    besov_seminorm(Taylor truncation, s, inf) / n^s and the a-priori Cauchy
-    bound deriv_apriori_s{s}.  Each value <= true sup <= its upper (see
-    _sampled_sups).  The upper bounds count rounding (_series_error); a
-    value may exceed the sup by its own rounding, about u R^n per Taylor
-    coefficient amplified by the falling factorials.
+    besov_seminorm(Taylor truncation, s, inf) / n^s.  Each value <= true
+    sup <= its upper (see _sampled_sups).  The upper bounds count rounding
+    (_series_error); a value may exceed the sup by its own rounding, about
+    u R^n per Taylor coefficient amplified by the falling factorials.
     """
     n = c.n
     trunc, sups = _sampled_sups(c, (0, *s_list), oversample)
@@ -534,7 +533,6 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
         scale = float(n) ** s
         record[f"ratio_s{s}"] = sups[s].value / scale
         record[f"ratio_s{s}_upper"] = sups[s].upper / scale
-        record[f"deriv_apriori_s{s}"] = _derivative_apriori(c, s, oversample)
         besov = max((2.0 ** (k * s) * norm for k, norm in blocks), default=0.0)
         record[f"besov_ratio_s{s}"] = besov / scale
     return record

@@ -18,9 +18,6 @@ from fractions import Fraction
 from typing import NamedTuple
 
 import numpy as np
-from mpmath.libmp import fzero
-
-from szego_lab.xlinalg import context
 
 __all__ = [
     "LaurentPolynomial",
@@ -61,51 +58,29 @@ def _next_pow2(m: int) -> int:
     return n
 
 
-def _nonzero_ends(arr: np.ndarray) -> tuple | None:
-    """(first, last) index of the nonzero entries of an object array, or
-    None.  Only the ends are looked at, and an mpmath number by its tuple:
-    its __eq__ converts the other operand first."""
-    def nonzero(c) -> bool:
-        t = getattr(c, "_mpc_", None) or getattr(c, "_mpf_", None)
-        return c != 0 if t is None else t not in ((fzero, fzero), fzero)
-
-    first = next((i for i, c in enumerate(arr) if nonzero(c)), None)
-    if first is None:
-        return None
-    return first, next(i for i in range(len(arr) - 1, first - 1, -1)
-                       if nonzero(arr[i]))
-
-
 class LaurentPolynomial:
     """Finite two-sided coefficient sequence c_lo z^lo + ... + c_hi z^hi.
 
-    Coefficients are stored contiguously.  dtype is complex128 for the
-    53-bit tag; higher precision tags store mpmath complex numbers in an
-    object array.  Construction trims exact zeros at both ends; the zero
-    polynomial is canonically lo=0, coeffs=[0].
+    Coefficients are stored contiguously as complex128.  Construction trims
+    exact zeros at both ends; the zero polynomial is canonically lo=0,
+    coeffs=[0].
     """
 
-    __slots__ = ("lo", "coeffs", "precision")
+    __slots__ = ("lo", "coeffs")
 
-    def __init__(self, lo: int, coeffs, precision: int = 53):
-        arr = np.asarray(coeffs)
+    def __init__(self, lo: int, coeffs):
+        arr = np.asarray(coeffs, dtype=np.complex128)
         if arr.ndim != 1 or arr.size == 0:
             raise ValueError("coefficients must form a nonempty 1-d sequence")
-        if arr.dtype != object:
-            arr = arr.astype(np.complex128)
-            nz = np.flatnonzero(arr)
-            ends = (int(nz[0]), int(nz[-1])) if nz.size else None
-        else:
-            ends = _nonzero_ends(arr)
-        if ends is None:
+        nz = np.flatnonzero(arr)
+        if nz.size == 0:
             lo = 0
             arr = np.zeros(1, dtype=np.complex128)
         else:
-            arr = arr[ends[0] : ends[1] + 1].copy()
-            lo = int(lo) + ends[0]
+            arr = arr[nz[0] : nz[-1] + 1].copy()
+            lo = int(lo) + int(nz[0])
         self.lo = int(lo)
         self.coeffs = arr
-        self.precision = int(precision)
 
     # ------------------------------------------------------------------
     @property
@@ -125,25 +100,8 @@ class LaurentPolynomial:
             return self.coeffs[j - self.lo]
         return 0.0 + 0.0j
 
-    def as_complex128(self) -> "LaurentPolynomial":
-        if self.coeffs.dtype == np.complex128:
-            return self
-        arr = np.array([complex(c) for c in self.coeffs], dtype=np.complex128)
-        return LaurentPolynomial(self.lo, arr, precision=53)
-
-    def at_precision(self, bits: int) -> "LaurentPolynomial":
-        """The same coefficients in context(bits), converted without
-        rounding, so that evaluating the result rounds at bits."""
-        ctx = context(bits)
-        arr = np.array([ctx.convert(c) for c in self.coeffs], dtype=object)
-        return LaurentPolynomial(self.lo, arr, bits)
-
     def __call__(self, z):
-        """Evaluate by two-sided Horner; z may be a scalar or ndarray.
-
-        The running value is the left operand of every step, so object
-        coefficients round at their own context (see at_precision).
-        """
+        """Evaluate by two-sided Horner; z may be a scalar or ndarray."""
         acc = self.coeffs[-1]
         for c in self.coeffs[-2::-1]:
             acc = acc * z + c
@@ -156,7 +114,7 @@ class LaurentPolynomial:
         return cls(0, [0.0])
 
     def __repr__(self) -> str:  # pragma: no cover
-        return f"LaurentPolynomial(lo={self.lo}, hi={self.hi}, precision={self.precision})"
+        return f"LaurentPolynomial(lo={self.lo}, hi={self.hi})"
 
 
 # ----------------------------------------------------------------------
@@ -308,7 +266,7 @@ def convolve(f: LaurentPolynomial, spec: KernelSpec) -> LaurentPolynomial:
         return LaurentPolynomial.zero()
     mults = _multiplier_array(spec, lo, hi)
     chunk = f.coeffs[lo - f.lo : hi - f.lo + 1]
-    return LaurentPolynomial(lo, chunk * mults, f.precision)
+    return LaurentPolynomial(lo, chunk * mults)
 
 
 def kernel_identity_vk_vpn(k: int, n: int) -> bool:
@@ -365,10 +323,9 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
-    g = f.as_complex128()
-    if g.is_zero:
+    if f.is_zero:
         return SupBound(0.0, 0.0)
-    c = g.coeffs
+    c = f.coeffs
     d = len(c) - 1
     m = _next_pow2(max(oversample * (d + 1), 64))
     js = np.arange(d + 1, dtype=np.float64)
@@ -423,17 +380,16 @@ def lp_norm(f: LaurentPolynomial, p) -> float:
     p=2 is Parseval, exact from coefficients; p=1 uses grid quadrature with
     at least 8 nodes per coefficient; p=inf delegates to sup_norm.
     """
-    g = f.as_complex128()
     if p == 2:
-        return float(np.sqrt(np.sum(np.abs(g.coeffs) ** 2)))
+        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
     if p == 1:
-        if g.is_zero:
+        if f.is_zero:
             return 0.0
-        m = _next_pow2(max(8 * (g.span + 1), 256))
-        vals = _analytic_values(g.coeffs, m)
+        m = _next_pow2(max(8 * (f.span + 1), 256))
+        vals = _analytic_values(f.coeffs, m)
         return float(np.mean(np.abs(vals)))
     if p in (np.inf, float("inf"), "inf"):
-        return sup_norm(g)
+        return sup_norm(f)
     raise ValueError("p must be 1, 2 or inf")
 
 
@@ -444,19 +400,18 @@ def _besov_blocks(f: LaurentPolynomial, p) -> list[tuple[int, float]]:
     carried by 1 + z.  Only analytic inputs (nonnegative exponents) are
     accepted.
     """
-    g = f.as_complex128()
-    if g.is_zero:
+    if f.is_zero:
         return []
-    if g.lo < 0:
+    if f.lo < 0:
         raise ValueError("besov seminorm requires nonnegative exponents")
     blocks = []
     n = 0
     while True:
         spec = vallee_poussin(n)
         lo_s, _ = kernel_support(spec)
-        if lo_s > g.hi:
+        if lo_s > f.hi:
             break
-        block = convolve(g, spec)
+        block = convolve(f, spec)
         if not block.is_zero:
             blocks.append((n, lp_norm(block, p)))
         n += 1

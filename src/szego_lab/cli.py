@@ -182,6 +182,8 @@ def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifes
         man.kinds = (str(obj["kind"]),)
     if "kinds" in obj:
         man.kinds = tuple(str(k) for k in obj["kinds"])
+        if not man.kinds:
+            raise ManifestError("kinds", "must not be empty")
     for k in man.kinds:
         if k not in ZERO_KINDS:
             raise ManifestError("kinds", f"unknown zero-set kind {k!r}")
@@ -227,8 +229,13 @@ def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifes
         val = overrides.get(key)
         if val is not None:
             setattr(man, "out_dir" if key == "out" else key, val)
+    if man.seed < 0:
+        raise ManifestError("seed", "must be at least 0")
     if man.oversample < 4:
         raise ManifestError("oversample", "must be at least 4")
+    # the dilation radius 1 + epsilon/n must be told apart from 1
+    if command == "vs-bound" and 1.0 + man.epsilon / max(man.n_grid) == 1.0:
+        raise ManifestError("epsilon", "too small for the largest n")
     if man.precision_bits is not None:
         try:
             PrecisionTag(man.precision_bits)

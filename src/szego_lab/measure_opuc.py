@@ -130,7 +130,7 @@ class OuterWeight:
     delta_floor: float = field(init=False)
 
     def __post_init__(self):
-        p = self.psi.as_complex128()
+        p = self.psi
         if p.lo < 0:
             raise ValueError("weight must have nonnegative exponents only")
         c0 = complex(p.coefficient(0))
@@ -151,7 +151,7 @@ class OuterWeight:
         return float(self.psi.coefficient(0).real)
 
     def coeff_key(self) -> tuple:
-        return tuple(complex(c) for c in self.psi.as_complex128().coeffs)
+        return tuple(complex(c) for c in self.psi.coeffs)
 
     @classmethod
     def constant_one(cls) -> "OuterWeight":
@@ -191,8 +191,7 @@ class MeasureSpec:
         PrecisionTag(self.precision)
 
     def to_json(self) -> dict:
-        p = self.weight.psi.as_complex128()
-        psi = [[float(c.real), float(c.imag)] for c in p.coeffs]
+        psi = [[float(c.real), float(c.imag)] for c in self.weight.psi.coeffs]
         masses = [[z.real, z.imag, m] for z, m in self.spectrum.masses]
         return {"psi": psi, "masses": masses, "precision_bits": self.precision}
 
@@ -277,7 +276,7 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> list:
     if cached is not None and len(cached) > m_max:
         return cached
     ctx = context(bits + 32)
-    coeffs = list(weight.psi.as_complex128().at_precision(bits + 32).coeffs)
+    coeffs = [ctx.mpc(c) for c in weight.psi.coeffs]
     t = (list(cached) if cached is not None
          else _bernstein_szego_head(coeffs, bits + 32))
     for k in range(len(t), m_max + 1):
@@ -426,7 +425,7 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int):
     factorization of [[S, f], [f^H, 1]].
     """
     ctx = context(bits)
-    psi = mu.weight.psi.as_complex128().at_precision(bits)
+    psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
     # per mass: z; p(z), phi_(n+1)(z) and phi_n(z) times |z|^-(n+1); and
     # 1/m times |z|^-2(n+1) (the shift reweights m)
     points = []
@@ -434,9 +433,9 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int):
         z = ctx.mpc(z)
         r = 1 / abs(z)
         scale = r ** (n + 1)
-        f = z ** n * scale * psi(1 / z)
-        points.append((z, scale * ctx.conj(psi(ctx.conj(z))), f * z, f,
-                       r ** (2 * (n + 1 - shift)) / m))
+        f = z ** n * scale * ctx.polyval(psi, 1 / z)
+        points.append((z, scale * ctx.conj(ctx.polyval(psi, ctx.conj(z))),
+                       f * z, f, r ** (2 * (n + 1 - shift)) / m))
     # lower triangle of [[S, f], [f^H, 1]], factored in place
     mat = []
     for i, (z_i, p_i, phi_i, _, inv_m) in enumerate(points):
@@ -523,24 +522,20 @@ def eta_n(mu: MeasureSpec, n: int):
     return _gram_leading(mu, n, laurent=True)
 
 
-def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> LaurentPolynomial:
-    """The orthonormal element itself, coefficients at working precision.
+def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> tuple:
+    """The orthonormal element itself: its coefficients of z^lo..z^n, mpc
+    at working precision, with lo = -(n - 1) for the Laurent element and 0
+    for the polynomial.
 
-    Obtained as the witness of the constrained extremal problem, so the z^n
-    coefficient is real positive and equals tau_n (or eta_n).
+    The witness of the constrained extremal problem, untrimmed: the last
+    entry, the z^n coefficient, is real positive and equals tau_n (or
+    eta_n).
     """
     lo = -(n - 1) if laurent else 0
     if laurent and n < 1:
         raise ValueError("laurent elements need n >= 1")
-
-    def solve(bits):
-        g = _gram_from_exponents(mu, range(lo, n + 1), bits)
-        _, wit = constrained_max_leading(g)
-        arr = np.empty(len(wit), dtype=object)
-        arr[:] = wit
-        return LaurentPolynomial(lo, arr, precision=bits)
-
-    return _escalate(mu, n, solve)
+    return _escalate(mu, n, lambda bits: constrained_max_leading(
+        _gram_from_exponents(mu, range(lo, n + 1), bits))[1])
 
 
 # ----------------------------------------------------------------------
@@ -641,8 +636,7 @@ class ResidueNodes:
         self._ctx = context(mu.precision)
         self._f = f = mu.precision + _GUARD_BITS
         wide = context(f + 4)
-        self._psi = [_fixed_pair(wide.mpc(c), f)
-                     for c in mu.weight.psi.as_complex128().coeffs]
+        self._psi = [_fixed_pair(wide.mpc(c), f) for c in mu.weight.psi.coeffs]
         self._factors = [(_fixed_pair(zeta, f), _fixed_pair(rot, f))
                          for zeta, rot in _reflected_factors(wide, masses)]
         # node, weight and numerator columns: real and imaginary parts
@@ -657,16 +651,18 @@ class ResidueNodes:
     def grid(self) -> int:
         return len(self._x[0])
 
-    def use(self, element: LaurentPolynomial, n: int) -> LaurentPolynomial:
-        """Make element, the Laurent element of degree n, the one whose
-        numerators the table holds; returns it at the measure's precision."""
+    def use(self, element: tuple, n: int) -> tuple:
+        """Make element, the Laurent element of degree n (its coefficients
+        of z^-(n-1)..z^n), the one whose numerators the table holds.
+
+        Returns its coefficients moved into the measure's context without
+        rounding, so that arithmetic on them rounds at the measure's
+        precision even when the element was solved at an escalated one.
+        """
         if element is not self._given:
             self._given, self._n = element, n
-            self._element = element.at_precision(self.mu.precision)
-            # wide enough to hold every coefficient unrounded
-            wide = context(max(self._f, element.precision))
-            pairs = [_fixed_pair(wide.mpc(c), self._f)
-                     for c in self._element.coeffs]
+            self._element = tuple(map(self._ctx.convert, element))
+            pairs = [_fixed_pair(c, self._f) for c in element]
             self._coeffs = tuple(map(list, zip(*pairs)))
             self._num = [[None] * self.grid, [None] * self.grid]
         return self._element
@@ -692,7 +688,7 @@ class ResidueNodes:
         its coefficients with table nodes rounded once to f bits."""
         size, f = self.grid, self._f
         cr, ci = self._coeffs
-        e0 = self._element.lo - self._n
+        e0 = 1 - 2 * self._n
         idx = [(e * p) % size for e in range(e0, e0 + len(cr))]
         x_re, x_im = self._x
         re, im = _dot(cr, ci, [x_re[i] for i in idx], [x_im[i] for i in idx])
@@ -720,7 +716,7 @@ class ResidueNodes:
 
 
 def residue_identity_check(mu: MeasureSpec, n: int, k: int,
-                           element: LaurentPolynomial | None = None,
+                           element: tuple | None = None,
                            nodes: ResidueNodes | None = None) -> dict:
     """Contour-integral identity for the Laurent element R_n and the first k
     masses.
@@ -730,8 +726,8 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     RHS: eta_n/(B^k(0) psi(0)) minus the residue sum at the first k mass
     points.  Returns both sides, their gap, and the Cauchy-Schwarz majorant
     of the residue sum.  element is orthonormal_element(mu, n, laurent=True),
-    solved here when not given; a caller checking several k at one n solves
-    it once.  nodes is a ResidueNodes table of mu, built here when not
+    the 2n coefficients of z^-(n-1)..z^n, solved here when not given; a
+    caller checking several k at one n solves it once.  nodes is a ResidueNodes table of mu, built here when not
     given; a caller checking several (n, k) shares one, so each node's
     psi and Blaschke values are computed once and its element value once
     per n.  The record is the same bit for bit either way.
@@ -751,14 +747,14 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     ctx = context(bits)
     if element is None:
         element = orthonormal_element(mu, n, laurent=True)
-    elif element.hi != n or element.lo < -(n - 1):
-        # exact zeros are trimmed, so lo may sit above -(n - 1)
+    elif len(element) != 2 * n:
         raise ValueError("element must be the Laurent element of degree n")
-    # an escalated element keeps its coefficients but is evaluated at bits
-    r_elem = nodes.use(element, n)
-    psi = mu.weight.psi.as_complex128().at_precision(bits)
+    # an escalated element keeps its coefficients but is evaluated at bits;
+    # Horner in ctx.polyval wants them highest first
+    r_elem = nodes.use(element, n)[::-1]
+    psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
     factors = _reflected_factors(ctx, pts)
-    eta = r_elem.coefficient(n).real
+    eta = r_elem[0].real
 
     # closed-form side
     b0 = ctx.mpf(1)
@@ -775,8 +771,8 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
                 deriv *= ctx.conj(rot_j) * (1 - ctx.conj(zeta_j) * zi) / (zi - zeta_j)
         if deriv == 0:
             raise ValueError("degenerate double point in the reflected product")
-        denom = deriv * ctx.conj(psi(zeta_i)) * zi ** (n + 1)
-        rhs -= r_elem(zi) / denom
+        denom = deriv * ctx.conj(ctx.polyval(psi, zeta_i)) * zi ** (n + 1)
+        rhs -= ctx.polyval(r_elem, zi) * zi ** (1 - n) / denom
         majorant += 1 / (abs(denom) ** 2 * mass)
 
     # quadrature side: each doubling of the grid evaluates only its odd

@@ -523,7 +523,7 @@ def test_circle_norm_matches_a_grid_mean(monkeypatch):
     nodes = np.exp(2j * np.pi * np.arange(1 << 14) / (1 << 14))
     for cert, weight, q, _ in _captured_runs(monkeypatch, COMPLEX_PSI_MEASURE):
         qf = LaurentPolynomial(0, [complex(c) for c in q])
-        pf = LaurentPolynomial(0, np.conj(weight.psi.as_complex128().coeffs))
+        pf = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
         mean = float(np.mean(np.abs(qf(nodes)) ** 2 / np.abs(pf(nodes)) ** 2))
         assert mean == pytest.approx(cert.ac_norm, rel=1e-10)
 

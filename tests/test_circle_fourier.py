@@ -1,7 +1,6 @@
 import numpy as np
 import pytest
 from fractions import Fraction
-from mpmath import mp
 
 from szego_lab.circle_fourier import (
     KernelDomainError,
@@ -19,7 +18,6 @@ from szego_lab.circle_fourier import (
     sup_norm_certified,
     vallee_poussin,
 )
-from szego_lab.xlinalg import context
 
 
 # ---------------------------------------------------------------- polynomials
@@ -33,41 +31,6 @@ def test_trim_and_canonical_zero():
     assert z.is_zero and z.lo == 0 and len(z.coeffs) == 1
 
 
-def _trim_by_eq(lo, coeffs):
-    """The trim the constructor made through mpmath's __eq__ (arr != 0)."""
-    arr = np.asarray(coeffs, dtype=object)
-    nz = np.flatnonzero(arr != 0)
-    if nz.size == 0:
-        return 0, list(np.zeros(1, dtype=np.complex128))
-    return lo + int(nz[0]), list(arr[nz[0]:nz[-1] + 1])
-
-
-@pytest.mark.parametrize("lo, coeffs", [
-    # mixed mpc, mpf and int zeros at both ends, an interior zero of each
-    (-4, [0, "mpc0", "mpf0", "mpc1", "mpc0", "mpf2", 0, "mpfi", "mpc0", 0]),
-    # a purely imaginary end coefficient is not zero
-    (2, ["mpf0", "mpci", "mpf0"]),
-    # all zero
-    (5, [0, "mpc0", "mpf0", 0.0]),
-    (0, ["mpf0"]),
-    # nothing to trim
-    (-1, ["mpf2", "mpc0", "mpc1"]),
-])
-def test_object_trim_reads_mpmath_tuples(lo, coeffs):
-    ctx = context(128)
-    values = {"mpc0": ctx.mpc(0), "mpf0": ctx.mpf(0), "mpc1": ctx.mpc(1, -2),
-              "mpf2": ctx.mpf(2), "mpfi": ctx.mpf(3) / 7, "mpci": ctx.mpc(0, 1)}
-    arr = np.array([values.get(c, c) if isinstance(c, str) else c
-                    for c in coeffs], dtype=object)
-    f = LaurentPolynomial(lo, arr, precision=128)
-    want_lo, want = _trim_by_eq(lo, arr)
-    assert (f.lo, f.precision) == (want_lo, 128)
-    assert len(f.coeffs) == len(want)
-    assert all(type(a) is type(b) and a == b for a, b in zip(f.coeffs, want))
-    assert f.is_zero == (want == [0j])
-    assert f.coeffs.dtype == (np.complex128 if f.is_zero else object)
-
-
 def test_eval_against_naive():
     rng = np.random.default_rng(11)
     c = rng.standard_normal(7) + 1j * rng.standard_normal(7)
@@ -75,27 +38,6 @@ def test_eval_against_naive():
     for z in [0.3 + 0.4j, 1.0 + 0.0j, np.exp(0.7j), 2.0 - 1.0j]:
         naive = sum(c[i] * z ** (i - 2) for i in range(7))
         assert abs(f(z) - naive) < 1e-12 * max(1.0, abs(naive))
-
-
-def test_at_precision_rounds_evaluation_not_coefficients():
-    ctx = context(256)
-    coeffs = [ctx.mpc(j + 1, -j) / 3 for j in range(7)]  # 256-bit mantissas
-    f = LaurentPolynomial(-3, np.array(coeffs, dtype=object), precision=256)
-    z = context(128).mpc(0.6, 0.7) / 7
-    got = f.at_precision(128)(z)
-    # reference: the Horner loop at an ambient precision of 128 bits over
-    # the unrounded coefficients
-    with mp.workprec(256):
-        ref_coeffs = [mp.mpc(c) for c in coeffs]
-    with mp.workprec(128):
-        x = mp.mpc(z)
-        acc = ref_coeffs[-1]
-        for c in ref_coeffs[-2::-1]:
-            acc = acc * x + c
-        ref = acc * x ** -3
-    assert got._mpc_ == ref._mpc_
-    assert got.context.prec == 128
-    assert f(z)._mpc_ != got._mpc_  # the 256-bit evaluation differs
 
 
 # ------------------------------------------------------------------- kernels

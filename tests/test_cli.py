@@ -471,6 +471,16 @@ def test_oversample_minimum(tmp_path, capsys, oversample, code):
         assert error_payload(out)["field"] == "oversample"
 
 
+def test_tiny_epsilon_writes_its_row(tmp_path, capsys):
+    # R - 1 = epsilon/n = 1.25e-13: no step of the certificate sizes a grid
+    # by 1/(R - 1)
+    man = write_json(tmp_path / "man.json", {
+        "n_grid": [8], "epsilon": 1e-12, "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "vs-bound", "--manifest", man)
+    assert code == 0, out
+    assert len(read_rows(str(tmp_path / "out"))) == 1
+
+
 def test_seed_flag_shifts_sweep(tmp_path, capsys):
     man_obj = {"n_grid": [4], "kinds": ["uniform_disk"]}
     man = write_json(tmp_path / "man.json",
@@ -541,6 +551,16 @@ def test_input_error_cases(tmp_path, capsys):
                  command="residue-check")
     expect_field({"measure_file": measure, "k_list": []}, "k_list",
                  command="residue-check")
+    expect_field({"n_grid": [8], "kinds": []}, "kinds", command="vs-bound")
+    # negative seeds, from the manifest of each command that draws with one
+    expect_field({"n_grid": [8], "seed": -3}, "seed", command="vs-bound")
+    expect_field({"measure_file": measure, "n_grid": [8], "seed": -3},
+                 "seed", command="pipeline")
+    expect_field({"measure_file": measure, "pipeline": True, "seed": -3},
+                 "seed")
+    # 1 + epsilon/n rounds to 1, so the dilation radius is not above 1
+    expect_field({"n_grid": [8], "epsilon": 1e-20}, "epsilon",
+                 command="vs-bound")
     # malformed measure files name the key the error came from
     for obj, field in ((dict(TWO_MASS_JSON, precision_bits=100),
                         "precision_bits"),
@@ -556,6 +576,11 @@ def test_input_error_cases(tmp_path, capsys):
     code, out = run_main(capsys, "opuc", "--manifest", str(bad))
     assert code == 2
     assert error_payload(out)["field"] == "manifest"
+    # a negative seed from the flag
+    man = write_json(tmp_path / "man.json", {"n_grid": [8]})
+    code, out = run_main(capsys, "vs-bound", "--manifest", man, "--seed", "-1")
+    assert code == 2, out
+    assert error_payload(out)["field"] == "seed"
 
 
 def test_schedule_violation_exit_code(tmp_path, capsys):
@@ -576,6 +601,15 @@ def test_schedule_violation_exit_code(tmp_path, capsys):
                      "a": {"family": "half_loglog"}},
         "out_dir": str(tmp_path / "out2")})
     assert run_main(capsys, "pipeline", "--manifest", man2)[0] == 0
+    # a schedule whose selection cap overflows a float
+    man3 = write_json(tmp_path / "man3.json", {
+        "measure_file": measure, "n_grid": [8],
+        "schedule": {"eps": {"family": "constant"},
+                     "a": {"family": "constant", "scale": 1e300}},
+        "out_dir": str(tmp_path / "out3")})
+    code, out = run_main(capsys, "pipeline", "--manifest", man3)
+    assert code == 4, out
+    assert error_payload(out)["type"] == "ScheduleViolation"
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):

@@ -70,6 +70,27 @@ def test_every_exported_name_resolves(module):
     assert missing == []
 
 
+def imported_modules(source: str) -> set:
+    """The top-level and package modules a module imports, by dotted name."""
+    out = set()
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Import):
+            out |= {alias.name for alias in node.names}
+        elif isinstance(node, ast.ImportFrom) and node.module:
+            out.add(node.module)
+    return out
+
+
+@pytest.mark.parametrize("module", ["circle_fourier", "blaschke"])
+def test_the_numpy_layers_import_no_mpmath(module):
+    # the corrector half runs in numpy: neither mpmath nor a package module
+    # that computes in it, only circle_fourier's polynomials
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert [m for m in sorted(imported_modules(source))
+            if m.split(".")[0] == "mpmath"
+            or (m.split(".")[0] == "szego_lab"
+                and m != "szego_lab.circle_fourier")] == []
+
 
 @pytest.mark.parametrize("name", ["_fixed", "_fixed_pair", "_rdiv",
                                   "_circle_nodes"])

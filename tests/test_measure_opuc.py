@@ -121,8 +121,7 @@ def test_measure_spec_json_roundtrip():
     back = MeasureSpec.from_json(mu.to_json())
     assert back.precision == 128
     assert back.spectrum.masses == mu.spectrum.masses
-    assert np.allclose(back.weight.psi.as_complex128().coeffs,
-                       mu.weight.psi.as_complex128().coeffs)
+    assert np.allclose(back.weight.psi.coeffs, mu.weight.psi.coeffs)
 
 
 def reflected(spectrum, count=None):
@@ -513,7 +512,7 @@ def test_closed_form_schur_and_witness_agree(name, bits):
         for laurent in (False, True) if n else (False,):
             closed = (eta_n if laurent else tau_n)(mu, n)
             schur = mo._gram_leading(mu, n, laurent)
-            witness = orthonormal_element(mu, n, laurent).coefficient(n)
+            witness = orthonormal_element(mu, n, laurent)[-1]
             assert mp.im(witness) == 0
             if bits == 256:
                 for other in (schur, witness.real):
@@ -572,14 +571,14 @@ def test_closed_form_raises_on_an_indefinite_system():
 def test_orthonormal_element_lebesgue_monomial():
     mu = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
     p = orthonormal_element(mu, 2)
-    assert p.lo == 2 and p.hi == 2
-    assert abs(complex(p.coefficient(2)) - 1.0) < 1e-14
+    assert len(p) == 3 and all(c == 0 for c in p[:-1])
+    assert abs(complex(p[-1]) - 1.0) < 1e-14
 
 
 def test_orthonormal_element_degree_zero():
     p = orthonormal_element(one_mass(53), 0)
-    assert p.lo == 0 and p.hi == 0
-    assert abs(complex(p.coefficient(0)) - 0.8770580193070292) < 1e-13
+    assert len(p) == 1
+    assert abs(complex(p[-1]) - 0.8770580193070292) < 1e-13
 
 
 def test_orthonormal_element_laurent_validation():
@@ -591,22 +590,22 @@ def test_orthonormal_element_is_orthonormal():
     # verified against the moments directly, not through the factorization
     mu = one_mass()
     el = orthonormal_element(mu, 10, laurent=True)
-    assert el.lo == -9 and el.hi == 10
-    exps = list(range(el.lo, el.hi + 1))
+    assert len(el) == 20
+    exps = list(range(-9, 11))
     with mp.workprec(320):
         worst = mp.mpf(0)
         for j in range(-9, 10):
             s = mp.mpc(0)
-            for e, c in zip(exps, el.coeffs):
+            for e, c in zip(exps, el):
                 s += c * moment(mu, e, j)
             worst = max(worst, abs(s))
         assert worst < 1e-60
         nrm = mp.mpc(0)
-        for e1, c1 in zip(exps, el.coeffs):
-            for e2, c2 in zip(exps, el.coeffs):
+        for e1, c1 in zip(exps, el):
+            for e2, c2 in zip(exps, el):
                 nrm += c1 * mp.conj(c2) * moment(mu, e1, e2)
         assert abs(nrm - 1) < 1e-60
-    lead = el.coefficient(10)
+    lead = el[-1]
     assert abs(lead - eta_n(mu, 10)) < mp.mpf(2) ** -200
     assert mp.im(lead) == 0
 
@@ -754,7 +753,7 @@ def test_residue_numerators_match_horner(mu, n, trimmed):
     # x_((e p) mod G), rounded once; the oracle evaluates the element by
     # Horner at the table node and powers the node
     element = orthonormal_element(mu, n, laurent=True)
-    assert ((element.lo, element.hi) == (n, n)) == trimmed
+    assert all(c == 0 for c in element[:-1]) == trimmed
     nodes = ResidueNodes(mu)
     r_elem = nodes.use(element, n)
     nodes.mean(0, 1024)
@@ -763,9 +762,39 @@ def test_residue_numerators_match_horner(mu, n, trimmed):
     tol = mp.mpf(2) ** (8 - mu.precision)
     for p in range(nodes.grid):
         x = fixed_to_mpc(ctx, nodes._x[0][p], nodes._x[1][p], nodes._f)
-        want = r_elem(x) * x ** (-n)
+        want = ctx.polyval(r_elem[::-1], x) * x ** (1 - 2 * n)
         got = fixed_to_mpc(ctx, *nodes._numerator(p), nodes._f)
         assert abs(got - want) <= tol * abs(want), p
+
+
+def test_residue_nodes_use_rounds_evaluation_not_coefficients():
+    # an element solved at 256 bits, used on a 128-bit measure, keeps its
+    # coefficients: use moves them into context(128) without rounding, so
+    # only the evaluation rounds at the measure's precision
+    n = 4
+    witness = orthonormal_element(two_mass(256), n, laurent=True)
+    got = ResidueNodes(two_mass(128)).use(witness, n)
+    assert [c._mpc_ for c in got] == [c._mpc_ for c in witness]
+    assert all(c.context is context(128) for c in got)
+    ctx = context(128)
+    z = ctx.mpc(0.6, 0.7) / 7
+    value = ctx.polyval(got[::-1], z) * z ** (1 - n)
+    # reference: the Horner loop at an ambient precision of 128 bits over
+    # the unrounded coefficients, and the same loop at 256 bits
+
+    def horner(bits):
+        with mp.workprec(256):
+            coeffs = [mp.mpc(c) for c in witness]
+        with mp.workprec(bits):
+            x = mp.mpc(z)
+            acc = coeffs[-1]
+            for c in coeffs[-2::-1]:
+                acc = acc * x + c
+            return acc * x ** (1 - n)
+
+    assert value._mpc_ == horner(128)._mpc_
+    assert value.context.prec == 128
+    assert horner(256)._mpc_ != value._mpc_  # the 256-bit evaluation differs
 
 
 @pytest.mark.parametrize("mu, rows", [
@@ -793,9 +822,10 @@ def test_shared_nodes_give_the_unshared_records(mu, rows):
 
 
 def oracle_node_values(ctx, x, psi, factors):
-    """B^k(x) / conj(psi(x)) for k = 0..K by mpc arithmetic: psi by Horner,
-    one mpc division for 1/conj(psi) and one per reflected factor."""
-    acc = 1 / ctx.conj(psi(x))
+    """B^k(x) / conj(psi(x)) for k = 0..K by mpc arithmetic: psi by Horner
+    (its coefficients highest first), one mpc division for 1/conj(psi) and
+    one per reflected factor."""
+    acc = 1 / ctx.conj(ctx.polyval(psi, x))
     weights = [acc]
     for zeta, rot in factors:
         acc *= rot * (x - zeta) / (1 - ctx.conj(zeta) * x)
@@ -810,10 +840,10 @@ def oracle_quadrature(mu, n, ks, element):
     of numerator times weight; the integer table's oracle."""
     bits = mu.precision
     ctx = context(bits)
-    psi = mu.weight.psi.as_complex128().at_precision(bits)
+    psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
     factors = mo._reflected_factors(ctx, mu.spectrum.masses[:max(ks)])
-    r_elem = element.at_precision(bits)
-    exps = range(r_elem.lo - n, r_elem.hi - n + 1)
+    r_elem = [ctx.convert(c) for c in element]
+    exps = range(1 - 2 * n, 1)
     # node q of the finest grid, exp(2 pi i q / cap), stands for every
     # node p = q G / cap of a coarser grid G
     cap = mo._GRID_CAP
@@ -826,7 +856,7 @@ def oracle_quadrature(mu, n, ks, element):
 
     def value(q):  # the numerator and the weights at node q
         if q not in values:
-            num = ctx.fdot(r_elem.coeffs, [node(e * q % cap) for e in exps])
+            num = ctx.fdot(r_elem, [node(e * q % cap) for e in exps])
             values[q] = num, oracle_node_values(ctx, node(q), psi, factors)
         return values[q]
 
@@ -896,10 +926,10 @@ def test_residue_nodes_validation():
 @pytest.mark.parametrize("n", [2, 4])
 def test_residue_identity_without_masses(n):
     # the moments of dm are exactly 0 off the diagonal, so the witness has
-    # exact zero coefficients below z^n and its span trims to {z^n}
+    # exact zero coefficients below z^n
     mu = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
     element = orthonormal_element(mu, n, laurent=True)
-    assert (element.lo, element.hi) == (n, n)
+    assert all(c == 0 for c in element[:-1])
     rec = residue_identity_check(mu, n, 0, element=element)
     assert rec == residue_identity_check(mu, n, 0)
     assert rec["lhs"] == rec["rhs"] == 1
