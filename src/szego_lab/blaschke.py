@@ -7,15 +7,16 @@ R^n times the Blaschke product whose zeros are z_k / R evaluated at z / R.
 That dilated form is unimodular-factor stable and is how B phi0 is evaluated.
 
 The certificate samples B phi0 once, on the alias grid of its Taylor
-coefficients a_0..a_D, and takes everything from those coefficients: the sup
-of |B phi0| on the circle, the sup of its s-th derivative from the series
-with multipliers j(j-1)...(j-s+1), and the dyadic Besov blocks.  Each sup
-goes through circle_fourier.sup_norm_certified and comes as a bracket: a
-Newton-refined grid max, and an upper bound that adds to the grid bound the
-truncation tail and the aliasing error, both from the Cauchy estimates of
-_tail_envelope (the product of each factor's exact sup on circles between R
-and the nearest pole), and the rounding of the samples, the FFTs and the
-grid values.
+coefficients a_0..a_D, cuts them at the degree K <= D where the rest is
+rounding, and takes everything from a_0..a_K: the sup of |B phi0| on the
+circle, the sup of its s-th derivative from the series with multipliers
+j(j-1)...(j-s+1), and the dyadic Besov blocks.  Each sup goes through
+circle_fourier.sup_norm_certified and comes as a bracket: a Newton-refined
+grid max, and an upper bound that adds to the grid bound the truncation tail
+and the aliasing error, both from the Cauchy estimates of _tail_envelope
+(the product of each factor's exact sup on circles between R and the
+nearest pole), the rounding of the samples, the FFTs and the grid values,
+and the dropped a_(K+1)..a_D.
 """
 
 from __future__ import annotations
@@ -53,6 +54,10 @@ __all__ = [
 ]
 
 _POLE_TOL = 2.0 ** -40
+_GRID_CAP = 1 << 22
+# the sampled series is cut where the rest of its l1 mass falls below this
+# share of its l2 norm: below the coefficients' own certified rounding
+_NOISE_FLOOR = 2.0 ** -40
 
 
 class PoleProximityError(ValueError):
@@ -292,12 +297,14 @@ def _alias_bound(env: list, m: int) -> float:
 
 def _alias_grid(c: DilatedCorrector, upto: int, tol: float, env: list) -> int:
     """The power-of-two grid taylor_coeffs samples on: at least
-    max(2(upto+1), 64n, 256) nodes, doubled until the aliasing bound from
+    max(upto+1, 64n, 256) nodes, doubled until the aliasing bound from
     the envelope env of _tail_envelope is below tol; TaylorToleranceError
-    past 2^22 nodes."""
-    m = _next_pow2(max(2 * (upto + 1), 64 * c.n, 256))
+    past 2^22 nodes.  B phi0 has no negative frequencies, so an m-point DFT
+    folds onto degree j < m only the a_(j+lm), l >= 1, and any m > upto
+    separates a_0..a_upto."""
+    m = _next_pow2(max(upto + 1, 64 * c.n, 256))
     while _alias_bound(env, m) > tol:
-        if m >= 1 << 22:
+        if m >= _GRID_CAP:
             raise TaylorToleranceError(_alias_bound(env, m), tol)
         m <<= 1
     return m
@@ -444,13 +451,17 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
 
     One envelope env = _tail_envelope(c) sets the degree D =
     _truncation_degree(c, max order, 1e-9, env) and the alias grid
-    _alias_grid(c, D, 1e-10, env).  Returns the Taylor truncation of degree
-    D taken on that grid, and {s: SupBound} for s in orders.  The order-s
-    sup is that of the series sum j(j-1)...(j-s+1) a_j z^j, whose modulus
-    on the circle is that of the s-th derivative of the truncation; its
-    value is the Newton-refined grid max of sup_norm_certified, and its upper
-    bound is the grid bound plus _series_error, which counts truncation,
-    aliasing and rounding, so value <= sup |(B phi0)^(s)| <= upper.
+    _alias_grid(c, D, 1e-10, env), and the DFT on that grid gives a~_0..a~_D.
+    Past the decay point those are rounding, so every sup runs on a~_0..a~_K
+    only: K >= n + 1 is the least degree whose tail sum_(j>K) |a~_j| is at
+    most _NOISE_FLOOR ||a~||_2.  Returns that truncation of degree K, and
+    {s: SupBound} for s in orders.  The order-s sup is that of the series
+    sum j(j-1)...(j-s+1) a~_j z^j, j <= K, whose modulus on the circle is
+    that of the s-th derivative of the truncation; its value is the
+    Newton-refined grid max of sup_norm_certified, and its upper bound is
+    the grid bound plus _series_error on degree D, which counts truncation,
+    aliasing and rounding, plus the dropped sum_(K<j<=D) j(j-1)...(j-s+1)
+    |a~_j|, so value <= sup |(B phi0)^(s)| <= upper.
     """
     exact = not np.any(c.zero_array())  # B phi0 = z^n
     env = _tail_envelope(c)
@@ -459,13 +470,18 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
     trunc = taylor_coeffs(c, d) if exact else _dft_coeffs(c, d, m)
     a = np.zeros(d + 1, dtype=np.complex128)
     a[trunc.lo : trunc.hi + 1] = trunc.coeffs
+    # beyond[j] = sum_(i>j) |a~_i|, nonincreasing, 0 at j = d
+    beyond = np.append(np.cumsum(np.abs(a[:0:-1]))[::-1], 0.0)
+    first = int(np.argmax(beyond <= _NOISE_FLOOR * np.linalg.norm(a)))
+    k = min(d, max(c.n + 1, first))
     sups = {}
     for s in orders:
-        series = LaurentPolynomial(0, _falling_factorial(d, s) * a)
-        grid = sup_norm_certified(series, oversample)
-        err = 0.0 if exact else _series_error(c, env, d, m, s, oversample)
+        series = _falling_factorial(d, s) * a
+        grid = sup_norm_certified(LaurentPolynomial(0, series[: k + 1]), oversample)
+        err = 0.0 if exact else (_series_error(c, env, d, m, s, oversample)
+                                 + float(np.abs(series[k + 1 :]).sum()))
         sups[s] = SupBound(grid.value, grid.upper + err)
-    return trunc, sups
+    return LaurentPolynomial(0, a[: k + 1]), sups
 
 
 class DerivSup(NamedTuple):
@@ -478,7 +494,9 @@ def _derivative_apriori(c: DilatedCorrector, order: int, oversample: int) -> flo
 
     order! * R^n * mean(r / |r e^(i t) - 1|^(order+1)) on the circle of
     radius r = (1+R)/2: the mean is r/(r^2 - 1) exactly at order 1, and a
-    grid mean fine enough for the pole pair at distance r - 1 above.
+    grid mean fine enough for the pole pair at distance r - 1 above.  Where
+    that grid would pass _GRID_CAP nodes the mean is bounded by the
+    integrand's max r/(r - 1)^(order+1) instead.
     """
     n = c.n
     big_r = c.radius_R
@@ -487,8 +505,11 @@ def _derivative_apriori(c: DilatedCorrector, order: int, oversample: int) -> flo
         return (big_r ** n) * r / (r * r - 1.0)
     m = _next_pow2(max(64 * n, 4 * oversample * (n + 1),
                        math.ceil(66.0 / (big_r - 1.0)), 1024))
-    h = (r * grid_nodes(m) - 1.0) ** (-(order + 1))
-    i_m = float(np.mean(r * np.abs(h)))
+    if m > _GRID_CAP:
+        i_m = r / (r - 1.0) ** (order + 1)
+    else:
+        h = (r * grid_nodes(m) - 1.0) ** (-(order + 1))
+        i_m = float(np.mean(r * np.abs(h)))
     return math.factorial(order) * (big_r ** n) * i_m
 
 
@@ -514,10 +535,12 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
     of |B phi0| there) with its certified upper bound sup_phi_upper,
     phi0_err = |phi0(0) - 1|, and for each s in s_list ratio_s{s} =
     sup |(B phi0)^(s)| / n^s with ratio_s{s}_upper, besov_ratio_s{s} =
-    besov_seminorm(Taylor truncation, s, inf) / n^s.  Each value <= true
-    sup <= its upper (see _sampled_sups).  The upper bounds count rounding
-    (_series_error); a value may exceed the sup by its own rounding, about
-    u R^n per Taylor coefficient amplified by the falling factorials.
+    besov_seminorm(Taylor truncation, s, inf) / n^s, every sup at oversample
+    grid nodes per coefficient.  Each value <= true sup <= its upper (see
+    _sampled_sups).  The upper bounds count rounding (_series_error) and the
+    coefficients trimmed as noise; a value may exceed the sup by its own
+    rounding, about u R^n per Taylor coefficient amplified by the falling
+    factorials, and by the trimmed tail.
     """
     n = c.n
     trunc, sups = _sampled_sups(c, (0, *s_list), oversample)
@@ -528,7 +551,7 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
         "sup_phi_upper": sups[0].upper,
         "phi0_err": abs(eval_phi0(c, 0.0) - 1.0),
     }
-    blocks = _besov_blocks(trunc, np.inf)
+    blocks = _besov_blocks(trunc, np.inf, oversample)
     for s in s_list:
         scale = float(n) ** s
         record[f"ratio_s{s}"] = sups[s].value / scale

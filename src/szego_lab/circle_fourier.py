@@ -45,6 +45,7 @@ MODIFIED_VP = "modified_vp"
 DIRICHLET = "dirichlet"
 
 _KINDS = (VALLEE_POUSSIN, MODIFIED_V, MODIFIED_VP, DIRICHLET)
+_INF = (np.inf, "inf")
 
 
 class KernelDomainError(ValueError):
@@ -388,17 +389,19 @@ def lp_norm(f: LaurentPolynomial, p) -> float:
         m = _next_pow2(max(8 * (f.span + 1), 256))
         vals = _analytic_values(f.coeffs, m)
         return float(np.mean(np.abs(vals)))
-    if p in (np.inf, float("inf"), "inf"):
+    if p in _INF:
         return sup_norm(f)
     raise ValueError("p must be 1, 2 or inf")
 
 
-def _besov_blocks(f: LaurentPolynomial, p) -> list[tuple[int, float]]:
+def _besov_blocks(f: LaurentPolynomial, p,
+                  oversample: int = 16) -> list[tuple[int, float]]:
     """(n, ||f * W_n||_p) for every dyadic window n with a nonzero block.
 
     W_n is the vallee_poussin(n) trapezoid; the n=0 window is the multiplier
     carried by 1 + z.  Only analytic inputs (nonnegative exponents) are
-    accepted.
+    accepted.  For p = inf each block's sup takes oversample grid nodes per
+    coefficient.
     """
     if f.is_zero:
         return []
@@ -413,7 +416,8 @@ def _besov_blocks(f: LaurentPolynomial, p) -> list[tuple[int, float]]:
             break
         block = convolve(f, spec)
         if not block.is_zero:
-            blocks.append((n, lp_norm(block, p)))
+            blocks.append((n, sup_norm(block, oversample) if p in _INF
+                           else lp_norm(block, p)))
         n += 1
     return blocks
 

@@ -20,12 +20,15 @@ from szego_lab.blaschke import (
     eval_blaschke,
     eval_phi0,
     taylor_coeffs,
+    _alias_grid,
     _factor_rotations,
     _falling_factorial,
+    _sampled_sups,
     _tail_envelope,
     _truncation_degree,
 )
 import szego_lab.blaschke as blaschke_module
+import szego_lab.circle_fourier as circle_fourier_module
 from szego_lab.circle_fourier import grid_nodes, _analytic_values
 from szego_lab.cli import generate_zeros, main
 
@@ -339,12 +342,50 @@ def test_certificate_sups_bracket_the_closed_form(n, eps, kind):
 
 @pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster"])
 def test_certified_uppers_need_no_slack(kind):
-    # the upper bounds count rounding too, so they hold as they are
-    c = build_corrector(generate_zeros(kind, 64, 0), 0.1)
-    cert = corrector_certificate(c, (1, 2))
-    for order, key in enumerate(("sup_phi", "ratio_s1", "ratio_s2")):
-        oracle = _closed_form_sup(c, order) / 64.0 ** order
-        assert oracle <= cert[f"{key}_upper"], key
+    # the upper bounds count rounding and the trimmed tail too, so they hold
+    # as they are
+    for n, eps in ((64, 0.1), (256, 1.0)):
+        c = build_corrector(generate_zeros(kind, n, 0), eps)
+        cert = corrector_certificate(c, (1, 2))
+        for order, key in enumerate(("sup_phi", "ratio_s1", "ratio_s2")):
+            oracle = _closed_form_sup(c, order) / float(n) ** order
+            assert oracle <= cert[f"{key}_upper"], (n, key)
+
+
+def test_sampled_series_is_trimmed_at_its_noise_floor():
+    # boundary_cluster, n = 256, eps = 1, seed 1: D = 11816, while the
+    # computed coefficients are rounding from about degree 7000 on; before
+    # the trim every sup ran on degree 11816, and the alias grid, floored at
+    # 2(D+1) nodes, had 32768
+    c = build_corrector(generate_zeros("boundary_cluster", 256, 1), 1.0)
+    env = _tail_envelope(c)
+    d = _truncation_degree(c, 2, 1e-9, env)
+    assert d == 11816
+    assert _alias_grid(c, d, 1e-10, env) == 16384
+    trunc, _ = _sampled_sups(c, (0, 1, 2), 16)
+    assert trunc.hi <= 0.6 * 11816
+
+
+@pytest.fixture
+def grid_sizes(monkeypatch):
+    """The size of every grid_nodes call blaschke makes."""
+    sizes = []
+
+    def recorded(size):
+        sizes.append(size)
+        return grid_nodes(size)
+
+    monkeypatch.setattr(blaschke_module, "grid_nodes", recorded)
+    return sizes
+
+
+def test_derivative_apriori_grid_is_capped(grid_sizes):
+    # R - 1 = 1.25e-13 would ask for a 2^49-node grid; past 2^22 the mean
+    # is bounded by the integrand's max
+    c = build_corrector(generate_zeros("uniform_disk", 8, 0), 1e-12)
+    d = derivative_sup(c, 2)
+    assert grid_sizes and max(grid_sizes) <= 1 << 22
+    assert math.isfinite(d.apriori) and d.apriori >= d.value
 
 
 def test_first_derivative_apriori_holds_on_random_sets():
@@ -412,6 +453,34 @@ def test_certificate_computes_one_envelope(monkeypatch):
     assert calls == [c]
 
 
+def test_certificate_samples_once(monkeypatch):
+    calls = []
+
+    def counted(c, z):
+        calls.append(c)
+        return eval_B_phi(c, z)
+
+    monkeypatch.setattr(blaschke_module, "eval_B_phi", counted)
+    c = build_corrector(generate_zeros("boundary_cluster", 64, 1), 0.1)
+    corrector_certificate(c, (1, 2))
+    assert calls == [c]
+
+
+def test_certificate_oversample_reaches_every_sup(monkeypatch):
+    seen = set()
+    certified = circle_fourier_module.sup_norm_certified
+
+    def recorded(f, oversample=16):
+        seen.add(oversample)
+        return certified(f, oversample)
+
+    monkeypatch.setattr(blaschke_module, "sup_norm_certified", recorded)
+    monkeypatch.setattr(circle_fourier_module, "sup_norm_certified", recorded)
+    c = build_corrector(generate_zeros("uniform_disk", 16, 0), 0.1)
+    corrector_certificate(c, (1, 2), oversample=64)
+    assert seen == {64}
+
+
 # ------------------------------------------------------------------ Taylor
 
 
@@ -432,23 +501,42 @@ def test_taylor_single_zero_closed_form():
         assert abs(t.coefficient(j) - want) < 1e-12
 
 
-def test_taylor_multi_zero_series_oracle():
-    # multiply per-factor expansions (z - z_k) * sum_m (w_k z)^m directly
-    zs = (0.5, -0.3 + 0.4j, 0.2j)
-    c = build_corrector(ZeroSet(zs), 1.0)
-    upto = 24
+def _series_oracle(c: DilatedCorrector, upto: int) -> np.ndarray:
+    """a_0..a_upto of B phi0 by multiplying per-factor expansions
+    rot_k (z - z_k) sum_m (w_k z)^m directly."""
     series = np.zeros(upto + 1, dtype=np.complex128)
     series[0] = 1.0
     rr = c.radius_R ** 2
-    for zk in zs:
+    for zk in c.zeros:
         wk = np.conj(zk) / rr
         rot = -abs(zk) / zk
         geom = wk ** np.arange(upto + 1)
-        factor = rot * (np.polymul([1.0, -zk][::-1], geom)[: upto + 1])
         # polymul in ascending order: (z - zk) has ascending coeffs [-zk, 1]
+        factor = rot * (np.polymul([-zk, 1.0], geom)[: upto + 1])
         series = np.polymul(series, factor)[: upto + 1]
+    return series
+
+
+TAYLOR_ORACLE_ZEROS = (0.5, -0.3 + 0.4j, 0.2j)
+
+
+def test_taylor_multi_zero_series_oracle():
+    c = build_corrector(ZeroSet(TAYLOR_ORACLE_ZEROS), 1.0)
+    upto = 24
+    series = _series_oracle(c, upto)
     got = taylor_coeffs(c, upto, 1e-13)
     for j in range(upto + 1):
+        assert abs(got.coefficient(j) - series[j]) < 1e-11
+
+
+def test_taylor_one_sided_alias_grid(grid_sizes):
+    # B phi0 has no negative frequencies, so 512 > 400 nodes separate
+    # a_0..a_400 (the grid was floored at 2(upto+1), 1024 nodes)
+    c = build_corrector(ZeroSet(TAYLOR_ORACLE_ZEROS), 1.0)
+    got = taylor_coeffs(c, 400, 1e-13)
+    assert grid_sizes == [512]
+    series = _series_oracle(c, 400)
+    for j in range(401):
         assert abs(got.coefficient(j) - series[j]) < 1e-11
 
 
