@@ -28,9 +28,9 @@ from the approximant's complex128 image.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from operator import mul
-from typing import Callable, Sequence
+from typing import Callable, ClassVar, Sequence
 
 import numpy as np
 
@@ -47,6 +47,7 @@ from szego_lab.circle_fourier import (
     _multiplier_scaled,
     _next_pow2,
     dirichlet,
+    grid_nodes,
     kernel_support,
     modified_vp,
 )
@@ -333,11 +334,10 @@ def _defect_sup(approx: LaurentPolynomial, corrector, weight_poly,
     grid = start_grid
     prev = None
     while True:
-        theta = 2.0 * np.pi * np.arange(grid) / grid
-        nodes = np.exp(1j * theta)
         values = _analytic_values(coeffs, grid)
         if corrector is not None:
-            values = values - _target_values(corrector, weight_poly, nodes)
+            values = values - _target_values(corrector, weight_poly,
+                                             grid_nodes(grid))
         diff = np.abs(values)
         cur = float(np.max(diff))
         if (cur <= floor or grid >= (1 << 16) or prev is not None
@@ -352,7 +352,7 @@ def _defect_sup(approx: LaurentPolynomial, corrector, weight_poly,
     if denom < 0:
         shift = 0.5 * h * (ym - yp) / denom
         shift = float(np.clip(shift, -h, h))
-        node = np.exp(1j * np.array([theta[p] + shift]))
+        node = np.exp(1j * np.array([2.0 * np.pi * p / grid + shift]))
         refined = abs(_values_at(approx, node)[0]
                       - _target_values(corrector, weight_poly, node)[0])
         cur = max(cur, float(refined))
@@ -387,12 +387,7 @@ class PipelineCertificate:
     schwarz_excess: float
     schwarz_pass: bool
 
-    FIELDS = ("route", "n", "selection_cap", "margin_reciprocal", "radius",
-              "selected_count", "sup_defect", "apriori_defect",
-              "schedule_decay", "inverse_tail", "leading_gap", "ac_norm",
-              "inside_mass_sum", "tail_mass_sum", "tail_majorant",
-              "total_norm", "lower_bound_achieved", "schwarz_excess",
-              "schwarz_pass")
+    FIELDS: ClassVar[tuple]  # the field names in declaration order
 
     def to_row(self) -> dict:
         return {name: getattr(self, name) for name in self.FIELDS}
@@ -402,6 +397,9 @@ class PipelineCertificate:
         """Relative gap of total_norm^2 against its three-part split."""
         pieces = self.ac_norm + self.inside_mass_sum + self.tail_mass_sum
         return abs(self.total_norm ** 2 - pieces) / self.total_norm ** 2
+
+
+PipelineCertificate.FIELDS = tuple(f.name for f in fields(PipelineCertificate))
 
 
 def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
@@ -505,7 +503,7 @@ def _schwarz_excess(approx: LaurentPolynomial, corrector, weight_poly, n: int,
                     radii=(0.5, 0.9), count: int = 32) -> float:
     rng = np.random.default_rng(seed)
     r = np.repeat(radii, count)
-    pts = r * np.exp(2j * np.pi * rng.random(r.size))
+    pts = r * np.exp(1j * (2.0 * np.pi * rng.random(r.size)))
     diff = np.abs(_values_at(approx, pts)
                   - _target_values(corrector, weight_poly, pts))
     return float(np.max(diff - sup_defect * r ** n))
@@ -548,7 +546,7 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
                              _next_pow2(max(16 * n, 1024)))
 
     count = len(selected)
-    rho_nodes = radius * np.exp(2j * np.pi * np.arange(2048) / 2048)
+    rho_nodes = radius * grid_nodes(2048)
     m_radius = radius ** count * float(np.max(np.abs(weight_f(rho_nodes))))
     apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
 

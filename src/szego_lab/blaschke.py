@@ -192,8 +192,6 @@ def build_corrector(zeros: ZeroSet, epsilon: float = 1.0) -> DilatedCorrector:
 
 def corrector_with_radius(zeros: ZeroSet, radius_R: float) -> DilatedCorrector:
     """Corrector at an externally prescribed radius (epsilon is derived)."""
-    if len(zeros) == 0:
-        raise ValueError("corrector requires a nonempty zero set")
     return DilatedCorrector(zeros, float(radius_R), len(zeros) * (radius_R - 1.0))
 
 
@@ -295,14 +293,14 @@ def _alias_bound(env: list, m: int) -> float:
     return best
 
 
-def _alias_grid(c: DilatedCorrector, upto: int, tol: float, env: list) -> int:
-    """The power-of-two grid taylor_coeffs samples on: at least
-    max(upto+1, 64n, 256) nodes, doubled until the aliasing bound from
-    the envelope env of _tail_envelope is below tol; TaylorToleranceError
-    past 2^22 nodes.  B phi0 has no negative frequencies, so an m-point DFT
-    folds onto degree j < m only the a_(j+lm), l >= 1, and any m > upto
-    separates a_0..a_upto."""
-    m = _next_pow2(max(upto + 1, 64 * c.n, 256))
+def _alias_grid(upto: int, tol: float, env: list) -> int:
+    """The power-of-two grid taylor_coeffs samples on: the first one above
+    upto nodes, doubled until the aliasing bound from the envelope env of
+    _tail_envelope, set by the distance to the nearest pole, is below tol;
+    TaylorToleranceError past 2^22 nodes.  B phi0 has no negative
+    frequencies, so an m-point DFT folds onto degree j < m only the
+    a_(j+lm), l >= 1, and any m > upto separates a_0..a_upto."""
+    m = _next_pow2(upto + 1)
     while _alias_bound(env, m) > tol:
         if m >= _GRID_CAP:
             raise TaylorToleranceError(_alias_bound(env, m), tol)
@@ -336,7 +334,7 @@ def taylor_coeffs(c: DilatedCorrector, upto: int, tol: float = 1e-12) -> Laurent
         if c.n <= upto:
             coeffs[c.n] = 1.0
         return LaurentPolynomial(0, coeffs)
-    return _dft_coeffs(c, upto, _alias_grid(c, upto, tol, _tail_envelope(c)))
+    return _dft_coeffs(c, upto, _alias_grid(upto, tol, _tail_envelope(c)))
 
 
 def _tail_bound(env: list, big_n: int, s: int) -> float:
@@ -451,7 +449,7 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
 
     One envelope env = _tail_envelope(c) sets the degree D =
     _truncation_degree(c, max order, 1e-9, env) and the alias grid
-    _alias_grid(c, D, 1e-10, env), and the DFT on that grid gives a~_0..a~_D.
+    _alias_grid(D, 1e-10, env), and the DFT on that grid gives a~_0..a~_D.
     Past the decay point those are rounding, so every sup runs on a~_0..a~_K
     only: K >= n + 1 is the least degree whose tail sum_(j>K) |a~_j| is at
     most _NOISE_FLOOR ||a~||_2.  Returns that truncation of degree K, and
@@ -466,7 +464,7 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
     exact = not np.any(c.zero_array())  # B phi0 = z^n
     env = _tail_envelope(c)
     d = c.n if exact else _truncation_degree(c, max(orders), 1e-9, env)
-    m = 0 if exact else _alias_grid(c, d, 1e-10, env)
+    m = 0 if exact else _alias_grid(d, 1e-10, env)
     trunc = taylor_coeffs(c, d) if exact else _dft_coeffs(c, d, m)
     a = np.zeros(d + 1, dtype=np.complex128)
     a[trunc.lo : trunc.hi + 1] = trunc.coeffs

@@ -296,7 +296,8 @@ def kernel_identity_vk_vpn(k: int, n: int) -> bool:
 
 
 def grid_nodes(size: int) -> np.ndarray:
-    return np.exp(2j * np.pi * np.arange(size) / size)
+    """exp(2 pi i p / size), p = 0..size-1, phases in real arithmetic."""
+    return np.exp(1j * (2.0 * np.pi * np.arange(size) / size))
 
 
 def _analytic_values(coeffs: np.ndarray, size: int) -> np.ndarray:

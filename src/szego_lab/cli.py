@@ -22,7 +22,7 @@ import os
 import subprocess
 import sys
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 
 import numpy as np
 
@@ -50,6 +50,7 @@ from szego_lab.measure_opuc import (
     PrecisionExhausted,
     QuadratureError,
     ResidueNodes,
+    _as_int,
     log_condition_report,
     orthonormal_element,
     residue_identity_check,
@@ -119,7 +120,7 @@ def _expect(obj, key, kind, convert=None):
 
 def _int_tuple(key, val, minimum=1):
     try:
-        out = tuple(int(v) for v in val)
+        out = tuple(map(_as_int, val))
     except (TypeError, ValueError) as exc:
         raise ManifestError(key, "expected a list of integers") from exc
     if not out:
@@ -129,12 +130,7 @@ def _int_tuple(key, val, minimum=1):
     return out
 
 
-_KNOWN_KEYS = {
-    "command", "out_dir", "seed", "precision_bits", "oversample",
-    "measure_file", "n_grid", "seeds", "kind", "kinds", "epsilon",
-    "smoothness", "which", "route", "pipeline", "k_list", "exponents",
-    "n_max", "schedule",
-}
+_KNOWN_KEYS = {f.name for f in fields(RunManifest)} - {"measure"}
 
 
 def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifest:
@@ -161,25 +157,21 @@ def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifes
     man = RunManifest(command=command)
     man.out_dir = str(obj.get("out_dir", man.out_dir))
     if "seed" in obj:
-        man.seed = _expect(obj, "seed", "an integer", int)
+        man.seed = _expect(obj, "seed", "an integer", _as_int)
     if "seeds" in obj:
-        man.seeds = _expect(obj, "seeds", "an integer", int)
+        man.seeds = _expect(obj, "seeds", "an integer", _as_int)
         if man.seeds < 1:
             raise ManifestError("seeds", "must be at least 1")
     if "oversample" in obj:
-        man.oversample = _expect(obj, "oversample", "an integer", int)
+        man.oversample = _expect(obj, "oversample", "an integer", _as_int)
     if "precision_bits" in obj:
-        man.precision_bits = _expect(obj, "precision_bits", "an integer", int)
+        man.precision_bits = _expect(obj, "precision_bits", "an integer", _as_int)
     if "n_grid" in obj:
         man.n_grid = _int_tuple("n_grid", obj["n_grid"])
         if list(man.n_grid) != sorted(set(man.n_grid)):
             raise ManifestError("n_grid", "must be strictly increasing")
     else:
         man.n_grid = _DEFAULT_GRIDS[command]
-    if "kind" in obj and "kinds" in obj:
-        raise ManifestError("kind", "give either kind or kinds, not both")
-    if "kind" in obj:
-        man.kinds = (str(obj["kind"]),)
     if "kinds" in obj:
         man.kinds = tuple(str(k) for k in obj["kinds"])
         if not man.kinds:
@@ -215,7 +207,7 @@ def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifes
         if not man.exponents or any(a <= 0 for a in man.exponents):
             raise ManifestError("exponents", "need positive exponents")
     if "n_max" in obj:
-        man.n_max = _expect(obj, "n_max", "an integer", int)
+        man.n_max = _expect(obj, "n_max", "an integer", _as_int)
         if man.n_max < 2:
             raise ManifestError("n_max", "must be at least 2")
     if "schedule" in obj:
@@ -402,17 +394,9 @@ def _run_vs_bound(man: RunManifest):
         kind, n, s = task
         corr = build_corrector(generate_zeros(kind, n, s), man.epsilon)
         cert = corrector_certificate(corr, man.smoothness, man.oversample)
-        row = {"kind": kind, "n": n, "seed": s,
-               "epsilon": float(cert["epsilon"]),
-               "sup_phi": float(cert["sup_phi"]),
-               "phi0_err": float(cert["phi0_err"])}
-        for sm in man.smoothness:
-            row[f"ratio_s{sm}"] = float(cert[f"ratio_s{sm}"])
-            row[f"besov_ratio_s{sm}"] = float(cert[f"besov_ratio_s{sm}"])
+        # the certificate record, its *_upper keys in report.json only
+        row = dict(cert, kind=kind, seed=s)
         row["max_ratio"] = max(row[f"ratio_s{sm}"] for sm in man.smoothness)
-        # certified upper bounds: report.json only, not certificates.csv
-        for key in bracketed:
-            row[f"{key}_upper"] = float(cert[f"{key}_upper"])
         return row
 
     rows = _map_ordered(work, tasks)

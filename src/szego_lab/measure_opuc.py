@@ -52,7 +52,7 @@ from typing import Sequence
 import numpy as np
 from mpmath import MPContext
 
-from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2
+from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2, grid_nodes
 from szego_lab.xlinalg import (
     _GUARD_BITS,
     PRECISION_BITS,
@@ -66,6 +66,7 @@ from szego_lab.xlinalg import (
     _rdiv,
     _reflect,
     _to_mpc,
+    cholesky,
     constrained_max_leading,
     context,
     next_tag,
@@ -99,6 +100,15 @@ class FieldError(ValueError):
     def __init__(self, field_name: str, message: str):
         super().__init__(message)
         self.field = field_name
+
+
+def _as_int(v) -> int:
+    """v as an int, for an int or an integer-valued float; ValueError for
+    anything else, so that 8.7, true and "8" are not read as integers."""
+    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(
+            v, float) and v.is_integer()):
+        raise ValueError(f"{v!r} is not an integer")
+    return int(v)
 
 
 class QuadratureError(ArithmeticError):
@@ -140,8 +150,7 @@ class OuterWeight:
             roots = np.roots(p.coeffs[::-1])
             if np.any(np.abs(roots) <= 1.0):
                 raise ValueError("psi must be zero-free on the closed unit disk")
-        nodes = np.exp(2j * np.pi * np.arange(4096) / 4096)
-        floor = float(np.min(np.abs(p(nodes))))
+        floor = float(np.min(np.abs(p(grid_nodes(4096)))))
         if floor <= 0.0:
             raise ValueError("psi vanishes on the sampling grid")
         object.__setattr__(self, "delta_floor", floor)
@@ -207,7 +216,7 @@ class MeasureSpec:
             spectrum = PointSpectrum(tuple(
                 (complex(re, im), float(m)) for re, im, m in obj.get(key, [])))
             key = "precision_bits"
-            return cls(weight, spectrum, int(obj.get(key, 256)))
+            return cls(weight, spectrum, _as_int(obj.get(key, 256)))
         except KeyError as exc:
             raise FieldError(key, "missing measure field") from exc
         except (TypeError, ValueError) as exc:
@@ -422,7 +431,8 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int):
 
     Row and column i are scaled by |z_i|^-(n+1), so the entries stay
     bounded as n grows; 1 - f^H S^-1 f is the last pivot of the Cholesky
-    factorization of [[S, f], [f^H, 1]].
+    factorization (xlinalg.cholesky) of [[S, f], [f^H, 1]], which raises
+    NotPositiveDefinite as on the Gram route.
     """
     ctx = context(bits)
     psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
@@ -436,25 +446,19 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int):
         f = z ** n * scale * ctx.polyval(psi, 1 / z)
         points.append((z, scale * ctx.conj(ctx.polyval(psi, ctx.conj(z))),
                        f * z, f, r ** (2 * (n + 1 - shift)) / m))
-    # lower triangle of [[S, f], [f^H, 1]], factored in place
-    mat = []
-    for i, (z_i, p_i, phi_i, _, inv_m) in enumerate(points):
-        row = [(p_i * ctx.conj(p_l) - phi_i * ctx.conj(phi_l))
-               / (1 - z_i * ctx.conj(z_l))
-               for z_l, p_l, phi_l, _, _ in points[: i + 1]]
-        row[i] += inv_m
-        mat.append(row)
-    mat.append([ctx.conj(f) for _, _, _, f, _ in points] + [ctx.mpf(1)])
-    for i, row in enumerate(mat):
-        for l in range(i):
-            row[l] = (row[l] - ctx.fdot(row[:l], mat[l][:l],
-                                        conjugate=True)) / mat[l][l]
-        pivot = ctx.re(row[i]) - ctx.re(ctx.fdot(row[:i], row[:i],
-                                                 conjugate=True))
-        if pivot <= 0:
-            raise NotPositiveDefinite(i, pivot)
-        row[i] = ctx.sqrt(pivot)
-    return mat[-1][-1]
+    # columns of [[S, f], [f^H, 1]]: each entry below the diagonal is formed
+    # once and mirrored by its conjugate
+    k = len(points)
+    cols = [[None] * (k + 1) for _ in range(k + 1)]
+    for l, (z_l, p_l, phi_l, f_l, inv_m) in enumerate(points):
+        for i, (z_i, p_i, phi_i, _, _) in enumerate(points[l:], l):
+            v = ((p_i * ctx.conj(p_l) - phi_i * ctx.conj(phi_l))
+                 / (1 - z_i * ctx.conj(z_l)))
+            cols[i][l], cols[l][i] = ctx.conj(v), v
+        cols[l][l] += inv_m
+        cols[l][k], cols[k][l] = ctx.conj(f_l), f_l
+    cols[k][k] = ctx.mpc(1)
+    return cholesky(HermitianMatrix(cols, bits, _skip_check=True)).rows[-1][-1]
 
 
 _GUARD_CAP = 1 << 14
@@ -738,7 +742,7 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     for i in range(k):
         for j in range(i + 1, k):
             if pts[i][0] == pts[j][0]:
-                raise ValueError("chosen mass points must be distinct")
+                raise FieldError("masses", "chosen mass points must be distinct")
     if nodes is None:
         nodes = ResidueNodes(mu, k)
     elif nodes.mu is not mu or nodes.k_max < k:

@@ -1,12 +1,13 @@
 """Extended-precision Hermitian linear algebra for Gram-matrix certificates.
 
-Dense column-stored Hermitian matrices at a fixed mantissa-bit tag, a
-Cholesky factorization in fixed point on Python integers, and the two routes
-to the constrained leading-coefficient extremal problem: the Schur
+Dense column-stored Hermitian matrices at a working precision, the one
+Cholesky factorization of the package (Gram matrices and the closed form's
+Woodbury system alike), in fixed point on Python integers, and the two
+routes to the constrained leading-coefficient extremal problem: the Schur
 complement of the pivoted last coordinate, which is the factor's last pivot,
-and the explicit maximizer built from the full inverse applied to the last
-basis vector.  Both routes are kept deliberately distinct so their
-agreement is a check, not a tautology.  For a Toeplitz Gram matrix the
+and the explicit maximizer G^-1 e_N by a back substitution from e_N / l_NN.
+Both routes are kept deliberately distinct so their agreement is a check,
+not a tautology.  For a Toeplitz Gram matrix the
 Szego recursion gives the same Schur complement in O(N^2) instead of
 O(N^3), in the same fixed point (toeplitz_leading); the factor's last pivot
 is its oracle.
@@ -109,22 +110,22 @@ class NotPositiveDefinite(ArithmeticError):
 
 
 class HermitianMatrix:
-    """Hermitian matrix in dense column storage at a precision tag.
+    """Hermitian matrix in dense column storage at a working precision.
 
     columns[k][j] is the (j, k) entry, a context(bits) mpc.  Construction
-    rounds every entry to the tag and verifies Hermitian symmetry to one
-    unit in the last place.  With _skip_check the caller vouches for both,
-    and the entries are kept as given.
+    checks that bits is a precision tag, rounds every entry to it and
+    verifies Hermitian symmetry to one ulp.  With _skip_check the package's
+    own builder vouches for all three: bits may be any working precision.
     """
 
     __slots__ = ("dim", "columns", "bits")
 
     def __init__(self, columns: Sequence[Sequence], bits: int = 53, _skip_check: bool = False):
-        PrecisionTag(bits)
         ctx = context(bits)
         if _skip_check:
             cols = tuple(map(tuple, columns))
         else:
+            PrecisionTag(bits)
             cols = tuple(tuple(ctx.mpc(v) for v in col) for col in columns)
         n = len(cols)
         if any(len(col) != n for col in cols):
@@ -414,14 +415,13 @@ def constrained_max_leading(g: HermitianMatrix):
     """Maximize |v_N| subject to v* G v <= 1.
 
     Returns (eta, witness): eta = sqrt((G^-1)_NN) and the maximizer
-    v = G^-1 e_N / eta, so v_N = eta and v* G v = 1.
+    v = G^-1 e_N / eta, so v_N = eta and v* G v = 1.  L y = e_N gives
+    y = e_N / l_NN, solve_lower(l, e_N) bit for bit (its sums are 0).
     """
     n = g.dim
     l = cholesky(g)
     ctx = context(g.bits)
-    e_n = [ctx.mpc(0)] * n
-    e_n[n - 1] = ctx.mpc(1)
-    y = solve_lower(l, e_n)
+    y = [ctx.mpc(0)] * (n - 1) + [ctx.mpc(1) / l.rows[-1][-1]]
     x = solve_upper_conj(l, y)
     w = ctx.re(x[n - 1])
     if w <= 0:

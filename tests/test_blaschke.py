@@ -361,7 +361,7 @@ def test_sampled_series_is_trimmed_at_its_noise_floor():
     env = _tail_envelope(c)
     d = _truncation_degree(c, 2, 1e-9, env)
     assert d == 11816
-    assert _alias_grid(c, d, 1e-10, env) == 16384
+    assert _alias_grid(d, 1e-10, env) == 16384
     trunc, _ = _sampled_sups(c, (0, 1, 2), 16)
     assert trunc.hi <= 0.6 * 11816
 
@@ -377,6 +377,18 @@ def grid_sizes(monkeypatch):
 
     monkeypatch.setattr(blaschke_module, "grid_nodes", recorded)
     return sizes
+
+
+def test_alias_grid_is_set_by_its_bound(grid_sizes):
+    # radial_line, n = 256, eps = 1, seed 1: D = 341, and the aliasing bound
+    # holds on 512 nodes; a 64n floor made the certificate sample 16384
+    c = build_corrector(generate_zeros("radial_line", 256, 1), 1.0)
+    env = _tail_envelope(c)
+    d = _truncation_degree(c, 2, 1e-9, env)
+    assert d == 341
+    assert _alias_grid(d, 1e-10, env) == 512
+    corrector_certificate(c, (1, 2))
+    assert grid_sizes == [512]
 
 
 def test_derivative_apriori_grid_is_capped(grid_sizes):

@@ -8,6 +8,7 @@ from szego_lab.circle_fourier import (
     besov_seminorm,
     convolve,
     dirichlet,
+    grid_nodes,
     kernel_identity_vk_vpn,
     kernel_multiplier,
     kernel_support,
@@ -38,6 +39,16 @@ def test_eval_against_naive():
     for z in [0.3 + 0.4j, 1.0 + 0.0j, np.exp(0.7j), 2.0 - 1.0j]:
         naive = sum(c[i] * z ** (i - 2) for i in range(7))
         assert abs(f(z) - naive) < 1e-12 * max(1.0, abs(naive))
+
+
+def test_grid_nodes_keep_the_bits_of_the_complex_phase_form():
+    # the phases are taken in real arithmetic; on every power-of-two grid
+    # that gives the bits of exp(2j pi p / m) with its complex division
+    for k in range(21):
+        m = 1 << k
+        want = np.exp(2j * np.pi * np.arange(m) / m)
+        assert np.array_equal(grid_nodes(m).view(np.uint64),
+                              want.view(np.uint64)), m
 
 
 # ------------------------------------------------------------------- kernels

@@ -558,6 +558,13 @@ def test_input_error_cases(tmp_path, capsys):
                  "seed", command="pipeline")
     expect_field({"measure_file": measure, "pipeline": True, "seed": -3},
                  "seed")
+    # integers are not read from fractions or booleans
+    expect_field({"n_grid": [8.7]}, "n_grid", command="vs-bound")
+    expect_field({"n_grid": [8], "seed": 2.9}, "seed", command="vs-bound")
+    expect_field({"n_grid": [8], "seeds": True}, "seeds", command="vs-bound")
+    # kinds is the one spelling of the zero-set kinds
+    expect_field({"n_grid": [8], "kind": "uniform_disk"}, "kind",
+                 command="vs-bound")
     # 1 + epsilon/n rounds to 1, so the dilation radius is not above 1
     expect_field({"n_grid": [8], "epsilon": 1e-20}, "epsilon",
                  command="vs-bound")
@@ -566,10 +573,23 @@ def test_input_error_cases(tmp_path, capsys):
                         "precision_bits"),
                        (dict(TWO_MASS_JSON, precision_bits="abc"),
                         "precision_bits"),
+                       (dict(TWO_MASS_JSON, precision_bits=128.5),
+                        "precision_bits"),
                        (dict(TWO_MASS_JSON, masses=[[2.0, 0.0]]), "masses"),
                        ([TWO_MASS_JSON], "measure_file")):
         bad_measure = write_json(tmp_path / "bad_mu.json", obj)
         expect_field({"measure_file": bad_measure}, field)
+    # a repeated mass point is a measure, but not one the residue identity
+    # takes: residue-check names the masses, opuc runs
+    repeated = write_json(tmp_path / "repeated_mu.json", {
+        "psi": [[1, 0]], "masses": [[1.5, 0, 0.3], [1.5, 0, 0.2]],
+        "precision_bits": 128})
+    expect_field({"measure_file": repeated, "n_grid": [4]}, "masses",
+                 command="residue-check")
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": repeated, "n_grid": [4],
+        "out_dir": str(tmp_path / "repeated")})
+    assert run_main(capsys, "opuc", "--manifest", man)[0] == 0
     # manifest that is not JSON at all
     bad = tmp_path / "broken.json"
     bad.write_text("{not json")

@@ -564,6 +564,24 @@ def test_closed_form_raises_on_an_indefinite_system():
         tau_n(mu, 4)
 
 
+def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
+    # the Woodbury system [[S, f], [f^H, 1]] of K masses goes through
+    # xlinalg.cholesky at the measure's precision plus the guard bits, 32
+    # and then 64, which agree on the README's two-mass measure
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.5])),
+                     PointSpectrum(((1.5, 0.3), (-1.25, 0.1))), 256)
+    seen = []
+    factor = mo.cholesky
+
+    def spy(g):
+        seen.append((g.dim, g.bits))
+        return factor(g)
+
+    monkeypatch.setattr(mo, "cholesky", spy)
+    tau_n(mu, 8)
+    assert seen == [(3, 256 + 32), (3, 256 + 64)]
+
+
 # ----------------------------------------------------------------------
 # orthonormal elements
 

@@ -267,6 +267,24 @@ def test_constrained_max_leading_examples():
     assert abs(wit[1] - 0.5) < 1e-15
 
 
+@pytest.mark.parametrize("bits", PRECISION_BITS)
+def test_witness_forward_solve_is_solve_lower(bits):
+    # the witness's forward solve is written out as e_N / l_NN: forward
+    # substitution on e_N gives that bit for bit, as every sum before the
+    # last row is an exact zero
+    rng = np.random.default_rng(61 + bits)
+    ctx = context(bits)
+    for g in (random_pd(rng, 7, bits), spread_pd(rng, 12, bits, 75),
+              random_toeplitz(rng, 9, bits, 1e-3)):
+        l = cholesky(g)
+        e_n = [ctx.mpc(0)] * (g.dim - 1) + [ctx.mpc(1)]
+        x = solve_upper_conj(l, solve_lower(l, e_n))
+        eta = ctx.sqrt(ctx.re(x[-1]))
+        got_eta, got = constrained_max_leading(g)
+        assert got_eta._mpf_ == eta._mpf_
+        assert [v._mpc_ for v in got] == [(v / eta)._mpc_ for v in x]
+
+
 def test_route_equivalence_random():
     rng = np.random.default_rng(21)
     for bits in PRECISION_BITS[:3]:
