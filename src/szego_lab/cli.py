@@ -18,6 +18,7 @@ import argparse
 import csv
 import functools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -37,6 +38,7 @@ from szego_lab.asymptotics import (
     vp_approximant,
 )
 from szego_lab.blaschke import (
+    _GRID_CAP,
     PoleProximityError,
     TaylorToleranceError,
     ZeroSet,
@@ -56,7 +58,7 @@ from szego_lab.measure_opuc import (
     residue_identity_check,
     target_limit,
 )
-from szego_lab.xlinalg import NotPositiveDefinite, PrecisionTag
+from szego_lab.xlinalg import PRECISION_BITS, NotPositiveDefinite
 
 __all__ = ["COMMANDS", "ManifestError", "RunManifest", "generate_zeros",
            "run", "main"]
@@ -81,158 +83,172 @@ class ManifestError(FieldError):
     """Invalid manifest or input file; carries the offending field name."""
 
 
+# ----------------------------------------------------------------------
+# the input table: one row per manifest field
+
+
+def _as_float(v) -> float:
+    """v as a float, for an int or a float; TypeError for anything else."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
+def _typed(t):
+    """Reader that takes a JSON value of type t, such as str, as it is."""
+    def read(v):
+        if not isinstance(v, t):
+            raise TypeError(f"{v!r} is not a {t.__name__}")
+        return v
+    return read
+
+
+def _one_of(*choices):
+    def read(v):
+        if v not in choices:
+            raise ValueError(f"{v!r} is not one of {', '.join(choices)}")
+        return v
+    return read
+
+
+def _list_of(read):
+    def read_list(v):
+        if not isinstance(v, list) or not v:
+            raise TypeError(f"{v!r} is not a nonempty list")
+        return tuple(map(read, v))
+    return read_list
+
+
+def _row(read, default=None, ok=None, must="", rule=None):
+    """A row of the input table, as a field: read turns the JSON value into
+    the field's value or raises; ok holds for each valid value (each entry
+    of a list), must says what ok asks, and rule(man) says what is wrong
+    with the field against the others, or is falsy."""
+    return field(default=default, metadata={"row": (read, ok, must, rule)})
+
+
+# The largest exponents that keep their powers finite doubles: j^s for the
+# degrees j <= 2^26 that blaschke's truncation search may try, and (log n)^A
+# for the n <= _GRID_CAP of a log-condition grid.
+_LN_MAX = math.log(sys.float_info.max)
+_S_MAX = math.floor(_LN_MAX / math.log(2.0 ** 26))
+_A_MAX = math.floor(_LN_MAX / math.log(math.log(_GRID_CAP)))
+
+
+def _n_grid_rule(man):
+    ns = man.n_grid
+    if list(ns) != sorted(set(ns)):
+        return "must be strictly increasing"
+    if (man.command == "pipeline"
+            or man.command == "opuc" and man.pipeline) and ns[0] < 8:
+        return "pipeline lower bounds need n >= 8"
+
+
+def _besov_pairs(man) -> list:
+    """The (k, n) of a besov run: k of k_list (0..10 by default) and n of
+    n_grid with 2^k <= n, that is k < n.bit_length()."""
+    ks = man.k_list if man.k_list is not None else range(11)
+    return [(k, n) for n in man.n_grid for k in ks if k < n.bit_length()]
+
+
 @dataclass
 class RunManifest:
-    """Resolved run description: manifest file contents plus flag overrides."""
+    """Resolved run description: manifest file contents plus flag overrides.
+
+    Each field a manifest may name is a row of the input table (_row): its
+    reader, its range, its default and, for a few, a rule against the other
+    fields.  The README's "Inputs" table lists the rows.
+    """
 
     command: str
-    out_dir: str = "."
-    seed: int = 0
-    precision_bits: int | None = None
-    oversample: int = 16
-    measure_file: str | None = None
-    n_grid: tuple = ()
-    seeds: int = 1
-    kinds: tuple = ("uniform_disk",)
-    epsilon: float = 1.0
-    smoothness: tuple = (1, 2)
-    which: str = "both"
-    route: str = "both"
-    pipeline: bool = False
-    k_list: tuple | None = None
-    exponents: tuple = (1.0, 2.0)
-    n_max: int = 4096
-    schedule: ScheduleParams | None = None
+    out_dir: str = _row(_typed(str), ".")
+    seed: int = _row(_as_int, 0, lambda s: s >= 0, "at least 0")
+    seeds: int = _row(_as_int, 1, lambda s: 1 <= s <= _GRID_CAP,
+                      f"in [1, {_GRID_CAP}]")
+    precision_bits: int | None = _row(_as_int, None,
+                                      lambda b: b in PRECISION_BITS,
+                                      f"one of {PRECISION_BITS}")
+    measure_file: str | None = _row(_typed(str))
+    pipeline: bool = _row(_typed(bool), False)
+    n_grid: tuple = _row(_list_of(_as_int), (), lambda n: 1 <= n <= _GRID_CAP,
+                         f"in [1, {_GRID_CAP}]", _n_grid_rule)
+    oversample: int = _row(
+        _as_int, 16, lambda o: o >= 4, "at least 4",
+        # each sup grid takes oversample * (K + 1) nodes for a degree K > n
+        lambda m: m.command == "vs-bound"
+        and m.oversample * (m.n_grid[-1] + 1) > _GRID_CAP
+        and f"oversample * (n + 1) passes {_GRID_CAP} nodes")
+    kinds: tuple = _row(_list_of(_one_of(*ZERO_KINDS)), ("uniform_disk",))
+    epsilon: float = _row(
+        _as_float, 1.0, lambda e: 0.0 < e <= 1.0, "in (0, 1]",
+        # the dilation radius 1 + epsilon/n must be told apart from 1
+        lambda m: m.command == "vs-bound"
+        and 1.0 + m.epsilon / m.n_grid[-1] == 1.0
+        and "too small for the largest n")
+    smoothness: tuple = _row(_list_of(_as_int), (1, 2),
+                             lambda s: 1 <= s <= _S_MAX, f"in [1, {_S_MAX}]")
+    which: str = _row(_one_of("tau", "eta", "both"), "both")
+    route: str = _row(_one_of("vp", "taylor", "both"), "both")
+    k_list: tuple | None = _row(
+        _list_of(_as_int), None, lambda k: 0 <= k <= _GRID_CAP,
+        f"in [0, {_GRID_CAP}]",
+        lambda m: m.command == "besov" and not _besov_pairs(m)
+        and "no pair satisfies 2^k <= n on the grid")
+    exponents: tuple = _row(_list_of(_as_float), (1.0, 2.0),
+                            lambda a: 0.0 < a <= _A_MAX, f"in (0, {_A_MAX}]")
+    n_max: int = _row(_as_int, 4096, lambda n: 2 <= n <= _GRID_CAP,
+                      f"in [2, {_GRID_CAP}]")
+    schedule: ScheduleParams | None = _row(
+        lambda v: ScheduleParams.from_json(_typed(dict)(v)))
     measure: MeasureSpec | None = field(default=None, compare=False)
 
 
-# ----------------------------------------------------------------------
-# manifest loading
-
-
-def _expect(obj, key, kind, convert=None):
-    val = obj[key]
-    try:
-        return convert(val) if convert else val
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(key, f"expected {kind}: {exc}") from exc
-
-
-def _int_tuple(key, val, minimum=1):
-    try:
-        out = tuple(map(_as_int, val))
-    except (TypeError, ValueError) as exc:
-        raise ManifestError(key, "expected a list of integers") from exc
-    if not out:
-        raise ManifestError(key, "must not be empty")
-    if any(v < minimum for v in out):
-        raise ManifestError(key, f"entries must be at least {minimum}")
-    return out
-
-
+# the defaults lie in their ranges; the rules run on every manifest
+_ROWS = {f.name: f.metadata["row"] for f in fields(RunManifest) if f.metadata}
+_RULES = tuple((name, row[3]) for name, row in _ROWS.items() if row[3])
 _KNOWN_KEYS = {f.name for f in fields(RunManifest)} - {"measure"}
 
 
+def _read_json(path: str, name: str) -> dict:
+    """The JSON object in the file at path; ManifestError names name."""
+    try:
+        with open(path, encoding="utf-8") as fh:
+            obj = json.load(fh)
+    except (OSError, ValueError) as exc:
+        raise ManifestError(name, f"cannot read {path} as JSON: {exc}") from exc
+    if not isinstance(obj, dict):
+        raise ManifestError(name, "top level must be a JSON object")
+    return obj
+
+
 def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifest:
-    """Parse the manifest file, overlay flags, and validate every field."""
-    obj: dict = {}
-    if path is not None:
-        if not os.path.isfile(path):
-            raise ManifestError("manifest", f"no such file: {path}")
-        try:
-            with open(path, encoding="utf-8") as fh:
-                obj = json.load(fh)
-        except json.JSONDecodeError as exc:
-            raise ManifestError("manifest", f"not valid JSON: {exc}") from exc
-        if not isinstance(obj, dict):
-            raise ManifestError("manifest", "top level must be a JSON object")
-    for key in obj:
-        if key not in _KNOWN_KEYS:
-            raise ManifestError(key, "unknown manifest field")
-    if "command" in obj and obj["command"] != command:
+    """Parse the manifest file, overlay the flags on it, read and range-check
+    each field it names through its row, then apply every rule."""
+    obj = {} if path is None else _read_json(path, "manifest")
+    if (named := obj.pop("command", command)) != command:
         raise ManifestError(
-            "command",
-            f"manifest names {obj['command']!r} but {command!r} was invoked")
-
-    man = RunManifest(command=command)
-    man.out_dir = str(obj.get("out_dir", man.out_dir))
-    if "seed" in obj:
-        man.seed = _expect(obj, "seed", "an integer", _as_int)
-    if "seeds" in obj:
-        man.seeds = _expect(obj, "seeds", "an integer", _as_int)
-        if man.seeds < 1:
-            raise ManifestError("seeds", "must be at least 1")
-    if "oversample" in obj:
-        man.oversample = _expect(obj, "oversample", "an integer", _as_int)
-    if "precision_bits" in obj:
-        man.precision_bits = _expect(obj, "precision_bits", "an integer", _as_int)
-    if "n_grid" in obj:
-        man.n_grid = _int_tuple("n_grid", obj["n_grid"])
-        if list(man.n_grid) != sorted(set(man.n_grid)):
-            raise ManifestError("n_grid", "must be strictly increasing")
-    else:
-        man.n_grid = _DEFAULT_GRIDS[command]
-    if "kinds" in obj:
-        man.kinds = tuple(str(k) for k in obj["kinds"])
-        if not man.kinds:
-            raise ManifestError("kinds", "must not be empty")
-    for k in man.kinds:
-        if k not in ZERO_KINDS:
-            raise ManifestError("kinds", f"unknown zero-set kind {k!r}")
-    if "epsilon" in obj:
-        man.epsilon = _expect(obj, "epsilon", "a number", float)
-        if not 0.0 < man.epsilon <= 1.0:
-            raise ManifestError("epsilon", "must lie in (0, 1]")
-    if "smoothness" in obj:
-        man.smoothness = _int_tuple("smoothness", obj["smoothness"])
-    if "which" in obj:
-        man.which = str(obj["which"])
-        if man.which not in ("tau", "eta", "both"):
-            raise ManifestError("which", "must be tau, eta, or both")
-    if "route" in obj:
-        man.route = str(obj["route"])
-        if man.route not in ("vp", "taylor", "both"):
-            raise ManifestError("route", "must be vp, taylor, or both")
-    if "pipeline" in obj:
-        if not isinstance(obj["pipeline"], bool):
-            raise ManifestError("pipeline", "must be true or false")
-        man.pipeline = obj["pipeline"]
-    if "k_list" in obj:
-        man.k_list = _int_tuple("k_list", obj["k_list"], minimum=0)
-    if "exponents" in obj:
-        try:
-            man.exponents = tuple(float(a) for a in obj["exponents"])
-        except (TypeError, ValueError) as exc:
-            raise ManifestError("exponents", "expected a list of numbers") from exc
-        if not man.exponents or any(a <= 0 for a in man.exponents):
-            raise ManifestError("exponents", "need positive exponents")
-    if "n_max" in obj:
-        man.n_max = _expect(obj, "n_max", "an integer", _as_int)
-        if man.n_max < 2:
-            raise ManifestError("n_max", "must be at least 2")
-    if "schedule" in obj:
-        try:
-            man.schedule = ScheduleParams.from_json(obj["schedule"])
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ManifestError("schedule", f"bad schedule spec: {exc}") from exc
-    man.measure_file = obj.get("measure_file")
-
-    for key in ("out", "seed", "precision_bits", "oversample"):
-        val = overrides.get(key)
+            "command", f"manifest names {named!r} but {command!r} was invoked")
+    for key, val in overrides.items():
         if val is not None:
-            setattr(man, "out_dir" if key == "out" else key, val)
-    if man.seed < 0:
-        raise ManifestError("seed", "must be at least 0")
-    if man.oversample < 4:
-        raise ManifestError("oversample", "must be at least 4")
-    # the dilation radius 1 + epsilon/n must be told apart from 1
-    if command == "vs-bound" and 1.0 + man.epsilon / max(man.n_grid) == 1.0:
-        raise ManifestError("epsilon", "too small for the largest n")
-    if man.precision_bits is not None:
+            obj["out_dir" if key == "out" else key] = val
+
+    man = RunManifest(command, n_grid=_DEFAULT_GRIDS[command])
+    for name, raw in obj.items():
+        if name not in _ROWS:
+            raise ManifestError(name, "unknown manifest field")
+        read, ok, must, _ = _ROWS[name]
         try:
-            PrecisionTag(man.precision_bits)
-        except ValueError as exc:
-            raise ManifestError("precision_bits", str(exc)) from exc
+            val = read(raw)
+        except (KeyError, TypeError, ValueError, OverflowError) as exc:
+            raise ManifestError(name, f"bad value: {exc}") from exc
+        if ok is not None and not (all(map(ok, val)) if isinstance(val, tuple)
+                                   else ok(val)):
+            raise ManifestError(name, f"must be {must}")
+        setattr(man, name, val)
+    for name, rule in _RULES:
+        wrong = rule(man)
+        if wrong:
+            raise ManifestError(name, wrong)
 
     if command in _NEEDS_MEASURE:
         man.measure = _load_measure(man)
@@ -242,16 +258,7 @@ def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifes
 def _load_measure(man: RunManifest) -> MeasureSpec:
     if man.measure_file is None:
         raise ManifestError("measure_file", "required for this command")
-    if not os.path.isfile(man.measure_file):
-        raise ManifestError("measure_file", f"no such file: {man.measure_file}")
-    try:
-        with open(man.measure_file, encoding="utf-8") as fh:
-            obj = json.load(fh)
-    except json.JSONDecodeError as exc:
-        raise ManifestError("measure_file", f"not valid JSON: {exc}") from exc
-    if not isinstance(obj, dict):
-        raise ManifestError("measure_file", "top level must be a JSON object")
-    mu = MeasureSpec.from_json(obj)
+    mu = MeasureSpec.from_json(_read_json(man.measure_file, "measure_file"))
     if man.precision_bits is not None and man.precision_bits != mu.precision:
         mu = MeasureSpec(mu.weight, mu.spectrum, man.precision_bits)
     return mu
@@ -418,10 +425,7 @@ def _run_vs_bound(man: RunManifest):
 
 
 def _run_besov(man: RunManifest):
-    ks = man.k_list if man.k_list is not None else tuple(range(0, 11))
-    pairs = [(k, n) for n in man.n_grid for k in ks if (1 << k) <= n]
-    if not pairs:
-        raise ManifestError("k_list", "no pair satisfies 2^k <= n on the grid")
+    pairs = _besov_pairs(man)
 
     def work(pair):
         k, n = pair
@@ -435,8 +439,6 @@ def _run_besov(man: RunManifest):
 
 def _run_opuc(man: RunManifest):
     mu = man.measure
-    if man.pipeline and min(man.n_grid) < 8:
-        raise ManifestError("n_grid", "pipeline lower bounds need n >= 8")
     rec = convergence_experiment(mu, man.n_grid, which=man.which,
                                  pipeline=man.pipeline, sched=man.schedule,
                                  seed=man.seed)
@@ -457,8 +459,6 @@ def _run_opuc(man: RunManifest):
 
 def _run_pipeline(man: RunManifest):
     mu = man.measure
-    if min(man.n_grid, default=0) < 8:
-        raise ManifestError("n_grid", "pipelines need n >= 8")
     sched = man.schedule or ScheduleParams.default()
     if len(man.n_grid) >= 2:
         validate_schedule(sched, man.n_grid)
@@ -480,15 +480,11 @@ def _run_pipeline(man: RunManifest):
 def _run_residue_check(man: RunManifest):
     mu = man.measure
     n_masses = len(mu.spectrum)
-    if man.k_list is None:
-        ks = tuple(range(0, min(2, n_masses) + 1))
-    else:
-        ks = man.k_list
-        if any(k > n_masses for k in ks):
-            raise ManifestError(
-                "k_list", f"measure has only {n_masses} mass points")
+    ks = man.k_list or tuple(range(min(2, n_masses) + 1))
+    if max(ks) > n_masses:
+        raise ManifestError("k_list", f"measure has only {n_masses} mass points")
     rows = []
-    nodes = ResidueNodes(mu, max(ks, default=0))
+    nodes = ResidueNodes(mu, max(ks))
     for n in man.n_grid:
         element = orthonormal_element(mu, n, laurent=True)
         for k in ks:

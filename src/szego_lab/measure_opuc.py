@@ -128,7 +128,7 @@ class PrecisionExhausted(ArithmeticError):
 
 @dataclass(frozen=True)
 class OuterWeight:
-    """Zero-free Taylor polynomial weight with positive value at the origin.
+    """Finite zero-free Taylor polynomial weight, positive at the origin.
 
     Zero-freeness on the closed disk is verified through the polynomial
     roots; the minimum of |psi| over a 4096-node circle grid is recorded as
@@ -141,6 +141,8 @@ class OuterWeight:
 
     def __post_init__(self):
         p = self.psi
+        if not np.isfinite(p.coeffs).all():
+            raise ValueError("psi coefficients must be finite")
         if p.lo < 0:
             raise ValueError("weight must have nonnegative exponents only")
         c0 = complex(p.coefficient(0))
@@ -169,7 +171,7 @@ class OuterWeight:
 
 @dataclass(frozen=True)
 class PointSpectrum:
-    """Point masses (z_k, mu_k) with |z_k| > 1 and mu_k > 0."""
+    """Point masses (z_k, mu_k), finite, with |z_k| > 1 and mu_k > 0."""
 
     masses: tuple
 
@@ -177,6 +179,8 @@ class PointSpectrum:
         ms = tuple((complex(z), float(m)) for z, m in self.masses)
         object.__setattr__(self, "masses", ms)
         for z, m in ms:
+            if not all(map(math.isfinite, (z.real, z.imag, m))):
+                raise ValueError(f"mass ({z}, {m}) not finite")
             if abs(z) <= 1.0:
                 raise ValueError(f"mass point {z} not outside the circle")
             if m <= 0.0:
@@ -219,7 +223,7 @@ class MeasureSpec:
             return cls(weight, spectrum, _as_int(obj.get(key, 256)))
         except KeyError as exc:
             raise FieldError(key, "missing measure field") from exc
-        except (TypeError, ValueError) as exc:
+        except (TypeError, ValueError, OverflowError) as exc:
             raise FieldError(key, str(exc)) from exc
 
 

@@ -6,11 +6,14 @@ their defining constructions, the exit-code contract is exercised for all
 four classes, and byte determinism is checked serial and threaded.
 """
 
+import copy
 import csv
 import importlib.util
 import json
 import math
 import os
+import random
+import re
 import subprocess
 import sys
 
@@ -601,6 +604,51 @@ def test_input_error_cases(tmp_path, capsys):
     code, out = run_main(capsys, "vs-bound", "--manifest", man, "--seed", "-1")
     assert code == 2, out
     assert error_payload(out)["field"] == "seed"
+    # non-finite measure numbers: psi, a mass point, a mass weight
+    nan, inf = math.nan, math.inf
+    for command, obj, field in (
+            ("opuc", {"psi": [[nan, 0]]}, "psi"),
+            ("residue-check", {"psi": [[nan, 0]]}, "psi"),
+            ("opuc", dict(TWO_MASS_JSON, masses=[[nan, 0, 0.3]]), "masses"),
+            ("opuc", dict(TWO_MASS_JSON, masses=[[inf, 0, 0.3]]), "masses"),
+            ("pipeline", dict(TWO_MASS_JSON, masses=[[1.5, 0, nan]]),
+             "masses"),
+            ("log-condition", dict(TWO_MASS_JSON, masses=[[1.01, 0, inf]]),
+             "masses")):
+        bad_measure = write_json(tmp_path / "bad_mu.json", obj)
+        expect_field({"measure_file": bad_measure, "n_grid": [8]}, field,
+                     command=command)
+    expect_field({"measure_file": measure, "exponents": [inf]}, "exponents",
+                 command="log-condition")
+    # string and list fields are read as such
+    expect_field({"n_grid": [8], "out_dir": None}, "out_dir",
+                 command="vs-bound")
+    expect_field({"measure_file": []}, "measure_file")
+    expect_field({"n_grid": [8], "kinds": 5}, "kinds", command="vs-bound")
+    expect_field({"measure_file": measure, "n_grid": [8], "schedule": 5},
+                 "schedule", command="pipeline")
+    # ranges from the limits of the code: the largest grid and a double
+    expect_field({"n_grid": [8], "oversample": 10 ** 9}, "oversample",
+                 command="vs-bound")
+    expect_field({"n_grid": [8], "smoothness": [400]}, "smoothness",
+                 command="vs-bound")
+    expect_field({"n_grid": [8], "k_list": [10 ** 30]}, "k_list",
+                 command="besov")
+    expect_field({"n_grid": [2 ** 62]}, "n_grid", command="besov")
+    # a pipeline's n_grid and a besov pairing are checked before any run
+    expect_field({"measure_file": measure, "n_grid": [4]}, "n_grid",
+                 command="pipeline")
+    expect_field({"measure_file": measure, "pipeline": True}, "n_grid")
+    expect_field({"n_grid": [8], "k_list": [4]}, "k_list", command="besov")
+
+
+def test_readme_inputs_table_names_every_field():
+    # the README's Inputs table has one row per manifest field, no more
+    readme = os.path.join(os.path.dirname(__file__), "..", "README.md")
+    with open(readme, encoding="utf-8") as fh:
+        section = fh.read().split("\n## Inputs\n", 1)[1].split("\n## ", 1)[0]
+    names = re.findall(r"^\| `(\w+)`", section, flags=re.M)
+    assert sorted(names) == sorted(cli._KNOWN_KEYS)
 
 
 def test_schedule_violation_exit_code(tmp_path, capsys):
@@ -666,3 +714,78 @@ def test_module_entry_point(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
     assert "certificates.csv" in proc.stdout
     assert (tmp_path / "out" / "report.json").is_file()
+
+
+# ----------------------------------------------------------------------
+# seeded fuzz of the input contract
+
+# one value of each kind: wrong types, non-finite numbers, empty and nested
+# lists, an integer-valued float, a numeric string, huge and negative numbers
+FUZZ_VALUES = ("x", {}, True, math.nan, math.inf, -math.inf, [], [[8]], 8.0,
+               "8", 1e300, -1e300, 2 ** 62, -3)
+
+FUZZ_MEASURE = {"psi": [[1.0, 0.0], [-0.5, 0.2]],
+                "masses": [[1.5, 0.0, 0.3], [-1.25, 0.5, 0.1]],
+                "precision_bits": 128}
+
+# a small valid manifest, and measure file or None, for each subcommand
+FUZZ_BASES = {
+    "vs-bound": ({"n_grid": [4, 8], "kinds": ["radial_line"], "seeds": 1,
+                  "epsilon": 0.5, "smoothness": [1, 2], "oversample": 8},
+                 None),
+    "besov": ({"n_grid": [8, 16], "k_list": [0, 2]}, None),
+    "opuc": ({"n_grid": [2, 4], "which": "both"}, FUZZ_MEASURE),
+    "pipeline": ({"n_grid": [8, 16], "route": "vp"}, FUZZ_MEASURE),
+    "residue-check": ({"n_grid": [4], "k_list": [0, 1]}, FUZZ_MEASURE),
+    "log-condition": ({"n_max": 16, "exponents": [1.0, 2.0]}, FUZZ_MEASURE),
+}
+
+MEASURE_FIELDS = ("psi", "masses", "precision_bits")
+
+
+def _fuzz_targets(command):
+    """Where one value may go: ("manifest" | "measure", key, index...)."""
+    manifest, measure = FUZZ_BASES[command]
+    targets = [("manifest", key) for key in sorted(cli._KNOWN_KEYS)]
+    targets += [("manifest", key, 0) for key, val in manifest.items()
+                if isinstance(val, list)]
+    if measure is not None:
+        targets += [("measure", key) for key in MEASURE_FIELDS]
+        targets += [("measure", "psi", 0, 0), ("measure", "psi", 1, 1),
+                    ("measure", "masses", 0, 0), ("measure", "masses", 1, 2)]
+    return targets
+
+
+def test_fuzz_input_contract(tmp_path, capsys, monkeypatch):
+    # every input exits 0, 2, 3 or 4, and an exit 2 names a field of the
+    # manifest or the measure file; the output directories land in tmp_path
+    monkeypatch.chdir(tmp_path)
+    named = cli._KNOWN_KEYS | set(MEASURE_FIELDS) | {"manifest"}
+    rng = random.Random(2026)
+    failures = []
+    for case in range(300):
+        command = rng.choice(sorted(FUZZ_BASES))
+        target = rng.choice(_fuzz_targets(command))
+        value = rng.choice(FUZZ_VALUES)
+        manifest, measure = copy.deepcopy(FUZZ_BASES[command])
+        obj = manifest if target[0] == "manifest" else measure
+        *path, last = target[1:]
+        for key in path:
+            obj = obj[key]
+        obj[last] = value
+        manifest.setdefault("out_dir", f"out{case}")
+        if measure is not None:
+            manifest.setdefault("measure_file", write_json(
+                tmp_path / f"mu{case}.json", measure))
+        man = write_json(tmp_path / f"man{case}.json", manifest)
+        where = (command, target, value)
+        try:
+            code, out = run_main(capsys, command, "--manifest", man)
+        except Exception as exc:  # every escape is a failure
+            failures.append((where, repr(exc)))
+            continue
+        if code not in (0, 2, 3, 4):
+            failures.append((where, code))
+        elif code == 2 and error_payload(out)["field"] not in named:
+            failures.append((where, error_payload(out)))
+    assert not failures, failures

@@ -104,6 +104,23 @@ def test_point_spectrum_rejects_nonpositive_mass():
         PointSpectrum(((1.5, -0.2),))
 
 
+@pytest.mark.parametrize("coeffs", [[math.nan], [1.0, math.inf],
+                                    [1.0, complex(0.2, math.nan)]])
+def test_outer_weight_rejects_nonfinite(coeffs):
+    with pytest.raises(ValueError, match="finite"):
+        OuterWeight(LaurentPolynomial(0, coeffs))
+
+
+@pytest.mark.parametrize("mass", [(complex(math.nan, 0), 0.3),
+                                  (complex(1.5, math.inf), 0.3),
+                                  (1.5, math.nan), (1.5, math.inf)])
+def test_point_spectrum_rejects_nonfinite(mass):
+    # NaN passes both |z| <= 1 and m <= 0 unnoticed, so finiteness is its
+    # own rule
+    with pytest.raises(ValueError, match="finite"):
+        PointSpectrum((mass,))
+
+
 def test_point_spectrum_length():
     sp = PointSpectrum(((1.5, 0.3), (1.25, 0.7)))
     assert len(sp) == 2
