@@ -28,6 +28,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from szego_lab.circle_fourier import (
+    _GRID_CAP,
     LaurentPolynomial,
     SupBound,
     grid_nodes,
@@ -54,7 +55,6 @@ __all__ = [
 ]
 
 _POLE_TOL = 2.0 ** -40
-_GRID_CAP = 1 << 22
 # the sampled series is cut where the rest of its l1 mass falls below this
 # share of its l2 norm: below the coefficients' own certified rounding
 _NOISE_FLOOR = 2.0 ** -40

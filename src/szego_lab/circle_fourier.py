@@ -23,6 +23,7 @@ __all__ = [
     "LaurentPolynomial",
     "KernelSpec",
     "KernelDomainError",
+    "GridCapError",
     "SupBound",
     "vallee_poussin",
     "modified_v",
@@ -46,10 +47,16 @@ DIRICHLET = "dirichlet"
 
 _KINDS = (VALLEE_POUSSIN, MODIFIED_V, MODIFIED_VP, DIRICHLET)
 _INF = (np.inf, "inf")
+# the most nodes any sampled grid may take
+_GRID_CAP = 1 << 22
 
 
 class KernelDomainError(ValueError):
     """Arguments outside the range where a kernel statement is claimed."""
+
+
+class GridCapError(ValueError):
+    """A sup grid would pass _GRID_CAP nodes; refused before sampling."""
 
 
 def _next_pow2(m: int) -> int:
@@ -322,6 +329,7 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     max on a power-of-two grid of at least oversample*(d+1) nodes, refined by
     up to three Newton steps on |f|^2 from the best node, each a vectorized
     O(d) sum; upper = grid max / (1 - pi d/M) by Bernstein's inequality.
+    A grid past _GRID_CAP nodes raises GridCapError before any sampling.
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
@@ -330,6 +338,10 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     c = f.coeffs
     d = len(c) - 1
     m = _next_pow2(max(oversample * (d + 1), 64))
+    if m > _GRID_CAP:
+        raise GridCapError(
+            f"a sup grid of oversample * (degree + 1) = {oversample} * {d + 1}"
+            f" nodes passes {_GRID_CAP}")
     js = np.arange(d + 1, dtype=np.float64)
     h = 2.0 * np.pi / m
     # the grid max by cosets of at most 2^16 nodes, to bound the memory:

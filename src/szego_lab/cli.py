@@ -45,7 +45,11 @@ from szego_lab.blaschke import (
     build_corrector,
     corrector_certificate,
 )
-from szego_lab.circle_fourier import KernelDomainError, kernel_identity_vk_vpn
+from szego_lab.circle_fourier import (
+    GridCapError,
+    KernelDomainError,
+    kernel_identity_vk_vpn,
+)
 from szego_lab.measure_opuc import (
     FieldError,
     MeasureSpec,
@@ -400,7 +404,11 @@ def _run_vs_bound(man: RunManifest):
     def work(task):
         kind, n, s = task
         corr = build_corrector(generate_zeros(kind, n, s), man.epsilon)
-        cert = corrector_certificate(corr, man.smoothness, man.oversample)
+        try:
+            cert = corrector_certificate(corr, man.smoothness, man.oversample)
+        except GridCapError as exc:
+            # the trimmed degree is known only once B phi0 is sampled
+            raise ManifestError("oversample", str(exc)) from exc
         # the certificate record, its *_upper keys in report.json only
         row = dict(cert, kind=kind, seed=s)
         row["max_ratio"] = max(row[f"ratio_s{sm}"] for sm in man.smoothness)
@@ -417,8 +425,11 @@ def _run_vs_bound(man: RunManifest):
         "max_sup_phi_excess": max(
             r["sup_phi"] - (1.0 + r["epsilon"] / r["n"]) ** r["n"]
             for r in rows),
+        # null where every sampled value is 0 (a derivative order past the
+        # trimmed degree)
         "max_upper_over_value": {
-            key: max(r[f"{key}_upper"] / r[key] for r in rows)
+            key: max((r[f"{key}_upper"] / r[key] for r in rows if r[key] > 0),
+                     default=None)
             for key in bracketed},
     }
     return columns, rows, {"summary": summary}

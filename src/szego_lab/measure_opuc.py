@@ -25,7 +25,10 @@ builds its own, and both give the same record bit for bit.
 tau_n and eta_n have two routes.  With masses and degree at least deg psi
 they come from Uvarov's closed form: the Bernstein-Szego orthonormal
 polynomials and their Christoffel-Darboux kernel reduce the Gram solve to
-a K-by-K system for K masses, whatever n is.  Mass-free measures, where
+a K-by-K system for K masses, whatever n is.  That system is built and
+factored on Python integers (xlinalg._cholesky_fixed) and rounded to an
+mpmath number once, and the terms that depend only on a mass are formed
+once per fixed point for every n of a request.  Mass-free measures, where
 the closed form is the constant psi(0), and lower degrees take the Gram
 route: 1/sqrt of the Schur complement of z^n in the Gram matrix, in
 extended precision.  Without masses that matrix is Toeplitz, and the
@@ -45,12 +48,14 @@ NotPositiveDefinite if its system loses positivity at every try.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
+from math import isqrt
 from typing import Sequence
 
 import numpy as np
-from mpmath import MPContext
+from mpmath.libmp import from_rational, fzero, round_nearest
 
 from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2, grid_nodes
 from szego_lab.xlinalg import (
@@ -60,13 +65,18 @@ from szego_lab.xlinalg import (
     NotPositiveDefinite,
     PrecisionTag,
     _circle_nodes,
+    _cholesky_fixed,
+    _cmul,
+    _cpow,
     _dot,
+    _dyadic,
     _fixed_pair,
     _horner,
     _rdiv,
     _reflect,
+    _shift,
     _to_mpc,
-    cholesky,
+    _to_mpf,
     constrained_max_leading,
     context,
     next_tag,
@@ -242,37 +252,61 @@ def target_limit(mu: MeasureSpec) -> float:
 _moment_cache: dict = {}
 
 
-def _bernstein_szego_head(coeffs: list, bits: int) -> list:
+def _bernstein_szego_head(coeffs: Sequence[complex], bits: int) -> list:
     """t_0..t_d for psi = sum_j c_j z^j of degree d (see _trig_moments).
 
     psi/|psi|^2 = 1/conj(psi) has no positive frequencies and constant term
     1/c_0, so sum_j c_j t_(k-j) = [k == 0]/c_0 for k >= 0, where
     t_(-m) = conj(t_m).  Rows k = 0..d are a real linear system in the re
     and im parts of t_0..t_d; it is nonsingular, since with the recurrence
-    for k > d they determine every moment.  Returns mpc in context(bits).
+    for k > d they determine every moment.
+
+    The c_j are doubles, so dyadic: 2^e times the system is an integer
+    matrix A, and c_0 = p_0/q_0.  A y = e_0 is solved exactly by
+    fraction-free Gauss-Jordan elimination (Bareiss), whose divisions by
+    the previous pivot are exact, leaving a_ii y_i = b_i; then
+    t = 2^e q_0 y / p_0, and each moment is rounded once, to an mpc of
+    context(bits).
     """
-    # lu_solve raises its context's precision while it runs, so it gets a
-    # context of its own rather than the shared one
-    solver = MPContext()
-    solver.prec = bits
     d = len(coeffs) - 1
     size = 2 * (d + 1)
-    a = solver.matrix(size, size)
-    rhs = solver.matrix(size, 1)
+    parts = [v.as_integer_ratio() for c in coeffs for v in (c.real, c.imag)]
+    e = max(q for _, q in parts).bit_length() - 1
+    ints = [p << (e - q.bit_length() + 1) for p, q in parts]
+    # the augmented integer matrix [A | e_0], row by row
+    a = [[0] * (size + 1) for _ in range(size)]
     for k in range(d + 1):
         for j in range(d + 1):
-            cre, cim = coeffs[j].real, coeffs[j].imag
+            cre, cim = ints[2 * j], ints[2 * j + 1]
             m = k - j
             sign = 1 if m >= 0 else -1  # t_m, or conj(t_|m|) when m < 0
             col = 2 * abs(m)
-            a[2 * k, col] += cre
-            a[2 * k, col + 1] -= sign * cim
-            a[2 * k + 1, col] += cim
-            a[2 * k + 1, col + 1] += sign * cre
-    rhs[0] = 1 / coeffs[0].real
-    x = solver.lu_solve(a, rhs)
+            a[2 * k][col] += cre
+            a[2 * k][col + 1] -= sign * cim
+            a[2 * k + 1][col] += cim
+            a[2 * k + 1][col + 1] += sign * cre
+    a[0][size] = 1
+    prev = 1
+    for k in range(size):
+        piv = next(r for r in range(k, size) if a[r][k])
+        a[k], a[piv] = a[piv], a[k]
+        row_k, akk = a[k], a[k][k]
+        for i in range(size):
+            if i != k:
+                aik = a[i][k]
+                a[i] = [(akk * x - aik * y) // prev for x, y in zip(a[i], row_k)]
+        prev = akk
+    p0, q0 = parts[0]
     ctx = context(bits)
-    return [ctx.mpc(x[2 * m], x[2 * m + 1] if m else 0) for m in range(d + 1)]
+
+    def rounded(i):
+        num, den = a[i][size] * q0 << e, a[i][i] * p0
+        if den < 0:
+            num, den = -num, -den
+        return from_rational(num, den, bits, round_nearest)
+
+    return [ctx.make_mpc((rounded(2 * m), rounded(2 * m + 1) if m else fzero))
+            for m in range(d + 1)]
 
 
 def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> list:
@@ -291,7 +325,7 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> list:
     ctx = context(bits + 32)
     coeffs = [ctx.mpc(c) for c in weight.psi.coeffs]
     t = (list(cached) if cached is not None
-         else _bernstein_szego_head(coeffs, bits + 32))
+         else _bernstein_szego_head(weight.psi.coeffs, bits + 32))
     for k in range(len(t), m_max + 1):
         t.append(-ctx.fsum(coeffs[j] * t[k - j]
                            for j in range(1, len(coeffs))) / coeffs[0])
@@ -320,19 +354,17 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
     lo, hi = min(exps), max(exps)
     values = _trig_moments(mu.weight, hi - lo, bits)
     ctx = context(bits)
-    cols: list[list] = [[None] * n for _ in range(n)]
     if not mu.spectrum.masses:
         # every entry is a moment or its conjugate: round each moment once
-        # (rounding commutes with conj) and let the entries share them
-        rounded = [ctx.mpc(t) for t in values[: hi - lo + 1]]
+        # (rounding commutes with conj) and let the entries share them; the
+        # exponents are consecutive, so column c is t_c, ..., t_1 above the
+        # diagonal and conj(t_0), ..., conj(t_(n-1-c)) from it down
+        rounded = [ctx.mpc(t) for t in values[:n]]
         rounded[0] = ctx.mpc(values[0].real)
         conj_r = [ctx.conj(t) for t in rounded]
-        for c in range(n):
-            for r in range(c, n):
-                d = exps[r] - exps[c]
-                cols[c][r], cols[r][c] = ((conj_r[d], rounded[d]) if d >= 0
-                                          else (rounded[-d], conj_r[-d]))
-        return HermitianMatrix(cols, bits, _skip_check=True)
+        return HermitianMatrix([rounded[c:0:-1] + conj_r[: n - c]
+                                for c in range(n)], bits, _skip_check=True)
+    cols: list[list] = [[None] * n for _ in range(n)]
     conj_t = [ctx.conj(t) for t in values[: hi - lo + 1]]
     # per mass, m z^e for each column and conj(z)^e for each row: the mass
     # term (m z^(e_c)) conj(z)^(e_r) of entry (r, c) is then one product,
@@ -430,39 +462,98 @@ def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
     return _escalate(mu, n, lambda b: leading(gram(mu, n, b)))
 
 
-def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int):
-    """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading).
+@functools.lru_cache(maxsize=8)
+def _mass_terms(psi: tuple, masses: tuple, f: int) -> tuple:
+    """Per mass (z, m), the parts of Uvarov's system that do not depend on
+    the degree, as integers at f fractional bits (see _uvarov_ratio).
+
+    z is read exactly, as doubles are dyadic; |z| = isqrt(|z|^2), and
+    u = z/|z|, r = 1/|z|, 1/|z|^2, 1/z and 1/m are each rounded once.
+    w = psi(1/z) by Horner, and q = sum_j conj(c_j) u^j r^(d-j), that is
+    r^d p(z), by Horner in u, so that neither grows with |z|.  Cached per
+    (psi, masses, f): the degrees of a request and both of its leading
+    coefficients share them.
+    """
+    coeffs = [(_dyadic(c.real, f), _dyadic(c.imag, f)) for c in psi]
+    out = []
+    for z, m in masses:
+        zr, zi = _dyadic(z.real, f), _dyadic(z.imag, f)
+        z2 = zr * zr + zi * zi  # |z|^2 at 2f, exact
+        a = isqrt(z2)
+        u = _rdiv(zr << f, a), _rdiv(zi << f, a)
+        r = _rdiv(1 << 2 * f, a)
+        xr, xi = _reflect((zr, zi), f)  # 1/conj(z)
+        w = _horner(coeffs, (xr, -xi), f)
+        # conj(c_j) r^(d-j), from j = d down
+        b, rj = [], (1 << f, 0)
+        for cr, ci in reversed(coeffs):
+            b.append(_cmul((cr, -ci), rj, f))
+            rj = _cmul(rj, (r, 0), f)
+        p, q = m.as_integer_ratio()
+        inv_m = _rdiv(q << f, p) if p > 0 else -_rdiv(q << f, -p)
+        out.append(((zr, zi), u, r, _rdiv(1 << 3 * f, z2), inv_m, w,
+                    _horner(b[::-1], u, f)))
+    return tuple(out)
+
+
+def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
+    """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading),
+    on integers: (man, exp) with the ratio man 2^exp, before any rounding
+    to an mpmath number.
 
     Row and column i are scaled by |z_i|^-(n+1), so the entries stay
-    bounded as n grows; 1 - f^H S^-1 f is the last pivot of the Cholesky
-    factorization (xlinalg.cholesky) of [[S, f], [f^H, 1]], which raises
+    bounded as n grows: with the terms of _mass_terms at f = bits + 32,
+    p(z) |z|^-(n+1) = r^(n+1-d) q, phi_n(z) |z|^-(n+1) = u^n r w,
+    phi_(n+1)(z) |z|^-(n+1) = u^(n+1) w, and the reweighted 1/m is
+    |z|^-2(n+1-shift) / m.  Each kernel entry is the exact numerator
+    divided once by the exact 1 - z_i conj(z_l).  The system
+    [[S, f], [f^H, 1]] is equilibrated as in xlinalg.cholesky and factored
+    by xlinalg._cholesky_fixed, whose last pivot is the ratio; it raises
     NotPositiveDefinite as on the Gram route.
     """
-    ctx = context(bits)
-    psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
-    # per mass: z; p(z), phi_(n+1)(z) and phi_n(z) times |z|^-(n+1); and
-    # 1/m times |z|^-2(n+1) (the shift reweights m)
+    f = bits + _GUARD_BITS
+    d = mu.weight.psi.hi
+    # per mass: z, p, f and phi_(n+1) at z, each times |z|^-(n+1), and the
+    # reweighted 1/m
     points = []
-    for z, m in mu.spectrum.masses:
-        z = ctx.mpc(z)
-        r = 1 / abs(z)
-        scale = r ** (n + 1)
-        f = z ** n * scale * ctx.polyval(psi, 1 / z)
-        points.append((z, scale * ctx.conj(ctx.polyval(psi, ctx.conj(z))),
-                       f * z, f, r ** (2 * (n + 1 - shift)) / m))
-    # columns of [[S, f], [f^H, 1]]: each entry below the diagonal is formed
-    # once and mirrored by its conjugate
-    k = len(points)
-    cols = [[None] * (k + 1) for _ in range(k + 1)]
-    for l, (z_l, p_l, phi_l, f_l, inv_m) in enumerate(points):
-        for i, (z_i, p_i, phi_i, _, _) in enumerate(points[l:], l):
-            v = ((p_i * ctx.conj(p_l) - phi_i * ctx.conj(phi_l))
-                 / (1 - z_i * ctx.conj(z_l)))
-            cols[i][l], cols[l][i] = ctx.conj(v), v
-        cols[l][l] += inv_m
-        cols[l][k], cols[k][l] = ctx.conj(f_l), f_l
-    cols[k][k] = ctx.mpc(1)
-    return cholesky(HermitianMatrix(cols, bits, _skip_check=True)).rows[-1][-1]
+    for z, u, r, r2, inv_m, w, q in _mass_terms(
+            mu.weight.coeff_key(), mu.spectrum.masses, f):
+        uw = _cmul(_cpow(u, n, f), w, f)
+        r_pow = _cpow((r, 0), n + 1 - d, f)
+        r2_pow = _cpow((r2, 0), n + 1 - shift, f)
+        points.append((z, _cmul(q, r_pow, f), _cmul(uw, (r, 0), f),
+                       _cmul(uw, u, f), _cmul((inv_m, 0), r2_pow, f)[0]))
+    # G's lower triangle at f: S_il = [i == l]/m_i + K(z_i, z_l), and the
+    # last row conj(f_l) and 1
+    one = 1 << 2 * f
+    rows = []
+    for i, ((zr, zi), (pr, pi), _, (hr, hi), inv_m) in enumerate(points):
+        row = []
+        for (lr, li), (qr, qi), _, (gr, gi), _ in points[: i + 1]:
+            # p_i conj(p_l) - phi_i conj(phi_l) over 1 - z_i conj(z_l)
+            nr = pr * qr + pi * qi - hr * gr - hi * gi
+            ni = pi * qr - pr * qi - hi * gr + hr * gi
+            dr, di = one - zr * lr - zi * li, zr * li - zi * lr
+            den = dr * dr + di * di
+            row.append((_rdiv((nr * dr + ni * di) << f, den),
+                        _rdiv((ni * dr - nr * di) << f, den)))
+        row[-1] = row[-1][0] + inv_m
+        rows.append(row)
+    rows.append([(fr, -fi) for _, _, (fr, fi), _, _ in points] + [1 << f])
+    scale: list[int] = []
+
+    def equilibrated():
+        for i, row in enumerate(rows):
+            if row[-1] <= 0:
+                raise NotPositiveDefinite(i, _to_mpf(context(bits), row[-1], -f))
+            k_i = (row[-1].bit_length() - f + 1) // 2
+            scale.append(k_i)
+            yield ([(_shift(re, -k_i - k_l), _shift(im, -k_i - k_l))
+                    for (re, im), k_l in zip(row[:-1], scale)],
+                   _shift(row[-1], f - 2 * k_i), k_i)
+
+    _, _, diag = _cholesky_fixed(equilibrated(), bits)
+    return diag[-1], scale[-1] - f
 
 
 _GUARD_CAP = 1 << 14
@@ -494,7 +585,8 @@ def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
     guard, prev = 32, None
     while True:
         try:
-            cur = _uvarov_ratio(mu, n, shift, mu.precision + guard)
+            bits = mu.precision + guard
+            cur = _to_mpf(context(bits), *_uvarov_ratio(mu, n, shift, bits))
         except NotPositiveDefinite as err:
             cur, failed = None, err
         if (cur is not None and prev is not None

@@ -15,11 +15,14 @@ is its oracle.
 The factorization first equilibrates: it scales G to S G S with S a
 diagonal of powers of two, S_ii^2 g_ii in [1/4, 1), so every entry of the
 scaled matrix and of its factor has modulus below 1 (van der Sluis's
-scaling, within a factor 2).  It holds each scaled entry as a pair of
-integers at bits + 32 fractional bits, takes every inner product exactly
-and rounds it once, and undoes the scaling exactly.  A pivot at or below
-that fixed-point resolution, 2^-(bits + 32) of the scaled diagonal, is not
-told apart from zero and raises NotPositiveDefinite.
+scaling, within a factor 2).  Its core, _cholesky_fixed, takes the scaled
+entries as pairs of integers at bits + 32 fractional bits, takes every
+inner product exactly and rounds it once; cholesky reads a
+HermitianMatrix's mpc entries into it and undoes the scaling exactly, and
+the closed form of measure_opuc, whose system is integers from the start,
+calls the core directly.  A pivot at or below that fixed-point
+resolution, 2^-(bits + 32) of the scaled diagonal, is not told apart from
+zero and raises NotPositiveDefinite.
 
 The fixed point is one section of helpers, shared with the residue
 quadrature (measure_opuc) and the lower-bound pipeline (asymptotics): a
@@ -220,6 +223,41 @@ def _horner(coeffs: Sequence, x: tuple, f: int) -> tuple:
     return pr, pi
 
 
+def _dyadic(x: float, f: int) -> int:
+    """The double x times 2^f, rounded to an integer: exact whenever the
+    last bit of x is at or above 2^-f, as doubles are dyadic."""
+    p, q = x.as_integer_ratio()
+    return _rdiv(p << f, q)
+
+
+def _shift(x: int, s: int) -> int:
+    """x 2^s rounded to an integer, ties up."""
+    return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
+
+
+def _cmul(a: tuple, b: tuple, f: int) -> tuple:
+    """a b for pairs at f fractional bits, each part rounded once."""
+    half = 1 << (f - 1)
+    return ((a[0] * b[0] - a[1] * b[1] + half) >> f,
+            (a[0] * b[1] + a[1] * b[0] + half) >> f)
+
+
+def _cpow(x: tuple, e: int, f: int) -> tuple:
+    """x^e for a pair at f fractional bits and e >= 0, by binary powering,
+    each product rounded once as in _cmul."""
+    half = 1 << (f - 1)
+    xr, xi = x
+    pr, pi = 1 << f, 0
+    while e:
+        if e & 1:
+            pr, pi = ((pr * xr - pi * xi + half) >> f,
+                      (pr * xi + pi * xr + half) >> f)
+        e >>= 1
+        if e:
+            xr, xi = (xr * xr - xi * xi + half) >> f, (2 * xr * xi + half) >> f
+    return pr, pi
+
+
 def _reflect(x: tuple, f: int) -> tuple:
     """1/conj(x) = x/|x|^2 for a nonzero pair at f fractional bits, each
     part rounded once."""
@@ -263,63 +301,84 @@ def _to_mpc(ctx: MPContext, re: int, im: int, e: int):
 # factorizations
 
 
-def cholesky(g: HermitianMatrix) -> CholeskyFactor:
-    """Cholesky factor L with L L* = G, row by row.
+def _cholesky_fixed(rows, bits: int) -> tuple:
+    """The Cholesky factor L_A of an equilibrated Hermitian A, on integers.
 
-    G is equilibrated to A = S G S, S = diag(2^-k_i) with a_ii in [1/4, 1),
-    and A's lower triangle is read from the entries' mpf tuples as integers
-    at f = bits + 32 fractional bits.  Row i of A's factor is
+    rows yields, row by row, (a_i, d_i, k_i): a_i the pairs a_i0..a_i(i-1)
+    below the diagonal at f = bits + 32 fractional bits, d_i the diagonal
+    a_ii at 2f, and k_i the row's scaling exponent, A = S G S with
+    S = diag(2^-k_i), which only the error report reads.  Row i of L_A is
     l_ij = (a_ij - sum_(m<j) l_im conj(l_jm)) / l_jj and
     l_ii = sqrt(a_ii - sum_(m<i) |l_im|^2); each sum is exact over the
     integer real and imaginary parts and is rounded once, by one integer
-    division or by isqrt.  L = S^-1 L_A is rounded to the tag, as mpc below
-    the diagonal and mpf on it.
+    division or by isqrt.  Returns (re, im, diag): per row the real and
+    imaginary parts of l_i0..l_i(i-1) and l_ii, all at f.
+
+    Raises NotPositiveDefinite at the first row, in order, whose pivot is
+    at or below 2^-f; rows is read lazily, so a row that raises while it is
+    formed does so after every earlier pivot has been checked.
+    """
+    f = bits + _GUARD_BITS
+    res: list[list[int]] = []
+    ims: list[list[int]] = []
+    cims: list[list[int]] = []  # negated imaginary parts, for the conj
+    diag: list[int] = []
+    for i, (a_i, d_i, k_i) in enumerate(rows):
+        re_i: list[int] = []
+        im_i: list[int] = []
+        for j, (a_re, a_im) in enumerate(a_i):
+            # (a_ij 2^f) 2^f - sum_m l_im conj(l_jm) 2^(2f)
+            d_re, d_im = _dot(re_i, im_i, res[j], cims[j])
+            re_i.append(_rdiv((a_re << f) - d_re, diag[j]))
+            im_i.append(_rdiv((a_im << f) - d_im, diag[j]))
+        pivot = d_i - sum(map(mul, re_i, re_i)) - sum(map(mul, im_i, im_i))
+        if pivot <= 1 << f:
+            raise NotPositiveDefinite(
+                i, _to_mpf(context(bits), pivot, 2 * k_i - 2 * f))
+        res.append(re_i)
+        ims.append(im_i)
+        cims.append([-v for v in im_i])
+        diag.append(isqrt(pivot))
+    return res, ims, diag
+
+
+def cholesky(g: HermitianMatrix) -> CholeskyFactor:
+    """Cholesky factor L with L L* = G, row by row, by _cholesky_fixed.
+
+    G is equilibrated to A = S G S, S = diag(2^-k_i) with a_ii in [1/4, 1),
+    and A's lower triangle is read from the entries' mpf tuples as integers
+    at f = bits + 32 fractional bits, each rounded once.  L = S^-1 L_A is
+    rounded to the tag, as mpc below the diagonal and mpf on it.
 
     Raises NotPositiveDefinite at the first row, in order, whose pivot is
     at or below 2^-f (a diagonal entry <= 0 fails as its row is reached);
     that signal drives the caller-side precision escalation protocol.
     """
-    n, bits = g.dim, g.bits
+    bits = g.bits
     f = bits + _GUARD_BITS
     ctx = context(bits)
     cols = g.columns
     scale: list[int] = []  # k_i
-    res: list[list[int]] = []  # off-diagonal real parts of L_A, per row
-    cims: list[list[int]] = []  # and their negated imaginary parts
-    diag: list[int] = []  # l_ii * 2^f
-    rows: list[tuple] = []
-    for i in range(n):
-        d_part = cols[i][i]._mpc_[0]
-        sign, man, exp, bc = d_part
-        if sign or not man:
-            raise NotPositiveDefinite(i, ctx.make_mpf(d_part))
-        k_i = (exp + bc + 1) // 2
-        scale.append(k_i)
-        re_i: list[int] = []
-        im_i: list[int] = []
-        col_i = [c[i] for c in cols[:i]]
-        for j in range(i):
-            a_re, a_im = col_i[j]._mpc_
-            shift = f - k_i - scale[j]
-            # (a_ij 2^f) 2^f - sum_m l_im conj(l_jm) 2^(2f)
-            d_re, d_im = _dot(re_i, im_i, res[j], cims[j])
-            s_re = (_fixed(a_re, shift) << f) - d_re
-            s_im = (_fixed(a_im, shift) << f) - d_im
-            re_i.append(_rdiv(s_re, diag[j]))
-            im_i.append(_rdiv(s_im, diag[j]))
-        pivot = (_fixed(d_part, 2 * f - 2 * k_i)
-                 - sum(map(mul, re_i, re_i)) - sum(map(mul, im_i, im_i)))
-        if pivot <= 1 << f:
-            raise NotPositiveDefinite(i, _to_mpf(ctx, pivot, 2 * k_i - 2 * f))
-        l_ii = isqrt(pivot)
-        res.append(re_i)
-        cims.append([-v for v in im_i])
-        diag.append(l_ii)
+
+    def rows():
+        for i, col in enumerate(cols):
+            d_part = col[i]._mpc_[0]
+            sign, man, exp, bc = d_part
+            if sign or not man:
+                raise NotPositiveDefinite(i, ctx.make_mpf(d_part))
+            k_i = (exp + bc + 1) // 2
+            scale.append(k_i)
+            yield ([_fixed_pair(c[i], f - k_i - k_j)
+                    for c, k_j in zip(cols[:i], scale)],
+                   _fixed(d_part, 2 * f - 2 * k_i), k_i)
+
+    res, ims, diag = _cholesky_fixed(rows(), bits)
+    out = []
+    for k_i, re_i, im_i, l_ii in zip(scale, res, ims, diag):
         e = k_i - f
-        rows.append(tuple(_to_mpc(ctx, re, im, e)
-                          for re, im in zip(re_i, im_i))
-                    + (_to_mpf(ctx, l_ii, e),))
-    return CholeskyFactor(tuple(rows), bits)
+        out.append(tuple(_to_mpc(ctx, re, im, e) for re, im in zip(re_i, im_i))
+                   + (_to_mpf(ctx, l_ii, e),))
+    return CholeskyFactor(tuple(out), bits)
 
 
 def solve_lower(l: CholeskyFactor, b: Sequence) -> list:

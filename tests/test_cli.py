@@ -16,6 +16,7 @@ import random
 import re
 import subprocess
 import sys
+import time
 
 import pytest
 
@@ -472,6 +473,41 @@ def test_oversample_minimum(tmp_path, capsys, oversample, code):
     assert got == code, out
     if code:
         assert error_payload(out)["field"] == "oversample"
+
+
+def test_sup_grid_past_the_cap_is_refused_before_sampling(tmp_path, capsys):
+    # oversample * (n + 1) = 466,033 * 9 passes the load-time rule, but the
+    # trimmed degree K > n puts the sup grid past the cap: refused before it
+    # is sampled, naming oversample
+    man = write_json(tmp_path / "man.json", {
+        "n_grid": [8], "oversample": 466033, "out_dir": str(tmp_path / "out")})
+    start = time.perf_counter()
+    code, out = run_main(capsys, "vs-bound", "--manifest", man)
+    assert time.perf_counter() - start < 1.0
+    assert code == 2, out
+    assert error_payload(out)["field"] == "oversample"
+
+
+@pytest.mark.filterwarnings("error::RuntimeWarning")
+def test_report_is_strict_json_when_a_sampled_sup_is_zero(tmp_path, capsys):
+    # at smoothness 39 the trimmed series of degree 33 has no nonzero
+    # falling factorial, so ratio_s39 is 0: its upper/value ratio is null,
+    # not Infinity, and no division by zero warns
+    man = write_json(tmp_path / "man.json", {
+        "n_grid": [4], "kinds": ["boundary_cluster"], "seed": 0,
+        "smoothness": [39], "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "vs-bound", "--manifest", man)
+    assert code == 0, out
+    assert float(read_rows(str(tmp_path / "out"))[0]["ratio_s39"]) == 0.0
+
+    def refuse(name):
+        raise ValueError(f"{name} in report.json")
+
+    with open(tmp_path / "out" / "report.json") as fh:
+        report = json.load(fh, parse_constant=refuse)
+    ratios = report["summary"]["max_upper_over_value"]
+    assert ratios["ratio_s39"] is None
+    assert ratios["sup_phi"] >= 1.0
 
 
 def test_tiny_epsilon_writes_its_row(tmp_path, capsys):

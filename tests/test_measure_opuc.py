@@ -13,7 +13,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
-from mpmath import mp
+from mpmath import MPContext, mp
 from mpmath.libmp import from_man_exp
 
 from szego_lab.blaschke import BlaschkeProduct, ZeroSet, eval_blaschke
@@ -36,13 +36,16 @@ from szego_lab.measure_opuc import (
     tau_n,
 )
 from szego_lab.xlinalg import (
+    HermitianMatrix,
     NotPositiveDefinite,
+    cholesky,
     context,
     schur_leading,
     toeplitz_leading,
 )
 
 import szego_lab.measure_opuc as mo
+import szego_lab.xlinalg as xlinalg
 
 D1_MEASURE = Path(__file__).parents[1] / "bench" / "defects" / "d1-measure.json"
 
@@ -222,6 +225,52 @@ def test_moments_match_fft_of_weight(coeffs):
     tab = mo._trig_moments(OuterWeight(LaurentPolynomial(0, coeffs)), 40, 128)
     for m in range(41):
         assert abs(complex(tab[m]) - fft[m]) < 1e-14
+
+
+def head_by_lu_solve(coeffs, bits):
+    """t_0..t_d by mpmath's lu_solve on the real system of
+    _bernstein_szego_head, at bits: the oracle of its exact solve."""
+    solver = MPContext()  # lu_solve changes its context's precision
+    solver.prec = bits
+    coeffs = [solver.mpc(c) for c in coeffs]
+    d = len(coeffs) - 1
+    size = 2 * (d + 1)
+    a = solver.matrix(size, size)
+    rhs = solver.matrix(size, 1)
+    for k in range(d + 1):
+        for j in range(d + 1):
+            cre, cim = coeffs[j].real, coeffs[j].imag
+            m = k - j
+            sign = 1 if m >= 0 else -1
+            col = 2 * abs(m)
+            a[2 * k, col] += cre
+            a[2 * k, col + 1] -= sign * cim
+            a[2 * k + 1, col] += cim
+            a[2 * k + 1, col + 1] += sign * cre
+    rhs[0] = 1 / coeffs[0].real
+    x = solver.lu_solve(a, rhs)
+    return [solver.mpc(x[2 * m], x[2 * m + 1] if m else 0) for m in range(d + 1)]
+
+
+@pytest.mark.parametrize("d", range(4))
+def test_exact_head_matches_lu_solve(d):
+    # the exact solve rounded once at bits + 32 against lu_solve at the same
+    # precision: within 2^-(bits + 24) of t_0, the largest moment
+    rng = np.random.default_rng(60 + d)
+    for trial in range(6):
+        roots = (1.05 + 3 * rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
+        coeffs = np.array([0.3 + 4 * rng.random() + 0j])
+        for r in roots:  # times (1 - z/r)
+            coeffs = np.append(coeffs, 0) - np.append(0, coeffs) / r
+        if trial % 3 == 0:
+            coeffs = coeffs.real + 0j
+        for bits in (53, 128, 256, 512):
+            got = mo._bernstein_szego_head(coeffs, bits + 32)
+            want = head_by_lu_solve(coeffs, bits + 32)
+            assert len(got) == d + 1
+            assert all(t.context.prec == bits + 32 for t in got)
+            for g, w in zip(got, want):
+                assert abs(g - w) <= got[0].real * mp.mpf(2) ** -(bits + 24)
 
 
 def test_quadrature_cap_raises(monkeypatch):
@@ -583,20 +632,119 @@ def test_closed_form_raises_on_an_indefinite_system():
 
 def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
     # the Woodbury system [[S, f], [f^H, 1]] of K masses goes through
-    # xlinalg.cholesky at the measure's precision plus the guard bits, 32
-    # and then 64, which agree on the README's two-mass measure
+    # xlinalg's integer Cholesky core, the one under xlinalg.cholesky, at the
+    # measure's precision plus the guard bits, 32 and then 64, which agree
+    # on the README's two-mass measure
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.5])),
                      PointSpectrum(((1.5, 0.3), (-1.25, 0.1))), 256)
     seen = []
-    factor = mo.cholesky
+    factor = mo._cholesky_fixed
 
-    def spy(g):
-        seen.append((g.dim, g.bits))
-        return factor(g)
+    def spy(rows, bits):
+        rows = list(rows)
+        seen.append((len(rows), bits))
+        return factor(rows, bits)
 
-    monkeypatch.setattr(mo, "cholesky", spy)
+    monkeypatch.setattr(mo, "_cholesky_fixed", spy)
     tau_n(mu, 8)
     assert seen == [(3, 256 + 32), (3, 256 + 64)]
+
+
+def uvarov_ratio_by_mpc(mu, n, shift, bits):
+    """_uvarov_ratio in mpc arithmetic at bits, factored by
+    xlinalg.cholesky: the oracle of the integer system."""
+    ctx = context(bits)
+    psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
+    points = []
+    for z, m in mu.spectrum.masses:
+        z = ctx.mpc(z)
+        r = 1 / abs(z)
+        scale = r ** (n + 1)
+        f = z ** n * scale * ctx.polyval(psi, 1 / z)
+        points.append((z, scale * ctx.conj(ctx.polyval(psi, ctx.conj(z))),
+                       f * z, f, r ** (2 * (n + 1 - shift)) / m))
+    k = len(points)
+    cols = [[None] * (k + 1) for _ in range(k + 1)]
+    for l, (z_l, p_l, phi_l, f_l, inv_m) in enumerate(points):
+        for i, (z_i, p_i, phi_i, _, _) in enumerate(points[l:], l):
+            v = ((p_i * ctx.conj(p_l) - phi_i * ctx.conj(phi_l))
+                 / (1 - z_i * ctx.conj(z_l)))
+            cols[i][l], cols[l][i] = ctx.conj(v), v
+        cols[l][l] += inv_m
+        cols[l][k], cols[k][l] = ctx.conj(f_l), f_l
+    cols[k][k] = ctx.mpc(1)
+    return cholesky(HermitianMatrix(cols, bits, _skip_check=True)).rows[-1][-1]
+
+
+def closed_form_by_mpc(mu, n, shift=0):
+    """_closed_form_leading's guard policy on the mpc oracle."""
+    guard, prev = 32, None
+    while True:
+        try:
+            cur = uvarov_ratio_by_mpc(mu, n, shift, mu.precision + guard)
+        except NotPositiveDefinite as err:
+            cur, failed = None, err
+        if (cur is not None and prev is not None
+                and abs(cur - prev) <= cur * 2 ** -(mu.precision + 8)):
+            return context(mu.precision).mpf(mu.weight.psi0 * cur)
+        if guard >= mo._GUARD_CAP:
+            raise failed if cur is None else NotPositiveDefinite(
+                len(mu.spectrum), cur ** 2)
+        prev, guard = cur, 2 * guard
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("name", sorted(ROUTE_MEASURES)
+                         + sorted(FAR_AND_NEAR_MEASURES))
+def test_integer_closed_form_matches_the_mpc_oracle(name, bits):
+    # the integer system and its mpc oracle settle on the same guard bits
+    # and round to the same mpf, for tau (shift 0) and eta (shift n - 1 at
+    # degree 2n - 1), up to n = 10^6
+    if name in ROUTE_MEASURES:
+        mu = route_measure(name, bits)
+    else:
+        psi, masses, _ = FAR_AND_NEAR_MEASURES[name]
+        mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
+                         PointSpectrum(masses), bits)
+    d = mu.weight.psi.hi
+    for n in sorted({d, d + 1, 3, 8, 20, 48, 10 ** 6}):
+        for degree, shift in ((n, 0), (2 * n - 1, n - 1)):
+            if degree >= max(d, 1):
+                want = closed_form_by_mpc(mu, degree, shift)
+                got = mo._closed_form_leading(mu, degree, shift)
+                assert got == want and got.context.prec == bits, (n, shift)
+
+
+def test_closed_form_system_makes_no_mpmath_number(monkeypatch):
+    # the Woodbury system is built and factored on integers: with no mpmath
+    # context to be had, _uvarov_ratio still returns the last pivot, as an
+    # integer mantissa and exponent that _closed_form_leading rounds once
+    mu = route_measure("deg2-three-mass", 256)
+    want = {(n, shift): mo._uvarov_ratio(mu, n, shift, 288)
+            for n, shift in ((2, 0), (39, 19), (10 ** 6, 0))}
+
+    def refuse(bits):
+        raise AssertionError(f"an mpmath context at {bits} bits")
+
+    monkeypatch.setattr(mo, "context", refuse)
+    monkeypatch.setattr(xlinalg, "context", refuse)
+    mo._mass_terms.cache_clear()
+    for (n, shift), pivot in want.items():
+        man, exp = mo._uvarov_ratio(mu, n, shift, 288)
+        assert type(man) is int and type(exp) is int and man > 0
+        assert (man, exp) == pivot
+
+
+def test_mass_terms_are_shared_across_degrees():
+    # the parts of the system that depend only on a mass are formed once
+    # per fixed point, for every n of a request and both coefficients
+    mu = route_measure("deg1-two-mass", 128)
+    mo._mass_terms.cache_clear()
+    for n in (4, 8, 16):
+        tau_n(mu, n)
+        eta_n(mu, n)
+    # guard bits 32 and 64 on every call
+    assert mo._mass_terms.cache_info().misses == 2
 
 
 # ----------------------------------------------------------------------
