@@ -21,8 +21,10 @@ is always 0.
 The exact part runs on Python integers at bits_pipe + 32 fractional bits
 (xlinalg's fixed point): the product's series, the kernel's rational
 multipliers, whose outputs are the certified approximant, and the norm
-bookkeeping, each output rounded once.  The defect is sampled on FFT grids,
-from the approximant's complex128 image.
+bookkeeping, each output rounded once.  psi, the masses and their
+reflections enter it only through measure_opuc._mass_terms, so the series
+and the norms see the same reflected points.  The defect is sampled on FFT
+grids, from the approximant's complex128 image.
 """
 
 from __future__ import annotations
@@ -55,6 +57,7 @@ from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
     PointSpectrum,
+    _mass_terms,
     _trig_moments,
     log_condition_report,
     target_limit,
@@ -64,7 +67,7 @@ from szego_lab.measure_opuc import (
 from szego_lab.xlinalg import (
     _GUARD_BITS,
     _dot,
-    _fixed,
+    _dyadic,
     _fixed_pair,
     _horner,
     _rdiv,
@@ -207,10 +210,6 @@ def validate_schedule(sched: ScheduleParams, ns: Sequence[int]) -> None:
 # mass selection and corrector series
 
 
-def _reflected_pairs(spectrum: PointSpectrum) -> list:
-    return [(1.0 / z.conjugate(), m) for z, m in spectrum.masses]
-
-
 def _selection(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
     """Selection cap, dilation numbers, and the split of the mass points.
 
@@ -263,30 +262,29 @@ def _quotient_series(num: Sequence, den: Sequence, count: int,
     return list(zip(a_re[d:], a_im[d:]))
 
 
-def _bphi_series(zetas: Sequence, radius: float, upto: int, f: int,
+def _bphi_series(zeros: Sequence, radius: float, upto: int, f: int,
                  times: Sequence) -> list:
     """Taylor coefficients of z^0..z^upto of the dilated product times the
     polynomial times, as integer pairs at f fractional bits (times too,
     constant first).
 
-    The dilated product R^count B(z/R), B with zeros zeta_i/R, is
-    prod_i (rot_i z - rot_i zeta_i) / (1 - w_i z), rot_i = -|zeta_i|/zeta_i
-    and w_i = conj(zeta_i)/R^2.  Numerator and denominator take one linear
-    factor each per zero, every coefficient rounded once, and
+    zeros holds per zero zeta_i the pairs zeta_i and u_i = zeta_i/|zeta_i|
+    and the integer r_i = |zeta_i| of measure_opuc._mass_terms at f.  The
+    dilated product R^count B(z/R), B with zeros zeta_i/R, is
+    prod_i (r_i + rot_i z) / (1 - w_i z), rot_i = -|zeta_i|/zeta_i =
+    -conj(u_i) and w_i = conj(zeta_i)/R^2.  Numerator and denominator take
+    one linear factor each per zero, every coefficient rounded once, and
     _quotient_series divides them.  The values at a reflected point carry
-    the back-reflection factor |zeta|^(-n), so the coefficients need roughly
-    n*log2(1/|zeta|) bits beyond the target accuracy.
+    the back-reflection factor |zeta|^(-n), so the coefficients need
+    roughly n*log2(1/|zeta|) bits beyond the target accuracy.
     """
-    wide = context(f + 4)
     one = (1 << f, 0)
+    r2 = _dyadic(radius, f) ** 2  # R^2 at 2f
     num, den = list(times), [one]
-    for zt in zetas:
-        z = wide.mpc(zt)
-        rot = -abs(z) / z if z else wide.mpc(1)
-        num = _times_linear(num, _fixed_pair(-rot * z, f),
-                            _fixed_pair(rot, f), f)
-        den = _times_linear(den, one, _fixed_pair(
-            -wide.conj(z) / wide.mpf(radius) ** 2, f), f)
+    for (zr, zi), (ur, ui), r in zeros:
+        num = _times_linear(num, (r, 0), (-ur, ui), f)
+        den = _times_linear(den, one, (_rdiv(-zr << 2 * f, r2),
+                                       _rdiv(zi << 2 * f, r2)), f)
     return _quotient_series(num, den, upto + 1, f)
 
 
@@ -418,9 +416,8 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
     read at bits fractional bits, both sums are exact, and the result is
     rounded once.  O(D d + d^2) in all, and nothing is truncated.
     """
-    ctx = context(bits)
-    f = bits
-    p = [_fixed_pair(ctx.conj(ctx.mpc(c)), f) for c in weight.psi.coeffs]
+    ctx, f = context(bits), bits
+    p = [(re, -im) for re, im in _mass_terms(weight.coeff_key(), (), f)[0]]
     d = len(p) - 1
     top = len(q) - 1
     a = _quotient_series(q, p, top + 1, f)
@@ -471,23 +468,21 @@ def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum, r_small: list,
     inside/tail split is evaluated independently at the reflected points
     through r_small.  Each value is a two-sided Horner sum
     (_laurent_value), and each sum of m |value|^2 is exact and rounded
-    once.  Reflecting the mass points here, in the same fixed point, makes
-    both evaluations see the same point up to one rounding; their
-    agreement then certifies the reflection step rather than the rounding
-    of the points.
+    once.  The points z, the reflected points zeta = 1/conj(z) and the
+    weights m are measure_opuc._mass_terms at bits, so both evaluations
+    see the same point up to one rounding; their agreement then certifies
+    the reflection step rather than the rounding of the points.
     """
-    ctx = context(bits)
-    f = bits
+    ctx, f = context(bits), bits
     competitor = [(re, -im) for re, im in reversed(r_small)]
     ac = _circle_norm_sq(weight, competitor, bits)
+    key = weight.coeff_key()
 
     def mass_sum(coeffs: list, lo: int, masses: list, reflect: bool):
         total = 0
-        for z, m in masses:
-            x = _fixed_pair(ctx.mpc(z), f)
-            vr, vi = _laurent_value(coeffs, lo,
-                                    _reflect(x, f) if reflect else x, f)
-            total += _fixed(ctx.mpf(m)._mpf_, f) * (vr * vr + vi * vi)
+        for z, zeta, _, _, m, _ in _mass_terms(key, tuple(masses), f)[1]:
+            vr, vi = _laurent_value(coeffs, lo, zeta if reflect else z, f)
+            total += m * (vr * vr + vi * vi)
         return _to_mpf(ctx, total, -3 * f)
 
     total_sq = ac + mass_sum(competitor, 1 - lo - len(r_small),
@@ -520,18 +515,19 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
         z_max = max(abs(z) for z, _ in selected)
         bits_pipe = max(128, 64 + math.ceil(n * math.log2(z_max)))
     f = bits_pipe + _GUARD_BITS
-    ctx = context(bits_pipe)
     upto = 2 * n - 1 if route == "vp" else n
-    zetas = [1 / ctx.conj(ctx.mpc(z)) for z, _ in selected]
+    psi, terms = _mass_terms(weight.coeff_key(), tuple(selected), f)
+    zeros = [(zeta, u, r) for _, zeta, u, r, _, _ in terms]
     corrector = corrector_with_radius(ZeroSet(tuple(
-        complex(zt) for zt in zetas)), radius) if selected else None
+        complex(zr / 2 ** f, zi / 2 ** f) for (zr, zi), _, _ in zeros)),
+        radius) if selected else None
 
     # the weight polynomial p(z) = sum conj(c_j) z^j, which is psi for real
     # coefficients: the moment table integrates against 1/|p|^2 (see
     # measure_opuc.moment)
     weight_f = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
-    series = _bphi_series(zetas, radius, upto, f,
-                          [_fixed_pair(ctx.mpc(c), f) for c in weight_f.coeffs])
+    series = _bphi_series(zeros, radius, upto, f,
+                          [(re, -im) for re, im in psi])
     # the kernel's rational multipliers num_j/den on the series, each
     # coefficient rounded once to f bits: the certified approximant
     klo, khi = kernel_support(kernel)
@@ -550,8 +546,8 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     m_radius = radius ** count * float(np.max(np.abs(weight_f(rho_nodes))))
     apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
 
-    b_full = math.prod(abs(z) for z, _ in _reflected_pairs(spectrum))
-    target0 = b_full * weight.psi0
+    refl = [abs(1.0 / z) for z, _ in spectrum.masses]  # each |zeta|
+    target0 = math.prod(refl) * weight.psi0
     leading_gap = abs(complex(approx.coefficient(0)) - target0)
 
     # r_small = approx z^(-n): exponents lo-n <= 0 <= hi-n, at the norm's bits
@@ -562,7 +558,7 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
 
     c_run = sched.c_bound
     if c_run is None:
-        c_run = 2.0 * sum(1.0 - abs(z) for z, _ in _reflected_pairs(spectrum))
+        c_run = 2.0 * sum(1.0 - r for r in refl)
     tail_mu = sum(m for _, m in tail)
     try:
         majorant = math.exp(c_run / sched.eps(n)) * tail_mu

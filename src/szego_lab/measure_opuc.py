@@ -27,16 +27,18 @@ they come from Uvarov's closed form: the Bernstein-Szego orthonormal
 polynomials and their Christoffel-Darboux kernel reduce the Gram solve to
 a K-by-K system for K masses, whatever n is.  That system is built and
 factored on Python integers (xlinalg._cholesky_fixed) and rounded to an
-mpmath number once, and the terms that depend only on a mass are formed
-once per fixed point for every n of a request.  Mass-free measures, where
-the closed form is the constant psi(0), and lower degrees take the Gram
-route: 1/sqrt of the Schur complement of z^n in the Gram matrix, in
-extended precision.  Without masses that matrix is Toeplitz, and the
-Szego recursion on its first column gives the Schur complement in O(n^2)
-(toeplitz_leading); with masses the Cholesky factor's last pivot gives it
-in O(n^3) (schur_leading), which stays the oracle for the recursion and
-for the closed form.  The orthonormal elements are the extremal witnesses
-of the same Gram matrices.
+mpmath number once.  Mass-free measures, where the closed form is the
+constant psi(0), and lower degrees take the Gram route: 1/sqrt of the
+Schur complement of z^n in the Gram matrix, in extended precision.
+Without masses that matrix is Toeplitz, and the Szego recursion on its
+first column gives the Schur complement in O(n^2) (toeplitz_leading); with
+masses the Cholesky factor's last pivot gives it in O(n^3)
+(schur_leading), which stays the oracle for the recursion and for the
+closed form.  The orthonormal elements are the extremal witnesses of the
+same Gram matrices.  A measure enters the fixed point in one place,
+_mass_terms, which the closed form, the residue check and the lower-bound
+pipeline (asymptotics) all read: psi and the masses read exactly, the
+masses reflected.
 
 Precision escalation is explicit: the Gram route starts at the
 first tag that holds its entries (at least the measure's tag), a failure
@@ -51,7 +53,6 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass, field
-from math import isqrt
 from typing import Sequence
 
 import numpy as np
@@ -73,6 +74,7 @@ from szego_lab.xlinalg import (
     _fixed_pair,
     _horner,
     _rdiv,
+    _rdiv_sqrt,
     _reflect,
     _shift,
     _to_mpc,
@@ -322,10 +324,10 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> list:
     cached = _moment_cache.get(key)
     if cached is not None and len(cached) > m_max:
         return cached
-    ctx = context(bits + 32)
+    ctx = context(bits + _GUARD_BITS)
     coeffs = [ctx.mpc(c) for c in weight.psi.coeffs]
     t = (list(cached) if cached is not None
-         else _bernstein_szego_head(weight.psi.coeffs, bits + 32))
+         else _bernstein_szego_head(weight.psi.coeffs, bits + _GUARD_BITS))
     for k in range(len(t), m_max + 1):
         t.append(-ctx.fsum(coeffs[j] * t[k - j]
                            for j in range(1, len(coeffs))) / coeffs[0])
@@ -464,35 +466,39 @@ def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
 
 @functools.lru_cache(maxsize=8)
 def _mass_terms(psi: tuple, masses: tuple, f: int) -> tuple:
-    """Per mass (z, m), the parts of Uvarov's system that do not depend on
-    the degree, as integers at f fractional bits (see _uvarov_ratio).
-
-    z is read exactly, as doubles are dyadic; |z| = isqrt(|z|^2), and
-    u = z/|z|, r = 1/|z|, 1/|z|^2, 1/z and 1/m are each rounded once.
-    w = psi(1/z) by Horner, and q = sum_j conj(c_j) u^j r^(d-j), that is
-    r^d p(z), by Horner in u, so that neither grows with |z|.  Cached per
-    (psi, masses, f): the degrees of a request and both of its leading
-    coefficients share them.
-    """
-    coeffs = [(_dyadic(c.real, f), _dyadic(c.imag, f)) for c in psi]
+    """The measure at f fractional bits, on integers: (coeffs, terms) with
+    psi's coefficients c_j, constant first, and per mass (z, m) the tuple
+    (z, zeta, u, r, m, 1/m), complex values as pairs.  c_j, z and m are
+    read exactly (doubles are dyadic); zeta = 1/conj(z), the reflected
+    zero, u = z/|z|, r = 1/|z| = |zeta| and 1/m are each rounded once, and
+    the rotation -|zeta|/zeta is -conj(u).  Makes no mpmath number."""
+    coeffs = tuple((_dyadic(c.real, f), _dyadic(c.imag, f)) for c in psi)
     out = []
     for z, m in masses:
         zr, zi = _dyadic(z.real, f), _dyadic(z.imag, f)
         z2 = zr * zr + zi * zi  # |z|^2 at 2f, exact
-        a = isqrt(z2)
-        u = _rdiv(zr << f, a), _rdiv(zi << f, a)
-        r = _rdiv(1 << 2 * f, a)
-        xr, xi = _reflect((zr, zi), f)  # 1/conj(z)
-        w = _horner(coeffs, (xr, -xi), f)
-        # conj(c_j) r^(d-j), from j = d down
-        b, rj = [], (1 << f, 0)
+        p, q = m.as_integer_ratio()
+        out.append(((zr, zi), _reflect((zr, zi), f),
+                    (_rdiv_sqrt(zr << f, z2), _rdiv_sqrt(zi << f, z2)),
+                    _rdiv_sqrt(1 << 2 * f, z2), _dyadic(m, f), _rdiv(q << f, p)))
+    return coeffs, tuple(out)
+
+
+@functools.lru_cache(maxsize=8)
+def _uvarov_terms(psi: tuple, masses: tuple, f: int) -> tuple:
+    """Per mass, the degree-free parts of Uvarov's system at f, from
+    _mass_terms: (z, u, r, 1/|z|^2, 1/m, w, q), w = psi(1/z) and
+    q = sum_j conj(c_j) u^j r^(d-j) = r^d p(z) by Horner, neither growing
+    with |z|; cached, so every n and both coefficients share them."""
+    coeffs, terms = _mass_terms(psi, masses, f)
+    out = []
+    for z, (xr, xi), u, r, _, inv_m in terms:
+        b, rj = [], (1 << f, 0)  # conj(c_j) r^(d-j), from j = d down
         for cr, ci in reversed(coeffs):
             b.append(_cmul((cr, -ci), rj, f))
             rj = _cmul(rj, (r, 0), f)
-        p, q = m.as_integer_ratio()
-        inv_m = _rdiv(q << f, p) if p > 0 else -_rdiv(q << f, -p)
-        out.append(((zr, zi), u, r, _rdiv(1 << 3 * f, z2), inv_m, w,
-                    _horner(b[::-1], u, f)))
+        out.append((z, u, r, _rdiv(1 << 3 * f, z[0] ** 2 + z[1] ** 2), inv_m,
+                    _horner(coeffs, (xr, -xi), f), _horner(b[::-1], u, f)))
     return tuple(out)
 
 
@@ -502,7 +508,7 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     to an mpmath number.
 
     Row and column i are scaled by |z_i|^-(n+1), so the entries stay
-    bounded as n grows: with the terms of _mass_terms at f = bits + 32,
+    bounded as n grows: with the terms of _uvarov_terms at f = bits + 32,
     p(z) |z|^-(n+1) = r^(n+1-d) q, phi_n(z) |z|^-(n+1) = u^n r w,
     phi_(n+1)(z) |z|^-(n+1) = u^(n+1) w, and the reweighted 1/m is
     |z|^-2(n+1-shift) / m.  Each kernel entry is the exact numerator
@@ -516,7 +522,7 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     # per mass: z, p, f and phi_(n+1) at z, each times |z|^-(n+1), and the
     # reweighted 1/m
     points = []
-    for z, u, r, r2, inv_m, w, q in _mass_terms(
+    for z, u, r, r2, inv_m, w, q in _uvarov_terms(
             mu.weight.coeff_key(), mu.spectrum.masses, f):
         uw = _cmul(_cpow(u, n, f), w, f)
         r_pow = _cpow((r, 0), n + 1 - d, f)
@@ -644,15 +650,6 @@ def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> tuple
 _GRID_CAP = 1 << 20
 
 
-def _reflected_factors(ctx, masses: Sequence) -> list:
-    """(zeta_i, rot_i) for the positively normalized reflected product."""
-    out = []
-    for z, _ in masses:
-        zeta = 1 / ctx.conj(ctx.mpc(z))
-        out.append((zeta, -abs(zeta) / zeta))
-    return out
-
-
 def _node_values(x: tuple, psi: list, factors: list, f: int) -> list:
     """The residue integrand's weights at the node x, in fixed point.
 
@@ -730,15 +727,14 @@ class ResidueNodes:
     """
 
     def __init__(self, mu: MeasureSpec, k_max: int | None = None):
-        masses = mu.spectrum.masses[:k_max]
         self.mu = mu
-        self.k_max = len(masses)
         self._ctx = context(mu.precision)
         self._f = f = mu.precision + _GUARD_BITS
-        wide = context(f + 4)
-        self._psi = [_fixed_pair(wide.mpc(c), f) for c in mu.weight.psi.coeffs]
-        self._factors = [(_fixed_pair(zeta, f), _fixed_pair(rot, f))
-                         for zeta, rot in _reflected_factors(wide, masses)]
+        self._psi, terms = _mass_terms(mu.weight.coeff_key(),
+                                       mu.spectrum.masses, f)
+        self._factors = [(zeta, (-ur, ui))  # rot = -|zeta|/zeta = -conj(u)
+                         for _, zeta, (ur, ui), *_ in terms[:k_max]]
+        self.k_max = len(self._factors)
         # node, weight and numerator columns: real and imaginary parts
         self._x: list = [[], []]
         self._w: list = [[[], []] for _ in range(self.k_max + 1)]
@@ -853,7 +849,8 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     # Horner in ctx.polyval wants them highest first
     r_elem = nodes.use(element, n)[::-1]
     psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
-    factors = _reflected_factors(ctx, pts)
+    factors = [(_to_mpc(ctx, *zeta, -nodes._f), _to_mpc(ctx, *rot, -nodes._f))
+               for zeta, rot in nodes._factors[:k]]
     eta = r_elem[0].real
 
     # closed-form side

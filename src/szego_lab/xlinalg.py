@@ -117,8 +117,9 @@ class HermitianMatrix:
 
     columns[k][j] is the (j, k) entry, a context(bits) mpc.  Construction
     checks that bits is a precision tag, rounds every entry to it and
-    verifies Hermitian symmetry to one ulp.  With _skip_check the package's
-    own builder vouches for all three: bits may be any working precision.
+    verifies Hermitian symmetry to one ulp.  With _skip_check the caller
+    vouches for all three: the package's Gram builders round to a tag, and
+    only the tests' mpc oracle of the closed form uses a non-tag precision.
     """
 
     __slots__ = ("dim", "columns", "bits")
@@ -200,8 +201,14 @@ def _fixed_pair(z, f: int) -> tuple:
 
 
 def _rdiv(a: int, b: int) -> int:
-    """a / b rounded to the nearest integer, for b > 0."""
+    """a / b rounded to the nearest integer, halves up, for b != 0."""
     return (2 * a + b) // (2 * b)
+
+
+def _rdiv_sqrt(a: int, b: int) -> int:
+    """a / sqrt(b) rounded to the nearest integer, for b > 0, by one isqrt."""
+    k = (isqrt((a * a << 2) // b) + 1) // 2
+    return k if a >= 0 else -k
 
 
 def _dot(ar: Sequence, ai: Sequence, br: Sequence, bi: Sequence) -> tuple:

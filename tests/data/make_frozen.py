@@ -1,12 +1,19 @@
-"""Rewrite the frozen CSVs in this directory from a given source tree.
+"""Rewrite the frozen CSVs in this directory from a given source tree, or
+compare what two trees write.
 
     python tests/data/make_frozen.py CHECKOUT [FILE ...]
+    python tests/data/make_frozen.py --compare OLD NEW [FILE ...]
 
-CHECKOUT is a source tree of this project, such as a git clone or an
-unpacked ``git archive``.  Every run below goes through that tree's own CLI,
-in a subprocess with CHECKOUT/src first on PYTHONPATH, so the files hold what
-that tree wrote.  With FILE names only those files are rewritten, otherwise
-every file in FROZEN is.
+CHECKOUT, OLD and NEW are source trees of this project, such as a git clone
+or an unpacked ``git archive``.  Every run below goes through that tree's own
+CLI, in a subprocess with its src first on PYTHONPATH, so the files hold what
+that tree wrote.  With FILE names only those files are rewritten or compared,
+otherwise every file in FROZEN is.
+
+--compare writes nothing: for each file it prints every cell where OLD's and
+NEW's text differ, named by the file, the row's labels, the column, both
+values and the relative change, then a count per file.  It exits 1 if any
+cell differs and 0 if every file is byte-identical.
 
 A frozen file guards a change against the output of the code before it: it
 is written from the parent commit's tree when the change lands, and the
@@ -17,6 +24,7 @@ labels, each line starts with them.
 
 from __future__ import annotations
 
+import csv
 import json
 import os
 import subprocess
@@ -134,16 +142,63 @@ def subprocess_cli(checkout: str):
     return run_cli
 
 
+# columns that, with a file's label columns, name a row in --compare output
+KEY_COLUMNS = ("kind", "route", "n", "k", "seed", "epsilon")
+
+
+def _relative(old: str, new: str) -> str:
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return "not numbers"
+    return f"{(b - a) / abs(a):+.2e} relative" if a else "from 0"
+
+
+def compare(old: str, new: str, names: list) -> int:
+    """Print each cell where the text of a file written by the tree old and
+    by the tree new differ; 1 if any does, else 0."""
+    old_cli, new_cli = subprocess_cli(old), subprocess_cli(new)
+    total = 0
+    for name in names:
+        a = list(csv.reader(frozen_text(name, old_cli).splitlines()))
+        b = list(csv.reader(frozen_text(name, new_cli).splitlines()))
+        header = a[0]
+        if b[0] != header or len(b) != len(a):
+            print(f"{name}: headers or row counts differ "
+                  f"({len(a) - 1} and {len(b) - 1} rows)")
+            total += 1
+            continue
+        keys = [i for i, c in enumerate(header)
+                if c in FROZEN[name][0] or c in KEY_COLUMNS]
+        cells = 0
+        for row_a, row_b in zip(a[1:], b[1:]):
+            label = " ".join(f"{header[i]}={row_a[i]}" for i in keys)
+            for column, x, y in zip(header, row_a, row_b):
+                if x != y:
+                    cells += 1
+                    print(f"{name}: {label} {column}: {x} -> {y} "
+                          f"({_relative(x, y)})")
+        print(f"{name}: {cells} cells differ" if cells
+              else f"{name}: byte-identical, {len(a) - 1} rows")
+        total += cells
+    return 1 if total else 0
+
+
 def main(argv: list[str]) -> int:
-    if not argv or argv[0].startswith("-"):
+    compare_mode = argv[:1] == ["--compare"]
+    trees = 2 if compare_mode else 1
+    argv = argv[1:] if compare_mode else argv
+    if len(argv) < trees or any(a.startswith("-") for a in argv):
         print(__doc__, file=sys.stderr)
         return 2
-    checkout, names = argv[0], argv[1:] or list(FROZEN)
+    names = argv[trees:] or list(FROZEN)
     unknown = [n for n in names if n not in FROZEN]
     if unknown:
         print(f"unknown frozen files: {', '.join(unknown)}", file=sys.stderr)
         return 2
-    run_cli = subprocess_cli(checkout)
+    if compare_mode:
+        return compare(argv[0], argv[1], names)
+    run_cli = subprocess_cli(argv[0])
     for name in names:
         text = frozen_text(name, run_cli)
         with open(os.path.join(HERE, name), "w", encoding="utf-8", newline="") as fh:

@@ -51,9 +51,11 @@ from szego_lab.measure_opuc import (
     eta_n,
     tau_n,
 )
-from szego_lab.xlinalg import _fixed_pair, _to_mpc, context
+from szego_lab.xlinalg import _fixed, _fixed_pair, _to_mpc, context
 
 import szego_lab.asymptotics as asym
+import szego_lab.measure_opuc as mo
+import szego_lab.xlinalg as xlinalg
 
 DEFECTS = Path(__file__).parents[1] / "bench" / "defects"
 D2_MEASURE = DEFECTS / "d2-measure.json"
@@ -258,10 +260,16 @@ def test_partial_product_empty_cap():
 
 def series(zetas, radius, upto, bits):
     """_bphi_series of the product alone (times 1) at bits fractional bits,
-    each coefficient as an mpc."""
-    ctx = context(bits)
+    each coefficient as an mpc; each zero's (zeta, zeta/|zeta|, |zeta|)
+    rounded once from 2 bits + 64 bits of precision."""
+    ctx, wide = context(bits), context(2 * bits + 64)
+    zeros = []
+    for zeta in map(wide.mpc, zetas):
+        r = abs(zeta)
+        zeros.append((_fixed_pair(zeta, bits), _fixed_pair(zeta / r, bits),
+                      _fixed(r._mpf_, bits)))
     return [_to_mpc(ctx, re, im, -bits)
-            for re, im in _bphi_series(zetas, radius, upto, bits,
+            for re, im in _bphi_series(zeros, radius, upto, bits,
                                        [(1 << bits, 0)])]
 
 
@@ -291,6 +299,42 @@ def test_series_empty_zero_set():
     assert len(s) == 13
     assert complex(s[0]) == 1.0 + 0.0j
     assert all(complex(c) == 0.0 for c in s[1:])
+
+
+def test_series_makes_no_mpmath_number(monkeypatch):
+    # the masses' reflections come from the integer reader, and the series
+    # is built on them with no mpmath context to be had
+    psi = (1.0 + 0j, 0.3 - 0.2j, 0.1j)
+    masses = ((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2))
+    f = 180
+
+    def run():
+        coeffs, terms = mo._mass_terms(psi, masses, f)
+        return asym._bphi_series([t[1:4] for t in terms], 1.0625, 40, f,
+                                 [(re, -im) for re, im in coeffs])
+
+    want = run()
+
+    def refuse(bits):
+        raise AssertionError(f"an mpmath context at {bits} bits")
+
+    for module in (asym, mo, xlinalg):
+        monkeypatch.setattr(module, "context", refuse)
+    mo._mass_terms.cache_clear()
+    assert run() == want
+
+
+def test_series_and_norm_reflect_the_same_point():
+    # the Taylor competitor nearly vanishes at the reflected selected mass:
+    # the series is built on the zero that the norm evaluates at, so the
+    # inside mass sum reads the approximation, not a rounding of the zero
+    mu = MeasureSpec.from_json({
+        "psi": [[1.051676, 0]],
+        "masses": [[0.30989318677310634, -2.453090435626173, 0.204476]]})
+    _, cert = taylor_approximant(mu.spectrum, mu.weight, 64,
+                                 precision=mu.precision)
+    assert cert.selected_count == 1 and cert.tail_mass_sum == 0.0
+    assert cert.inside_mass_sum <= 1e-50
 
 
 # ----------------------------------------------------------------------

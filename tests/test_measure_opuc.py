@@ -729,6 +729,7 @@ def test_closed_form_system_makes_no_mpmath_number(monkeypatch):
     monkeypatch.setattr(mo, "context", refuse)
     monkeypatch.setattr(xlinalg, "context", refuse)
     mo._mass_terms.cache_clear()
+    mo._uvarov_terms.cache_clear()
     for (n, shift), pivot in want.items():
         man, exp = mo._uvarov_ratio(mu, n, shift, 288)
         assert type(man) is int and type(exp) is int and man > 0
@@ -740,11 +741,56 @@ def test_mass_terms_are_shared_across_degrees():
     # per fixed point, for every n of a request and both coefficients
     mu = route_measure("deg1-two-mass", 128)
     mo._mass_terms.cache_clear()
+    mo._uvarov_terms.cache_clear()
     for n in (4, 8, 16):
         tau_n(mu, n)
         eta_n(mu, n)
     # guard bits 32 and 64 on every call
     assert mo._mass_terms.cache_info().misses == 2
+    assert mo._uvarov_terms.cache_info().misses == 2
+
+
+# masses from next to the circle to far out, on and off the real axis
+READER_POINTS = (1 + 2 ** -40, 1.048, 3.0, 1e10,
+                 0.30989318677310634 - 2.453090435626173j, 1e-3 - 1.2j)
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_mass_terms_against_a_512_bit_reference(bits):
+    # psi, z and m read exactly; zeta = 1/conj(z), u = z/|z| and r = 1/|z|
+    # each within one unit at f of the value at 512 bits
+    f = bits + 32
+    psi = (1.051676 + 0j, 0.3 - 0.2j, 0.1j)
+    masses = tuple((complex(z), 0.204476) for z in READER_POINTS)
+    coeffs, terms = mo._mass_terms(psi, masses, f)
+    ref = context(512)
+    unit = ref.ldexp(1, -f)
+    exact = [(ref.ldexp(c.real, f), ref.ldexp(c.imag, f)) for c in psi]
+    assert coeffs == tuple((int(re), int(im)) for re, im in exact)
+    assert all(ref.isint(v) for pair in exact for v in pair)
+    for (z, m), (zf, zeta, u, r, mf, _) in zip(masses, terms):
+        x = ref.mpc(z)
+        assert ref.mpc(ref.ldexp(zf[0], -f), ref.ldexp(zf[1], -f)) == x
+        assert mf == int(ref.ldexp(m, f))
+        for got, want in ((zeta, 1 / ref.conj(x)), (u, x / abs(x)),
+                          ((r, 0), ref.mpc(1 / abs(x)))):
+            for part, value in zip(got, (want.real, want.imag)):
+                assert abs(ref.ldexp(part, -f) - value) <= unit, (z, want)
+
+
+def test_mass_terms_make_no_mpmath_number(monkeypatch):
+    # the reader runs with no mpmath context to be had
+    psi = (1.0 + 0j, -0.5 + 0.25j)
+    masses = tuple((complex(z), 0.3) for z in READER_POINTS)
+    want = mo._mass_terms(psi, masses, 160)
+
+    def refuse(bits):
+        raise AssertionError(f"an mpmath context at {bits} bits")
+
+    monkeypatch.setattr(mo, "context", refuse)
+    monkeypatch.setattr(xlinalg, "context", refuse)
+    mo._mass_terms.cache_clear()
+    assert mo._mass_terms(psi, masses, 160) == want
 
 
 # ----------------------------------------------------------------------
@@ -1004,6 +1050,16 @@ def test_shared_nodes_give_the_unshared_records(mu, rows):
     assert any(a < b for a, b in zip(grids, grids[1:]))
 
 
+def reflected_factors(ctx, masses):
+    """(zeta_i, rot_i) for the positively normalized reflected product, by
+    mpc arithmetic at ctx: zeta_i = 1/conj(z_i), rot_i = -|zeta_i|/zeta_i."""
+    out = []
+    for z, _ in masses:
+        zeta = 1 / ctx.conj(ctx.mpc(z))
+        out.append((zeta, -abs(zeta) / zeta))
+    return out
+
+
 def oracle_node_values(ctx, x, psi, factors):
     """B^k(x) / conj(psi(x)) for k = 0..K by mpc arithmetic: psi by Horner
     (its coefficients highest first), one mpc division for 1/conj(psi) and
@@ -1024,7 +1080,7 @@ def oracle_quadrature(mu, n, ks, element):
     bits = mu.precision
     ctx = context(bits)
     psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
-    factors = mo._reflected_factors(ctx, mu.spectrum.masses[:max(ks)])
+    factors = reflected_factors(ctx, mu.spectrum.masses[:max(ks)])
     r_elem = [ctx.convert(c) for c in element]
     exps = range(1 - 2 * n, 1)
     # node q of the finest grid, exp(2 pi i q / cap), stands for every
