@@ -68,10 +68,11 @@ from szego_lab.xlinalg import (
     _GUARD_BITS,
     _dot,
     _dyadic,
-    _fixed_pair,
     _horner,
+    _quotient_series,
     _rdiv,
     _reflect,
+    _shift,
     _to_mpf,
     context,
 )
@@ -242,26 +243,6 @@ def _selection(spectrum: PointSpectrum, n: int, sched: ScheduleParams):
     return cap, margin, radius, selected, tail
 
 
-def _quotient_series(num: Sequence, den: Sequence, count: int,
-                     f: int) -> list:
-    """The first count Taylor coefficients of num/den, polynomials given as
-    integer pairs at f fractional bits, constant first; den_0 > 0 and den
-    is zero-free on the closed disk.  a_k = (num_k - sum_(j=1..d) den_j
-    a_(k-j)) / den_0, the sum exact and a_k rounded once: stable, as the
-    characteristic roots, the reciprocals of den's roots, lie in the disk.
-    """
-    d = len(den) - 1
-    rev_re = [c[0] for c in den[:0:-1]]  # den_d, ..., den_1
-    rev_im = [c[1] for c in den[:0:-1]]
-    a_re, a_im = [0] * d, [0] * d  # d leading zeros: a_(-d)..a_(-1)
-    for k in range(count):
-        nr, ni = num[k] if k < len(num) else (0, 0)
-        s_re, s_im = _dot(rev_re, rev_im, a_re[k:], a_im[k:])
-        a_re.append(_rdiv((nr << f) - s_re, den[0][0]))
-        a_im.append(_rdiv((ni << f) - s_im, den[0][0]))
-    return list(zip(a_re[d:], a_im[d:]))
-
-
 def _bphi_series(zeros: Sequence, radius: float, upto: int, f: int,
                  times: Sequence) -> list:
     """Taylor coefficients of z^0..z^upto of the dilated product times the
@@ -412,9 +393,9 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
     (_quotient_series).  Past D, Q - p A_D = z^(D+1) h with deg h < d,
     where A_D is the head as a polynomial, so the rest of Q/p is
     z^(D+1) h/p, orthogonal to A_D: its squared norm is h^H T h, with T the
-    d-by-d Toeplitz block of the moments t_0..t_(d-1).  The moments are
-    read at bits fractional bits, both sums are exact, and the result is
-    rounded once.  O(D d + d^2) in all, and nothing is truncated.
+    d-by-d Toeplitz block of the moments t_0..t_(d-1), each shifted once
+    to bits fractional bits.  Both sums are exact and the result is rounded
+    once.  O(D d + d^2) in all, and nothing is truncated.
     """
     ctx, f = context(bits), bits
     p = [(re, -im) for re, im in _mass_terms(weight.coeff_key(), (), f)[0]]
@@ -431,7 +412,8 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
     h = [_dot(p_re[i + 1:], p_im[i + 1:], a_re[top + d:top + i:-1],
               a_im[top + d:top + i:-1]) for i in range(d)]
     h = [((half - hr) >> f, (half - hi) >> f) for hr, hi in h]
-    t = [_fixed_pair(v, f) for v in _trig_moments(weight, d - 1, bits)[:d]]
+    t, e = _trig_moments(weight, d - 1, bits)
+    t = [(_shift(re, e + f), _shift(im, e + f)) for re, im in t[:d]]
     rest = 0
     for r, (rr, ri) in enumerate(h):
         for c, (cr, ci) in enumerate(h):

@@ -333,6 +333,18 @@ def _cell(value) -> str:
     return str(value)
 
 
+def _strict_json(value):
+    """value with every non-finite float replaced by None, so report.json
+    is strict JSON: null where a number overflowed or is undefined."""
+    if isinstance(value, float):
+        return value if math.isfinite(value) else None
+    if isinstance(value, dict):
+        return {k: _strict_json(v) for k, v in value.items()}
+    if isinstance(value, (list, tuple)):
+        return [_strict_json(v) for v in value]
+    return value
+
+
 def _write_outputs(man: RunManifest, columns, rows, extra: dict) -> dict:
     try:
         os.makedirs(man.out_dir, exist_ok=True)
@@ -347,7 +359,7 @@ def _write_outputs(man: RunManifest, columns, rows, extra: dict) -> dict:
         report["reproducibility"] = _reproducibility(man)
         json_path = os.path.join(man.out_dir, "report.json")
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(report, fh, indent=2)
+            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
             fh.write("\n")
     except OSError as exc:
         raise ManifestError("out_dir", str(exc)) from exc

@@ -1,12 +1,12 @@
 """Orthogonal systems for a circle measure with point masses outside.
 
-The measure is dm/|psi|^2 on the unit circle plus finitely many point masses
-at |z_k| > 1, psi a zero-free-on-the-closed-disk Taylor polynomial with
-psi(0) > 0.  This module computes trigonometric moments (cached, exact:
-a small linear system and the recurrence that psi defines), Gram matrices
-over polynomial and Laurent spans, the leading coefficients tau_n and eta_n
-of the orthonormal elements, the orthonormal elements themselves, a
-contour-integral residue identity connecting the Laurent leading
+The measure is dm/|psi|^2 on the unit circle plus finitely many point
+masses at |z_k| > 1, psi a zero-free-on-the-closed-disk Taylor polynomial
+with psi(0) > 0.  This module computes trigonometric moments (cached, on
+integers: the Taylor coefficients of N/psi, xlinalg._quotient_series), Gram
+matrices over polynomial and Laurent spans, the leading coefficients tau_n
+and eta_n of the orthonormal elements, the orthonormal elements themselves,
+a contour-integral residue identity connecting the Laurent leading
 coefficient to point evaluations at the masses, and the slow-decay
 condition report for mass sequences accumulating at the circle.
 
@@ -56,7 +56,6 @@ from dataclasses import dataclass, field
 from typing import Sequence
 
 import numpy as np
-from mpmath.libmp import from_rational, fzero, round_nearest
 
 from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2, grid_nodes
 from szego_lab.xlinalg import (
@@ -73,6 +72,7 @@ from szego_lab.xlinalg import (
     _dyadic,
     _fixed_pair,
     _horner,
+    _quotient_series,
     _rdiv,
     _rdiv_sqrt,
     _reflect,
@@ -249,26 +249,25 @@ def target_limit(mu: MeasureSpec) -> float:
 # trigonometric moments of the absolutely continuous part
 
 
-# Threads that miss together each fill the entry with the same values, so
-# the later write is as good as the earlier one.
+# (psi, bits) -> (N, t, e), the 8 last used (each call re-inserts its key).
+# Threads that miss together write the same values; pop skips a popped key.
 _moment_cache: dict = {}
 
 
-def _bernstein_szego_head(coeffs: Sequence[complex], bits: int) -> list:
-    """t_0..t_d for psi = sum_j c_j z^j of degree d (see _trig_moments).
+def _bernstein_szego_head(coeffs: Sequence[complex], f: int) -> list:
+    """N_0..N_d, integer pairs at f fractional bits (any integer f), with
+    sum_m t_m z^m = N/psi for psi = sum_j c_j z^j (see _trig_moments).
 
-    psi/|psi|^2 = 1/conj(psi) has no positive frequencies and constant term
-    1/c_0, so sum_j c_j t_(k-j) = [k == 0]/c_0 for k >= 0, where
-    t_(-m) = conj(t_m).  Rows k = 0..d are a real linear system in the re
-    and im parts of t_0..t_d; it is nonsingular, since with the recurrence
-    for k > d they determine every moment.
-
-    The c_j are doubles, so dyadic: 2^e times the system is an integer
-    matrix A, and c_0 = p_0/q_0.  A y = e_0 is solved exactly by
-    fraction-free Gauss-Jordan elimination (Bareiss), whose divisions by
-    the previous pivot are exact, leaving a_ii y_i = b_i; then
-    t = 2^e q_0 y / p_0, and each moment is rounded once, to an mpc of
-    context(bits).
+    1/conj(psi) = psi/|psi|^2 has no positive frequencies and constant term
+    1/c_0, so sum_j c_j t_(k-j) = [k == 0]/c_0 for k >= 0, t_(-m) =
+    conj(t_m): rows k = 0..d are a nonsingular real system in the parts of
+    t_0..t_d, and N_k = [k == 0]/c_0 - sum_(j>k) c_j conj(t_(j-k)).
+    The c_j = C_j 2^-e are dyadic, c_0 = p_0/q_0, so 2^e times the system
+    is an integer matrix A.  A y = e_0 is solved exactly by fraction-free
+    Gauss-Jordan elimination (Bareiss), which leaves every diagonal entry
+    equal to the last pivot D; so y = Y/D, t_m = 2^e q_0 Y_m / (p_0 D) and
+    N_k = q_0 ([k == 0] D - sum_(j>k) C_j conj(Y_(j-k))) / (p_0 D), each
+    part rounded once; N_0 = c_0 t_0 is real, its imaginary part 0.
     """
     d = len(coeffs) - 1
     size = 2 * (d + 1)
@@ -299,40 +298,36 @@ def _bernstein_szego_head(coeffs: Sequence[complex], bits: int) -> list:
                 a[i] = [(akk * x - aik * y) // prev for x, y in zip(a[i], row_k)]
         prev = akk
     p0, q0 = parts[0]
-    ctx = context(bits)
-
-    def rounded(i):
-        num, den = a[i][size] * q0 << e, a[i][i] * p0
-        if den < 0:
-            num, den = -num, -den
-        return from_rational(num, den, bits, round_nearest)
-
-    return [ctx.make_mpc((rounded(2 * m), rounded(2 * m + 1) if m else fzero))
-            for m in range(d + 1)]
+    c_re, c_im = ints[0::2], ints[1::2]
+    y_re, y_im = [r[size] for r in a[0::2]], [-r[size] for r in a[1::2]]
+    sums = [_dot(c_re[k + 1:], c_im[k + 1:], y_re[1:d + 1 - k],
+                 y_im[1:d + 1 - k]) for k in range(d + 1)]
+    num, den = q0 << max(f, 0), p0 * prev << max(-f, 0)  # 2^f / (c_0 D)
+    return [(_rdiv(((k == 0) * prev - sr) * num, den), _rdiv(-si * num, den))
+            for k, (sr, si) in enumerate(sums)]
 
 
-def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> list:
-    """t_m = circle mean of e^(-i m t)/|psi|^2 for m = 0..m_max, cached: a
-    list of mpc that holds at least those moments and may hold more.
-
-    Exact up to rounding at bits + 32: t_0..t_d solve the linear system of
-    _bernstein_szego_head, and every higher moment follows from
-    t_k = -(1/c_0) sum_(j=1..d) c_j t_(k-j).  The recurrence is stable: its
-    characteristic roots 1/r_j, r_j the roots of psi, lie inside the disk.
+def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> tuple:
+    """t_m = circle mean of e^(-i m t)/|psi|^2 for m = 0..m_max, cached:
+    (t, e), integer pairs t holding at least those moments as t 2^e; makes
+    no mpmath number.  They are xlinalg._quotient_series(N, psi) for psi
+    2^-s, c_0 2^-s in [1, 2): its N (_bernstein_szego_head) is 2^s N, its
+    moments 2^(2s) t_m at f = bits + 32 fractional bits, its t_0 at least
+    1/(4 binom(2d, d)) as |c_j| <= binom(d, j) c_0.  Each t_k = (N_k -
+    sum_(j>=1) c_j t_(k-j)) / c_0 is rounded once, stably (the roots of the
+    recurrence lie in the disk): a few units of 2^-f against t_0 in all.
     """
     key = (weight.coeff_key(), bits)
-    cached = _moment_cache.get(key)
-    if cached is not None and len(cached) > m_max:
-        return cached
-    ctx = context(bits + _GUARD_BITS)
-    coeffs = [ctx.mpc(c) for c in weight.psi.coeffs]
-    t = (list(cached) if cached is not None
-         else _bernstein_szego_head(weight.psi.coeffs, bits + _GUARD_BITS))
-    for k in range(len(t), m_max + 1):
-        t.append(-ctx.fsum(coeffs[j] * t[k - j]
-                           for j in range(1, len(coeffs))) / coeffs[0])
-    _moment_cache[key] = t
-    return t
+    cached = _moment_cache.pop(key, None)
+    if cached is None or len(cached[1]) <= m_max:
+        s, f = math.frexp(key[0][0].real)[1] - 1, bits + _GUARD_BITS
+        head = cached[0] if cached else _bernstein_szego_head(key[0], f + s)
+        t = _quotient_series(head, _mass_terms(key[0], (), f - s)[0], m_max + 1, f)
+        cached = head, t, -f - 2 * s
+    _moment_cache[key] = cached
+    for old in list(_moment_cache)[:-8]:
+        _moment_cache.pop(old, None)
+    return cached[1:]
 
 
 def moment(mu: MeasureSpec, j: int, k: int):
@@ -343,8 +338,9 @@ def moment(mu: MeasureSpec, j: int, k: int):
     """
     bits = mu.precision
     ctx = context(bits)
-    t = _trig_moments(mu.weight, abs(j - k), bits)[abs(j - k)]
-    total = ctx.mpc(ctx.conj(t) if j < k else t)
+    t, e = _trig_moments(mu.weight, abs(j - k), bits)
+    re, im = t[abs(j - k)]
+    total = _to_mpc(ctx, re, -im if j < k else im, e)
     for z, m in mu.spectrum.masses:
         zl = ctx.mpc(z)
         total += m * zl ** j * ctx.conj(zl) ** k
@@ -354,20 +350,21 @@ def moment(mu: MeasureSpec, j: int, k: int):
 def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> HermitianMatrix:
     n = len(exps)
     lo, hi = min(exps), max(exps)
-    values = _trig_moments(mu.weight, hi - lo, bits)
+    values, t_exp = _trig_moments(mu.weight, hi - lo, bits)
     ctx = context(bits)
     if not mu.spectrum.masses:
         # every entry is a moment or its conjugate: round each moment once
-        # (rounding commutes with conj) and let the entries share them; the
+        # (rounding commutes with conj; t_0 is real) for all entries; the
         # exponents are consecutive, so column c is t_c, ..., t_1 above the
         # diagonal and conj(t_0), ..., conj(t_(n-1-c)) from it down
-        rounded = [ctx.mpc(t) for t in values[:n]]
-        rounded[0] = ctx.mpc(values[0].real)
+        rounded = [_to_mpc(ctx, re, im, t_exp) for re, im in values[:n]]
         conj_r = [ctx.conj(t) for t in rounded]
         return HermitianMatrix([rounded[c:0:-1] + conj_r[: n - c]
                                 for c in range(n)], bits, _skip_check=True)
     cols: list[list] = [[None] * n for _ in range(n)]
-    conj_t = [ctx.conj(t) for t in values[: hi - lo + 1]]
+    wide = context(bits + _GUARD_BITS)
+    values = [_to_mpc(wide, re, im, t_exp) for re, im in values[: hi - lo + 1]]
+    conj_t = [ctx.conj(t) for t in values]
     # per mass, m z^e for each column and conj(z)^e for each row: the mass
     # term (m z^(e_c)) conj(z)^(e_r) of entry (r, c) is then one product,
     # with the roundings it had when formed entry by entry

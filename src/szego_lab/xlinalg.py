@@ -30,7 +30,8 @@ real number x is the integer round(x 2^f) at f fractional bits, a complex
 one a pair of them (real, imaginary).  Sums and products of such integers
 are exact; a product goes back to f bits by a rounded shift, a quotient by
 _rdiv, and a result to an mpmath number by one rounding (_to_mpf,
-_to_mpc).
+_to_mpc).  Its one recurrence, _quotient_series, gives the moments of
+1/|psi|^2 as N/psi (measure_opuc) and the pipeline's series and norms.
 
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
@@ -230,11 +231,31 @@ def _horner(coeffs: Sequence, x: tuple, f: int) -> tuple:
     return pr, pi
 
 
+def _quotient_series(num: Sequence, den: Sequence, count: int,
+                     f: int) -> list:
+    """The first count Taylor coefficients of num/den, polynomials given as
+    integer pairs at f fractional bits, constant first; den_0 > 0 and den
+    is zero-free on the closed disk.  a_k = (num_k - sum_(j=1..d) den_j
+    a_(k-j)) / den_0, the sum exact and a_k rounded once: stable, as the
+    characteristic roots, the reciprocals of den's roots, lie in the disk.
+    """
+    d = len(den) - 1
+    rev_re = [c[0] for c in den[:0:-1]]  # den_d, ..., den_1
+    rev_im = [c[1] for c in den[:0:-1]]
+    a_re, a_im = [0] * d, [0] * d  # d leading zeros: a_(-d)..a_(-1)
+    for k in range(count):
+        nr, ni = num[k] if k < len(num) else (0, 0)
+        s_re, s_im = _dot(rev_re, rev_im, a_re[k:], a_im[k:])
+        a_re.append(_rdiv((nr << f) - s_re, den[0][0]))
+        a_im.append(_rdiv((ni << f) - s_im, den[0][0]))
+    return list(zip(a_re[d:], a_im[d:]))
+
+
 def _dyadic(x: float, f: int) -> int:
-    """The double x times 2^f, rounded to an integer: exact whenever the
-    last bit of x is at or above 2^-f, as doubles are dyadic."""
+    """The double x times 2^f, for any integer f, rounded to an integer:
+    exact whenever the last bit of x is at or above 2^-f (x is dyadic)."""
     p, q = x.as_integer_ratio()
-    return _rdiv(p << f, q)
+    return _rdiv(p << max(f, 0), q << max(-f, 0))
 
 
 def _shift(x: int, s: int) -> int:

@@ -3,6 +3,7 @@ compare what two trees write.
 
     python tests/data/make_frozen.py CHECKOUT [FILE ...]
     python tests/data/make_frozen.py --compare OLD NEW [FILE ...]
+    python tests/data/make_frozen.py --requests OLD NEW
 
 CHECKOUT, OLD and NEW are source trees of this project, such as a git clone
 or an unpacked ``git archive``.  Every run below goes through that tree's own
@@ -14,6 +15,13 @@ otherwise every file in FROZEN is.
 NEW's text differ, named by the file, the row's labels, the column, both
 values and the relative change, then a count per file.  It exits 1 if any
 cell differs and 0 if every file is byte-identical.
+
+--requests writes nothing either: it runs the benchmark's requests in
+REQUESTS (the first ones of each workload and seed, as bench/workloads.py
+builds them) through both trees, one CLI subprocess per request and tree,
+and prints every differing cell of their certificates.csv as --compare
+does, every differing exit code, and a count per workload.  It exits 1 if
+any cell or exit code differs.
 
 A frozen file guards a change against the output of the code before it: it
 is written from the parent commit's tree when the change lands, and the
@@ -32,6 +40,7 @@ import sys
 import tempfile
 
 HERE = os.path.dirname(os.path.abspath(__file__))
+BENCH = os.path.join(HERE, "..", "..", "bench")
 
 VS_BOUND = {"command": "vs-bound",
             "kinds": ["uniform_disk", "boundary_cluster", "radial_line"],
@@ -127,17 +136,21 @@ def frozen_text(name: str, run_cli) -> str:
     return header + "".join(lines)
 
 
-def subprocess_cli(checkout: str):
-    """run_cli for frozen_text that runs the CLI of the tree at checkout."""
+def start_cli(checkout: str, argv: list, cwd: str) -> subprocess.Popen:
+    """The CLI of the tree at checkout, started on argv in the directory
+    cwd, with that tree's src first on PYTHONPATH."""
     env = dict(os.environ)
     src = os.path.join(os.path.abspath(checkout), "src")
     env["PYTHONPATH"] = src + os.pathsep + env.get("PYTHONPATH", "")
+    return subprocess.Popen([sys.executable, "-m", "szego_lab.cli", *argv],
+                            env=env, cwd=cwd, stdout=subprocess.DEVNULL)
 
+
+def subprocess_cli(checkout: str):
+    """run_cli for frozen_text that runs the CLI of the tree at checkout."""
     def run_cli(command: str, manifest: str) -> int:
-        return subprocess.run(
-            [sys.executable, "-m", "szego_lab.cli", command, "--manifest", manifest],
-            env=env, cwd=os.path.dirname(manifest),
-            stdout=subprocess.DEVNULL).returncode
+        return start_cli(checkout, [command, "--manifest", manifest],
+                         os.path.dirname(manifest)).wait()
 
     return run_cli
 
@@ -154,37 +167,103 @@ def _relative(old: str, new: str) -> str:
     return f"{(b - a) / abs(a):+.2e} relative" if a else "from 0"
 
 
+def print_cells(name: str, old: str, new: str, labels=()) -> int:
+    """Print each cell where the CSV texts old and new differ, the row named
+    by its label and key columns; the number of differing cells, and 1 if
+    the headers or row counts differ."""
+    a = list(csv.reader(old.splitlines()))
+    b = list(csv.reader(new.splitlines()))
+    if a[:1] != b[:1] or len(b) != len(a):
+        print(f"{name}: headers or row counts differ "
+              f"({len(a) - 1} and {len(b) - 1} rows)")
+        return 1
+    header = a[0] if a else []
+    keys = [i for i, c in enumerate(header) if c in labels or c in KEY_COLUMNS]
+    cells = 0
+    for row_a, row_b in zip(a[1:], b[1:]):
+        label = " ".join(f"{header[i]}={row_a[i]}" for i in keys)
+        for column, x, y in zip(header, row_a, row_b):
+            if x != y:
+                cells += 1
+                print(f"{name}: {label} {column}: {x} -> {y} "
+                      f"({_relative(x, y)})")
+    return cells
+
+
 def compare(old: str, new: str, names: list) -> int:
     """Print each cell where the text of a file written by the tree old and
     by the tree new differ; 1 if any does, else 0."""
     old_cli, new_cli = subprocess_cli(old), subprocess_cli(new)
     total = 0
     for name in names:
-        a = list(csv.reader(frozen_text(name, old_cli).splitlines()))
-        b = list(csv.reader(frozen_text(name, new_cli).splitlines()))
-        header = a[0]
-        if b[0] != header or len(b) != len(a):
-            print(f"{name}: headers or row counts differ "
-                  f"({len(a) - 1} and {len(b) - 1} rows)")
-            total += 1
-            continue
-        keys = [i for i, c in enumerate(header)
-                if c in FROZEN[name][0] or c in KEY_COLUMNS]
-        cells = 0
-        for row_a, row_b in zip(a[1:], b[1:]):
-            label = " ".join(f"{header[i]}={row_a[i]}" for i in keys)
-            for column, x, y in zip(header, row_a, row_b):
-                if x != y:
-                    cells += 1
-                    print(f"{name}: {label} {column}: {x} -> {y} "
-                          f"({_relative(x, y)})")
-        print(f"{name}: {cells} cells differ" if cells
-              else f"{name}: byte-identical, {len(a) - 1} rows")
+        text = frozen_text(name, old_cli)
+        cells = print_cells(name, text, frozen_text(name, new_cli),
+                            FROZEN[name][0])
+        print(f"{name}: {cells} cells differ" if cells else
+              f"{name}: byte-identical, {len(text.splitlines()) - 1} rows")
         total += cells
     return 1 if total else 0
 
 
+# workload -> how many of its first requests run, for each seed
+REQUESTS = {"opuc-exact": 48, "pipeline-bounds": 20}
+REQUEST_SEEDS = (1, 2, 3)
+
+
+def compare_requests(old: str, new: str) -> int:
+    """Run REQUESTS through the trees old and new, both at once, each tree
+    in its own work directory; print every differing cell and exit code and
+    a count per workload; 1 if any differs, else 0."""
+    sys.path.insert(0, BENCH)
+    import workloads
+
+    total = 0
+    for workload, count in REQUESTS.items():
+        runs = codes = files = cells = 0
+        seen: dict = {}  # exit code -> how many requests gave it on both
+        for seed in REQUEST_SEEDS:
+            requests = workloads.build_requests(workload, seed, count)
+            with tempfile.TemporaryDirectory() as tmp:
+                dirs = [os.path.join(tmp, side) for side in ("old", "new")]
+                for work in dirs:
+                    workloads.write_inputs(requests, work)
+                for req in requests:
+                    name = f"{workload} seed {seed} r{req.index:04d} {req.command}"
+                    outs = []
+                    procs = [start_cli(tree, req.argv(), work)
+                             for tree, work in zip((old, new), dirs)]
+                    for proc, work in zip(procs, dirs):
+                        code = proc.wait()
+                        path = os.path.join(work, "out", "certificates.csv")
+                        text = ""
+                        if code == 0:
+                            with open(path, encoding="utf-8") as fh:
+                                text = fh.read()
+                            os.remove(path)
+                        outs.append((code, text))
+                    (code_a, text_a), (code_b, text_b) = outs
+                    runs += 1
+                    if code_a != code_b:
+                        codes += 1
+                        print(f"{name}: exit code {code_a} -> {code_b}")
+                    else:
+                        seen[code_a] = seen.get(code_a, 0) + 1
+                    diff = print_cells(name, text_a, text_b)
+                    files += bool(diff)
+                    cells += diff
+        print(f"{workload}: {runs} requests, {codes} exit codes differ "
+              f"(the same on both: {seen}), {files} CSVs differ in "
+              f"{cells} cells")
+        total += codes + cells
+    return 1 if total else 0
+
+
 def main(argv: list[str]) -> int:
+    if argv[:1] == ["--requests"]:
+        if len(argv) != 3 or any(a.startswith("-") for a in argv[1:]):
+            print(__doc__, file=sys.stderr)
+            return 2
+        return compare_requests(argv[1], argv[2])
     compare_mode = argv[:1] == ["--compare"]
     trees = 2 if compare_mode else 1
     argv = argv[1:] if compare_mode else argv

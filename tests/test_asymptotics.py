@@ -517,7 +517,10 @@ def _double_sum_circle_norm(weight, q, bits):
     """The O(N^2) route: sum over r, c of conj(q_r) q_c t_(c-r)."""
     ctx = context(bits)
     span = len(q) - 1
-    values = _trig_moments(weight, span, bits)
+    t, e = _trig_moments(weight, span, bits)
+    values = [context(bits + 32).make_mpc((from_man_exp(re, e),
+                                           from_man_exp(im, e)))
+              for re, im in t]
     t_diff = [ctx.conj(t) for t in values[span:0:-1]] + values[: span + 1]
     return ctx.re(ctx.fsum(
         ctx.conj(q[r]) * ctx.fsum(q[c] * t_diff[span + c - r]

@@ -183,6 +183,22 @@ def test_opuc_artifacts(tmp_path, capsys):
     assert report["reproducibility"]["schedule"] is None
 
 
+@pytest.mark.parametrize("c0", [1e-30, 1e10])
+def test_opuc_at_any_scale_of_psi(tmp_path, capsys, c0):
+    # psi = c0 has tau_n = eta_n = c0; the moment 1/c0^2 is held at its own
+    # scale, so 53 bits read it to the last bit at 1e60 and at 1e-20 alike
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[c0, 0]], "masses": [], "precision_bits": 53})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [2, 8], "which": "both",
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "opuc", "--manifest", man)
+    assert code == 0, out
+    for row in read_rows(str(tmp_path / "out")):
+        assert float(row["tau_n"]) == pytest.approx(c0, rel=1e-14)
+        assert float(row["eta_n"]) == pytest.approx(c0, rel=1e-14)
+
+
 def test_version_probe_runs_once_per_process(tmp_path, monkeypatch):
     calls = []
 
@@ -500,14 +516,36 @@ def test_report_is_strict_json_when_a_sampled_sup_is_zero(tmp_path, capsys):
     assert code == 0, out
     assert float(read_rows(str(tmp_path / "out"))[0]["ratio_s39"]) == 0.0
 
-    def refuse(name):
-        raise ValueError(f"{name} in report.json")
-
     with open(tmp_path / "out" / "report.json") as fh:
-        report = json.load(fh, parse_constant=refuse)
+        report = json.load(fh, parse_constant=refuse_constant)
     ratios = report["summary"]["max_upper_over_value"]
     assert ratios["ratio_s39"] is None
     assert ratios["sup_phi"] >= 1.0
+
+
+def refuse_constant(name):
+    raise ValueError(f"{name} in report.json")
+
+
+def test_report_is_strict_json_when_the_tail_majorant_overflows(tmp_path,
+                                                                 capsys):
+    # a mass 1e-4 outside the circle stays in the tail, and exp(c_bound/eps)
+    # overflows: certificates.csv keeps inf, report.json writes null
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1, 0]], "masses": [[1.0001, 0, 0.2], [3, 0, 0.1]],
+        "precision_bits": 128})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [8], "route": "taylor",
+        "schedule": {"eps": {"family": "inv_loglog_sq"},
+                     "a": {"family": "half_loglog"}, "c_bound": 5000},
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "pipeline", "--manifest", man)
+    assert code == 0, out
+    assert read_rows(str(tmp_path / "out"))[0]["tail_majorant"] == "inf"
+    with open(tmp_path / "out" / "report.json") as fh:
+        report = json.load(fh, parse_constant=refuse_constant)
+    assert report["rows"][0]["tail_majorant"] is None
+    assert report["rows"][0]["total_norm"] > 0
 
 
 def test_tiny_epsilon_writes_its_row(tmp_path, capsys):
@@ -824,4 +862,11 @@ def test_fuzz_input_contract(tmp_path, capsys, monkeypatch):
             failures.append((where, code))
         elif code == 2 and error_payload(out)["field"] not in named:
             failures.append((where, error_payload(out)))
+        elif code == 0:
+            # report.json is strict JSON: no NaN or Infinity
+            try:
+                with open(tmp_path / manifest["out_dir"] / "report.json") as fh:
+                    json.load(fh, parse_constant=refuse_constant)
+            except (OSError, TypeError, ValueError) as exc:
+                failures.append((where, repr(exc)))
     assert not failures, failures

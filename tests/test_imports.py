@@ -92,8 +92,16 @@ def test_the_numpy_layers_import_no_mpmath(module):
                 and m != "szego_lab.circle_fourier")] == []
 
 
+def test_measure_opuc_imports_no_mpmath():
+    # the moments, the closed form and the residue table compute on
+    # integers; mpmath numbers come only through xlinalg's helpers
+    source = (SRC / "measure_opuc.py").read_text(encoding="utf-8")
+    assert [m for m in sorted(imported_modules(source))
+            if m.split(".")[0] == "mpmath"] == []
+
+
 @pytest.mark.parametrize("name", ["_fixed", "_fixed_pair", "_rdiv",
-                                  "_circle_nodes"])
+                                  "_circle_nodes", "_quotient_series"])
 def test_fixed_point_helpers_are_defined_once(name):
     # one implementation per idea: each fixed-point helper has one home
     homes = [module for module in MODULES

@@ -9,6 +9,9 @@ coefficients are sqrt(1 - a^2) at degree zero and exactly 1 afterwards.
 
 import json
 import math
+import sys
+import threading
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -197,12 +200,21 @@ def test_bernstein_szego_moments_closed_form():
             assert abs(moment(mu, m, 0) - exact) < 1e-30
 
 
+def moments_mpc(weight, m_max, bits):
+    """_trig_moments' integer pairs t with their exponent e, as the exact
+    mpc values t 2^e of context(bits + 32)."""
+    t, e = mo._trig_moments(weight, m_max, bits)
+    return [context(bits + 32).make_mpc((from_man_exp(re, e),
+                                         from_man_exp(im, e)))
+            for re, im in t]
+
+
 def test_near_circle_moments_exact():
     # psi = 1 - a z with its root 1e-3 outside the circle: the moments decay
     # only like a^m, and the recurrence reproduces a^m / (1 - a^2) exactly
     a = 1.0 / (1.0 + 1e-3)
     psi = OuterWeight(LaurentPolynomial(0, [1.0, -a]))
-    tab = mo._trig_moments(psi, 3000, 256)
+    tab = moments_mpc(psi, 3000, 256)
     with mp.workprec(256):
         am = mp.mpf(a)
         t0 = 1 / (1 - am ** 2)
@@ -222,7 +234,7 @@ def test_moments_match_fft_of_weight(coeffs):
     nodes = np.exp(2j * np.pi * np.arange(grid) / grid)
     psi_vals = np.polynomial.polynomial.polyval(nodes, coeffs)
     fft = np.fft.fft(1.0 / np.abs(psi_vals) ** 2) / grid
-    tab = mo._trig_moments(OuterWeight(LaurentPolynomial(0, coeffs)), 40, 128)
+    tab = moments_mpc(OuterWeight(LaurentPolynomial(0, coeffs)), 40, 128)
     for m in range(41):
         assert abs(complex(tab[m]) - fft[m]) < 1e-14
 
@@ -254,8 +266,8 @@ def head_by_lu_solve(coeffs, bits):
 
 @pytest.mark.parametrize("d", range(4))
 def test_exact_head_matches_lu_solve(d):
-    # the exact solve rounded once at bits + 32 against lu_solve at the same
-    # precision: within 2^-(bits + 24) of t_0, the largest moment
+    # the moments from the exact head against lu_solve at bits + 32: within
+    # 2^-(bits + 24) of t_0, the largest moment
     rng = np.random.default_rng(60 + d)
     for trial in range(6):
         roots = (1.05 + 3 * rng.random(d)) * np.exp(2j * np.pi * rng.random(d))
@@ -265,12 +277,161 @@ def test_exact_head_matches_lu_solve(d):
         if trial % 3 == 0:
             coeffs = coeffs.real + 0j
         for bits in (53, 128, 256, 512):
-            got = mo._bernstein_szego_head(coeffs, bits + 32)
+            weight = OuterWeight(LaurentPolynomial(0, coeffs))
+            got = moments_mpc(weight, d, bits)[: d + 1]
             want = head_by_lu_solve(coeffs, bits + 32)
-            assert len(got) == d + 1
-            assert all(t.context.prec == bits + 32 for t in got)
+            assert len(mo._bernstein_szego_head(coeffs, bits + 32)) == d + 1
             for g, w in zip(got, want):
                 assert abs(g - w) <= got[0].real * mp.mpf(2) ** -(bits + 24)
+
+
+def exact_moments(coeffs, count):
+    """t_0..t_(count-1) of 1/|psi|^2 as exact (re, im) Fractions.
+
+    The head t_0..t_d solves sum_j c_j t_(k-j) = [k == 0]/c_0 for
+    k = 0..d, t_(-m) = conj(t_m): a real system in the parts of t_0..t_d,
+    its columns the left side at unit vectors, solved by Gauss-Jordan
+    elimination over Fraction.  Then t_k = -(1/c_0) sum_(j>=1) c_j t_(k-j).
+    """
+    c = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, coeffs)]
+    d = len(c) - 1
+
+    def times(a, b):
+        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
+
+    def left(t, k):
+        parts = [times(c[j], t[k - j] if k >= j else
+                       (t[j - k][0], -t[j - k][1])) for j in range(d + 1)]
+        return sum(p[0] for p in parts), sum(p[1] for p in parts)
+
+    size = 2 * (d + 1)
+    zero = (Fraction(0), Fraction(0))
+    cols = []
+    for u in range(size):
+        unit = [zero] * (d + 1)
+        unit[u // 2] = (Fraction(1 - u % 2), Fraction(u % 2))
+        cols.append([part for k in range(d + 1) for part in left(unit, k)])
+    a = [[col[r] for col in cols] + [Fraction(r == 0) / c[0][0]]
+         for r in range(size)]
+    for k in range(size):
+        piv = next(r for r in range(k, size) if a[r][k])
+        a[k], a[piv] = a[piv], a[k]
+        a[k] = [x / a[k][k] for x in a[k]]
+        for i in range(size):
+            factor = a[i][k]
+            if i != k and factor:
+                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
+    t = [(a[2 * m][size], a[2 * m + 1][size]) for m in range(d + 1)]
+    for k in range(d + 1, count):
+        s = [times(c[j], t[k - j]) for j in range(1, d + 1)]
+        t.append((-sum(p[0] for p in s) / c[0][0],
+                  -sum(p[1] for p in s) / c[0][0]))
+    return t
+
+
+# dyadic psi of degree 1 to 3; the first has its root at -1.05i
+EXACT_PSI = [
+    [1.3125, -1.25j],
+    [1.0, 0.375 - 0.25j, 0.125j],
+    [0.75, 0.25 + 0.125j, -0.0625j, 0.03125 - 0.015625j],
+]
+
+
+@pytest.mark.parametrize("scale", [1.0, 2.0 ** 40, 2.0 ** -40],
+                         ids=["unit", "times_2^40", "times_2^-40"])
+@pytest.mark.parametrize("coeffs", EXACT_PSI, ids=["d1", "d2", "d3"])
+def test_moments_match_an_exact_rational_oracle(coeffs, scale, monkeypatch):
+    # the head's tolerance, 2^-(bits + 24) t_0, held by every moment through
+    # the whole integer recurrence, and at every scale of psi: t_0 is then
+    # about 2^-80 or 2^80
+    monkeypatch.setattr(mo, "_moment_cache", {})
+    coeffs = [c * scale for c in coeffs]
+    weight = OuterWeight(LaurentPolynomial(0, coeffs))
+    exact = exact_moments(coeffs, 97)
+    assert exact[0][1] == 0
+    for bits in (53, 128, 256, 512):
+        got, e = mo._trig_moments(weight, 96, bits)
+        unit = Fraction(2) ** -e  # the moments in units of 2^e
+        tol = exact[0][0] * Fraction(2) ** (-bits - 24) * unit
+        assert got[0][1] == 0  # t_0 is exactly real
+        for m, ((re, im), (tr, ti)) in enumerate(zip(got[:97], exact)):
+            dr, di = re - tr * unit, im - ti * unit
+            assert dr * dr + di * di <= tol * tol, (bits, m)
+
+
+def test_trig_moments_make_no_mpmath_number(monkeypatch):
+    # the head, psi's pairs and the recurrence run with no mpmath context
+    # to be had
+    weight = OuterWeight(LaurentPolynomial(0, EXACT_PSI[2]))
+    monkeypatch.setattr(mo, "_moment_cache", {})
+    want = mo._trig_moments(weight, 40, 256)
+
+    def refuse(bits):
+        raise AssertionError(f"an mpmath context at {bits} bits")
+
+    monkeypatch.setattr(mo, "context", refuse)
+    monkeypatch.setattr(xlinalg, "context", refuse)
+    monkeypatch.setattr(mo, "_moment_cache", {})
+    mo._mass_terms.cache_clear()
+    got = mo._trig_moments(weight, 40, 256)
+    assert got == want
+    assert all(type(v) is int for pair in got[0] for v in pair)
+
+
+def test_moment_cache_is_bounded(monkeypatch):
+    # 20 measures keep at most 8 entries, and the newest still hits: a
+    # longer request reruns the recurrence from its cached numerator; a
+    # hit makes its entry the last to be evicted
+    monkeypatch.setattr(mo, "_moment_cache", {})
+    heads = []
+    real = mo._bernstein_szego_head
+    monkeypatch.setattr(mo, "_bernstein_szego_head",
+                        lambda c, f: heads.append(f) or real(c, f))
+    mus = [MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.5 + i / 64])),
+                       PointSpectrum.empty(), 256) for i in range(20)]
+    for mu in mus:
+        tau_n(mu, 12)
+        eta_n(mu, 12)
+    assert len(heads) == 20
+    assert len(mo._moment_cache) <= 8
+    first = mo._trig_moments(mus[-1].weight, 23, 256)
+    assert mo._trig_moments(mus[-1].weight, 12, 256)[0] is first[0]
+    eta_n(mus[-1], 24)
+    assert len(heads) == 20
+    mo._trig_moments(mus[12].weight, 4, 256)  # the oldest entry, a hit
+    mo._trig_moments(OuterWeight(LaurentPolynomial(0, [1.0, 0.25j])), 4, 256)
+    assert len(heads) == 21
+    assert (mus[12].weight.coeff_key(), 256) in mo._moment_cache
+    assert (mus[13].weight.coeff_key(), 256) not in mo._moment_cache
+
+
+def test_moment_cache_evicts_safely_from_threads(monkeypatch):
+    # threads that fill and evict at once raise nothing and leave at most
+    # 8 entries
+    monkeypatch.setattr(mo, "_moment_cache", {})
+    errors = []
+
+    def run(start):
+        try:
+            for i in range(start, start + 12):
+                mo._trig_moments(OuterWeight(LaurentPolynomial(
+                    0, [1.0, -0.5j + i / 128])), 24, 128)
+        except Exception as exc:  # every escape is a failure
+            errors.append(exc)
+
+    threads = [threading.Thread(target=run, args=(12 * k,)) for k in range(4)]
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert errors == []
+    assert len(mo._moment_cache) <= 8
 
 
 def test_quadrature_cap_raises(monkeypatch):
@@ -334,7 +495,8 @@ def per_entry_gram(mu, exps, bits):
     conj(z)^k once per exponent."""
     n = len(exps)
     lo, hi = min(exps), max(exps)
-    values = mo._trig_moments(mu.weight, hi - lo, bits)
+    t, e = mo._trig_moments(mu.weight, hi - lo, bits)
+    values = [xlinalg._to_mpc(context(bits + 32), re, im, e) for re, im in t]
     ctx = context(bits)
     powers = []
     for z, m in mu.spectrum.masses:
