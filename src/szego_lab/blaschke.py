@@ -422,8 +422,8 @@ def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
       through 16 butterfly stages of one twiddle product and one sum, so
       within 128u sum f_j |a~_j| <= 128u R^n S_1, as |a_j| <= R^n by
       Cauchy on |z| = R.  The grid bound divides the grid max by
-      1 - pi d/M > 1 - pi/oversample, which gives
-      G = (135 + s + 20 (d+1)/2^16) / (1 - pi/oversample).
+      sqrt(cos(pi d/M)) > sqrt(cos(pi/oversample)), which gives
+      G = (135 + s + 20 (d+1)/2^16) / sqrt(cos(pi/oversample)).
     """
     big_n = d + 1
     js = np.arange(big_n, dtype=np.float64)
@@ -437,7 +437,7 @@ def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
     big_r = c.radius_R
     kappa = float(np.sum(1.0 / (1.0 - np.abs(c.zero_array()) / big_r ** 2)))
     sampled = (64.0 * kappa + 8.0 * math.log2(m)) * math.sqrt(float((powers * powers).sum()))
-    grid = (135 + s + 20 * big_n / 2 ** 16) / (1.0 - math.pi / oversample)
+    grid = (135 + s + 20 * big_n / 2 ** 16) / math.sqrt(math.cos(math.pi / oversample))
     rounding = (np.finfo(np.float64).eps / 2 * big_r ** c.n
                 * (sampled + grid * float(powers.sum())))
     return _tail_bound(env, big_n, s) + alias + rounding

@@ -328,7 +328,8 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     |f| there equals |sum c_j z^j| over its d+1 coefficients.  value is the
     max on a power-of-two grid of at least oversample*(d+1) nodes, refined by
     up to three Newton steps on |f|^2 from the best node, each a vectorized
-    O(d) sum; upper = grid max / (1 - pi d/M) by Bernstein's inequality.
+    O(d) sum; upper = grid max / sqrt(cos(pi d/M)) by the van der
+    Corput-Schaake inequality for |f|^2, of degree d, as M >= 4(d+1) > 2d.
     A grid past _GRID_CAP nodes raises GridCapError before any sampling.
     """
     if oversample < 4:
@@ -372,8 +373,7 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
             theta += min(max(-q1 / q2, -h), h)
             terms = c * np.exp(1j * theta * js)
             best = max(best, float(abs(terms.sum())))
-    relgap = np.pi * d / m
-    upper = grid_max / (1.0 - relgap) if relgap < 1.0 else np.inf
+    upper = grid_max / np.sqrt(np.cos(np.pi * d / m))
     return SupBound(best, max(upper, best))
 
 
@@ -381,9 +381,9 @@ def sup_norm(f: LaurentPolynomial, oversample: int = 16) -> float:
     """Sup of |f| on the unit circle.
 
     Equispaced power-of-two sampling followed by three Newton refinements of
-    |f|^2 from the best node.  The returned value is a lower estimate that is
-    guaranteed >= true sup / (1 + pi*span/M) for the M-point grid; use
-    sup_norm_certified for the matching upper bound.
+    |f|^2 from the best node.  The returned value is a lower estimate, at
+    least sqrt(cos(pi d/M)) times the true sup for degree d on the M-point
+    grid; use sup_norm_certified for the matching upper bound.
     """
     return sup_norm_certified(f, oversample).value
 

@@ -14,13 +14,14 @@ The residue identity's quadrature evaluates its integrand at the nodes of
 a power-of-two circle grid, in fixed point on Python integers.  A
 ResidueNodes table, passed as nodes=, holds for one measure each node and
 its weights B^k/conj(psi) as integer pairs at bits + 32 fractional bits,
-so the checks of several (n, k) evaluate psi and the Blaschke factors once
-per node and each Laurent element once per node.  Since every power of a
+psi in its own scale, so the checks of several (n, k) evaluate psi and the
+Blaschke factors once per node and each Laurent element once per node.  Since every power of a
 node is another node of the grid, each numerator R_n(x) x^(-n) is one
 exact integer dot product of the element's coefficients against table
 nodes, rounded once, and each grid mean is the exact integer sum of its
-terms, rounded once to the measure's precision.  A check without a table
-builds its own, and both give the same record bit for bit.
+terms, rounded once to the measure's precision, as is the right-hand side
+from the same integers.  A check without a table builds its own, and both
+give the same record bit for bit.
 
 tau_n and eta_n have two routes.  With masses and degree at least deg psi
 they come from Uvarov's closed form: the Bernstein-Szego orthonormal
@@ -35,10 +36,11 @@ first column gives the Schur complement in O(n^2) (toeplitz_leading); with
 masses the Cholesky factor's last pivot gives it in O(n^3)
 (schur_leading), which stays the oracle for the recursion and for the
 closed form.  The orthonormal elements are the extremal witnesses of the
-same Gram matrices.  A measure enters the fixed point in one place,
-_mass_terms, which the closed form, the residue check and the lower-bound
-pipeline (asymptotics) all read: psi and the masses read exactly, the
-masses reflected.
+same Gram matrices, whose entries with masses, and moment, follow one
+integer rule (_inner_products).  A measure enters the fixed point in one
+place, _mass_terms, which the Gram entries, the closed form, the residue
+check and the lower-bound pipeline (asymptotics) all read: psi and the
+masses read exactly, the masses reflected.
 
 Precision escalation is explicit: the Gram route starts at the
 first tag that holds its entries (at least the measure's tag), a failure
@@ -66,6 +68,7 @@ from szego_lab.xlinalg import (
     PrecisionTag,
     _circle_nodes,
     _cholesky_fixed,
+    _cdiv,
     _cmul,
     _cpow,
     _dot,
@@ -331,71 +334,62 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> tuple:
 
 
 def moment(mu: MeasureSpec, j: int, k: int):
-    """The L2(mu) inner product of z^j against z^k, as an mpc.
+    """The L2(mu) inner product <z^j, z^k> at mu's precision, an mpc: the
+    Gram entry of the one entry rule (_inner_products)."""
+    return _inner_products(mu, (j, k), mu.precision)[0][1]
 
-    Absolutely continuous part: the trigonometric moment of order j-k of
-    1/|psi|^2.  Point part: sum of mu_l * z_l^j * conj(z_l)^k.
-    """
-    bits = mu.precision
-    ctx = context(bits)
-    t, e = _trig_moments(mu.weight, abs(j - k), bits)
-    re, im = t[abs(j - k)]
-    total = _to_mpc(ctx, re, -im if j < k else im, e)
-    for z, m in mu.spectrum.masses:
-        zl = ctx.mpc(z)
-        total += m * zl ** j * ctx.conj(zl) ** k
-    return total
+
+def _inner_products(mu: MeasureSpec, exps: Sequence[int], bits: int) -> list:
+    """The Gram columns of the z^e, e in exps, at bits: column c, row r is
+    <z^(e_c), z^(e_r)> = t_(e_c - e_r) + sum_i m_i z_i^(e_c) conj(z_i)^(e_r),
+    on integers from _trig_moments and _mass_terms at f = bits + 32 (z and
+    m exact, 1/z = conj(zeta)), each power z^e one _cmul of the one before
+    it.  Each entry is an exact sum rounded once to the tag (_to_mpc), so
+    the matrix is Hermitian bit for bit, its diagonal exactly real."""
+    f = bits + _GUARD_BITS
+    lo, hi = min(0, *exps), max(0, *exps)
+    t, t_exp = _trig_moments(mu.weight, max(exps) - min(exps), bits)
+    base = min(t_exp, -3 * f)  # the common exponent of every sum
+    t = [(re << t_exp - base, im << t_exp - base) for re, im in t]
+    masses = []  # per mass, m z^p and z^p for p in exps
+    for z, (xr, xi), _, _, m, _ in _mass_terms(
+            mu.weight.coeff_key(), mu.spectrum.masses, f)[1]:
+        pw = {0: (1 << f, 0)}
+        for p in range(1, hi + 1):
+            pw[p] = _cmul(pw[p - 1], z, f)
+        for p in range(-1, lo - 1, -1):
+            pw[p] = _cmul(pw[p + 1], (xr, -xi), f)
+        m <<= -3 * f - base
+        masses.append(([(m * pw[p][0], m * pw[p][1]) for p in exps],
+                       [pw[p] for p in exps]))
+    ctx, n = context(bits), len(exps)
+    cols: list[list] = [[None] * n for _ in range(n)]
+    for c, e_c in enumerate(exps):
+        for r in range(c, n):
+            re, im = t[abs(e_c - exps[r])]
+            im = im if e_c >= exps[r] else -im  # t_(-d) = conj(t_d)
+            for mz, pw in masses:
+                (ar, ai), (br, bi) = mz[c], pw[r]
+                re, im = re + ar * br + ai * bi, im + ai * br - ar * bi
+            val = _to_mpc(ctx, re, im, base)
+            cols[r][c], cols[c][r] = ctx.conj(val), val
+    return cols
 
 
 def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> HermitianMatrix:
-    n = len(exps)
-    lo, hi = min(exps), max(exps)
-    values, t_exp = _trig_moments(mu.weight, hi - lo, bits)
-    ctx = context(bits)
-    if not mu.spectrum.masses:
+    if mu.spectrum.masses:
+        cols = _inner_products(mu, exps, bits)
+    else:
         # every entry is a moment or its conjugate: round each moment once
         # (rounding commutes with conj; t_0 is real) for all entries; the
         # exponents are consecutive, so column c is t_c, ..., t_1 above the
         # diagonal and conj(t_0), ..., conj(t_(n-1-c)) from it down
+        n = len(exps)
+        values, t_exp = _trig_moments(mu.weight, n - 1, bits)
+        ctx = context(bits)
         rounded = [_to_mpc(ctx, re, im, t_exp) for re, im in values[:n]]
         conj_r = [ctx.conj(t) for t in rounded]
-        return HermitianMatrix([rounded[c:0:-1] + conj_r[: n - c]
-                                for c in range(n)], bits, _skip_check=True)
-    cols: list[list] = [[None] * n for _ in range(n)]
-    wide = context(bits + _GUARD_BITS)
-    values = [_to_mpc(wide, re, im, t_exp) for re, im in values[: hi - lo + 1]]
-    conj_t = [ctx.conj(t) for t in values]
-    # per mass, m z^e for each column and conj(z)^e for each row: the mass
-    # term (m z^(e_c)) conj(z)^(e_r) of entry (r, c) is then one product,
-    # with the roundings it had when formed entry by entry
-    powers = []
-    for z, m in mu.spectrum.masses:
-        zl = ctx.mpc(z)
-        pw = {0: ctx.mpc(1)}
-        for e in range(1, hi + 1):
-            pw[e] = pw[e - 1] * zl
-        inv = 1 / zl
-        for e in range(-1, lo - 1, -1):
-            pw[e] = pw[e + 1] * inv
-        m = ctx.mpf(m)
-        powers.append(([m * pw[e] for e in exps],
-                       [ctx.conj(pw[e]) for e in exps]))
-    for c in range(n):
-        for r in range(c, n):
-            d = exps[c] - exps[r]
-            val = conj_t[-d] if d < 0 else ctx.mpc(values[d])
-            for m_pw, conj_pw in powers:
-                val += m_pw[c] * conj_pw[r]
-            if r != c:
-                # conj_t keeps the moments' guard bits, so round once here
-                val = ctx.mpc(val)
-                cols[c][r] = val
-                cols[r][c] = ctx.conj(val)
-            else:
-                # the mass terms m z^j conj(z)^j leave a rounding-size
-                # imaginary part; cholesky and schur_leading read only the
-                # real part of the diagonal, so dropping it moves no result
-                cols[c][c] = ctx.mpc(val.real)
+        cols = [rounded[c:0:-1] + conj_r[: n - c] for c in range(n)]
     # rounded to the tag and Hermitian by construction, so HermitianMatrix
     # neither re-rounds the entries nor checks the symmetry
     return HermitianMatrix(cols, bits, _skip_check=True)
@@ -670,10 +664,8 @@ def _node_values(x: tuple, psi: list, factors: list, f: int) -> list:
         ui = (rr * (xi - zi) + ri * (xr - zr) + half) >> f
         vr = ((one << f) - zr * xr - zi * xi + half) >> f
         vi = (zi * xr - zr * xi + half) >> f
-        # w u conj(v) / |v|^2, rounded once
-        ar, ai = wr * ur - wi * ui, wr * ui + wi * ur
-        den = vr * vr + vi * vi
-        wr, wi = _rdiv(ar * vr + ai * vi, den), _rdiv(ai * vr - ar * vi, den)
+        # w u / v, rounded once
+        wr, wi = _cdiv((wr * ur - wi * ui, wr * ui + wi * ur), (vr, vi), 0)
         weights.append((wr, wi))
     return weights
 
@@ -695,7 +687,8 @@ class ResidueNodes:
     by default; see _node_values), and the numerators R_n(x_p) x_p^(-n) of
     the element in use only: about k_max + 3 pairs per node.  A grid of
     g = G/m nodes reads every m-th node, and growing to twice the size
-    evaluates only the odd nodes.
+    evaluates only the odd nodes.  psi and the element are held times 2^-s,
+    psi(0) 2^-s in [1, 2), which cancels in every term and in the bound.
 
     A numerator is sum_j a_j x_p^(j-n), and x_p^e is itself the table node
     x_((e p) mod G); so each numerator is one exact integer dot product of
@@ -727,16 +720,18 @@ class ResidueNodes:
         self.mu = mu
         self._ctx = context(mu.precision)
         self._f = f = mu.precision + _GUARD_BITS
-        self._psi, terms = _mass_terms(mu.weight.coeff_key(),
-                                       mu.spectrum.masses, f)
+        key = mu.weight.coeff_key()
+        self._s = s = math.frexp(key[0].real)[1] - 1  # psi(0) 2^-s in [1, 2)
+        self._psi = _mass_terms(key, (), f - s)[0]
+        self._terms = _mass_terms(key, mu.spectrum.masses, f)[1][:k_max]
         self._factors = [(zeta, (-ur, ui))  # rot = -|zeta|/zeta = -conj(u)
-                         for _, zeta, (ur, ui), *_ in terms[:k_max]]
+                         for _, zeta, (ur, ui), *_ in self._terms]
         self.k_max = len(self._factors)
         # node, weight and numerator columns: real and imaginary parts
         self._x: list = [[], []]
         self._w: list = [[[], []] for _ in range(self.k_max + 1)]
         self._num: list = [[], []]
-        self._given = self._element = None
+        self._given = None
         self._coeffs: tuple = ((), ())
         self._n = 0
 
@@ -744,21 +739,16 @@ class ResidueNodes:
     def grid(self) -> int:
         return len(self._x[0])
 
-    def use(self, element: tuple, n: int) -> tuple:
+    def use(self, element: tuple, n: int) -> None:
         """Make element, the Laurent element of degree n (its coefficients
-        of z^-(n-1)..z^n), the one whose numerators the table holds.
-
-        Returns its coefficients moved into the measure's context without
-        rounding, so that arithmetic on them rounds at the measure's
-        precision even when the element was solved at an escalated one.
-        """
+        of z^-(n-1)..z^n), the one whose numerators the table holds: each
+        coefficient times 2^-s is rounded once to f bits as given, so an
+        element solved at an escalated precision keeps its bits."""
         if element is not self._given:
             self._given, self._n = element, n
-            self._element = tuple(map(self._ctx.convert, element))
-            pairs = [_fixed_pair(c, self._f) for c in element]
+            pairs = [_fixed_pair(c, self._f - self._s) for c in element]
             self._coeffs = tuple(map(list, zip(*pairs)))
             self._num = [[None] * self.grid, [None] * self.grid]
-        return self._element
 
     def mean(self, k: int, grid: int):
         """The circle mean over the grid of that size of the terms
@@ -827,11 +817,8 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     """
     if not 0 <= k <= len(mu.spectrum):
         raise ValueError("k must be between 0 and the number of masses")
-    pts = mu.spectrum.masses[:k]
-    for i in range(k):
-        for j in range(i + 1, k):
-            if pts[i][0] == pts[j][0]:
-                raise FieldError("masses", "chosen mass points must be distinct")
+    if len({z for z, _ in mu.spectrum.masses[:k]}) < k:
+        raise FieldError("masses", "chosen mass points must be distinct")
     if nodes is None:
         nodes = ResidueNodes(mu, k)
     elif nodes.mu is not mu or nodes.k_max < k:
@@ -842,32 +829,38 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
         element = orthonormal_element(mu, n, laurent=True)
     elif len(element) != 2 * n:
         raise ValueError("element must be the Laurent element of degree n")
-    # an escalated element keeps its coefficients but is evaluated at bits;
-    # Horner in ctx.polyval wants them highest first
-    r_elem = nodes.use(element, n)[::-1]
-    psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
-    factors = [(_to_mpc(ctx, *zeta, -nodes._f), _to_mpc(ctx, *rot, -nodes._f))
-               for zeta, rot in nodes._factors[:k]]
-    eta = r_elem[0].real
+    nodes.use(element, n)
 
-    # closed-form side
-    b0 = ctx.mpf(1)
-    for zeta, _ in factors:
-        b0 *= abs(zeta)
-    rhs = eta / (b0 * ctx.mpf(mu.weight.psi0))
-    majorant = ctx.mpf(0)
-    for i, (z, mass) in enumerate(pts):
-        zi = ctx.mpc(z)
-        zeta_i, rot_i = factors[i]
-        deriv = ctx.conj(rot_i) * (-ctx.conj(zeta_i) ** 2 / (1 - abs(zeta_i) ** 2))
-        for j, (zeta_j, rot_j) in enumerate(factors):
+    # closed-form side, on the table's integers at f: psi and the element
+    # times 2^-s, which cancels in every term, each quotient rounded once
+    f, one, terms = nodes._f, 1 << nodes._f, nodes._terms[:k]
+    rev = list(zip(*nodes._coeffs))[::-1]  # z^n first, a polynomial in 1/z
+    den = math.prod(r for _, _, _, r, _, _ in terms) * nodes._psi[0][0]
+    rhs_re, rhs_im = _rdiv(rev[0][0] << (k + 1) * f, den), 0  # eta/(B^k(0) psi(0))
+    majorant = 0
+    for i, (z, zeta, u, r, _, inv_m) in enumerate(terms):
+        w = (zeta[0], -zeta[1])  # 1/z_i
+        # B^k_*'(z_i) = p/q: conj(rot_i) (-conj(zeta_i)^2) / (1 - |zeta_i|^2)
+        # times conj(rot_j) (1 - conj(zeta_j) z_i) / (z_i - zeta_j) for
+        # j != i, where conj(rot_j) = -u_j
+        p, q = _cmul(u, _cmul(w, w, f), f), (one - _shift(r * r, -f), 0)
+        for j, (_, (yr, yi), (vr, vi), *_) in enumerate(terms):
             if j != i:
-                deriv *= ctx.conj(rot_j) * (1 - ctx.conj(zeta_j) * zi) / (zi - zeta_j)
-        if deriv == 0:
+                cr, ci = _cmul((yr, -yi), z, f)
+                p = _cmul(p, _cmul((-vr, -vi), (one - cr, -ci), f), f)
+                q = _cmul(q, (z[0] - yr, z[1] - yi), f)
+        if p == (0, 0):
             raise ValueError("degenerate double point in the reflected product")
-        denom = deriv * ctx.conj(ctx.polyval(psi, zeta_i)) * zi ** (n + 1)
-        rhs -= ctx.polyval(r_elem, zi) * zi ** (1 - n) / denom
-        majorant += 1 / (abs(denom) ** 2 * mass)
+        pr, pi = _horner(nodes._psi, zeta, f)
+        d = _cmul(p, (pr, -pi), f)  # q B^k_*'(z_i) conj(psi(zeta_i))
+        # R_n(z_i) z_i^-(n+1) / (B^k_*'(z_i) conj(psi(zeta_i)))
+        tr, ti = _cdiv(_cmul(_cmul(_horner(rev, w, f), w, f), q, f), d, f)
+        rhs_re, rhs_im = rhs_re - tr, rhs_im - ti
+        # 1 / (|B^k_*'(z_i) conj(psi(zeta_i)) z_i^(n+1)|^2 m_i)
+        qr, qi = _cmul(q, _cpow((r, 0), n + 1, f), f)
+        majorant += _rdiv((qr * qr + qi * qi) * inv_m, d[0] ** 2 + d[1] ** 2)
+    rhs = _to_mpc(ctx, rhs_re, rhs_im, -f)
+    majorant = _to_mpf(ctx, majorant, -f - 2 * nodes._s)
 
     # quadrature side: each doubling of the grid evaluates only its odd
     # nodes (see ResidueNodes)

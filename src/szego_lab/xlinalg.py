@@ -24,14 +24,14 @@ calls the core directly.  A pivot at or below that fixed-point
 resolution, 2^-(bits + 32) of the scaled diagonal, is not told apart from
 zero and raises NotPositiveDefinite.
 
-The fixed point is one section of helpers, shared with the residue
-quadrature (measure_opuc) and the lower-bound pipeline (asymptotics): a
-real number x is the integer round(x 2^f) at f fractional bits, a complex
-one a pair of them (real, imaginary).  Sums and products of such integers
-are exact; a product goes back to f bits by a rounded shift, a quotient by
-_rdiv, and a result to an mpmath number by one rounding (_to_mpf,
-_to_mpc).  Its one recurrence, _quotient_series, gives the moments of
-1/|psi|^2 as N/psi (measure_opuc) and the pipeline's series and norms.
+The fixed point is one section of helpers, shared with measure_opuc and
+the lower-bound pipeline (asymptotics): a real number x is the integer
+round(x 2^f) at f fractional bits, a complex one a pair of them (real,
+imaginary).  Sums and products of such integers are exact; a product goes
+back to f bits by a rounded shift, a quotient by _rdiv or _cdiv, and a
+result to an mpmath number by one rounding (_to_mpf, _to_mpc).  Its one
+recurrence, _quotient_series, gives the moments of 1/|psi|^2 as N/psi
+(measure_opuc) and the pipeline's series and norms.
 
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
@@ -286,12 +286,19 @@ def _cpow(x: tuple, e: int, f: int) -> tuple:
     return pr, pi
 
 
+def _cdiv(a: tuple, b: tuple, s: int) -> tuple:
+    """a 2^s / b for integer pairs, b nonzero, each part rounded once: for
+    a and b at f fractional bits, s = f gives the quotient at f."""
+    (ar, ai), (br, bi) = a, b
+    den = br * br + bi * bi
+    return (_rdiv((ar * br + ai * bi) << s, den),
+            _rdiv((ai * br - ar * bi) << s, den))
+
+
 def _reflect(x: tuple, f: int) -> tuple:
     """1/conj(x) = x/|x|^2 for a nonzero pair at f fractional bits, each
     part rounded once."""
-    xr, xi = x
-    den = xr * xr + xi * xi
-    return _rdiv(xr << 2 * f, den), _rdiv(xi << 2 * f, den)
+    return _cdiv((1 << f, 0), (x[0], -x[1]), f)
 
 
 def _circle_nodes(size: int, start: int, step: int, f: int) -> list:

@@ -352,6 +352,21 @@ def test_certified_uppers_need_no_slack(kind):
             assert oracle <= cert[f"{key}_upper"], (n, key)
 
 
+def test_certified_brackets_are_within_one_percent():
+    # the grid bound is grid max / sqrt(cos(pi d/M)) (van der Corput and
+    # Schaake), at most 1/sqrt(cos(pi/16)) = 1.0097 at the default
+    # oversample, and rounding adds little to it
+    for kind in ("uniform_disk", "boundary_cluster", "radial_line"):
+        for n in (4, 16, 64):
+            for eps in (1.0, 0.1):
+                cert = corrector_certificate(
+                    build_corrector(generate_zeros(kind, n, 0), eps), (1, 2))
+                for key in ("sup_phi", "ratio_s1", "ratio_s2"):
+                    if cert[key] > 0:
+                        ratio = cert[f"{key}_upper"] / cert[key]
+                        assert ratio <= 1.01, (kind, n, eps, key, ratio)
+
+
 def test_sampled_series_is_trimmed_at_its_noise_floor():
     # boundary_cluster, n = 256, eps = 1, seed 1: D = 11816, while the
     # computed coefficients are rounding from about degree 7000 on; before

@@ -274,6 +274,27 @@ def test_residue_check_without_masses(tmp_path, capsys):
     assert all(float(r["abs_diff"]) == 0.0 for r in rows)
 
 
+@pytest.mark.parametrize("c0", [2.0 ** 62, 1e30], ids=["2^62", "1e30"])
+def test_residue_check_at_any_scale_of_psi(tmp_path, capsys, c0):
+    # a large psi(0) only rescales the measure's continuous part; the node
+    # table works in psi's own scale, so the quadrature converges on the
+    # grid it takes at psi(0) = 1 and to the same tolerance
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[c0, 0.0], [-0.5, 0.2]],
+        "masses": [[1.5, 0.0, 0.3], [-1.25, 0.5, 0.1]],
+        "precision_bits": 128})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [4], "k_list": [0, 1],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 0, out
+    rows = read_rows(str(tmp_path / "out"))
+    assert [r["k"] for r in rows] == ["0", "1"]
+    for row in rows:
+        assert int(row["grid"]) <= 512
+        assert float(row["abs_diff"]) <= 2.0 ** (16 - 128)
+
+
 def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
                                                monkeypatch):
     solves = []

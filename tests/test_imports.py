@@ -100,6 +100,27 @@ def test_measure_opuc_imports_no_mpmath():
             if m.split(".")[0] == "mpmath"] == []
 
 
+def mpmath_calls(source: str) -> list:
+    """(line, name) for each mpc, polyval, convert or fdot attribute, called
+    or passed on: the mpmath arithmetic a fixed-point module leaves out."""
+    return [(node.lineno, node.attr) for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.Attribute)
+            and node.attr in ("mpc", "polyval", "convert", "fdot")]
+
+
+def test_the_checker_sees_an_mpmath_call():
+    source = ("x = ctx.mpc(1)\ny = ctx.mpf(2)\nz = ctx.polyval(c, x)\n"
+              "w = list(map(ctx.convert, c))\n")
+    assert mpmath_calls(source) == [(1, "mpc"), (3, "polyval"), (4, "convert")]
+
+
+def test_measure_opuc_makes_mpmath_numbers_only_by_rounding():
+    # the Gram entries, moment and both sides of the residue identity are
+    # integers until xlinalg._to_mpc or _to_mpf rounds them
+    source = (SRC / "measure_opuc.py").read_text(encoding="utf-8")
+    assert mpmath_calls(source) == []
+
+
 @pytest.mark.parametrize("name", ["_fixed", "_fixed_pair", "_rdiv",
                                   "_circle_nodes", "_quotient_series"])
 def test_fixed_point_helpers_are_defined_once(name):

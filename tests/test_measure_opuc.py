@@ -470,6 +470,23 @@ def test_gram_laurent_negative_power_entry():
     assert g.dim == 4
 
 
+# psi of degree 0-2 and 1-3 masses off the real axis, for the route checks
+ROUTE_MEASURES = {
+    "deg0-one-mass": ([1.3], ((1.5 + 0.8j, 0.3),)),
+    "deg1-two-mass": ([1.0, 0.4 - 0.3j],
+                      ((-1.2 + 0.9j, 0.2), (0.3 - 1.7j, 0.6))),
+    "deg2-three-mass": ([1.0, 0.3 - 0.2j, 0.1j],
+                        ((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2),
+                         (0.2 - 2.1j, 0.5))),
+}
+
+
+def route_measure(name, bits):
+    coeffs, masses = ROUTE_MEASURES[name]
+    return MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                       PointSpectrum(masses), bits)
+
+
 def complex_two_mass(precision):
     psi = OuterWeight(LaurentPolynomial(0, [1.0, 0.3 - 0.2j, 0.1j]))
     return MeasureSpec(psi, PointSpectrum(((1.5 + 0.8j, 0.3),
@@ -489,32 +506,18 @@ def test_gram_is_hermitian_bit_for_bit(gram, bits):
 
 
 def per_entry_gram(mu, exps, bits):
-    """The Gram build that rounds every entry on its own and forms each
-    mass term m z^j conj(z)^k entry by entry: the oracle for the build
-    that rounds each distinct moment once and, with masses, forms m z^j and
-    conj(z)^k once per exponent."""
+    """The mass-free Gram build that rounds every entry on its own: the
+    oracle for the build that rounds each distinct moment once."""
     n = len(exps)
     lo, hi = min(exps), max(exps)
     t, e = mo._trig_moments(mu.weight, hi - lo, bits)
     values = [xlinalg._to_mpc(context(bits + 32), re, im, e) for re, im in t]
     ctx = context(bits)
-    powers = []
-    for z, m in mu.spectrum.masses:
-        zl = ctx.mpc(z)
-        pw = {0: ctx.mpc(1)}
-        for e in range(1, hi + 1):
-            pw[e] = pw[e - 1] * zl
-        inv = 1 / zl
-        for e in range(-1, lo - 1, -1):
-            pw[e] = pw[e + 1] * inv
-        powers.append((ctx.mpf(m), pw))
     cols = [[None] * n for _ in range(n)]
     for c in range(n):
         for r in range(c, n):
             d = exps[c] - exps[r]
             val = ctx.conj(values[-d]) if d < 0 else ctx.mpc(values[d])
-            for m, pw in powers:
-                val += m * pw[exps[c]] * ctx.conj(pw[exps[r]])
             if r != c:
                 val = ctx.mpc(val)
                 cols[c][r] = val
@@ -524,10 +527,14 @@ def per_entry_gram(mu, exps, bits):
     return cols
 
 
+def spans(n):
+    return ((gram_polynomial, range(n + 1)),
+            (gram_laurent, range(-(n - 1), n + 1)))
+
+
 def assert_gram_matches_per_entry_build(mu, bits, degrees):
     for n in degrees:
-        for gram, exps in ((gram_polynomial, range(n + 1)),
-                           (gram_laurent, range(-(n - 1), n + 1))):
+        for gram, exps in spans(n):
             want = per_entry_gram(mu, exps, bits)
             got = gram(mu, n)
             assert got.bits == bits
@@ -548,12 +555,74 @@ def test_mass_free_gram_matches_per_entry_build(coeffs, bits):
 
 
 @pytest.mark.parametrize("bits", [128, 256])
-@pytest.mark.parametrize("name", ["deg1-two-mass", "deg2-three-mass"])
+@pytest.mark.parametrize("name", sorted(ROUTE_MEASURES))
 def test_mass_gram_matches_per_entry_build(name, bits):
-    # m z^j once per column and conj(z)^k once per row round as the
-    # per-entry products did, so the build is the same bit for bit
-    assert_gram_matches_per_entry_build(route_measure(name, bits), bits,
-                                        (1, 3, 12))
+    # the Gram build with masses and moment share one entry rule, so each
+    # entry (r, c) is moment(mu, e_c, e_r) bit for bit
+    mu = route_measure(name, bits)
+    for n in (1, 3, 12):
+        for gram, exps in spans(n):
+            g = gram(mu, n)
+            assert g.bits == bits
+            for c, e_c in enumerate(exps):
+                for r, e_r in enumerate(exps):
+                    assert g.entry(r, c)._mpc_ == moment(mu, e_c, e_r)._mpc_, (
+                        n, gram, r, c)
+
+
+def as_fraction(x):
+    """An mpf as the exact Fraction it holds."""
+    sign, man, exp, _ = x._mpf_
+    return (-1) ** sign * man * Fraction(2) ** exp
+
+
+def exact_gram(coeffs, masses, exps):
+    """{(r, c): <z^(e_c), z^(e_r)>} as exact (re, im) Fractions: the exact
+    moments t_(e_c - e_r) plus sum m z^(e_c) conj(z)^(e_r), the powers of
+    the dyadic z exact and 1/z = conj(z)/|z|^2."""
+    lo, hi = min(exps), max(exps)
+    t = exact_moments(coeffs, hi - lo + 1)
+    powers = []
+    for z, m in masses:
+        zr, zi = Fraction(z.real), Fraction(z.imag)
+        inv = (zr / (zr * zr + zi * zi), -zi / (zr * zr + zi * zi))
+        pw = {0: (Fraction(1), Fraction(0))}
+        for e in range(1, max(hi, 0) + 1):
+            a = pw[e - 1]
+            pw[e] = (a[0] * zr - a[1] * zi, a[0] * zi + a[1] * zr)
+        for e in range(-1, min(lo, 0) - 1, -1):
+            a = pw[e + 1]
+            pw[e] = (a[0] * inv[0] - a[1] * inv[1], a[0] * inv[1] + a[1] * inv[0])
+        powers.append((Fraction(m), pw))
+    out = {}
+    for c, e_c in enumerate(exps):
+        for r, e_r in enumerate(exps):
+            re, im = t[abs(e_c - e_r)]
+            im = im if e_c >= e_r else -im
+            for m, pw in powers:
+                (ar, ai), (br, bi) = pw[e_c], pw[e_r]
+                re += m * (ar * br + ai * bi)
+                im += m * (ai * br - ar * bi)
+            out[r, c] = re, im
+    return out
+
+
+@pytest.mark.parametrize("name", sorted(ROUTE_MEASURES))
+def test_mass_gram_entries_match_an_exact_rational_oracle(name):
+    # each entry is rounded once from an exact integer sum, so it lies
+    # within 2^-bits sqrt(g_rr g_cc) of the exact inner product
+    coeffs, masses = ROUTE_MEASURES[name]
+    for n in (1, 3, 12):
+        for gram, exps in spans(n):
+            exact = exact_gram(coeffs, masses, exps)
+            for bits in (128, 256):
+                g = gram(route_measure(name, bits), n)
+                unit = Fraction(2) ** (-2 * bits)
+                for (r, c), (er, ei) in exact.items():
+                    v = g.entry(r, c)
+                    dr, di = as_fraction(v.real) - er, as_fraction(v.imag) - ei
+                    tol = unit * exact[r, r][0] * exact[c, c][0]
+                    assert dr * dr + di * di <= tol, (n, gram, bits, r, c)
 
 
 def test_gram_validation():
@@ -707,23 +776,6 @@ def test_gram_route_dispatches_on_the_masses(monkeypatch):
     mo._gram_leading(mass_free("d2", 128), 4, laurent=True)
     mo._gram_leading(route_measure("deg2-three-mass", 128), 1, laurent=False)
     assert calls == ["toeplitz_leading", "schur_leading"]
-
-
-# psi of degree 0-2 and 1-3 masses off the real axis, for the route checks
-ROUTE_MEASURES = {
-    "deg0-one-mass": ([1.3], ((1.5 + 0.8j, 0.3),)),
-    "deg1-two-mass": ([1.0, 0.4 - 0.3j],
-                      ((-1.2 + 0.9j, 0.2), (0.3 - 1.7j, 0.6))),
-    "deg2-three-mass": ([1.0, 0.3 - 0.2j, 0.1j],
-                        ((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2),
-                         (0.2 - 2.1j, 0.5))),
-}
-
-
-def route_measure(name, bits):
-    coeffs, masses = ROUTE_MEASURES[name]
-    return MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
-                       PointSpectrum(masses), bits)
 
 
 @pytest.mark.parametrize("bits", [256, 128, 53])
@@ -1087,6 +1139,27 @@ def test_residue_identity_with_weight():
     assert abs(rec["lhs"]) <= 1 + 1e-30
 
 
+@pytest.mark.parametrize("bits", [53, 128, 256])
+def test_residue_records_do_not_depend_on_the_scale_of_psi(bits):
+    # the table reads psi and the element times 2^-s, psi(0) 2^-s in
+    # [1, 2), so psi times a power of two, whose element is that power
+    # times the unscaled one, gives the same records bit for bit
+    def records(scale):
+        psi = [c * scale for c in (1.0, -0.5 + 0.2j, 0.1j)]
+        mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
+                         PointSpectrum.empty(), bits)
+        nodes = ResidueNodes(mu)
+        return [residue_identity_check(mu, n, 0, nodes=nodes)
+                for n in (4, 8, 12)]
+
+    want = records(1.0)
+    for scale in (2.0 ** 40, 2.0 ** -40):
+        got = records(scale)
+        for rec, ref in zip(got, want):
+            assert {key: repr(v) for key, v in rec.items()} == {
+                key: repr(v) for key, v in ref.items()}, (scale, rec["n"])
+
+
 def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
     # one table shared by every (n, k): psi and the Blaschke prefix products
     # are evaluated once per node of the finest grid, the element once per
@@ -1146,46 +1219,34 @@ def test_residue_numerators_match_horner(mu, n, trimmed):
     element = orthonormal_element(mu, n, laurent=True)
     assert all(c == 0 for c in element[:-1]) == trimmed
     nodes = ResidueNodes(mu)
-    r_elem = nodes.use(element, n)
+    nodes.use(element, n)
     nodes.mean(0, 1024)
     assert nodes.grid == 1024
     ctx = context(mu.precision)
+    coeffs = [ctx.convert(c) for c in element[::-1]]  # not rounded
     tol = mp.mpf(2) ** (8 - mu.precision)
     for p in range(nodes.grid):
         x = fixed_to_mpc(ctx, nodes._x[0][p], nodes._x[1][p], nodes._f)
-        want = ctx.polyval(r_elem[::-1], x) * x ** (1 - 2 * n)
-        got = fixed_to_mpc(ctx, *nodes._numerator(p), nodes._f)
+        want = ctx.polyval(coeffs, x) * x ** (1 - 2 * n)
+        # the table holds the element times 2^-s
+        got = fixed_to_mpc(ctx, *nodes._numerator(p), nodes._f - nodes._s)
         assert abs(got - want) <= tol * abs(want), p
 
 
 def test_residue_nodes_use_rounds_evaluation_not_coefficients():
-    # an element solved at 256 bits, used on a 128-bit measure, keeps its
-    # coefficients: use moves them into context(128) without rounding, so
-    # only the evaluation rounds at the measure's precision
+    # an element solved at 256 bits, used on a 128-bit measure, enters the
+    # table at 160 fractional bits straight from its 256-bit coefficients,
+    # so only the evaluation rounds near the measure's precision
     n = 4
     witness = orthonormal_element(two_mass(256), n, laurent=True)
-    got = ResidueNodes(two_mass(128)).use(witness, n)
-    assert [c._mpc_ for c in got] == [c._mpc_ for c in witness]
-    assert all(c.context is context(128) for c in got)
+    nodes = ResidueNodes(two_mass(128))
+    nodes.use(witness, n)
+    assert (nodes._f, nodes._s) == (160, 0)
+    want = [xlinalg._fixed_pair(c, 160) for c in witness]
+    assert list(zip(*nodes._coeffs)) == want
+    # the coefficients rounded to 128 bits first would enter otherwise
     ctx = context(128)
-    z = ctx.mpc(0.6, 0.7) / 7
-    value = ctx.polyval(got[::-1], z) * z ** (1 - n)
-    # reference: the Horner loop at an ambient precision of 128 bits over
-    # the unrounded coefficients, and the same loop at 256 bits
-
-    def horner(bits):
-        with mp.workprec(256):
-            coeffs = [mp.mpc(c) for c in witness]
-        with mp.workprec(bits):
-            x = mp.mpc(z)
-            acc = coeffs[-1]
-            for c in coeffs[-2::-1]:
-                acc = acc * x + c
-            return acc * x ** (1 - n)
-
-    assert value._mpc_ == horner(128)._mpc_
-    assert value.context.prec == 128
-    assert horner(256)._mpc_ != value._mpc_  # the 256-bit evaluation differs
+    assert [xlinalg._fixed_pair(ctx.mpc(c), 160) for c in witness] != want
 
 
 @pytest.mark.parametrize("mu, rows", [
