@@ -58,7 +58,6 @@ from szego_lab.measure_opuc import (
     ResidueNodes,
     _as_int,
     log_condition_report,
-    orthonormal_element,
     residue_identity_check,
     target_limit,
 )
@@ -509,10 +508,8 @@ def _run_residue_check(man: RunManifest):
     rows = []
     nodes = ResidueNodes(mu, max(ks))
     for n in man.n_grid:
-        element = orthonormal_element(mu, n, laurent=True)
         for k in ks:
-            rec = residue_identity_check(mu, n, k, element=element,
-                                         nodes=nodes)
+            rec = residue_identity_check(mu, n, k, nodes=nodes)
             rows.append({
                 "n": n, "k": k,
                 "lhs_re": float(rec["lhs"].real),

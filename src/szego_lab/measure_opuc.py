@@ -30,13 +30,14 @@ a K-by-K system for K masses, whatever n is.  That system is built and
 factored on Python integers (xlinalg._cholesky_fixed) and rounded to an
 mpmath number once.  Mass-free measures, where the closed form is the
 constant psi(0), and lower degrees take the Gram route: 1/sqrt of the
-Schur complement of z^n in the Gram matrix, in extended precision.
+Schur complement of z^n in the Gram matrix, held and factored on integers.
 Without masses that matrix is Toeplitz, and the Szego recursion on its
 first column gives the Schur complement in O(n^2) (toeplitz_leading); with
 masses the Cholesky factor's last pivot gives it in O(n^3)
 (schur_leading), which stays the oracle for the recursion and for the
 closed form.  The orthonormal elements are the extremal witnesses of the
-same Gram matrices, whose entries with masses, and moment, follow one
+same Gram matrices, one integer back substitution each; the residue check
+takes them as integers.  The entries with masses, and moment, follow one
 integer rule (_inner_products).  A measure enters the fixed point in one
 place, _mass_terms, which the Gram entries, the closed form, the residue
 check and the lower-bound pipeline (asymptotics) all read: psi and the
@@ -72,6 +73,7 @@ from szego_lab.xlinalg import (
     _cmul,
     _cpow,
     _dot,
+    _extremal,
     _dyadic,
     _fixed_pair,
     _horner,
@@ -79,6 +81,7 @@ from szego_lab.xlinalg import (
     _rdiv,
     _rdiv_sqrt,
     _reflect,
+    _round_bits,
     _shift,
     _to_mpc,
     _to_mpf,
@@ -133,11 +136,11 @@ class QuadratureError(ArithmeticError):
 class PrecisionExhausted(ArithmeticError):
     """Factorization failed at every precision tag; carries the report."""
 
-    def __init__(self, bits_tried: tuple, last_pivot: int):
+    def __init__(self, bits_tried: tuple, last_pivot: int, solve: str):
         self.bits_tried = bits_tried
         self.last_pivot = last_pivot
         super().__init__(
-            f"not positive definite at any of {bits_tried} bits "
+            f"{solve}: not positive definite at any of {bits_tried} bits "
             f"(last failing pivot {last_pivot})")
 
 
@@ -336,16 +339,18 @@ def _trig_moments(weight: OuterWeight, m_max: int, bits: int) -> tuple:
 def moment(mu: MeasureSpec, j: int, k: int):
     """The L2(mu) inner product <z^j, z^k> at mu's precision, an mpc: the
     Gram entry of the one entry rule (_inner_products)."""
-    return _inner_products(mu, (j, k), mu.precision)[0][1]
+    lower, e = _inner_products(mu, (j, k), mu.precision)
+    return _to_mpc(context(mu.precision), *lower[1][0], e)
 
 
-def _inner_products(mu: MeasureSpec, exps: Sequence[int], bits: int) -> list:
-    """The Gram columns of the z^e, e in exps, at bits: column c, row r is
-    <z^(e_c), z^(e_r)> = t_(e_c - e_r) + sum_i m_i z_i^(e_c) conj(z_i)^(e_r),
-    on integers from _trig_moments and _mass_terms at f = bits + 32 (z and
-    m exact, 1/z = conj(zeta)), each power z^e one _cmul of the one before
-    it.  Each entry is an exact sum rounded once to the tag (_to_mpc), so
-    the matrix is Hermitian bit for bit, its diagonal exactly real."""
+def _inner_products(mu: MeasureSpec, exps: Sequence[int], bits: int) -> tuple:
+    """The Gram matrix of the z^e, e in exps, at bits, as (lower, e): row
+    r, column c <= r of lower is <z^(e_c), z^(e_r)> 2^-e =
+    t_(e_c - e_r) + sum_i m_i z_i^(e_c) conj(z_i)^(e_r), on integers from
+    _trig_moments and _mass_terms at f = bits + 32 (z and m exact,
+    1/z = conj(zeta)), each power z^e one _cmul of the one before it.  Each
+    entry is an exact sum with each part rounded once to the tag
+    (_round_bits), so its diagonal is exactly real."""
     f = bits + _GUARD_BITS
     lo, hi = min(0, *exps), max(0, *exps)
     t, t_exp = _trig_moments(mu.weight, max(exps) - min(exps), bits)
@@ -362,37 +367,31 @@ def _inner_products(mu: MeasureSpec, exps: Sequence[int], bits: int) -> list:
         m <<= -3 * f - base
         masses.append(([(m * pw[p][0], m * pw[p][1]) for p in exps],
                        [pw[p] for p in exps]))
-    ctx, n = context(bits), len(exps)
-    cols: list[list] = [[None] * n for _ in range(n)]
-    for c, e_c in enumerate(exps):
-        for r in range(c, n):
-            re, im = t[abs(e_c - exps[r])]
-            im = im if e_c >= exps[r] else -im  # t_(-d) = conj(t_d)
+    lower = []
+    for r, e_r in enumerate(exps):
+        row = []
+        for c, e_c in enumerate(exps[:r + 1]):
+            re, im = t[abs(e_c - e_r)]
+            im = im if e_c >= e_r else -im  # t_(-d) = conj(t_d)
             for mz, pw in masses:
                 (ar, ai), (br, bi) = mz[c], pw[r]
                 re, im = re + ar * br + ai * bi, im + ai * br - ar * bi
-            val = _to_mpc(ctx, re, im, base)
-            cols[r][c], cols[c][r] = ctx.conj(val), val
-    return cols
+            row.append((_round_bits(re, bits), _round_bits(im, bits)))
+        lower.append(row)
+    return lower, base
 
 
 def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> HermitianMatrix:
     if mu.spectrum.masses:
-        cols = _inner_products(mu, exps, bits)
-    else:
-        # every entry is a moment or its conjugate: round each moment once
-        # (rounding commutes with conj; t_0 is real) for all entries; the
-        # exponents are consecutive, so column c is t_c, ..., t_1 above the
-        # diagonal and conj(t_0), ..., conj(t_(n-1-c)) from it down
-        n = len(exps)
-        values, t_exp = _trig_moments(mu.weight, n - 1, bits)
-        ctx = context(bits)
-        rounded = [_to_mpc(ctx, re, im, t_exp) for re, im in values[:n]]
-        conj_r = [ctx.conj(t) for t in rounded]
-        cols = [rounded[c:0:-1] + conj_r[: n - c] for c in range(n)]
-    # rounded to the tag and Hermitian by construction, so HermitianMatrix
-    # neither re-rounds the entries nor checks the symmetry
-    return HermitianMatrix(cols, bits, _skip_check=True)
+        return HermitianMatrix._of(*_inner_products(mu, exps, bits), bits)
+    # every entry is a moment's conjugate: round each moment once (rounding
+    # commutes with conj) for all entries; the exponents are consecutive,
+    # so row r is conj(t_r), ..., conj(t_0)
+    n = len(exps)
+    values, e = _trig_moments(mu.weight, n - 1, bits)
+    conj = [(_round_bits(re, bits), -_round_bits(im, bits))
+            for re, im in values[:n]]
+    return HermitianMatrix._of([conj[r::-1] for r in range(n)], e, bits)
 
 
 def gram_polynomial(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianMatrix:
@@ -427,9 +426,10 @@ def _precision_floor(mu: MeasureSpec, n: int) -> int:
     return PRECISION_BITS[-1]
 
 
-def _escalate(mu: MeasureSpec, n: int, build_and_solve):
+def _escalate(mu: MeasureSpec, n: int, build_and_solve, solve: str):
     """Run build_and_solve(bits) under the explicit escalation protocol,
-    starting at the precision floor for degree n."""
+    starting at the precision floor for degree n; PrecisionExhausted names
+    the solve and n."""
     tried = []
     bits = _precision_floor(mu, n)
     last = None
@@ -440,7 +440,7 @@ def _escalate(mu: MeasureSpec, n: int, build_and_solve):
         except NotPositiveDefinite as err:
             last = err
             bits = next_tag(bits)
-    raise PrecisionExhausted(tuple(tried), last.pivot)
+    raise PrecisionExhausted(tuple(tried), last.pivot, f"{solve} at n = {n}")
 
 
 def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
@@ -452,7 +452,8 @@ def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
     pivot does (schur_leading), and it stays the oracle for the recursion."""
     gram = gram_laurent if laurent else gram_polynomial
     leading = schur_leading if mu.spectrum.masses else toeplitz_leading
-    return _escalate(mu, n, lambda b: leading(gram(mu, n, b)))
+    return _escalate(mu, n, lambda b: leading(gram(mu, n, b)),
+                     "the Gram route's Schur complement")
 
 
 @functools.lru_cache(maxsize=8)
@@ -504,9 +505,10 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     phi_(n+1)(z) |z|^-(n+1) = u^(n+1) w, and the reweighted 1/m is
     |z|^-2(n+1-shift) / m.  Each kernel entry is the exact numerator
     divided once by the exact 1 - z_i conj(z_l).  The system
-    [[S, f], [f^H, 1]] is equilibrated as in xlinalg.cholesky and factored
-    by xlinalg._cholesky_fixed, whose last pivot is the ratio; it raises
-    NotPositiveDefinite as on the Gram route.
+    [[S, f], [f^H, 1]] is equilibrated and factored by
+    xlinalg._cholesky_fixed, as the Gram route's matrices are; its last
+    pivot is the ratio, and it raises NotPositiveDefinite as on the Gram
+    route.
     """
     f = bits + _GUARD_BITS
     d = mu.weight.psi.hi
@@ -534,22 +536,10 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
             den = dr * dr + di * di
             row.append((_rdiv((nr * dr + ni * di) << f, den),
                         _rdiv((ni * dr - nr * di) << f, den)))
-        row[-1] = row[-1][0] + inv_m
+        row[-1] = (row[-1][0] + inv_m, 0)
         rows.append(row)
-    rows.append([(fr, -fi) for _, _, (fr, fi), _, _ in points] + [1 << f])
-    scale: list[int] = []
-
-    def equilibrated():
-        for i, row in enumerate(rows):
-            if row[-1] <= 0:
-                raise NotPositiveDefinite(i, _to_mpf(context(bits), row[-1], -f))
-            k_i = (row[-1].bit_length() - f + 1) // 2
-            scale.append(k_i)
-            yield ([(_shift(re, -k_i - k_l), _shift(im, -k_i - k_l))
-                    for (re, im), k_l in zip(row[:-1], scale)],
-                   _shift(row[-1], f - 2 * k_i), k_i)
-
-    _, _, diag = _cholesky_fixed(equilibrated(), bits)
+    rows.append([(fr, -fi) for _, _, (fr, fi), _, _ in points] + [(1 << f, 0)])
+    *_, diag, scale = _cholesky_fixed(rows, -f, bits)
     return diag[-1], scale[-1] - f
 
 
@@ -632,7 +622,8 @@ def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> tuple
     if laurent and n < 1:
         raise ValueError("laurent elements need n >= 1")
     return _escalate(mu, n, lambda bits: constrained_max_leading(
-        _gram_from_exponents(mu, range(lo, n + 1), bits))[1])
+        _gram_from_exponents(mu, range(lo, n + 1), bits))[1],
+        "the extremal witness solve")
 
 
 # ----------------------------------------------------------------------
@@ -724,6 +715,13 @@ class ResidueNodes:
         self._s = s = math.frexp(key[0].real)[1] - 1  # psi(0) 2^-s in [1, 2)
         self._psi = _mass_terms(key, (), f - s)[0]
         self._terms = _mass_terms(key, mu.spectrum.masses, f)[1][:k_max]
+        # the right-hand side holds 1/z^2 at f bits: it must keep four
+        for (z, m), (*_, r, _, _) in zip(mu.spectrum.masses, self._terms):
+            if r * r < 1 << f + 4:
+                raise QuadratureError(
+                    f"mass at {z} (weight {m}) is too far for the residue "
+                    f"check at {mu.precision} bits, which needs |z|^2 <= "
+                    f"2^{f - 4} at its {f} fractional bits")
         self._factors = [(zeta, (-ur, ui))  # rot = -|zeta|/zeta = -conj(u)
                          for _, zeta, (ur, ui), *_ in self._terms]
         self.k_max = len(self._factors)
@@ -733,20 +731,26 @@ class ResidueNodes:
         self._num: list = [[], []]
         self._given = None
         self._coeffs: tuple = ((), ())
-        self._n = 0
+        self._n = 0  # no element in use
 
     @property
     def grid(self) -> int:
         return len(self._x[0])
 
-    def use(self, element: tuple, n: int) -> None:
-        """Make element, the Laurent element of degree n (its coefficients
-        of z^-(n-1)..z^n), the one whose numerators the table holds: each
-        coefficient times 2^-s is rounded once to f bits as given, so an
-        element solved at an escalated precision keeps its bits."""
-        if element is not self._given:
-            self._given, self._n = element, n
-            pairs = [_fixed_pair(c, self._f - self._s) for c in element]
+    def use(self, element: tuple | None, n: int) -> None:
+        """Make the Laurent element of degree n (its coefficients of
+        z^-(n-1)..z^n) the one whose numerators the table holds, each
+        coefficient times 2^-s rounded once to f bits: for element None the
+        integer extremal witness (_extremal, escalated as needed), else the
+        given numbers at the precision they were solved at."""
+        if element is not self._given or n != self._n:
+            self._given, self._n, frac = element, n, self._f - self._s
+            if element is None:
+                pairs = _escalate(self.mu, n, lambda bits: _extremal(
+                    _gram_from_exponents(self.mu, range(1 - n, n + 1), bits),
+                    frac)[0], "the extremal witness solve")
+            else:
+                pairs = [_fixed_pair(c, frac) for c in element]
             self._coeffs = tuple(map(list, zip(*pairs)))
             self._num = [[None] * self.grid, [None] * self.grid]
 
@@ -808,12 +812,12 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     quadrature of the contour integral of R_n/(psi_* z^(n+1) B^k_*).
     RHS: eta_n/(B^k(0) psi(0)) minus the residue sum at the first k mass
     points.  Returns both sides, their gap, and the Cauchy-Schwarz majorant
-    of the residue sum.  element is orthonormal_element(mu, n, laurent=True),
-    the 2n coefficients of z^-(n-1)..z^n, solved here when not given; a
-    caller checking several k at one n solves it once.  nodes is a ResidueNodes table of mu, built here when not
-    given; a caller checking several (n, k) shares one, so each node's
-    psi and Blaschke values are computed once and its element value once
-    per n.  The record is the same bit for bit either way.
+    of the residue sum.  element, the orthonormal Laurent element's 2n
+    coefficients of z^-(n-1)..z^n, is solved on integers, once per n and
+    table, when not given.  nodes is a ResidueNodes table of mu, built here
+    when not given; a caller checking several (n, k) shares one, so each
+    node's psi and Blaschke values are computed once and its element value
+    once per n.  The record is the same bit for bit either way.
     """
     if not 0 <= k <= len(mu.spectrum):
         raise ValueError("k must be between 0 and the number of masses")
@@ -825,9 +829,9 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
         raise ValueError("nodes must be a table of this measure holding k masses")
     bits = mu.precision
     ctx = context(bits)
-    if element is None:
-        element = orthonormal_element(mu, n, laurent=True)
-    elif len(element) != 2 * n:
+    if n < 1:
+        raise ValueError("laurent elements need n >= 1")
+    if element is not None and len(element) != 2 * n:
         raise ValueError("element must be the Laurent element of degree n")
     nodes.use(element, n)
 

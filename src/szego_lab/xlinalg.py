@@ -1,47 +1,38 @@
 """Extended-precision Hermitian linear algebra for Gram-matrix certificates.
 
-Dense column-stored Hermitian matrices at a working precision, the one
-Cholesky factorization of the package (Gram matrices and the closed form's
-Woodbury system alike), in fixed point on Python integers, and the two
-routes to the constrained leading-coefficient extremal problem: the Schur
-complement of the pivoted last coordinate, which is the factor's last pivot,
-and the explicit maximizer G^-1 e_N by a back substitution from e_N / l_NN.
-Both routes are kept deliberately distinct so their agreement is a check,
-not a tautology.  For a Toeplitz Gram matrix the
-Szego recursion gives the same Schur complement in O(N^2) instead of
-O(N^3), in the same fixed point (toeplitz_leading); the factor's last pivot
-is its oracle.
+Everything here but the last roundings runs in one fixed point on Python
+integers: a real number x is the integer round(x 2^f) at f fractional bits,
+a complex one a pair of them (real, imaginary).  Sums and products of such
+integers are exact; a product goes back to f bits by a rounded shift, a
+quotient by _rdiv or _cdiv, and a result to an mpmath number by one
+rounding (_to_mpf, _to_mpc).  The helpers are shared with measure_opuc and
+the lower-bound pipeline (asymptotics); their one recurrence,
+_quotient_series, gives the moments of 1/|psi|^2 as N/psi and the
+pipeline's series and norms.
 
-The factorization first equilibrates: it scales G to S G S with S a
-diagonal of powers of two, S_ii^2 g_ii in [1/4, 1), so every entry of the
-scaled matrix and of its factor has modulus below 1 (van der Sluis's
-scaling, within a factor 2).  Its core, _cholesky_fixed, takes the scaled
-entries as pairs of integers at bits + 32 fractional bits, takes every
-inner product exactly and rounds it once; cholesky reads a
-HermitianMatrix's mpc entries into it and undoes the scaling exactly, and
-the closed form of measure_opuc, whose system is integers from the start,
-calls the core directly.  A pivot at or below that fixed-point
-resolution, 2^-(bits + 32) of the scaled diagonal, is not told apart from
-zero and raises NotPositiveDefinite.
-
-The fixed point is one section of helpers, shared with measure_opuc and
-the lower-bound pipeline (asymptotics): a real number x is the integer
-round(x 2^f) at f fractional bits, a complex one a pair of them (real,
-imaginary).  Sums and products of such integers are exact; a product goes
-back to f bits by a rounded shift, a quotient by _rdiv or _cdiv, and a
-result to an mpmath number by one rounding (_to_mpf, _to_mpc).  Its one
-recurrence, _quotient_series, gives the moments of 1/|psi|^2 as N/psi
-(measure_opuc) and the pipeline's series and norms.
+A HermitianMatrix holds its lower triangle as integer pairs at one
+exponent, each part rounded to a precision tag; its constructor is the one
+place numbers are read.  The one Cholesky factorization of the package
+(Gram matrices and the closed form's Woodbury system alike),
+_cholesky_fixed, scales G to S G S with S a diagonal of powers of two,
+S_ii^2 g_ii in [1/4, 1), so every scaled entry and factor entry has modulus
+below 1 (van der Sluis's scaling, within a factor 2), and works at
+bits + 32 fractional bits; a pivot at or below 2^-(bits + 32) of the scaled
+diagonal is not told apart from zero and raises NotPositiveDefinite.  The
+constrained leading-coefficient extremal problem has two routes on that
+factor, kept distinct so their agreement is a check, not a tautology: the
+Schur complement of the last coordinate, the factor's last pivot
+(schur_leading), and the maximizer G^-1 e_N by a back substitution from
+e_N / l_NN (_extremal, constrained_max_leading).  For a Toeplitz Gram
+matrix the Szego recursion gives the same Schur complement in O(N^2)
+(toeplitz_leading); the factor's last pivot is its oracle.
 
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
-it.  An mpmath operation rounds at the context of its left operand, and
-ctx.mpc(x) rounds x to ctx.prec.  The contexts are never mutated, so threads
-share them without a lock, and nothing here reads or sets mpmath.mp's
-precision.
-
-Precision never escalates silently: a failed pivot raises
-NotPositiveDefinite and the caller decides whether to retry higher.
+it.  The contexts are never mutated, so threads share them without a lock,
+and nothing here reads or sets mpmath.mp's precision.  Precision never
+escalates silently: a failed pivot raises NotPositiveDefinite and the
+caller decides whether to retry higher.
 """
 
 from __future__ import annotations
@@ -64,8 +55,6 @@ __all__ = [
     "CholeskyFactor",
     "NotPositiveDefinite",
     "cholesky",
-    "solve_lower",
-    "solve_upper_conj",
     "schur_leading",
     "toeplitz_leading",
     "constrained_max_leading",
@@ -114,53 +103,60 @@ class NotPositiveDefinite(ArithmeticError):
 
 
 class HermitianMatrix:
-    """Hermitian matrix in dense column storage at a working precision.
+    """Hermitian matrix at a precision tag, in fixed point.
 
-    columns[k][j] is the (j, k) entry, a context(bits) mpc.  Construction
-    checks that bits is a precision tag, rounds every entry to it and
-    verifies Hermitian symmetry to one ulp.  With _skip_check the caller
-    vouches for all three: the package's Gram builders round to a tag, and
-    only the tests' mpc oracle of the closed form uses a non-tag precision.
+    lower[j][k], k <= j, is the (j, k) entry as an integer pair times 2^exp,
+    each part rounded to bits significant bits, and the (k, j) entry is its
+    conjugate: Hermitian by construction.  entry and row give them, exactly,
+    as context(bits) mpc values.  The constructor is the one reader of
+    numbers, columns[k][j] the (j, k) entry: it checks that bits is a
+    precision tag, rounds every entry to it, verifies Hermitian symmetry to
+    one ulp and keeps the lower triangle.  The Gram builders hand their
+    integers to _of.
     """
 
-    __slots__ = ("dim", "columns", "bits")
+    __slots__ = ("dim", "lower", "exp", "bits")
 
-    def __init__(self, columns: Sequence[Sequence], bits: int = 53, _skip_check: bool = False):
+    def __init__(self, columns: Sequence[Sequence], bits: int = 53):
+        PrecisionTag(bits)
         ctx = context(bits)
-        if _skip_check:
-            cols = tuple(map(tuple, columns))
-        else:
-            PrecisionTag(bits)
-            cols = tuple(tuple(ctx.mpc(v) for v in col) for col in columns)
+        cols = [[ctx.mpc(v) for v in col] for col in columns]
         n = len(cols)
         if any(len(col) != n for col in cols):
             raise ValueError("matrix must be square")
-        if not _skip_check:
-            ulp = ctx.mpf(2) ** (1 - bits)
-            for k in range(n):
-                for j in range(k, n):
-                    a = cols[k][j]
-                    b = ctx.conj(cols[j][k])
-                    scale = max(abs(a), abs(b), ctx.mpf(1))
-                    if abs(a - b) > ulp * scale:
-                        raise ValueError(
-                            f"not Hermitian at ({j},{k}): {a} vs conj {b}")
-        self.dim = n
-        self.columns = cols
-        self.bits = bits
+        ulp = ctx.mpf(2) ** (1 - bits)
+        for k in range(n):
+            for j in range(k, n):
+                a, b = cols[k][j], ctx.conj(cols[j][k])
+                if abs(a - b) > ulp * max(abs(a), abs(b), 1):
+                    raise ValueError(
+                        f"not Hermitian at ({j},{k}): {a} vs conj {b}")
+        parts = [[cols[k][j]._mpc_ for k in range(j + 1)] for j in range(n)]
+        # each part is man 2^e: all are read exactly at the least e
+        exp = min((p[2] for row in parts for z in row for p in z if p[1]),
+                  default=0)
+        self.dim, self.exp, self.bits = n, exp, bits
+        self.lower = [[(_fixed(re, -exp), _fixed(im, -exp)) for re, im in row]
+                      for row in parts]
+
+    @classmethod
+    def _of(cls, lower: list, exp: int, bits: int) -> "HermitianMatrix":
+        """The matrix of the lower triangle lower at exp, taken as given."""
+        g = cls.__new__(cls)
+        g.dim, g.lower, g.exp, g.bits = len(lower), lower, exp, bits
+        return g
 
     def entry(self, j: int, k: int):
-        return self.columns[k][j]
+        re, im = self.lower[j][k] if k <= j else self.lower[k][j]
+        return _to_mpc(context(self.bits), re, im if k <= j else -im, self.exp)
 
     def row(self, j: int) -> tuple:
-        return tuple(self.columns[k][j] for k in range(self.dim))
+        return tuple(self.entry(j, k) for k in range(self.dim))
 
     @classmethod
     def identity(cls, n: int, bits: int = 53) -> "HermitianMatrix":
-        ctx = context(bits)
-        one, zero = ctx.mpc(1), ctx.mpc(0)
-        return cls([[one if j == k else zero for j in range(n)] for k in range(n)],
-                   bits, _skip_check=True)
+        return cls._of([[(int(j == k), 0) for k in range(j + 1)]
+                        for j in range(n)], 0, bits)
 
 
 @dataclass(frozen=True)
@@ -188,11 +184,10 @@ _GUARD_BITS = 32
 
 
 def _fixed(part: tuple, shift: int) -> int:
-    """The mpf tuple part times 2^shift, rounded to an integer."""
+    """The mpf tuple part times 2^shift, rounded to an integer, ties away
+    from zero."""
     sign, man, exp, _ = part
-    e = exp + shift
-    v = man << e if e >= 0 else (man + (1 << (-e - 1))) >> -e
-    return -v if sign else v
+    return _round_away(-man if sign else man, exp + shift)
 
 
 def _fixed_pair(z, f: int) -> tuple:
@@ -261,6 +256,25 @@ def _dyadic(x: float, f: int) -> int:
 def _shift(x: int, s: int) -> int:
     """x 2^s rounded to an integer, ties up."""
     return x << s if s >= 0 else (x + (1 << (-s - 1))) >> -s
+
+
+def _round_away(x: int, s: int) -> int:
+    """x 2^s rounded to an integer, ties away from zero, as _fixed rounds
+    the mpf x 2^e to e + s fractional bits."""
+    v = _shift(abs(x), s)
+    return -v if x < 0 else v
+
+
+def _round_bits(x: int, bits: int) -> int:
+    """x rounded to bits significant bits, nearest with ties to even, kept
+    at x's own exponent: the value _to_mpf rounds x 2^e to at bits."""
+    m = abs(x)
+    drop = m.bit_length() - bits
+    if drop <= 0:
+        return x
+    q, r, half = m >> drop, m & ((1 << drop) - 1), 1 << (drop - 1)
+    q = (q + (r > half or r == half and q & 1)) << drop
+    return -q if x < 0 else q
 
 
 def _cmul(a: tuple, b: tuple, f: int) -> tuple:
@@ -336,37 +350,36 @@ def _to_mpc(ctx: MPContext, re: int, im: int, e: int):
 # factorizations
 
 
-def _cholesky_fixed(rows, bits: int) -> tuple:
-    """The Cholesky factor L_A of an equilibrated Hermitian A, on integers.
+def _cholesky_fixed(lower: Sequence, e: int, bits: int) -> tuple:
+    """The Cholesky factor L_A of A = S G S, on integers, for the Hermitian
+    G whose lower triangle lower holds pairs times 2^e (of the diagonal
+    only the real part is read).
 
-    rows yields, row by row, (a_i, d_i, k_i): a_i the pairs a_i0..a_i(i-1)
-    below the diagonal at f = bits + 32 fractional bits, d_i the diagonal
-    a_ii at 2f, and k_i the row's scaling exponent, A = S G S with
-    S = diag(2^-k_i), which only the error report reads.  Row i of L_A is
+    S = diag(2^-k_i) puts a_ii in [1/4, 1); row i of A is read as it is
+    reached, a_ij = g_ij 2^(f - k_i - k_j) at f = bits + 32 fractional bits
+    and a_ii at 2f, each rounded once, ties away from zero.  Then
     l_ij = (a_ij - sum_(m<j) l_im conj(l_jm)) / l_jj and
-    l_ii = sqrt(a_ii - sum_(m<i) |l_im|^2); each sum is exact over the
-    integer real and imaginary parts and is rounded once, by one integer
-    division or by isqrt.  Returns (re, im, diag): per row the real and
-    imaginary parts of l_i0..l_i(i-1) and l_ii, all at f.
-
-    Raises NotPositiveDefinite at the first row, in order, whose pivot is
-    at or below 2^-f; rows is read lazily, so a row that raises while it is
-    formed does so after every earlier pivot has been checked.
+    l_ii = sqrt(a_ii - sum_(m<i) |l_im|^2), each sum exact and rounded once.
+    Returns (re, im, diag, scale): per row the parts of l_i0..l_i(i-1) and
+    l_ii at f, and the k_i.  Raises NotPositiveDefinite at the first row
+    whose diagonal entry is <= 0 or whose pivot is at or below 2^-f.
     """
     f = bits + _GUARD_BITS
-    res: list[list[int]] = []
-    ims: list[list[int]] = []
-    cims: list[list[int]] = []  # negated imaginary parts, for the conj
-    diag: list[int] = []
-    for i, (a_i, d_i, k_i) in enumerate(rows):
-        re_i: list[int] = []
-        im_i: list[int] = []
-        for j, (a_re, a_im) in enumerate(a_i):
+    res, ims, cims, diag, scale = [], [], [], [], []  # cims: -ims, for conj
+    for i, row in enumerate(lower):
+        d = row[i][0]
+        if d <= 0:
+            raise NotPositiveDefinite(i, _to_mpf(context(bits), d, e))
+        k_i = (e + d.bit_length() + 1) // 2
+        re_i, im_i = [], []
+        for j, ((a_re, a_im), k_j) in enumerate(zip(row, scale)):
             # (a_ij 2^f) 2^f - sum_m l_im conj(l_jm) 2^(2f)
+            s = e + f - k_i - k_j
             d_re, d_im = _dot(re_i, im_i, res[j], cims[j])
-            re_i.append(_rdiv((a_re << f) - d_re, diag[j]))
-            im_i.append(_rdiv((a_im << f) - d_im, diag[j]))
-        pivot = d_i - sum(map(mul, re_i, re_i)) - sum(map(mul, im_i, im_i))
+            re_i.append(_rdiv((_round_away(a_re, s) << f) - d_re, diag[j]))
+            im_i.append(_rdiv((_round_away(a_im, s) << f) - d_im, diag[j]))
+        pivot = (_round_away(d, e + 2 * f - 2 * k_i)
+                 - sum(map(mul, re_i, re_i)) - sum(map(mul, im_i, im_i)))
         if pivot <= 1 << f:
             raise NotPositiveDefinite(
                 i, _to_mpf(context(bits), pivot, 2 * k_i - 2 * f))
@@ -374,68 +387,23 @@ def _cholesky_fixed(rows, bits: int) -> tuple:
         ims.append(im_i)
         cims.append([-v for v in im_i])
         diag.append(isqrt(pivot))
-    return res, ims, diag
+        scale.append(k_i)
+    return res, ims, diag, scale
 
 
 def cholesky(g: HermitianMatrix) -> CholeskyFactor:
-    """Cholesky factor L with L L* = G, row by row, by _cholesky_fixed.
-
-    G is equilibrated to A = S G S, S = diag(2^-k_i) with a_ii in [1/4, 1),
-    and A's lower triangle is read from the entries' mpf tuples as integers
-    at f = bits + 32 fractional bits, each rounded once.  L = S^-1 L_A is
-    rounded to the tag, as mpc below the diagonal and mpf on it.
-
-    Raises NotPositiveDefinite at the first row, in order, whose pivot is
-    at or below 2^-f (a diagonal entry <= 0 fails as its row is reached);
-    that signal drives the caller-side precision escalation protocol.
+    """Cholesky factor L with L L* = G, by _cholesky_fixed on G's integers;
+    L = S^-1 L_A is rounded to the tag, as mpc below the diagonal and mpf
+    on it.  NotPositiveDefinite, raised as _cholesky_fixed raises it,
+    drives the caller-side precision escalation protocol.
     """
     bits = g.bits
-    f = bits + _GUARD_BITS
-    ctx = context(bits)
-    cols = g.columns
-    scale: list[int] = []  # k_i
-
-    def rows():
-        for i, col in enumerate(cols):
-            d_part = col[i]._mpc_[0]
-            sign, man, exp, bc = d_part
-            if sign or not man:
-                raise NotPositiveDefinite(i, ctx.make_mpf(d_part))
-            k_i = (exp + bc + 1) // 2
-            scale.append(k_i)
-            yield ([_fixed_pair(c[i], f - k_i - k_j)
-                    for c, k_j in zip(cols[:i], scale)],
-                   _fixed(d_part, 2 * f - 2 * k_i), k_i)
-
-    res, ims, diag = _cholesky_fixed(rows(), bits)
-    out = []
-    for k_i, re_i, im_i, l_ii in zip(scale, res, ims, diag):
-        e = k_i - f
-        out.append(tuple(_to_mpc(ctx, re, im, e) for re, im in zip(re_i, im_i))
-                   + (_to_mpf(ctx, l_ii, e),))
-    return CholeskyFactor(tuple(out), bits)
-
-
-def solve_lower(l: CholeskyFactor, b: Sequence) -> list:
-    """Forward substitution for L y = b."""
-    ctx = context(l.bits)
-    y: list = []
-    for i in range(l.dim):
-        s = ctx.fdot(l.rows[i][:i], y) if i else ctx.mpc(0)
-        y.append((ctx.mpc(b[i]) - s) / l.rows[i][i])
-    return y
-
-
-def solve_upper_conj(l: CholeskyFactor, y: Sequence) -> list:
-    """Back substitution for L* x = y."""
-    n = l.dim
-    ctx = context(l.bits)
-    x: list = [ctx.mpc(0)] * n
-    for i in range(n - 1, -1, -1):
-        s = ctx.fdot((ctx.conj(l.rows[k][i]) for k in range(i + 1, n)),
-                     (x[k] for k in range(i + 1, n)))
-        x[i] = (ctx.mpc(y[i]) - s) / ctx.conj(l.rows[i][i])
-    return x
+    res, ims, diag, scale = _cholesky_fixed(g.lower, g.exp, bits)
+    ctx, f = context(bits), bits + _GUARD_BITS
+    return CholeskyFactor(tuple(
+        tuple(_to_mpc(ctx, re, im, k_i - f) for re, im in zip(re_i, im_i))
+        + (_to_mpf(ctx, l_ii, k_i - f),)
+        for k_i, re_i, im_i, l_ii in zip(scale, res, ims, diag)), bits)
 
 
 def schur_leading(g: HermitianMatrix):
@@ -443,10 +411,12 @@ def schur_leading(g: HermitianMatrix):
 
     The factor's last row is the forward-solved coupling column y, and its
     diagonal is sqrt(G_NN - |y|^2), the distance from the pivot to the span
-    of the others, which cholesky takes on integers at its guard bits and
-    rounds once to the tag.  Returns an mpf.
+    of the others, which _cholesky_fixed takes on integers at its guard
+    bits; it is rounded once to the tag and inverted.  Returns an mpf.
     """
-    return 1 / cholesky(g).rows[-1][-1]
+    *_, diag, scale = _cholesky_fixed(g.lower, g.exp, g.bits)
+    return 1 / _to_mpf(context(g.bits), diag[-1],
+                       scale[-1] - g.bits - _GUARD_BITS)
 
 
 def toeplitz_leading(g: HermitianMatrix):
@@ -471,21 +441,19 @@ def toeplitz_leading(g: HermitianMatrix):
     once to the tag, as schur_leading's is.  G's Toeplitz structure is the
     caller's promise; only its first column is read.
     """
-    n, bits = g.dim, g.bits
+    n, bits, e = g.dim, g.bits, g.exp
     f = bits + _GUARD_BITS
     ctx = context(bits)
-    col = g.columns[0]
-    d_part = col[0]._mpc_[0]
-    sign, man, exp, bc = d_part
-    if sign or not man:
-        raise NotPositiveDefinite(0, ctx.make_mpf(d_part))
-    s = (exp + bc + 1) // 2
-    # c_1..c_(N-1) of A
-    c_re = [_fixed(v._mpc_[0], f - 2 * s) for v in col[1:]]
-    c_im = [_fixed(v._mpc_[1], f - 2 * s) for v in col[1:]]
+    d = g.lower[0][0][0]
+    if d <= 0:
+        raise NotPositiveDefinite(0, _to_mpf(ctx, d, e))
+    s = (e + d.bit_length() + 1) // 2
+    # c_1..c_(N-1) of A, from G's first column
+    c_re = [_round_away(row[0][0], e + f - 2 * s) for row in g.lower[1:]]
+    c_im = [_round_away(row[0][1], e + f - 2 * s) for row in g.lower[1:]]
     half = 1 << (f - 1)
     p_re, p_im = [1 << f], [0]  # Phi_k 2^f, constant coefficient first
-    err = _fixed(d_part, 2 * f - 2 * s)  # E_k 2^(2f)
+    err = _round_away(d, e + 2 * f - 2 * s)  # E_k 2^(2f)
     for k in range(n):
         if err <= 1 << f:
             raise NotPositiveDefinite(k, _to_mpf(ctx, err, 2 * s - 2 * f))
@@ -505,21 +473,48 @@ def toeplitz_leading(g: HermitianMatrix):
     return 1 / _to_mpf(ctx, isqrt(err), s - f)
 
 
+def _extremal(g: HermitianMatrix, frac: int | None = None) -> tuple:
+    """The maximizer v = G^-1 e_N / eta of |v_N| subject to v* G v <= 1,
+    eta = sqrt((G^-1)_NN) = v_N, on integers: (v, frac), v_i 2^frac each
+    rounded once; frac defaults to bits + 32 bits below G's finest scale.
+
+    With A = S G S = L_A L_A* (_cholesky_fixed), L_A* x = e_N / l_NN gives
+    x_N = 1 / l_NN^2 and x_i = -sum_(m>i) conj(l_mi) x_m / l_ii, each sum
+    exact and each x_i rounded once at f = bits + 32: x = A^-1 e_N, so
+    v_i = 2^-k_i x_i / sqrt(x_N), each part one isqrt.  eta comes from x_N,
+    not from the pivot l_NN, so it stays a second route to schur_leading.
+    """
+    f = g.bits + _GUARD_BITS
+    res, ims, diag, scale = _cholesky_fixed(g.lower, g.exp, g.bits)
+    n = len(diag)
+    x_re, x_im = [0] * n, [0] * n
+    x_re[-1] = _rdiv(_rdiv(1 << 2 * f, diag[-1]) << f, diag[-1])
+    for i in range(n - 2, -1, -1):
+        # sum_(m>i) conj(l_mi) x_m at 2f
+        s_re, s_im = _dot([res[m][i] for m in range(i + 1, n)],
+                          [-ims[m][i] for m in range(i + 1, n)],
+                          x_re[i + 1:], x_im[i + 1:])
+        x_re[i], x_im[i] = _rdiv(-s_re, diag[i]), _rdiv(-s_im, diag[i])
+    if frac is None:
+        frac = f + max(scale)
+    v = []
+    for k_i, a_re, a_im in zip(scale, x_re, x_im):
+        # v_i 2^frac = a 2^(t/2) / sqrt(x_N 2^f), t = 2 (frac - k_i) - f
+        t = 2 * (frac - k_i) - f
+        u = max(0, (t + 1) // 2)
+        b = x_re[-1] << (2 * u - t)
+        v.append((_rdiv_sqrt(a_re << u, b), _rdiv_sqrt(a_im << u, b)))
+    return v, frac
+
+
 def constrained_max_leading(g: HermitianMatrix):
     """Maximize |v_N| subject to v* G v <= 1.
 
     Returns (eta, witness): eta = sqrt((G^-1)_NN) and the maximizer
-    v = G^-1 e_N / eta, so v_N = eta and v* G v = 1.  L y = e_N gives
-    y = e_N / l_NN, solve_lower(l, e_N) bit for bit (its sums are 0).
+    v = G^-1 e_N / eta, so v_N = eta and v* G v = 1, from _extremal's
+    integers rounded to the tag, eta an mpf and the witness mpc.
     """
-    n = g.dim
-    l = cholesky(g)
     ctx = context(g.bits)
-    y = [ctx.mpc(0)] * (n - 1) + [ctx.mpc(1) / l.rows[-1][-1]]
-    x = solve_upper_conj(l, y)
-    w = ctx.re(x[n - 1])
-    if w <= 0:
-        raise NotPositiveDefinite(n - 1, w)
-    eta = ctx.sqrt(w)
-    witness = tuple(xi / eta for xi in x)
-    return eta, witness
+    v, frac = _extremal(g)
+    return (_to_mpf(ctx, v[-1][0], -frac),
+            tuple(_to_mpc(ctx, re, im, -frac) for re, im in v))

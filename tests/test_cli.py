@@ -26,6 +26,7 @@ from szego_lab.cli import generate_zeros, main
 
 import szego_lab.cli as cli
 import szego_lab.measure_opuc as mo
+import szego_lab.xlinalg as xlinalg
 
 
 TWO_MASS_JSON = {"psi": [[1.0, 0.0]],
@@ -297,22 +298,23 @@ def test_residue_check_at_any_scale_of_psi(tmp_path, capsys, c0):
 
 def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
                                                monkeypatch):
+    # the node table solves the integer extremal witness of each n once and
+    # keeps it for every k
     solves = []
-    real = cli.orthonormal_element
+    real = mo._extremal
 
-    def counted(mu, n, laurent=False):
-        solves.append((n, laurent))
-        return real(mu, n, laurent)
+    def counted(g, frac=None):
+        solves.append(g.dim)
+        return real(g, frac)
 
-    monkeypatch.setattr(cli, "orthonormal_element", counted)
-    monkeypatch.setattr(mo, "orthonormal_element", counted)
+    monkeypatch.setattr(mo, "_extremal", counted)
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
     man = write_json(tmp_path / "man.json", {
         "measure_file": measure, "n_grid": [4, 6], "k_list": [0, 1, 2],
         "out_dir": str(tmp_path / "out")})
     assert run_main(capsys, "residue-check", "--manifest", man)[0] == 0
     assert len(read_rows(str(tmp_path / "out"))) == 6
-    assert solves == [(4, True), (6, True)]
+    assert solves == [8, 12]  # the Laurent spans z^-(n-1)..z^n
 
 
 RESIDUE_FROZEN = os.path.join(os.path.dirname(__file__), "data",
@@ -788,6 +790,103 @@ def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     err = error_payload(out)
     assert err["type"] == "QuadratureError"
     assert err["exit_code"] == 3
+
+
+def test_no_cli_path_runs_mpc_linear_algebra(tmp_path, capsys,
+                                             monkeypatch):
+    # every subcommand, with the masses' Gram route (opuc at n < deg psi)
+    # and the extremal witness (residue-check) among them, runs on the
+    # integer Gram matrix: with the mpc factor, the number constructor and
+    # the tests' mpc triangular solves refused, each writes the
+    # certificates.csv of an unrefused run
+    import test_xlinalg
+
+    complex_mass = write_json(tmp_path / "complex.json", {
+        "psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
+        "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]], "precision_bits": 128})
+    mass_free = write_json(tmp_path / "free.json", {
+        "psi": [[1.0, 0.0], [0.4, -0.3]], "precision_bits": 128})
+    two_mass = write_json(tmp_path / "two.json", TWO_MASS_JSON)
+    runs = [("vs-bound", {"n_grid": [4], "seeds": 1,
+                          "kinds": ["uniform_disk"]}),
+            ("besov", {"n_grid": [8]}),
+            ("opuc", {"measure_file": complex_mass, "n_grid": [1, 2, 4]}),
+            ("opuc", {"measure_file": mass_free, "n_grid": [2, 4]}),
+            ("pipeline", {"measure_file": two_mass, "n_grid": [8]}),
+            ("residue-check", {"measure_file": complex_mass, "n_grid": [2, 4],
+                               "k_list": [0, 2]}),
+            ("log-condition", {"measure_file": two_mass, "n_max": 16})]
+
+    def outputs(tag):
+        texts = []
+        for i, (command, fields) in enumerate(runs):
+            out_dir = tmp_path / f"{tag}{i}"
+            man = write_json(tmp_path / f"{tag}{i}.json",
+                             dict(fields, out_dir=str(out_dir)))
+            code, out = run_main(capsys, command, "--manifest", man)
+            assert code == 0, (command, out)
+            texts.append((out_dir / "certificates.csv").read_text())
+        return texts
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("mpc linear algebra on a CLI path")
+
+    want = outputs("plain")
+    monkeypatch.setattr(xlinalg, "cholesky", refuse)
+    monkeypatch.setattr(xlinalg, "constrained_max_leading", refuse)
+    monkeypatch.setattr(mo, "constrained_max_leading", refuse)
+    monkeypatch.setattr(xlinalg.HermitianMatrix, "__init__", refuse)
+    monkeypatch.setattr(test_xlinalg, "solve_lower", refuse)
+    monkeypatch.setattr(test_xlinalg, "solve_upper_conj", refuse)
+    assert outputs("refused") == want
+
+
+def test_residue_check_refuses_a_far_mass_before_any_node(tmp_path, capsys,
+                                                          monkeypatch):
+    # at 53 bits the residue check holds the reflected masses at 85
+    # fractional bits, where 1/|z| of a mass at 2^90 is 0: the mass is
+    # refused with exit 3 before a node is evaluated; opuc and pipeline,
+    # which read it through the closed form, still run
+    def no_node(*args):
+        raise AssertionError("a node was evaluated")
+
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1, 0]], "masses": [[1.2379400392853803e27, 0, 0.3]],
+        "precision_bits": 53})
+    runs = {"residue-check": {"n_grid": [1], "k_list": [0, 1]},
+            "opuc": {"n_grid": [1, 4]}, "pipeline": {"n_grid": [8]}}
+    for command, fields in runs.items():
+        man = write_json(tmp_path / f"{command}.json", dict(
+            fields, measure_file=measure, out_dir=str(tmp_path / command)))
+        with monkeypatch.context() as m:
+            m.setattr(mo, "_node_values", no_node)
+            code, out = run_main(capsys, command, "--manifest", man)
+        if command != "residue-check":
+            assert code == 0, (command, out)
+            continue
+        assert code == 3, out
+        err = json.loads(out, parse_constant=refuse_constant)["error"]
+        assert err["type"] == "QuadratureError" and err["exit_code"] == 3
+        assert "1.2379400392853803e+27" in err["message"]
+        assert "53 bits" in err["message"]
+
+
+def test_failed_witness_solve_is_named(tmp_path, capsys):
+    # a weight of 1e300 leaves the Laurent Gram matrix's last pivot below
+    # the fixed point's resolution at every tag; the exit 3 names the
+    # extremal witness solve and its n
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1, 0]], "masses": [[1.5, 0, 1e300]], "precision_bits": 128})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [4],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 3, out
+    err = json.loads(out, parse_constant=refuse_constant)["error"]
+    assert err["type"] == "PrecisionExhausted"
+    assert err["message"] == (
+        "the extremal witness solve at n = 4: not positive definite at any "
+        "of (128, 256, 512) bits (last failing pivot 2)")
 
 
 def test_module_entry_point(tmp_path):

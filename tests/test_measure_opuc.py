@@ -7,6 +7,7 @@ moments are a^|m| / (1 - a^2) and the orthonormal polynomial leading
 coefficients are sqrt(1 - a^2) at degree zero and exactly 1 afterwards.
 """
 
+import functools
 import json
 import math
 import sys
@@ -19,6 +20,7 @@ import pytest
 from mpmath import MPContext, mp
 from mpmath.libmp import from_man_exp
 
+from exact_oracle import as_fraction, bareiss_solve, exact_gram, exact_moments
 from szego_lab.blaschke import BlaschkeProduct, ZeroSet, eval_blaschke
 from szego_lab.circle_fourier import LaurentPolynomial
 from szego_lab.measure_opuc import (
@@ -39,7 +41,6 @@ from szego_lab.measure_opuc import (
     tau_n,
 )
 from szego_lab.xlinalg import (
-    HermitianMatrix,
     NotPositiveDefinite,
     cholesky,
     context,
@@ -49,6 +50,7 @@ from szego_lab.xlinalg import (
 
 import szego_lab.measure_opuc as mo
 import szego_lab.xlinalg as xlinalg
+from test_xlinalg import trusted
 
 D1_MEASURE = Path(__file__).parents[1] / "bench" / "defects" / "d1-measure.json"
 
@@ -285,50 +287,6 @@ def test_exact_head_matches_lu_solve(d):
                 assert abs(g - w) <= got[0].real * mp.mpf(2) ** -(bits + 24)
 
 
-def exact_moments(coeffs, count):
-    """t_0..t_(count-1) of 1/|psi|^2 as exact (re, im) Fractions.
-
-    The head t_0..t_d solves sum_j c_j t_(k-j) = [k == 0]/c_0 for
-    k = 0..d, t_(-m) = conj(t_m): a real system in the parts of t_0..t_d,
-    its columns the left side at unit vectors, solved by Gauss-Jordan
-    elimination over Fraction.  Then t_k = -(1/c_0) sum_(j>=1) c_j t_(k-j).
-    """
-    c = [(Fraction(z.real), Fraction(z.imag)) for z in map(complex, coeffs)]
-    d = len(c) - 1
-
-    def times(a, b):
-        return a[0] * b[0] - a[1] * b[1], a[0] * b[1] + a[1] * b[0]
-
-    def left(t, k):
-        parts = [times(c[j], t[k - j] if k >= j else
-                       (t[j - k][0], -t[j - k][1])) for j in range(d + 1)]
-        return sum(p[0] for p in parts), sum(p[1] for p in parts)
-
-    size = 2 * (d + 1)
-    zero = (Fraction(0), Fraction(0))
-    cols = []
-    for u in range(size):
-        unit = [zero] * (d + 1)
-        unit[u // 2] = (Fraction(1 - u % 2), Fraction(u % 2))
-        cols.append([part for k in range(d + 1) for part in left(unit, k)])
-    a = [[col[r] for col in cols] + [Fraction(r == 0) / c[0][0]]
-         for r in range(size)]
-    for k in range(size):
-        piv = next(r for r in range(k, size) if a[r][k])
-        a[k], a[piv] = a[piv], a[k]
-        a[k] = [x / a[k][k] for x in a[k]]
-        for i in range(size):
-            factor = a[i][k]
-            if i != k and factor:
-                a[i] = [x - factor * y for x, y in zip(a[i], a[k])]
-    t = [(a[2 * m][size], a[2 * m + 1][size]) for m in range(d + 1)]
-    for k in range(d + 1, count):
-        s = [times(c[j], t[k - j]) for j in range(1, d + 1)]
-        t.append((-sum(p[0] for p in s) / c[0][0],
-                  -sum(p[1] for p in s) / c[0][0]))
-    return t
-
-
 # dyadic psi of degree 1 to 3; the first has its root at -1.05i
 EXACT_PSI = [
     [1.3125, -1.25j],
@@ -496,13 +454,15 @@ def complex_two_mass(precision):
 @pytest.mark.parametrize("bits", [128, 256])
 @pytest.mark.parametrize("gram", [gram_polynomial, gram_laurent])
 def test_gram_is_hermitian_bit_for_bit(gram, bits):
-    # the Gram build skips HermitianMatrix's symmetry check, so it must
-    # write an exactly Hermitian matrix, real diagonal included
+    # the Gram build hands HermitianMatrix its lower triangle as integers,
+    # which entry mirrors: Hermitian by construction, and the diagonal,
+    # an exact sum whose imaginary part cancels, exactly real
     g = gram(complex_two_mass(bits), 9)
     assert g.bits == bits
     for j in range(g.dim):
         for k in range(g.dim):
             assert g.entry(j, k) == g.entry(k, j).conjugate()
+        assert g.entry(j, j).imag == 0
 
 
 def per_entry_gram(mu, exps, bits):
@@ -538,7 +498,8 @@ def assert_gram_matches_per_entry_build(mu, bits, degrees):
             want = per_entry_gram(mu, exps, bits)
             got = gram(mu, n)
             assert got.bits == bits
-            assert ([[v._mpc_ for v in col] for col in got.columns]
+            assert ([[got.entry(r, c)._mpc_ for r in range(got.dim)]
+                     for c in range(got.dim)]
                     == [[v._mpc_ for v in col] for col in want]), (n, gram)
 
 
@@ -570,43 +531,6 @@ def test_mass_gram_matches_per_entry_build(name, bits):
                         n, gram, r, c)
 
 
-def as_fraction(x):
-    """An mpf as the exact Fraction it holds."""
-    sign, man, exp, _ = x._mpf_
-    return (-1) ** sign * man * Fraction(2) ** exp
-
-
-def exact_gram(coeffs, masses, exps):
-    """{(r, c): <z^(e_c), z^(e_r)>} as exact (re, im) Fractions: the exact
-    moments t_(e_c - e_r) plus sum m z^(e_c) conj(z)^(e_r), the powers of
-    the dyadic z exact and 1/z = conj(z)/|z|^2."""
-    lo, hi = min(exps), max(exps)
-    t = exact_moments(coeffs, hi - lo + 1)
-    powers = []
-    for z, m in masses:
-        zr, zi = Fraction(z.real), Fraction(z.imag)
-        inv = (zr / (zr * zr + zi * zi), -zi / (zr * zr + zi * zi))
-        pw = {0: (Fraction(1), Fraction(0))}
-        for e in range(1, max(hi, 0) + 1):
-            a = pw[e - 1]
-            pw[e] = (a[0] * zr - a[1] * zi, a[0] * zi + a[1] * zr)
-        for e in range(-1, min(lo, 0) - 1, -1):
-            a = pw[e + 1]
-            pw[e] = (a[0] * inv[0] - a[1] * inv[1], a[0] * inv[1] + a[1] * inv[0])
-        powers.append((Fraction(m), pw))
-    out = {}
-    for c, e_c in enumerate(exps):
-        for r, e_r in enumerate(exps):
-            re, im = t[abs(e_c - e_r)]
-            im = im if e_c >= e_r else -im
-            for m, pw in powers:
-                (ar, ai), (br, bi) = pw[e_c], pw[e_r]
-                re += m * (ar * br + ai * bi)
-                im += m * (ai * br - ar * bi)
-            out[r, c] = re, im
-    return out
-
-
 @pytest.mark.parametrize("name", sorted(ROUTE_MEASURES))
 def test_mass_gram_entries_match_an_exact_rational_oracle(name):
     # each entry is rounded once from an exact integer sum, so it lies
@@ -623,6 +547,94 @@ def test_mass_gram_entries_match_an_exact_rational_oracle(name):
                     dr, di = as_fraction(v.real) - er, as_fraction(v.imag) - ei
                     tol = unit * exact[r, r][0] * exact[c, c][0]
                     assert dr * dr + di * di <= tol, (n, gram, bits, r, c)
+
+
+# the README's two-mass measure and complex_two_mass, for the exact solves
+EXACT_MEASURES = {
+    "readme_two_mass": ([1.0, -0.5], ((1.5, 0.3), (-1.25, 0.1))),
+    "complex_two_mass": ([1.0, 0.3 - 0.2j, 0.1j],
+                         ((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2))),
+}
+
+
+def exact_measure(name, bits):
+    coeffs, masses = EXACT_MEASURES[name]
+    return MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                       PointSpectrum(masses), bits)
+
+
+def last_column_of_inverse(gram, n):
+    """G^-1 e_N, exact, by the fraction-free solve; its last entry is
+    (G^-1)_NN."""
+    zero, one = (Fraction(0), Fraction(0)), (Fraction(1), Fraction(0))
+    return bareiss_solve(gram, n, [zero] * (n - 1) + [one])
+
+
+@functools.lru_cache(maxsize=None)
+def exact_last_column(name, exps):
+    """last_column_of_inverse of the measure's exact Gram matrix."""
+    return last_column_of_inverse(exact_gram(*EXACT_MEASURES[name], exps),
+                                  len(exps))
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(EXACT_MEASURES))
+def test_leading_coefficients_match_the_exact_oracle(name, bits):
+    # tau_0, tau_1 and eta_1 (the Gram route with masses below deg psi, the
+    # closed form at and above it) against the exact tau_n = sqrt((G^-1)_NN):
+    # within 2^-bits relative, one ulp; 0.63 units of 2^-bits is the largest
+    # gap seen
+    mu = exact_measure(name, bits)
+    eps = Fraction(1, 2 ** bits)
+    for n, laurent in ((0, False), (1, False), (1, True)):
+        exps = tuple(range(1 - n, n + 1) if laurent else range(n + 1))
+        want = exact_last_column(name, exps)[-1][0]  # tau_n^2
+        got = as_fraction((eta_n if laurent else tau_n)(mu, n))
+        assert (1 - eps) ** 2 <= got * got / want <= (1 + eps) ** 2, (n, laurent)
+
+
+def exact_entries(g):
+    """The entries of the HermitianMatrix g as the exact Fractions it
+    holds, {(r, c): (re, im)}."""
+    unit = Fraction(2) ** g.exp
+    out = {}
+    for r in range(g.dim):
+        for c in range(r + 1):
+            re, im = g.lower[r][c]
+            out[r, c], out[c, r] = (re * unit, im * unit), (re * unit, -im * unit)
+    return out
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(EXACT_MEASURES))
+def test_integer_witness_matches_the_exact_oracle(name, bits):
+    # the integer witness v = G^-1 e_N / eta, eta = v_N, held as
+    # v_N^2 = (G^-1)_NN and v_i v_N = (G^-1 e_N)_i, both relative to
+    # (G^-1)_NN.  Against the exact inverse of the matrix it is given (its
+    # entries rounded to the tag) within 2^(-16 - bits): the solve's own
+    # rounding at bits + 32 fractional bits, 2^(-24 - bits) seen.  Against
+    # the measure's exact Gram matrix within 2^(10 - bits): the entries'
+    # rounding to the tag times the conditioning, 2^(8.5 - bits) seen at
+    # n = 8.  The exact Gram matrix of complex_two_mass's Laurent span holds
+    # powers of 1/z with large odd denominators, so that span stops at n = 4
+    # (n = 6 takes 10 s)
+    mu = exact_measure(name, bits)
+    for n in (1, 2, 4, 8):
+        for gram, exps in spans(n):
+            g = gram(mu, n)
+            v, frac = xlinalg._extremal(g)
+            unit = Fraction(1, 2 ** frac)
+            v = [(re * unit, im * unit) for re, im in v]
+            wants = [(last_column_of_inverse(exact_entries(g), g.dim), -16)]
+            if name == "readme_two_mass" or gram is gram_polynomial or n <= 4:
+                wants.append((exact_last_column(name, tuple(exps)), 10))
+            for want, e in wants:
+                x_nn = want[-1][0]
+                tol = (x_nn * Fraction(2) ** (e - bits)) ** 2
+                assert (v[-1][0] ** 2 - x_nn) ** 2 <= tol, (n, gram, e)
+                for (vr, vi), (xr, xi) in zip(v, want):
+                    dr, di = vr * v[-1][0] - xr, vi * v[-1][0] - xi
+                    assert dr * dr + di * di <= tol, (n, gram, e)
 
 
 def test_gram_validation():
@@ -854,10 +866,9 @@ def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
     seen = []
     factor = mo._cholesky_fixed
 
-    def spy(rows, bits):
-        rows = list(rows)
-        seen.append((len(rows), bits))
-        return factor(rows, bits)
+    def spy(lower, e, bits):
+        seen.append((len(lower), bits))
+        return factor(lower, e, bits)
 
     monkeypatch.setattr(mo, "_cholesky_fixed", spy)
     tau_n(mu, 8)
@@ -866,7 +877,8 @@ def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
 
 def uvarov_ratio_by_mpc(mu, n, shift, bits):
     """_uvarov_ratio in mpc arithmetic at bits, factored by
-    xlinalg.cholesky: the oracle of the integer system."""
+    xlinalg.cholesky, its entries taken as given (test_xlinalg.trusted, as
+    bits is not a tag): the oracle of the integer system."""
     ctx = context(bits)
     psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
     points = []
@@ -887,7 +899,7 @@ def uvarov_ratio_by_mpc(mu, n, shift, bits):
         cols[l][l] += inv_m
         cols[l][k], cols[k][l] = ctx.conj(f_l), f_l
     cols[k][k] = ctx.mpc(1)
-    return cholesky(HermitianMatrix(cols, bits, _skip_check=True)).rows[-1][-1]
+    return cholesky(trusted(cols, bits)).rows[-1][-1]
 
 
 def closed_form_by_mpc(mu, n, shift=0):
