@@ -32,7 +32,9 @@ from szego_lab.circle_fourier import (
     LaurentPolynomial,
     SupBound,
     grid_nodes,
+    _alias_bound,
     _besov_blocks,
+    _certified_grid,
     _next_pow2,
     sup_norm_certified,
 )
@@ -284,15 +286,6 @@ def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
     return out
 
 
-def _alias_bound(env: list, m: int) -> float:
-    best = math.inf
-    for rho, a in env:
-        q = rho ** (-m)
-        if q < 1.0:
-            best = min(best, a * q / (1.0 - q))
-    return best
-
-
 def _alias_grid(upto: int, tol: float, env: list) -> int:
     """The power-of-two grid taylor_coeffs samples on: the first one above
     upto nodes, doubled until the aliasing bound from the envelope env of
@@ -300,12 +293,9 @@ def _alias_grid(upto: int, tol: float, env: list) -> int:
     TaylorToleranceError past 2^22 nodes.  B phi0 has no negative
     frequencies, so an m-point DFT folds onto degree j < m only the
     a_(j+lm), l >= 1, and any m > upto separates a_0..a_upto."""
-    m = _next_pow2(upto + 1)
-    while _alias_bound(env, m) > tol:
-        if m >= _GRID_CAP:
-            raise TaylorToleranceError(_alias_bound(env, m), tol)
-        m <<= 1
-    return m
+    logs = [(math.log(rho), math.log(a)) for rho, a in env]
+    return _certified_grid(upto + 1, lambda m: _alias_bound(logs, m), tol,
+                           _GRID_CAP, lambda b: TaylorToleranceError(b, tol))[0]
 
 
 def _dft_coeffs(c: DilatedCorrector, upto: int, m: int) -> LaurentPolynomial:

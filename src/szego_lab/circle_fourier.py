@@ -13,6 +13,7 @@ integer arithmetic.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import NamedTuple
@@ -64,6 +65,37 @@ def _next_pow2(m: int) -> int:
     while n < m:
         n <<= 1
     return n
+
+
+def _alias_bound(pairs, m: int) -> float:
+    """The least, over (log rho, log A) pairs, of A q / (1 - q) with
+    q = rho^-m: the sum of the coefficients at the nonzero multiples of m of
+    a function whose l-th coefficient is at most A rho^-|l| on that side.
+    In logs, so that neither A nor rho^m overflows; pairs with rho <= 1
+    bound nothing, and inf where none bounds."""
+    best = math.inf
+    for log_rho, log_a in pairs:
+        x = m * log_rho
+        if x > 0.0:
+            top = log_a - x
+            best = min(best, (math.exp(top) if top < 709.0 else math.inf)
+                       / -math.expm1(-x))
+    return best
+
+
+def _certified_grid(start: int, bound, tol: float, cap: int, refuse) -> tuple:
+    """(m, bound(m)) for the first power of two m >= start, doubling, with
+    bound(m) <= tol: the one grid a caller samples, its error bound known
+    before any node is.  Where m reaches cap and the bound still fails,
+    raises refuse(bound(m)), the caller's own exception."""
+    m = _next_pow2(start)
+    while True:
+        b = bound(m)
+        if b <= tol:
+            return m, b
+        if m >= cap:
+            raise refuse(b)
+        m <<= 1
 
 
 class LaurentPolynomial:

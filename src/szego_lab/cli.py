@@ -58,6 +58,7 @@ from szego_lab.measure_opuc import (
     ResidueNodes,
     _as_int,
     log_condition_report,
+    residue_grid,
     residue_identity_check,
     target_limit,
 )
@@ -507,19 +508,25 @@ def _run_residue_check(man: RunManifest):
         raise ManifestError("k_list", f"measure has only {n_masses} mass points")
     rows = []
     nodes = ResidueNodes(mu, max(ks))
-    for n in man.n_grid:
-        for k in ks:
-            rec = residue_identity_check(mu, n, k, nodes=nodes)
-            rows.append({
-                "n": n, "k": k,
-                "lhs_re": float(rec["lhs"].real),
-                "lhs_im": float(rec["lhs"].imag),
-                "rhs_re": float(rec["rhs"].real),
-                "rhs_im": float(rec["rhs"].imag),
-                "abs_diff": float(rec["abs_diff"]),
-                "schwarz_majorant": float(rec["schwarz_majorant"]),
-                "grid": rec["grid"],
-            })
+    checks = [(n, k) for n in man.n_grid for k in ks]
+    # every row's grid is certified before any node is evaluated, so a run
+    # with a row past the quadrature's cap of 2^20 nodes exits 3 before any
+    # quadrature work
+    for n, k in checks:
+        residue_grid(mu, n, k, nodes=nodes)
+    for n, k in checks:
+        rec = residue_identity_check(mu, n, k, nodes=nodes)
+        rows.append({
+            "n": n, "k": k,
+            "lhs_re": float(rec["lhs"].real),
+            "lhs_im": float(rec["lhs"].imag),
+            "rhs_re": float(rec["rhs"].real),
+            "rhs_im": float(rec["rhs"].imag),
+            "abs_diff": float(rec["abs_diff"]),
+            "schwarz_majorant": float(rec["schwarz_majorant"]),
+            "grid": rec["grid"],
+            "quad_bound": rec["quad_bound"],  # report.json only
+        })
     columns = ["n", "k", "lhs_re", "lhs_im", "rhs_re", "rhs_im",
                "abs_diff", "schwarz_majorant", "grid"]
     summary = {"max_abs_diff": max(r["abs_diff"] for r in rows)}

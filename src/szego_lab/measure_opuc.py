@@ -11,7 +11,9 @@ coefficient to point evaluations at the masses, and the slow-decay
 condition report for mass sequences accumulating at the circle.
 
 The residue identity's quadrature evaluates its integrand at the nodes of
-a power-of-two circle grid, in fixed point on Python integers.  A
+one power-of-two circle grid per (n, k), chosen before any node is
+evaluated as the least whose certified bound on aliasing and rounding
+meets the target (ResidueNodes._sides), in fixed point on Python integers.  A
 ResidueNodes table, passed as nodes=, holds for one measure each node and
 its weights B^k/conj(psi) as integer pairs at bits + 32 fractional bits,
 psi in its own scale, so the checks of several (n, k) evaluate psi and the
@@ -60,7 +62,13 @@ from typing import Sequence
 
 import numpy as np
 
-from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2, grid_nodes
+from szego_lab.circle_fourier import (
+    LaurentPolynomial,
+    _alias_bound,
+    _certified_grid,
+    _next_pow2,
+    grid_nodes,
+)
 from szego_lab.xlinalg import (
     _GUARD_BITS,
     PRECISION_BITS,
@@ -107,6 +115,7 @@ __all__ = [
     "eta_n",
     "orthonormal_element",
     "target_limit",
+    "residue_grid",
     "residue_identity_check",
     "log_condition_report",
 ]
@@ -149,13 +158,15 @@ class OuterWeight:
     """Finite zero-free Taylor polynomial weight, positive at the origin.
 
     Zero-freeness on the closed disk is verified through the polynomial
-    roots; the minimum of |psi| over a 4096-node circle grid is recorded as
-    delta_floor.
+    roots, and the least root modulus is kept as zero_modulus (inf for a
+    constant psi), a float estimate; the minimum of |psi| over a 4096-node
+    circle grid is recorded as delta_floor.
     """
 
     psi: LaurentPolynomial
     label: str = ""
     delta_floor: float = field(init=False)
+    zero_modulus: float = field(init=False)
 
     def __post_init__(self):
         p = self.psi
@@ -166,14 +177,17 @@ class OuterWeight:
         c0 = complex(p.coefficient(0))
         if c0.imag != 0.0 or c0.real <= 0.0:
             raise ValueError("psi(0) must be real and positive")
+        zero = math.inf
         if p.hi >= 1:
-            roots = np.roots(p.coeffs[::-1])
-            if np.any(np.abs(roots) <= 1.0):
+            roots = np.abs(np.roots(p.coeffs[::-1]))
+            if np.any(roots <= 1.0):
                 raise ValueError("psi must be zero-free on the closed unit disk")
+            zero = float(roots.min()) if roots.size else zero
         floor = float(np.min(np.abs(p(grid_nodes(4096)))))
         if floor <= 0.0:
             raise ValueError("psi vanishes on the sampling grid")
         object.__setattr__(self, "delta_floor", floor)
+        object.__setattr__(self, "zero_modulus", zero)
 
     @property
     def psi0(self) -> float:
@@ -630,6 +644,103 @@ def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> tuple
 # residue identity
 
 _GRID_CAP = 1 << 20
+# the circles |y| = r^s, r the modulus of psi's nearest zero, on which the
+# quadrature's inner side bounds the integrand: densest toward the zero
+_LADDER = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16)
+# the fewest samples of psi per circle whose minimum _psi_floor certifies
+_PSI_SAMPLES = 1024
+# and the most it evaluates at once
+_PSI_BLOCK = 1 << 14
+
+
+def _float_up(x: int, e: int) -> float:
+    """x 2^e for an integer x >= 0, rounded up to a float; inf past the
+    float range."""
+    shift = max(x.bit_length() - 53, 0)
+    try:
+        return math.ldexp((x >> shift) + 1, e + shift)
+    except OverflowError:
+        return math.inf
+
+
+def _mag(a: tuple, f: int) -> float:
+    """|a| for a pair at f fractional bits, rounded up to a float."""
+    return _float_up(math.isqrt(a[0] * a[0] + a[1] * a[1]) + 1, -f)
+
+
+def _mul_err(a: tuple, ea: float, b: tuple, eb: float, f: int) -> float:
+    """The error of _cmul(a, b, f) against the exact product, in units of
+    2^-f, for pairs a and b within ea and eb units of exact values A and B:
+    |a b - A B| <= |a| eb + |B| ea <= |a| eb + |b| ea + ea eb 2^-f, plus
+    the rounding's unit (each part rounded to within half a unit)."""
+    return _mag(a, f) * eb + _mag(b, f) * ea + math.ldexp(ea * eb, -f) + 1.0
+
+
+def _horner_err(coeffs: Sequence, x: tuple, ex: float, f: int) -> tuple:
+    """(_horner(coeffs, x, f), its error in units of 2^-f) for coefficients
+    each within one unit and x within ex units of the exact ones: a Horner
+    step is one rounded product (_mul_err) plus a coefficient."""
+    acc, err = coeffs[-1], 1.0
+    for cr, ci in coeffs[-2::-1]:
+        err = _mul_err(acc, err, x, ex, f) + 1.0
+        pr, pi = _cmul(acc, x, f)
+        acc = pr + cr, pi + ci
+    return acc, err
+
+
+def _log_sum(logs: list) -> float:
+    """log sum_j e^(l_j), for a nonempty list."""
+    top = max(logs)
+    if not math.isfinite(top):
+        return top
+    return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _psi_floor(psi: np.ndarray, radius: float) -> float:
+    """A certified lower bound for min |psi| on the circle |y| = radius, or
+    0.0 where none is certified; psi holds the coefficients, constant
+    first, as complex floats.
+
+    psi is sampled at N equispaced points.  Along the circle
+    |d psi / d theta| <= D = sum_j j |c_j| radius^j, so psi moves by at
+    most D 2 pi / N between two samples and by D pi / N from the nearest
+    one.  If the least sampled |psi| exceeds D 2 pi / N, every arc keeps
+    psi in the half-plane of its first sample, so the winding number is
+    the sum of the principal arguments of consecutive sample ratios, and it
+    must be 0: psi has no zero in |y| <= radius.  The least sample minus
+    D pi / N is then the bound.  A margin of (d + 1) 2^-40 sum_j |c_j|
+    radius^j covers the rounding of the samples, taken _PSI_BLOCK at a
+    time.  N starts at _PSI_SAMPLES and grows by powers of two: the samples
+    of N nest in those of any multiple, so the least of them can only fall,
+    and N must exceed D 2 pi over it; past _GRID_CAP samples nothing is
+    certified.  A float root estimate may choose the radius; only this
+    check certifies it.
+    """
+    js = np.arange(len(psi))
+    with np.errstate(all="ignore"):
+        pows = radius ** js * np.abs(psi)
+        slope = (js * pows).sum() * 2 * math.pi
+        margin = len(psi) * 2.0 ** -40 * pows.sum()
+    size = _PSI_SAMPLES
+    while True:
+        low, turns, block = math.inf, 0.0, min(size, _PSI_BLOCK)
+        for start in range(0, size, block):
+            # a block of samples and the next one, for the last ratio
+            with np.errstate(all="ignore"):
+                y = radius * np.exp(2j * math.pi * np.arange(
+                    start, start + block + 1) / size)
+                vals = np.full(len(y), psi[-1])
+                for c in psi[-2::-1]:
+                    vals = vals * y + c
+                low = min(low, float(np.abs(vals[:-1]).min()))
+                turns += float(np.angle(vals[1:] / vals[:-1]).sum())
+        low -= margin
+        step = slope / size
+        if low > step:
+            return float(low - step / 2) if abs(turns) < math.pi else 0.0
+        if size >= _GRID_CAP or not (low > 0.0 and slope / low < _GRID_CAP):
+            return 0.0
+        size = max(2 * size, _next_pow2(math.ceil(slope / low)))
 
 
 def _node_values(x: tuple, psi: list, factors: list, f: int) -> list:
@@ -680,16 +791,21 @@ class ResidueNodes:
     g = G/m nodes reads every m-th node, and growing to twice the size
     evaluates only the odd nodes.  psi and the element are held times 2^-s,
     psi(0) 2^-s in [1, 2), which cancels in every term and in the bound.
+    The integer witness of each degree is solved once per table.
 
-    A numerator is sum_j a_j x_p^(j-n), and x_p^e is itself the table node
-    x_((e p) mod G); so each numerator is one exact integer dot product of
-    the element's coefficients against table nodes, rounded once, filled
-    once every node of the grid exists.  A term is one exact integer
-    complex product of numerator and weight, and a grid mean (mean) is the
-    exact integer sum of its terms rounded once to bits.  The same node
-    comes out on any grid that holds x_p and an integer sum does not depend
-    on its order, so a shared and an unshared table give the same mean bit
-    for bit.
+    A numerator is sum_e a_e x_p^e over the exponents e = 1 - 2n..0, and
+    x_p^e is itself the table node x_((e p) mod G).  The nodes satisfy
+    x_(p + G/4) = i x_p exactly, so x_(e (p + j G/4)) = i^(e j) x_(e p), and
+    four exact sums S_r = sum_(e = r mod 4) a_e x_((e p) mod G) give the
+    numerators at p, p + G/4, p + G/2 and p + 3G/4 as sum_r i^(r j) S_r,
+    by swaps and negations (_numerators): one exact integer dot product of
+    the element's coefficients against table nodes per four numerators,
+    each numerator the same exact sum, rounded once.  A term is one exact
+    integer complex product of numerator and weight, and a grid mean (mean)
+    is the exact integer sum of its terms rounded once to bits.  The same
+    node comes out on any grid that holds x_p and an integer sum does not
+    depend on its order, so a shared and an unshared table give the same
+    mean bit for bit.
 
     Error bound.  Let eps = 2^-f.  Every input (a node, a coefficient c_j
     of psi, a reflected zero zeta_i and its rotation, a coefficient a_j of
@@ -701,10 +817,10 @@ class ResidueNodes:
     E_k = (1 + d (S + 2)) / delta^2 + 1 + sum_(i <= k) (8 / (delta rho_i) + 1),
     and so every term and the unrounded mean within
     (A E_k + (A + L + 1) / delta) eps of the exact trapezoidal sum of the
-    element as given.  The mean's rounding adds a relative 2^-bits.  On
-    the measures of the tests, n up to 12, the bracket stays below 2^13
-    (largest for a root of psi at |z| = 1.05, where delta = 1/21), so the
-    table adds at most 2^(-19 - bits), 2^-35 of the check's 2^(16 - bits).
+    element as given.  The mean's rounding adds a relative 2^-bits, at most
+    2^-bits A / delta.  _sides computes this bracket for each row, from the
+    element in use, the masses and a certified delta (_psi_floor); it is
+    part of the row's quad_bound.
     """
 
     def __init__(self, mu: MeasureSpec, k_max: int | None = None):
@@ -725,11 +841,27 @@ class ResidueNodes:
         self._factors = [(zeta, (-ur, ui))  # rot = -|zeta|/zeta = -conj(u)
                          for _, zeta, (ur, ui), *_ in self._terms]
         self.k_max = len(self._factors)
+        # what the certified grid takes from psi (see _sides): S = sum |c_j|,
+        # delta, psi's nearest zero r, and per certified circle
+        # |y| = 1/rho = r^s of the ladder, (log rho, log min |psi|)
+        psi = np.array([complex(re, im) for re, im in self._psi]) * 2.0 ** -f
+        self._psi_sum = sum(_mag(c, f) for c in self._psi)
+        self._delta = _psi_floor(psi, 1.0)
+        self._zero, self._ladder = mu.weight.zero_modulus, []
+        # without delta every row is refused (see _sides); the circles
+        # nearer the zero are the harder to certify, so the ladder stops at
+        # the first that fails
+        for s in _LADDER if self._delta > 0.0 and self._zero > 1.0 else ():
+            floor = _psi_floor(psi, self._zero ** s)
+            if floor == 0.0:
+                break
+            self._ladder.append((-s * math.log(self._zero), math.log(floor)))
         # node, weight and numerator columns: real and imaginary parts
         self._x: list = [[], []]
         self._w: list = [[[], []] for _ in range(self.k_max + 1)]
         self._num: list = [[], []]
         self._given = None
+        self._witnesses: dict = {}  # n -> the integer witness's pairs
         self._coeffs: tuple = ((), ())
         self._n = 0  # no element in use
 
@@ -741,18 +873,147 @@ class ResidueNodes:
         """Make the Laurent element of degree n (its coefficients of
         z^-(n-1)..z^n) the one whose numerators the table holds, each
         coefficient times 2^-s rounded once to f bits: for element None the
-        integer extremal witness (_extremal, escalated as needed), else the
-        given numbers at the precision they were solved at."""
-        if element is not self._given or n != self._n:
-            self._given, self._n, frac = element, n, self._f - self._s
-            if element is None:
-                pairs = _escalate(self.mu, n, lambda bits: _extremal(
-                    _gram_from_exponents(self.mu, range(1 - n, n + 1), bits),
-                    frac)[0], "the extremal witness solve")
-            else:
-                pairs = [_fixed_pair(c, frac) for c in element]
-            self._coeffs = tuple(map(list, zip(*pairs)))
-            self._num = [[None] * self.grid, [None] * self.grid]
+        integer extremal witness (_extremal, escalated as needed, solved
+        once per n), else the given numbers at the precision they were
+        solved at."""
+        if element is self._given and n == self._n:
+            return
+        self._given, self._n, frac = element, n, self._f - self._s
+        if element is not None:
+            pairs = [_fixed_pair(c, frac) for c in element]
+        elif n in self._witnesses:
+            pairs = self._witnesses[n]
+        else:
+            pairs = self._witnesses[n] = _escalate(
+                self.mu, n, lambda bits: _extremal(_gram_from_exponents(
+                    self.mu, range(1 - n, n + 1), bits), frac)[0],
+                "the extremal witness solve")
+        self._coeffs = cr, ci = tuple(map(list, zip(*pairs)))
+        # the coefficients by their exponent e = 1 - 2n + j mod 4, for the
+        # quartets of numerators (_numerators)
+        e0 = 1 - 2 * n
+        self._classes = [(range(e0 + j, 1, 4), cr[j::4], ci[j::4])
+                         for j in ((r - e0) % 4 for r in range(4))]
+        self._moduli = [_mag(c, self._f) for c in pairs]
+        self._num = [[None] * self.grid, [None] * self.grid]
+
+    def _sides(self, k: int) -> tuple:
+        """The closed-form side of the identity for the element in use and
+        the first k masses, and its certified grid: (rhs_re, rhs_im,
+        majorant, grid, bound), the right-hand side at f fractional bits and
+        the Schwarz majorant at f + 2s.  Evaluates no node.
+
+        The quadrature's integrand is h(x) = R_n(x) x^-n B^k(x) / psi#(1/x),
+        psi# with the conjugated coefficients, and a G-point mean differs
+        from its constant term by the sum of its coefficients at the nonzero
+        multiples of G.  Outside the circle h is meromorphic and bounded at
+        infinity, with simple poles at the chosen masses only, so for l >= 1
+        its l-th coefficient is -sum_i Res_i z_i^(-l-1) exactly; the terms
+        t_i = Res_i / z_i are those of the right-hand side, and that side's
+        aliasing is at most sum_i |t_i| q_i / (1 - q_i), q_i = |z_i|^-G,
+        with |t_i| rounded up: its computed modulus plus the error of the
+        operations that form it, carried beside each value from its inputs'
+        units and each rounding's (_mul_err, _horner_err).  Inside, for a
+        constant psi, h has no coefficient below 1 - 2n, so that side
+        aliases nothing once G >= 2n; otherwise a Cauchy estimate on each
+        certified circle |x| = rho of the ladder bounds it by
+        M(rho) rho^G / (1 - rho^G), M(rho) = sum_j |a_j| rho^(j-n) /
+        min_(|y| = 1/rho) |psi|, as |B^k| <= 1 in the disk, and the least of
+        them counts (circle_fourier._alias_bound, as for the outer side).
+        The table's rounding (see the class) comes on top, and the sum,
+        times 1 + 2^-20 for the floats' own rounding, is the bound.  The
+        grid is the least power of two G >= max(2n, 4) whose bound is at
+        most 2^(14 - bits), a quarter of the check's 2^(16 - bits)
+        (circle_fourier._certified_grid); QuadratureError where it would
+        pass _GRID_CAP.
+        """
+        n, f, bits = self._n, self._f, self.mu.precision
+        one, terms = 1 << f, self._terms[:k]
+        # closed-form side, on the table's integers at f: psi and the
+        # element times 2^-s, which cancels in every term, each quotient
+        # rounded once
+        rev = list(zip(*self._coeffs))[::-1]  # z^n first, a polynomial in 1/z
+        den = math.prod(r for _, _, _, r, _, _ in terms) * self._psi[0][0]
+        rhs_re, rhs_im = _rdiv(rev[0][0] << (k + 1) * f, den), 0  # eta/(B^k(0) psi(0))
+        majorant, outer = 0, []
+        # beside each value, its error in units of 2^-f (_mul_err): z_i is
+        # exact, every other input within one unit
+        for i, (z, zeta, u, r, _, inv_m) in enumerate(terms):
+            w = (zeta[0], -zeta[1])  # 1/z_i
+            # B^k_*'(z_i) = p/q: conj(rot_i) (-conj(zeta_i)^2) / (1 - |zeta_i|^2)
+            # times conj(rot_j) (1 - conj(zeta_j) z_i) / (z_i - zeta_j) for
+            # j != i, where conj(rot_j) = -u_j
+            ww = _cmul(w, w, f)
+            p, ep = _cmul(u, ww, f), _mul_err(u, 1, ww, _mul_err(w, 1, w, 1, f), f)
+            q, eq = (one - _shift(r * r, -f), 0), _mul_err((r, 0), 1, (r, 0), 1, f)
+            for j, (_, (yr, yi), (vr, vi), *_) in enumerate(terms):
+                if j != i:
+                    c = _cmul((yr, -yi), z, f)
+                    ec = _mul_err((yr, -yi), 1, z, 0, f)
+                    v, c = (-vr, -vi), (one - c[0], -c[1])
+                    m, em = _cmul(v, c, f), _mul_err(v, 1, c, ec, f)
+                    p, ep = _cmul(p, m, f), _mul_err(p, ep, m, em, f)
+                    y = (z[0] - yr, z[1] - yi)
+                    q, eq = _cmul(q, y, f), _mul_err(q, eq, y, 1, f)
+            if p == (0, 0):
+                raise ValueError("degenerate double point in the reflected product")
+            (pr, pi), epsi = _horner_err(self._psi, zeta, 1, f)
+            # q B^k_*'(z_i) conj(psi(zeta_i))
+            d, ed = _cmul(p, (pr, -pi), f), _mul_err(p, ep, (pr, -pi), epsi, f)
+            # t_i = R_n(z_i) z_i^-(n+1) / (B^k_*'(z_i) conj(psi(zeta_i)))
+            h, eh = _horner_err(rev, w, 1, f)
+            h, eh = _cmul(h, w, f), _mul_err(h, eh, w, 1, f)
+            h, eh = _cmul(h, q, f), _mul_err(h, eh, q, eq, f)
+            tr, ti = _cdiv(h, d, f)
+            rhs_re, rhs_im = rhs_re - tr, rhs_im - ti
+            # 1 / (|B^k_*'(z_i) conj(psi(zeta_i)) z_i^(n+1)|^2 m_i)
+            qr, qi = _cmul(q, _cpow((r, 0), n + 1, f), f)
+            majorant += _rdiv((qr * qr + qi * qi) * inv_m, d[0] ** 2 + d[1] ** 2)
+            # the outer side: log |z_i| rounded down, and log |t_i| rounded
+            # up, with the quotient's error |h/d - H/D| <= (|h| ed + |d| eh)
+            # / (|d| |D|), |D| >= |d| - ed, and its rounding
+            low = _mag(d, f) * (1 - 2.0 ** -50) - math.ldexp(2, -f)  # <= |d|
+            far = low - math.ldexp(ed, -f)  # <= |D|
+            et = ((_mag(h, f) * ed + _mag(d, f) * eh) / (low * far)
+                  if far > 0.0 else math.inf)
+            t_up = (_mag((tr, ti), f) + math.ldexp(et + 1, -f)) * (1 + 2.0 ** -20)
+            size = abs(self.mu.spectrum.masses[i][0])
+            outer.append((math.log1p(size - 1.0 - size * 2.0 ** -52),
+                          math.log(t_up)))
+        # the inner side: per certified circle, -log rho and log M(rho)
+        inner = [(-log_rho, _log_sum([math.log(a) + e * log_rho for e, a in
+                                      enumerate(self._moduli, 1 - 2 * n)])
+                  - log_floor) for log_rho, log_floor in self._ladder]
+        big_a, delta = sum(self._moduli), self._delta
+        gaps = [math.ldexp(max(one - r - 1, 0), -f) for _, _, _, r, _, _ in terms]
+        if delta > 0.0 and all(gaps):
+            e_k = ((1 + (len(self._psi) - 1) * (self._psi_sum + 2)) / delta ** 2
+                   + 1 + sum(8 / (delta * rho) + 1 for rho in gaps))
+            rounding = ((big_a * e_k + (big_a + len(self._moduli) + 1) / delta)
+                        * 2.0 ** -f + big_a / delta * 2.0 ** -bits)
+        else:
+            rounding = math.inf
+
+        def parts(grid: int) -> list:
+            """(error bound, what sets it) per source, for a grid."""
+            out = [(_alias_bound([pair], grid), f"the mass at {point}")
+                   for pair, (point, _) in zip(outer, self.mu.spectrum.masses)]
+            if len(self._psi) > 1:
+                out.append((_alias_bound(inner, grid),
+                            f"the zero of psi at |y| = {self._zero:.15g}"))
+            return out + [(rounding, "the fixed-point rounding")]
+
+        def refuse(bound: float) -> QuadratureError:
+            return QuadratureError(
+                f"the residue quadrature at n = {n}, k = {k} needs more than "
+                f"{_GRID_CAP} nodes: its certified bound there is {bound:.3g}, "
+                f"above 2^(14 - {bits}), set by "
+                f"{max(parts(_GRID_CAP), key=lambda p: p[0])[1]}")
+
+        grid, bound = _certified_grid(
+            max(2 * n, 4), lambda g: sum(b for b, _ in parts(g)) * (1 + 2 ** -20),
+            2.0 ** (14 - bits), _GRID_CAP, refuse)
+        return rhs_re, rhs_im, majorant, grid, bound
 
     def mean(self, k: int, grid: int):
         """The circle mean over the grid of that size of the terms
@@ -762,25 +1023,35 @@ class ResidueNodes:
         self._grow(grid)
         m = self.grid // grid
         num_re, num_im = self._num
-        for p in range(0, self.grid, m):
+        for p in range(0, self.grid // 4, m):
             if num_re[p] is None:
-                num_re[p], num_im[p] = self._numerator(p)
+                self._numerators(p)
         wr, wi = (col[::m] for col in self._w[k])
         re, im = _dot(num_re[::m], num_im[::m], wr, wi)
         return _to_mpc(self._ctx, re, im,
                        -2 * self._f - (grid.bit_length() - 1))
 
-    def _numerator(self, p: int) -> tuple:
-        """R_n(x_p) x_p^(-n) of the element in use, the exact dot product of
-        its coefficients with table nodes rounded once to f bits."""
+    def _numerators(self, p: int) -> None:
+        """Fill the numerators R_n(x) x^(-n) of the element in use at the
+        nodes p + j G/4, j = 0..3, for p < G/4: the four exact sums S_r over
+        the exponents e = r mod 4 of a_e x_((e p) mod G), combined as
+        sum_r i^(r j) S_r, each part rounded once to f bits."""
         size, f = self.grid, self._f
-        cr, ci = self._coeffs
-        e0 = 1 - 2 * self._n
-        idx = [(e * p) % size for e in range(e0, e0 + len(cr))]
         x_re, x_im = self._x
-        re, im = _dot(cr, ci, [x_re[i] for i in idx], [x_im[i] for i in idx])
-        half = 1 << (f - 1)
-        return (re + half) >> f, (im + half) >> f
+        sums = []
+        for exps, cr, ci in self._classes:
+            idx = [e * p % size for e in exps]
+            sums.append(_dot(cr, ci, [x_re[i] for i in idx],
+                             [x_im[i] for i in idx]))
+        (ar, ai), (br, bi), (cr, ci), (dr, di) = sums
+        half, quarter = 1 << (f - 1), size // 4
+        num_re, num_im = self._num
+        for j, (re, im) in enumerate(((ar + br + cr + dr, ai + bi + ci + di),
+                                      (ar - bi - cr + di, ai + br - ci - dr),
+                                      (ar - br + cr - dr, ai - bi + ci - di),
+                                      (ar + bi - cr - di, ai - br - ci + dr))):
+            num_re[p + j * quarter] = (re + half) >> f
+            num_im[p + j * quarter] = (im + half) >> f
 
     def _grow(self, grid: int) -> None:
         while self.grid < grid:
@@ -802,23 +1073,10 @@ class ResidueNodes:
             self._x, self._w, self._num = fresh, fresh_w, fresh_num
 
 
-def residue_identity_check(mu: MeasureSpec, n: int, k: int,
-                           element: tuple | None = None,
-                           nodes: ResidueNodes | None = None) -> dict:
-    """Contour-integral identity for the Laurent element R_n and the first k
-    masses.
-
-    LHS: circle mean of R_n(x) x^(-n) / (conj(psi(x)) conj(B^k(x))), the
-    quadrature of the contour integral of R_n/(psi_* z^(n+1) B^k_*).
-    RHS: eta_n/(B^k(0) psi(0)) minus the residue sum at the first k mass
-    points.  Returns both sides, their gap, and the Cauchy-Schwarz majorant
-    of the residue sum.  element, the orthonormal Laurent element's 2n
-    coefficients of z^-(n-1)..z^n, is solved on integers, once per n and
-    table, when not given.  nodes is a ResidueNodes table of mu, built here
-    when not given; a caller checking several (n, k) shares one, so each
-    node's psi and Blaschke values are computed once and its element value
-    once per n.  The record is the same bit for bit either way.
-    """
+def _residue_table(mu: MeasureSpec, n: int, k: int, element: tuple | None,
+                   nodes: ResidueNodes | None) -> ResidueNodes:
+    """nodes, or a new table of mu holding k masses, with the Laurent
+    element of degree n in use, once the arguments are checked."""
     if not 0 <= k <= len(mu.spectrum):
         raise ValueError("k must be between 0 and the number of masses")
     if len({z for z, _ in mu.spectrum.masses[:k]}) < k:
@@ -827,68 +1085,64 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
         nodes = ResidueNodes(mu, k)
     elif nodes.mu is not mu or nodes.k_max < k:
         raise ValueError("nodes must be a table of this measure holding k masses")
-    bits = mu.precision
-    ctx = context(bits)
     if n < 1:
         raise ValueError("laurent elements need n >= 1")
     if element is not None and len(element) != 2 * n:
         raise ValueError("element must be the Laurent element of degree n")
+    if 2 * n > _GRID_CAP:  # refused before the element is solved
+        raise QuadratureError(
+            f"the residue quadrature at n = {n} needs at least 2n nodes, "
+            f"more than {_GRID_CAP}")
     nodes.use(element, n)
+    return nodes
 
-    # closed-form side, on the table's integers at f: psi and the element
-    # times 2^-s, which cancels in every term, each quotient rounded once
-    f, one, terms = nodes._f, 1 << nodes._f, nodes._terms[:k]
-    rev = list(zip(*nodes._coeffs))[::-1]  # z^n first, a polynomial in 1/z
-    den = math.prod(r for _, _, _, r, _, _ in terms) * nodes._psi[0][0]
-    rhs_re, rhs_im = _rdiv(rev[0][0] << (k + 1) * f, den), 0  # eta/(B^k(0) psi(0))
-    majorant = 0
-    for i, (z, zeta, u, r, _, inv_m) in enumerate(terms):
-        w = (zeta[0], -zeta[1])  # 1/z_i
-        # B^k_*'(z_i) = p/q: conj(rot_i) (-conj(zeta_i)^2) / (1 - |zeta_i|^2)
-        # times conj(rot_j) (1 - conj(zeta_j) z_i) / (z_i - zeta_j) for
-        # j != i, where conj(rot_j) = -u_j
-        p, q = _cmul(u, _cmul(w, w, f), f), (one - _shift(r * r, -f), 0)
-        for j, (_, (yr, yi), (vr, vi), *_) in enumerate(terms):
-            if j != i:
-                cr, ci = _cmul((yr, -yi), z, f)
-                p = _cmul(p, _cmul((-vr, -vi), (one - cr, -ci), f), f)
-                q = _cmul(q, (z[0] - yr, z[1] - yi), f)
-        if p == (0, 0):
-            raise ValueError("degenerate double point in the reflected product")
-        pr, pi = _horner(nodes._psi, zeta, f)
-        d = _cmul(p, (pr, -pi), f)  # q B^k_*'(z_i) conj(psi(zeta_i))
-        # R_n(z_i) z_i^-(n+1) / (B^k_*'(z_i) conj(psi(zeta_i)))
-        tr, ti = _cdiv(_cmul(_cmul(_horner(rev, w, f), w, f), q, f), d, f)
-        rhs_re, rhs_im = rhs_re - tr, rhs_im - ti
-        # 1 / (|B^k_*'(z_i) conj(psi(zeta_i)) z_i^(n+1)|^2 m_i)
-        qr, qi = _cmul(q, _cpow((r, 0), n + 1, f), f)
-        majorant += _rdiv((qr * qr + qi * qi) * inv_m, d[0] ** 2 + d[1] ** 2)
-    rhs = _to_mpc(ctx, rhs_re, rhs_im, -f)
-    majorant = _to_mpf(ctx, majorant, -f - 2 * nodes._s)
 
-    # quadrature side: each doubling of the grid evaluates only its odd
-    # nodes (see ResidueNodes)
-    tol = ctx.mpf(2) ** (-min(bits, 160) + 20)
-    grid = _next_pow2(max(8 * (n + 1), 256))
-    prev = nodes.mean(k, grid)
-    while True:
-        if 2 * grid > _GRID_CAP:
-            raise QuadratureError(
-                f"residue quadrature did not converge by {_GRID_CAP} nodes")
-        grid *= 2
-        cur = nodes.mean(k, grid)
-        if abs(cur - prev) <= tol:
-            break
-        prev = cur
-    lhs = cur
+def residue_grid(mu: MeasureSpec, n: int, k: int, element: tuple | None = None,
+                 nodes: ResidueNodes | None = None) -> tuple:
+    """(grid, quad_bound) of residue_identity_check's row (n, k): the one
+    grid its quadrature evaluates and that grid's certified error bound,
+    found without evaluating any node.  QuadratureError where the grid
+    would pass _GRID_CAP nodes; a caller certifies every row first to learn
+    that before any node is evaluated."""
+    return _residue_table(mu, n, k, element, nodes)._sides(k)[3:]
+
+
+def residue_identity_check(mu: MeasureSpec, n: int, k: int,
+                           element: tuple | None = None,
+                           nodes: ResidueNodes | None = None) -> dict:
+    """Contour-integral identity for the Laurent element R_n and the first k
+    masses.
+
+    LHS: circle mean of R_n(x) x^(-n) / (conj(psi(x)) conj(B^k(x))), the
+    quadrature of the contour integral of R_n/(psi_* z^(n+1) B^k_*), on one
+    grid chosen before any node is evaluated (ResidueNodes._sides): the
+    least power of two of at least 2n nodes whose certified bound on the
+    quadrature's aliasing and rounding, quad_bound, is at most
+    2^(14 - bits).  RHS: eta_n/(B^k(0) psi(0)) minus the residue sum at the
+    first k mass points.  Returns both sides, their gap, the Cauchy-Schwarz
+    majorant of the residue sum, the grid and quad_bound.  element, the
+    orthonormal Laurent element's 2n coefficients of z^-(n-1)..z^n, is
+    solved on integers, once per n and table, when not given.  nodes is a
+    ResidueNodes table of mu, built here when not given; a caller checking
+    several (n, k) shares one, so each node's psi and Blaschke values are
+    computed once and its element value once per n.  The record is the
+    same bit for bit either way.  QuadratureError where the grid would pass
+    _GRID_CAP nodes, before any node is evaluated.
+    """
+    nodes = _residue_table(mu, n, k, element, nodes)
+    rhs_re, rhs_im, majorant, grid, bound = nodes._sides(k)
+    ctx = context(mu.precision)
+    lhs = nodes.mean(k, grid)
+    rhs = _to_mpc(ctx, rhs_re, rhs_im, -nodes._f)
     return {
         "n": n,
         "k": k,
         "lhs": lhs,
         "rhs": rhs,
         "abs_diff": abs(lhs - rhs),
-        "schwarz_majorant": majorant,
+        "schwarz_majorant": _to_mpf(ctx, majorant, -nodes._f - 2 * nodes._s),
         "grid": grid,
+        "quad_bound": bound,
     }
 
 

@@ -406,6 +406,38 @@ def test_alias_grid_is_set_by_its_bound(grid_sizes):
     assert grid_sizes == [512]
 
 
+# (kind, n, epsilon): (D, alias grid) at seed 1; the alias grid goes through
+# circle_fourier._certified_grid and must keep these sizes
+ALIAS_GRIDS = {
+    ("uniform_disk", 16, 1.0): (343, 512),
+    ("uniform_disk", 16, 0.1): (1334, 2048),
+    ("uniform_disk", 64, 1.0): (1557, 2048),
+    ("uniform_disk", 64, 0.1): (4522, 8192),
+    ("uniform_disk", 256, 1.0): (8056, 8192),
+    ("uniform_disk", 256, 0.1): (46223, 65536),
+    ("boundary_cluster", 16, 1.0): (383, 512),
+    ("boundary_cluster", 16, 0.1): (1372, 2048),
+    ("boundary_cluster", 64, 1.0): (2691, 4096),
+    ("boundary_cluster", 64, 0.1): (10676, 16384),
+    ("boundary_cluster", 256, 1.0): (11816, 16384),
+    ("boundary_cluster", 256, 0.1): (99582, 131072),
+    ("radial_line", 16, 1.0): (79, 128),
+    ("radial_line", 16, 0.1): (95, 128),
+    ("radial_line", 64, 1.0): (141, 256),
+    ("radial_line", 64, 0.1): (146, 256),
+    ("radial_line", 256, 1.0): (341, 512),
+    ("radial_line", 256, 0.1): (342, 512),
+}
+
+
+@pytest.mark.parametrize("kind, n, eps", list(ALIAS_GRIDS))
+def test_alias_grid_keeps_its_grids(kind, n, eps):
+    c = build_corrector(generate_zeros(kind, n, 1), eps)
+    env = _tail_envelope(c)
+    d = _truncation_degree(c, 2, 1e-9, env)
+    assert (d, _alias_grid(d, 1e-10, env)) == ALIAS_GRIDS[kind, n, eps]
+
+
 def test_derivative_apriori_grid_is_capped(grid_sizes):
     # R - 1 = 1.25e-13 would ask for a 2^49-node grid; past 2^22 the mean
     # is bounded by the integrand's max

@@ -18,6 +18,7 @@ from szego_lab.circle_fourier import (
     sup_norm,
     sup_norm_certified,
     vallee_poussin,
+    _certified_grid,
 )
 
 
@@ -285,3 +286,22 @@ def test_besov_rejects_laurent_input():
     assert besov_seminorm(LaurentPolynomial.zero(), 1.0, np.inf) == 0.0
 
 
+
+
+def test_certified_grid_doubles_to_its_bound_and_refuses_past_the_cap():
+    # bound(m) = 2^-m / 64: the first power of two from 5 up with
+    # bound <= 2^-30 is 32; a cap of 16 refuses with the bound there
+    seen = []
+
+    def bound(m):
+        seen.append(m)
+        return 2.0 ** -m / 64
+
+    assert _certified_grid(5, bound, 2.0 ** -30, 1 << 20, ValueError) == (
+        32, 2.0 ** -38)
+    assert seen == [8, 16, 32]
+    with pytest.raises(ValueError) as info:
+        _certified_grid(5, bound, 2.0 ** -30, 16, ValueError)
+    assert info.value.args == (2.0 ** -22,)
+    # a start past the cap is kept where its bound holds
+    assert _certified_grid(64, bound, 2.0 ** -30, 16, ValueError)[0] == 64

@@ -258,7 +258,13 @@ def test_residue_check_artifacts(tmp_path, capsys):
                                                 ("4", "2")]
     for row in rows:
         assert float(row["abs_diff"]) <= 1e-8
-    assert read_report(str(tmp_path / "out"))["summary"]["max_abs_diff"] <= 1e-8
+        assert "quad_bound" not in row
+    report = read_report(str(tmp_path / "out"))
+    assert report["summary"]["max_abs_diff"] <= 1e-8
+    # each row's certified quadrature bound, in report.json only, meets the
+    # grid's target 2^(14 - bits)
+    for row in report["rows"]:
+        assert 0 < row["quad_bound"] <= 2.0 ** (14 - 256)
 
 
 def test_residue_check_without_masses(tmp_path, capsys):
@@ -294,6 +300,30 @@ def test_residue_check_at_any_scale_of_psi(tmp_path, capsys, c0):
     for row in rows:
         assert int(row["grid"]) <= 512
         assert float(row["abs_diff"]) <= 2.0 ** (16 - 128)
+
+
+@pytest.mark.parametrize("psi", [
+    [[1.0, 0], [-1.8, 0], [0.81, 0]],  # (1 - 0.9 z)^2, min |psi| 0.01
+    [[math.comb(8, j) * (-0.5) ** j, 0] for j in range(9)],  # (1 - z/2)^8
+    [[1.0, 0], [-0.995, 0]],  # its zero at 1.005
+], ids=["square", "degree-8", "near-circle"])
+def test_residue_check_on_psi_with_a_small_minimum(tmp_path, capsys, psi):
+    # min |psi| on the circle is below 2 pi/1024 times psi's derivative
+    # bound, so certifying it takes more than 1,024 samples; every row
+    # still runs, to the check's tolerance and inside its certified bound
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": psi, "masses": [[1.5, 0.0, 0.3]], "precision_bits": 128})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [4, 8], "k_list": [0, 1],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 0, out
+    rows = read_rows(str(tmp_path / "out"))
+    assert len(rows) == 4
+    for row in rows:
+        assert float(row["abs_diff"]) <= 2.0 ** (16 - 128)
+    for row in read_report(str(tmp_path / "out"))["rows"]:
+        assert 0 < row["quad_bound"] <= 2.0 ** (14 - 128)
 
 
 def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
@@ -332,16 +362,17 @@ RESIDUE_FROZEN_MEASURES = {
 
 
 # columns that must match residue_check_frozen.csv byte for byte; lhs_re,
-# lhs_im and abs_diff carry the rounding of the quadrature's numerator sum
-RESIDUE_EXACT_COLUMNS = ("n", "k", "rhs_re", "rhs_im", "schwarz_majorant",
-                         "grid")
+# lhs_im and abs_diff carry the rounding of the quadrature's numerator sum,
+# and the certified grid is at most the doubling's grid the file holds
+RESIDUE_EXACT_COLUMNS = ("n", "k", "rhs_re", "rhs_im", "schwarz_majorant")
 
 
 def test_residue_check_matches_frozen_csv(tmp_path, capsys):
     # residue_check_frozen.csv holds certificates.csv of both measures, each
     # line prefixed with the measure's name.  The header and the exact
     # columns match it byte for byte; lhs_re and lhs_im lie within
-    # 2^(16 - bits) of it, and abs_diff is at most 2^(16 - bits)
+    # 2^(16 - bits) of it, abs_diff is at most 2^(16 - bits), and the grid
+    # is at most the frozen one
     with open(RESIDUE_FROZEN, newline="") as fh:
         frozen_header = fh.readline()
         frozen = list(csv.DictReader(fh, fieldnames=frozen_header.strip().split(",")))
@@ -364,6 +395,7 @@ def test_residue_check_matches_frozen_csv(tmp_path, capsys):
         assert row["measure"] == want["measure"], where
         for col in RESIDUE_EXACT_COLUMNS:
             assert row[col] == want[col], (where, col)
+        assert int(row["grid"]) <= int(want["grid"]), where
         for col in ("lhs_re", "lhs_im"):
             assert abs(float(row[col]) - float(want[col])) <= tol, (where, col)
         assert float(row["abs_diff"]) <= tol, where
@@ -869,6 +901,39 @@ def test_residue_check_refuses_a_far_mass_before_any_node(tmp_path, capsys,
         assert err["type"] == "QuadratureError" and err["exit_code"] == 3
         assert "1.2379400392853803e+27" in err["message"]
         assert "53 bits" in err["message"]
+
+
+@pytest.mark.parametrize("measure, named", [
+    # a mass 1e-15 outside the circle, and a psi whose zero lies 1e-12
+    # outside it: each needs far more than 2^20 nodes
+    ({"psi": [[1, 0]], "masses": [[1 + 1e-15, 0, 0.3]]},
+     "the mass at (1.000000000000001+0j)"),
+    ({"psi": [[1, 0], [-0.999999999999, 0]], "masses": [[1.5, 0, 0.3]]},
+     "the zero of psi at |y| = 1.000000000001"),
+], ids=["mass-near-circle", "psi-zero-near-circle"])
+def test_residue_check_refuses_a_grid_past_the_cap_before_any_node(
+        tmp_path, capsys, monkeypatch, measure, named):
+    # every row's grid is certified first, so the run exits 3 naming what
+    # sets the grid, with no node evaluated, k = 0 rows included
+    nodes = []
+    real = mo._node_values
+
+    def counted(*args):
+        nodes.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(mo, "_node_values", counted)
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": write_json(tmp_path / "mu.json",
+                                   dict(measure, precision_bits=128)),
+        "n_grid": [4, 8], "k_list": [0, 1], "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 3, out
+    err = json.loads(out, parse_constant=refuse_constant)["error"]
+    assert err["type"] == "QuadratureError"
+    assert "needs more than 1048576 nodes" in err["message"]
+    assert named in err["message"]
+    assert nodes == []
 
 
 def test_failed_witness_solve_is_named(tmp_path, capsys):

@@ -22,7 +22,7 @@ from mpmath.libmp import from_man_exp
 
 from exact_oracle import as_fraction, bareiss_solve, exact_gram, exact_moments
 from szego_lab.blaschke import BlaschkeProduct, ZeroSet, eval_blaschke
-from szego_lab.circle_fourier import LaurentPolynomial
+from szego_lab.circle_fourier import LaurentPolynomial, _next_pow2
 from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
@@ -36,6 +36,7 @@ from szego_lab.measure_opuc import (
     log_condition_report,
     moment,
     orthonormal_element,
+    residue_grid,
     residue_identity_check,
     target_limit,
     tau_n,
@@ -392,10 +393,55 @@ def test_moment_cache_evicts_safely_from_threads(monkeypatch):
     assert len(mo._moment_cache) <= 8
 
 
+@pytest.mark.parametrize("coeffs, radius, low", [
+    # 1 - a z, about a < 0.99390, has 1 - a > 2 pi a / 1024: 1,024 samples
+    # certify its minimum on one side, more on the other
+    *(([1.0, -a], 1.0, 1 - a) for a in (0.5, 0.98, 0.9937, 0.9938, 0.9939,
+                                        0.9940, 0.9941, 0.995)),
+    ([1.0, -1.8, 0.81], 1.0, 0.01),  # (1 - 0.9 z)^2: 4,096 samples
+    # (1 - z/2)^8: 131,072 samples
+    ([math.comb(8, j) * (-0.5) ** j for j in range(9)], 1.0, 0.5 ** 8),
+    # 1 - 0.98 z on the ladder's last circle: 8,192 samples
+    ([1.0, -0.98], 1 / 0.98 ** (15 / 16), 1 - 0.98 ** (1 / 16)),
+])
+def test_psi_floor_takes_the_samples_its_derivative_bound_needs(
+        coeffs, radius, low):
+    # the minimum, low, is attained at the sample y = radius: the floor is
+    # at most low and within about half of it
+    floor = mo._psi_floor(np.array(coeffs, dtype=complex), radius)
+    assert (low - 1e-9) / 2 < floor <= low * (1 + 1e-9)
+
+
+@pytest.mark.parametrize("coeffs, radius", [
+    ([1.0, -0.999999999999], 1.0),  # min 1e-12: past 2^20 samples
+    ([1.0, -2.0], 1.0),  # a zero inside: psi winds once
+    ([1.0, -1.0], 1.0),  # a zero on the circle, at a sample
+])
+def test_psi_floor_certifies_nothing_past_the_cap_or_around_a_zero(
+        coeffs, radius):
+    assert mo._psi_floor(np.array(coeffs, dtype=complex), radius) == 0.0
+
+
+def test_psi_near_the_circle_keeps_its_whole_ladder():
+    # psi = 1 - 0.98 z: every circle of the ladder, up to 15/16 of the way
+    # to the zero, is certified, each with more than 1,024 samples
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.98])),
+                     PointSpectrum(((1.5, 0.3),)), 128)
+    nodes = ResidueNodes(mu)
+    assert len(nodes._ladder) == len(mo._LADDER)
+    assert nodes._zero == mu.weight.zero_modulus == pytest.approx(1 / 0.98)
+
+
 def test_quadrature_cap_raises(monkeypatch):
-    # the residue quadrature doubles its grid past the cap and gives up
+    # the residue quadrature's certified grid, 512 nodes here, passes the
+    # cap: refused before any node is evaluated
+    def no_node(*args):
+        raise AssertionError("a node was evaluated")
+
+    assert residue_grid(one_mass(), 4, 1)[0] == 512
     monkeypatch.setattr(mo, "_GRID_CAP", 256)
-    with pytest.raises(QuadratureError):
+    monkeypatch.setattr(mo, "_node_values", no_node)
+    with pytest.raises(QuadratureError, match="the mass at"):
         residue_identity_check(one_mass(), 4, 1)
 
 
@@ -1175,23 +1221,27 @@ def test_residue_records_do_not_depend_on_the_scale_of_psi(bits):
 def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
     # one table shared by every (n, k): psi and the Blaschke prefix products
     # are evaluated once per node of the finest grid, the element once per
-    # node per n (a doubled grid reuses the nodes of the coarser one)
+    # node per n (a doubled grid reuses the nodes of the coarser one), four
+    # numerators per call, at the nodes p + j G/4 of the table's G
     dens, nums = [], {}
-    real_dens, real_num = mo._node_values, ResidueNodes._numerator
+    real_dens, real_num = mo._node_values, ResidueNodes._numerators
 
     def counted_dens(x, psi, factors, f):
         dens.append(x)
         return real_dens(x, psi, factors, f)
 
     def counted_num(self, p):
-        nums.setdefault(self._n, []).append((self._x[0][p], self._x[1][p]))
+        quarter = self.grid // 4
+        assert p < quarter
+        nums.setdefault(self._n, []).extend(
+            (self._x[0][q], self._x[1][q]) for q in range(p, self.grid, quarter))
         return real_num(self, p)
 
     mu = two_mass()
     elements = {n: orthonormal_element(mu, n, laurent=True) for n in (4, 6)}
     plain = residue_identity_check(mu, 6, 2)
     monkeypatch.setattr(mo, "_node_values", counted_dens)
-    monkeypatch.setattr(ResidueNodes, "_numerator", counted_num)
+    monkeypatch.setattr(ResidueNodes, "_numerators", counted_num)
     nodes = ResidueNodes(mu)
     recs = {(n, k): residue_identity_check(mu, n, k, element=elements[n],
                                            nodes=nodes)
@@ -1232,7 +1282,7 @@ def test_residue_numerators_match_horner(mu, n, trimmed):
     assert all(c == 0 for c in element[:-1]) == trimmed
     nodes = ResidueNodes(mu)
     nodes.use(element, n)
-    nodes.mean(0, 1024)
+    nodes.mean(0, 1024)  # every numerator, by the quartets of _numerators
     assert nodes.grid == 1024
     ctx = context(mu.precision)
     coeffs = [ctx.convert(c) for c in element[::-1]]  # not rounded
@@ -1241,7 +1291,8 @@ def test_residue_numerators_match_horner(mu, n, trimmed):
         x = fixed_to_mpc(ctx, nodes._x[0][p], nodes._x[1][p], nodes._f)
         want = ctx.polyval(coeffs, x) * x ** (1 - 2 * n)
         # the table holds the element times 2^-s
-        got = fixed_to_mpc(ctx, *nodes._numerator(p), nodes._f - nodes._s)
+        got = fixed_to_mpc(ctx, nodes._num[0][p], nodes._num[1][p],
+                           nodes._f - nodes._s)
         assert abs(got - want) <= tol * abs(want), p
 
 
@@ -1263,7 +1314,7 @@ def test_residue_nodes_use_rounds_evaluation_not_coefficients():
 
 @pytest.mark.parametrize("mu, rows", [
     # a mass at |z| = 1.048 needs 4096 nodes at k = 1 where k = 0 needs
-    # 512, so the table doubles while it holds the numerators of an element
+    # 256, so the table doubles while it holds the numerators of an element
     (MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.3])),
                  PointSpectrum(((0.42 + 0.96j, 0.2), (-1.5, 0.3))), 256),
      [(2, 0), (4, 1), (4, 0), (2, 2), (6, 0)]),
@@ -1308,10 +1359,10 @@ def oracle_node_values(ctx, x, psi, factors):
 
 
 def oracle_quadrature(mu, n, ks, element):
-    """{k: (lhs, grid)} of the residue quadrature by mpmath at the
-    measure's precision: nodes by expjpi, each numerator one fdot of the
-    element's coefficients against grid nodes, and each grid mean an fsum
-    of numerator times weight; the integer table's oracle."""
+    """mean(k, grid) of the residue quadrature by mpmath at the measure's
+    precision: nodes by expjpi, each numerator one fdot of the element's
+    coefficients against grid nodes, and each grid mean an fsum of
+    numerator times weight; the integer table's oracle."""
     bits = mu.precision
     ctx = context(bits)
     psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
@@ -1339,26 +1390,30 @@ def oracle_quadrature(mu, n, ks, element):
                  for num, w in map(value, range(0, cap, cap // grid)))
         return ctx.fsum(terms) / grid
 
-    tol = ctx.mpf(2) ** (-min(bits, 160) + 20)
-    out = {}
-    for k in ks:
-        grid = mo._next_pow2(max(8 * (n + 1), 256))
-        prev = mean(k, grid)
-        while True:
-            grid *= 2
-            cur = mean(k, grid)
-            if abs(cur - prev) <= tol:
-                break
-            prev = cur
-        out[k] = cur, grid
-    return out
+    return mean
+
+
+def doubling_oracle(mean, n, bits, k):
+    """(lhs, grid) by the rule the certified grid replaced: from
+    max(8(n + 1), 256) nodes, double until two grids agree to
+    2^(20 - min(bits, 160)), and keep the finer one."""
+    tol = mp.mpf(2) ** (-min(bits, 160) + 20)
+    grid = _next_pow2(max(8 * (n + 1), 256))
+    prev = mean(k, grid)
+    while True:
+        grid *= 2
+        cur = mean(k, grid)
+        if abs(cur - prev) <= tol:
+            return cur, grid
+        prev = cur
 
 
 ORACLE_MEASURES = {
     "readme-two-mass": (LaurentPolynomial(0, [1.0, -0.5]),
                         PointSpectrum(((1.5, 0.3), (-1.25, 0.1)))),
     "complex-psi": (COMPLEX_PSI.weight.psi, COMPLEX_PSI.spectrum),
-    # above 53 bits k = 1 needs 4096 nodes where k = 0 needs 512
+    # at 256 bits k = 1 certifies 4096 nodes where k = 0 certifies 256;
+    # above 53 bits the doubling took 4096 and 512
     "near-circle": (LaurentPolynomial(0, [1.0, -0.3]),
                     PointSpectrum(((0.42 + 0.96j, 0.2), (-1.5, 0.3)))),
     "mass-free": (LaurentPolynomial(0, [1.0, 0.4 - 0.3j]),
@@ -1369,6 +1424,23 @@ ORACLE_MEASURES = {
 }
 
 
+@pytest.mark.parametrize("bits", [53, 128, 256])
+@pytest.mark.parametrize("name", list(ORACLE_MEASURES))
+def test_quad_bound_holds_against_a_four_times_finer_grid(name, bits):
+    # the certified bound covers the certified grid's error: its mean is
+    # within quad_bound of the mean on four times as many nodes, and the
+    # bound meets the target 2^(14 - bits)
+    psi, spectrum = ORACLE_MEASURES[name]
+    mu = MeasureSpec(OuterWeight(psi), spectrum, bits)
+    nodes = ResidueNodes(mu)
+    for n in (1, 4, 8):
+        for k in range(len(spectrum) + 1):
+            rec = residue_identity_check(mu, n, k, nodes=nodes)
+            assert rec["quad_bound"] <= 2.0 ** (14 - bits), (n, k)
+            finer = nodes.mean(k, 4 * rec["grid"])
+            assert abs(rec["lhs"] - finer) <= rec["quad_bound"], (n, k)
+
+
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
 @pytest.mark.parametrize("name", list(ORACLE_MEASURES))
 def test_integer_quadrature_matches_mpmath_oracle(name, bits):
@@ -1377,16 +1449,25 @@ def test_integer_quadrature_matches_mpmath_oracle(name, bits):
     n = 4
     ks = range(len(spectrum) + 1)
     element = orthonormal_element(mu, n, laurent=True)
-    want = oracle_quadrature(mu, n, ks, element)
+    mean = oracle_quadrature(mu, n, ks, element)
     nodes = ResidueNodes(mu)
     tol = mp.mpf(2) ** (8 - bits)
+    doubled = []
     for k in ks:
         rec = residue_identity_check(mu, n, k, element=element, nodes=nodes)
-        lhs, grid = want[k]
-        assert rec["grid"] == grid, k
+        lhs = mean(k, rec["grid"])
         assert abs(rec["lhs"] - lhs) <= tol * max(1, abs(lhs)), k
+        # the doubling rule, a second oracle: the certified grid is no
+        # larger where its target 2^(14 - bits) is no finer than the
+        # doubling's 2^(20 - min(bits, 160)) by more than the doubling's
+        # one extra grid makes up
+        lhs, grid = doubling_oracle(mean, n, bits, k)
+        assert abs(rec["lhs"] - lhs) <= mp.mpf(2) ** (20 - min(bits, 160)), k
+        if bits <= 256:
+            assert rec["grid"] <= grid, k
+        doubled.append(grid)
     if name == "near-circle" and bits > 53:
-        assert (want[0][1], want[1][1]) == (512, 4096)
+        assert doubled[:2] == [512, 4096]
 
 
 def test_residue_nodes_validation():
