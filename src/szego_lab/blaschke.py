@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import NamedTuple, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -35,7 +35,6 @@ from szego_lab.circle_fourier import (
     _alias_bound,
     _besov_blocks,
     _certified_grid,
-    _next_pow2,
     sup_norm_certified,
 )
 
@@ -45,13 +44,11 @@ __all__ = [
     "DilatedCorrector",
     "PoleProximityError",
     "TaylorToleranceError",
-    "DerivSup",
     "eval_blaschke",
     "build_corrector",
     "corrector_with_radius",
     "eval_phi0",
     "eval_B_phi",
-    "derivative_sup",
     "taylor_coeffs",
     "corrector_certificate",
 ]
@@ -470,49 +467,6 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
                                  + float(np.abs(series[k + 1 :]).sum()))
         sups[s] = SupBound(grid.value, grid.upper + err)
     return LaurentPolynomial(0, a[: k + 1]), sups
-
-
-class DerivSup(NamedTuple):
-    value: float
-    apriori: float
-
-
-def _derivative_apriori(c: DilatedCorrector, order: int, oversample: int) -> float:
-    """The a-priori Cauchy bound on sup |(B phi0)^(order)| over the circle.
-
-    order! * R^n * mean(r / |r e^(i t) - 1|^(order+1)) on the circle of
-    radius r = (1+R)/2: the mean is r/(r^2 - 1) exactly at order 1, and a
-    grid mean fine enough for the pole pair at distance r - 1 above.  Where
-    that grid would pass _GRID_CAP nodes the mean is bounded by the
-    integrand's max r/(r - 1)^(order+1) instead.
-    """
-    n = c.n
-    big_r = c.radius_R
-    r = 0.5 * (1.0 + big_r)
-    if order == 1:
-        return (big_r ** n) * r / (r * r - 1.0)
-    m = _next_pow2(max(64 * n, 4 * oversample * (n + 1),
-                       math.ceil(66.0 / (big_r - 1.0)), 1024))
-    if m > _GRID_CAP:
-        i_m = r / (r - 1.0) ** (order + 1)
-    else:
-        h = (r * grid_nodes(m) - 1.0) ** (-(order + 1))
-        i_m = float(np.mean(r * np.abs(h)))
-    return math.factorial(order) * (big_r ** n) * i_m
-
-
-def derivative_sup(c: DilatedCorrector, order: int, oversample: int = 16) -> DerivSup:
-    """Sup over the unit circle of the order-th derivative of B phi0.
-
-    The value comes from the sampled form (_sampled_sups): the Taylor
-    coefficients with falling-factorial multipliers, maximized on a grid of
-    oversample nodes per coefficient and refined by Newton steps.  The
-    second member is the a-priori Cauchy bound of _derivative_apriori.
-    """
-    if order < 1:
-        raise ValueError("derivative order must be >= 1")
-    _, sups = _sampled_sups(c, (order,), oversample)
-    return DerivSup(sups[order].value, _derivative_apriori(c, order, oversample))
 
 
 def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),

@@ -58,7 +58,6 @@ from szego_lab.measure_opuc import (
     ResidueNodes,
     _as_int,
     log_condition_report,
-    residue_grid,
     residue_identity_check,
     target_limit,
 )
@@ -507,13 +506,8 @@ def _run_residue_check(man: RunManifest):
     if max(ks) > n_masses:
         raise ManifestError("k_list", f"measure has only {n_masses} mass points")
     rows = []
-    nodes = ResidueNodes(mu, max(ks))
     checks = [(n, k) for n in man.n_grid for k in ks]
-    # every row's grid is certified before any node is evaluated, so a run
-    # with a row past the quadrature's cap of 2^20 nodes exits 3 before any
-    # quadrature work
-    for n, k in checks:
-        residue_grid(mu, n, k, nodes=nodes)
+    nodes = ResidueNodes(mu, checks)
     for n, k in checks:
         rec = residue_identity_check(mu, n, k, nodes=nodes)
         rows.append({

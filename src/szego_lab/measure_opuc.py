@@ -11,19 +11,18 @@ coefficient to point evaluations at the masses, and the slow-decay
 condition report for mass sequences accumulating at the circle.
 
 The residue identity's quadrature evaluates its integrand at the nodes of
-one power-of-two circle grid per (n, k), chosen before any node is
-evaluated as the least whose certified bound on aliasing and rounding
-meets the target (ResidueNodes._sides), in fixed point on Python integers.  A
-ResidueNodes table, passed as nodes=, holds for one measure each node and
-its weights B^k/conj(psi) as integer pairs at bits + 32 fractional bits,
-psi in its own scale, so the checks of several (n, k) evaluate psi and the
-Blaschke factors once per node and each Laurent element once per node.  Since every power of a
+one power-of-two circle grid per (n, k), in fixed point on Python
+integers.  A ResidueNodes table belongs to one measure and the rows (n, k)
+of one run, and certifies every row's grid before any node is evaluated
+(see the class).  It holds each node and its weights B^k/conj(psi) as
+integer pairs at bits + 32 fractional bits, psi in its own scale, so the
+checks of all its rows evaluate psi and the Blaschke factors once per node
+and each Laurent element once per node.  Since every power of a
 node is another node of the grid, each numerator R_n(x) x^(-n) is one
 exact integer dot product of the element's coefficients against table
 nodes, rounded once, and each grid mean is the exact integer sum of its
 terms, rounded once to the measure's precision, as is the right-hand side
-from the same integers.  A check without a table builds its own, and both
-give the same record bit for bit.
+from the same integers.
 
 tau_n and eta_n have two routes.  With masses and degree at least deg psi
 they come from Uvarov's closed form: the Bernstein-Szego orthonormal
@@ -83,7 +82,6 @@ from szego_lab.xlinalg import (
     _dot,
     _extremal,
     _dyadic,
-    _fixed_pair,
     _horner,
     _quotient_series,
     _rdiv,
@@ -115,7 +113,6 @@ __all__ = [
     "eta_n",
     "orthonormal_element",
     "target_limit",
-    "residue_grid",
     "residue_identity_check",
     "log_condition_report",
 ]
@@ -779,19 +776,30 @@ def _interleave(even: list, odd: list) -> list:
 
 
 class ResidueNodes:
-    """The residue quadrature's nodes for one measure, shared by the checks
-    of every (n, k) on it, in fixed point on Python integers.
+    """The residue quadrature's nodes for one measure and the rows (n, k)
+    of one run, in fixed point on Python integers.
 
-    The table sits on the finest power-of-two grid asked for so far, in
-    node order.  It holds, as integer pairs at f = bits + _GUARD_BITS
+    Building the table does every row's work that evaluates no node, in
+    this order: each row is checked (0 <= k <= the number of masses, the
+    first k masses distinct, n >= 1), a chosen mass too far for the fixed
+    point is refused, and so is a row with 2n > _GRID_CAP; then, row by
+    row, the integer witness of each n is solved once and the row's
+    right-hand side and certified grid are computed once (_sides).  So a
+    row whose grid would pass _GRID_CAP is refused before any node is
+    evaluated, whatever row comes first.  residue_identity_check reads a
+    row's sides from the table and evaluates its grid; the table of a
+    check that is given none holds that check's row alone, and either way
+    the record is the same bit for bit.
+
+    The nodes sit on the finest power-of-two grid asked for so far, in
+    node order.  The table holds, as integer pairs at f = bits + _GUARD_BITS
     fractional bits, each node x_p = exp(2 pi i p / G), the weights
-    B^k(x_p) / conj(psi(x_p)) for k = 0..k_max (the first k_max masses, all
-    by default; see _node_values), and the numerators R_n(x_p) x_p^(-n) of
-    the element in use only: about k_max + 3 pairs per node.  A grid of
-    g = G/m nodes reads every m-th node, and growing to twice the size
-    evaluates only the odd nodes.  psi and the element are held times 2^-s,
-    psi(0) 2^-s in [1, 2), which cancels in every term and in the bound.
-    The integer witness of each degree is solved once per table.
+    B^k(x_p) / conj(psi(x_p)) for k up to the largest of the rows (see
+    _node_values), and the numerators R_n(x_p) x_p^(-n) of the element in
+    use only: about k + 3 pairs per node.  A grid of g = G/m nodes reads
+    every m-th node, and growing to twice the size evaluates only the odd
+    nodes.  psi and the element are held times 2^-s, psi(0) 2^-s in
+    [1, 2), which cancels in every term and in the bound.
 
     A numerator is sum_e a_e x_p^e over the exponents e = 1 - 2n..0, and
     x_p^e is itself the table node x_((e p) mod G).  The nodes satisfy
@@ -819,11 +827,20 @@ class ResidueNodes:
     (A E_k + (A + L + 1) / delta) eps of the exact trapezoidal sum of the
     element as given.  The mean's rounding adds a relative 2^-bits, at most
     2^-bits A / delta.  _sides computes this bracket for each row, from the
-    element in use, the masses and a certified delta (_psi_floor); it is
+    row's element, the masses and a certified delta (_psi_floor); it is
     part of the row's quad_bound.
     """
 
-    def __init__(self, mu: MeasureSpec, k_max: int | None = None):
+    def __init__(self, mu: MeasureSpec, rows: Sequence[tuple]):
+        rows = list(dict.fromkeys(rows))  # in order, each row once
+        if not rows:
+            raise ValueError("a residue table needs at least one row (n, k)")
+        for _, k in rows:
+            if not 0 <= k <= len(mu.spectrum):
+                raise ValueError("k must be between 0 and the number of masses")
+        k_max = max(k for _, k in rows)
+        if len({z for z, _ in mu.spectrum.masses[:k_max]}) < k_max:
+            raise FieldError("masses", "chosen mass points must be distinct")
         self.mu = mu
         self._ctx = context(mu.precision)
         self._f = f = mu.precision + _GUARD_BITS
@@ -838,9 +855,15 @@ class ResidueNodes:
                     f"mass at {z} (weight {m}) is too far for the residue "
                     f"check at {mu.precision} bits, which needs |z|^2 <= "
                     f"2^{f - 4} at its {f} fractional bits")
+        for n, _ in rows:
+            if n < 1:
+                raise ValueError("laurent elements need n >= 1")
+            if 2 * n > _GRID_CAP:  # refused before any element is solved
+                raise QuadratureError(
+                    f"the residue quadrature at n = {n} needs at least 2n "
+                    f"nodes, more than {_GRID_CAP}")
         self._factors = [(zeta, (-ur, ui))  # rot = -|zeta|/zeta = -conj(u)
                          for _, zeta, (ur, ui), *_ in self._terms]
-        self.k_max = len(self._factors)
         # what the certified grid takes from psi (see _sides): S = sum |c_j|,
         # delta, psi's nearest zero r, and per certified circle
         # |y| = 1/rho = r^s of the ladder, (log rho, log min |psi|)
@@ -858,36 +881,33 @@ class ResidueNodes:
             self._ladder.append((-s * math.log(self._zero), math.log(floor)))
         # node, weight and numerator columns: real and imaginary parts
         self._x: list = [[], []]
-        self._w: list = [[[], []] for _ in range(self.k_max + 1)]
+        self._w: list = [[[], []] for _ in range(k_max + 1)]
         self._num: list = [[], []]
-        self._given = None
         self._witnesses: dict = {}  # n -> the integer witness's pairs
-        self._coeffs: tuple = ((), ())
         self._n = 0  # no element in use
+        self._rows: dict = {}  # (n, k) -> _sides(k) of the element of n
+        for n, k in rows:
+            self._use(n)
+            self._rows[n, k] = self._sides(k)
 
     @property
     def grid(self) -> int:
         return len(self._x[0])
 
-    def use(self, element: tuple | None, n: int) -> None:
+    def _use(self, n: int) -> None:
         """Make the Laurent element of degree n (its coefficients of
-        z^-(n-1)..z^n) the one whose numerators the table holds, each
-        coefficient times 2^-s rounded once to f bits: for element None the
+        z^-(n-1)..z^n) the one whose numerators the table holds: the
         integer extremal witness (_extremal, escalated as needed, solved
-        once per n), else the given numbers at the precision they were
-        solved at."""
-        if element is self._given and n == self._n:
+        once per n), each coefficient times 2^-s rounded once to f bits."""
+        if n == self._n:
             return
-        self._given, self._n, frac = element, n, self._f - self._s
-        if element is not None:
-            pairs = [_fixed_pair(c, frac) for c in element]
-        elif n in self._witnesses:
-            pairs = self._witnesses[n]
-        else:
-            pairs = self._witnesses[n] = _escalate(
+        self._n, frac = n, self._f - self._s
+        if n not in self._witnesses:
+            self._witnesses[n] = _escalate(
                 self.mu, n, lambda bits: _extremal(_gram_from_exponents(
                     self.mu, range(1 - n, n + 1), bits), frac)[0],
                 "the extremal witness solve")
+        pairs = self._witnesses[n]
         self._coeffs = cr, ci = tuple(map(list, zip(*pairs)))
         # the coefficients by their exponent e = 1 - 2n + j mod 4, for the
         # quartets of numerators (_numerators)
@@ -1019,7 +1039,14 @@ class ResidueNodes:
         """The circle mean over the grid of that size of the terms
         R_n(x) x^(-n) / (conj(psi(x)) conj(B^k(x))) of the element in use:
         the exact integer sum of the terms, rounded once to an mpc at the
-        measure's precision."""
+        measure's precision.  ValueError unless 0 <= k <= the table's
+        masses and the grid is a power of two from 4 to _GRID_CAP."""
+        if not 0 <= k <= len(self._factors):
+            raise ValueError(f"k must be between 0 and the table's "
+                             f"{len(self._factors)} masses")
+        if not 4 <= grid <= _GRID_CAP or grid & (grid - 1):
+            raise ValueError(f"the grid must be a power of two from 4 to "
+                             f"{_GRID_CAP}, not {grid}")
         self._grow(grid)
         m = self.grid // grid
         num_re, num_im = self._num
@@ -1073,42 +1100,7 @@ class ResidueNodes:
             self._x, self._w, self._num = fresh, fresh_w, fresh_num
 
 
-def _residue_table(mu: MeasureSpec, n: int, k: int, element: tuple | None,
-                   nodes: ResidueNodes | None) -> ResidueNodes:
-    """nodes, or a new table of mu holding k masses, with the Laurent
-    element of degree n in use, once the arguments are checked."""
-    if not 0 <= k <= len(mu.spectrum):
-        raise ValueError("k must be between 0 and the number of masses")
-    if len({z for z, _ in mu.spectrum.masses[:k]}) < k:
-        raise FieldError("masses", "chosen mass points must be distinct")
-    if nodes is None:
-        nodes = ResidueNodes(mu, k)
-    elif nodes.mu is not mu or nodes.k_max < k:
-        raise ValueError("nodes must be a table of this measure holding k masses")
-    if n < 1:
-        raise ValueError("laurent elements need n >= 1")
-    if element is not None and len(element) != 2 * n:
-        raise ValueError("element must be the Laurent element of degree n")
-    if 2 * n > _GRID_CAP:  # refused before the element is solved
-        raise QuadratureError(
-            f"the residue quadrature at n = {n} needs at least 2n nodes, "
-            f"more than {_GRID_CAP}")
-    nodes.use(element, n)
-    return nodes
-
-
-def residue_grid(mu: MeasureSpec, n: int, k: int, element: tuple | None = None,
-                 nodes: ResidueNodes | None = None) -> tuple:
-    """(grid, quad_bound) of residue_identity_check's row (n, k): the one
-    grid its quadrature evaluates and that grid's certified error bound,
-    found without evaluating any node.  QuadratureError where the grid
-    would pass _GRID_CAP nodes; a caller certifies every row first to learn
-    that before any node is evaluated."""
-    return _residue_table(mu, n, k, element, nodes)._sides(k)[3:]
-
-
 def residue_identity_check(mu: MeasureSpec, n: int, k: int,
-                           element: tuple | None = None,
                            nodes: ResidueNodes | None = None) -> dict:
     """Contour-integral identity for the Laurent element R_n and the first k
     masses.
@@ -1119,18 +1111,19 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     least power of two of at least 2n nodes whose certified bound on the
     quadrature's aliasing and rounding, quad_bound, is at most
     2^(14 - bits).  RHS: eta_n/(B^k(0) psi(0)) minus the residue sum at the
-    first k mass points.  Returns both sides, their gap, the Cauchy-Schwarz
-    majorant of the residue sum, the grid and quad_bound.  element, the
-    orthonormal Laurent element's 2n coefficients of z^-(n-1)..z^n, is
-    solved on integers, once per n and table, when not given.  nodes is a
-    ResidueNodes table of mu, built here when not given; a caller checking
-    several (n, k) shares one, so each node's psi and Blaschke values are
-    computed once and its element value once per n.  The record is the
-    same bit for bit either way.  QuadratureError where the grid would pass
-    _GRID_CAP nodes, before any node is evaluated.
+    first k mass points.  R_n is the orthonormal Laurent element, the
+    integer extremal witness.  Returns both sides, their gap, the
+    Cauchy-Schwarz majorant of the residue sum, the grid and quad_bound.
+    nodes is a ResidueNodes table of mu whose rows include (n, k),
+    ValueError otherwise; without one, ResidueNodes(mu, [(n, k)]).
     """
-    nodes = _residue_table(mu, n, k, element, nodes)
-    rhs_re, rhs_im, majorant, grid, bound = nodes._sides(k)
+    if nodes is None:
+        nodes = ResidueNodes(mu, [(n, k)])
+    elif nodes.mu is not mu or (n, k) not in nodes._rows:
+        raise ValueError("nodes must be a table of this measure built for "
+                         f"the row (n, k) = ({n}, {k})")
+    rhs_re, rhs_im, majorant, grid, bound = nodes._rows[n, k]
+    nodes._use(n)
     ctx = context(mu.precision)
     lhs = nodes.mean(k, grid)
     rhs = _to_mpc(ctx, rhs_re, rhs_im, -nodes._f)

@@ -190,12 +190,6 @@ def _fixed(part: tuple, shift: int) -> int:
     return _round_away(-man if sign else man, exp + shift)
 
 
-def _fixed_pair(z, f: int) -> tuple:
-    """The mpc z times 2^f, each part rounded to an integer."""
-    re, im = z._mpc_
-    return _fixed(re, f), _fixed(im, f)
-
-
 def _rdiv(a: int, b: int) -> int:
     """a / b rounded to the nearest integer, halves up, for b != 0."""
     return (2 * a + b) // (2 * b)

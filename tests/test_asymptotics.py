@@ -51,11 +51,12 @@ from szego_lab.measure_opuc import (
     eta_n,
     tau_n,
 )
-from szego_lab.xlinalg import _fixed, _fixed_pair, _to_mpc, context
+from szego_lab.xlinalg import _fixed, _to_mpc, context
 
 import szego_lab.asymptotics as asym
 import szego_lab.measure_opuc as mo
 import szego_lab.xlinalg as xlinalg
+from test_xlinalg import fixed_pair
 
 DEFECTS = Path(__file__).parents[1] / "bench" / "defects"
 D2_MEASURE = DEFECTS / "d2-measure.json"
@@ -266,7 +267,7 @@ def series(zetas, radius, upto, bits):
     zeros = []
     for zeta in map(wide.mpc, zetas):
         r = abs(zeta)
-        zeros.append((_fixed_pair(zeta, bits), _fixed_pair(zeta / r, bits),
+        zeros.append((fixed_pair(zeta, bits), fixed_pair(zeta / r, bits),
                       _fixed(r._mpf_, bits)))
     return [_to_mpc(ctx, re, im, -bits)
             for re, im in _bphi_series(zeros, radius, upto, bits,
@@ -466,8 +467,8 @@ def test_laurent_value_against_mpmath(lo):
     ctx = context(256)
     cs = [ctx.mpc(1, 2), ctx.mpc(-0.5, 0.25), ctx.mpc(0.125, -1)]
     x = ctx.mpc(0.7, -0.4)
-    got = asym._laurent_value([_fixed_pair(c, f) for c in cs], lo,
-                              _fixed_pair(x, f), f)
+    got = asym._laurent_value([fixed_pair(c, f) for c in cs], lo,
+                              fixed_pair(x, f), f)
     want = sum(c * x ** (lo + j) for j, c in enumerate(cs))
     assert abs(_to_mpc(ctx, *got, -f) - want) <= 1e-35
 

@@ -347,6 +347,30 @@ def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
     assert solves == [8, 12]  # the Laurent spans z^-(n-1)..z^n
 
 
+def test_residue_check_certifies_each_row_once(tmp_path, capsys,
+                                              monkeypatch):
+    # the node table computes each row's right-hand side and certified grid
+    # once, when it is built, and the checks read them from it
+    rows = []
+    real = mo.ResidueNodes._sides
+
+    def counted(self, k):
+        rows.append((self._n, k))
+        return real(self, k)
+
+    monkeypatch.setattr(mo.ResidueNodes, "_sides", counted)
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
+        "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]],
+        "precision_bits": 256})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [4, 8, 12, 24], "k_list": [0, 1, 2],
+        "out_dir": str(tmp_path / "out")})
+    assert run_main(capsys, "residue-check", "--manifest", man)[0] == 0
+    assert len(read_rows(str(tmp_path / "out"))) == 12
+    assert rows == [(n, k) for n in (4, 8, 12, 24) for k in (0, 1, 2)]
+
+
 RESIDUE_FROZEN = os.path.join(os.path.dirname(__file__), "data",
                               "residue_check_frozen.csv")
 

@@ -121,7 +121,7 @@ def test_measure_opuc_makes_mpmath_numbers_only_by_rounding():
     assert mpmath_calls(source) == []
 
 
-@pytest.mark.parametrize("name", ["_fixed", "_fixed_pair", "_rdiv",
+@pytest.mark.parametrize("name", ["_fixed", "_rdiv",
                                   "_circle_nodes", "_quotient_series"])
 def test_fixed_point_helpers_are_defined_once(name):
     # one implementation per idea: each fixed-point helper has one home

@@ -36,7 +36,6 @@ from szego_lab.measure_opuc import (
     log_condition_report,
     moment,
     orthonormal_element,
-    residue_grid,
     residue_identity_check,
     target_limit,
     tau_n,
@@ -427,7 +426,7 @@ def test_psi_near_the_circle_keeps_its_whole_ladder():
     # to the zero, is certified, each with more than 1,024 samples
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.98])),
                      PointSpectrum(((1.5, 0.3),)), 128)
-    nodes = ResidueNodes(mu)
+    nodes = ResidueNodes(mu, [(1, 0)])
     assert len(nodes._ladder) == len(mo._LADDER)
     assert nodes._zero == mu.weight.zero_modulus == pytest.approx(1 / 0.98)
 
@@ -438,7 +437,7 @@ def test_quadrature_cap_raises(monkeypatch):
     def no_node(*args):
         raise AssertionError("a node was evaluated")
 
-    assert residue_grid(one_mass(), 4, 1)[0] == 512
+    assert residue_identity_check(one_mass(), 4, 1)["grid"] == 512
     monkeypatch.setattr(mo, "_GRID_CAP", 256)
     monkeypatch.setattr(mo, "_node_values", no_node)
     with pytest.raises(QuadratureError, match="the mass at"):
@@ -1206,7 +1205,7 @@ def test_residue_records_do_not_depend_on_the_scale_of_psi(bits):
         psi = [c * scale for c in (1.0, -0.5 + 0.2j, 0.1j)]
         mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
                          PointSpectrum.empty(), bits)
-        nodes = ResidueNodes(mu)
+        nodes = ResidueNodes(mu, [(n, 0) for n in (4, 8, 12)])
         return [residue_identity_check(mu, n, 0, nodes=nodes)
                 for n in (4, 8, 12)]
 
@@ -1238,21 +1237,21 @@ def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
         return real_num(self, p)
 
     mu = two_mass()
-    elements = {n: orthonormal_element(mu, n, laurent=True) for n in (4, 6)}
+    rows = [(n, k) for n in (4, 6) for k in (0, 1, 2)]
     plain = residue_identity_check(mu, 6, 2)
     monkeypatch.setattr(mo, "_node_values", counted_dens)
     monkeypatch.setattr(ResidueNodes, "_numerators", counted_num)
-    nodes = ResidueNodes(mu)
-    recs = {(n, k): residue_identity_check(mu, n, k, element=elements[n],
-                                           nodes=nodes)
-            for n in (4, 6) for k in (0, 1, 2)}
+    nodes = ResidueNodes(mu, rows)
+    recs = {(n, k): residue_identity_check(mu, n, k, nodes=nodes)
+            for n, k in rows}
     finest = max(rec["grid"] for rec in recs.values())
     assert finest > 256 and nodes.grid == finest
     assert len(dens) == len(set(dens)) == finest
     for n in (4, 6):
         assert len(nums[n]) == len(set(nums[n])) == max(
             recs[n, k]["grid"] for k in (0, 1, 2))
-    # a given element and a shared table give the same record, bit for bit
+    # a shared table and a table of the row alone give the same record,
+    # bit for bit
     assert all(recs[6, 2][key] == plain[key] for key in plain)
 
 
@@ -1267,6 +1266,14 @@ def fixed_to_mpc(ctx, re, im, f):
     return ctx.make_mpc((from_man_exp(re, -f), from_man_exp(im, -f)))
 
 
+def table_witness(nodes, n):
+    """The integer witness of degree n that the table solved, as exact mpc
+    coefficients of z^-(n-1)..z^n (the table holds it times 2^-s)."""
+    ctx = context(nodes.mu.precision)
+    return [fixed_to_mpc(ctx, re, im, nodes._f - nodes._s)
+            for re, im in nodes._witnesses[n]]
+
+
 @pytest.mark.parametrize("mu, n, trimmed", [
     (two_mass(256), 12, False),
     (COMPLEX_PSI, 8, False),
@@ -1276,16 +1283,15 @@ def fixed_to_mpc(ctx, re, im, f):
 ], ids=["two-mass-256", "complex-psi-128", "two-mass-53", "trimmed-53"])
 def test_residue_numerators_match_horner(mu, n, trimmed):
     # each numerator is one exact integer dot product over table nodes
-    # x_((e p) mod G), rounded once; the oracle evaluates the element by
-    # Horner at the table node and powers the node
-    element = orthonormal_element(mu, n, laurent=True)
+    # x_((e p) mod G), rounded once; the oracle evaluates the table's
+    # witness by Horner at the table node and powers the node
+    nodes = ResidueNodes(mu, [(n, 0)])
+    element = table_witness(nodes, n)
     assert all(c == 0 for c in element[:-1]) == trimmed
-    nodes = ResidueNodes(mu)
-    nodes.use(element, n)
     nodes.mean(0, 1024)  # every numerator, by the quartets of _numerators
     assert nodes.grid == 1024
     ctx = context(mu.precision)
-    coeffs = [ctx.convert(c) for c in element[::-1]]  # not rounded
+    coeffs = element[::-1]  # exact
     tol = mp.mpf(2) ** (8 - mu.precision)
     for p in range(nodes.grid):
         x = fixed_to_mpc(ctx, nodes._x[0][p], nodes._x[1][p], nodes._f)
@@ -1294,22 +1300,6 @@ def test_residue_numerators_match_horner(mu, n, trimmed):
         got = fixed_to_mpc(ctx, nodes._num[0][p], nodes._num[1][p],
                            nodes._f - nodes._s)
         assert abs(got - want) <= tol * abs(want), p
-
-
-def test_residue_nodes_use_rounds_evaluation_not_coefficients():
-    # an element solved at 256 bits, used on a 128-bit measure, enters the
-    # table at 160 fractional bits straight from its 256-bit coefficients,
-    # so only the evaluation rounds near the measure's precision
-    n = 4
-    witness = orthonormal_element(two_mass(256), n, laurent=True)
-    nodes = ResidueNodes(two_mass(128))
-    nodes.use(witness, n)
-    assert (nodes._f, nodes._s) == (160, 0)
-    want = [xlinalg._fixed_pair(c, 160) for c in witness]
-    assert list(zip(*nodes._coeffs)) == want
-    # the coefficients rounded to 128 bits first would enter otherwise
-    ctx = context(128)
-    assert [xlinalg._fixed_pair(ctx.mpc(c), 160) for c in witness] != want
 
 
 @pytest.mark.parametrize("mu, rows", [
@@ -1321,13 +1311,11 @@ def test_residue_nodes_use_rounds_evaluation_not_coefficients():
     (two_mass(128), [(n, k) for n in (4, 8) for k in (0, 1, 2)]),
 ], ids=["near-circle-256", "two-mass-128"])
 def test_shared_nodes_give_the_unshared_records(mu, rows):
-    nodes = ResidueNodes(mu)
-    elements = {n: orthonormal_element(mu, n, laurent=True) for n, _ in rows}
+    nodes = ResidueNodes(mu, rows)
     grids = []
     for n, k in rows:
-        shared = residue_identity_check(mu, n, k, element=elements[n],
-                                        nodes=nodes)
-        plain = residue_identity_check(mu, n, k, element=elements[n])
+        shared = residue_identity_check(mu, n, k, nodes=nodes)
+        plain = residue_identity_check(mu, n, k)
         assert list(shared) == list(plain)
         for key in plain:
             assert shared[key] == plain[key], (n, k, key)
@@ -1432,13 +1420,13 @@ def test_quad_bound_holds_against_a_four_times_finer_grid(name, bits):
     # bound meets the target 2^(14 - bits)
     psi, spectrum = ORACLE_MEASURES[name]
     mu = MeasureSpec(OuterWeight(psi), spectrum, bits)
-    nodes = ResidueNodes(mu)
-    for n in (1, 4, 8):
-        for k in range(len(spectrum) + 1):
-            rec = residue_identity_check(mu, n, k, nodes=nodes)
-            assert rec["quad_bound"] <= 2.0 ** (14 - bits), (n, k)
-            finer = nodes.mean(k, 4 * rec["grid"])
-            assert abs(rec["lhs"] - finer) <= rec["quad_bound"], (n, k)
+    rows = [(n, k) for n in (1, 4, 8) for k in range(len(spectrum) + 1)]
+    nodes = ResidueNodes(mu, rows)
+    for n, k in rows:
+        rec = residue_identity_check(mu, n, k, nodes=nodes)
+        assert rec["quad_bound"] <= 2.0 ** (14 - bits), (n, k)
+        finer = nodes.mean(k, 4 * rec["grid"])
+        assert abs(rec["lhs"] - finer) <= rec["quad_bound"], (n, k)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
@@ -1448,13 +1436,12 @@ def test_integer_quadrature_matches_mpmath_oracle(name, bits):
     mu = MeasureSpec(OuterWeight(psi), spectrum, bits)
     n = 4
     ks = range(len(spectrum) + 1)
-    element = orthonormal_element(mu, n, laurent=True)
-    mean = oracle_quadrature(mu, n, ks, element)
-    nodes = ResidueNodes(mu)
+    nodes = ResidueNodes(mu, [(n, k) for k in ks])
+    mean = oracle_quadrature(mu, n, ks, table_witness(nodes, n))
     tol = mp.mpf(2) ** (8 - bits)
     doubled = []
     for k in ks:
-        rec = residue_identity_check(mu, n, k, element=element, nodes=nodes)
+        rec = residue_identity_check(mu, n, k, nodes=nodes)
         lhs = mean(k, rec["grid"])
         assert abs(rec["lhs"] - lhs) <= tol * max(1, abs(lhs)), k
         # the doubling rule, a second oracle: the certified grid is no
@@ -1471,11 +1458,37 @@ def test_integer_quadrature_matches_mpmath_oracle(name, bits):
 
 
 def test_residue_nodes_validation():
+    # a table answers only the rows it was built for, of its own measure
     mu = two_mass()
+    nodes = ResidueNodes(mu, [(4, 1)])
+    for n, k in ((4, 2), (4, 0), (6, 1)):
+        with pytest.raises(ValueError, match="built for the row"):
+            residue_identity_check(mu, n, k, nodes=nodes)
+    with pytest.raises(ValueError, match="built for the row"):
+        residue_identity_check(mu, 4, 1, nodes=ResidueNodes(one_mass(), [(4, 1)]))
     with pytest.raises(ValueError):
-        residue_identity_check(mu, 4, 2, nodes=ResidueNodes(mu, 1))
+        ResidueNodes(mu, [])
+
+
+@pytest.mark.parametrize("k, grid", [
+    (1, 100), (1, 2), (1, 0), (1, 2048), (-1, 512), (3, 512),
+], ids=["grid-100", "grid-2", "grid-0", "past-the-cap", "k-negative",
+        "k-past-the-masses"])
+def test_residue_mean_refuses_a_bad_k_or_grid(monkeypatch, k, grid):
+    # mean reads the weight column of k and every (G/grid)-th node of the
+    # table's G: a negative k would read the columns from the end, and a
+    # grid that is not a power of two from 4 to the cap would give the mean
+    # of other nodes, on a fresh table and on a grown one alike
+    psi, spectrum = ORACLE_MEASURES["readme-two-mass"]
+    nodes = ResidueNodes(MeasureSpec(OuterWeight(psi), spectrum, 128), [(4, 1)])
+    monkeypatch.setattr(mo, "_GRID_CAP", 1024)
     with pytest.raises(ValueError):
-        residue_identity_check(mu, 4, 1, nodes=ResidueNodes(one_mass()))
+        nodes.mean(k, grid)
+    assert nodes.grid == 0
+    nodes.mean(1, 256)
+    with pytest.raises(ValueError):
+        nodes.mean(k, grid)
+    assert nodes.grid == 256
 
 
 @pytest.mark.parametrize("n", [2, 4])
@@ -1485,7 +1498,9 @@ def test_residue_identity_without_masses(n):
     mu = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
     element = orthonormal_element(mu, n, laurent=True)
     assert all(c == 0 for c in element[:-1])
-    rec = residue_identity_check(mu, n, 0, element=element)
+    nodes = ResidueNodes(mu, [(n, 0)])
+    assert all(c == (0, 0) for c in nodes._witnesses[n][:-1])
+    rec = residue_identity_check(mu, n, 0, nodes=nodes)
     assert rec == residue_identity_check(mu, n, 0)
     assert rec["lhs"] == rec["rhs"] == 1
 
@@ -1500,9 +1515,6 @@ def test_residue_identity_validation():
                       PointSpectrum(((1.5, 0.1), (1.5, 0.2))), 256)
     with pytest.raises(ValueError):
         residue_identity_check(dup, 3, 2)
-    with pytest.raises(ValueError):
-        residue_identity_check(mu, 4, 1,
-                               element=orthonormal_element(mu, 3, laurent=True))
 
 
 # ----------------------------------------------------------------------

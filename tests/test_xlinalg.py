@@ -19,7 +19,6 @@ from szego_lab.xlinalg import (
     toeplitz_leading,
     _dot,
     _fixed,
-    _fixed_pair,
     _horner,
     _rdiv,
     _reflect,
@@ -33,6 +32,13 @@ def from_rows(rows, bits=53):
     """HermitianMatrix from its rows, checked for symmetry."""
     n = len(rows)
     return HermitianMatrix([[rows[j][k] for j in range(n)] for k in range(n)], bits)
+
+
+def fixed_pair(z, f: int) -> tuple:
+    """The mpc z times 2^f, each part rounded to an integer by _fixed: how
+    the tests bring mpc values into the fixed point."""
+    re, im = z._mpc_
+    return _fixed(re, f), _fixed(im, f)
 
 
 def trusted(cols, bits):
@@ -494,7 +500,6 @@ def test_fixed_rounds_ties_up_and_negatives_by_magnitude():
     assert _fixed(ctx.mpf(0.375)._mpf_, 4) == 6  # exact
     assert _fixed(ctx.mpf(-0.375)._mpf_, 2) == -2  # -1.5 -> -2
     assert _fixed(ctx.mpf(0)._mpf_, 40) == 0
-    assert _fixed_pair(ctx.mpc(1.25, -0.75), 2) == (5, -3)
 
 
 @pytest.mark.parametrize("bits", PRECISION_BITS)
@@ -533,14 +538,14 @@ def test_fixed_point_horner_and_reflection_against_mpmath():
     ctx = context(512)
     rng = np.random.default_rng(5)
     coeffs = [ctx.mpc(complex(a, b)) for a, b in rng.standard_normal((40, 2))]
-    pairs = [_fixed_pair(c, f) for c in coeffs]
+    pairs = [fixed_pair(c, f) for c in coeffs]
     for x in (ctx.mpc(0.3, -0.8), ctx.mpc(-1.1, 0.4), ctx.mpc(0.97, 0.2)):
         want = ctx.mpc(0)
         for c in reversed(coeffs):
             want = want * x + c
-        got = _to_mpc(ctx, *_horner(pairs, _fixed_pair(x, f), f), -f)
+        got = _to_mpc(ctx, *_horner(pairs, fixed_pair(x, f), f), -f)
         assert abs(got - want) <= ctx.mpf(2) ** -270 * (1 + abs(want))
-        refl = _to_mpc(ctx, *_reflect(_fixed_pair(x, f), f), -f)
+        refl = _to_mpc(ctx, *_reflect(fixed_pair(x, f), f), -f)
         assert abs(refl - 1 / ctx.conj(x)) <= ctx.mpf(2) ** (1 - f) * 4
 
 
@@ -551,8 +556,8 @@ def test_exact_dot_against_fdot():
     rng = np.random.default_rng(9)
     a = [complex(u, v) for u, v in rng.standard_normal((50, 2))]
     b = [complex(u, v) for u, v in rng.standard_normal((50, 2))]
-    ar, ai = zip(*(_fixed_pair(ctx.mpc(z), f) for z in a))
-    br, bi = zip(*(_fixed_pair(ctx.mpc(z), f) for z in b))
+    ar, ai = zip(*(fixed_pair(ctx.mpc(z), f) for z in a))
+    br, bi = zip(*(fixed_pair(ctx.mpc(z), f) for z in b))
     got = _to_mpc(ctx, *_dot(ar, ai, br, bi), -2 * f)
     wide = context(1024)
     want = wide.fdot([wide.mpc(z) for z in a], [wide.mpc(z) for z in b])
