@@ -5,10 +5,10 @@ masses at |z_k| > 1, psi a zero-free-on-the-closed-disk Taylor polynomial
 with psi(0) > 0.  This module computes trigonometric moments (cached, on
 integers: the Taylor coefficients of N/psi, xlinalg._quotient_series), Gram
 matrices over polynomial and Laurent spans, the leading coefficients tau_n
-and eta_n of the orthonormal elements, the orthonormal elements themselves,
-a contour-integral residue identity connecting the Laurent leading
-coefficient to point evaluations at the masses, and the slow-decay
-condition report for mass sequences accumulating at the circle.
+and eta_n of the orthonormal elements, a contour-integral residue identity
+connecting the Laurent leading coefficient to point evaluations at the
+masses, and the slow-decay condition report for mass sequences
+accumulating at the circle.
 
 The residue identity's quadrature evaluates its integrand at the nodes of
 one power-of-two circle grid per (n, k), in fixed point on Python
@@ -91,7 +91,6 @@ from szego_lab.xlinalg import (
     _shift,
     _to_mpc,
     _to_mpf,
-    constrained_max_leading,
     context,
     next_tag,
     schur_leading,
@@ -111,7 +110,6 @@ __all__ = [
     "gram_laurent",
     "tau_n",
     "eta_n",
-    "orthonormal_element",
     "target_limit",
     "residue_identity_check",
     "log_condition_report",
@@ -394,7 +392,7 @@ def _inner_products(mu: MeasureSpec, exps: Sequence[int], bits: int) -> tuple:
 
 def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> HermitianMatrix:
     if mu.spectrum.masses:
-        return HermitianMatrix._of(*_inner_products(mu, exps, bits), bits)
+        return HermitianMatrix(*_inner_products(mu, exps, bits), bits)
     # every entry is a moment's conjugate: round each moment once (rounding
     # commutes with conj) for all entries; the exponents are consecutive,
     # so row r is conj(t_r), ..., conj(t_0)
@@ -402,21 +400,25 @@ def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> Her
     values, e = _trig_moments(mu.weight, n - 1, bits)
     conj = [(_round_bits(re, bits), -_round_bits(im, bits))
             for re, im in values[:n]]
-    return HermitianMatrix._of([conj[r::-1] for r in range(n)], e, bits)
+    return HermitianMatrix([conj[r::-1] for r in range(n)], e, bits)
 
 
 def gram_polynomial(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianMatrix:
-    """Gram matrix of {1, z, ..., z^n}; the pivot z^n sits last."""
+    """Gram matrix of {1, z, ..., z^n} at the tag bits (default mu's
+    precision); the pivot z^n sits last."""
     if n < 0:
         raise ValueError("n must be >= 0")
-    return _gram_from_exponents(mu, range(n + 1), bits or mu.precision)
+    bits = mu.precision if bits is None else PrecisionTag(bits).bits
+    return _gram_from_exponents(mu, range(n + 1), bits)
 
 
 def gram_laurent(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianMatrix:
-    """Gram matrix of {z^-(n-1), ..., z^n}; the pivot z^n sits last."""
+    """Gram matrix of {z^-(n-1), ..., z^n} at the tag bits (default mu's
+    precision); the pivot z^n sits last."""
     if n < 1:
         raise ValueError("n must be >= 1")
-    return _gram_from_exponents(mu, range(-(n - 1), n + 1), bits or mu.precision)
+    bits = mu.precision if bits is None else PrecisionTag(bits).bits
+    return _gram_from_exponents(mu, range(-(n - 1), n + 1), bits)
 
 
 def _precision_floor(mu: MeasureSpec, n: int) -> int:
@@ -618,23 +620,6 @@ def eta_n(mu: MeasureSpec, n: int):
     if mu.spectrum.masses and n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
         return _closed_form_leading(mu, 2 * n - 1, shift=n - 1)
     return _gram_leading(mu, n, laurent=True)
-
-
-def orthonormal_element(mu: MeasureSpec, n: int, laurent: bool = False) -> tuple:
-    """The orthonormal element itself: its coefficients of z^lo..z^n, mpc
-    at working precision, with lo = -(n - 1) for the Laurent element and 0
-    for the polynomial.
-
-    The witness of the constrained extremal problem, untrimmed: the last
-    entry, the z^n coefficient, is real positive and equals tau_n (or
-    eta_n).
-    """
-    lo = -(n - 1) if laurent else 0
-    if laurent and n < 1:
-        raise ValueError("laurent elements need n >= 1")
-    return _escalate(mu, n, lambda bits: constrained_max_leading(
-        _gram_from_exponents(mu, range(lo, n + 1), bits))[1],
-        "the extremal witness solve")
 
 
 # ----------------------------------------------------------------------
@@ -1150,9 +1135,12 @@ def log_condition_report(spectrum: PointSpectrum, a_list: Sequence[float],
     For each A, reports (log n)^A * sum of mu_k over 1 < |z_k| < 1 + 1/n and
     whether the sequence stays bounded across the tested range (no growth
     from the first half of the grid to the second beyond a factor 2).
+    The grid starts at n = 2, so n_max must be at least 2.
     """
     if not a_list:
         raise ValueError("need at least one exponent A")
+    if n_max < 2:
+        raise ValueError(f"n_max must be >= 2, got {n_max}")
     ns = []
     n = 2
     while n < n_max:

@@ -11,19 +11,19 @@ _quotient_series, gives the moments of 1/|psi|^2 as N/psi and the
 pipeline's series and norms.
 
 A HermitianMatrix holds its lower triangle as integer pairs at one
-exponent, each part rounded to a precision tag; its constructor is the one
-place numbers are read.  The one Cholesky factorization of the package
-(Gram matrices and the closed form's Woodbury system alike),
-_cholesky_fixed, scales G to S G S with S a diagonal of powers of two,
-S_ii^2 g_ii in [1/4, 1), so every scaled entry and factor entry has modulus
-below 1 (van der Sluis's scaling, within a factor 2), and works at
-bits + 32 fractional bits; a pivot at or below 2^-(bits + 32) of the scaled
-diagonal is not told apart from zero and raises NotPositiveDefinite.  The
-constrained leading-coefficient extremal problem has two routes on that
-factor, kept distinct so their agreement is a check, not a tautology: the
-Schur complement of the last coordinate, the factor's last pivot
-(schur_leading), and the maximizer G^-1 e_N by a back substitution from
-e_N / l_NN (_extremal, constrained_max_leading).  For a Toeplitz Gram
+exponent, each part rounded to a precision tag by the Gram builder that
+made it; no matrix is read from mpmath numbers.  The one Cholesky
+factorization of the package (Gram matrices and the closed form's Woodbury
+system alike), _cholesky_fixed, scales G to S G S with S a diagonal of
+powers of two, S_ii^2 g_ii in [1/4, 1), so every scaled entry and factor
+entry has modulus below 1 (van der Sluis's scaling, within a factor 2),
+and works at bits + 32 fractional bits; a pivot at or below 2^-(bits + 32)
+of the scaled diagonal is not told apart from zero and raises
+NotPositiveDefinite.  The constrained leading-coefficient extremal problem
+has two routes on that factor, kept distinct so their agreement is a
+check, not a tautology: the Schur complement of the last coordinate, the
+factor's last pivot (schur_leading), and the maximizer G^-1 e_N by a back
+substitution from e_N / l_NN (_extremal, constrained_max_leading).  For a Toeplitz Gram
 matrix the Szego recursion gives the same Schur complement in O(N^2)
 (toeplitz_leading); the factor's last pivot is its oracle.
 
@@ -52,9 +52,7 @@ __all__ = [
     "context",
     "next_tag",
     "HermitianMatrix",
-    "CholeskyFactor",
     "NotPositiveDefinite",
-    "cholesky",
     "schur_leading",
     "toeplitz_leading",
     "constrained_max_leading",
@@ -107,73 +105,14 @@ class HermitianMatrix:
 
     lower[j][k], k <= j, is the (j, k) entry as an integer pair times 2^exp,
     each part rounded to bits significant bits, and the (k, j) entry is its
-    conjugate: Hermitian by construction.  entry and row give them, exactly,
-    as context(bits) mpc values.  The constructor is the one reader of
-    numbers, columns[k][j] the (j, k) entry: it checks that bits is a
-    precision tag, rounds every entry to it, verifies Hermitian symmetry to
-    one ulp and keeps the lower triangle.  The Gram builders hand their
-    integers to _of.
+    conjugate: Hermitian by construction.  The Gram builders hand it their
+    integers, already rounded to the tag; it holds them as given.
     """
 
     __slots__ = ("dim", "lower", "exp", "bits")
 
-    def __init__(self, columns: Sequence[Sequence], bits: int = 53):
-        PrecisionTag(bits)
-        ctx = context(bits)
-        cols = [[ctx.mpc(v) for v in col] for col in columns]
-        n = len(cols)
-        if any(len(col) != n for col in cols):
-            raise ValueError("matrix must be square")
-        ulp = ctx.mpf(2) ** (1 - bits)
-        for k in range(n):
-            for j in range(k, n):
-                a, b = cols[k][j], ctx.conj(cols[j][k])
-                if abs(a - b) > ulp * max(abs(a), abs(b), 1):
-                    raise ValueError(
-                        f"not Hermitian at ({j},{k}): {a} vs conj {b}")
-        parts = [[cols[k][j]._mpc_ for k in range(j + 1)] for j in range(n)]
-        # each part is man 2^e: all are read exactly at the least e
-        exp = min((p[2] for row in parts for z in row for p in z if p[1]),
-                  default=0)
-        self.dim, self.exp, self.bits = n, exp, bits
-        self.lower = [[(_fixed(re, -exp), _fixed(im, -exp)) for re, im in row]
-                      for row in parts]
-
-    @classmethod
-    def _of(cls, lower: list, exp: int, bits: int) -> "HermitianMatrix":
-        """The matrix of the lower triangle lower at exp, taken as given."""
-        g = cls.__new__(cls)
-        g.dim, g.lower, g.exp, g.bits = len(lower), lower, exp, bits
-        return g
-
-    def entry(self, j: int, k: int):
-        re, im = self.lower[j][k] if k <= j else self.lower[k][j]
-        return _to_mpc(context(self.bits), re, im if k <= j else -im, self.exp)
-
-    def row(self, j: int) -> tuple:
-        return tuple(self.entry(j, k) for k in range(self.dim))
-
-    @classmethod
-    def identity(cls, n: int, bits: int = 53) -> "HermitianMatrix":
-        return cls._of([[(int(j == k), 0) for k in range(j + 1)]
-                        for j in range(n)], 0, bits)
-
-
-@dataclass(frozen=True)
-class CholeskyFactor:
-    """Lower-triangular factor; rows[i] holds entries (i, 0..i)."""
-
-    rows: tuple
-    bits: int
-
-    @property
-    def dim(self) -> int:
-        return len(self.rows)
-
-    def entry(self, i: int, j: int):
-        if j > i:
-            return context(self.bits).mpc(0)
-        return self.rows[i][j]
+    def __init__(self, lower: list, exp: int, bits: int):
+        self.dim, self.lower, self.exp, self.bits = len(lower), lower, exp, bits
 
 
 # ----------------------------------------------------------------------
@@ -385,21 +324,6 @@ def _cholesky_fixed(lower: Sequence, e: int, bits: int) -> tuple:
     return res, ims, diag, scale
 
 
-def cholesky(g: HermitianMatrix) -> CholeskyFactor:
-    """Cholesky factor L with L L* = G, by _cholesky_fixed on G's integers;
-    L = S^-1 L_A is rounded to the tag, as mpc below the diagonal and mpf
-    on it.  NotPositiveDefinite, raised as _cholesky_fixed raises it,
-    drives the caller-side precision escalation protocol.
-    """
-    bits = g.bits
-    res, ims, diag, scale = _cholesky_fixed(g.lower, g.exp, bits)
-    ctx, f = context(bits), bits + _GUARD_BITS
-    return CholeskyFactor(tuple(
-        tuple(_to_mpc(ctx, re, im, k_i - f) for re, im in zip(re_i, im_i))
-        + (_to_mpf(ctx, l_ii, k_i - f),)
-        for k_i, re_i, im_i, l_ii in zip(scale, res, ims, diag)), bits)
-
-
 def schur_leading(g: HermitianMatrix):
     """1/sqrt of the Schur complement of the last coordinate.
 
@@ -420,19 +344,19 @@ def toeplitz_leading(g: HermitianMatrix):
     G_jk = c_(j-k), c_j = G_j0 and c_(-j) = conj(c_j), is the Gram matrix
     <z^j, z^k> of a circle measure.  The monic Phi_k orthogonal to
     1, ..., z^(k-1) has E_k = ||Phi_k||^2 = det G_(k+1) / det G_k, the
-    square of cholesky's pivot k, and (Levinson's algorithm)
+    square of the Cholesky factor's pivot k, and (Levinson's algorithm)
     Phi_(k+1) = z Phi_k - gamma_k Phi_k^*,  gamma_k = <z Phi_k, 1> / E_k,
     E_(k+1) = E_k (1 - |gamma_k|^2),  <z Phi_k, 1> = sum_j p_j c_(j+1)
     for Phi_k = sum_j p_j z^j.  Returns 1/sqrt(E_(N-1)), an mpf.
 
-    Fixed point as in cholesky: G is equilibrated to A = 2^-2s G with
+    Fixed point as in _cholesky_fixed: G is equilibrated to A = 2^-2s G with
     c_0 in [1/4, 1) after scaling, the c_j and p_j are integers at
     f = bits + 32 fractional bits and E_k at 2f.  Each <z Phi_k, 1> is
     exact, gamma_k and each p_j are rounded once, and
     E_(k+1) = E_k - |<z Phi_k, 1>|^2 / E_k is rounded once.  Raises
-    NotPositiveDefinite(k) at the first E_k at or below 2^-f, cholesky's
-    threshold and pivot index.  The root is taken by isqrt and rounded
-    once to the tag, as schur_leading's is.  G's Toeplitz structure is the
+    NotPositiveDefinite(k) at the first E_k at or below 2^-f, the threshold
+    and pivot index of _cholesky_fixed.  The root is taken by isqrt and
+    rounded once to the tag, as schur_leading's is.  G's Toeplitz structure is the
     caller's promise; only its first column is read.
     """
     n, bits, e = g.dim, g.bits, g.exp

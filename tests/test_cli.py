@@ -26,7 +26,6 @@ from szego_lab.cli import generate_zeros, main
 
 import szego_lab.cli as cli
 import szego_lab.measure_opuc as mo
-import szego_lab.xlinalg as xlinalg
 
 
 TWO_MASS_JSON = {"psi": [[1.0, 0.0]],
@@ -852,9 +851,10 @@ def test_no_cli_path_runs_mpc_linear_algebra(tmp_path, capsys,
                                              monkeypatch):
     # every subcommand, with the masses' Gram route (opuc at n < deg psi)
     # and the extremal witness (residue-check) among them, runs on the
-    # integer Gram matrix: with the mpc factor, the number constructor and
-    # the tests' mpc triangular solves refused, each writes the
-    # certificates.csv of an unrefused run
+    # integer Gram matrix: with what is left of the mpc layer refused (the
+    # witness rounded to mpc, moment, and the tests' mpc factors and
+    # triangular solves), each writes the certificates.csv of an unrefused
+    # run
     import test_xlinalg
 
     complex_mass = write_json(tmp_path / "complex.json", {
@@ -888,12 +888,18 @@ def test_no_cli_path_runs_mpc_linear_algebra(tmp_path, capsys,
         raise AssertionError("mpc linear algebra on a CLI path")
 
     want = outputs("plain")
-    monkeypatch.setattr(xlinalg, "cholesky", refuse)
-    monkeypatch.setattr(xlinalg, "constrained_max_leading", refuse)
-    monkeypatch.setattr(mo, "constrained_max_leading", refuse)
-    monkeypatch.setattr(xlinalg.HermitianMatrix, "__init__", refuse)
-    monkeypatch.setattr(test_xlinalg, "solve_lower", refuse)
-    monkeypatch.setattr(test_xlinalg, "solve_upper_conj", refuse)
+    # in every package namespace that holds them, so a call through any
+    # import is refused
+    package = [m for name, m in sys.modules.items()
+               if name == "szego_lab" or name.startswith("szego_lab.")]
+    for name in ("constrained_max_leading", "moment"):
+        held = [m for m in package if hasattr(m, name)]
+        assert held, name
+        for m in held:
+            monkeypatch.setattr(m, name, refuse)
+    for name in ("factor", "oracle_cholesky", "solve_lower",
+                 "solve_upper_conj"):
+        monkeypatch.setattr(test_xlinalg, name, refuse)
     assert outputs("refused") == want
 
 

@@ -35,14 +35,13 @@ from szego_lab.measure_opuc import (
     gram_polynomial,
     log_condition_report,
     moment,
-    orthonormal_element,
     residue_identity_check,
     target_limit,
     tau_n,
 )
 from szego_lab.xlinalg import (
     NotPositiveDefinite,
-    cholesky,
+    constrained_max_leading,
     context,
     schur_leading,
     toeplitz_leading,
@@ -50,7 +49,7 @@ from szego_lab.xlinalg import (
 
 import szego_lab.measure_opuc as mo
 import szego_lab.xlinalg as xlinalg
-from test_xlinalg import trusted
+from test_xlinalg import entry, factor, trusted
 
 D1_MEASURE = Path(__file__).parents[1] / "bench" / "defects" / "d1-measure.json"
 
@@ -451,10 +450,10 @@ def test_quadrature_cap_raises(monkeypatch):
 def test_gram_polynomial_hand_example():
     g = gram_polynomial(one_mass(53), 1)
     assert g.dim == 2
-    assert abs(g.entry(0, 0) - 1.3) < 1e-14
-    assert abs(g.entry(1, 0) - 0.45) < 1e-14
-    assert abs(g.entry(0, 1) - 0.45) < 1e-14
-    assert abs(g.entry(1, 1) - 1.675) < 1e-14
+    assert abs(entry(g, 0, 0) - 1.3) < 1e-14
+    assert abs(entry(g, 1, 0) - 0.45) < 1e-14
+    assert abs(entry(g, 0, 1) - 0.45) < 1e-14
+    assert abs(entry(g, 1, 1) - 1.675) < 1e-14
 
 
 def test_gram_nesting():
@@ -463,13 +462,13 @@ def test_gram_nesting():
     big = gram_polynomial(mu, 4)
     for r in range(3):
         for c in range(3):
-            assert abs(small.entry(r, c) - big.entry(r, c)) == 0
+            assert abs(entry(small, r, c) - entry(big, r, c)) == 0
 
 
 def test_gram_laurent_negative_power_entry():
     g = gram_laurent(one_mass(53), 2)
     # basis z^-1, 1, z, z^2: the (z^-1, z^-1) entry is 1 + 0.3/1.5^2
-    assert abs(g.entry(0, 0) - 17.0 / 15.0) < 1e-14
+    assert abs(entry(g, 0, 0) - 17.0 / 15.0) < 1e-14
     assert g.dim == 4
 
 
@@ -506,8 +505,8 @@ def test_gram_is_hermitian_bit_for_bit(gram, bits):
     assert g.bits == bits
     for j in range(g.dim):
         for k in range(g.dim):
-            assert g.entry(j, k) == g.entry(k, j).conjugate()
-        assert g.entry(j, j).imag == 0
+            assert entry(g, j, k) == entry(g, k, j).conjugate()
+        assert entry(g, j, j).imag == 0
 
 
 def per_entry_gram(mu, exps, bits):
@@ -543,7 +542,7 @@ def assert_gram_matches_per_entry_build(mu, bits, degrees):
             want = per_entry_gram(mu, exps, bits)
             got = gram(mu, n)
             assert got.bits == bits
-            assert ([[got.entry(r, c)._mpc_ for r in range(got.dim)]
+            assert ([[entry(got, r, c)._mpc_ for r in range(got.dim)]
                      for c in range(got.dim)]
                     == [[v._mpc_ for v in col] for col in want]), (n, gram)
 
@@ -572,7 +571,7 @@ def test_mass_gram_matches_per_entry_build(name, bits):
             assert g.bits == bits
             for c, e_c in enumerate(exps):
                 for r, e_r in enumerate(exps):
-                    assert g.entry(r, c)._mpc_ == moment(mu, e_c, e_r)._mpc_, (
+                    assert entry(g, r, c)._mpc_ == moment(mu, e_c, e_r)._mpc_, (
                         n, gram, r, c)
 
 
@@ -588,7 +587,7 @@ def test_mass_gram_entries_match_an_exact_rational_oracle(name):
                 g = gram(route_measure(name, bits), n)
                 unit = Fraction(2) ** (-2 * bits)
                 for (r, c), (er, ei) in exact.items():
-                    v = g.entry(r, c)
+                    v = entry(g, r, c)
                     dr, di = as_fraction(v.real) - er, as_fraction(v.imag) - ei
                     tol = unit * exact[r, r][0] * exact[c, c][0]
                     assert dr * dr + di * di <= tol, (n, gram, bits, r, c)
@@ -687,6 +686,12 @@ def test_gram_validation():
         gram_polynomial(one_mass(53), -1)
     with pytest.raises(ValueError):
         gram_laurent(one_mass(53), 0)
+    # the precision is a tag: 7 bits built a matrix whose tau_3 read 0.703
+    # (0.711 at 53 bits), and 0 fell back to the measure's precision
+    for bits in (7, 0, 64):
+        for gram in (gram_polynomial, gram_laurent):
+            with pytest.raises(ValueError, match="bits"):
+                gram(one_mass(53), 3, bits)
 
 
 # ----------------------------------------------------------------------
@@ -849,7 +854,7 @@ def test_closed_form_schur_and_witness_agree(name, bits):
         for laurent in (False, True) if n else (False,):
             closed = (eta_n if laurent else tau_n)(mu, n)
             schur = mo._gram_leading(mu, n, laurent)
-            witness = orthonormal_element(mu, n, laurent)[-1]
+            witness = extremal_element(mu, n, laurent)[-1]
             assert mp.im(witness) == 0
             if bits == 256:
                 for other in (schur, witness.real):
@@ -903,7 +908,7 @@ def test_closed_form_raises_on_an_indefinite_system():
 
 def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
     # the Woodbury system [[S, f], [f^H, 1]] of K masses goes through
-    # xlinalg's integer Cholesky core, the one under xlinalg.cholesky, at the
+    # xlinalg's integer Cholesky core, the Gram route's factor, at the
     # measure's precision plus the guard bits, 32 and then 64, which agree
     # on the README's two-mass measure
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.5])),
@@ -922,8 +927,8 @@ def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
 
 def uvarov_ratio_by_mpc(mu, n, shift, bits):
     """_uvarov_ratio in mpc arithmetic at bits, factored by
-    xlinalg.cholesky, its entries taken as given (test_xlinalg.trusted, as
-    bits is not a tag): the oracle of the integer system."""
+    test_xlinalg.factor, its entries taken as given (test_xlinalg.trusted,
+    as bits is not a tag): the oracle of the integer system."""
     ctx = context(bits)
     psi = [ctx.mpc(c) for c in mu.weight.psi.coeffs[::-1]]
     points = []
@@ -944,7 +949,7 @@ def uvarov_ratio_by_mpc(mu, n, shift, bits):
         cols[l][l] += inv_m
         cols[l][k], cols[k][l] = ctx.conj(f_l), f_l
     cols[k][k] = ctx.mpc(1)
-    return cholesky(trusted(cols, bits)).rows[-1][-1]
+    return factor(trusted(cols, bits))[-1][-1]
 
 
 def closed_form_by_mpc(mu, n, shift=0):
@@ -1068,28 +1073,39 @@ def test_mass_terms_make_no_mpmath_number(monkeypatch):
 # orthonormal elements
 
 
+def extremal_element(mu, n, laurent=False):
+    """The orthonormal element of degree n as the extremal witness of its
+    Gram matrix (constrained_max_leading), under the Gram route's
+    escalation: its mpc coefficients of z^lo..z^n, lo = -(n - 1) for the
+    Laurent element and 0 for the polynomial, untrimmed, the z^n
+    coefficient last."""
+    gram = gram_laurent if laurent else gram_polynomial
+    return mo._escalate(mu, n, lambda bits: constrained_max_leading(
+        gram(mu, n, bits))[1], "the extremal witness solve")
+
+
 def test_orthonormal_element_lebesgue_monomial():
     mu = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
-    p = orthonormal_element(mu, 2)
+    p = extremal_element(mu, 2)
     assert len(p) == 3 and all(c == 0 for c in p[:-1])
     assert abs(complex(p[-1]) - 1.0) < 1e-14
 
 
 def test_orthonormal_element_degree_zero():
-    p = orthonormal_element(one_mass(53), 0)
+    p = extremal_element(one_mass(53), 0)
     assert len(p) == 1
     assert abs(complex(p[-1]) - 0.8770580193070292) < 1e-13
 
 
 def test_orthonormal_element_laurent_validation():
     with pytest.raises(ValueError):
-        orthonormal_element(one_mass(53), 0, laurent=True)
+        extremal_element(one_mass(53), 0, laurent=True)
 
 
 def test_orthonormal_element_is_orthonormal():
     # verified against the moments directly, not through the factorization
     mu = one_mass()
-    el = orthonormal_element(mu, 10, laurent=True)
+    el = extremal_element(mu, 10, laurent=True)
     assert len(el) == 20
     exps = list(range(-9, 11))
     with mp.workprec(320):
@@ -1496,7 +1512,7 @@ def test_residue_identity_without_masses(n):
     # the moments of dm are exactly 0 off the diagonal, so the witness has
     # exact zero coefficients below z^n
     mu = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
-    element = orthonormal_element(mu, n, laurent=True)
+    element = extremal_element(mu, n, laurent=True)
     assert all(c == 0 for c in element[:-1])
     nodes = ResidueNodes(mu, [(n, 0)])
     assert all(c == (0, 0) for c in nodes._witnesses[n][:-1])
@@ -1552,3 +1568,8 @@ def test_log_condition_unbounded_growth():
 def test_log_condition_needs_exponent():
     with pytest.raises(ValueError):
         log_condition_report(PointSpectrum.empty(), [], 16)
+    # the grid starts at n = 2: n_max 0 divided by zero and n_max 1 gave
+    # the one-point grid [1], whose weights log(1)^A are all 0
+    for n_max in (1, 0, -4):
+        with pytest.raises(ValueError, match="n_max"):
+            log_condition_report(PointSpectrum(((1.01, 0.5),)), [1.0], n_max)
