@@ -14,9 +14,9 @@ j(j-1)...(j-s+1), and the dyadic Besov blocks.  Each sup goes through
 circle_fourier.sup_norm_certified and comes as a bracket: a Newton-refined
 grid max, and an upper bound that adds to the grid bound the truncation tail
 and the aliasing error, both from the Cauchy estimates of _tail_envelope
-(the product of each factor's exact sup on circles between R and the
-nearest pole), the rounding of the samples, the FFTs and the grid values,
-and the dropped a_(K+1)..a_D.
+(on circles between R and the nearest pole, the largest over arcs of the
+circle of the product of each factor's sup on the arc), the rounding of the
+samples, the FFTs and the grid values, and the dropped a_(K+1)..a_D.
 """
 
 from __future__ import annotations
@@ -57,6 +57,8 @@ _POLE_TOL = 2.0 ** -40
 # the sampled series is cut where the rest of its l1 mass falls below this
 # share of its l2 norm: below the coefficients' own certified rounding
 _NOISE_FLOOR = 2.0 ** -40
+# the envelope's (radius, arc, zero) terms are formed this many at a time
+_ENVELOPE_BLOCK = 1 << 16
 
 
 class PoleProximityError(ValueError):
@@ -248,17 +250,45 @@ def eval_B_phi(c: DilatedCorrector, z):
 # Taylor coefficients
 
 
+def _arc_gaps(zeros: np.ndarray, arcs: int) -> np.ndarray:
+    """x[j, k] <= sin^2(gap/2), gap the angle from arg z_k to the arc
+    [2 pi j/arcs, 2 pi (j+1)/arcs]: 0 on the arc holding arg z_k, and else
+    the squared chord |p - zeta_k|^2 / 4 to the nearer arc end p, zeta_k =
+    z_k/|z_k|, lowered by 2^-40, far more than its float error of a few
+    units of 2^-53, so that a computed x is never above the true one."""
+    ends = np.exp(2j * math.pi / arcs * np.arange(arcs + 1))
+    angles = np.angle(zeros)
+    chord = 0.5 - 0.5 * (np.outer(ends.real, np.cos(angles))
+                         + np.outer(ends.imag, np.sin(angles)))
+    x = np.minimum(chord[:-1], chord[1:])
+    x -= 2.0 ** -40
+    np.maximum(x, 0.0, out=x)
+    # a zero within float error of an arc end may land on either arc: the
+    # other one's x is 0 after the margin anyway
+    own = (angles % (2.0 * math.pi) * (arcs / (2.0 * math.pi))).astype(np.intp)
+    x[own % arcs, np.arange(len(zeros))] = 0.0
+    return x
+
+
 def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
     """Candidate (rho, A) pairs with |B phi0| <= A on the circle |z| = rho.
 
-    A is the product of the exact per-factor sups.  On |z| = rho, with
-    R <= rho < R^2/|z_k|, the factor of zero z_k has modulus
-    |z - z_k| / |1 - conj(z_k) z / R^2|, which in the dilated variable
-    w = z/R, a = z_k/R is R |phi_a(w)| with
-    |phi_a(w)|^2 = 1 + (1 - |a|^2)(|w|^2 - 1) / |1 - conj(a) w|^2;
-    for |w| >= 1 that is largest where |1 - conj(a) w| = 1 - |a| |w|, so
-    the sup is (rho - |z_k|) / (1 - |z_k| rho / R^2).  At rho = R every
-    factor has sup R and A = R^n exactly.  The ladder rho_t = R^(1-t) P^t,
+    On |z| = rho, with R <= rho < R^2/|z_k|, the factor of zero z_k has
+    modulus |z - z_k| / |1 - conj(z_k) z / R^2|.  With x = sin^2(Delta/2),
+    Delta the angle between z and z_k, and q = |z_k| rho / R^2, its square
+    is ((rho - |z_k|)^2 + 4 rho |z_k| x) / ((1 - q)^2 + 4 q x), whose
+    derivative in x has the sign of
+    (1 - rho/R)(1 + |z_k|/R)(1 + rho/R)(1 - |z_k|/R) <= 0: the factor is
+    largest at the smallest angle.  Its sup over the whole circle, at
+    x = 0, is (rho - |z_k|) / (1 - q).  The circle is cut into
+    max(8, n // 4) arcs, and on each arc every factor is bounded by its
+    value at the arc point nearest arg z_k (x from _arc_gaps); A is the
+    largest product over the arcs.  In logs it is the sum of the
+    whole-circle log sups plus, on the best arc, half the sum of
+    log((1 + u x)/(1 + v x)) <= 0, u = 4 rho |z_k|/(rho - |z_k|)^2 and
+    v = 4 q/(1 - q)^2, so A is never above the product of the whole-circle
+    sups, and equals it when one arc holds every arg z_k.  At rho = R every
+    factor is R and A = R^n exactly.  The ladder rho_t = R^(1-t) P^t,
     t = 1 - 2^-k for k = 1..7, toward the nearest pole P = R^2/max|z_k|
     trades a larger A for the faster decay rho^-j of the Cauchy estimate
     |a_j| <= A rho^-j; it is densest near P, where the best rho for a high
@@ -267,19 +297,38 @@ def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
     n = c.n
     big_r = c.radius_R
     out = [(big_r, big_r ** n)]
-    moduli = np.abs(c.zero_array())
+    zeros = c.zero_array()
+    moduli = np.abs(zeros)
     zmax = float(np.max(moduli))
-    if zmax > 0.0:
-        pole = big_r * big_r / zmax
-        for t in 1.0 - 2.0 ** -np.arange(1, 8):
-            rho = big_r ** (1.0 - t) * pole ** t
-            if rho <= big_r:
-                continue
-            # log-sum: the factor product overflows floats for many zeros
-            log_bound = float(np.sum(
-                np.log((rho - moduli) / (1.0 - moduli * rho / big_r ** 2))))
-            bound = math.exp(log_bound) if log_bound < 700.0 else math.inf
-            out.append((rho, bound))
+    if zmax == 0.0:
+        return out
+    pole = big_r * big_r / zmax
+    ladder = [big_r ** (1.0 - t) * pole ** t for t in 1.0 - 2.0 ** -np.arange(1, 8)]
+    rhos = np.array([rho for rho in ladder if rho > big_r])[:, None]
+    if len(rhos) == 0:  # every radius rounds to R
+        return out
+    q = moduli * rhos / big_r ** 2
+    # log-sums: the factor products overflow floats for many zeros
+    whole = np.sum(np.log((rhos - moduli) / (1.0 - q)), axis=1)
+    u = (4.0 * rhos * moduli / (rhos - moduli) ** 2)[:, None, :]
+    v = (4.0 * q / (1.0 - q) ** 2)[:, None, :]
+    arcs = max(8, n // 4)
+    x = _arc_gaps(zeros, arcs)
+    best = np.full(len(rhos), -math.inf)
+    step = max(1, _ENVELOPE_BLOCK // (len(rhos) * n))
+    for lo in range(0, arcs, step):
+        block = x[lo : lo + step]
+        ratio = u * block
+        ratio += 1.0
+        den = v * block
+        den += 1.0
+        ratio /= den
+        np.log(ratio, out=ratio)
+        np.maximum(best, ratio.sum(axis=2).max(axis=1), out=best)
+    for rho, log_whole, log_arc in zip(rhos[:, 0], whole, best):
+        log_bound = float(log_whole) + 0.5 * min(0.0, float(log_arc))
+        bound = math.exp(log_bound) if log_bound < 700.0 else math.inf
+        out.append((float(rho), bound))
     return out
 
 
@@ -372,8 +421,18 @@ def _falling_factorial(d: int, s: int) -> np.ndarray:
     return out
 
 
-def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
-                  oversample: int) -> float:
+def _alias_folds(env: list, d: int, m: int) -> list[tuple[float, np.ndarray]]:
+    """(A rho^-m / (1 - rho^-m), rho^-j for j = 0..d) for each finite
+    (rho, A) of env with rho^-m < 1: the terms of _series_error's aliasing
+    bound that do not depend on the derivative order."""
+    js = np.arange(d + 1, dtype=np.float64)
+    return [(a * q / (1.0 - q), np.exp(-math.log(rho) * js))
+            for rho, a in env
+            if (q := rho ** (-m)) < 1.0 and math.isfinite(a)]
+
+
+def _series_error(c: DilatedCorrector, env: list, folds: list, d: int, m: int,
+                  s: int, oversample: int) -> float:
     """What the order-s grid bound of _sampled_sups misses: a bound on
     sum_j j^s |a_j - a~_j| over all j, where a~ holds the computed m-point
     DFT coefficients on 0..d and zero beyond, plus the rounding of the grid
@@ -382,7 +441,8 @@ def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
     From the Cauchy estimates |a_j| <= A rho^-j of the envelope env: the
     truncation tail _tail_bound(env, d+1, s), plus the aliases folded onto
     0..d, sum_(j<=d) j^s |a_(j+m) + a_(j+2m) + ...| <= A rho^-m /
-    (1 - rho^-m) sum_(j<=d) j^s rho^-j at its best rho.
+    (1 - rho^-m) sum_(j<=d) j^s rho^-j at its best rho, with the factors
+    folds = _alias_folds(env, d, m) that every order shares.
 
     Rounding, to first order in u = 2^-53, with real operations within u,
     complex products within sqrt(5) u and complex quotients (Smith's
@@ -416,11 +476,8 @@ def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
     js = np.arange(big_n, dtype=np.float64)
     powers = js ** s
     alias = math.inf
-    for rho, a in env:
-        q = rho ** (-m)
-        if q < 1.0 and math.isfinite(a):
-            decay = np.exp(-math.log(rho) * js)
-            alias = min(alias, a * q / (1.0 - q) * float((powers * decay).sum()))
+    for weight, decay in folds:
+        alias = min(alias, weight * float((powers * decay).sum()))
     big_r = c.radius_R
     kappa = float(np.sum(1.0 / (1.0 - np.abs(c.zero_array()) / big_r ** 2)))
     sampled = (64.0 * kappa + 8.0 * math.log2(m)) * math.sqrt(float((powers * powers).sum()))
@@ -431,7 +488,7 @@ def _series_error(c: DilatedCorrector, env: list, d: int, m: int, s: int,
 
 
 def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
-                  oversample: int) -> tuple[LaurentPolynomial, dict]:
+                  oversample: int) -> tuple[LaurentPolynomial, dict, dict]:
     """B phi0 sampled once, and the sup of each derivative from its samples.
 
     One envelope env = _tail_envelope(c) sets the degree D =
@@ -439,8 +496,10 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
     _alias_grid(D, 1e-10, env), and the DFT on that grid gives a~_0..a~_D.
     Past the decay point those are rounding, so every sup runs on a~_0..a~_K
     only: K >= n + 1 is the least degree whose tail sum_(j>K) |a~_j| is at
-    most _NOISE_FLOOR ||a~||_2.  Returns that truncation of degree K, and
-    {s: SupBound} for s in orders.  The order-s sup is that of the series
+    most _NOISE_FLOOR ||a~||_2.  Returns that truncation of degree K,
+    {s: SupBound} for s in orders, and the sizes it settled on:
+    truncation_degree D, alias_grid (0 where B phi0 = z^n is taken exactly,
+    with D = n) and trim_degree K.  The order-s sup is that of the series
     sum j(j-1)...(j-s+1) a~_j z^j, j <= K, whose modulus on the circle is
     that of the s-th derivative of the truncation; its value is the
     Newton-refined grid max of sup_norm_certified, and its upper bound is
@@ -459,14 +518,16 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
     beyond = np.append(np.cumsum(np.abs(a[:0:-1]))[::-1], 0.0)
     first = int(np.argmax(beyond <= _NOISE_FLOOR * np.linalg.norm(a)))
     k = min(d, max(c.n + 1, first))
+    folds = _alias_folds(env, d, m)
     sups = {}
     for s in orders:
         series = _falling_factorial(d, s) * a
         grid = sup_norm_certified(LaurentPolynomial(0, series[: k + 1]), oversample)
-        err = 0.0 if exact else (_series_error(c, env, d, m, s, oversample)
+        err = 0.0 if exact else (_series_error(c, env, folds, d, m, s, oversample)
                                  + float(np.abs(series[k + 1 :]).sum()))
         sups[s] = SupBound(grid.value, grid.upper + err)
-    return LaurentPolynomial(0, a[: k + 1]), sups
+    sizes = {"truncation_degree": d, "alias_grid": m, "trim_degree": k}
+    return LaurentPolynomial(0, a[: k + 1]), sups, sizes
 
 
 def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
@@ -478,20 +539,22 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
     phi0_err = |phi0(0) - 1|, and for each s in s_list ratio_s{s} =
     sup |(B phi0)^(s)| / n^s with ratio_s{s}_upper, besov_ratio_s{s} =
     besov_seminorm(Taylor truncation, s, inf) / n^s, every sup at oversample
-    grid nodes per coefficient.  Each value <= true sup <= its upper (see
-    _sampled_sups).  The upper bounds count rounding (_series_error) and the
-    coefficients trimmed as noise; a value may exceed the sup by its own
+    grid nodes per coefficient, and the sampling's sizes truncation_degree
+    (D), alias_grid and trim_degree (K).  Each value <= true sup <= its upper
+    (see _sampled_sups).  The upper bounds count rounding (_series_error) and
+    the coefficients trimmed as noise; a value may exceed the sup by its own
     rounding, about u R^n per Taylor coefficient amplified by the falling
     factorials, and by the trimmed tail.
     """
     n = c.n
-    trunc, sups = _sampled_sups(c, (0, *s_list), oversample)
+    trunc, sups, sizes = _sampled_sups(c, (0, *s_list), oversample)
     record = {
         "n": n,
         "epsilon": c.epsilon,
         "sup_phi": sups[0].value,
         "sup_phi_upper": sups[0].upper,
         "phi0_err": abs(eval_phi0(c, 0.0) - 1.0),
+        **sizes,
     }
     blocks = _besov_blocks(trunc, np.inf, oversample)
     for s in s_list:

@@ -3,6 +3,7 @@ import json
 import math
 import os
 
+import mpmath
 import numpy as np
 import pytest
 
@@ -20,6 +21,7 @@ from szego_lab.blaschke import (
     eval_phi0,
     taylor_coeffs,
     _alias_grid,
+    _arc_gaps,
     _factor_rotations,
     _falling_factorial,
     _sampled_sups,
@@ -401,17 +403,31 @@ def test_certified_brackets_are_within_one_percent():
 
 
 def test_sampled_series_is_trimmed_at_its_noise_floor():
-    # boundary_cluster, n = 256, eps = 1, seed 1: D = 11816, while the
-    # computed coefficients are rounding from about degree 7000 on; before
-    # the trim every sup ran on degree 11816, and the alias grid, floored at
-    # 2(D+1) nodes, had 32768
+    # boundary_cluster, n = 256, eps = 1, seed 1: with the whole-circle
+    # envelope D was 11816 on 16384 nodes and the trim K 6908; per arc D is
+    # 6271 on 8192 nodes, and the computed coefficients are rounding from
+    # about degree 3600 on.  Before the trim every sup ran on degree D, and
+    # the alias grid, floored at 2(D+1) nodes, had 32768
     c = build_corrector(generate_zeros("boundary_cluster", 256, 1), 1.0)
     env = _tail_envelope(c)
     d = _truncation_degree(c, 2, 1e-9, env)
-    assert d == 11816
-    assert _alias_grid(d, 1e-10, env) == 16384
-    trunc, _ = _sampled_sups(c, (0, 1, 2), 16)
+    assert d <= 0.6 * 11816
+    assert d == 6271
+    assert _alias_grid(d, 1e-10, env) == 8192
+    trunc, _, sizes = _sampled_sups(c, (0, 1, 2), 16)
     assert trunc.hi <= 0.6 * 11816
+    assert sizes == {"truncation_degree": d, "alias_grid": 8192,
+                     "trim_degree": trunc.hi}
+
+
+def test_truncation_degree_at_n_1024():
+    # boundary_cluster, n = 1024, eps = 1, seed 1: the whole-circle envelope
+    # was 1.8e214 at the second radius and infinite past it, and gave D =
+    # 51634 (a 65536-node alias grid)
+    c = build_corrector(generate_zeros("boundary_cluster", 1024, 1), 1.0)
+    d = _truncation_degree(c, 2, 1e-9, _tail_envelope(c))
+    assert d < 51634
+    assert d == 29379
 
 
 @pytest.fixture
@@ -439,27 +455,28 @@ def test_alias_grid_is_set_by_its_bound(grid_sizes):
     assert grid_sizes == [512]
 
 
-# (kind, n, epsilon): (D, alias grid) at seed 1; the alias grid goes through
+# (kind, n, epsilon): (D, alias grid) at seed 1, then the same from the
+# whole-circle envelope; the alias grid goes through
 # circle_fourier._certified_grid and must keep these sizes
 ALIAS_GRIDS = {
-    ("uniform_disk", 16, 1.0): (343, 512),
-    ("uniform_disk", 16, 0.1): (1334, 2048),
-    ("uniform_disk", 64, 1.0): (1557, 2048),
-    ("uniform_disk", 64, 0.1): (4522, 8192),
-    ("uniform_disk", 256, 1.0): (8056, 8192),
-    ("uniform_disk", 256, 0.1): (46223, 65536),
-    ("boundary_cluster", 16, 1.0): (383, 512),
-    ("boundary_cluster", 16, 0.1): (1372, 2048),
-    ("boundary_cluster", 64, 1.0): (2691, 4096),
-    ("boundary_cluster", 64, 0.1): (10676, 16384),
-    ("boundary_cluster", 256, 1.0): (11816, 16384),
-    ("boundary_cluster", 256, 0.1): (99582, 131072),
-    ("radial_line", 16, 1.0): (79, 128),
-    ("radial_line", 16, 0.1): (95, 128),
-    ("radial_line", 64, 1.0): (141, 256),
-    ("radial_line", 64, 0.1): (146, 256),
-    ("radial_line", 256, 1.0): (341, 512),
-    ("radial_line", 256, 0.1): (342, 512),
+    ("uniform_disk", 16, 1.0): ((289, 512), (343, 512)),
+    ("uniform_disk", 16, 0.1): ((1180, 2048), (1334, 2048)),
+    ("uniform_disk", 64, 1.0): ((1144, 2048), (1557, 2048)),
+    ("uniform_disk", 64, 0.1): ((3763, 4096), (4522, 8192)),
+    ("uniform_disk", 256, 1.0): ((6034, 8192), (8056, 8192)),
+    ("uniform_disk", 256, 0.1): ((42900, 65536), (46223, 65536)),
+    ("boundary_cluster", 16, 1.0): ((289, 512), (383, 512)),
+    ("boundary_cluster", 16, 0.1): ((1125, 2048), (1372, 2048)),
+    ("boundary_cluster", 64, 1.0): ((1398, 2048), (2691, 4096)),
+    ("boundary_cluster", 64, 0.1): ((6211, 8192), (10676, 16384)),
+    ("boundary_cluster", 256, 1.0): ((6271, 8192), (11816, 16384)),
+    ("boundary_cluster", 256, 0.1): ((30973, 32768), (99582, 131072)),
+    ("radial_line", 16, 1.0): ((79, 128), (79, 128)),
+    ("radial_line", 16, 0.1): ((95, 128), (95, 128)),
+    ("radial_line", 64, 1.0): ((141, 256), (141, 256)),
+    ("radial_line", 64, 0.1): ((146, 256), (146, 256)),
+    ("radial_line", 256, 1.0): ((341, 512), (341, 512)),
+    ("radial_line", 256, 0.1): ((342, 512), (342, 512)),
 }
 
 
@@ -468,7 +485,9 @@ def test_alias_grid_keeps_its_grids(kind, n, eps):
     c = build_corrector(generate_zeros(kind, n, 1), eps)
     env = _tail_envelope(c)
     d = _truncation_degree(c, 2, 1e-9, env)
-    assert (d, _alias_grid(d, 1e-10, env)) == ALIAS_GRIDS[kind, n, eps]
+    pinned, whole_circle = ALIAS_GRIDS[kind, n, eps]
+    assert (d, _alias_grid(d, 1e-10, env)) == pinned
+    assert pinned[0] <= whole_circle[0] and pinned[1] <= whole_circle[1]
 
 
 def test_derivative_apriori_grid_is_capped(grid_sizes):
@@ -496,26 +515,111 @@ def _dilated_values(c: DilatedCorrector, z: np.ndarray) -> np.ndarray:
     return c.radius_R ** c.n * eval_blaschke(scaled, z / c.radius_R)
 
 
-@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster", "radial_line"])
-@pytest.mark.parametrize("n", [1, 6, 64])
-@pytest.mark.parametrize("eps", [1.0, 0.1])
-def test_tail_envelope_bounds_every_circle(kind, n, eps):
-    # each (rho, A) bounds |B phi0| on |z| = rho; the grid is turned so that
-    # a node lies on the ray of the first zero, where the one factor of
-    # n = 1 attains its sup, so there A is met to rounding
-    c = build_corrector(generate_zeros(kind, n, 2), eps)
+def _whole_circle_envelope(c: DilatedCorrector) -> list:
+    """The envelope with each factor bounded by its sup over the whole
+    circle, (rho - |z_k|)/(1 - |z_k| rho/R^2), on _tail_envelope's ladder:
+    the oracle every per-arc (rho, A) must stay below."""
+    big_r = c.radius_R
+    out = [(big_r, big_r ** c.n)]
+    moduli = np.abs(c.zero_array())
+    zmax = float(np.max(moduli))
+    if zmax > 0.0:
+        pole = big_r * big_r / zmax
+        for t in 1.0 - 2.0 ** -np.arange(1, 8):
+            rho = big_r ** (1.0 - t) * pole ** t
+            if rho > big_r:
+                log_bound = float(np.sum(
+                    np.log((rho - moduli) / (1.0 - moduli * rho / big_r ** 2))))
+                out.append((rho, math.exp(log_bound) if log_bound < 700.0
+                            else math.inf))
+    return out
+
+
+def _check_envelope_on_circles(c: DilatedCorrector, ray: complex) -> list:
+    """Each (rho, A) of the envelope bounds max |B phi0| on a 2^14-node grid
+    of |z| = rho turned by ray, and is at most the whole-circle product,
+    equal to it at rho = R; returns the grid maxima."""
     env = _tail_envelope(c)
-    assert env[0] == (c.radius_R, c.radius_R ** n)
-    assert len(env) == 8 and all(r < s for (r, _), (s, _) in zip(env, env[1:]))
-    ray = c.zeros.zeros[0] / abs(c.zeros.zeros[0])
+    oracle = _whole_circle_envelope(c)
+    assert env[0] == oracle[0] == (c.radius_R, c.radius_R ** c.n)
+    assert [rho for rho, _ in env] == [rho for rho, _ in oracle]
     nodes = ray * grid_nodes(1 << 14)
-    for rho, a in env:
-        if not math.isfinite(a):
-            continue
+    tops = []
+    for (rho, a), (_, whole) in zip(env, oracle):
+        assert a <= whole, (rho, a, whole)
         top = float(np.max(np.abs(_dilated_values(c, rho * nodes))))
         assert top <= a * (1.0 + 1e-12), (rho, top, a)
-        if n == 1:
+        tops.append(top)
+    return tops
+
+
+@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster", "radial_line"])
+@pytest.mark.parametrize("n", [1, 6, 64, 256])
+@pytest.mark.parametrize("eps", [1.0, 0.1])
+def test_tail_envelope_bounds_every_circle(kind, n, eps):
+    # each (rho, A) bounds |B phi0| on |z| = rho and is at most the
+    # whole-circle product; the grid is turned so that a node lies on the
+    # ray of the first zero, where the one factor of n = 1 attains its sup,
+    # so there A is met to rounding and equals the whole-circle product
+    c = build_corrector(generate_zeros(kind, n, 2), eps)
+    env = _tail_envelope(c)
+    assert len(env) == 8 and all(r < s for (r, _), (s, _) in zip(env, env[1:]))
+    ray = c.zeros.zeros[0] / abs(c.zeros.zeros[0])
+    tops = _check_envelope_on_circles(c, ray)
+    if n == 1:
+        assert env == _whole_circle_envelope(c)
+        for (rho, a), top in zip(env, tops):
             assert top >= a * (1.0 - 1e-12), (rho, top, a)
+
+
+@pytest.mark.parametrize("zeros", [
+    (0.0, 0.9, 0.0, -0.5j),                       # zeros at the origin
+    (0.7 + 0.2j,) * 3 + (-0.8,) * 2,              # repeated zeros
+    tuple(0.9 * np.exp(2j * np.pi * np.arange(8) / 8)),  # on the arc ends
+], ids=["origin", "repeated", "arc-ends"])
+def test_tail_envelope_takes_origin_and_repeated_zeros(zeros):
+    c = build_corrector(ZeroSet(zeros), 1.0)
+    _check_envelope_on_circles(c, 1.0)
+
+
+def test_arc_gaps_never_exceed_the_true_gap():
+    # x[j, k] <= sin^2(gap/2) against the gap taken at 60 digits from the
+    # zeros as stored, for random zeros and zeros next to the arc ends
+    rng = np.random.default_rng(47)
+    arcs = 64
+    ends = 2 * np.pi * np.arange(arcs) / arcs
+    angles = np.concatenate([rng.uniform(-np.pi, np.pi, 40),
+                             ends[::8] + 1e-9, ends[::8] - 1e-9, ends[1::8]])
+    zeros = rng.uniform(0.1, 0.99, len(angles)) * np.exp(1j * angles)
+    x = _arc_gaps(zeros, arcs)
+    with mpmath.workdps(60):
+        two_pi = 2 * mpmath.pi
+        for k, z in enumerate(zeros):
+            alpha = mpmath.atan2(z.imag, z.real) % two_pi
+            for j in range(arcs):
+                # the angle from alpha to the arc, 0 on it
+                t = (alpha - two_pi * j / arcs) % two_pi
+                gap = max(0, min(t - two_pi / arcs, two_pi - t))
+                assert x[j, k] <= mpmath.sin(gap / 2) ** 2, (j, k)
+
+
+def test_tail_envelope_of_zeros_on_one_ray_is_the_whole_circle_product():
+    # every factor is largest on the ray, which one arc holds
+    c = build_corrector(ZeroSet((0.95, 0.5, 0.5, 0.0, 0.2)), 0.5)
+    assert _tail_envelope(c) == _whole_circle_envelope(c)
+
+
+def test_tail_envelope_of_spread_zeros_is_below_the_whole_circle_product():
+    # two opposite zeros: on every arc one factor is far below its sup
+    c = build_corrector(ZeroSet((0.9, -0.9)), 1.0)
+    env, oracle = _tail_envelope(c), _whole_circle_envelope(c)
+    assert env[0] == oracle[0]
+    assert all(a < 0.5 * whole for (_, a), (_, whole) in zip(env[1:], oracle[1:]))
+
+
+def test_tail_envelope_of_the_origin_alone_is_R_to_the_n():
+    c = build_corrector(ZeroSet((0.0, 0.0, 0.0)), 1.0)
+    assert _tail_envelope(c) == [(c.radius_R, c.radius_R ** 3)]
 
 
 def test_truncation_degree_follows_the_envelope():

@@ -126,6 +126,21 @@ def test_vs_bound_artifacts(tmp_path, capsys):
     assert all(1.0 < v < 1.5 for v in worst.values())
 
 
+def test_vs_bound_report_records_the_sampling_sizes(tmp_path, capsys):
+    # boundary_cluster, n = 256, eps = 1, seed 1: the truncation degree D,
+    # the alias grid and the trim degree K go to report.json only
+    man = write_json(tmp_path / "man.json", {
+        "command": "vs-bound", "n_grid": [256], "seed": 1, "seeds": 1,
+        "kinds": ["boundary_cluster"], "out_dir": str(tmp_path / "out")})
+    code, _ = run_main(capsys, "vs-bound", "--manifest", man)
+    assert code == 0
+    row = read_report(str(tmp_path / "out"))["rows"][0]
+    assert (row["truncation_degree"], row["alias_grid"], row["trim_degree"]) \
+        == (6271, 8192, 3568)
+    header = list(read_rows(str(tmp_path / "out"))[0])
+    assert not {"truncation_degree", "alias_grid", "trim_degree"} & set(header)
+
+
 def test_vs_bound_summary_measures_the_run_epsilon(tmp_path, capsys,
                                                   monkeypatch):
     # a sup_phi 1% above (1 + eps/n)^n breaks the bound of an eps = 0.1 run
