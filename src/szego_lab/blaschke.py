@@ -54,6 +54,8 @@ __all__ = [
 ]
 
 _POLE_TOL = 2.0 ** -40
+# factors per division in eval_blaschke (see _block_length)
+_BLOCK = 16
 # the sampled series is cut where the rest of its l1 mass falls below this
 # share of its l2 norm: below the coefficients' own certified rounding
 _NOISE_FLOOR = 2.0 ** -40
@@ -97,12 +99,31 @@ class ZeroSet:
         return iter(self.zeros)
 
 
-def _factor_rotations(zeros: np.ndarray) -> np.ndarray:
-    """Per-factor unimodular multipliers making the product positive at 0."""
-    rot = np.ones(len(zeros), dtype=np.complex128)
-    nz = zeros != 0
-    rot[nz] = -np.abs(zeros[nz]) / zeros[nz]
-    return rot
+def _rotation(zeros) -> complex:
+    """The product of the factors' unimodular multipliers -|z_k|/z_k =
+    -conj(z_k)/|z_k| (1 for z_k = 0), which makes the product positive at
+    0.  Each is taken on z_k scaled by 2^600 where |z_k| < 2^-500, which is
+    exact and keeps a subnormal z_k's bits: unscaled, |z_k|/z_k overflows,
+    or is not unimodular."""
+    out = 1.0 + 0.0j
+    for zk in zeros:
+        if zk:
+            s = zk * 2.0 ** 600 if abs(zk) < 2.0 ** -500 else zk
+            h = abs(s)
+            out *= complex(-s.real / h, s.imag / h)
+    return out
+
+
+def _block_length(zmax: float) -> int:
+    """Factors per deferred division at points |z| <= zmax.  Off the 2^-40
+    pole margin each denominator 1 - conj(z_k) z lies within
+    [min(1/2, 2^-41/zmax), 1 + zmax], and each numerator z - z_k is at most
+    1 + zmax, so L factors keep both running products within 2^(+-1000)
+    when L max(log2(1 + zmax), 41 + log2 zmax) <= 1000: _BLOCK for
+    zmax <= 1, down to 1 as zmax grows."""
+    if not zmax > 1.0:
+        return _BLOCK
+    return max(1, min(_BLOCK, int(1000.0 // (41.0 + math.log2(zmax)))))
 
 
 @dataclass(frozen=True)
@@ -123,34 +144,47 @@ class BlaschkeProduct:
 def eval_blaschke(b: BlaschkeProduct, z):
     """Factor-by-factor evaluation; scalar or ndarray argument.
 
-    Each factor is rk*(z - z_k)/(1 - conj(z_k)*z), computed in that order of
-    operations into two buffers reused by every factor.  Raises
-    PoleProximityError if z comes within 2^-40 of a pole 1/conj(z_k); the
-    elementwise distance is taken only for a pole that |pole| - max|z| (with
-    a factor 2 for its rounding) does not already keep that far away.
+    The factors (z - z_k)/(1 - conj(z_k) z) are taken in blocks of
+    _block_length(max|z|) (16 on |z| <= 1): a block keeps the running
+    products of its numerators and of its denominators, each updated by
+    one subtraction and one product per factor, and folds their one
+    quotient into the result.  The rotations -|z_k|/z_k multiply into one
+    unimodular scalar, applied once at the end.  A numerator product may
+    sink below the normal range, but on |z| <= 1, where each denominator
+    is above 2^-41, that loses less than 2^-400 in absolute value.
+
+    Raises PoleProximityError if z comes within 2^-40 of a pole
+    1/conj(z_k).  No pole is formed for a zero with |z_k| (2 max|z| + 1)
+    < 1, whose pole lies more than 1/2 beyond every z, and the elementwise
+    distance is taken only for a pole that |pole| - max|z| (with a factor
+    2 for its rounding) does not already keep that far away.
     """
-    zs = np.asarray(b.zeros.zeros, dtype=np.complex128)
+    zs = b.zeros.zeros
     za = np.asarray(z, dtype=np.complex128)
     scalar = za.ndim == 0
     za = np.atleast_1d(za)
+    zmax = float(np.max(np.abs(za), initial=0.0))
+    for zk in zs:
+        if abs(zk) * (2.0 * zmax + 1.0) >= 1.0:
+            pole = 1.0 / zk.conjugate()
+            if (abs(pole) - zmax < 2.0 * _POLE_TOL
+                    and np.min(np.abs(za - pole)) < _POLE_TOL):
+                raise PoleProximityError(f"evaluation within 2^-40 of pole {pole}")
     out = np.ones(za.shape, dtype=np.complex128)
     num = np.empty_like(out)
     den = np.empty_like(out)
-    zmax = float(np.max(np.abs(za), initial=0.0))
-    rots = _factor_rotations(zs)
-    for zk, rk in zip(zs, rots):
-        if zk == 0:
-            out *= za
-            continue
-        pole = 1.0 / np.conj(zk)
-        if (abs(pole) - zmax < 2.0 * _POLE_TOL
-                and np.min(np.abs(za - pole)) < _POLE_TOL):
-            raise PoleProximityError(f"evaluation within 2^-40 of pole {pole}")
-        np.subtract(za, zk, out=num)
-        np.multiply(rk, num, out=num)
-        np.multiply(np.conj(zk), za, out=den)
-        np.subtract(1.0, den, out=den)
+    tmp = np.empty_like(out)
+    block = _block_length(zmax)
+    for lo in range(0, len(zs), block):
+        num.fill(1.0)
+        den.fill(1.0)
+        for zk in zs[lo : lo + block]:
+            num *= np.subtract(za, zk, out=tmp)
+            if zk:
+                np.multiply(zk.conjugate(), za, out=tmp)
+                den *= np.subtract(1.0, tmp, out=tmp)
         out *= np.divide(num, den, out=num)
+    out *= _rotation(zs)
     return complex(out[0]) if scalar else out
 
 
@@ -263,11 +297,16 @@ def _arc_gaps(zeros: np.ndarray, arcs: int) -> np.ndarray:
     x = np.minimum(chord[:-1], chord[1:])
     x -= 2.0 ** -40
     np.maximum(x, 0.0, out=x)
-    # a zero within float error of an arc end may land on either arc: the
-    # other one's x is 0 after the margin anyway
-    own = (angles % (2.0 * math.pi) * (arcs / (2.0 * math.pi))).astype(np.intp)
-    x[own % arcs, np.arange(len(zeros))] = 0.0
+    x[_own_arcs(zeros, arcs), np.arange(len(zeros))] = 0.0
     return x
+
+
+def _own_arcs(zeros: np.ndarray, arcs: int) -> np.ndarray:
+    """The arc [2 pi j/arcs, 2 pi (j+1)/arcs] that holds each arg z_k.  A
+    zero within float error of an arc end may land on either arc: the
+    other one's x in _arc_gaps is 0 after its margin anyway."""
+    turns = np.angle(zeros) % (2.0 * math.pi) * (arcs / (2.0 * math.pi))
+    return turns.astype(np.intp) % arcs
 
 
 def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
@@ -310,21 +349,26 @@ def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
     q = moduli * rhos / big_r ** 2
     # log-sums: the factor products overflow floats for many zeros
     whole = np.sum(np.log((rhos - moduli) / (1.0 - q)), axis=1)
-    u = (4.0 * rhos * moduli / (rhos - moduli) ** 2)[:, None, :]
-    v = (4.0 * q / (1.0 - q) ** 2)[:, None, :]
     arcs = max(8, n // 4)
-    x = _arc_gaps(zeros, arcs)
-    best = np.full(len(rhos), -math.inf)
-    step = max(1, _ENVELOPE_BLOCK // (len(rhos) * n))
-    for lo in range(0, arcs, step):
-        block = x[lo : lo + step]
-        ratio = u * block
-        ratio += 1.0
-        den = v * block
-        den += 1.0
-        ratio /= den
-        np.log(ratio, out=ratio)
-        np.maximum(best, ratio.sum(axis=2).max(axis=1), out=best)
+    own = _own_arcs(zeros, arcs)
+    # where one arc holds every zero, its terms are all log 1 = 0, which
+    # the clamp below at 0 gives without the arc loop
+    best = np.zeros(len(rhos))
+    if np.any(own != own[0]):
+        u = (4.0 * rhos * moduli / (rhos - moduli) ** 2)[:, None, :]
+        v = (4.0 * q / (1.0 - q) ** 2)[:, None, :]
+        x = _arc_gaps(zeros, arcs)
+        step = max(1, _ENVELOPE_BLOCK // (len(rhos) * n))
+        best.fill(-math.inf)
+        for lo in range(0, arcs, step):
+            block = x[lo : lo + step]
+            ratio = u * block
+            ratio += 1.0
+            den = v * block
+            den += 1.0
+            ratio /= den
+            np.log(ratio, out=ratio)
+            np.maximum(best, ratio.sum(axis=2).max(axis=1), out=best)
     for rho, log_whole, log_arc in zip(rhos[:, 0], whole, best):
         log_bound = float(log_whole) + 0.5 * min(0.0, float(log_arc))
         bound = math.exp(log_bound) if log_bound < 700.0 else math.inf
@@ -452,10 +496,22 @@ def _series_error(c: DilatedCorrector, env: list, folds: list, d: int, m: int,
     - a sample of eval_B_phi is R^n prod phi_k(w) with |phi_k| <= 1 and
       |phi_k'| <= 2 kappa_k on |w| = 1/R.  The node exp(2 pi i p/m) is off
       by 15u and w = z/R by 16u/R, which moves the product by 32u K; the
-      rounded zero z_k/R moves its factor by 2 kappa_k u, the cancellation
-      in 1 - conj(a) w costs sqrt(5) kappa_k u, and the factor's five other
-      operations and its rotation -|a|/a about 24u <= 24 kappa_k u.  With the
-      final scaling by R^n each sample is within 64 u R^n K.
+      rounded zero a = z_k/R moves its factor by 2 kappa_k u, and the
+      cancellation in 1 - conj(a) w costs sqrt(5) kappa_k u.  eval_blaschke
+      keeps running products of the numerators w - a and of the
+      denominators 1 - conj(a) w over blocks of 16 factors, divides once per
+      block, and multiplies the rotations -|a|/a = -conj(a)/|a| into one.
+      Per factor, the two subtractions, the two running products, the
+      rotation (within 3u: a modulus within 2u, then real quotients) and
+      its product with the others cost (5 + 3 sqrt(5)) u <=
+      (5 + 3 sqrt(5)) kappa_k u.  Each block's quotient (8u) and its
+      product into the sample (sqrt(5) u), and once the rotation's product
+      with the sample (sqrt(5) u) and the scaling by R^n (3u), cost at most
+      (11 + 2 sqrt(5)) u per factor, as there are at most n blocks.  So each
+      sample is within (50 + 6 sqrt(5)) u R^n K < 64 u R^n K.  A running
+      product below the normal range loses at most 2^-1074 per operation,
+      and its block's denominators, each above 2^-41, raise that to below
+      2^-400: nothing at this order.
     - by Parseval the m-point DFT divided by m maps sample errors of at most
       e to coefficient errors of l2 norm at most e, and the FFT adds l2
       norm at most 8 u log2 m R^n (Higham, Accuracy and Stability of

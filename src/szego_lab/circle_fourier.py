@@ -25,6 +25,7 @@ __all__ = [
     "KernelSpec",
     "KernelDomainError",
     "GridCapError",
+    "NonFiniteGridError",
     "SupBound",
     "vallee_poussin",
     "modified_v",
@@ -58,6 +59,10 @@ class KernelDomainError(ValueError):
 
 class GridCapError(ValueError):
     """A sup grid would pass _GRID_CAP nodes; refused before sampling."""
+
+
+class NonFiniteGridError(ArithmeticError):
+    """A sup grid holds a NaN or an infinity, so it bounds nothing."""
 
 
 def _next_pow2(m: int) -> int:
@@ -315,6 +320,8 @@ def kernel_identity_vk_vpn(k: int, n: int) -> bool:
     Verifies coefficientwise, in integer arithmetic, that the product of the
     two multipliers equals the modified_v(k) multiplier at every frequency.
     Claimed only for 2^k <= n; other arguments raise KernelDomainError.
+    Only |j| <= 2^k is checked: beyond it the modified_v(k) multiplier is
+    0, so both sides are.
     """
     if k < 0 or n < 1:
         raise KernelDomainError("need k >= 0 and n >= 1")
@@ -322,8 +329,7 @@ def kernel_identity_vk_vpn(k: int, n: int) -> bool:
         raise KernelDomainError(f"identity not claimed for 2^{k} > {n}")
     vk = modified_v(k)
     vpn = modified_vp(n)
-    width = max(1 << k, 2 * n)
-    js = np.arange(-width, width + 1, dtype=np.int64)
+    js = np.arange(-(1 << k), (1 << k) + 1, dtype=np.int64)
     num_k, den_k = _multiplier_scaled(vk, js)
     num_vp, den_vp = _multiplier_scaled(vpn, js)
     # (num_k/den_k)*(num_vp/den_vp) == num_k/den_k  <=>  num_k*(num_vp - den_vp) == 0
@@ -362,7 +368,8 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     up to three Newton steps on |f|^2 from the best node, each a vectorized
     O(d) sum; upper = grid max / sqrt(cos(pi d/M)) by the van der
     Corput-Schaake inequality for |f|^2, of degree d, as M >= 4(d+1) > 2d.
-    A grid past _GRID_CAP nodes raises GridCapError before any sampling.
+    A grid past _GRID_CAP nodes raises GridCapError before any sampling,
+    and a grid that holds a NaN or an infinity raises NonFiniteGridError.
     """
     if oversample < 4:
         raise ValueError("oversample must be >= 4")
@@ -385,7 +392,9 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     for t in range(r):
         twisted = c * np.exp(1j * h * t * js) if t else c
         av = np.abs(_analytic_values(twisted, part))
-        q = int(np.argmax(av))
+        q = int(np.argmax(av))  # the first NaN, if any
+        if not math.isfinite(av[q]):
+            raise NonFiniteGridError(f"sup grid value {av[q]} at node {q * r + t}")
         if av[q] > grid_max:
             grid_max, kbest = float(av[q]), q * r + t
     best = grid_max

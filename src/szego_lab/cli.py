@@ -48,6 +48,7 @@ from szego_lab.blaschke import (
 from szego_lab.circle_fourier import (
     GridCapError,
     KernelDomainError,
+    NonFiniteGridError,
     kernel_identity_vk_vpn,
 )
 from szego_lab.measure_opuc import (
@@ -606,7 +607,7 @@ def main(argv=None) -> int:
         return 4
     except (PrecisionExhausted, NotPositiveDefinite, QuadratureError,
             TaylorToleranceError, PoleProximityError,
-            KernelDomainError) as exc:
+            KernelDomainError, NonFiniteGridError) as exc:
         _emit_error(3, exc)
         return 3
     print(f"wrote {result['csv']} and {result['json']} "

@@ -22,8 +22,9 @@ from szego_lab.blaschke import (
     taylor_coeffs,
     _alias_grid,
     _arc_gaps,
-    _factor_rotations,
+    _block_length,
     _falling_factorial,
+    _rotation,
     _sampled_sups,
     _tail_envelope,
     _truncation_degree,
@@ -96,22 +97,39 @@ def test_pole_proximity_raises():
 
 
 def _eval_blaschke_oracle(b: BlaschkeProduct, z: np.ndarray) -> np.ndarray:
-    """The factor loop as one expression per factor, allocating its
-    temporaries: the reference the buffered loop must match bit for bit."""
+    """The block loop written out as expressions, allocating its
+    temporaries: per block of 16 factors the product of the numerators over
+    the product of the denominators, and the product of the rotations once
+    at the end.  The reference the buffered loop must match bit for bit.
+    Every operand is a named array: numpy may reuse an unnamed temporary as
+    the output of the next product, and its fused complex products need
+    not give the same bits with the operands swapped."""
     zs = np.asarray(b.zeros.zeros, dtype=np.complex128)
     out = np.ones(z.shape, dtype=np.complex128)
-    for zk, rk in zip(zs, _factor_rotations(zs)):
-        if zk == 0:
-            out *= z
-            continue
-        out *= rk * (z - zk) / (1.0 - np.conj(zk) * z)
-    return out
+    for lo in range(0, len(zs), 16):
+        num = np.ones(z.shape, dtype=np.complex128)
+        den = np.ones(z.shape, dtype=np.complex128)
+        for zk in zs[lo : lo + 16]:
+            diff = z - zk
+            num = num * diff
+            if zk != 0:
+                prod = np.conj(zk) * z
+                cancel = 1.0 - prod
+                den = den * cancel
+        quotient = num / den
+        out = out * quotient
+    return out * _rotation(b.zeros.zeros)
 
 
 def test_factor_loop_is_bit_identical_to_the_expression():
     rng = np.random.default_rng(71)
+    # 256 factors with one at the origin: 16 full blocks on |z| < 1
     b = BlaschkeProduct(ZeroSet(generate_zeros("uniform_disk", 255, 3).zeros + (0,)))
     z = 0.999 * grid_nodes(1 << 15) * np.exp(0.1j * rng.uniform(size=1 << 15))
+    assert _block_length(float(np.max(np.abs(z)))) == 16
+    assert np.array_equal(eval_blaschke(b, z), _eval_blaschke_oracle(b, z))
+    # a last block shorter than 16
+    b = BlaschkeProduct(ZeroSet(b.zeros.zeros[:37]))
     assert np.array_equal(eval_blaschke(b, z), _eval_blaschke_oracle(b, z))
 
 
@@ -120,10 +138,66 @@ def test_pole_check_falls_back_to_the_elementwise_distance():
     # take the elementwise distance: -2 is far from it, 2 + 2^-45 is not
     b = BlaschkeProduct(ZeroSet((0.5, 0.3j)))
     far = np.concatenate([0.5 * grid_nodes(1024), [-2.0]])
+    assert _block_length(2.0) == 16
     assert np.array_equal(eval_blaschke(b, far), _eval_blaschke_oracle(b, far))
     near = np.concatenate([0.5 * grid_nodes(1024), [2.0 + 2.0 ** -45]])
     with pytest.raises(PoleProximityError):
         eval_blaschke(b, near)
+
+
+def _mp_blaschke(zeros, z, rr=1):
+    """prod -|a|/a (z - a)/(1 - conj(a) z/rr) over the zeros as stored (z
+    for a = 0), at 200 bits: rr = 1 is the Blaschke product, rr = R^2 the
+    corrected product B phi0."""
+    with mpmath.workprec(200):
+        out = mpmath.mpc(1)
+        for zk in zeros:
+            a = mpmath.mpc(zk)
+            out *= z if a == 0 else -abs(a) / a * (z - a) / (1 - mpmath.conj(a) * z / rr)
+        return out
+
+
+@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster", "radial_line"])
+@pytest.mark.parametrize("n", [64, 256])
+def test_samples_are_within_the_sample_budget(kind, n):
+    # _series_error allows each sample of eval_B_phi 64 u R^n K,
+    # K = sum 1/(1 - |z_k|/R^2); checked at 16 nodes of an 8192-node grid
+    # against the product at 200 bits
+    c = build_corrector(generate_zeros(kind, n, 1), 1.0)
+    big_r = c.radius_R
+    kappa = float(np.sum(1.0 / (1.0 - np.abs(c.zero_array()) / big_r ** 2)))
+    budget = 64 * 2.0 ** -53 * big_r ** n * kappa
+    m = 8192
+    ps = np.random.default_rng(n).choice(m, 16, replace=False)
+    samples = eval_B_phi(c, grid_nodes(m)[ps])
+    with mpmath.workprec(200):
+        rr = mpmath.mpf(big_r) ** 2
+        for p, sample in zip(ps, samples):
+            want = _mp_blaschke(c.zeros, mpmath.expjpi(mpmath.mpf(2 * int(p)) / m), rr)
+            assert abs(sample - want) <= budget, (p, abs(sample - want), budget)
+
+
+def test_eval_blaschke_keeps_its_range():
+    # points at |z| = 1e20 (blocks of 9 factors), points equal to a zero,
+    # and subnormal zeros, whose rotations -|z_k|/z_k overflow unless scaled
+    rng = np.random.default_rng(5)
+    zs = random_zeros(rng, 40) + (1e-310, 3e-320j, -5e-324 + 5e-324j, 0.0)
+    b = BlaschkeProduct(ZeroSet(zs))
+    big = 1e20 * grid_nodes(8)
+    assert _block_length(1e20) == 9
+    inner = np.array([0.3 + 0.1j, -0.5j, 2e-30])
+    points = np.concatenate([big, grid_nodes(8), inner, [zs[0], zs[40], zs[41]]])
+    vals = eval_blaschke(b, points)
+    assert np.all(np.isfinite(vals))
+    assert np.all(vals[-3:] == 0)
+    tol = 64 * 2.0 ** -53 * len(zs)
+    for z, v in zip(points[:-3], vals[:-3]):
+        want = _mp_blaschke(zs, mpmath.mpc(z))
+        assert abs(v - want) <= tol * abs(want), (z, v, want)
+    with mpmath.workprec(200):
+        for zk in zs[40:43]:
+            want = -abs(mpmath.mpc(zk)) / mpmath.mpc(zk)
+            assert abs(_rotation((zk,)) - want) <= 2.0 ** -51, zk
 
 
 # --------------------------------------------------------------- corrector
@@ -607,6 +681,31 @@ def test_tail_envelope_of_zeros_on_one_ray_is_the_whole_circle_product():
     # every factor is largest on the ray, which one arc holds
     c = build_corrector(ZeroSet((0.95, 0.5, 0.5, 0.0, 0.2)), 0.5)
     assert _tail_envelope(c) == _whole_circle_envelope(c)
+
+
+@pytest.mark.parametrize("n", [16, 256])
+def test_one_arc_envelope_skips_the_arc_loop_with_the_same_bits(n, monkeypatch):
+    # radial_line puts every zero on one ray, so one arc holds them all and
+    # the envelope takes no arc term; the arc loop, written out here over
+    # every arc at once, gives the same pairs bit for bit
+    c = build_corrector(generate_zeros("radial_line", n, 1), 1.0)
+    calls = []
+    monkeypatch.setattr(blaschke_module, "_arc_gaps", lambda *a: calls.append(a))
+    env = _tail_envelope(c)
+    assert calls == []
+    big_r = c.radius_R
+    zeros = c.zero_array()
+    moduli = np.abs(zeros)
+    rhos = np.array([rho for rho, _ in env[1:]])[:, None]
+    q = moduli * rhos / big_r ** 2
+    whole = np.sum(np.log((rhos - moduli) / (1.0 - q)), axis=1)
+    u = (4.0 * rhos * moduli / (rhos - moduli) ** 2)[:, None, :]
+    v = (4.0 * q / (1.0 - q) ** 2)[:, None, :]
+    x = _arc_gaps(zeros, max(8, n // 4))
+    best = np.log((u * x + 1.0) / (v * x + 1.0)).sum(axis=2).max(axis=1)
+    loop = [(float(rho), math.exp(float(w) + 0.5 * min(0.0, float(b))))
+            for rho, w, b in zip(rhos[:, 0], whole, best)]
+    assert len(loop) == 7 and env == [(big_r, big_r ** n)] + loop
 
 
 def test_tail_envelope_of_spread_zeros_is_below_the_whole_circle_product():

@@ -19,6 +19,7 @@ from szego_lab.circle_fourier import (
     sup_norm_certified,
     vallee_poussin,
     _certified_grid,
+    _multiplier_scaled,
 )
 
 
@@ -165,6 +166,22 @@ def test_identity_outside_claimed_range_raises():
         kernel_identity_vk_vpn(1, 0)
     with pytest.raises(KernelDomainError):
         kernel_identity_vk_vpn(-1, 4)
+
+
+def test_identity_window_matches_the_full_window():
+    # the oracle checks |j| <= max(2^k, 2n) = 2n, where the function checks
+    # |j| <= 2^k: the rows of vk hold modified_v(k)'s numerators on
+    # |j| <= 2 top, and each n reads their middle 4n + 1 entries
+    top = 4096
+    js = np.arange(-2 * top, 2 * top + 1, dtype=np.int64)
+    vk = np.array([_multiplier_scaled(modified_v(k), js)[0]
+                   for k in range(top.bit_length())])
+    for n in range(1, top + 1):
+        window = slice(2 * (top - n), 2 * (top + n) + 1)
+        num_vp, den_vp = _multiplier_scaled(modified_vp(n), js[window])
+        ks = range(n.bit_length())  # every k with 2^k <= n
+        full = np.all(vk[: len(ks), window] * (num_vp - den_vp) == 0, axis=1)
+        assert [kernel_identity_vk_vpn(k, n) for k in ks] == full.tolist()
 
 
 def test_identity_matches_fraction_arithmetic():

@@ -18,12 +18,14 @@ import subprocess
 import sys
 import time
 
+import numpy as np
 import pytest
 
 from szego_lab.asymptotics import PipelineCertificate
 from szego_lab.measure_opuc import QuadratureError
 from szego_lab.cli import generate_zeros, main
 
+import szego_lab.blaschke as blaschke
 import szego_lab.cli as cli
 import szego_lab.measure_opuc as mo
 
@@ -128,7 +130,9 @@ def test_vs_bound_artifacts(tmp_path, capsys):
 
 def test_vs_bound_report_records_the_sampling_sizes(tmp_path, capsys):
     # boundary_cluster, n = 256, eps = 1, seed 1: the truncation degree D,
-    # the alias grid and the trim degree K go to report.json only
+    # the alias grid and the trim degree K go to report.json only.  K
+    # counts rounding noise, so it moves with the samples' order of
+    # operations
     man = write_json(tmp_path / "man.json", {
         "command": "vs-bound", "n_grid": [256], "seed": 1, "seeds": 1,
         "kinds": ["boundary_cluster"], "out_dir": str(tmp_path / "out")})
@@ -136,9 +140,45 @@ def test_vs_bound_report_records_the_sampling_sizes(tmp_path, capsys):
     assert code == 0
     row = read_report(str(tmp_path / "out"))["rows"][0]
     assert (row["truncation_degree"], row["alias_grid"], row["trim_degree"]) \
-        == (6271, 8192, 3568)
+        == (6271, 8192, 3567)
     header = list(read_rows(str(tmp_path / "out"))[0])
     assert not {"truncation_degree", "alias_grid", "trim_degree"} & set(header)
+
+
+def test_vs_bound_certifies_a_zero_set_with_subnormal_zeros(tmp_path, capsys):
+    # radial_line, n = 1024, seed 3 holds 35 subnormal zeros (and 304 that
+    # underflow to 0), whose rotations -|z_k|/z_k overflow unless scaled
+    zeros = generate_zeros("radial_line", 1024, 3).zeros
+    assert sum(0.0 < abs(z) < 2.0 ** -1022 for z in zeros) == 35
+    man = write_json(tmp_path / "man.json", {
+        "command": "vs-bound", "n_grid": [1024], "seed": 3, "seeds": 1,
+        "kinds": ["radial_line"], "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "vs-bound", "--manifest", man)
+    assert code == 0, out
+    row = read_report(str(tmp_path / "out"))["rows"][0]
+    for key in ("sup_phi", "ratio_s1", "ratio_s2"):
+        upper = row[f"{key}_upper"]
+        assert upper is not None and math.isfinite(upper)
+        assert 0.0 < row[key] <= upper
+    # those zeros set to 0 change B phi0 by a unimodular constant only
+    tiny = tuple(0j if abs(z) < 2.0 ** -1022 else z for z in zeros)
+    plain = cli.corrector_certificate(cli.build_corrector(cli.ZeroSet(tiny), 1.0))
+    for key in ("sup_phi", "ratio_s1", "ratio_s2"):
+        assert row[key] == pytest.approx(plain[key], rel=1e-12, abs=0.0)
+        assert row[f"{key}_upper"] == pytest.approx(plain[f"{key}_upper"],
+                                                    rel=1e-12, abs=0.0)
+
+
+def test_vs_bound_refuses_a_non_finite_sample(tmp_path, capsys, monkeypatch):
+    # a NaN sample leaves no grid bound: a numeric failure, exit 3
+    monkeypatch.setattr(blaschke, "eval_B_phi",
+                        lambda c, z: np.full(np.shape(z), np.nan, dtype=complex))
+    man = write_json(tmp_path / "man.json", {
+        "command": "vs-bound", "n_grid": [8], "kinds": ["uniform_disk"],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "vs-bound", "--manifest", man)
+    assert code == 3, out
+    assert error_payload(out)["type"] == "NonFiniteGridError"
 
 
 def test_vs_bound_summary_measures_the_run_epsilon(tmp_path, capsys,
