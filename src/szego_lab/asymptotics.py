@@ -23,8 +23,10 @@ The exact part runs on Python integers at bits_pipe + 32 fractional bits
 multipliers, whose outputs are the certified approximant, and the norm
 bookkeeping, each output rounded once.  psi, the masses and their
 reflections enter it only through measure_opuc._mass_terms, so the series
-and the norms see the same reflected points.  The defect is sampled on FFT
-grids, from the approximant's complex128 image.
+and the norms see the same reflected points.  The defect is read from the
+same series, run on past the approximant's degree until its Cauchy tail is
+below double rounding: its coefficients are the exact differences, each
+rounded once, and its sup is circle_fourier.sup_norm_certified's value.
 """
 
 from __future__ import annotations
@@ -39,24 +41,26 @@ import numpy as np
 from szego_lab.blaschke import (
     DilatedCorrector,
     ZeroSet,
+    _tail_envelope,
+    _truncation_degree,
     corrector_with_radius,
     eval_B_phi,
 )
 from szego_lab.circle_fourier import (
     KernelSpec,
     LaurentPolynomial,
-    _analytic_values,
     _multiplier_scaled,
-    _next_pow2,
     dirichlet,
     grid_nodes,
     kernel_support,
     modified_vp,
+    sup_norm_certified,
 )
 from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
     PointSpectrum,
+    _as_float,
     _mass_terms,
     _trig_moments,
     log_condition_report,
@@ -122,8 +126,8 @@ class ScheduleFn:
     def __post_init__(self):
         if self.family not in SCHEDULE_FAMILIES:
             raise ValueError(f"unknown schedule family {self.family!r}")
-        if not self.scale > 0:
-            raise ValueError("schedule scale must be positive")
+        if not 0 < self.scale < math.inf:
+            raise ValueError("schedule scale must be positive and finite")
 
     def __call__(self, n: int) -> float:
         return self.scale * SCHEDULE_FAMILIES[self.family](n)
@@ -133,7 +137,18 @@ class ScheduleFn:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScheduleFn":
-        return cls(obj["family"], float(obj.get("scale", 1.0)))
+        obj = _schedule_object(obj, ("family", "scale"))
+        return cls(obj["family"], _as_float(obj.get("scale", 1.0)))
+
+
+def _schedule_object(obj, keys: tuple) -> dict:
+    """obj, a JSON object that names no key outside keys."""
+    if not isinstance(obj, dict):
+        raise TypeError(f"{obj!r} is not an object")
+    unknown = sorted(set(obj) - set(keys))
+    if unknown:
+        raise ValueError(f"unknown schedule key {unknown[0]!r}")
+    return obj
 
 
 @dataclass(frozen=True)
@@ -150,8 +165,8 @@ class ScheduleParams:
     c_bound: float | None = None
 
     def __post_init__(self):
-        if self.c_bound is not None and not self.c_bound > 0:
-            raise ValueError("c_bound must be positive when given")
+        if self.c_bound is not None and not 0 < self.c_bound < math.inf:
+            raise ValueError("c_bound must be positive and finite when given")
 
     def eps(self, n: int) -> float:
         return self.eps_fn(n)
@@ -173,9 +188,9 @@ class ScheduleParams:
 
     @classmethod
     def from_json(cls, obj: dict) -> "ScheduleParams":
-        c = obj.get("c_bound")
+        c = _schedule_object(obj, ("eps", "a", "c_bound")).get("c_bound")
         return cls(ScheduleFn.from_json(obj["eps"]), ScheduleFn.from_json(obj["a"]),
-                   None if c is None else float(c))
+                   None if c is None else _as_float(c))
 
 
 def validate_schedule(sched: ScheduleParams, ns: Sequence[int]) -> None:
@@ -278,64 +293,21 @@ def _times_linear(poly: list, c0: tuple, c1: tuple, f: int) -> list:
             for (pr, pi), (qr, qi) in zip(poly + [(0, 0)], [(0, 0)] + poly)]
 
 
-def _values_at(poly: LaurentPolynomial, pts: np.ndarray) -> np.ndarray:
-    """A complex128 polynomial with exponents >= 0 at points of the disk, as
-    power sums, the powers by cumulative products (np.vander)."""
-    c = np.pad(poly.coeffs, (poly.lo, 0))
-    return (np.vander(pts, len(c), increasing=True) * c).sum(axis=1)
+def _series_degree(corrector: DilatedCorrector | None,
+                   weight_poly: LaurentPolynomial, upto: int) -> int:
+    """The degree D >= upto through which _bphi_series runs, so that the
+    series of B phi0 p past D sums to at most 2^-53 of its bound on |z| = R.
 
-
-def _target_values(corrector: DilatedCorrector | None,
-                   weight_poly: LaurentPolynomial, pts: np.ndarray) -> np.ndarray:
-    base = eval_B_phi(corrector, pts) if corrector is not None else 1.0
-    return base * weight_poly(pts)
-
-
-def _defect_sup(approx: LaurentPolynomial, corrector, weight_poly,
-                start_grid: int) -> float:
-    """Sampled sup of approximant minus target on the circle.
-
-    On each grid the approximant is evaluated by FFT (_analytic_values).
-    Without a corrector the target is the weight polynomial, so one FFT of
-    the coefficient difference is the defect: 0 for an exact approximant.
-    Doubles the grid until the running max stabilizes to 0.1%, sinks to
-    the samples' rounding level (2^-43 times the sum of the approximant's
-    |coefficients|) or reaches 2^16 nodes, then refines the peak with one
-    parabolic step.
+    The bound is the Cauchy envelope of B phi0 (blaschke._tail_envelope),
+    each A times sum |p_j| rho^j, and D is blaschke._truncation_degree's
+    for it.  Without a corrector the series is p itself, of finite degree.
     """
-    coeffs = np.pad(approx.coeffs, (approx.lo, 0))
-    floor = 2.0 ** -43 * float(np.sum(np.abs(coeffs)))
     if corrector is None:
-        w = weight_poly.coeffs
-        size = max(len(coeffs), len(w))
-        coeffs = np.pad(coeffs, (0, size - len(coeffs))) - np.pad(
-            w, (0, size - len(w)))
-    grid = start_grid
-    prev = None
-    while True:
-        values = _analytic_values(coeffs, grid)
-        if corrector is not None:
-            values = values - _target_values(corrector, weight_poly,
-                                             grid_nodes(grid))
-        diff = np.abs(values)
-        cur = float(np.max(diff))
-        if (cur <= floor or grid >= (1 << 16) or prev is not None
-                and abs(cur - prev) <= 1e-3 * cur):
-            break
-        prev = cur
-        grid *= 2
-    p = int(np.argmax(diff))
-    h = 2.0 * np.pi / grid
-    ym, y0, yp = diff[(p - 1) % grid], diff[p], diff[(p + 1) % grid]
-    denom = ym - 2.0 * y0 + yp
-    if denom < 0:
-        shift = 0.5 * h * (ym - yp) / denom
-        shift = float(np.clip(shift, -h, h))
-        node = np.exp(1j * np.array([2.0 * np.pi * p / grid + shift]))
-        refined = abs(_values_at(approx, node)[0]
-                      - _target_values(corrector, weight_poly, node)[0])
-        cur = max(cur, float(refined))
-    return cur
+        return max(upto, weight_poly.hi)
+    p = LaurentPolynomial(weight_poly.lo, np.abs(weight_poly.coeffs))
+    env = [(rho, a * float(p(rho).real)) for rho, a in _tail_envelope(corrector)]
+    tol = 2.0 ** -53 * env[0][1]
+    return max(upto, _truncation_degree(corrector, 0, tol, env))
 
 
 # ----------------------------------------------------------------------
@@ -481,8 +453,8 @@ def _schwarz_excess(approx: LaurentPolynomial, corrector, weight_poly, n: int,
     rng = np.random.default_rng(seed)
     r = np.repeat(radii, count)
     pts = r * np.exp(1j * (2.0 * np.pi * rng.random(r.size)))
-    diff = np.abs(_values_at(approx, pts)
-                  - _target_values(corrector, weight_poly, pts))
+    base = eval_B_phi(corrector, pts) if corrector is not None else 1.0
+    diff = np.abs(approx(pts) - base * weight_poly(pts))
     return float(np.max(diff - sup_defect * r ** n))
 
 
@@ -508,7 +480,8 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     # coefficients: the moment table integrates against 1/|p|^2 (see
     # measure_opuc.moment)
     weight_f = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
-    series = _bphi_series(zeros, radius, upto, f,
+    top = _series_degree(corrector, weight_f, upto)
+    series = _bphi_series(zeros, radius, top, f,
                           [(re, -im) for re, im in psi])
     # the kernel's rational multipliers num_j/den on the series, each
     # coefficient rounded once to f bits: the certified approximant
@@ -520,8 +493,13 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     scale = 1 << f
     approx = LaurentPolynomial(lo, [complex(re / scale, im / scale)
                                     for re, im in coeffs])
-    sup_defect = _defect_sup(approx, corrector, weight_f,
-                             _next_pow2(max(16 * n, 1024)))
+    # the defect B phi0 p - approx from the exact series, each coefficient
+    # rounded once: those through order n cancel exactly
+    defect = list(series)
+    for j, (re, im) in enumerate(coeffs, lo):
+        defect[j] = (defect[j][0] - re, defect[j][1] - im)
+    sup_defect = sup_norm_certified(LaurentPolynomial(0, [
+        complex(re / scale, im / scale) for re, im in defect])).value
 
     count = len(selected)
     rho_nodes = radius * grid_nodes(2048)

@@ -594,8 +594,9 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
     of |B phi0| there) with its certified upper bound sup_phi_upper,
     phi0_err = |phi0(0) - 1|, and for each s in s_list ratio_s{s} =
     sup |(B phi0)^(s)| / n^s with ratio_s{s}_upper, besov_ratio_s{s} =
-    besov_seminorm(Taylor truncation, s, inf) / n^s, every sup at oversample
-    grid nodes per coefficient, and the sampling's sizes truncation_degree
+    max over the dyadic blocks k of the Taylor truncation (_besov_blocks) of
+    2^(k s) sup |block| / n^s, every sup at oversample grid nodes per
+    coefficient, and the sampling's sizes truncation_degree
     (D), alias_grid and trim_degree (K).  Each value <= true sup <= its upper
     (see _sampled_sups).  The upper bounds count rounding (_series_error) and
     the coefficients trimmed as noise; a value may exceed the sup by its own
@@ -612,7 +613,7 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
         "phi0_err": abs(eval_phi0(c, 0.0) - 1.0),
         **sizes,
     }
-    blocks = _besov_blocks(trunc, np.inf, oversample)
+    blocks = _besov_blocks(trunc, oversample)
     for s in s_list:
         scale = float(n) ** s
         record[f"ratio_s{s}"] = sups[s].value / scale

@@ -2,9 +2,9 @@
 
 Finitely supported coefficient sequences sum(c_j z^j), convolution against
 multiplier kernels (de la Vallee-Poussin trapezoids in dyadic and linear
-cutoff variants, Dirichlet projections), sup and Lp norms with a certified
-sampling bound, and the dyadic-block smoothness seminorm built from the
-trapezoid windows.
+cutoff variants, Dirichlet projections), the sup norm with a certified
+sampling bound, and the sups of the dyadic blocks of the trapezoid windows,
+from which the smoothness seminorm is read.
 
 Kernel multipliers are exact rationals; the convolution path applies them as
 correctly rounded floats while the nesting-identity check runs in exact
@@ -36,10 +36,7 @@ __all__ = [
     "convolve",
     "kernel_identity_vk_vpn",
     "grid_nodes",
-    "sup_norm",
     "sup_norm_certified",
-    "lp_norm",
-    "besov_seminorm",
 ]
 
 VALLEE_POUSSIN = "vallee_poussin"
@@ -48,7 +45,6 @@ MODIFIED_VP = "modified_vp"
 DIRICHLET = "dirichlet"
 
 _KINDS = (VALLEE_POUSSIN, MODIFIED_V, MODIFIED_VP, DIRICHLET)
-_INF = (np.inf, "inf")
 # the most nodes any sampled grid may take
 _GRID_CAP = 1 << 22
 
@@ -131,10 +127,6 @@ class LaurentPolynomial:
     @property
     def hi(self) -> int:
         return self.lo + len(self.coeffs) - 1
-
-    @property
-    def span(self) -> int:
-        return len(self.coeffs) - 1
 
     @property
     def is_zero(self) -> bool:
@@ -418,49 +410,19 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     return SupBound(best, max(upper, best))
 
 
-def sup_norm(f: LaurentPolynomial, oversample: int = 16) -> float:
-    """Sup of |f| on the unit circle.
-
-    Equispaced power-of-two sampling followed by three Newton refinements of
-    |f|^2 from the best node.  The returned value is a lower estimate, at
-    least sqrt(cos(pi d/M)) times the true sup for degree d on the M-point
-    grid; use sup_norm_certified for the matching upper bound.
-    """
-    return sup_norm_certified(f, oversample).value
-
-
-def lp_norm(f: LaurentPolynomial, p) -> float:
-    """L^p(dm) norm on the circle for p in {1, 2, inf}.
-
-    p=2 is Parseval, exact from coefficients; p=1 uses grid quadrature with
-    at least 8 nodes per coefficient; p=inf delegates to sup_norm.
-    """
-    if p == 2:
-        return float(np.sqrt(np.sum(np.abs(f.coeffs) ** 2)))
-    if p == 1:
-        if f.is_zero:
-            return 0.0
-        m = _next_pow2(max(8 * (f.span + 1), 256))
-        vals = _analytic_values(f.coeffs, m)
-        return float(np.mean(np.abs(vals)))
-    if p in _INF:
-        return sup_norm(f)
-    raise ValueError("p must be 1, 2 or inf")
-
-
-def _besov_blocks(f: LaurentPolynomial, p,
+def _besov_blocks(f: LaurentPolynomial,
                   oversample: int = 16) -> list[tuple[int, float]]:
-    """(n, ||f * W_n||_p) for every dyadic window n with a nonzero block.
+    """(n, sup |f * W_n|) for every dyadic window n with a nonzero block.
 
     W_n is the vallee_poussin(n) trapezoid; the n=0 window is the multiplier
     carried by 1 + z.  Only analytic inputs (nonnegative exponents) are
-    accepted.  For p = inf each block's sup takes oversample grid nodes per
-    coefficient.
+    accepted.  Each block's sup is sup_norm_certified's value, at
+    oversample grid nodes per coefficient.
     """
     if f.is_zero:
         return []
     if f.lo < 0:
-        raise ValueError("besov seminorm requires nonnegative exponents")
+        raise ValueError("besov blocks require nonnegative exponents")
     blocks = []
     n = 0
     while True:
@@ -470,13 +432,6 @@ def _besov_blocks(f: LaurentPolynomial, p,
             break
         block = convolve(f, spec)
         if not block.is_zero:
-            blocks.append((n, sup_norm(block, oversample) if p in _INF
-                           else lp_norm(block, p)))
+            blocks.append((n, sup_norm_certified(block, oversample).value))
         n += 1
     return blocks
-
-
-def besov_seminorm(f: LaurentPolynomial, s: float, p) -> float:
-    """sup over dyadic windows n of 2^(n s) * ||f * W_n||_p (see _besov_blocks)."""
-    return max((2.0 ** (n * s) * norm for n, norm in _besov_blocks(f, p)),
-               default=0.0)

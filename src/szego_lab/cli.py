@@ -57,6 +57,7 @@ from szego_lab.measure_opuc import (
     PrecisionExhausted,
     QuadratureError,
     ResidueNodes,
+    _as_float,
     _as_int,
     log_condition_report,
     residue_identity_check,
@@ -89,13 +90,6 @@ class ManifestError(FieldError):
 
 # ----------------------------------------------------------------------
 # the input table: one row per manifest field
-
-
-def _as_float(v) -> float:
-    """v as a float, for an int or a float; TypeError for anything else."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"{v!r} is not a number")
-    return float(v)
 
 
 def _typed(t):
@@ -607,7 +601,7 @@ def main(argv=None) -> int:
         return 4
     except (PrecisionExhausted, NotPositiveDefinite, QuadratureError,
             TaylorToleranceError, PoleProximityError,
-            KernelDomainError, NonFiniteGridError) as exc:
+            KernelDomainError, NonFiniteGridError, GridCapError) as exc:
         _emit_error(3, exc)
         return 3
     print(f"wrote {result['csv']} and {result['json']} "

@@ -133,6 +133,14 @@ def _as_int(v) -> int:
     return int(v)
 
 
+def _as_float(v) -> float:
+    """v as a float, for an int or a float; TypeError for anything else, so
+    that true and "1.0" are not read as numbers."""
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise TypeError(f"{v!r} is not a number")
+    return float(v)
+
+
 class QuadratureError(ArithmeticError):
     """Grid quadrature failed to converge before the node cap."""
 

@@ -13,7 +13,8 @@ otherwise every file in FROZEN is.
 
 --compare writes nothing: for each file it prints every cell where OLD's and
 NEW's text differ, named by the file, the row's labels, the column, both
-values and the relative change, then a count per file.  It exits 1 if any
+values and the relative change, then per moved column its cell count and
+its largest absolute and relative change, then a count per file.  It exits 1 if any
 cell differs and 0 if every file is byte-identical.
 
 --requests writes nothing either: it runs the benchmark's requests in
@@ -34,6 +35,7 @@ from __future__ import annotations
 
 import csv
 import json
+import math
 import os
 import subprocess
 import sys
@@ -167,10 +169,21 @@ def _relative(old: str, new: str) -> str:
     return f"{(b - a) / abs(a):+.2e} relative" if a else "from 0"
 
 
+def _change(old: str, new: str) -> tuple:
+    """(|new - old|, that over |old|), inf relative from 0; NaNs where the
+    cells are not numbers."""
+    try:
+        a, b = float(old), float(new)
+    except ValueError:
+        return math.nan, math.nan
+    return abs(b - a), abs(b - a) / abs(a) if a else math.inf
+
+
 def print_cells(name: str, old: str, new: str, labels=()) -> int:
     """Print each cell where the CSV texts old and new differ, the row named
-    by its label and key columns; the number of differing cells, and 1 if
-    the headers or row counts differ."""
+    by its label and key columns, then per column that moved the number of
+    its cells and their largest absolute and relative change; the number of
+    differing cells, and 1 if the headers or row counts differ."""
     a = list(csv.reader(old.splitlines()))
     b = list(csv.reader(new.splitlines()))
     if a[:1] != b[:1] or len(b) != len(a):
@@ -180,6 +193,7 @@ def print_cells(name: str, old: str, new: str, labels=()) -> int:
     header = a[0] if a else []
     keys = [i for i, c in enumerate(header) if c in labels or c in KEY_COLUMNS]
     cells = 0
+    moved: dict = {}  # column -> [(absolute, relative change)] of its cells
     for row_a, row_b in zip(a[1:], b[1:]):
         label = " ".join(f"{header[i]}={row_a[i]}" for i in keys)
         for column, x, y in zip(header, row_a, row_b):
@@ -187,6 +201,13 @@ def print_cells(name: str, old: str, new: str, labels=()) -> int:
                 cells += 1
                 print(f"{name}: {label} {column}: {x} -> {y} "
                       f"({_relative(x, y)})")
+                moved.setdefault(column, []).append(_change(x, y))
+    for column, changes in moved.items():
+        numbers = [c for c in changes if not math.isnan(c[0])]
+        size = (f"largest change {max(c[0] for c in numbers):.2e} absolute, "
+                f"{max(c[1] for c in numbers):.2e} relative" if numbers
+                else "not numbers")
+        print(f"{name}: {column}: {len(changes)} cells, {size}")
     return cells
 
 

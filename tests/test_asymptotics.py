@@ -39,6 +39,7 @@ from szego_lab.blaschke import (
     BlaschkeProduct,
     ZeroSet,
     corrector_with_radius,
+    eval_B_phi,
     eval_blaschke,
     taylor_coeffs,
 )
@@ -409,7 +410,7 @@ def test_empty_spectrum_run():
 
 def test_mass_free_weight_run_is_exact():
     # without masses the approximant is the weight polynomial itself, and
-    # one FFT of the coefficient difference reads the defect as exactly 0
+    # the exact difference of their coefficients reads the defect as 0
     for route in (vp_approximant, taylor_approximant):
         approx, cert = route(PointSpectrum.empty(), halving_weight(), 16)
         assert [complex(c) for c in approx.coeffs] == [1.0, -0.5]
@@ -481,6 +482,31 @@ def test_bookkeeping_gap_off_the_real_axis():
     _, cert = vp_approximant(mu.spectrum, mu.weight, 128,
                              precision=mu.precision)
     assert cert.bookkeeping_gap <= 1e-12
+
+
+@pytest.mark.parametrize("route", [vp_approximant, taylor_approximant],
+                         ids=["vp", "taylor"])
+@pytest.mark.parametrize("spectrum, weight, n", [
+    (TWO_MASS, ONE, 16),
+    (TWO_MASS, ONE, 64),
+    (PointSpectrum(((1.5, 0.3),)), halving_weight(), 16),
+], ids=["two_mass-16", "two_mass-64", "psi16"])
+def test_sup_defect_matches_a_dense_grid(route, spectrum, weight, n):
+    # sup_defect is read from the exact series; the oracle is the float
+    # route of the Schwarz check, |approx - eval_B_phi p| on 2^18 nodes
+    approx, cert = route(spectrum, weight, n)
+    _, _, radius, selected, _ = _selection(spectrum, n,
+                                           ScheduleParams.default())
+    corrector = corrector_with_radius(ZeroSet(tuple(
+        1.0 / complex(z).conjugate() for z, _ in selected)), radius)
+    m = 1 << 18
+    nodes = np.exp(2j * np.pi * np.arange(m) / m)
+    padded = np.zeros(m, dtype=complex)
+    padded[approx.lo:approx.hi + 1] = approx.coeffs
+    p = np.polynomial.polynomial.polyval(nodes, np.conj(weight.psi.coeffs))
+    dense = np.max(np.abs(np.fft.ifft(padded, norm="forward")
+                          - eval_B_phi(corrector, nodes) * p))
+    assert abs(cert.sup_defect - dense) <= 1e-6 * dense + 4e-15
 
 
 def test_defect_decay_and_lower_bound_trend(vp64, ty64):

@@ -5,19 +5,17 @@ from fractions import Fraction
 from szego_lab.circle_fourier import (
     KernelDomainError,
     LaurentPolynomial,
-    besov_seminorm,
     convolve,
     dirichlet,
     grid_nodes,
     kernel_identity_vk_vpn,
     kernel_multiplier,
     kernel_support,
-    lp_norm,
     modified_v,
     modified_vp,
-    sup_norm,
     sup_norm_certified,
     vallee_poussin,
+    _besov_blocks,
     _certified_grid,
     _multiplier_scaled,
 )
@@ -199,10 +197,11 @@ def test_identity_matches_fraction_arithmetic():
 
 
 def test_sup_norm_monomial_and_binomials():
-    assert abs(sup_norm(LaurentPolynomial(5, [1.0])) - 1.0) < 1e-12
-    assert abs(sup_norm(LaurentPolynomial(0, [1.0, 1.0])) - 2.0) < 1e-12
-    assert abs(sup_norm(LaurentPolynomial(0, [1.0, 0.0, -1.0])) - 2.0) < 1e-12
-    assert sup_norm(LaurentPolynomial.zero()) == 0.0
+    for lo, c, want in ((5, [1.0], 1.0), (0, [1.0, 1.0], 2.0),
+                        (0, [1.0, 0.0, -1.0], 2.0)):
+        got = sup_norm_certified(LaurentPolynomial(lo, c)).value
+        assert abs(got - want) < 1e-12
+    assert sup_norm_certified(LaurentPolynomial.zero()).value == 0.0
 
 
 def test_sup_norm_laurent_rotation_invariance():
@@ -213,7 +212,7 @@ def test_sup_norm_laurent_rotation_invariance():
     a = 0.831
     rot = c * np.exp(1j * a * np.arange(-4, 6))
     g = LaurentPolynomial(-4, rot)
-    assert abs(sup_norm(f) - sup_norm(g)) < 1e-9
+    assert abs(sup_norm_certified(f).value - sup_norm_certified(g).value) < 1e-9
 
 
 def test_sup_norm_certified_brackets_dense_scan():
@@ -226,58 +225,38 @@ def test_sup_norm_certified_brackets_dense_scan():
     # the dense scan lower-bounds the sup to within pi*span/M relative slack
     assert dense <= got.upper * (1 + 1e-12)
     assert got.value >= dense * (1 - 1e-6)
-    assert got.value <= dense * (1 + np.pi * f.span / 200003)
+    assert got.value <= dense * (1 + np.pi * (f.hi - f.lo) / 200003)
 
 
 def test_sup_norm_oversample_validation():
     with pytest.raises(ValueError):
-        sup_norm(LaurentPolynomial(0, [1.0]), oversample=2)
-
-
-def test_lp_norm_parseval():
-    f = LaurentPolynomial(2, [3.0])
-    assert lp_norm(f, 2) == 3.0
-    g = LaurentPolynomial(-1, [3.0, 4.0])
-    assert abs(lp_norm(g, 2) - 5.0) < 1e-12
-
-
-def test_lp_norm_mean_modulus():
-    # (2 pi)^-1 integral |1 + e^(i t)| dt = 4 / pi
-    f = LaurentPolynomial(0, [1.0, 1.0])
-    assert abs(lp_norm(f, 1) - 4.0 / np.pi) < 1e-4
-
-
-def test_lp_norm_quadrature_against_dense_oracle():
-    rng = np.random.default_rng(23)
-    f = LaurentPolynomial(0, rng.standard_normal(6) + 1j * rng.standard_normal(6))
-    t = 2.0 * np.pi * (np.arange(400001) + 0.5) / 400001
-    oracle = np.mean(np.abs(f(np.exp(1j * t))))
-    assert abs(lp_norm(f, 1) - oracle) < 1e-6 * max(1.0, oracle)
-
-
-def test_lp_norm_inf_and_bad_p():
-    f = LaurentPolynomial(0, [1.0, 1.0])
-    assert abs(lp_norm(f, np.inf) - sup_norm(f)) < 1e-12
-    with pytest.raises(ValueError):
-        lp_norm(f, 3)
+        sup_norm_certified(LaurentPolynomial(0, [1.0]), oversample=2)
 
 
 def test_norm_comparisons():
+    # mean |f| on a dense grid <= the L2 norm (Parseval) <= the sup
     rng = np.random.default_rng(31)
     f = LaurentPolynomial(0, rng.standard_normal(9))
-    n1, n2, ninf = lp_norm(f, 1), lp_norm(f, 2), lp_norm(f, np.inf)
-    assert n1 <= n2 * (1 + 1e-9) <= ninf * (1 + 1e-9)
+    n1 = np.mean(np.abs(f(grid_nodes(4096))))
+    n2 = np.sqrt(np.sum(np.abs(f.coeffs) ** 2))
+    assert n1 <= n2 * (1 + 1e-9) <= sup_norm_certified(f).value * (1 + 1e-9)
 
 
-# ----------------------------------------------------------- besov seminorm
+# ----------------------------------------------------------- besov blocks
+
+
+def besov(f, s):
+    """max over the dyadic windows n of 2^(n s) sup |f * W_n|, as the
+    corrector certificate reads it from _besov_blocks."""
+    return max((2.0 ** (n * s) * v for n, v in _besov_blocks(f)), default=0.0)
 
 
 def test_besov_monomial_weights():
     # each monomial z^m is captured by every window whose multiplier at m is 1
-    assert abs(besov_seminorm(LaurentPolynomial(0, [1.0]), 1.0, np.inf) - 1.0) < 1e-12
-    assert abs(besov_seminorm(LaurentPolynomial(2, [1.0]), 1.0, np.inf) - 2.0) < 1e-12
+    assert abs(besov(LaurentPolynomial(0, [1.0]), 1.0) - 1.0) < 1e-12
+    assert abs(besov(LaurentPolynomial(2, [1.0]), 1.0) - 2.0) < 1e-12
     # z^4 peaks in window 2 (weight 4) and appears half-weighted elsewhere
-    assert abs(besov_seminorm(LaurentPolynomial(4, [1.0]), 1.0, np.inf) - 4.0) < 1e-12
+    assert abs(besov(LaurentPolynomial(4, [1.0]), 1.0) - 4.0) < 1e-12
 
 
 def test_besov_matches_fraction_oracle():
@@ -292,17 +271,16 @@ def test_besov_matches_fraction_oracle():
         block = [float(kernel_multiplier(spec, j)) * c[j] for j in range(13)]
         block_poly = LaurentPolynomial(0, block)
         if not block_poly.is_zero:
-            best = max(best, 2.0 ** (n * s) * sup_norm(block_poly))
+            best = max(best, 2.0 ** (n * s)
+                       * sup_norm_certified(block_poly).value)
         n += 1
-    assert abs(besov_seminorm(f, s, np.inf) - best) < 1e-9 * max(best, 1.0)
+    assert abs(besov(f, s) - best) < 1e-9 * max(best, 1.0)
 
 
 def test_besov_rejects_laurent_input():
     with pytest.raises(ValueError):
-        besov_seminorm(LaurentPolynomial(-1, [1.0, 1.0]), 1.0, np.inf)
-    assert besov_seminorm(LaurentPolynomial.zero(), 1.0, np.inf) == 0.0
-
-
+        _besov_blocks(LaurentPolynomial(-1, [1.0, 1.0]))
+    assert _besov_blocks(LaurentPolynomial.zero()) == []
 
 
 def test_certified_grid_doubles_to_its_bound_and_refuses_past_the_cap():

@@ -26,6 +26,7 @@ from szego_lab.measure_opuc import QuadratureError
 from szego_lab.cli import generate_zeros, main
 
 import szego_lab.blaschke as blaschke
+import szego_lab.circle_fourier as circle_fourier
 import szego_lab.cli as cli
 import szego_lab.measure_opuc as mo
 
@@ -534,11 +535,13 @@ def test_pipeline_matches_frozen_csv(capsys):
     # the pipeline's working bits, and values at the mass points see that
     # rounding amplified by |z|^n to about 2^-64 of the coefficient scale,
     # so a mass sum m |v|^2 moves by up to 2^-63 sqrt of itself, which the
-    # relative bound misses only for sums below ~1e-26.  sup_defect and
-    # schwarz_excess are maxima of |approximant - target| sampled in double
-    # precision, now with FFT values on the defect grid and power sums at
-    # the Schwarz points: they agree to 4e-15 absolute, 16 units of
-    # rounding of the size-one values they are differences of
+    # relative bound misses only for sums below ~1e-26.  sup_defect was a
+    # max of |approximant - target| sampled in double precision, and is now
+    # sup_norm_certified's value on the exact series of their difference;
+    # schwarz_excess builds on it, with the approximant by Horner's rule at
+    # the Schwarz points.  The frozen values carry the rounding of the
+    # size-one values they were differences of, so both agree to 4e-15
+    # absolute, 16 units of that rounding
     make_frozen = _make_frozen()
     name = "pipeline_frozen.csv"
     got = make_frozen.frozen_text(
@@ -563,6 +566,20 @@ def test_pipeline_matches_frozen_csv(capsys):
                 assert abs(a - b) <= 1e-13 * abs(b) + floor, (where, key)
             else:
                 assert a == b, (where, key)
+
+
+def test_compare_summarises_each_moved_column(capsys):
+    # after the cells, one line per moved column: its cell count and its
+    # largest absolute and relative change, so that a -99% move at the
+    # noise floor shows its absolute size
+    old = "route,n,sup_defect,schwarz_pass\nvp,8,2e-15,True\nvp,16,1e-6,True\n"
+    new = "route,n,sup_defect,schwarz_pass\nvp,8,2e-17,True\nvp,16,2e-6,False\n"
+    assert _make_frozen().print_cells("f.csv", old, new) == 3
+    summary = capsys.readouterr().out.splitlines()[3:]
+    assert summary == [
+        "f.csv: sup_defect: 2 cells, largest change 1.00e-06 absolute, "
+        "1.00e+00 relative",
+        "f.csv: schwarz_pass: 1 cells, not numbers"]
 
 
 def test_log_condition_artifacts(tmp_path, capsys):
@@ -834,6 +851,19 @@ def test_input_error_cases(tmp_path, capsys):
     expect_field({"n_grid": [8], "kinds": 5}, "kinds", command="vs-bound")
     expect_field({"measure_file": measure, "n_grid": [8], "schedule": 5},
                  "schedule", command="pipeline")
+    # schedule numbers are ints or floats, finite, and its objects name no
+    # other key
+    eps, a = {"family": "inv_loglog_sq"}, {"family": "half_loglog"}
+    for schedule in ({"eps": dict(eps, scale="1.0"), "a": a},
+                     {"eps": dict(eps, scale=True), "a": a},
+                     {"eps": eps, "a": a, "c_bound": True},
+                     {"eps": eps, "a": a, "c_bound": "Infinity"},
+                     {"eps": eps, "a": a, "c_bound": math.inf},
+                     {"eps": eps, "a": dict(a, shift=1)},
+                     {"eps": eps, "a": a, "c_bnd": 2.0}):
+        expect_field({"measure_file": measure, "n_grid": [8, 16],
+                      "route": "vp", "schedule": schedule},
+                     "schedule", command="pipeline")
     # ranges from the limits of the code: the largest grid and a double
     expect_field({"n_grid": [8], "oversample": 10 ** 9}, "oversample",
                  command="vs-bound")
@@ -885,6 +915,21 @@ def test_schedule_violation_exit_code(tmp_path, capsys):
     code, out = run_main(capsys, "pipeline", "--manifest", man3)
     assert code == 4, out
     assert error_payload(out)["type"] == "ScheduleViolation"
+
+
+def test_pipeline_defect_grid_past_the_cap_exits_3(tmp_path, capsys,
+                                                  monkeypatch):
+    # the defect's sup grid is sized from its degree: past the cap it is a
+    # numeric failure, reported as JSON
+    monkeypatch.setattr(circle_fourier, "_GRID_CAP", 64)
+    measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [64],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "pipeline", "--manifest", man)
+    assert code == 3, out
+    err = error_payload(out)
+    assert err["type"] == "GridCapError" and err["exit_code"] == 3
 
 
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
