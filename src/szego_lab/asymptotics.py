@@ -447,11 +447,15 @@ def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum, r_small: list,
             float(ctx.sqrt(total_sq)))
 
 
+# the radii of the Schwarz check's circles, and its random points on each
+_SCHWARZ_RADII = (0.5, 0.9)
+_SCHWARZ_COUNT = 32
+
+
 def _schwarz_excess(approx: LaurentPolynomial, corrector, weight_poly, n: int,
-                    sup_defect: float, seed: int,
-                    radii=(0.5, 0.9), count: int = 32) -> float:
+                    sup_defect: float, seed: int) -> float:
     rng = np.random.default_rng(seed)
-    r = np.repeat(radii, count)
+    r = np.repeat(_SCHWARZ_RADII, _SCHWARZ_COUNT)
     pts = r * np.exp(1j * (2.0 * np.pi * rng.random(r.size)))
     base = eval_B_phi(corrector, pts) if corrector is not None else 1.0
     diff = np.abs(approx(pts) - base * weight_poly(pts))
@@ -506,9 +510,8 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     m_radius = radius ** count * float(np.max(np.abs(weight_f(rho_nodes))))
     apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
 
-    refl = [abs(1.0 / z) for z, _ in spectrum.masses]  # each |zeta|
-    target0 = math.prod(refl) * weight.psi0
-    leading_gap = abs(complex(approx.coefficient(0)) - target0)
+    leading_gap = abs(complex(approx.coefficient(0))
+                      - target_limit(MeasureSpec(weight, spectrum)))
 
     # r_small = approx z^(-n): exponents lo-n <= 0 <= hi-n, at the norm's bits
     bits = max(precision, f)
@@ -518,7 +521,8 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
 
     c_run = sched.c_bound
     if c_run is None:
-        c_run = 2.0 * sum(1.0 - r for r in refl)
+        # each reflected zero's modulus |zeta| = |1/z|
+        c_run = 2.0 * sum(1.0 - abs(1.0 / z) for z, _ in spectrum.masses)
     tail_mu = sum(m for _, m in tail)
     try:
         majorant = math.exp(c_run / sched.eps(n)) * tail_mu

@@ -6,9 +6,12 @@ cutoff variants, Dirichlet projections), the sup norm with a certified
 sampling bound, and the sups of the dyadic blocks of the trapezoid windows,
 from which the smoothness seminorm is read.
 
-Kernel multipliers are exact rationals; the convolution path applies them as
-correctly rounded floats while the nesting-identity check runs in exact
-integer arithmetic.
+Every kernel is a trapezoid with four integer breakpoints (_trapezoid), the
+Dirichlet indicator included, and its multipliers are integer numerators
+over one denominator: the convolution path applies them as correctly rounded
+floats, while the nesting-identity check and the pipeline use them exactly.
+kernel_multiplier writes each kind's formula apart, in exact rationals: it
+is the oracle the table is held to.
 """
 
 from __future__ import annotations
@@ -231,67 +234,38 @@ def kernel_multiplier(spec: KernelSpec, j: int) -> Fraction:
     return Fraction(1) if 0 <= j <= n else Fraction(0)
 
 
-def kernel_support(spec: KernelSpec) -> tuple[int, int]:
-    """Closed interval [lo, hi] containing all nonzero multipliers."""
+def _trapezoid(spec: KernelSpec) -> tuple[int, int, int, int]:
+    """Integer breakpoints a < b <= c < e of the kernel's multiplier: 0 at
+    j <= a and j >= e, rising linearly to 1 at b, 1 on [b, c], falling
+    linearly to 0 at e.  kernel_multiplier is the oracle it is held to."""
     n = spec.index
+    if spec.kind == DIRICHLET:
+        return (-1, 0, n, n + 1)
     if spec.kind == VALLEE_POUSSIN:
         if n == 0:
-            return (0, 1)
-        a = 1 << (n - 1)
-        return (a + 1, 4 * a - 1)
-    if spec.kind == MODIFIED_V:
-        if n == 0:
-            return (0, 0)
-        b = (1 << n) - 1
-        return (-b, b)
-    if spec.kind == MODIFIED_VP:
-        if n == 0:
-            return (0, 0)
-        return (-(2 * n - 1), 2 * n - 1)
-    return (0, n)
+            return (-1, 0, 1, 2)
+        return (1 << (n - 1), 1 << n, 1 << n, 1 << (n + 1))
+    if n == 0:
+        return (-1, 0, 0, 1)
+    w = 1 << (n - 1) if spec.kind == MODIFIED_V else n
+    return (-2 * w, -w, w, 2 * w)
+
+
+def kernel_support(spec: KernelSpec) -> tuple[int, int]:
+    """Closed interval [lo, hi] containing all nonzero multipliers."""
+    a, _, _, e = _trapezoid(spec)
+    return (a + 1, e - 1)
 
 
 def _multiplier_scaled(spec: KernelSpec, js: np.ndarray) -> tuple[np.ndarray, int]:
-    """Multipliers as (integer numerators, common denominator), exactly."""
-    n = spec.index
-    num = np.zeros(js.shape, dtype=np.int64)
-    if spec.kind == VALLEE_POUSSIN:
-        if n == 0:
-            num[(js == 0) | (js == 1)] = 1
-            return num, 1
-        a = 1 << (n - 1)
-        up = (a < js) & (js <= 2 * a)
-        num[up] = 2 * (js[up] - a)  # denominator 2a
-        down = (2 * a < js) & (js < 4 * a)
-        num[down] = 4 * a - js[down]
-        return num, 2 * a
-    if spec.kind == MODIFIED_V:
-        if n == 0:
-            num[js == 0] = 1
-            return num, 1
-        a = 1 << (n - 1)
-        aj = np.abs(js)
-        num[aj <= a] = a
-        mid = (a < aj) & (aj < 2 * a)
-        num[mid] = 2 * a - aj[mid]
-        return num, a
-    if spec.kind == MODIFIED_VP:
-        if n == 0:
-            num[js == 0] = 1
-            return num, 1
-        aj = np.abs(js)
-        num[aj <= n] = n
-        mid = (n < aj) & (aj < 2 * n)
-        num[mid] = 2 * n - aj[mid]
-        return num, n
-    num[(0 <= js) & (js <= n)] = 1
-    return num, 1
-
-
-def _multiplier_array(spec: KernelSpec, lo: int, hi: int) -> np.ndarray:
-    js = np.arange(lo, hi + 1, dtype=np.int64)
-    num, den = _multiplier_scaled(spec, js)
-    return num.astype(np.float64) / float(den)
+    """Multipliers as (integer numerators, common denominator), exactly:
+    over den = lcm(b - a, e - c), the least of the rising side, the falling
+    side and den, clipped at 0."""
+    a, b, c, e = _trapezoid(spec)
+    den = math.lcm(b - a, e - c)
+    up = (js - a) * (den // (b - a))
+    down = (e - js) * (den // (e - c))
+    return np.maximum(np.minimum(np.minimum(up, down), den), 0), den
 
 
 def convolve(f: LaurentPolynomial, spec: KernelSpec) -> LaurentPolynomial:
@@ -301,9 +275,9 @@ def convolve(f: LaurentPolynomial, spec: KernelSpec) -> LaurentPolynomial:
     hi = min(f.hi, khi)
     if f.is_zero or lo > hi:
         return LaurentPolynomial.zero()
-    mults = _multiplier_array(spec, lo, hi)
+    num, den = _multiplier_scaled(spec, np.arange(lo, hi + 1, dtype=np.int64))
     chunk = f.coeffs[lo - f.lo : hi - f.lo + 1]
-    return LaurentPolynomial(lo, chunk * mults)
+    return LaurentPolynomial(lo, chunk * (num / den))
 
 
 def kernel_identity_vk_vpn(k: int, n: int) -> bool:

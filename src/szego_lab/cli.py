@@ -8,8 +8,7 @@ JSON object on stdout and a contract exit code: 0 success, 2 input error,
 
 Determinism: identical manifest and seed produce byte-identical CSV at a
 fixed precision.  Floats are serialized with the shortest round-trip
-decimal form, rows are emitted in a fixed order, and parallel workers
-(capped by SZEGO_LAB_THREADS) never reorder output.
+decimal form, and rows are emitted in a fixed order.
 """
 
 from __future__ import annotations
@@ -22,7 +21,6 @@ import math
 import os
 import subprocess
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field, fields
 
 import numpy as np
@@ -300,22 +298,6 @@ def generate_zeros(kind: str, n: int, seed: int) -> ZeroSet:
 # output plumbing
 
 
-def _thread_count() -> int:
-    raw = os.environ.get("SZEGO_LAB_THREADS", "1")
-    try:
-        return max(1, int(raw))
-    except ValueError as exc:
-        raise ManifestError("SZEGO_LAB_THREADS", "must be an integer") from exc
-
-
-def _map_ordered(fn, tasks):
-    workers = min(_thread_count(), max(1, len(tasks)))
-    if workers == 1:
-        return [fn(t) for t in tasks]
-    with ThreadPoolExecutor(max_workers=workers) as ex:
-        return list(ex.map(fn, tasks))
-
-
 def _cell(value) -> str:
     if value is None:
         return ""
@@ -401,26 +383,23 @@ def _reproducibility(man: RunManifest) -> dict:
 
 
 def _run_vs_bound(man: RunManifest):
-    tasks = [(kind, n, s)
-             for kind in man.kinds
-             for n in man.n_grid
-             for s in range(man.seed, man.seed + man.seeds)]
     bracketed = ["sup_phi"] + [f"ratio_s{sm}" for sm in man.smoothness]
-
-    def work(task):
-        kind, n, s = task
-        corr = build_corrector(generate_zeros(kind, n, s), man.epsilon)
-        try:
-            cert = corrector_certificate(corr, man.smoothness, man.oversample)
-        except GridCapError as exc:
-            # the trimmed degree is known only once B phi0 is sampled
-            raise ManifestError("oversample", str(exc)) from exc
-        # the certificate record, its *_upper keys in report.json only
-        row = dict(cert, kind=kind, seed=s)
-        row["max_ratio"] = max(row[f"ratio_s{sm}"] for sm in man.smoothness)
-        return row
-
-    rows = _map_ordered(work, tasks)
+    rows = []
+    for kind in man.kinds:
+        for n in man.n_grid:
+            for s in range(man.seed, man.seed + man.seeds):
+                corr = build_corrector(generate_zeros(kind, n, s), man.epsilon)
+                try:
+                    cert = corrector_certificate(corr, man.smoothness,
+                                                 man.oversample)
+                except GridCapError as exc:
+                    # the trimmed degree is known only once B phi0 is sampled
+                    raise ManifestError("oversample", str(exc)) from exc
+                # the certificate record, its *_upper keys in report.json only
+                row = dict(cert, kind=kind, seed=s)
+                row["max_ratio"] = max(row[f"ratio_s{sm}"]
+                                       for sm in man.smoothness)
+                rows.append(row)
     columns = ["kind", "n", "seed", "epsilon", "sup_phi", "phi0_err"]
     for sm in man.smoothness:
         columns += [f"ratio_s{sm}", f"besov_ratio_s{sm}"]
@@ -442,13 +421,8 @@ def _run_vs_bound(man: RunManifest):
 
 
 def _run_besov(man: RunManifest):
-    pairs = _besov_pairs(man)
-
-    def work(pair):
-        k, n = pair
-        return {"k": k, "n": n, "identity_pass": kernel_identity_vk_vpn(k, n)}
-
-    rows = _map_ordered(work, pairs)
+    rows = [{"k": k, "n": n, "identity_pass": kernel_identity_vk_vpn(k, n)}
+            for k, n in _besov_pairs(man)]
     summary = {"pairs": len(rows),
                "all_pass": all(r["identity_pass"] for r in rows)}
     return ["k", "n", "identity_pass"], rows, {"summary": summary}

@@ -92,10 +92,15 @@ def test_dirichlet_multiplier():
     assert [kernel_multiplier(d3, j) for j in (-1, 0, 3, 4)] == [0, 1, 1, 0]
 
 
+# every kind at indices 0-6, and one large index of each
+KERNEL_SPECS = ([make(i) for make in (vallee_poussin, modified_v, modified_vp,
+                                      dirichlet) for i in range(7)]
+                + [vallee_poussin(12), modified_v(12), modified_vp(4095),
+                   dirichlet(5000)])
+
+
 def test_kernel_support_matches_multiplier():
-    for spec in [vallee_poussin(0), vallee_poussin(1), vallee_poussin(4),
-                 modified_v(0), modified_v(3), modified_vp(0), modified_vp(5),
-                 dirichlet(0), dirichlet(6)]:
+    for spec in KERNEL_SPECS:
         lo, hi = kernel_support(spec)
         assert kernel_multiplier(spec, lo - 1) == 0
         assert kernel_multiplier(spec, hi + 1) == 0
@@ -104,12 +109,19 @@ def test_kernel_support_matches_multiplier():
 
 
 def test_kernel_coeffs_agree_with_multiplier():
-    spec = vallee_poussin(3)
-    lo, hi = kernel_support(spec)
-    kc = convolve(LaurentPolynomial(lo, np.ones(hi - lo + 1)), spec)
-    assert (kc.lo, kc.hi) == (lo, hi)
-    for j in range(kc.lo, kc.hi + 1):
-        assert kc.coefficient(j) == float(kernel_multiplier(spec, j))
+    # the trapezoid table against the exact per-kind oracle: the scaled
+    # numerators the pipeline and the identity check use, and the floats
+    # convolve applies
+    for spec in KERNEL_SPECS:
+        lo, hi = kernel_support(spec)
+        js = np.arange(lo - 2, hi + 3)
+        nums, den = _multiplier_scaled(spec, js)
+        assert [Fraction(num, den) for num in nums.tolist()] == [
+            kernel_multiplier(spec, j) for j in js.tolist()]
+        kc = convolve(LaurentPolynomial(lo, np.ones(hi - lo + 1)), spec)
+        assert (kc.lo, kc.hi) == (lo, hi)
+        for j in range(kc.lo, kc.hi + 1):
+            assert kc.coefficient(j) == float(kernel_multiplier(spec, j))
 
 
 def test_convolve_picks_multipliers():

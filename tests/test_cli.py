@@ -3,7 +3,7 @@
 Each test drives main() in process with a manifest written into tmp_path
 and inspects the CSV/JSON artifacts.  The generators are checked against
 their defining constructions, the exit-code contract is exercised for all
-four classes, and byte determinism is checked serial and threaded.
+four classes, and byte determinism is checked over repeated runs.
 """
 
 import copy
@@ -541,7 +541,11 @@ def test_pipeline_matches_frozen_csv(capsys):
     # schwarz_excess builds on it, with the approximant by Horner's rule at
     # the Schwarz points.  The frozen values carry the rounding of the
     # size-one values they were differences of, so both agree to 4e-15
-    # absolute, 16 units of that rounding
+    # absolute, 16 units of that rounding.  leading_gap is now taken against
+    # target_limit, which rounds each 1/|z| where the frozen run rounded
+    # |1/z|: the limit, below 1 on these measures, moves by a few units in
+    # its last place, and the gap with it (5.6e-17 on complex_two_mass), so
+    # the gap is also allowed 2^-52 absolute
     make_frozen = _make_frozen()
     name = "pipeline_frozen.csv"
     got = make_frozen.frozen_text(
@@ -562,7 +566,11 @@ def test_pipeline_matches_frozen_csv(capsys):
                 assert abs(float(a) - float(b)) <= 4e-15, (where, key)
             elif key in PIPELINE_CLOSE_COLUMNS:
                 a, b = float(a), float(b)
-                floor = 2.0 ** -63 * math.sqrt(abs(b)) if "mass" in key else 0.0
+                floor = 0.0
+                if "mass" in key:
+                    floor = 2.0 ** -63 * math.sqrt(abs(b))
+                elif key == "leading_gap":
+                    floor = 2.0 ** -52
                 assert abs(a - b) <= 1e-13 * abs(b) + floor, (where, key)
             else:
                 assert a == b, (where, key)
@@ -601,18 +609,16 @@ def test_log_condition_artifacts(tmp_path, capsys):
 # determinism
 
 
-def test_csv_byte_determinism(tmp_path, capsys, monkeypatch):
+def test_csv_byte_determinism(tmp_path, capsys):
     man_obj = {"n_grid": [4, 8], "seeds": 2, "kinds": ["uniform_disk"]}
     blobs = []
-    for i, threads in enumerate(("1", "1", "3")):
+    for i in range(2):
         out = tmp_path / f"out{i}"
         man = write_json(tmp_path / f"man{i}.json",
                          dict(man_obj, out_dir=str(out)))
-        monkeypatch.setenv("SZEGO_LAB_THREADS", threads)
         assert run_main(capsys, "vs-bound", "--manifest", man)[0] == 0
         blobs.append((out / "certificates.csv").read_bytes())
     assert blobs[0] == blobs[1]
-    assert blobs[0] == blobs[2]
 
 
 def test_pipeline_determinism(tmp_path, capsys):

@@ -3,9 +3,10 @@
 Each module of src/szego_lab is parsed with ast.  An import whose bound
 name never appears in the module, as a name or in the module's __all__, is
 debris a deletion left behind.  Every name that a module's __all__ (and
-the package's) exports must resolve.  A function, method or class that no
-other package code refers to, that no __all__ lists and that the README's
-"API kept on purpose" list does not name is dead code.
+the package's) exports must resolve.  No module reads the environment.  A
+function, method or class that no other package code refers to, that no
+__all__ lists and that the README's "API kept on purpose" list does not
+name is dead code.
 """
 
 import ast
@@ -68,6 +69,36 @@ def test_every_exported_name_resolves(module):
     mod = importlib.import_module(name)
     missing = [n for n in getattr(mod, "__all__", ()) if not hasattr(mod, n)]
     assert missing == []
+
+
+_ENVIRONMENT = ("environ", "environb", "getenv", "getenvb")
+
+
+def environment_reads(source: str) -> list:
+    """(line, name) for each os.environ or os.getenv a module refers to, as
+    an attribute or imported from os."""
+    out = []
+    for node in ast.walk(ast.parse(source)):
+        if isinstance(node, ast.Attribute) and node.attr in _ENVIRONMENT:
+            out.append((node.lineno, node.attr))
+        elif isinstance(node, ast.ImportFrom) and node.module == "os":
+            out += [(node.lineno, alias.name) for alias in node.names
+                    if alias.name in _ENVIRONMENT]
+    return sorted(out)
+
+
+def test_the_checker_sees_an_environment_read():
+    source = ("import os\nfrom os import getenv, path\n"
+              "x = os.environ.get('A', '1')\ny = os.path.join('a', 'b')\n")
+    assert environment_reads(source) == [(2, "getenv"), (3, "environ")]
+
+
+@pytest.mark.parametrize("module", MODULES)
+def test_no_module_reads_the_environment(module):
+    # every setting is a manifest field or a flag, which the report records;
+    # a knob read from the environment would change a run unrecorded
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert environment_reads(source) == []
 
 
 def imported_modules(source: str) -> set:
