@@ -10,13 +10,16 @@ The certificate samples B phi0 once, on the alias grid of its Taylor
 coefficients a_0..a_D, cuts them at the degree K <= D where the rest is
 rounding, and takes everything from a_0..a_K: the sup of |B phi0| on the
 circle, the sup of its s-th derivative from the series with multipliers
-j(j-1)...(j-s+1), and the dyadic Besov blocks.  Each sup goes through
-circle_fourier.sup_norm_certified and comes as a bracket: a Newton-refined
-grid max, and an upper bound that adds to the grid bound the truncation tail
-and the aliasing error, both from the Cauchy estimates of _tail_envelope
-(on circles between R and the nearest pole, the largest over arcs of the
-circle of the product of each factor's sup on the arc), the rounding of the
-samples, the FFTs and the grid values, and the dropped a_(K+1)..a_D.
+j(j-1)...(j-s+1), and the largest weighted dyadic Besov block, where a block
+takes a sup grid only while its l1 norm can still reach the largest
+(circle_fourier._besov_maxima).  Each sup goes through
+circle_fourier.sup_norm_certified, and those of B phi0 and its derivatives
+come as a bracket: a Newton-refined grid max, and an upper bound that adds
+to the grid bound the truncation tail and the aliasing error, both from the
+Cauchy estimates of _tail_envelope (on circles between R and the nearest
+pole, the largest over arcs of the circle of the product of each factor's
+sup on the arc), the rounding of the samples, the FFTs and the grid values,
+and the dropped a_(K+1)..a_D.
 """
 
 from __future__ import annotations
@@ -33,7 +36,7 @@ from szego_lab.circle_fourier import (
     SupBound,
     grid_nodes,
     _alias_bound,
-    _besov_blocks,
+    _besov_maxima,
     _certified_grid,
     sup_norm_certified,
 )
@@ -594,10 +597,12 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
     of |B phi0| there) with its certified upper bound sup_phi_upper,
     phi0_err = |phi0(0) - 1|, and for each s in s_list ratio_s{s} =
     sup |(B phi0)^(s)| / n^s with ratio_s{s}_upper, besov_ratio_s{s} =
-    max over the dyadic blocks k of the Taylor truncation (_besov_blocks) of
+    max over the dyadic blocks k of the Taylor truncation of
     2^(k s) sup |block| / n^s, every sup at oversample grid nodes per
-    coefficient, and the sampling's sizes truncation_degree
-    (D), alias_grid and trim_degree (K).  Each value <= true sup <= its upper
+    coefficient, the sampling's sizes truncation_degree (D), alias_grid and
+    trim_degree (K), and besov_blocks, the nonzero blocks, of which
+    besov_sups took a sup grid: _besov_maxima passes over a block whose l1
+    norm shows it cannot reach the max.  Each value <= true sup <= its upper
     (see _sampled_sups).  The upper bounds count rounding (_series_error) and
     the coefficients trimmed as noise; a value may exceed the sup by its own
     rounding, about u R^n per Taylor coefficient amplified by the falling
@@ -605,6 +610,8 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
     """
     n = c.n
     trunc, sups, sizes = _sampled_sups(c, (0, *s_list), oversample)
+    # after the order sups, whose grids are at least any block's
+    besov, counts = _besov_maxima(trunc, s_list, oversample)
     record = {
         "n": n,
         "epsilon": c.epsilon,
@@ -612,12 +619,11 @@ def corrector_certificate(c: DilatedCorrector, s_list: Sequence[int] = (1, 2),
         "sup_phi_upper": sups[0].upper,
         "phi0_err": abs(eval_phi0(c, 0.0) - 1.0),
         **sizes,
+        **counts,
     }
-    blocks = _besov_blocks(trunc, oversample)
     for s in s_list:
         scale = float(n) ** s
         record[f"ratio_s{s}"] = sups[s].value / scale
         record[f"ratio_s{s}_upper"] = sups[s].upper / scale
-        besov = max((2.0 ** (k * s) * norm for k, norm in blocks), default=0.0)
-        record[f"besov_ratio_s{s}"] = besov / scale
+        record[f"besov_ratio_s{s}"] = besov[s] / scale
     return record

@@ -3,8 +3,10 @@
 Finitely supported coefficient sequences sum(c_j z^j), convolution against
 multiplier kernels (de la Vallee-Poussin trapezoids in dyadic and linear
 cutoff variants, Dirichlet projections), the sup norm with a certified
-sampling bound, and the sups of the dyadic blocks of the trapezoid windows,
-from which the smoothness seminorm is read.
+sampling bound, and the largest weighted sup of the dyadic blocks of the
+trapezoid windows, from which the smoothness seminorm is read: found by
+branch and bound, as each block's l1 norm bounds its sup, so that a block
+takes a sup grid only while it can still reach the largest.
 
 Every kernel is a trapezoid with four integer breakpoints (_trapezoid), the
 Dirichlet indicator included, and its multipliers are integer numerators
@@ -50,6 +52,25 @@ DIRICHLET = "dirichlet"
 _KINDS = (VALLEE_POUSSIN, MODIFIED_V, MODIFIED_VP, DIRICHLET)
 # the most nodes any sampled grid may take
 _GRID_CAP = 1 << 22
+# how far a computed block sup may pass the block's computed l1 norm, at
+# most, in _besov_maxima's pruning test.  For a block of d + 1 <= 2^20
+# float coefficients (a grid of oversample (d + 1) <= _GRID_CAP nodes) with
+# exact l1 norm L, u = 2^-53, sup_norm_certified's value is the modulus of
+# one of two computed sums:
+# - a node of a coset FFT of p <= 2^16 nodes, whose input holds the
+#   coefficients times computed unimodular twists, folded by at most 16
+#   sums, so of l1 norm at most L (1 + 2^5 u).  The FFT errs at each node
+#   by at most its normwise error bound (Higham, Accuracy and Stability of
+#   Numerical Algorithms, Thm. 24.2, as in blaschke._series_error),
+#   8u log2(p) sqrt(p) times the input's l2 norm, below 2^15 u times its l1
+#   norm, which bounds the exact node value;
+# - a Newton sum of the d + 1 terms c_j e^(i j theta), each of modulus at
+#   most |c_j| (1 + 5u), within sqrt(2) gamma_(d+1) <= 2^21 u of their l1.
+# The computed l1 norm is at least L (1 - gamma_(d+1)), and the moduli and
+# the products by 2^(n s) and the margin cost a few u more.  So a computed
+# value is below the computed l1 times 1 + 2^22 u = 1 + 2^-31, and 2^-30
+# holds that with room to spare.
+_BESOV_MARGIN = 2.0 ** -30
 
 
 class KernelDomainError(ValueError):
@@ -384,28 +405,45 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     return SupBound(best, max(upper, best))
 
 
-def _besov_blocks(f: LaurentPolynomial,
-                  oversample: int = 16) -> list[tuple[int, float]]:
-    """(n, sup |f * W_n|) for every dyadic window n with a nonzero block.
+def _besov_maxima(f: LaurentPolynomial, orders,
+                  oversample: int = 16) -> tuple[dict, dict]:
+    """({s: max_n 2^(n s) sup |f * W_n|} for s in orders, and the counts
+    besov_blocks, of the nonzero blocks, and besov_sups, of those that took
+    a sup grid), by branch and bound.
 
     W_n is the vallee_poussin(n) trapezoid; the n=0 window is the multiplier
     carried by 1 + z.  Only analytic inputs (nonnegative exponents) are
-    accepted.  Each block's sup is sup_norm_certified's value, at
-    oversample grid nodes per coefficient.
+    accepted; the zero polynomial gives 0.0.  A block's sup is
+    sup_norm_certified's value, at oversample grid nodes per coefficient,
+    taken once and shared by the orders.  Its l1 norm sum |c_j| bounds it,
+    so for each order the blocks are visited in decreasing 2^(n s) l1 and a
+    block whose 2^(n s) l1 (1 + _BESOV_MARGIN) is below the running max is
+    passed over: its value cannot reach the max (see _BESOV_MARGIN), and
+    each max is the float that taking every block's sup gives.  Each
+    block's grid is at most f's own, so a caller that has taken
+    sup_norm_certified(f) at this oversample meets no GridCapError here.
     """
-    if f.is_zero:
-        return []
     if f.lo < 0:
         raise ValueError("besov blocks require nonnegative exponents")
-    blocks = []
+    blocks = []  # (n, block, l1)
     n = 0
-    while True:
-        spec = vallee_poussin(n)
-        lo_s, _ = kernel_support(spec)
-        if lo_s > f.hi:
-            break
-        block = convolve(f, spec)
+    while kernel_support(vallee_poussin(n))[0] <= f.hi:
+        block = convolve(f, vallee_poussin(n))
         if not block.is_zero:
-            blocks.append((n, sup_norm_certified(block, oversample).value))
+            blocks.append((n, block, float(np.abs(block.coeffs).sum())))
         n += 1
-    return blocks
+    values = {}  # n -> the block's sup value
+    maxima = {}
+    for s in orders:
+        best = 0.0
+        for n, block, l1 in sorted(blocks, reverse=True,
+                                   key=lambda b: 2.0 ** (b[0] * s) * b[2]):
+            weight = 2.0 ** (n * s)
+            # not "if ... >= best: take", so that a NaN bound is taken
+            if weight * l1 * (1.0 + _BESOV_MARGIN) < best:
+                continue
+            if n not in values:
+                values[n] = sup_norm_certified(block, oversample).value
+            best = max(best, weight * values[n])
+        maxima[s] = best
+    return maxima, {"besov_blocks": len(blocks), "besov_sups": len(values)}

@@ -108,10 +108,15 @@ def _one_of(*choices):
 
 
 def _list_of(read):
+    """Reader of a nonempty JSON list of distinct values, each read by read:
+    a repeated value would repeat a column or a row of the output."""
     def read_list(v):
         if not isinstance(v, list) or not v:
             raise TypeError(f"{v!r} is not a nonempty list")
-        return tuple(map(read, v))
+        vals = tuple(map(read, v))
+        if len(set(vals)) < len(vals):
+            raise ValueError(f"{v!r} repeats a value")
+        return vals
     return read_list
 
 
@@ -190,8 +195,12 @@ class RunManifest:
         f"in [0, {_GRID_CAP}]",
         lambda m: m.command == "besov" and not _besov_pairs(m)
         and "no pair satisfies 2^k <= n on the grid")
-    exponents: tuple = _row(_list_of(_as_float), (1.0, 2.0),
-                            lambda a: 0.0 < a <= _A_MAX, f"in (0, {_A_MAX}]")
+    exponents: tuple = _row(
+        _list_of(_as_float), (1.0, 2.0), lambda a: 0.0 < a <= _A_MAX,
+        f"in (0, {_A_MAX}]",
+        # each names its column weighted_A{a:g}, to 6 digits
+        lambda m: len({f"{a:g}" for a in m.exponents}) < len(m.exponents)
+        and "two exponents agree to 6 digits, so their columns share a name")
     n_max: int = _row(_as_int, 4096, lambda n: 2 <= n <= _GRID_CAP,
                       f"in [2, {_GRID_CAP}]")
     schedule: ScheduleParams | None = _row(

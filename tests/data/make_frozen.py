@@ -226,8 +226,9 @@ def compare(old: str, new: str, names: list) -> int:
     return 1 if total else 0
 
 
-# workload -> how many of its first requests run, for each seed
-REQUESTS = {"opuc-exact": 48, "pipeline-bounds": 20}
+# workload -> how many of its first requests run, for each seed: one full
+# cycle of corrector-sweep, its vs-bound and besov requests
+REQUESTS = {"corrector-sweep": 30, "opuc-exact": 48, "pipeline-bounds": 20}
 REQUEST_SEEDS = (1, 2, 3)
 
 

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+from szego_lab.blaschke import _sampled_sups, build_corrector
 from szego_lab.circle_fourier import (
     KernelDomainError,
     LaurentPolynomial,
@@ -15,10 +16,11 @@ from szego_lab.circle_fourier import (
     modified_vp,
     sup_norm_certified,
     vallee_poussin,
-    _besov_blocks,
+    _besov_maxima,
     _certified_grid,
     _multiplier_scaled,
 )
+from szego_lab.cli import generate_zeros
 
 
 # ---------------------------------------------------------------- polynomials
@@ -257,9 +259,32 @@ def test_norm_comparisons():
 # ----------------------------------------------------------- besov blocks
 
 
+def _besov_blocks(f, oversample=16):
+    """(n, sup |f * W_n|) for every dyadic window n with a nonzero block,
+    every block's sup taken: the oracle _besov_maxima is held to.
+
+    W_n is the vallee_poussin(n) trapezoid; the n=0 window is the multiplier
+    carried by 1 + z.  Only analytic inputs (nonnegative exponents) are
+    accepted.  Each block's sup is sup_norm_certified's value, at
+    oversample grid nodes per coefficient.
+    """
+    if f.is_zero:
+        return []
+    if f.lo < 0:
+        raise ValueError("besov blocks require nonnegative exponents")
+    blocks = []
+    n = 0
+    while kernel_support(vallee_poussin(n))[0] <= f.hi:
+        block = convolve(f, vallee_poussin(n))
+        if not block.is_zero:
+            blocks.append((n, sup_norm_certified(block, oversample).value))
+        n += 1
+    return blocks
+
+
 def besov(f, s):
-    """max over the dyadic windows n of 2^(n s) sup |f * W_n|, as the
-    corrector certificate reads it from _besov_blocks."""
+    """max over the dyadic windows n of 2^(n s) sup |f * W_n|, from every
+    block's sup."""
     return max((2.0 ** (n * s) * v for n, v in _besov_blocks(f)), default=0.0)
 
 
@@ -287,12 +312,101 @@ def test_besov_matches_fraction_oracle():
                        * sup_norm_certified(block_poly).value)
         n += 1
     assert abs(besov(f, s) - best) < 1e-9 * max(best, 1.0)
+    assert _besov_maxima(f, [s])[0][s] == besov(f, s)
 
 
 def test_besov_rejects_laurent_input():
     with pytest.raises(ValueError):
         _besov_blocks(LaurentPolynomial(-1, [1.0, 1.0]))
+    with pytest.raises(ValueError):
+        _besov_maxima(LaurentPolynomial(-1, [1.0, 1.0]), [1])
     assert _besov_blocks(LaurentPolynomial.zero()) == []
+    assert _besov_maxima(LaurentPolynomial.zero(), [1, 2]) == (
+        {1: 0.0, 2: 0.0}, {"besov_blocks": 0, "besov_sups": 0})
+
+
+def _assert_maxima_equal_the_oracle(f, orders):
+    """_besov_maxima(f, orders) gives the all-blocks max, the same float,
+    for each order, taking at most one sup per nonzero block."""
+    blocks = _besov_blocks(f)
+    maxima, counts = _besov_maxima(f, orders)
+    for s in orders:
+        assert maxima[s] == max((2.0 ** (n * s) * v for n, v in blocks),
+                                default=0.0), s
+    assert counts["besov_blocks"] == len(blocks)
+    assert counts["besov_sups"] <= len(blocks)
+    return counts
+
+
+def _besov_cases(orders):
+    """(orders, coefficients) of polynomials whose blocks' sups meet their
+    l1 bounds, or nearly."""
+    rng = np.random.default_rng(35)
+    for _ in range(40):
+        d = int(rng.integers(1, 1500))
+        js = np.arange(d + 1)
+        # all-positive: each block's sup is its l1 norm, at z = 1
+        yield orders, rng.random(d + 1) + 0.01
+        # one common phase: the sup is the l1 norm at a point of the circle
+        yield orders, (rng.random(d + 1) * np.exp(1j * rng.uniform(0, 2 * np.pi))
+                       * 0.99 ** js)
+        # random complex, decaying and growing
+        z = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        yield orders, z * np.exp(-js * rng.uniform(0.0, 0.05))
+        yield orders, z * (js + 1.0) ** rng.uniform(0.0, 3.0)
+    for s in (1, 2, 3):
+        for top in (3, 8, 11):
+            # sparse monomials z^(2^k), one to a window, with coefficients
+            # 2^(-k s): every weighted window ties at 1
+            c = np.zeros((1 << top) + 1)
+            c[1 << np.arange(top + 1)] = 2.0 ** (-s * np.arange(top + 1))
+            yield (s,), c
+            # and ties across windows: z^(3 2^(k-1)) sits in windows k and
+            # k+1 at multipliers 1/2 and 1/2
+            c = np.zeros(3 << top)
+            c[3 << np.arange(top)] = 1.0
+            yield (s,), c
+
+
+@pytest.mark.parametrize("orders", [(1, 2, 3, 39), (0.5, 1.5)])
+def test_besov_maxima_equal_the_oracle_on_polynomials(orders):
+    for case_orders, c in _besov_cases(orders):
+        _assert_maxima_equal_the_oracle(LaurentPolynomial(0, c), case_orders)
+
+
+def test_besov_margin_keeps_a_block_whose_sup_passes_its_l1_norm():
+    # positive coefficients on degrees 17..40, whose window-5 block, the
+    # largest weighted, has a computed sup v above the float after its
+    # computed l1 norm, and c z with c between the two, so 32 c also lies
+    # between the weighted block's l1 norm and value.  c z is visited first
+    # and sets the running max to 32 c: without the margin the block would
+    # be passed over, and the max would be 32 c instead of 32 v
+    for seed in range(400):
+        c = np.zeros(41)
+        c[17:] = np.random.default_rng(seed).random(24)
+        block = convolve(LaurentPolynomial(0, c), vallee_poussin(5))
+        l1 = float(np.abs(block.coeffs).sum())
+        v = sup_norm_certified(block).value
+        if v > np.nextafter(l1, np.inf):
+            break
+    else:
+        pytest.fail("no block's computed sup passes its l1 norm by 2 ulps")
+    c[1] = 32.0 * float(np.nextafter(l1, np.inf))  # window 0, weight 1
+    f = LaurentPolynomial(0, c)
+    counts = _assert_maxima_equal_the_oracle(f, (1,))
+    assert _besov_maxima(f, (1,))[0][1] == 32.0 * v
+    assert counts["besov_sups"] == 2
+
+
+@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster",
+                                  "radial_line"])
+def test_besov_maxima_equal_the_oracle_on_sampled_series(kind):
+    # the series the corrector certificate reads its Besov ratios from
+    for n in (1, 4, 16, 64, 256):
+        for eps in (1.0, 0.1):
+            c = build_corrector(generate_zeros(kind, n, 1), eps)
+            trunc = _sampled_sups(c, (0, 1, 2), 16)[0]
+            _assert_maxima_equal_the_oracle(trunc, (1, 2, 3, 39))
 
 
 def test_certified_grid_doubles_to_its_bound_and_refuses_past_the_cap():

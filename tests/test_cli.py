@@ -146,6 +146,23 @@ def test_vs_bound_report_records_the_sampling_sizes(tmp_path, capsys):
     assert not {"truncation_degree", "alias_grid", "trim_degree"} & set(header)
 
 
+def test_vs_bound_report_records_the_besov_blocks_sized(tmp_path, capsys):
+    # n = 256, eps = 1, seed 1: of the nonzero dyadic blocks (besov_blocks)
+    # only those whose l1 norm can still reach the largest weighted sup take
+    # a sup grid (besov_sups), at most 5 for each kind; report.json only
+    man = write_json(tmp_path / "man.json", {
+        "command": "vs-bound", "n_grid": [256], "seed": 1, "seeds": 1,
+        "kinds": ["uniform_disk", "boundary_cluster", "radial_line"],
+        "out_dir": str(tmp_path / "out")})
+    code, _ = run_main(capsys, "vs-bound", "--manifest", man)
+    assert code == 0
+    for row in read_report(str(tmp_path / "out"))["rows"]:
+        assert 10 <= row["besov_blocks"] <= 14, row["kind"]
+        assert 1 <= row["besov_sups"] <= 5, row["kind"]
+    header = list(read_rows(str(tmp_path / "out"))[0])
+    assert not {"besov_blocks", "besov_sups"} & set(header)
+
+
 def test_vs_bound_certifies_a_zero_set_with_subnormal_zeros(tmp_path, capsys):
     # radial_line, n = 1024, seed 3 holds 35 subnormal zeros (and 304 that
     # underflow to 0), whose rotations -|z_k|/z_k overflow unless scaled
@@ -870,6 +887,22 @@ def test_input_error_cases(tmp_path, capsys):
         expect_field({"measure_file": measure, "n_grid": [8, 16],
                       "route": "vp", "schedule": schedule},
                      "schedule", command="pipeline")
+    # a repeated list value would repeat a column or a row of the output
+    expect_field({"n_grid": [8], "smoothness": [2, 1, 2]}, "smoothness",
+                 command="vs-bound")
+    expect_field({"n_grid": [8], "kinds": ["radial_line", "radial_line"]},
+                 "kinds", command="vs-bound")
+    expect_field({"n_grid": [8, 16], "k_list": [1, 1, 0]}, "k_list",
+                 command="besov")
+    expect_field({"n_grid": [8, 8]}, "n_grid", command="vs-bound")
+    expect_field({"measure_file": measure, "k_list": [1, 1]}, "k_list",
+                 command="residue-check")
+    expect_field({"measure_file": measure, "exponents": [1, 1]},
+                 "exponents", command="log-condition")
+    # and so would two exponents that agree in their column name's 6 digits
+    expect_field({"measure_file": measure,
+                  "exponents": [1.0000001, 1.0000002]},
+                 "exponents", command="log-condition")
     # ranges from the limits of the code: the largest grid and a double
     expect_field({"n_grid": [8], "oversample": 10 ** 9}, "oversample",
                  command="vs-bound")
