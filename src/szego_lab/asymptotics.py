@@ -299,14 +299,15 @@ def _series_degree(corrector: DilatedCorrector | None,
     series of B phi0 p past D sums to at most 2^-53 of its bound on |z| = R.
 
     The bound is the Cauchy envelope of B phi0 (blaschke._tail_envelope),
-    each A times sum |p_j| rho^j, and D is blaschke._truncation_degree's
-    for it.  Without a corrector the series is p itself, of finite degree.
+    each log A plus log sum |p_j| rho^j, and D is _truncation_degree's for
+    it.  Without a corrector the series is p itself, of finite degree.
     """
     if corrector is None:
         return max(upto, weight_poly.hi)
     p = LaurentPolynomial(weight_poly.lo, np.abs(weight_poly.coeffs))
-    env = [(rho, a * float(p(rho).real)) for rho, a in _tail_envelope(corrector)]
-    tol = 2.0 ** -53 * env[0][1]
+    env = [(log_rho, log_a + math.log(float(p(math.exp(log_rho)).real)))
+           for log_rho, log_a in _tail_envelope(corrector)]
+    tol = 2.0 ** -53 * math.exp(env[0][1])
     return max(upto, _truncation_degree(corrector, 0, tol, env))
 
 

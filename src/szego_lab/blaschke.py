@@ -38,6 +38,7 @@ from szego_lab.circle_fourier import (
     _alias_bound,
     _besov_maxima,
     _certified_grid,
+    _sup_grid,
     sup_norm_certified,
 )
 
@@ -287,33 +288,39 @@ def eval_B_phi(c: DilatedCorrector, z):
 # Taylor coefficients
 
 
-def _arc_gaps(zeros: np.ndarray, arcs: int) -> np.ndarray:
+def _arc_gaps(zeros: np.ndarray, arcs: int, step: int):
     """x[j, k] <= sin^2(gap/2), gap the angle from arg z_k to the arc
-    [2 pi j/arcs, 2 pi (j+1)/arcs]: 0 on the arc holding arg z_k, and else
-    the squared chord |p - zeta_k|^2 / 4 to the nearer arc end p, zeta_k =
-    z_k/|z_k|, lowered by 2^-40, far more than its float error of a few
-    units of 2^-53, so that a computed x is never above the true one."""
-    ends = np.exp(2j * math.pi / arcs * np.arange(arcs + 1))
+    [2 pi j/arcs, 2 pi (j+1)/arcs], yielded step arcs at a time, rows j =
+    lo..lo+step-1 for lo = 0, step, ...: 0 on the arc holding arg z_k, and
+    else the squared chord |p - zeta_k|^2 / 4 to the nearer arc end p,
+    zeta_k = z_k/|z_k|, lowered by 2^-40, far more than its float error of
+    a few units of 2^-53, so that a computed x is never above the true
+    one.  A block of step rows is the only matrix held."""
     angles = np.angle(zeros)
-    chord = 0.5 - 0.5 * (np.outer(ends.real, np.cos(angles))
-                         + np.outer(ends.imag, np.sin(angles)))
-    x = np.minimum(chord[:-1], chord[1:])
-    x -= 2.0 ** -40
-    np.maximum(x, 0.0, out=x)
-    x[_own_arcs(zeros, arcs), np.arange(len(zeros))] = 0.0
-    return x
+    cos, sin = np.cos(angles), np.sin(angles)
+    own = _own_arcs(angles, arcs)
+    for lo in range(0, arcs, step):
+        hi = min(lo + step, arcs)
+        ends = np.exp(2j * math.pi / arcs * np.arange(lo, hi + 1))
+        chord = 0.5 - 0.5 * (np.outer(ends.real, cos) + np.outer(ends.imag, sin))
+        x = np.minimum(chord[:-1], chord[1:])
+        x -= 2.0 ** -40
+        np.maximum(x, 0.0, out=x)
+        (held,) = np.nonzero((own >= lo) & (own < hi))
+        x[own[held] - lo, held] = 0.0
+        yield x
 
 
-def _own_arcs(zeros: np.ndarray, arcs: int) -> np.ndarray:
-    """The arc [2 pi j/arcs, 2 pi (j+1)/arcs] that holds each arg z_k.  A
-    zero within float error of an arc end may land on either arc: the
+def _own_arcs(angles: np.ndarray, arcs: int) -> np.ndarray:
+    """The arc [2 pi j/arcs, 2 pi (j+1)/arcs] that holds each angle arg z_k.
+    A zero within float error of an arc end may land on either arc: the
     other one's x in _arc_gaps is 0 after its margin anyway."""
-    turns = np.angle(zeros) % (2.0 * math.pi) * (arcs / (2.0 * math.pi))
+    turns = angles % (2.0 * math.pi) * (arcs / (2.0 * math.pi))
     return turns.astype(np.intp) % arcs
 
 
 def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
-    """Candidate (rho, A) pairs with |B phi0| <= A on the circle |z| = rho.
+    """Candidate (log rho, log A) pairs with |B phi0| <= A on |z| = rho.
 
     On |z| = rho, with R <= rho < R^2/|z_k|, the factor of zero z_k has
     modulus |z - z_k| / |1 - conj(z_k) z / R^2|.  With x = sin^2(Delta/2),
@@ -325,20 +332,21 @@ def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
     x = 0, is (rho - |z_k|) / (1 - q).  The circle is cut into
     max(8, n // 4) arcs, and on each arc every factor is bounded by its
     value at the arc point nearest arg z_k (x from _arc_gaps); A is the
-    largest product over the arcs.  In logs it is the sum of the
-    whole-circle log sups plus, on the best arc, half the sum of
-    log((1 + u x)/(1 + v x)) <= 0, u = 4 rho |z_k|/(rho - |z_k|)^2 and
-    v = 4 q/(1 - q)^2, so A is never above the product of the whole-circle
-    sups, and equals it when one arc holds every arg z_k.  At rho = R every
-    factor is R and A = R^n exactly.  The ladder rho_t = R^(1-t) P^t,
-    t = 1 - 2^-k for k = 1..7, toward the nearest pole P = R^2/max|z_k|
-    trades a larger A for the faster decay rho^-j of the Cauchy estimate
-    |a_j| <= A rho^-j; it is densest near P, where the best rho for a high
-    degree lies, as A grows only like a power of the distance to P.
+    largest product over the arcs.  In logs, as A overflows a float for
+    many zeros, it is the sum of the whole-circle log sups plus, on the best
+    arc, half the sum of log((1 + u x)/(1 + v x)) <= 0, u = 4 rho |z_k|/
+    (rho - |z_k|)^2 and v = 4 q/(1 - q)^2, so A is never above the product
+    of the whole-circle sups, and equals it when one arc holds every
+    arg z_k.  At rho = R every factor is R and A = R^n.  The ladder
+    rho_t = R^(1-t) P^t, t = 1 - 2^-k for k = 1..7, toward the nearest pole
+    P = R^2/max|z_k| trades a larger A for the faster decay rho^-j of the
+    Cauchy estimate |a_j| <= A rho^-j; it is densest near P, where the best
+    rho for a high degree lies, as A grows only like a power of the
+    distance to P.
     """
     n = c.n
     big_r = c.radius_R
-    out = [(big_r, big_r ** n)]
+    out = [(math.log(big_r), n * math.log(big_r))]
     zeros = c.zero_array()
     moduli = np.abs(zeros)
     zmax = float(np.max(moduli))
@@ -350,21 +358,21 @@ def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
     if len(rhos) == 0:  # every radius rounds to R
         return out
     q = moduli * rhos / big_r ** 2
-    # log-sums: the factor products overflow floats for many zeros
     whole = np.sum(np.log((rhos - moduli) / (1.0 - q)), axis=1)
     arcs = max(8, n // 4)
-    own = _own_arcs(zeros, arcs)
-    # where one arc holds every zero, its terms are all log 1 = 0, which
-    # the clamp below at 0 gives without the arc loop
+    u = (4.0 * rhos * moduli / (rhos - moduli) ** 2)[:, None, :]
+    v = (4.0 * q / (1.0 - q) ** 2)[:, None, :]
+    # a zero with u, v <= 2^-53 on every circle (at or next to the origin,
+    # where its angle may be rounding) adds log 1 = 0 on every arc; where
+    # one arc holds every other zero, its terms are all 0 too, which the
+    # clamp below at 0 gives without the arc loop
+    moves = np.max(np.maximum(u, v), axis=(0, 1)) > 2.0 ** -53
+    own = _own_arcs(np.angle(zeros[moves]), arcs)
     best = np.zeros(len(rhos))
-    if np.any(own != own[0]):
-        u = (4.0 * rhos * moduli / (rhos - moduli) ** 2)[:, None, :]
-        v = (4.0 * q / (1.0 - q) ** 2)[:, None, :]
-        x = _arc_gaps(zeros, arcs)
+    if np.any(own != own[:1]):
         step = max(1, _ENVELOPE_BLOCK // (len(rhos) * n))
         best.fill(-math.inf)
-        for lo in range(0, arcs, step):
-            block = x[lo : lo + step]
+        for block in _arc_gaps(zeros, arcs, step):
             ratio = u * block
             ratio += 1.0
             den = v * block
@@ -372,10 +380,8 @@ def _tail_envelope(c: DilatedCorrector) -> list[tuple[float, float]]:
             ratio /= den
             np.log(ratio, out=ratio)
             np.maximum(best, ratio.sum(axis=2).max(axis=1), out=best)
-    for rho, log_whole, log_arc in zip(rhos[:, 0], whole, best):
-        log_bound = float(log_whole) + 0.5 * min(0.0, float(log_arc))
-        bound = math.exp(log_bound) if log_bound < 700.0 else math.inf
-        out.append((float(rho), bound))
+    out += [(math.log(rho), float(log_whole) + 0.5 * min(0.0, float(log_arc)))
+            for rho, log_whole, log_arc in zip(rhos[:, 0], whole, best)]
     return out
 
 
@@ -386,8 +392,7 @@ def _alias_grid(upto: int, tol: float, env: list) -> int:
     TaylorToleranceError past 2^22 nodes.  B phi0 has no negative
     frequencies, so an m-point DFT folds onto degree j < m only the
     a_(j+lm), l >= 1, and any m > upto separates a_0..a_upto."""
-    logs = [(math.log(rho), math.log(a)) for rho, a in env]
-    return _certified_grid(upto + 1, lambda m: _alias_bound(logs, m), tol,
+    return _certified_grid(upto + 1, lambda m: _alias_bound(env, m), tol,
                            _GRID_CAP, lambda b: TaylorToleranceError(b, tol))[0]
 
 
@@ -423,13 +428,12 @@ def taylor_coeffs(c: DilatedCorrector, upto: int, tol: float = 1e-12) -> Laurent
 def _tail_bound(env: list, big_n: int, s: int) -> float:
     """Bound on sum_(j>=N) j^s |a_j| from the Cauchy estimates |a_j| <= A
     rho^-j of env: A N^s rho^-N / (1 - r), as the terms fall by at least
-    r = ((N+1)/N)^s / rho < 1 from one to the next; the best rho."""
-    best = math.inf
-    for rho, a in env:
-        r = ((big_n + 1) / big_n) ** s / rho
-        if r < 1.0 and math.isfinite(a):
-            best = min(best, a * big_n ** s * rho ** (-big_n) / (1.0 - r))
-    return best
+    r = ((N+1)/N)^s / rho < 1 from one to the next; the best rho.  That is
+    the sum over l >= 1 of (A N^s rho^-N / r) r^l, _alias_bound at m = 1."""
+    grow = s * math.log1p(1.0 / big_n)  # log ((N+1)/N)^s
+    return _alias_bound([(log_rho - grow, log_a + s * math.log(big_n)
+                          - (big_n - 1) * log_rho - grow)
+                         for log_rho, log_a in env], 1)
 
 
 def _truncation_degree(c: DilatedCorrector, s_max: int, tol: float,
@@ -469,13 +473,13 @@ def _falling_factorial(d: int, s: int) -> np.ndarray:
 
 
 def _alias_folds(env: list, d: int, m: int) -> list[tuple[float, np.ndarray]]:
-    """(A rho^-m / (1 - rho^-m), rho^-j for j = 0..d) for each finite
-    (rho, A) of env with rho^-m < 1: the terms of _series_error's aliasing
-    bound that do not depend on the derivative order."""
+    """(A rho^-m / (1 - rho^-m), rho^-j for j = 0..d) for each (log rho,
+    log A) of env whose weight A rho^-m / (1 - rho^-m), from _alias_bound,
+    is finite: the terms of _series_error's aliasing bound that do not
+    depend on the derivative order."""
     js = np.arange(d + 1, dtype=np.float64)
-    return [(a * q / (1.0 - q), np.exp(-math.log(rho) * js))
-            for rho, a in env
-            if (q := rho ** (-m)) < 1.0 and math.isfinite(a)]
+    return [(weight, np.exp(-log_rho * js)) for log_rho, log_a in env
+            if (weight := _alias_bound([(log_rho, log_a)], m)) < math.inf]
 
 
 def _series_error(c: DilatedCorrector, env: list, folds: list, d: int, m: int,
@@ -564,11 +568,14 @@ def _sampled_sups(c: DilatedCorrector, orders: Sequence[int],
     Newton-refined grid max of sup_norm_certified, and its upper bound is
     the grid bound plus _series_error on degree D, which counts truncation,
     aliasing and rounding, plus the dropped sum_(K<j<=D) j(j-1)...(j-s+1)
-    |a~_j|, so value <= sup |(B phi0)^(s)| <= upper.
+    |a~_j|, so value <= sup |(B phi0)^(s)| <= upper.  A sup grid past
+    _GRID_CAP for degree D, which bounds K, raises GridCapError before
+    B phi0 is sampled.
     """
     exact = not np.any(c.zero_array())  # B phi0 = z^n
     env = _tail_envelope(c)
     d = c.n if exact else _truncation_degree(c, max(orders), 1e-9, env)
+    _sup_grid(d, oversample)  # K <= D: refused before B phi0 is sampled
     m = 0 if exact else _alias_grid(d, 1e-10, env)
     trunc = taylor_coeffs(c, d) if exact else _dft_coeffs(c, d, m)
     a = np.zeros(d + 1, dtype=np.complex128)

@@ -346,6 +346,19 @@ class SupBound(NamedTuple):
     upper: float
 
 
+def _sup_grid(d: int, oversample: int) -> int:
+    """The nodes of sup_norm_certified's grid for degree d: the first power
+    of two at least oversample (d + 1) and 64.  Past _GRID_CAP it raises
+    GridCapError, which a caller that knows a bound on d can meet before
+    it computes the coefficients."""
+    m = _next_pow2(max(oversample * (d + 1), 64))
+    if m > _GRID_CAP:
+        raise GridCapError(
+            f"a sup grid of oversample * (degree + 1) = {oversample} * {d + 1}"
+            f" nodes passes {_GRID_CAP}")
+    return m
+
+
 def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     """(value, upper) with value <= sup |f| <= upper on the circle, from the
     one grid-max refiner.
@@ -364,11 +377,7 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
         return SupBound(0.0, 0.0)
     c = f.coeffs
     d = len(c) - 1
-    m = _next_pow2(max(oversample * (d + 1), 64))
-    if m > _GRID_CAP:
-        raise GridCapError(
-            f"a sup grid of oversample * (degree + 1) = {oversample} * {d + 1}"
-            f" nodes passes {_GRID_CAP}")
+    m = _sup_grid(d, oversample)
     js = np.arange(d + 1, dtype=np.float64)
     h = 2.0 * np.pi / m
     # the grid max by cosets of at most 2^16 nodes, to bound the memory:

@@ -402,7 +402,8 @@ def _run_vs_bound(man: RunManifest):
                     cert = corrector_certificate(corr, man.smoothness,
                                                  man.oversample)
                 except GridCapError as exc:
-                    # the trimmed degree is known only once B phi0 is sampled
+                    # the degree that bounds the grid comes from the zeros'
+                    # envelope, not from the manifest
                     raise ManifestError("oversample", str(exc)) from exc
                 # the certificate record, its *_upper keys in report.json only
                 row = dict(cert, kind=kind, seed=s)

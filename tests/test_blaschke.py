@@ -582,47 +582,66 @@ def test_first_derivative_apriori_holds_on_random_sets():
             assert 0.0 < _derivative_sup(c, 1) <= _derivative_apriori(c, 1, 16)
 
 
-def _dilated_values(c: DilatedCorrector, z: np.ndarray) -> np.ndarray:
-    """B phi0 = R^n Btilde(z/R) out to the poles R^2/conj(z_k), past the
-    |z| < R^2 that eval_B_phi accepts."""
-    scaled = BlaschkeProduct(ZeroSet(tuple(zk / c.radius_R for zk in c.zeros)))
-    return c.radius_R ** c.n * eval_blaschke(scaled, z / c.radius_R)
+def _envelope_radii(c: DilatedCorrector) -> list:
+    """R, then the ladder R^(1-t) P^t, t = 1 - 2^-k for k = 1..7, toward the
+    nearest pole P = R^2/max|z_k|, each radius past R."""
+    big_r = c.radius_R
+    zmax = float(np.max(np.abs(c.zero_array())))
+    if zmax == 0.0:
+        return [big_r]
+    pole = big_r * big_r / zmax
+    ladder = [big_r ** (1.0 - t) * pole ** t for t in 1.0 - 2.0 ** -np.arange(1, 8)]
+    return [big_r] + [rho for rho in ladder if rho > big_r]
 
 
 def _whole_circle_envelope(c: DilatedCorrector) -> list:
     """The envelope with each factor bounded by its sup over the whole
-    circle, (rho - |z_k|)/(1 - |z_k| rho/R^2), on _tail_envelope's ladder:
-    the oracle every per-arc (rho, A) must stay below."""
+    circle, (rho - |z_k|)/(1 - |z_k| rho/R^2), on _tail_envelope's ladder,
+    as (log rho, log A): the oracle every per-arc pair must stay below."""
     big_r = c.radius_R
-    out = [(big_r, big_r ** c.n)]
     moduli = np.abs(c.zero_array())
-    zmax = float(np.max(moduli))
-    if zmax > 0.0:
-        pole = big_r * big_r / zmax
-        for t in 1.0 - 2.0 ** -np.arange(1, 8):
-            rho = big_r ** (1.0 - t) * pole ** t
-            if rho > big_r:
-                log_bound = float(np.sum(
-                    np.log((rho - moduli) / (1.0 - moduli * rho / big_r ** 2))))
-                out.append((rho, math.exp(log_bound) if log_bound < 700.0
-                            else math.inf))
+    out = [(math.log(big_r), c.n * math.log(big_r))]
+    for rho in _envelope_radii(c)[1:]:
+        out.append((math.log(rho), float(np.sum(
+            np.log((rho - moduli) / (1.0 - moduli * rho / big_r ** 2))))))
     return out
 
 
-def _check_envelope_on_circles(c: DilatedCorrector, ray: complex) -> list:
-    """Each (rho, A) of the envelope bounds max |B phi0| on a 2^14-node grid
-    of |z| = rho turned by ray, and is at most the whole-circle product,
-    equal to it at rho = R; returns the grid maxima."""
+def _log_modulus(c: DilatedCorrector, z: np.ndarray) -> np.ndarray:
+    """log |B phi0(z)| at each point of the 1-d array z: the sum over the
+    factors of half the log of |z - z_k|^2 / |1 - conj(z_k) z/R^2|^2, taken
+    pairwise along each point's row, so that it holds where |B phi0|
+    itself overflows a float and rounds by a few units of its last place."""
+    zs = c.zero_array()
+    w = np.conj(zs) / c.radius_R ** 2
+    out = np.empty(len(z))
+    for lo in range(0, len(z), 256):
+        p = z[lo : lo + 256, None]
+        num, den = p - zs, 1.0 - w * p
+        ratio = (num.real ** 2 + num.imag ** 2) / (den.real ** 2 + den.imag ** 2)
+        out[lo : lo + 256] = 0.5 * np.log(ratio).sum(axis=1)
+    return out
+
+
+def _check_envelope_on_circles(c: DilatedCorrector, ray: complex,
+                               nodes: int = 1 << 14) -> list:
+    """Each (log rho, log A) of the envelope bounds the max of log |B phi0|
+    on a grid of |z| = rho turned by ray, and is at most the whole-circle
+    product's, equal to it at rho = R; returns the grid maxima of
+    log |B phi0|."""
     env = _tail_envelope(c)
     oracle = _whole_circle_envelope(c)
-    assert env[0] == oracle[0] == (c.radius_R, c.radius_R ** c.n)
-    assert [rho for rho, _ in env] == [rho for rho, _ in oracle]
-    nodes = ray * grid_nodes(1 << 14)
+    radii = _envelope_radii(c)
+    log_r = math.log(c.radius_R)
+    assert env[0] == oracle[0] == (log_r, c.n * log_r)
+    assert [lr for lr, _ in env] == [lr for lr, _ in oracle] == [
+        math.log(rho) for rho in radii]
+    points = ray * grid_nodes(nodes)
     tops = []
-    for (rho, a), (_, whole) in zip(env, oracle):
-        assert a <= whole, (rho, a, whole)
-        top = float(np.max(np.abs(_dilated_values(c, rho * nodes))))
-        assert top <= a * (1.0 + 1e-12), (rho, top, a)
+    for rho, (_, log_a), (_, whole) in zip(radii, env, oracle):
+        assert log_a <= whole, (rho, log_a, whole)
+        top = float(np.max(_log_modulus(c, rho * points)))
+        assert top <= log_a + math.log1p(1e-12), (rho, top, log_a)
         tops.append(top)
     return tops
 
@@ -631,10 +650,10 @@ def _check_envelope_on_circles(c: DilatedCorrector, ray: complex) -> list:
 @pytest.mark.parametrize("n", [1, 6, 64, 256])
 @pytest.mark.parametrize("eps", [1.0, 0.1])
 def test_tail_envelope_bounds_every_circle(kind, n, eps):
-    # each (rho, A) bounds |B phi0| on |z| = rho and is at most the
-    # whole-circle product; the grid is turned so that a node lies on the
-    # ray of the first zero, where the one factor of n = 1 attains its sup,
-    # so there A is met to rounding and equals the whole-circle product
+    # each (log rho, log A) bounds log |B phi0| on |z| = rho and is at most
+    # the whole-circle product's; the grid is turned so that a node lies on
+    # the ray of the first zero, where the one factor of n = 1 attains its
+    # sup, so there A is met to rounding and equals the whole-circle product
     c = build_corrector(generate_zeros(kind, n, 2), eps)
     env = _tail_envelope(c)
     assert len(env) == 8 and all(r < s for (r, _), (s, _) in zip(env, env[1:]))
@@ -642,8 +661,8 @@ def test_tail_envelope_bounds_every_circle(kind, n, eps):
     tops = _check_envelope_on_circles(c, ray)
     if n == 1:
         assert env == _whole_circle_envelope(c)
-        for (rho, a), top in zip(env, tops):
-            assert top >= a * (1.0 - 1e-12), (rho, top, a)
+        for (log_rho, log_a), top in zip(env, tops):
+            assert top >= log_a + math.log1p(-1e-12), (log_rho, top, log_a)
 
 
 @pytest.mark.parametrize("zeros", [
@@ -665,7 +684,10 @@ def test_arc_gaps_never_exceed_the_true_gap():
     angles = np.concatenate([rng.uniform(-np.pi, np.pi, 40),
                              ends[::8] + 1e-9, ends[::8] - 1e-9, ends[1::8]])
     zeros = rng.uniform(0.1, 0.99, len(angles)) * np.exp(1j * angles)
-    x = _arc_gaps(zeros, arcs)
+    x = np.concatenate(list(_arc_gaps(zeros, arcs, 5)))
+    # any block size gives the same rows, bit for bit
+    assert x.shape == (arcs, len(zeros))
+    assert np.array_equal(x, next(_arc_gaps(zeros, arcs, arcs)))
     with mpmath.workdps(60):
         two_pi = 2 * mpmath.pi
         for k, z in enumerate(zeros):
@@ -696,16 +718,32 @@ def test_one_arc_envelope_skips_the_arc_loop_with_the_same_bits(n, monkeypatch):
     big_r = c.radius_R
     zeros = c.zero_array()
     moduli = np.abs(zeros)
-    rhos = np.array([rho for rho, _ in env[1:]])[:, None]
+    rhos = np.array(_envelope_radii(c)[1:])[:, None]
     q = moduli * rhos / big_r ** 2
     whole = np.sum(np.log((rhos - moduli) / (1.0 - q)), axis=1)
     u = (4.0 * rhos * moduli / (rhos - moduli) ** 2)[:, None, :]
     v = (4.0 * q / (1.0 - q) ** 2)[:, None, :]
-    x = _arc_gaps(zeros, max(8, n // 4))
+    arcs = max(8, n // 4)
+    x = next(_arc_gaps(zeros, arcs, arcs))
     best = np.log((u * x + 1.0) / (v * x + 1.0)).sum(axis=2).max(axis=1)
-    loop = [(float(rho), math.exp(float(w) + 0.5 * min(0.0, float(b))))
+    loop = [(math.log(rho), float(w) + 0.5 * min(0.0, float(b)))
             for rho, w, b in zip(rhos[:, 0], whole, best)]
-    assert len(loop) == 7 and env == [(big_r, big_r ** n)] + loop
+    log_r = math.log(big_r)
+    assert len(loop) == 7 and env == [(log_r, n * log_r)] + loop
+
+
+def test_zeros_at_the_origin_leave_one_arc(monkeypatch):
+    # the factor of a zero at the origin is rho at every angle, and that of
+    # a subnormal zero is within 2^-53 of it, so zeros on one ray (here in
+    # arc 2 of 8) with such zeros (in arcs 0 and 3), as radial_line's
+    # underflowed ones, take no arc term
+    ray = tuple(0.9 ** k * np.exp(2j) for k in range(1, 20))
+    tiny = (complex(-5e-324, 5e-324), complex(1e-310, 0.0))
+    c = build_corrector(ZeroSet(ray + tiny + (0.0,) * 11), 1.0)
+    calls = []
+    monkeypatch.setattr(blaschke_module, "_arc_gaps", lambda *a: calls.append(a))
+    assert _tail_envelope(c) == _whole_circle_envelope(c)
+    assert calls == []
 
 
 def test_tail_envelope_of_spread_zeros_is_below_the_whole_circle_product():
@@ -713,12 +751,42 @@ def test_tail_envelope_of_spread_zeros_is_below_the_whole_circle_product():
     c = build_corrector(ZeroSet((0.9, -0.9)), 1.0)
     env, oracle = _tail_envelope(c), _whole_circle_envelope(c)
     assert env[0] == oracle[0]
-    assert all(a < 0.5 * whole for (_, a), (_, whole) in zip(env[1:], oracle[1:]))
+    assert all(log_a < math.log(0.5) + whole
+               for (_, log_a), (_, whole) in zip(env[1:], oracle[1:]))
 
 
 def test_tail_envelope_of_the_origin_alone_is_R_to_the_n():
     c = build_corrector(ZeroSet((0.0, 0.0, 0.0)), 1.0)
-    assert _tail_envelope(c) == [(c.radius_R, c.radius_R ** 3)]
+    log_r = math.log(c.radius_R)
+    assert _tail_envelope(c) == [(log_r, 3 * log_r)]
+
+
+@pytest.mark.parametrize("zeros", [
+    (0.1,) + (0.0,) * 699,
+    tuple(0.01 ** k for k in range(1, 401)),  # the tail underflows to 0
+], ids=["one-off-origin", "geometric"])
+def test_zeros_near_the_origin_keep_every_rung_of_the_envelope(zeros):
+    # the nearest pole lies far out, so A passes e^700 on the outer rungs:
+    # as floats those read inf and were passed over, which left D at 34,473
+    # and 19,009; in logs every rung counts and D is below 2n
+    c = build_corrector(ZeroSet(zeros), 1.0)
+    n = c.n
+    _check_envelope_on_circles(c, 1.0, 1 << 12)
+    assert max(log_a for _, log_a in _tail_envelope(c)) > 700.0
+    cert = corrector_certificate(c, (1, 2))
+    d = cert["truncation_degree"]
+    assert d < 2 * n
+    # value <= sup <= upper, with the value's rounding allowed as in
+    # test_certificate_sups_bracket_the_closed_form
+    js = np.arange(d + 1, dtype=np.float64)
+    u = np.finfo(np.float64).eps
+    for order, key in enumerate(("sup_phi", "ratio_s1", "ratio_s2")):
+        scale = float(n) ** order
+        oracle = _closed_form_sup(c, order) / scale
+        rounding = 16.0 * u * c.radius_R ** n * math.sqrt(
+            float(np.sum(js ** (2 * order)))) / scale
+        assert cert[key] <= oracle * (1.0 + 1e-12) + rounding, key
+        assert oracle <= cert[f"{key}_upper"], key
 
 
 def test_truncation_degree_follows_the_envelope():

@@ -664,10 +664,20 @@ def test_oversample_minimum(tmp_path, capsys, oversample, code):
         assert error_payload(out)["field"] == "oversample"
 
 
-def test_sup_grid_past_the_cap_is_refused_before_sampling(tmp_path, capsys):
+def test_sup_grid_past_the_cap_is_refused_before_sampling(tmp_path, capsys,
+                                                         monkeypatch):
     # oversample * (n + 1) = 466,033 * 9 passes the load-time rule, but the
-    # trimmed degree K > n puts the sup grid past the cap: refused before it
-    # is sampled, naming oversample
+    # truncation degree D > n, which bounds the trimmed degree K, puts the
+    # sup grid past the cap: refused before B phi0 is sampled, naming
+    # oversample
+    calls = []
+    sampled = blaschke.eval_B_phi
+
+    def counted(c, z):
+        calls.append(c)
+        return sampled(c, z)
+
+    monkeypatch.setattr(blaschke, "eval_B_phi", counted)
     man = write_json(tmp_path / "man.json", {
         "n_grid": [8], "oversample": 466033, "out_dir": str(tmp_path / "out")})
     start = time.perf_counter()
@@ -675,6 +685,7 @@ def test_sup_grid_past_the_cap_is_refused_before_sampling(tmp_path, capsys):
     assert time.perf_counter() - start < 1.0
     assert code == 2, out
     assert error_payload(out)["field"] == "oversample"
+    assert calls == []
 
 
 @pytest.mark.filterwarnings("error::RuntimeWarning")
@@ -778,7 +789,9 @@ def test_input_error_cases(tmp_path, capsys):
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
 
     def expect_field(manifest_obj, field, command="opuc"):
-        man = write_json(tmp_path / "man.json", manifest_obj)
+        # a case wrongly accepted writes its outputs under tmp_path
+        man = write_json(tmp_path / "man.json",
+                         {"out_dir": str(tmp_path / "out"), **manifest_obj})
         code, out = run_main(capsys, command, "--manifest", man)
         assert code == 2, out
         assert error_payload(out)["field"] == field
