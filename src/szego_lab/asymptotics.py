@@ -473,6 +473,8 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     if selected:
         z_max = max(abs(z) for z, _ in selected)
         bits_pipe = max(128, 64 + math.ceil(n * math.log2(z_max)))
+    # psi at its own scale: a valid psi has |c_j| <= binom(d, j) psi(0)
+    bits_pipe += max(0, -math.frexp(weight.psi0)[1])
     f = bits_pipe + _GUARD_BITS
     upto = 2 * n - 1 if route == "vp" else n
     psi, terms = _mass_terms(weight.coeff_key(), tuple(selected), f)

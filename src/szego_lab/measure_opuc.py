@@ -66,7 +66,6 @@ from szego_lab.circle_fourier import (
     _alias_bound,
     _certified_grid,
     _next_pow2,
-    grid_nodes,
 )
 from szego_lab.xlinalg import (
     _GUARD_BITS,
@@ -160,15 +159,14 @@ class PrecisionExhausted(ArithmeticError):
 class OuterWeight:
     """Finite zero-free Taylor polynomial weight, positive at the origin.
 
-    Zero-freeness on the closed disk is verified through the polynomial
-    roots, and the least root modulus is kept as zero_modulus (inf for a
-    constant psi), a float estimate; the minimum of |psi| over a 4096-node
-    circle grid is recorded as delta_floor.
+    Zero-freeness on the closed disk is certified by _psi_floor on the unit
+    circle; the least root modulus of psi is kept as zero_modulus (inf for
+    a constant psi), a float estimate that places the residue check's
+    circles.
     """
 
     psi: LaurentPolynomial
     label: str = ""
-    delta_floor: float = field(init=False)
     zero_modulus: float = field(init=False)
 
     def __post_init__(self):
@@ -180,16 +178,11 @@ class OuterWeight:
         c0 = complex(p.coefficient(0))
         if c0.imag != 0.0 or c0.real <= 0.0:
             raise ValueError("psi(0) must be real and positive")
+        if not _psi_floor(p.coeffs, 1.0) > 0.0:
+            raise ValueError("psi must be zero-free on the closed unit disk")
         zero = math.inf
         if p.hi >= 1:
-            roots = np.abs(np.roots(p.coeffs[::-1]))
-            if np.any(roots <= 1.0):
-                raise ValueError("psi must be zero-free on the closed unit disk")
-            zero = float(roots.min()) if roots.size else zero
-        floor = float(np.min(np.abs(p(grid_nodes(4096)))))
-        if floor <= 0.0:
-            raise ValueError("psi vanishes on the sampling grid")
-        object.__setattr__(self, "delta_floor", floor)
+            zero = float(np.abs(np.roots(p.coeffs[::-1])).min())
         object.__setattr__(self, "zero_modulus", zero)
 
     @property
@@ -634,6 +627,8 @@ def eta_n(mu: MeasureSpec, n: int):
 # residue identity
 
 _GRID_CAP = 1 << 20
+# the bytes a residue table may hold
+_TABLE_BUDGET = 1 << 30
 # the circles |y| = r^s, r the modulus of psi's nearest zero, on which the
 # quadrature's inner side bounds the integrand: densest toward the zero
 _LADDER = (1 / 16, 1 / 8, 1 / 4, 1 / 2, 3 / 4, 7 / 8, 15 / 16)
@@ -691,46 +686,53 @@ def _psi_floor(psi: np.ndarray, radius: float) -> float:
     0.0 where none is certified; psi holds the coefficients, constant
     first, as complex floats.
 
-    psi is sampled at N equispaced points.  Along the circle
-    |d psi / d theta| <= D = sum_j j |c_j| radius^j, so psi moves by at
-    most D 2 pi / N between two samples and by D pi / N from the nearest
-    one.  If the least sampled |psi| exceeds D 2 pi / N, every arc keeps
-    psi in the half-plane of its first sample, so the winding number is
+    psi is sampled at N equispaced points y_k, h = 2 pi / N apart in angle.
+    About y_k psi is its own finite Taylor series, psi(y_k (1 + w)) =
+    sum_m b_m w^m with b_m = sum_j C(j, m) c_j y_k^j, and |w| <= t within
+    angle t of y_k, so |psi| >= |b_0| - sum_(m >= 1) |b_m| t^m there.  If
+    that is positive at t = h for every k, each arc from y_k to y_(k+1)
+    keeps psi in a disk about psi_k that misses 0, so the winding number is
     the sum of the principal arguments of consecutive sample ratios, and it
-    must be 0: psi has no zero in |y| <= radius.  The least sample minus
-    D pi / N is then the bound.  A margin of (d + 1) 2^-40 sum_j |c_j|
-    radius^j covers the rounding of the samples, taken _PSI_BLOCK at a
-    time.  N starts at _PSI_SAMPLES and grows by powers of two: the samples
-    of N nest in those of any multiple, so the least of them can only fall,
-    and N must exceed D 2 pi over it; past _GRID_CAP samples nothing is
-    certified.  A float root estimate may choose the radius; only this
-    check certifies it.
+    must be 0: psi has no zero in |y| <= radius.  The least bound at
+    t = h / 2, which reaches every point, is the floor.  Margins of (d + 1)
+    2^-40 sum_j C(j, m) |c_j| radius^j cover the rounding of each b_m, taken
+    _PSI_BLOCK samples at a time.  N starts at _PSI_SAMPLES and jumps to the
+    least power of two, at least 2N, whose step keeps each term below its
+    sample's |b_0|; past _GRID_CAP samples nothing is certified.  A float
+    root estimate may choose the radius; only this check certifies it.
     """
     js = np.arange(len(psi))
+    binom = np.array([[float(math.comb(j, m)) for j in js] for m in js])
+    # b_m / y_k^m, of modulus |b_m| radius^-m
+    shifts = [LaurentPolynomial(0, binom[m, m:] * psi[m:]) for m in js]
+    ms = js[1:, None]  # the orders m >= 1 of the sums
     with np.errstate(all="ignore"):
-        pows = radius ** js * np.abs(psi)
-        slope = (js * pows).sum() * 2 * math.pi
-        margin = len(psi) * 2.0 ** -40 * pows.sum()
+        err = len(psi) * 2.0 ** -40 * binom @ (radius ** js * np.abs(psi))
     size = _PSI_SAMPLES
     while True:
-        low, turns, block = math.inf, 0.0, min(size, _PSI_BLOCK)
+        h, block = 2 * math.pi / size, min(size, _PSI_BLOCK)
+        low, ok, reach, turns = math.inf, True, math.inf, 0.0
         for start in range(0, size, block):
             # a block of samples and the next one, for the last ratio
             with np.errstate(all="ignore"):
                 y = radius * np.exp(2j * math.pi * np.arange(
                     start, start + block + 1) / size)
-                vals = np.full(len(y), psi[-1])
-                for c in psi[-2::-1]:
-                    vals = vals * y + c
-                low = min(low, float(np.abs(vals[:-1]).min()))
-                turns += float(np.angle(vals[1:] / vals[:-1]).sum())
-        low -= margin
-        step = slope / size
-        if low > step:
-            return float(low - step / 2) if abs(turns) < math.pi else 0.0
-        if size >= _GRID_CAP or not (low > 0.0 and slope / low < _GRID_CAP):
+                b = np.array([np.broadcast_to(p(y), y.shape) for p in shifts])
+                a = np.abs(b[0, :-1]) - err[0]
+                rest = np.abs(b[1:, :-1]) * radius ** ms + err[1:, None]
+                near = rest * h ** ms  # the terms |b_m| t^m at t = h
+                ok = ok and bool(np.all(a > near.sum(0)))
+                if ok:
+                    low = min(low, float(np.min(a - (near * 0.5 ** ms).sum(0))))
+                else:  # a bound fails past the t where one term reaches a
+                    ratio = (np.where(a > 0.0, a, 0.0) / rest) ** (1 / ms)
+                    reach = min(reach, float(np.min(ratio, initial=math.inf)))
+                turns += float(np.angle(b[0, 1:] / b[0, :-1]).sum())
+        if ok:
+            return low if abs(turns) < math.pi else 0.0
+        if size >= _GRID_CAP or not 2 * math.pi < reach * _GRID_CAP:
             return 0.0
-        size = max(2 * size, _next_pow2(math.ceil(slope / low)))
+        size = max(2 * size, _next_pow2(math.ceil(2 * math.pi / reach)))
 
 
 def _node_values(x: tuple, psi: list, factors: list, f: int) -> list:
@@ -882,6 +884,16 @@ class ResidueNodes:
         for n, k in rows:
             self._use(n)
             self._rows[n, k] = self._sides(k)
+        # the finest grid's table: k_max + 3 pairs of f-bit integers per
+        # node, each integer about 36 + f/8 bytes with its list slot
+        grid = max(g for *_, g, _ in self._rows.values())
+        size = grid * (2 * k_max + 6) * (36 + f / 8)
+        if size > _TABLE_BUDGET:
+            raise QuadratureError(
+                f"the residue table of {grid} nodes needs about "
+                f"{size / 2 ** 30:.2f} GiB at {f} fractional bits and "
+                f"{k_max} masses, more than its budget of "
+                f"{_TABLE_BUDGET / 2 ** 30:g} GiB")
 
     @property
     def grid(self) -> int:

@@ -242,6 +242,23 @@ def test_sup_norm_certified_brackets_dense_scan():
     assert got.value <= dense * (1 + np.pi * (f.hi - f.lo) / 200003)
 
 
+def test_sup_norm_certified_upper_covers_a_peak_between_nodes():
+    # two peaks of degree 63 on the 1,024-node grid: the higher one, 64,
+    # half-way between two nodes, the lower one, 63.936, on a node, where the
+    # grid max and its Newton refinement stay; only the van der
+    # Corput-Schaake factor lifts the upper above the true sup
+    d, m = 63, 1024
+    js = np.arange(d + 1)
+    t1, t2 = (m / 4 + 0.5) * 2 * np.pi / m, (3 * m / 4) * 2 * np.pi / m
+    c = np.exp(-1j * js * t1) + 0.999 * np.exp(-1j * js * t2)
+    got = sup_norm_certified(LaurentPolynomial(0, c))
+    padded = np.zeros(1 << 20, dtype=complex)
+    padded[:d + 1] = c
+    dense = float(np.max(np.abs(np.fft.ifft(padded, norm="forward"))))
+    assert dense > 64.0
+    assert got.value < 63.95 and got.value <= dense <= got.upper
+
+
 def test_sup_norm_oversample_validation():
     with pytest.raises(ValueError):
         sup_norm_certified(LaurentPolynomial(0, [1.0]), oversample=2)

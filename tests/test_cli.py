@@ -318,6 +318,38 @@ def test_pipeline_artifacts(tmp_path, capsys):
     assert repro["version"].startswith("szego-lab-")
 
 
+@pytest.mark.parametrize("psi", [
+    [[1e-300, 0]], [[1e-100, 0], [-5e-101, 0]],
+], ids=["1e-300", "1e-100-degree-1"])
+def test_pipeline_at_the_scale_of_psi(tmp_path, capsys, psi):
+    # the pipeline holds psi at psi(0)'s own scale, so a small psi(0) keeps
+    # its bits: each lower bound is at most the exact tau_n and eta_n, and
+    # the norm bookkeeping closes
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": psi, "masses": [[1.5, 0, 0.3]], "precision_bits": 128})
+    exact = {}
+    for command, fields in (("opuc", {"which": "both"}),
+                            ("pipeline", {"route": "both"})):
+        man = write_json(tmp_path / f"{command}.json", dict(
+            fields, measure_file=measure, n_grid=[8, 16],
+            out_dir=str(tmp_path / command)))
+        code, out = run_main(capsys, command, "--manifest", man)
+        assert code == 0, (command, out)
+        rows = read_rows(str(tmp_path / command))
+        if command == "opuc":
+            exact = {r["n"]: min(float(r["tau_n"]), float(r["eta_n"]))
+                     for r in rows}
+    assert len(rows) == 4
+    for row in rows:
+        lower = float(row["lower_bound_achieved"])
+        norm = float(row["total_norm"])
+        assert 0 < lower <= exact[row["n"]], row
+        pieces = sum(float(row[key]) for key in (
+            "ac_norm", "inside_mass_sum", "tail_mass_sum"))
+        assert abs(norm ** 2 - pieces) <= 1e-12 * norm ** 2, row
+        assert row["schwarz_pass"] == "True"
+
+
 def test_residue_check_artifacts(tmp_path, capsys):
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
     man = write_json(tmp_path / "man.json", {
@@ -396,6 +428,48 @@ def test_residue_check_on_psi_with_a_small_minimum(tmp_path, capsys, psi):
         assert float(row["abs_diff"]) <= 2.0 ** (16 - 128)
     for row in read_report(str(tmp_path / "out"))["rows"]:
         assert 0 < row["quad_bound"] <= 2.0 ** (14 - 128)
+
+
+def test_residue_check_bounds_clustered_zeros_of_psi_locally(tmp_path,
+                                                           capsys):
+    # (1 - z/2)^8: |psi| is certified on the ladder's circles up to
+    # |y| = 1.81, so each row's inside alias bound is small on at most 512
+    # nodes (256 here; a global derivative bound took 1,024)
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[math.comb(8, j) * (-0.5) ** j, 0] for j in range(9)],
+        "masses": [[1.5, 0.0, 0.3]], "precision_bits": 128})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [4, 8], "k_list": [0, 1],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 0, out
+    rows = read_rows(str(tmp_path / "out"))
+    assert len(rows) == 4
+    assert all(int(row["grid"]) <= 512 for row in rows)
+
+
+def test_residue_check_refuses_a_table_past_its_memory_budget(
+        tmp_path, capsys, monkeypatch):
+    # three masses at 512 bits, one at 1.0005: the certified grid is 2^20
+    # nodes, within the node cap, but its table would hold about 1.2 GiB,
+    # so the run exits 3 before any node is evaluated
+    def no_node(*args):
+        raise AssertionError("a node was evaluated")
+
+    monkeypatch.setattr(mo, "_node_values", no_node)
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1, 0]], "precision_bits": 512,
+        "masses": [[1.0005, 0, 0.3], [-1.5, 0, 0.2], [0, 1.5, 0.1]]})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [4], "k_list": [3],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 3, out
+    err = json.loads(out, parse_constant=refuse_constant)["error"]
+    assert err["type"] == "QuadratureError"
+    assert "the residue table of 1048576 nodes needs about 1.22 GiB" in (
+        err["message"])
+    assert "budget of 1 GiB" in err["message"]
 
 
 def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
@@ -880,6 +954,15 @@ def test_input_error_cases(tmp_path, capsys):
                      command=command)
     expect_field({"measure_file": measure, "exponents": [inf]}, "exponents",
                  command="log-condition")
+    # psi with a zero on the circle, (1 - z)(1 - 0.9 z) and (1 + z)(1 - 0.1 z),
+    # or 1e-12 outside it, where 2^20 samples certify no minimum
+    for psi in ([[1, 0], [-1.9, 0], [0.9, 0]], [[1, 0], [0.9, 0], [-0.1, 0]],
+                [[1, 0], [-0.999999999999, 0]]):
+        bad_measure = write_json(tmp_path / "bad_mu.json", {
+            "psi": psi, "masses": [[1.5, 0, 0.3]], "precision_bits": 128})
+        for command in ("opuc", "pipeline", "residue-check", "log-condition"):
+            expect_field({"measure_file": bad_measure, "n_grid": [8, 16]},
+                         "psi", command=command)
     # string and list fields are read as such
     expect_field({"n_grid": [8], "out_dir": None}, "out_dir",
                  command="vs-bound")
@@ -1086,12 +1169,12 @@ def test_residue_check_refuses_a_far_mass_before_any_node(tmp_path, capsys,
 
 
 @pytest.mark.parametrize("measure, named", [
-    # a mass 1e-15 outside the circle, and a psi whose zero lies 1e-12
+    # a mass 1e-15 outside the circle, and a psi whose zero lies 2^-16
     # outside it: each needs far more than 2^20 nodes
     ({"psi": [[1, 0]], "masses": [[1 + 1e-15, 0, 0.3]]},
      "the mass at (1.000000000000001+0j)"),
-    ({"psi": [[1, 0], [-0.999999999999, 0]], "masses": [[1.5, 0, 0.3]]},
-     "the zero of psi at |y| = 1.000000000001"),
+    ({"psi": [[1, 0], [-1 / (1 + 2 ** -16), 0]], "masses": [[1.5, 0, 0.3]]},
+     "the zero of psi at |y| = 1.00001525878906"),
 ], ids=["mass-near-circle", "psi-zero-near-circle"])
 def test_residue_check_refuses_a_grid_past_the_cap_before_any_node(
         tmp_path, capsys, monkeypatch, measure, named):

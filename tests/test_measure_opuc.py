@@ -92,7 +92,6 @@ def test_outer_weight_rejects_laurent():
 
 def test_outer_weight_floor_and_origin():
     w = OuterWeight(LaurentPolynomial(0, [1.0, -0.5]), label="bs-half")
-    assert abs(w.delta_floor - 0.5) < 1e-12
     assert w.psi0 == 1.0
     assert w.label == "bs-half"
 
@@ -418,6 +417,78 @@ def test_psi_floor_takes_the_samples_its_derivative_bound_needs(
 def test_psi_floor_certifies_nothing_past_the_cap_or_around_a_zero(
         coeffs, radius):
     assert mo._psi_floor(np.array(coeffs, dtype=complex), radius) == 0.0
+
+
+def test_psi_floor_takes_the_half_step_around_each_sample():
+    # psi = 1 - 0.9 e^(-i pi/1024) z has its minimum, 0.1, half-way between
+    # two of the 1,024 samples, which read 0.10004 there
+    psi = np.array([1.0, -0.9 * np.exp(-1j * math.pi / 1024)])
+    floor = mo._psi_floor(psi, 1.0)
+    assert 0.09 < floor <= 0.1
+
+
+def test_psi_floor_keeps_its_rounding_margin():
+    # psi = 1 - 2^-70 z has its minimum 1 - 2^-70 at the sample y = 1, where
+    # the float sample rounds to 1 and the Taylor terms are below 2^-70
+    floor = mo._psi_floor(np.array([1.0, -2.0 ** -70], dtype=complex), 1.0)
+    assert 0 < Fraction(floor) <= 1 - Fraction(2) ** -70
+
+
+@pytest.mark.parametrize("zero, radius, cap", [
+    (2.0, 1.0, 1 << 12), (2.0, math.sqrt(2), 1 << 16), (1.1, 1.0, 1 << 12)])
+def test_psi_floor_bounds_clustered_zeros_locally(monkeypatch, zero, radius,
+                                                  cap):
+    # (1 - z/zero)^8, eight zeros at one point: its derivatives are small
+    # where |psi| is, so a bound taken at each sample certifies it with few
+    # samples
+    coeffs = np.array([math.comb(8, j) * (-1 / zero) ** j for j in range(9)],
+                      dtype=complex)
+    low = float(np.min(np.abs(np.polyval(coeffs[::-1], radius * np.exp(
+        2j * math.pi * np.arange(1 << 16) / (1 << 16))))))
+    monkeypatch.setattr(mo, "_GRID_CAP", cap)
+    assert 0 < mo._psi_floor(coeffs, radius) <= low
+
+
+@pytest.mark.parametrize("side, loads", [(1, True), (-1, False)])
+def test_outer_weight_certifies_a_zero_next_to_the_circle(side, loads):
+    # a zero 2^-16 outside the circle is certified with 2^19 samples; one
+    # 2^-16 inside makes psi wind once
+    psi = LaurentPolynomial(0, [1.0, -1 / (1 + side * 2.0 ** -16)])
+    if loads:
+        assert OuterWeight(psi).zero_modulus == pytest.approx(1 + 2.0 ** -16)
+    else:
+        with pytest.raises(ValueError, match="zero-free on the closed unit"):
+            OuterWeight(psi)
+
+
+def test_outer_weight_accepts_psi_exactly_when_its_zeros_are_outside():
+    # psi of degree 1 to 4 with one zero 10^-k from the circle, inside or
+    # outside it, and its other zeros beyond 1.5
+    rng = np.random.default_rng(37)
+    for case in range(24):
+        k, side = case % 4 + 1, (-1) ** (case // 4)
+        degree = rng.integers(1, 5)
+        radii = np.concatenate(([1 + side * 10.0 ** -k],
+                                rng.uniform(1.5, 3.0, degree - 1)))
+        coeffs = np.ones(1, dtype=complex)  # prod (1 - z / r), psi(0) = 1
+        for r in radii * np.exp(2j * math.pi * rng.random(degree)):
+            coeffs = np.convolve(coeffs, [1.0, -1 / r])
+        psi = LaurentPolynomial(0, coeffs)
+        if side > 0:
+            OuterWeight(psi)
+        else:
+            with pytest.raises(ValueError, match="zero-free"):
+                OuterWeight(psi)
+
+
+def test_residue_table_at_the_node_cap_fits_its_memory_budget():
+    # psi = 1 with a mass at 1.0003 certifies 2^20 nodes at 256 bits, about
+    # 0.56 GiB of table with one mass: built, no node evaluated
+    mu = MeasureSpec(OuterWeight.constant_one(),
+                     PointSpectrum(((1.0003, 0.3),)), 256)
+    nodes = ResidueNodes(mu, [(4, 1)])
+    assert nodes._rows[4, 1][3] == 1 << 20
+    assert nodes.grid == 0
 
 
 def test_psi_near_the_circle_keeps_its_whole_ladder():
