@@ -583,22 +583,17 @@ def taylor_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
 
 
 def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
-                           which: str = "both", pipeline: bool = False,
-                           sched: ScheduleParams | None = None,
-                           seed: int = 0) -> dict:
+                           which: str = "both") -> dict:
     """Exact leading coefficients against the limit over an n-grid.
 
-    Computes the exact optimum per n (and its error against the limit),
-    optionally the pipeline lower bound, and flags whether the error
-    sequence is nonincreasing up to a factor 2.
+    Computes the exact optimum per n and its error against the limit, and
+    flags whether the error sequence is nonincreasing up to a factor 2.
     """
     ns = [int(n) for n in n_grid]
     if ns != sorted(set(ns)):
         raise ValueError("n_grid must be strictly increasing")
     if which not in ("tau", "eta", "both"):
         raise ValueError("which must be tau, eta, or both")
-    if pipeline and len(ns) >= 2:
-        validate_schedule(sched or ScheduleParams.default(), ns)
     want_tau = which in ("tau", "both")
     want_eta = which in ("eta", "both")
     target = target_limit(mu)
@@ -611,15 +606,6 @@ def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
         if want_eta and n >= 1:
             row["eta"] = float(eta_n(mu, n))
             row["eta_error"] = abs(row["eta"] - target)
-        if pipeline:
-            if want_eta:
-                _, cert = vp_approximant(mu.spectrum, mu.weight, n,
-                                         sched, seed, mu.precision)
-                row["eta_lower_bound"] = cert.lower_bound_achieved
-            if want_tau:
-                _, cert = taylor_approximant(mu.spectrum, mu.weight, n,
-                                             sched, seed, mu.precision)
-                row["tau_lower_bound"] = cert.lower_bound_achieved
         rows.append(row)
 
     def trend(key: str) -> bool:

@@ -140,8 +140,7 @@ def _n_grid_rule(man):
     ns = man.n_grid
     if list(ns) != sorted(set(ns)):
         return "must be strictly increasing"
-    if (man.command == "pipeline"
-            or man.command == "opuc" and man.pipeline) and ns[0] < 8:
+    if man.command == "pipeline" and ns[0] < 8:
         return "pipeline lower bounds need n >= 8"
 
 
@@ -170,7 +169,6 @@ class RunManifest:
                                       lambda b: b in PRECISION_BITS,
                                       f"one of {PRECISION_BITS}")
     measure_file: str | None = _row(_typed(str))
-    pipeline: bool = _row(_typed(bool), False)
     n_grid: tuple = _row(_list_of(_as_int), (), lambda n: 1 <= n <= _GRID_CAP,
                          f"in [1, {_GRID_CAP}]", _n_grid_rule)
     oversample: int = _row(
@@ -376,7 +374,7 @@ def _reproducibility(man: RunManifest) -> dict:
     if man.measure is not None:
         bits = man.measure.precision
     sched = man.schedule
-    if man.command == "pipeline" or (man.command == "opuc" and man.pipeline):
+    if man.command == "pipeline":
         sched = sched or ScheduleParams.default()
     return {
         "seed": man.seed,
@@ -440,20 +438,14 @@ def _run_besov(man: RunManifest):
 
 def _run_opuc(man: RunManifest):
     mu = man.measure
-    rec = convergence_experiment(mu, man.n_grid, which=man.which,
-                                 pipeline=man.pipeline, sched=man.schedule,
-                                 seed=man.seed)
+    rec = convergence_experiment(mu, man.n_grid, which=man.which)
     columns = ["n", "tau_n", "eta_n", "target", "tau_error", "eta_error"]
-    if man.pipeline:
-        columns += ["tau_lower_bound", "eta_lower_bound"]
     rows = []
     for r in rec["rows"]:
         rows.append({"n": r["n"], "tau_n": r.get("tau"),
                      "eta_n": r.get("eta"), "target": rec["target"],
                      "tau_error": r.get("tau_error"),
-                     "eta_error": r.get("eta_error"),
-                     "tau_lower_bound": r.get("tau_lower_bound"),
-                     "eta_lower_bound": r.get("eta_lower_bound")})
+                     "eta_error": r.get("eta_error")})
     return columns, rows, {"target": rec["target"], "which": rec["which"],
                            "trend": rec["trend"]}
 

@@ -266,7 +266,6 @@ def target_limit(mu: MeasureSpec) -> float:
 
 
 # (psi, bits) -> (N, t, e), the 8 last used (each call re-inserts its key).
-# Threads that miss together write the same values; pop skips a popped key.
 _moment_cache: dict = {}
 
 
@@ -694,12 +693,22 @@ def _psi_floor(psi: np.ndarray, radius: float) -> float:
     keeps psi in a disk about psi_k that misses 0, so the winding number is
     the sum of the principal arguments of consecutive sample ratios, and it
     must be 0: psi has no zero in |y| <= radius.  The least bound at
-    t = h / 2, which reaches every point, is the floor.  Margins of (d + 1)
-    2^-40 sum_j C(j, m) |c_j| radius^j cover the rounding of each b_m, taken
-    _PSI_BLOCK samples at a time.  N starts at _PSI_SAMPLES and jumps to the
-    least power of two, at least 2N, whose step keeps each term below its
-    sample's |b_0|; past _GRID_CAP samples nothing is certified.  A float
-    root estimate may choose the radius; only this check certifies it.
+    t = h / 2, which reaches every point, is the floor.
+
+    For psi of degree d, the floats move each |b_m| by at most
+    30 (d + 1) u S_m, u = 2^-53 and S_m = sum_j C(j, m) |c_j| radius^j, and
+    the margin is 64 (d + 1) u S_m.  The rounded C(j, m) c_j and the d - m
+    complex Horner steps of b_m / y_k^m, each a product within 2 sqrt(2) u
+    and a sum within u (Higham, Accuracy and Stability, 2002, lemma 3.5 and
+    section 5.1), leave 4 (d + 1) u S_m.  The sample point, 2 pi k / N
+    rounded twice, then exp and the radius, lies within 16 u radius of y_k,
+    which moves b_m by at most 17 u sum_j (j - m) C(j, m) |c_j| radius^j <=
+    17 d u S_m.  The test's moduli, powers and sums add (2 d + 9) u S_0 at
+    most, as its terms stay below |b_0| <= S_0.  N starts at _PSI_SAMPLES
+    and jumps to the least power of two, at least 2N, whose step keeps each
+    term below its sample's |b_0|; past _GRID_CAP samples nothing is
+    certified.  A float root estimate may choose the radius; only this check
+    certifies it.
     """
     js = np.arange(len(psi))
     binom = np.array([[float(math.comb(j, m)) for j in js] for m in js])
@@ -707,7 +716,7 @@ def _psi_floor(psi: np.ndarray, radius: float) -> float:
     shifts = [LaurentPolynomial(0, binom[m, m:] * psi[m:]) for m in js]
     ms = js[1:, None]  # the orders m >= 1 of the sums
     with np.errstate(all="ignore"):
-        err = len(psi) * 2.0 ** -40 * binom @ (radius ** js * np.abs(psi))
+        err = len(psi) * 2.0 ** -47 * binom @ (radius ** js * np.abs(psi))
     size = _PSI_SAMPLES
     while True:
         h, block = 2 * math.pi / size, min(size, _PSI_BLOCK)
@@ -1175,8 +1184,6 @@ def log_condition_report(spectrum: PointSpectrum, a_list: Sequence[float],
     for a in a_list:
         vals = [math.log(n) ** a * t for n, t in zip(ns, tails)]
         half = len(vals) // 2
-        first = max(vals[: half + 1]) if vals else 0.0
-        second = max(vals[half:]) if vals else 0.0
-        bounded = second <= 2.0 * first + 1e-12
+        bounded = max(vals[half:]) <= 2.0 * max(vals[: half + 1]) + 1e-12
         per_a[a] = {"values": vals, "bounded": bounded}
     return {"n_values": ns, "tail_sums": tails, "per_A": per_a}

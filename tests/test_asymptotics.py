@@ -669,20 +669,20 @@ def test_convergence_bernstein_szego():
 
 def test_convergence_two_mass_pipeline():
     mu = MeasureSpec(ONE, TWO_MASS, 256)
-    rec = convergence_experiment(mu, (8, 16), which="eta", pipeline=True)
+    rec = convergence_experiment(mu, (8, 16), which="eta")
     assert rec["target"] == pytest.approx(8.0 / 15.0, abs=1e-12)
     r8, r16 = rec["rows"]
     assert r8["eta"] == pytest.approx(0.5490115211559835, rel=1e-9)
     assert r8["eta_error"] == pytest.approx(0.01567818782265018, rel=1e-6)
-    assert r8["eta_lower_bound"] == pytest.approx(0.26894675281028174,
-                                                  rel=1e-9)
     assert r16["eta"] == pytest.approx(0.5338007483053052, rel=1e-9)
     assert r16["eta_error"] == pytest.approx(0.0004674149719718912, rel=1e-6)
-    assert r16["eta_lower_bound"] == pytest.approx(0.5059144345774899,
-                                                   rel=1e-9)
     assert rec["trend"] == {"eta": True}
-    for row in rec["rows"]:
-        assert row["eta_lower_bound"] <= row["eta"] + 1e-10
+    # the vp route's certified lower bound stays below the exact eta_n
+    for row, pinned in zip(rec["rows"],
+                           (0.26894675281028174, 0.5059144345774899)):
+        _, cert = vp_approximant(TWO_MASS, ONE, row["n"], precision=256)
+        assert cert.lower_bound_achieved == pytest.approx(pinned, rel=1e-9)
+        assert cert.lower_bound_achieved <= row["eta"] + 1e-10
 
 
 def test_convergence_validation():
@@ -694,7 +694,6 @@ def test_convergence_validation():
     bad = ScheduleParams(ScheduleFn("inv_loglog_sq", 4.0),
                          ScheduleFn("half_loglog"))
     with pytest.raises(ScheduleViolation, match="decay sequence"):
-        convergence_experiment(mu, (8, 16), which="eta", pipeline=True,
-                               sched=bad)
+        validate_schedule(bad, (8, 16))
     with pytest.raises(ValueError, match="at least 4"):
-        convergence_experiment(mu, (2, 8), which="eta", pipeline=True)
+        validate_schedule(ScheduleParams.default(), (2, 8))

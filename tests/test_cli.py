@@ -893,8 +893,7 @@ def test_input_error_cases(tmp_path, capsys):
     expect_field({"n_grid": [8], "seed": -3}, "seed", command="vs-bound")
     expect_field({"measure_file": measure, "n_grid": [8], "seed": -3},
                  "seed", command="pipeline")
-    expect_field({"measure_file": measure, "pipeline": True, "seed": -3},
-                 "seed")
+    expect_field({"measure_file": measure, "seed": -3}, "seed")
     # integers are not read from fractions or booleans
     expect_field({"n_grid": [8.7]}, "n_grid", command="vs-bound")
     expect_field({"n_grid": [8], "seed": 2.9}, "seed", command="vs-bound")
@@ -902,6 +901,10 @@ def test_input_error_cases(tmp_path, capsys):
     # kinds is the one spelling of the zero-set kinds
     expect_field({"n_grid": [8], "kind": "uniform_disk"}, "kind",
                  command="vs-bound")
+    # opuc reports the exact coefficients only; lower bounds are the
+    # pipeline command's
+    expect_field({"measure_file": measure, "pipeline": True}, "pipeline")
+    expect_field({"measure_file": measure, "pipeline": False}, "pipeline")
     # 1 + epsilon/n rounds to 1, so the dilation radius is not above 1
     expect_field({"n_grid": [8], "epsilon": 1e-20}, "epsilon",
                  command="vs-bound")
@@ -1010,7 +1013,6 @@ def test_input_error_cases(tmp_path, capsys):
     # a pipeline's n_grid and a besov pairing are checked before any run
     expect_field({"measure_file": measure, "n_grid": [4]}, "n_grid",
                  command="pipeline")
-    expect_field({"measure_file": measure, "pipeline": True}, "n_grid")
     expect_field({"n_grid": [8], "k_list": [4]}, "k_list", command="besov")
 
 

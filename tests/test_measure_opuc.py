@@ -434,6 +434,25 @@ def test_psi_floor_keeps_its_rounding_margin():
     assert 0 < Fraction(floor) <= 1 - Fraction(2) ** -70
 
 
+@pytest.mark.parametrize("zero, degree", [
+    (1.05, 7), (1.02, 6), (1.01, 5),
+    # minimum 2.6e-11, certified as 9.5e-12
+    (1.05, 8)])
+def test_outer_weight_loads_psi_whose_minimum_passes_the_rounding_margin(
+        zero, degree):
+    # (1 - z/zero)^degree, zero-free, its minimum (1 - 1/zero)^degree at
+    # y = 1 between 2.6e-11 and 5.6e-10, above rounding margins of 1.3e-12
+    # to 1.3e-11 (a margin of (d + 1) 2^-40 S_0 refused each of them)
+    coeffs = np.array([math.comb(degree, j) * (-1 / zero) ** j
+                       for j in range(degree + 1)], dtype=complex)
+    low = (1 - 1 / zero) ** degree
+    assert 0 < mo._psi_floor(coeffs, 1.0) <= low
+    weight = OuterWeight(LaurentPolynomial(0, coeffs))
+    mu = MeasureSpec(weight, PointSpectrum.empty(), 128)
+    # mass-free, psi(0) = 1 and n >= degree: tau_n = 1
+    assert float(tau_n(mu, 8)) == pytest.approx(1.0, rel=1e-12)
+
+
 @pytest.mark.parametrize("zero, radius, cap", [
     (2.0, 1.0, 1 << 12), (2.0, math.sqrt(2), 1 << 16), (1.1, 1.0, 1 << 12)])
 def test_psi_floor_bounds_clustered_zeros_locally(monkeypatch, zero, radius,
