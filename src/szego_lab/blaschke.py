@@ -63,8 +63,9 @@ _BLOCK = 16
 # the sampled series is cut where the rest of its l1 mass falls below this
 # share of its l2 norm: below the coefficients' own certified rounding
 _NOISE_FLOOR = 2.0 ** -40
-# the envelope's (radius, arc, zero) terms are formed this many at a time
-_ENVELOPE_BLOCK = 1 << 16
+# the envelope's (radius, arc, zero) terms are formed this many at a time:
+# 64 KB of floats, which glibc serves from the heap, not from fresh pages
+_ENVELOPE_BLOCK = 1 << 13
 
 
 class PoleProximityError(ValueError):
@@ -526,14 +527,22 @@ def _series_error(c: DilatedCorrector, env: list, folds: list, d: int, m: int,
       < 8u for twiddles within mu = u).  Cauchy-Schwarz against the
       multipliers f_j <= j^s gives sqrt(S_2).
     - sup_norm_certified evaluates sum f_j a~_j z^j (s + 1 products per
-      coefficient) on coset FFTs of at most 2^16 nodes after a twist
-      e^(i j t h) of phase below 2 pi (d+1)/2^16 (overlap sums included:
-      6 + 20 (d+1)/2^16 roundings).  Each output of such an FFT comes
-      through 16 butterfly stages of one twiddle product and one sum, so
-      within 128u sum f_j |a~_j| <= 128u R^n S_1, as |a_j| <= R^n by
-      Cauchy on |z| = R.  The grid bound divides the grid max by
-      sqrt(cos(pi d/M)) > sqrt(cos(pi/oversample)), which gives
-      G = (135 + s + 20 (d+1)/2^16) / sqrt(cos(pi/oversample)).
+      coefficient) on coset FFTs of at most 2^12 nodes.  A coefficient
+      past the first 2^12 is multiplied by an r-th root of unity, its
+      phase rounded twice below 2 pi, so within 4 pi u + sqrt(2) u < 15u,
+      by a product within sqrt(5) u: 18 roundings.  The fold sums add
+      fewer than (d+1)/2^12.  The twist e^(i p t h), p < 2^12, is taken
+      exactly at every 16th coset, its phase rounded three times below
+      2 pi (21u), and in between as a running product of at most 15
+      steps e^(i p h), each of phase below pi (8u) and a product (sqrt(5)
+      u), so within 21u + 15 (8 + sqrt(5)) u < 176u, and its product
+      with the folded sum adds sqrt(5) u: 178 roundings.  Each output of
+      the FFT comes through 12 butterfly stages of one twiddle product
+      and one sum, so within 96u sum f_j |a~_j| <= 96u R^n S_1, as
+      |a_j| <= R^n by Cauchy on |z| = R, and its modulus adds u.  The
+      grid bound divides the grid max by sqrt(cos(pi d/M)) >
+      sqrt(cos(pi/oversample)), which gives
+      G = (294 + s + (d+1)/2^12) / sqrt(cos(pi/oversample)).
     """
     big_n = d + 1
     js = np.arange(big_n, dtype=np.float64)
@@ -544,7 +553,7 @@ def _series_error(c: DilatedCorrector, env: list, folds: list, d: int, m: int,
     big_r = c.radius_R
     kappa = float(np.sum(1.0 / (1.0 - np.abs(c.zero_array()) / big_r ** 2)))
     sampled = (64.0 * kappa + 8.0 * math.log2(m)) * math.sqrt(float((powers * powers).sum()))
-    grid = (135 + s + 20 * big_n / 2 ** 16) / math.sqrt(math.cos(math.pi / oversample))
+    grid = (294 + s + big_n / 2 ** 12) / math.sqrt(math.cos(math.pi / oversample))
     rounding = (np.finfo(np.float64).eps / 2 * big_r ** c.n
                 * (sampled + grid * float(powers.sum())))
     return _tail_bound(env, big_n, s) + alias + rounding

@@ -57,13 +57,15 @@ _GRID_CAP = 1 << 22
 # float coefficients (a grid of oversample (d + 1) <= _GRID_CAP nodes) with
 # exact l1 norm L, u = 2^-53, sup_norm_certified's value is the modulus of
 # one of two computed sums:
-# - a node of a coset FFT of p <= 2^16 nodes, whose input holds the
-#   coefficients times computed unimodular twists, folded by at most 16
-#   sums, so of l1 norm at most L (1 + 2^5 u).  The FFT errs at each node
-#   by at most its normwise error bound (Higham, Accuracy and Stability of
-#   Numerical Algorithms, Thm. 24.2, as in blaschke._series_error),
-#   8u log2(p) sqrt(p) times the input's l2 norm, below 2^15 u times its l1
-#   norm, which bounds the exact node value;
+# - a node of a coset FFT of p <= 2^12 nodes, whose input holds the
+#   coefficients times computed roots of unity (each within 15u of
+#   unimodular), folded by at most 2^8 sums, then times a computed twist
+#   (within 176u, see blaschke._series_error), so of l1 norm at most
+#   L (1 + 2^9 u).  The FFT errs at each node by at most its normwise error
+#   bound (Higham, Accuracy and Stability of Numerical Algorithms, Thm.
+#   24.2, as in blaschke._series_error), 8u log2(p) sqrt(p) times the
+#   input's l2 norm, below 2^13 u times its l1 norm, which bounds the exact
+#   node value;
 # - a Newton sum of the d + 1 terms c_j e^(i j theta), each of modulus at
 #   most |c_j| (1 + 5u), within sqrt(2) gamma_(d+1) <= 2^21 u of their l1.
 # The computed l1 norm is at least L (1 - gamma_(d+1)), and the moduli and
@@ -332,15 +334,6 @@ def grid_nodes(size: int) -> np.ndarray:
     return np.exp(1j * (2.0 * np.pi * np.arange(size) / size))
 
 
-def _analytic_values(coeffs: np.ndarray, size: int) -> np.ndarray:
-    """Values of sum c_j z^j (j >= 0) at the size-point grid via FFT."""
-    padded = np.zeros(size, dtype=np.complex128)
-    for start in range(0, len(coeffs), size):
-        chunk = coeffs[start : start + size]
-        padded[: len(chunk)] += chunk
-    return np.fft.ifft(padded, norm="forward")
-
-
 class SupBound(NamedTuple):
     value: float
     upper: float
@@ -357,6 +350,51 @@ def _sup_grid(d: int, oversample: int) -> int:
             f"a sup grid of oversample * (degree + 1) = {oversample} * {d + 1}"
             f" nodes passes {_GRID_CAP}")
     return m
+
+
+def _grid_max(c: np.ndarray, m: int) -> tuple[float, int]:
+    """(max |sum c_j z^j|, the node k of that max) over z = e^(2 pi i k/m),
+    for m a power of two at least len(c): the first max, smallest k mod r
+    first, where r is the number of cosets, then smallest k.  The grid is
+    taken by cosets of at most 2^12 nodes, so that no array here passes
+    64 KB and each comes from the heap, not fresh pages: node q*r + t is
+    node q of the coset grid for c_j e^(i j t h), h = 2 pi/m.  With j =
+    p + k*part, p < part, that factor is the twist e^(i p t h) times the
+    r-th root of unity e^(2 pi i k t/r): the coefficients are folded onto
+    p with the roots, then twisted, the twist a running product of steps
+    e^(i p h), taken exactly at every 16th coset, so that at most 15
+    products err.  A grid of at most 2^12 nodes is one FFT of the
+    coefficients.  A NaN or an infinity raises NonFiniteGridError at the
+    first node that holds one."""
+    part = min(m, 1 << 12)
+    r = m // part
+    width = min(len(c), part)
+    h = 2.0 * np.pi / m
+    js = np.arange(width, dtype=np.float64)
+    padded = np.zeros(part, dtype=np.complex128)
+    if r > 1:
+        roots = grid_nodes(r)
+        step = np.exp(1j * h * js)
+        twist = np.ones(width, dtype=np.complex128)
+    grid_max, kbest = -1.0, 0
+    for t in range(r):
+        padded[:width] = c[:width]
+        for k in range(1, (len(c) + part - 1) // part):
+            chunk = c[k * part : (k + 1) * part]
+            padded[: len(chunk)] += chunk * roots[k * t % r]
+        if t:
+            if t % 16:
+                twist *= step
+            else:
+                twist = np.exp((1j * h * t) * js)
+            padded[:width] *= twist
+        av = np.abs(np.fft.ifft(padded, norm="forward"))
+        q = int(np.argmax(av))  # the first NaN, if any
+        if not math.isfinite(av[q]):
+            raise NonFiniteGridError(f"sup grid value {av[q]} at node {q * r + t}")
+        if av[q] > grid_max:
+            grid_max, kbest = float(av[q]), q * r + t
+    return grid_max, kbest
 
 
 def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
@@ -378,21 +416,9 @@ def sup_norm_certified(f: LaurentPolynomial, oversample: int = 16) -> SupBound:
     c = f.coeffs
     d = len(c) - 1
     m = _sup_grid(d, oversample)
+    grid_max, kbest = _grid_max(c, m)
     js = np.arange(d + 1, dtype=np.float64)
     h = 2.0 * np.pi / m
-    # the grid max by cosets of at most 2^16 nodes, to bound the memory:
-    # node q*r + t is node q of the coset grid for c_j e^(i j t h)
-    part = min(m, 1 << 16)
-    r = m // part
-    grid_max, kbest = -1.0, 0
-    for t in range(r):
-        twisted = c * np.exp(1j * h * t * js) if t else c
-        av = np.abs(_analytic_values(twisted, part))
-        q = int(np.argmax(av))  # the first NaN, if any
-        if not math.isfinite(av[q]):
-            raise NonFiniteGridError(f"sup grid value {av[q]} at node {q * r + t}")
-        if av[q] > grid_max:
-            grid_max, kbest = float(av[q]), q * r + t
     best = grid_max
     if d > 0:
         theta = h * kbest

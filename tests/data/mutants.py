@@ -63,6 +63,12 @@ MUTANTS = (
      False),
     ("psi-floor-margin-zero", MEASURE,
      "err = len(psi) * 2.0 ** -47 *", "err = 0.0 *", MEASURE_TESTS, False),
+    ("sup-twist-early", CIRCLE,
+     "twist = np.ones(width, dtype=np.complex128)", "twist = step.copy()",
+     CIRCLE_TESTS, False),
+    ("sup-fold-first-chunk", CIRCLE,
+     "for k in range(1, (len(c) + part - 1) // part):",
+     "for k in range(1, 1):", CIRCLE_TESTS, False),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

@@ -2,10 +2,12 @@ import numpy as np
 import pytest
 from fractions import Fraction
 
+import szego_lab.circle_fourier as circle_fourier_module
 from szego_lab.blaschke import _sampled_sups, build_corrector
 from szego_lab.circle_fourier import (
     KernelDomainError,
     LaurentPolynomial,
+    NonFiniteGridError,
     convolve,
     dirichlet,
     grid_nodes,
@@ -18,7 +20,9 @@ from szego_lab.circle_fourier import (
     vallee_poussin,
     _besov_maxima,
     _certified_grid,
+    _grid_max,
     _multiplier_scaled,
+    _sup_grid,
 )
 from szego_lab.cli import generate_zeros
 
@@ -257,6 +261,88 @@ def test_sup_norm_certified_upper_covers_a_peak_between_nodes():
     dense = float(np.max(np.abs(np.fft.ifft(padded, norm="forward"))))
     assert dense > 64.0
     assert got.value < 63.95 and got.value <= dense <= got.upper
+
+
+def _one_full_fft(c, m):
+    """The grid max and its first node from one m-point FFT of c."""
+    padded = np.zeros(m, dtype=np.complex128)
+    padded[: len(c)] = c
+    av = np.abs(np.fft.ifft(padded, norm="forward"))
+    k = int(np.argmax(av))
+    return float(av[k]), k
+
+
+@pytest.mark.parametrize("d, oversample, m", [
+    (255, 16, 1 << 12),      # one FFT
+    (3000, 16, 1 << 16),     # 16 cosets of one chunk
+    (10000, 16, 1 << 18),    # 64 cosets of 3 folded chunks, the twist
+                             # taken afresh at cosets 16, 32 and 48
+    (10000, 4, 1 << 16),     # 3 folded chunks at the least oversample
+    (1000, 64, 1 << 16),
+    (40000, 4, 1 << 18),     # 10 folded chunks
+])
+def test_sup_grid_matches_one_full_fft(d, oversample, m, monkeypatch):
+    # the coset grid max against one m-point FFT: the same best node and a
+    # grid max within 1e-12, bit for bit where the grid is one FFT; then
+    # value and upper against sup_norm_certified refined from that FFT's max
+    rng = np.random.default_rng(d + oversample)
+    c = (rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)) / np.sqrt(
+        1.0 + np.arange(d + 1))
+    f = LaurentPolynomial(0, c)
+    assert _sup_grid(d, oversample) == m
+    want_max, want_k = _one_full_fft(c, m)
+    got_max, got_k = _grid_max(c, m)
+    assert got_k == want_k
+    assert abs(got_max - want_max) <= 1e-12 * want_max
+    if m <= 1 << 12:
+        assert got_max == want_max
+    got = sup_norm_certified(f, oversample)
+    monkeypatch.setattr(circle_fourier_module, "_grid_max", _one_full_fft)
+    want = sup_norm_certified(f, oversample)
+    assert abs(got.value - want.value) <= 1e-12 * want.value
+    assert abs(got.upper - want.upper) <= 1e-12 * want.upper
+
+
+def test_sup_grid_reports_a_nan_at_its_node(monkeypatch):
+    # a NaN planted at node 7 of coset 5 of 16 is node 7 * 16 + 5 of the
+    # 2^16-node grid, and is reported there, before any later coset's max
+    rng = np.random.default_rng(3)
+    c = rng.standard_normal(3001) + 1j * rng.standard_normal(3001)
+    ifft = np.fft.ifft
+    sizes = []
+
+    def planted(x, *args, **kwargs):
+        out = ifft(x, *args, **kwargs)
+        if len(sizes) == 5:
+            out[7] = np.nan
+        sizes.append(len(x))
+        return out
+
+    monkeypatch.setattr(np.fft, "ifft", planted)
+    with pytest.raises(NonFiniteGridError, match=f"at node {7 * 16 + 5}$"):
+        _grid_max(c, 1 << 16)
+    assert sizes == [1 << 12] * 6
+
+
+@pytest.mark.parametrize("oversample", [4, 16, 64])
+def test_sup_grid_ffts_hold_at_most_4096_nodes(oversample, monkeypatch):
+    # every FFT the sup asks for is of at most 2^12 nodes, and together
+    # they cover the grid once, for d up to 2^14
+    ifft = np.fft.ifft
+    sizes = []
+
+    def recorded(x, *args, **kwargs):
+        sizes.append(len(x))
+        return ifft(x, *args, **kwargs)
+
+    monkeypatch.setattr(np.fft, "ifft", recorded)
+    rng = np.random.default_rng(oversample)
+    for d in (0, 63, 255, 256, 4095, 4096, 1 << 14):
+        sizes.clear()
+        c = rng.standard_normal(d + 1) + 1j * rng.standard_normal(d + 1)
+        sup_norm_certified(LaurentPolynomial(0, c), oversample)
+        assert max(sizes) <= 1 << 12
+        assert sum(sizes) == _sup_grid(d, oversample)
 
 
 def test_sup_norm_oversample_validation():
