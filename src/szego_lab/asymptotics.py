@@ -47,7 +47,6 @@ from szego_lab.blaschke import (
     eval_B_phi,
 )
 from szego_lab.circle_fourier import (
-    KernelSpec,
     LaurentPolynomial,
     _multiplier_scaled,
     dirichlet,
@@ -91,6 +90,7 @@ __all__ = [
     "validate_schedule",
     "vp_approximant",
     "taylor_approximant",
+    "pipeline_certificates",
     "convergence_experiment",
 ]
 
@@ -294,21 +294,22 @@ def _times_linear(poly: list, c0: tuple, c1: tuple, f: int) -> list:
 
 
 def _series_degree(corrector: DilatedCorrector | None,
-                   weight_poly: LaurentPolynomial, upto: int) -> int:
-    """The degree D >= upto through which _bphi_series runs, so that the
-    series of B phi0 p past D sums to at most 2^-53 of its bound on |z| = R.
+                   weight_poly: LaurentPolynomial) -> int:
+    """The degree D past which the series of B phi0 p sums to at most 2^-53
+    of its bound on |z| = R; a route that reads the series through order
+    upto runs _bphi_series to max(upto, D).
 
     The bound is the Cauchy envelope of B phi0 (blaschke._tail_envelope),
     each log A plus log sum |p_j| rho^j, and D is _truncation_degree's for
-    it.  Without a corrector the series is p itself, of finite degree.
+    it.  Without a corrector the series is p itself, of degree p.hi.
     """
     if corrector is None:
-        return max(upto, weight_poly.hi)
+        return weight_poly.hi
     p = LaurentPolynomial(weight_poly.lo, np.abs(weight_poly.coeffs))
     env = [(log_rho, log_a + math.log(float(p(math.exp(log_rho)).real)))
            for log_rho, log_a in _tail_envelope(corrector)]
     tol = 2.0 ** -53 * math.exp(env[0][1])
-    return max(upto, _truncation_degree(corrector, 0, tol, env))
+    return _truncation_degree(corrector, 0, tol, env)
 
 
 # ----------------------------------------------------------------------
@@ -453,19 +454,43 @@ _SCHWARZ_RADII = (0.5, 0.9)
 _SCHWARZ_COUNT = 32
 
 
-def _schwarz_excess(approx: LaurentPolynomial, corrector, weight_poly, n: int,
-                    sup_defect: float, seed: int) -> float:
-    rng = np.random.default_rng(seed)
-    r = np.repeat(_SCHWARZ_RADII, _SCHWARZ_COUNT)
-    pts = r * np.exp(1j * (2.0 * np.pi * rng.random(r.size)))
-    base = eval_B_phi(corrector, pts) if corrector is not None else 1.0
-    diff = np.abs(approx(pts) - base * weight_poly(pts))
-    return float(np.max(diff - sup_defect * r ** n))
+@dataclass(frozen=True, eq=False)
+class _PipelineBase:
+    """What every route reads at one n: the selection, the working bits f,
+    the series of B phi0 p at f through order max(upto, trunc), and the
+    route-free numbers of the certificate, with the Schwarz points (radii
+    and points) and B phi0 p at them (target)."""
+
+    n: int
+    cap: int
+    margin: int
+    radius: float
+    selected: list
+    tail: list
+    f: int
+    trunc: int
+    series: list
+    apriori: float
+    decay: float
+    limit: float
+    majorant: float
+    radii: np.ndarray
+    points: np.ndarray
+    target: np.ndarray
 
 
-def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
-                  sched: ScheduleParams, kernel: KernelSpec, route: str,
-                  seed: int, precision: int):
+def _route_upto(route: str, n: int) -> int:
+    """The order through which a route reads the series: the vp kernel's
+    support ends at 2n - 1, the Taylor truncation at n."""
+    return 2 * n - 1 if route == "vp" else n
+
+
+def _pipeline_base(spectrum: PointSpectrum, weight: OuterWeight, n: int,
+                   sched: ScheduleParams, seed: int, upto: int) -> _PipelineBase:
+    """The per-n part of a pipeline run, for routes reading the series
+    through order upto at most.  _quotient_series fixes each coefficient
+    from the earlier ones only, so a route with a smaller upto reads a
+    prefix of this series, bit for bit the series of its own run."""
     cap, margin, radius, selected, tail = _selection(spectrum, n, sched)
 
     # reflected back, a coefficient error e shows up as e * |z_max|^n
@@ -476,7 +501,6 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     # psi at its own scale: a valid psi has |c_j| <= binom(d, j) psi(0)
     bits_pipe += max(0, -math.frexp(weight.psi0)[1])
     f = bits_pipe + _GUARD_BITS
-    upto = 2 * n - 1 if route == "vp" else n
     psi, terms = _mass_terms(weight.coeff_key(), tuple(selected), f)
     zeros = [(zeta, u, r) for _, zeta, u, r, _, _ in terms]
     corrector = corrector_with_radius(ZeroSet(tuple(
@@ -487,9 +511,50 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     # coefficients: the moment table integrates against 1/|p|^2 (see
     # measure_opuc.moment)
     weight_f = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
-    top = _series_degree(corrector, weight_f, upto)
-    series = _bphi_series(zeros, radius, top, f,
+    trunc = _series_degree(corrector, weight_f)
+    series = _bphi_series(zeros, radius, max(upto, trunc), f,
                           [(re, -im) for re, im in psi])
+
+    rho_nodes = radius * grid_nodes(2048)
+    m_radius = radius ** len(selected) * float(
+        np.max(np.abs(weight_f(rho_nodes))))
+    apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
+
+    c_run = sched.c_bound
+    if c_run is None:
+        # each reflected zero's modulus |zeta| = |1/z|
+        c_run = 2.0 * sum(1.0 - abs(1.0 / z) for z, _ in spectrum.masses)
+    tail_mu = sum(m for _, m in tail)
+    try:
+        majorant = math.exp(c_run / sched.eps(n)) * tail_mu
+    except OverflowError:
+        majorant = math.inf if tail_mu else 0.0
+
+    rng = np.random.default_rng(seed)
+    radii = np.repeat(_SCHWARZ_RADII, _SCHWARZ_COUNT)
+    points = radii * np.exp(1j * (2.0 * np.pi * rng.random(radii.size)))
+    at_points = eval_B_phi(corrector, points) if corrector is not None else 1.0
+    return _PipelineBase(
+        n=n, cap=cap, margin=margin, radius=radius, selected=selected,
+        tail=tail, f=f, trunc=trunc, series=series, apriori=apriori,
+        decay=sched.decay(n),
+        limit=target_limit(MeasureSpec(weight, spectrum)), majorant=majorant,
+        radii=radii, points=points, target=at_points * weight_f(points))
+
+
+def _schwarz_excess(approx: LaurentPolynomial, base: _PipelineBase,
+                    sup_defect: float) -> float:
+    diff = np.abs(approx(base.points) - base.target)
+    return float(np.max(diff - sup_defect * base.radii ** base.n))
+
+
+def _finish(base: _PipelineBase, spectrum: PointSpectrum, weight: OuterWeight,
+            route: str, precision: int):
+    """One route's approximant and certificate on the base of its n."""
+    n, f = base.n, base.f
+    upto = _route_upto(route, n)
+    kernel = modified_vp(n) if route == "vp" else dirichlet(n)
+    series = base.series[: max(upto, base.trunc) + 1]
     # the kernel's rational multipliers num_j/den on the series, each
     # coefficient rounded once to f bits: the certified approximant
     klo, khi = kernel_support(kernel)
@@ -502,47 +567,46 @@ def _run_pipeline(spectrum: PointSpectrum, weight: OuterWeight, n: int,
                                     for re, im in coeffs])
     # the defect B phi0 p - approx from the exact series, each coefficient
     # rounded once: those through order n cancel exactly
-    defect = list(series)
+    defect = series
     for j, (re, im) in enumerate(coeffs, lo):
         defect[j] = (defect[j][0] - re, defect[j][1] - im)
     sup_defect = sup_norm_certified(LaurentPolynomial(0, [
         complex(re / scale, im / scale) for re, im in defect])).value
 
-    count = len(selected)
-    rho_nodes = radius * grid_nodes(2048)
-    m_radius = radius ** count * float(np.max(np.abs(weight_f(rho_nodes))))
-    apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
-
-    leading_gap = abs(complex(approx.coefficient(0))
-                      - target_limit(MeasureSpec(weight, spectrum)))
+    leading_gap = abs(complex(approx.coefficient(0)) - base.limit)
 
     # r_small = approx z^(-n): exponents lo-n <= 0 <= hi-n, at the norm's bits
     bits = max(precision, f)
     r_small = [(re << (bits - f), im << (bits - f)) for re, im in coeffs]
     ac, inside, tail_sum, total_norm = _norm_pieces(
-        weight, spectrum, r_small, lo - n, selected, tail, bits)
+        weight, spectrum, r_small, lo - n, base.selected, base.tail, bits)
 
-    c_run = sched.c_bound
-    if c_run is None:
-        # each reflected zero's modulus |zeta| = |1/z|
-        c_run = 2.0 * sum(1.0 - abs(1.0 / z) for z, _ in spectrum.masses)
-    tail_mu = sum(m for _, m in tail)
-    try:
-        majorant = math.exp(c_run / sched.eps(n)) * tail_mu
-    except OverflowError:
-        majorant = math.inf if tail_mu else 0.0
-
-    excess = _schwarz_excess(approx, corrector, weight_f, n, sup_defect, seed)
+    excess = _schwarz_excess(approx, base, sup_defect)
     cert = PipelineCertificate(
-        route=route, n=n, selection_cap=cap, margin_reciprocal=margin,
-        radius=radius, selected_count=count, sup_defect=sup_defect,
-        apriori_defect=apriori, schedule_decay=sched.decay(n),
+        route=route, n=n, selection_cap=base.cap,
+        margin_reciprocal=base.margin, radius=base.radius,
+        selected_count=len(base.selected), sup_defect=sup_defect,
+        apriori_defect=base.apriori, schedule_decay=base.decay,
         inverse_tail=0.0, leading_gap=leading_gap, ac_norm=ac,
         inside_mass_sum=inside, tail_mass_sum=tail_sum,
-        tail_majorant=majorant, total_norm=total_norm,
+        tail_majorant=base.majorant, total_norm=total_norm,
         lower_bound_achieved=abs(complex(approx.coefficient(0))) / total_norm,
-        schwarz_excess=excess, schwarz_pass=excess <= 1e-9)
+        # 1e-9, scaled with psi(0) below 1, so a small measure's check
+        # keeps its strength
+        schwarz_excess=excess,
+        schwarz_pass=excess <= 1e-9 * min(1.0, weight.psi0))
     return approx, cert
+
+
+def _log_condition_gate(spectrum: PointSpectrum, n: int) -> None:
+    """LogConditionFailed unless the near-circle mass tails pass the
+    slow-decay report for at least one exponent (the Taylor route's
+    requirement)."""
+    if len(spectrum):
+        report = log_condition_report(spectrum, (1.0, 2.0), max(n, 16))
+        if not any(rec["bounded"] for rec in report["per_A"].values()):
+            raise LogConditionFailed(
+                "near-circle mass tails grow at every tested exponent")
 
 
 def vp_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
@@ -555,8 +619,9 @@ def vp_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     [-(n-1), n].  The approximant is the certified one's complex128 image.
     """
     sched = sched or ScheduleParams.default()
-    return _run_pipeline(spectrum, weight, n, sched, modified_vp(n), "vp",
-                         seed, precision)
+    base = _pipeline_base(spectrum, weight, n, sched, seed,
+                          _route_upto("vp", n))
+    return _finish(base, spectrum, weight, "vp", precision)
 
 
 def taylor_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
@@ -569,13 +634,35 @@ def taylor_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     [0, n].  The approximant is the certified one's complex128 image.
     """
     sched = sched or ScheduleParams.default()
-    if len(spectrum):
-        report = log_condition_report(spectrum, (1.0, 2.0), max(n, 16))
-        if not any(rec["bounded"] for rec in report["per_A"].values()):
-            raise LogConditionFailed(
-                "near-circle mass tails grow at every tested exponent")
-    return _run_pipeline(spectrum, weight, n, sched, dirichlet(n), "taylor",
-                         seed, precision)
+    _log_condition_gate(spectrum, n)
+    base = _pipeline_base(spectrum, weight, n, sched, seed,
+                          _route_upto("taylor", n))
+    return _finish(base, spectrum, weight, "taylor", precision)
+
+
+def pipeline_certificates(spectrum: PointSpectrum, weight: OuterWeight,
+                          n_grid: Sequence[int], sched: ScheduleParams,
+                          routes: Sequence[str], seed: int = 0,
+                          precision: int = 256) -> list:
+    """The certificates of each route ("vp" or "taylor") over n_grid,
+    route by route, each the one vp_approximant or taylor_approximant
+    gives.  Each n's base is built once, where the first route reaches it,
+    with the series run for the longest route, and dropped after the last
+    route's run; so the runs raise in the same order as the one-route
+    calls would."""
+    bases = {}
+    certs = []
+    for route in routes:
+        for n in n_grid:
+            if route == "taylor":
+                _log_condition_gate(spectrum, n)
+            if n not in bases:
+                bases[n] = _pipeline_base(
+                    spectrum, weight, n, sched, seed,
+                    max(_route_upto(r, n) for r in routes))
+            base = bases.pop(n) if route == routes[-1] else bases[n]
+            certs.append(_finish(base, spectrum, weight, route, precision)[1])
+    return certs
 
 
 # ----------------------------------------------------------------------

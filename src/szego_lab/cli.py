@@ -31,9 +31,8 @@ from szego_lab.asymptotics import (
     ScheduleParams,
     ScheduleViolation,
     convergence_experiment,
-    taylor_approximant,
+    pipeline_certificates,
     validate_schedule,
-    vp_approximant,
 )
 from szego_lab.blaschke import (
     _GRID_CAP,
@@ -342,8 +341,8 @@ def _write_outputs(man: RunManifest, columns, rows, extra: dict) -> dict:
         report["reproducibility"] = _reproducibility(man)
         json_path = os.path.join(man.out_dir, "report.json")
         with open(json_path, "w", encoding="utf-8") as fh:
-            json.dump(_strict_json(report), fh, indent=2, allow_nan=False)
-            fh.write("\n")
+            fh.write(json.dumps(_strict_json(report), indent=2,
+                                allow_nan=False) + "\n")
     except OSError as exc:
         raise ManifestError("out_dir", str(exc)) from exc
     return {"csv": csv_path, "json": json_path, "rows": len(rows)}
@@ -456,13 +455,9 @@ def _run_pipeline(man: RunManifest):
     if len(man.n_grid) >= 2:
         validate_schedule(sched, man.n_grid)
     routes = ("vp", "taylor") if man.route == "both" else (man.route,)
-    rows = []
-    for route in routes:
-        runner = vp_approximant if route == "vp" else taylor_approximant
-        for n in man.n_grid:
-            _, cert = runner(mu.spectrum, mu.weight, n, sched,
-                             man.seed, mu.precision)
-            rows.append(cert.to_row())
+    rows = [cert.to_row() for cert in pipeline_certificates(
+        mu.spectrum, mu.weight, man.n_grid, sched, routes, man.seed,
+        mu.precision)]
     columns = list(PipelineCertificate.FIELDS)
     summary = {"target_limit": target_limit(mu),
                "best_lower_bound": max(r["lower_bound_achieved"] for r in rows),

@@ -56,7 +56,7 @@ from __future__ import annotations
 
 import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Sequence
 
 import numpy as np
@@ -160,14 +160,12 @@ class OuterWeight:
     """Finite zero-free Taylor polynomial weight, positive at the origin.
 
     Zero-freeness on the closed disk is certified by _psi_floor on the unit
-    circle; the least root modulus of psi is kept as zero_modulus (inf for
-    a constant psi), a float estimate that places the residue check's
-    circles.
+    circle; the least root modulus of psi, zero_modulus (inf for a constant
+    psi), is a float estimate that places the residue check's circles.
     """
 
     psi: LaurentPolynomial
     label: str = ""
-    zero_modulus: float = field(init=False)
 
     def __post_init__(self):
         p = self.psi
@@ -180,10 +178,14 @@ class OuterWeight:
             raise ValueError("psi(0) must be real and positive")
         if not _psi_floor(p.coeffs, 1.0) > 0.0:
             raise ValueError("psi must be zero-free on the closed unit disk")
-        zero = math.inf
-        if p.hi >= 1:
-            zero = float(np.abs(np.roots(p.coeffs[::-1])).min())
-        object.__setattr__(self, "zero_modulus", zero)
+
+    @functools.cached_property
+    def zero_modulus(self) -> float:
+        """Computed on first read: the residue check is its one reader."""
+        p = self.psi
+        if p.hi < 1:
+            return math.inf
+        return float(np.abs(np.roots(p.coeffs[::-1])).min())
 
     @property
     def psi0(self) -> float:

@@ -166,16 +166,30 @@ def _quotient_series(num: Sequence, den: Sequence, count: int,
     is zero-free on the closed disk.  a_k = (num_k - sum_(j=1..d) den_j
     a_(k-j)) / den_0, the sum exact and a_k rounded once: stable, as the
     characteristic roots, the reciprocals of den's roots, lie in the disk.
+    A den_0 of 2^s, s >= 1 (2^f for a monic den), divides by a rounded
+    shift, the same integer as _rdiv's.
     """
     d = len(den) - 1
-    rev_re = [c[0] for c in den[:0:-1]]  # den_d, ..., den_1
-    rev_im = [c[1] for c in den[:0:-1]]
+    rev = den[:0:-1]  # den_d, ..., den_1
+    d0 = den[0][0]
+    s = d0.bit_length() - 1
+    shift = s > 0 and d0 == 1 << s
+    half = 1 << (s - 1) if shift else 0
     a_re, a_im = [0] * d, [0] * d  # d leading zeros: a_(-d)..a_(-1)
     for k in range(count):
         nr, ni = num[k] if k < len(num) else (0, 0)
-        s_re, s_im = _dot(rev_re, rev_im, a_re[k:], a_im[k:])
-        a_re.append(_rdiv((nr << f) - s_re, den[0][0]))
-        a_im.append(_rdiv((ni << f) - s_im, den[0][0]))
+        nr <<= f
+        ni <<= f
+        if d:
+            for (pr, pi), xr, xi in zip(rev, a_re[k:], a_im[k:]):
+                nr -= pr * xr - pi * xi
+                ni -= pr * xi + pi * xr
+        if shift:
+            a_re.append((nr + half) >> s)
+            a_im.append((ni + half) >> s)
+        else:
+            a_re.append(_rdiv(nr, d0))
+            a_im.append(_rdiv(ni, d0))
     return list(zip(a_re[d:], a_im[d:]))
 
 

@@ -33,10 +33,14 @@ ROOT = os.path.abspath(os.path.join(os.path.dirname(__file__), "..", ".."))
 BLASCHKE = "src/szego_lab/blaschke.py"
 CIRCLE = "src/szego_lab/circle_fourier.py"
 MEASURE = "src/szego_lab/measure_opuc.py"
+ASYMPTOTICS = "src/szego_lab/asymptotics.py"
+XLINALG = "src/szego_lab/xlinalg.py"
 SERIES_ERROR = "return _tail_bound(env, big_n, s) + alias + rounding"
 CORRECTOR_TESTS = ("tests/test_blaschke.py", "tests/test_acceptance.py")
 CIRCLE_TESTS = ("tests/test_circle_fourier.py",)
 MEASURE_TESTS = ("tests/test_measure_opuc.py",)
+CLI_TESTS = ("tests/test_cli.py",)
+XLINALG_TESTS = ("tests/test_xlinalg.py",)
 
 # (name, file, old, new, test files, known survivor)
 MUTANTS = (
@@ -69,6 +73,11 @@ MUTANTS = (
     ("sup-fold-first-chunk", CIRCLE,
      "for k in range(1, (len(c) + part - 1) // part):",
      "for k in range(1, 1):", CIRCLE_TESTS, False),
+    ("taylor-reads-whole-series", ASYMPTOTICS,
+     "series = base.series[: max(upto, base.trunc) + 1]",
+     "series = list(base.series)", CLI_TESTS, False),
+    ("quotient-shift-unrounded", XLINALG,
+     "half = 1 << (s - 1) if shift else 0", "half = 0", XLINALG_TESTS, False),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

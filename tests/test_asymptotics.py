@@ -639,6 +639,28 @@ def test_schwarz_seed_determinism():
     assert a.schwarz_pass and c.schwarz_pass
 
 
+@pytest.mark.parametrize("c0", [1e-300, 1.0])
+def test_schwarz_check_fails_a_halved_approximant_at_any_scale_of_psi(
+        monkeypatch, c0):
+    # the check's tolerance scales with psi(0) below 1: at psi = 1e-300 the
+    # approximant at half its value misses B phi0 p by about 5.7e-301, far
+    # inside an absolute 1e-9, and the check must still see it
+    spectrum, weight = PointSpectrum(((1.5, 0.3),)), OuterWeight(
+        LaurentPolynomial(0, [c0]))
+    _, cert = vp_approximant(spectrum, weight, 16, precision=128)
+    assert cert.schwarz_pass
+    real = asym._schwarz_excess
+
+    def halved(approx, base, sup_defect):
+        return real(LaurentPolynomial(approx.lo, approx.coeffs / 2), base,
+                    sup_defect)
+
+    monkeypatch.setattr(asym, "_schwarz_excess", halved)
+    _, cert = vp_approximant(spectrum, weight, 16, precision=128)
+    assert cert.schwarz_excess > 0.1 * c0
+    assert not cert.schwarz_pass
+
+
 def test_certificate_row_shape(vp64):
     _, cert = vp64
     row = cert.to_row()

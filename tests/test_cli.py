@@ -6,8 +6,10 @@ their defining constructions, the exit-code contract is exercised for all
 four classes, and byte determinism is checked over repeated runs.
 """
 
+import collections
 import copy
 import csv
+import io
 import importlib.util
 import json
 import math
@@ -25,6 +27,7 @@ from szego_lab.asymptotics import PipelineCertificate
 from szego_lab.measure_opuc import QuadratureError
 from szego_lab.cli import generate_zeros, main
 
+import szego_lab.asymptotics as asym
 import szego_lab.blaschke as blaschke
 import szego_lab.circle_fourier as circle_fourier
 import szego_lab.cli as cli
@@ -667,6 +670,77 @@ def test_pipeline_matches_frozen_csv(capsys):
                 assert a == b, (where, key)
 
 
+# constant psi with three masses, one off the real axis
+CONST_PSI_THREE_MASS = {"psi": [[1.0, 0.0]],
+                        "masses": [[1.5, 0.0, 0.3], [-1.25, 0.0, 0.2],
+                                   [0.4, 1.3, 0.1]],
+                        "precision_bits": 256}
+
+
+def _pipeline_csv(tmp_path, capsys, measure, route, n_grid):
+    out = tmp_path / f"out-{route}"
+    man = write_json(tmp_path / f"{route}.json", {
+        "measure_file": measure, "route": route, "n_grid": n_grid,
+        "out_dir": str(out)})
+    code, text = run_main(capsys, "pipeline", "--manifest", man)
+    assert code == 0, text
+    return (out / "certificates.csv").read_bytes()
+
+
+@pytest.mark.parametrize("label", ["readme_two_mass_128", "complex_two_mass",
+                                   "d3", "const_psi_three_mass"])
+def test_both_routes_write_what_each_route_writes_alone(tmp_path, capsys,
+                                                        label):
+    # route both builds each n's series once, run for vp's longer order, and
+    # taylor reads its own prefix of it; at n = 64 taylor's degree (82 on
+    # complex_two_mass, 126 on the others) stops short of vp's 127
+    measures = dict(_make_frozen().PIPELINE_MEASURES,
+                    const_psi_three_mass=CONST_PSI_THREE_MASS)
+    measure = write_json(tmp_path / "mu.json", measures[label])
+    n_grid = [8, 16, 32, 64]
+    both = _pipeline_csv(tmp_path, capsys, measure, "both", n_grid)
+    vp = _pipeline_csv(tmp_path, capsys, measure, "vp", n_grid)
+    taylor = _pipeline_csv(tmp_path, capsys, measure, "taylor", n_grid)
+    header, _, taylor_rows = taylor.partition(b"\n")
+    assert vp.startswith(header + b"\n")
+    assert both == vp + taylor_rows
+
+
+def test_both_routes_build_each_n_once_in_route_major_order(tmp_path, capsys,
+                                                            monkeypatch):
+    # one series and one Cauchy envelope per n, however many routes read
+    # them; the certificates come route by route, as each route alone
+    # would raise its first error
+    calls = collections.Counter()
+
+    def count(name):
+        real = getattr(asym, name)
+
+        def spy(*args):
+            calls[name] += 1
+            return real(*args)
+
+        monkeypatch.setattr(asym, name, spy)
+
+    count("_bphi_series")
+    count("_tail_envelope")
+    order = []
+    finish = asym._finish
+
+    def recorded(base, spectrum, weight, route, precision):
+        order.append((route, base.n))
+        return finish(base, spectrum, weight, route, precision)
+
+    monkeypatch.setattr(asym, "_finish", recorded)
+    measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
+    _pipeline_csv(tmp_path, capsys, measure, "both", [8, 16])
+    rows = read_rows(str(tmp_path / "out-both"))
+    assert all(int(r["selected_count"]) >= 1 for r in rows)
+    assert calls == {"_bphi_series": 2, "_tail_envelope": 2}
+    assert order == [("vp", 8), ("vp", 16), ("taylor", 8), ("taylor", 16)]
+    assert [(r["route"], int(r["n"])) for r in rows] == order
+
+
 def test_compare_summarises_each_moved_column(capsys):
     # after the cells, one line per moved column: its cell count and its
     # largest absolute and relative change, so that a -99% move at the
@@ -694,6 +768,49 @@ def test_log_condition_artifacts(tmp_path, capsys):
     report = read_report(str(tmp_path / "out"))
     assert report["bounded"] == {"1": True, "2": True}
     assert report["any_bounded"] is True
+
+
+def test_report_is_written_as_json_dump_writes_it(tmp_path, capsys):
+    # one write of json.dumps: the bytes json.dump gave, on a pipeline, an
+    # opuc and a vs-bound report
+    measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
+    for command, fields in (("pipeline", {"measure_file": measure,
+                                          "n_grid": [8, 16]}),
+                            ("opuc", {"measure_file": measure,
+                                      "n_grid": [4, 8]}),
+                            ("vs-bound", {"n_grid": [4, 16], "seeds": 1})):
+        out = tmp_path / command
+        man = write_json(tmp_path / f"{command}.json",
+                         dict(fields, out_dir=str(out)))
+        assert run_main(capsys, command, "--manifest", man)[0] == 0
+        got = (out / "report.json").read_text(encoding="utf-8")
+        buf = io.StringIO()
+        json.dump(json.loads(got), buf, indent=2, allow_nan=False)
+        buf.write("\n")
+        assert got == buf.getvalue(), command
+
+
+def test_only_residue_check_finds_the_roots_of_psi(tmp_path, capsys,
+                                                   monkeypatch):
+    # zero_modulus places the residue check's circles and is computed on
+    # first read, so no other subcommand runs np.roots
+    def refuse(*args, **kwargs):
+        raise AssertionError("np.roots called")
+
+    monkeypatch.setattr(np, "roots", refuse)
+    measure = write_json(tmp_path / "mu.json", dict(
+        TWO_MASS_JSON, psi=[[1.0, 0.0], [-0.5, 0.0]]))
+    for command, fields in (("opuc", {"n_grid": [4, 8]}),
+                            ("pipeline", {"n_grid": [8, 16]}),
+                            ("log-condition", {"n_max": 32}),
+                            ("residue-check", {"n_grid": [4]})):
+        man = write_json(tmp_path / f"{command}.json", dict(
+            fields, measure_file=measure, out_dir=str(tmp_path / command)))
+        if command == "residue-check":
+            with pytest.raises(AssertionError, match="np.roots"):
+                main([command, "--manifest", man])
+        else:
+            assert run_main(capsys, command, "--manifest", man)[0] == 0
 
 
 # ----------------------------------------------------------------------

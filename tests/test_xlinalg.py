@@ -1,5 +1,6 @@
 import math
 import random
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -20,6 +21,7 @@ from szego_lab.xlinalg import (
     _dot,
     _fixed,
     _horner,
+    _quotient_series,
     _rdiv,
     _reflect,
     _round_bits,
@@ -594,3 +596,43 @@ def test_exact_dot_against_fdot():
                               [ctx.mpc(z) for z in b])) \
         <= ctx.mpf(2) ** -120 * abs(want)
     assert _dot([], [], [], []) == (0, 0)
+
+
+def reference_quotient_series(num, den, count, f):
+    """a_k = (num_k 2^f - sum_(j=1..d) den_j a_(k-j)) / den_0 rounded to
+    the nearest integer, halves up, in exact rationals: the recurrence as
+    _quotient_series states it, with no shortcut."""
+    a = []
+    for k in range(count):
+        xr, xi = num[k] if k < len(num) else (0, 0)
+        xr, xi = xr * 2 ** f, xi * 2 ** f
+        for j in range(1, min(k, len(den) - 1) + 1):
+            (pr, pi), (ar, ai) = den[j], a[k - j]
+            xr -= pr * ar - pi * ai
+            xi -= pr * ai + pi * ar
+        half = Fraction(1, 2)
+        a.append((math.floor(Fraction(xr, den[0][0]) + half),
+                  math.floor(Fraction(xi, den[0][0]) + half)))
+    return a
+
+
+@pytest.mark.parametrize("f", [85, 160, 288, 544])
+def test_quotient_series_matches_the_plain_recurrence(f):
+    # integer for integer, for den_0 a power of two (2^f, as in the
+    # pipeline's series, and 2^(f-3)) or not, and d = 0..3: the shift that
+    # a power of two takes rounds as the division does
+    rng = random.Random(f)
+    for d in range(4):
+        for lead in (1 << f, 1 << (f - 3), 3 << (f - 2),
+                     (1 << f) + 2 * rng.getrandbits(f - 8) + 1):
+            # sum_j |den_j| < den_0: zero-free on the closed disk
+            bound = lead // (4 * max(d, 1))
+            den = [(lead, 0)] + [(rng.randint(-bound, bound),
+                                  rng.randint(-bound, bound))
+                                 for _ in range(d)]
+            num = [(rng.randint(-1 << f, 1 << f), rng.randint(-1 << f, 1 << f))
+                   for _ in range(rng.randint(1, d + 3))]
+            for count in (1, 2, 37, 300):
+                want = reference_quotient_series(num, den, count, f)
+                assert _quotient_series(num, den, count, f) == want, (
+                    d, lead, count)
