@@ -62,7 +62,6 @@ from szego_lab.measure_opuc import (
     _as_float,
     _mass_terms,
     _trig_moments,
-    log_condition_report,
     target_limit,
     tau_n,
     eta_n,
@@ -85,7 +84,6 @@ __all__ = [
     "ScheduleFn",
     "ScheduleParams",
     "ScheduleViolation",
-    "LogConditionFailed",
     "PipelineCertificate",
     "validate_schedule",
     "vp_approximant",
@@ -97,10 +95,6 @@ __all__ = [
 
 class ScheduleViolation(ValueError):
     """A schedule parameter failed its slow-growth requirements."""
-
-
-class LogConditionFailed(ArithmeticError):
-    """The mass tails near the circle decay too slowly for the Taylor route."""
 
 
 # ----------------------------------------------------------------------
@@ -598,17 +592,6 @@ def _finish(base: _PipelineBase, spectrum: PointSpectrum, weight: OuterWeight,
     return approx, cert
 
 
-def _log_condition_gate(spectrum: PointSpectrum, n: int) -> None:
-    """LogConditionFailed unless the near-circle mass tails pass the
-    slow-decay report for at least one exponent (the Taylor route's
-    requirement)."""
-    if len(spectrum):
-        report = log_condition_report(spectrum, (1.0, 2.0), max(n, 16))
-        if not any(rec["bounded"] for rec in report["per_A"].values()):
-            raise LogConditionFailed(
-                "near-circle mass tails grow at every tested exponent")
-
-
 def vp_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
                    sched: ScheduleParams | None = None, seed: int = 0,
                    precision: int = 256):
@@ -629,12 +612,10 @@ def taylor_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
                        precision: int = 256):
     """Degree-n truncation approximant and its certificate (polynomial route).
 
-    Requires the near-circle mass tails to pass the slow-decay report for
-    at least one exponent; the competitor is a polynomial with support in
-    [0, n].  The approximant is the certified one's complex128 image.
+    The competitor is a polynomial with support in [0, n].  The
+    approximant is the certified one's complex128 image.
     """
     sched = sched or ScheduleParams.default()
-    _log_condition_gate(spectrum, n)
     base = _pipeline_base(spectrum, weight, n, sched, seed,
                           _route_upto("taylor", n))
     return _finish(base, spectrum, weight, "taylor", precision)
@@ -654,8 +635,6 @@ def pipeline_certificates(spectrum: PointSpectrum, weight: OuterWeight,
     certs = []
     for route in routes:
         for n in n_grid:
-            if route == "taylor":
-                _log_condition_gate(spectrum, n)
             if n not in bases:
                 bases[n] = _pipeline_base(
                     spectrum, weight, n, sched, seed,

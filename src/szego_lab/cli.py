@@ -26,7 +26,6 @@ from dataclasses import dataclass, field, fields
 import numpy as np
 
 from szego_lab.asymptotics import (
-    LogConditionFailed,
     PipelineCertificate,
     ScheduleParams,
     ScheduleViolation,
@@ -567,7 +566,7 @@ def main(argv=None) -> int:
     except FieldError as exc:  # ManifestError, or a measure file's field
         _emit_error(2, exc)
         return 2
-    except (ScheduleViolation, LogConditionFailed) as exc:
+    except ScheduleViolation as exc:
         _emit_error(4, exc)
         return 4
     except (PrecisionExhausted, NotPositiveDefinite, QuadratureError,

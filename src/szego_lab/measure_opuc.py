@@ -36,13 +36,17 @@ Without masses that matrix is Toeplitz, and the Szego recursion on its
 first column gives the Schur complement in O(n^2) (toeplitz_leading); with
 masses the Cholesky factor's last pivot gives it in O(n^3)
 (schur_leading), which stays the oracle for the recursion and for the
-closed form.  The orthonormal elements are the extremal witnesses of the
-same Gram matrices, one integer back substitution each; the residue check
-takes them as integers.  The entries with masses, and moment, follow one
-integer rule (_inner_products).  A measure enters the fixed point in one
-place, _mass_terms, which the Gram entries, the closed form, the residue
-check and the lower-bound pipeline (asymptotics) all read: psi and the
-masses read exactly, the masses reflected.
+closed form.  The residue check's orthonormal Laurent elements come from
+the same closed form where 2n - 1 >= deg psi: Uvarov's element, one back
+substitution on the ratio's factor and a Christoffel-Darboux division per
+mass, O(K n); without masses psi's own coefficients.  Below that degree
+they are the extremal witnesses of the Laurent Gram matrices, one integer
+back substitution each, which stay the tests' oracle.  The entries with
+masses, and moment, follow one integer rule (_inner_products).  A measure
+enters the fixed point in one place, _mass_terms, which the Gram entries,
+the closed form, the residue check and the lower-bound pipeline
+(asymptotics) all read: psi and the masses read exactly, the masses
+reflected.
 
 Precision escalation is explicit: the Gram route starts at the
 first tag that holds its entries (at least the measure's tag), a failure
@@ -57,6 +61,7 @@ from __future__ import annotations
 import functools
 import math
 from dataclasses import dataclass
+from operator import mul
 from typing import Sequence
 
 import numpy as np
@@ -80,6 +85,7 @@ from szego_lab.xlinalg import (
     _cpow,
     _dot,
     _extremal,
+    _extremal_of_factor,
     _dyadic,
     _horner,
     _quotient_series,
@@ -509,21 +515,19 @@ def _uvarov_terms(psi: tuple, masses: tuple, f: int) -> tuple:
     return tuple(out)
 
 
-def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
-    """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading),
-    on integers: (man, exp) with the ratio man 2^exp, before any rounding
-    to an mpmath number.
+def _uvarov_system(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
+    """Uvarov's system [[S, f], [f^H, 1]] at bits (see
+    _closed_form_leading), on integers: (rows, points), rows its lower
+    triangle at f = bits + 32 fractional bits as _cholesky_fixed(rows, -f,
+    bits) reads it, and per mass the pair (p, phi_n) at z_i, each times
+    |z_i|^-(n+1).
 
     Row and column i are scaled by |z_i|^-(n+1), so the entries stay
-    bounded as n grows: with the terms of _uvarov_terms at f = bits + 32,
+    bounded as n grows: with the terms of _uvarov_terms at f,
     p(z) |z|^-(n+1) = r^(n+1-d) q, phi_n(z) |z|^-(n+1) = u^n r w,
     phi_(n+1)(z) |z|^-(n+1) = u^(n+1) w, and the reweighted 1/m is
     |z|^-2(n+1-shift) / m.  Each kernel entry is the exact numerator
-    divided once by the exact 1 - z_i conj(z_l).  The system
-    [[S, f], [f^H, 1]] is equilibrated and factored by
-    xlinalg._cholesky_fixed, as the Gram route's matrices are; its last
-    pivot is the ratio, and it raises NotPositiveDefinite as on the Gram
-    route.
+    divided once by the exact 1 - z_i conj(z_l).
     """
     f = bits + _GUARD_BITS
     d = mu.weight.psi.hi
@@ -554,11 +558,89 @@ def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
         row[-1] = (row[-1][0] + inv_m, 0)
         rows.append(row)
     rows.append([(fr, -fi) for _, _, (fr, fi), _, _ in points] + [(1 << f, 0)])
-    *_, diag, scale = _cholesky_fixed(rows, -f, bits)
+    return rows, [(p, fv) for _, p, fv, _, _ in points]
+
+
+def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
+    """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading),
+    on integers: (man, exp) with the ratio man 2^exp, before any rounding
+    to an mpmath number.  The system (_uvarov_system) is equilibrated and
+    factored by xlinalg._cholesky_fixed, as the Gram route's matrices are;
+    its last pivot is the ratio, and it raises NotPositiveDefinite as on
+    the Gram route.
+    """
+    f = bits + _GUARD_BITS
+    *_, diag, scale = _cholesky_fixed(
+        _uvarov_system(mu, n, shift, bits)[0], -f, bits)
     return diag[-1], scale[-1] - f
 
 
+def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> list:
+    """phi_n, n >= deg psi, of the measure with each mass m_i reweighted by
+    |z_i|^(-2 shift), on integers: its coefficients of 1, z, ..., z^n as
+    pairs at f = bits + 32 fractional bits, from the one factor of the
+    ratio's system (see _closed_form_leading).
+
+    For A = [[S, f], [f^H, 1]] of _uvarov_system, x = A^-1 e_K has
+    x_K = 1/sigma, sigma = 1 - f^H S^-1 f, and x_i = -(S - f f^H)^-1 f for
+    i < K, where S - f f^H is Uvarov's matrix diag(1/m) + [K_(n-1)(z_i,
+    z_l)], scaled as S is: Uvarov's lambda times -c_0.  So
+    phi_n^mu = sqrt(sigma) phi_n + sum_i v_i K_(n-1)(z, z_i) |z_i|^-(n+1),
+    v = x / sqrt(x_K) the extremal witness of A (_extremal_of_factor) and
+    sqrt(sigma) the factor's last pivot, the closed form's ratio.  By
+    Christoffel-Darboux the i-th term is N_i(z) / (1 - z conj(z_i)),
+    N_i = v_i [p(z) conj(p_i) - phi_n(z) conj(f_i)] with the system's
+    scaled p_i and f_i, a polynomial whose root is zeta_i = 1/conj(z_i).
+    Its quotient's coefficients come from the top down,
+    b_(m-1) = (b_m - a_m) zeta_i for the coefficients a_m of N_i, each
+    product rounded once: |zeta_i| < 1 shrinks every earlier rounding, so
+    the division is stable.  O(K n) after the O(K^3) factor.
+    """
+    f = bits + _GUARD_BITS
+    coeffs, terms = _mass_terms(mu.weight.coeff_key(), mu.spectrum.masses, f)
+    d = len(coeffs) - 1
+    rows, points = _uvarov_system(mu, n, shift, bits)
+    factor = _cholesky_fixed(rows, -f, bits)
+    ratio = (_shift(factor[2][-1], factor[3][-1]), 0)  # sqrt(sigma) at f
+    out = [(0, 0)] * (n - d) + [_cmul(ratio, c, f) for c in coeffs[::-1]]
+    for v, (pv, fv), (_, zeta, *_) in zip(
+            _extremal_of_factor(factor, bits, f), points, terms):
+        alpha = _cmul(v, (pv[0], -pv[1]), f)  # v_i conj(p_i)
+        beta = _cmul(v, (fv[0], -fv[1]), f)  # v_i conj(f_i)
+        br, bi = 0, 0
+        for m in range(n, 0, -1):
+            # a_m = alpha conj(c_m) [m <= d] - beta c_(n-m) [n - m <= d]
+            ar = ai = 0
+            if m <= d:
+                ar, ai = _cmul(alpha, (coeffs[m][0], -coeffs[m][1]), f)
+            if n - m <= d:
+                cr, ci = _cmul(beta, coeffs[n - m], f)
+                ar, ai = ar - cr, ai - ci
+            br, bi = _cmul((br - ar, bi - ai), zeta, f)
+            out[m - 1] = out[m - 1][0] + br, out[m - 1][1] + bi
+    return out
+
+
 _GUARD_CAP = 1 << 14
+
+
+def _settle(mu: MeasureSpec, run, agree, unsettled):
+    """run(bits) at mu.precision plus 32, 64, ... guard bits until
+    agree(prev, cur) holds for two runs in a row; the later run's result.
+    A run's NotPositiveDefinite is retried with more guard bits; past
+    _GUARD_CAP guard bits the last run's failure, or unsettled(cur), is
+    raised."""
+    guard, prev = 32, None
+    while True:
+        try:
+            cur = run(mu.precision + guard)
+        except NotPositiveDefinite as err:
+            cur, failed = None, err
+        if cur is not None and prev is not None and agree(prev, cur):
+            return cur
+        if guard >= _GUARD_CAP:
+            raise failed if cur is None else unsettled(cur)
+        prev, guard = cur, 2 * guard
 
 
 def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
@@ -579,25 +661,53 @@ def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
     minus a sum near 1; masses near the circle cancel in the kernel's
     numerator and denominator.  So no fixed number of guard bits suffices:
     the value is computed with 32, 64, ... guard bits until two runs agree
-    to mu.precision + 8 bits, and the later one is rounded to mu.precision.
-    If the runs have not settled by _GUARD_CAP guard bits, the last pivot
-    is not told apart from zero and NotPositiveDefinite is raised.
+    to mu.precision + 8 bits, and the later one is rounded to mu.precision
+    (_settle).  If the runs have not settled by _GUARD_CAP guard bits, the
+    last pivot is not told apart from zero and NotPositiveDefinite is
+    raised.
     """
-    out = context(mu.precision)
-    guard, prev = 32, None
-    while True:
-        try:
-            bits = mu.precision + guard
-            cur = _to_mpf(context(bits), *_uvarov_ratio(mu, n, shift, bits))
-        except NotPositiveDefinite as err:
-            cur, failed = None, err
-        if (cur is not None and prev is not None
-                and abs(cur - prev) <= cur * 2 ** -(mu.precision + 8)):
-            return out.mpf(mu.weight.psi0 * cur)
-        if guard >= _GUARD_CAP:
-            raise failed if cur is None else NotPositiveDefinite(
-                len(mu.spectrum), cur ** 2)
-        prev, guard = cur, 2 * guard
+    def run(bits):
+        return _to_mpf(context(bits), *_uvarov_ratio(mu, n, shift, bits))
+
+    def agree(prev, cur):
+        return abs(cur - prev) <= cur * 2 ** -(mu.precision + 8)
+
+    cur = _settle(mu, run, agree, lambda cur: NotPositiveDefinite(
+        len(mu.spectrum), cur ** 2))
+    return context(mu.precision).mpf(mu.weight.psi0 * cur)
+
+
+def _closed_form_element(mu: MeasureSpec, n: int, frac: int) -> list:
+    """The orthonormal Laurent element of degree n, 2n - 1 >= deg psi, in
+    closed form: its coefficients of z^-(n-1)..z^n as integer pairs at frac
+    fractional bits, each rounded once.
+
+    It is z^-(n-1) phi_(2n-1) of the measure whose masses are reweighted by
+    |z_i|^(-2(n-1)), the measure eta_n's closed form reads.  Without masses
+    that is psi's coefficients, exactly: c_j at z^(n-j).  With masses it is
+    _uvarov_element under the closed form's guard policy (_settle): runs at
+    32, 64, ... guard bits until every coefficient of two runs agrees to
+    mu.precision + 8 bits of the largest, which must not be 0.
+    """
+    coeffs = _mass_terms(mu.weight.coeff_key(), (), frac)[0]
+    if not mu.spectrum.masses:
+        return [(0, 0)] * (2 * n - len(coeffs)) + list(coeffs[::-1])
+
+    def run(bits):
+        return bits + _GUARD_BITS, _uvarov_element(mu, 2 * n - 1, n - 1, bits)
+
+    def agree(prev, cur):
+        (f_prev, old), (f_cur, new) = prev, cur
+        new = [(_shift(re, f_prev - f_cur), _shift(im, f_prev - f_cur))
+               for re, im in new]
+        top = max(max(abs(re), abs(im)) for re, im in new)
+        gap = max(max(abs(a - b), abs(c - e))
+                  for (a, c), (b, e) in zip(new, old))
+        return top > 0 and gap << mu.precision + 8 <= top
+
+    f, element = _settle(mu, run, agree,
+                         lambda cur: NotPositiveDefinite(len(mu.spectrum)))
+    return [(_shift(re, frac - f), _shift(im, frac - f)) for re, im in element]
 
 
 def tau_n(mu: MeasureSpec, n: int):
@@ -719,6 +829,8 @@ def _psi_floor(psi: np.ndarray, radius: float) -> float:
     ms = js[1:, None]  # the orders m >= 1 of the sums
     with np.errstate(all="ignore"):
         err = len(psi) * 2.0 ** -47 * binom @ (radius ** js * np.abs(psi))
+    if len(psi) == 1:  # every sample is psi(0), and no term bounds a step
+        return float(abs(psi[0]) - err[0])
     size = _PSI_SAMPLES
     while True:
         h, block = 2 * math.pi / size, min(size, _PSI_BLOCK)
@@ -789,7 +901,7 @@ class ResidueNodes:
     this order: each row is checked (0 <= k <= the number of masses, the
     first k masses distinct, n >= 1), a chosen mass too far for the fixed
     point is refused, and so is a row with 2n > _GRID_CAP; then, row by
-    row, the integer witness of each n is solved once and the row's
+    row, the element of each n is computed once (_use) and the row's
     right-hand side and certified grid are computed once (_sides).  So a
     row whose grid would pass _GRID_CAP is refused before any node is
     evaluated, whatever row comes first.  residue_identity_check reads a
@@ -812,14 +924,16 @@ class ResidueNodes:
     x_(p + G/4) = i x_p exactly, so x_(e (p + j G/4)) = i^(e j) x_(e p), and
     four exact sums S_r = sum_(e = r mod 4) a_e x_((e p) mod G) give the
     numerators at p, p + G/4, p + G/2 and p + 3G/4 as sum_r i^(r j) S_r,
-    by swaps and negations (_numerators): one exact integer dot product of
-    the element's coefficients against table nodes per four numerators,
-    each numerator the same exact sum, rounded once.  A term is one exact
-    integer complex product of numerator and weight, and a grid mean (mean)
-    is the exact integer sum of its terms rounded once to bits.  The same
-    node comes out on any grid that holds x_p and an integer sum does not
-    depend on its order, so a shared and an unshared table give the same
-    mean bit for bit.
+    by swaps and negations (_numerators).  The nodes also satisfy
+    x_(G - p) = conj(x_p) exactly, so for 0 < p < G/8 the same products,
+    summed against the conjugated nodes, give the four numerators of
+    G/4 - p: one pass over the element's coefficients and the table nodes
+    per eight numerators, each numerator the same exact sum, rounded once.
+    A term is one exact integer complex product of numerator and weight,
+    and a grid mean (mean) is the exact integer sum of its terms rounded
+    once to bits.  The same node comes out on any grid that holds x_p and
+    an integer sum does not depend on its order, so a shared and an
+    unshared table give the same mean bit for bit.
 
     Error bound.  Let eps = 2^-f.  Every input (a node, a coefficient c_j
     of psi, a reflected zero zeta_i and its rotation, a coefficient a_j of
@@ -889,7 +1003,7 @@ class ResidueNodes:
         self._x: list = [[], []]
         self._w: list = [[[], []] for _ in range(k_max + 1)]
         self._num: list = [[], []]
-        self._witnesses: dict = {}  # n -> the integer witness's pairs
+        self._witnesses: dict = {}  # n -> the element's integer pairs
         self._n = 0  # no element in use
         self._rows: dict = {}  # (n, k) -> _sides(k) of the element of n
         for n, k in rows:
@@ -912,17 +1026,21 @@ class ResidueNodes:
 
     def _use(self, n: int) -> None:
         """Make the Laurent element of degree n (its coefficients of
-        z^-(n-1)..z^n) the one whose numerators the table holds: the
-        integer extremal witness (_extremal, escalated as needed, solved
-        once per n), each coefficient times 2^-s rounded once to f bits."""
+        z^-(n-1)..z^n) the one whose numerators the table holds, each
+        coefficient times 2^-s rounded once to f bits, computed once per n:
+        in closed form where 2n - 1 >= deg psi (_closed_form_element),
+        else as the integer extremal witness of its Gram matrix (_extremal,
+        escalated as needed)."""
         if n == self._n:
             return
         self._n, frac = n, self._f - self._s
-        if n not in self._witnesses:
+        if n not in self._witnesses and 2 * n - 1 < len(self._psi) - 1:
             self._witnesses[n] = _escalate(
                 self.mu, n, lambda bits: _extremal(_gram_from_exponents(
                     self.mu, range(1 - n, n + 1), bits), frac)[0],
                 "the extremal witness solve")
+        elif n not in self._witnesses:
+            self._witnesses[n] = _closed_form_element(self.mu, n, frac)
         pairs = self._witnesses[n]
         self._coeffs = cr, ci = tuple(map(list, zip(*pairs)))
         # the coefficients by their exponent e = 1 - 2n + j mod 4, for the
@@ -1065,10 +1183,10 @@ class ResidueNodes:
                              f"{_GRID_CAP}, not {grid}")
         self._grow(grid)
         m = self.grid // grid
-        num_re, num_im = self._num
         for p in range(0, self.grid // 4, m):
-            if num_re[p] is None:
+            if self._num[0][p] is None:
                 self._numerators(p)
+        num_re, num_im = self._num
         wr, wi = (col[::m] for col in self._w[k])
         re, im = _dot(num_re[::m], num_im[::m], wr, wi)
         return _to_mpc(self._ctx, re, im,
@@ -1078,16 +1196,31 @@ class ResidueNodes:
         """Fill the numerators R_n(x) x^(-n) of the element in use at the
         nodes p + j G/4, j = 0..3, for p < G/4: the four exact sums S_r over
         the exponents e = r mod 4 of a_e x_((e p) mod G), combined as
-        sum_r i^(r j) S_r, each part rounded once to f bits."""
-        size, f = self.grid, self._f
-        x_re, x_im = self._x
-        sums = []
+        sum_r i^(r j) S_r, each part rounded once to f bits.  For
+        0 < p < G/8 the same products give the nodes q + j G/4 of
+        q = G/4 - p too: x_(e q) = i^e conj(x_(e p)) exactly (_circle_nodes),
+        so q's sums are i^r T_r, T_r = sum a_e conj(x_((e p) mod G))."""
+        size, (x_re, x_im) = self.grid, self._x
+        sums, conj_sums = [], []
         for exps, cr, ci in self._classes:
             idx = [e * p % size for e in exps]
-            sums.append(_dot(cr, ci, [x_re[i] for i in idx],
-                             [x_im[i] for i in idx]))
+            xr, xi = [x_re[i] for i in idx], [x_im[i] for i in idx]
+            rr, ii = sum(map(mul, cr, xr)), sum(map(mul, ci, xi))
+            ri, ir = sum(map(mul, cr, xi)), sum(map(mul, ci, xr))
+            sums.append((rr - ii, ri + ir))
+            conj_sums.append((rr + ii, ir - ri))
+        quarter = size // 4
+        self._fill(p, sums)
+        if 0 < 2 * p < quarter:
+            (ar, ai), (br, bi), (cr, ci), (dr, di) = conj_sums
+            self._fill(quarter - p, [(ar, ai), (-bi, br), (-cr, -ci), (di, -dr)])
+
+    def _fill(self, p: int, sums: list) -> None:
+        """The numerators at p + j G/4 from the class sums S_r of p:
+        sum_r i^(r j) S_r, by swaps and negations, rounded once to f bits."""
         (ar, ai), (br, bi), (cr, ci), (dr, di) = sums
-        half, quarter = 1 << (f - 1), size // 4
+        f, quarter = self._f, self.grid // 4
+        half = 1 << (f - 1)
         num_re, num_im = self._num
         for j, (re, im) in enumerate(((ar + br + cr + dr, ai + bi + ci + di),
                                       (ar - bi - cr + di, ai + br - ci - dr),
@@ -1127,9 +1260,10 @@ def residue_identity_check(mu: MeasureSpec, n: int, k: int,
     least power of two of at least 2n nodes whose certified bound on the
     quadrature's aliasing and rounding, quad_bound, is at most
     2^(14 - bits).  RHS: eta_n/(B^k(0) psi(0)) minus the residue sum at the
-    first k mass points.  R_n is the orthonormal Laurent element, the
-    integer extremal witness.  Returns both sides, their gap, the
-    Cauchy-Schwarz majorant of the residue sum, the grid and quad_bound.
+    first k mass points.  R_n is the orthonormal Laurent element, in
+    closed form where 2n - 1 >= deg psi (ResidueNodes._use).  Returns both
+    sides, their gap, the Cauchy-Schwarz majorant of the residue sum, the
+    grid and quad_bound.
     nodes is a ResidueNodes table of mu whose rows include (n, k),
     ValueError otherwise; without one, ResidueNodes(mu, [(n, k)]).
     """

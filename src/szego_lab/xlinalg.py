@@ -267,17 +267,25 @@ def _circle_nodes(size: int, start: int, step: int, f: int) -> list:
     integer pairs at f fractional bits; size is a power of two and step
     divides size/4.
 
-    Each node of the first quadrant is evaluated at f + 4 bits and rounded
-    once; node p + j size/4 is that node times i^j, an exact swap and
-    negation.  The value depends only on p/size, so every grid that holds a
-    node gives the same pair.
+    Each node q <= size/8 is evaluated at f + 4 bits and rounded once; a
+    node p of the first quadrant past size/8 is node q = size/4 - p with its
+    parts swapped, cos and sin of the complementary angle, and node
+    p + j size/4 is a first-quadrant node times i^j, an exact swap and
+    negation.  So node size - p is exactly the conjugate of node p.  The
+    value depends only on p/size, so every grid that holds a node gives the
+    same pair.
     """
     quarter = size // 4
     scale = size.bit_length() - 2  # 2p/size = p 2^-scale
+    direct = {}  # q <= size/8 -> (cos, sin) of 2 pi q / size
     first = []
     for p in range(start, quarter, step):
-        c, s = mpf_cos_sin_pi(from_man_exp(p, -scale), f + 4, round_nearest)
-        first.append((_fixed(c, f), _fixed(s, f)))
+        q = min(p, quarter - p)
+        if q not in direct:
+            c, s = mpf_cos_sin_pi(from_man_exp(q, -scale), f + 4, round_nearest)
+            direct[q] = _fixed(c, f), _fixed(s, f)
+        c, s = direct[q]
+        first.append((c, s) if q == p else (s, c))
     return (first + [(-im, re) for re, im in first]
             + [(-re, -im) for re, im in first] + [(im, -re) for re, im in first])
 
@@ -413,11 +421,21 @@ def _extremal(g: HermitianMatrix, frac: int | None = None) -> tuple:
     With A = S G S = L_A L_A* (_cholesky_fixed), L_A* x = e_N / l_NN gives
     x_N = 1 / l_NN^2 and x_i = -sum_(m>i) conj(l_mi) x_m / l_ii, each sum
     exact and each x_i rounded once at f = bits + 32: x = A^-1 e_N, so
-    v_i = 2^-k_i x_i / sqrt(x_N), each part one isqrt.  eta comes from x_N,
-    not from the pivot l_NN, so it stays a second route to schur_leading.
+    v_i = 2^-k_i x_i / sqrt(x_N), each part one isqrt (_extremal_of_factor).
+    eta comes from x_N, not from the pivot l_NN, so it stays a second route
+    to schur_leading.
     """
-    f = g.bits + _GUARD_BITS
-    res, ims, diag, scale = _cholesky_fixed(g.lower, g.exp, g.bits)
+    factor = _cholesky_fixed(g.lower, g.exp, g.bits)
+    if frac is None:
+        frac = g.bits + _GUARD_BITS + max(factor[3])
+    return _extremal_of_factor(factor, g.bits, frac), frac
+
+
+def _extremal_of_factor(factor: tuple, bits: int, frac: int) -> list:
+    """_extremal's v from a factor (re, im, diag, scale) of
+    _cholesky_fixed at bits: v_i 2^frac, each part rounded once."""
+    res, ims, diag, scale = factor
+    f = bits + _GUARD_BITS
     n = len(diag)
     x_re, x_im = [0] * n, [0] * n
     x_re[-1] = _rdiv(_rdiv(1 << 2 * f, diag[-1]) << f, diag[-1])
@@ -427,8 +445,6 @@ def _extremal(g: HermitianMatrix, frac: int | None = None) -> tuple:
                           [-ims[m][i] for m in range(i + 1, n)],
                           x_re[i + 1:], x_im[i + 1:])
         x_re[i], x_im[i] = _rdiv(-s_re, diag[i]), _rdiv(-s_im, diag[i])
-    if frac is None:
-        frac = f + max(scale)
     v = []
     for k_i, a_re, a_im in zip(scale, x_re, x_im):
         # v_i 2^frac = a 2^(t/2) / sqrt(x_N 2^f), t = 2 (frac - k_i) - f
@@ -436,7 +452,7 @@ def _extremal(g: HermitianMatrix, frac: int | None = None) -> tuple:
         u = max(0, (t + 1) // 2)
         b = x_re[-1] << (2 * u - t)
         v.append((_rdiv_sqrt(a_re << u, b), _rdiv_sqrt(a_im << u, b)))
-    return v, frac
+    return v
 
 
 def constrained_max_leading(g: HermitianMatrix):

@@ -78,6 +78,15 @@ MUTANTS = (
      "series = list(base.series)", CLI_TESTS, False),
     ("quotient-shift-unrounded", XLINALG,
      "half = 1 << (s - 1) if shift else 0", "half = 0", XLINALG_TESTS, False),
+    ("witness-mass-term-dropped", MEASURE,
+     "out[m - 1] = out[m - 1][0] + br, out[m - 1][1] + bi",
+     "out[m - 1] = out[m - 1]", MEASURE_TESTS, False),
+    ("numerator-conj-sign", MEASURE,
+     "conj_sums.append((rr + ii, ir - ri))",
+     "conj_sums.append((rr - ii, ir - ri))", MEASURE_TESTS, False),
+    ("psi-floor-const-margin", MEASURE,
+     "return float(abs(psi[0]) - err[0])", "return float(abs(psi[0]))",
+     MEASURE_TESTS, False),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

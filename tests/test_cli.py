@@ -26,6 +26,7 @@ import pytest
 from szego_lab.asymptotics import PipelineCertificate
 from szego_lab.measure_opuc import QuadratureError
 from szego_lab.cli import generate_zeros, main
+from szego_lab.xlinalg import NotPositiveDefinite
 
 import szego_lab.asymptotics as asym
 import szego_lab.blaschke as blaschke
@@ -477,23 +478,61 @@ def test_residue_check_refuses_a_table_past_its_memory_budget(
 
 def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
                                                monkeypatch):
-    # the node table solves the integer extremal witness of each n once and
-    # keeps it for every k
+    # the node table takes the closed-form element of each n once and keeps
+    # it for every k
     solves = []
-    real = mo._extremal
+    real = mo._closed_form_element
 
-    def counted(g, frac=None):
-        solves.append(g.dim)
-        return real(g, frac)
+    def counted(mu, n, frac):
+        solves.append(n)
+        return real(mu, n, frac)
 
-    monkeypatch.setattr(mo, "_extremal", counted)
+    monkeypatch.setattr(mo, "_closed_form_element", counted)
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
     man = write_json(tmp_path / "man.json", {
         "measure_file": measure, "n_grid": [4, 6], "k_list": [0, 1, 2],
         "out_dir": str(tmp_path / "out")})
     assert run_main(capsys, "residue-check", "--manifest", man)[0] == 0
     assert len(read_rows(str(tmp_path / "out"))) == 6
-    assert solves == [8, 12]  # the Laurent spans z^-(n-1)..z^n
+    assert solves == [4, 6]
+
+
+def test_residue_check_builds_no_gram_matrix(tmp_path, capsys, monkeypatch):
+    # on both frozen measures and a mass-free psi every row has
+    # 2n - 1 >= deg psi, so no Gram matrix is built and no Gram witness
+    # solved
+    def refuse(*args, **kwargs):
+        raise AssertionError("a Gram matrix was built")
+
+    monkeypatch.setattr(mo, "_gram_from_exponents", refuse)
+    monkeypatch.setattr(mo, "_extremal", refuse)
+    measures = dict(RESIDUE_FROZEN_MEASURES, mass_free={
+        "psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]], "precision_bits": 128})
+    for label, measure in measures.items():
+        man = write_json(tmp_path / f"{label}-man.json", {
+            "measure_file": write_json(tmp_path / f"{label}.json", measure),
+            "n_grid": [2, 4, 8, 12], "out_dir": str(tmp_path / label)})
+        code, out = run_main(capsys, "residue-check", "--manifest", man)
+        assert code == 0, (label, out)
+        rows = read_rows(str(tmp_path / label))
+        assert rows and all(float(r["abs_diff"]) <= 2.0 ** (
+            16 - measure["precision_bits"]) for r in rows), label
+
+
+def test_residue_check_reaches_n_170_with_a_far_mass(tmp_path, capsys):
+    # the Gram witness of this row needed 64 + 2n log2 3 = 603 bits, past
+    # the top tag, and failed at pivot 334; the closed form settles
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1, 0], [-0.5, 0]], "masses": [[3, 0, 1]],
+        "precision_bits": 512})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [170], "k_list": [0],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 0, out
+    (row,) = read_rows(str(tmp_path / "out"))
+    assert float(row["abs_diff"]) <= 1e-8
+    assert abs(float(row["rhs_re"]) - 1 / 3) <= 1e-12  # eta_n -> psi(0)/|z|
 
 
 def test_residue_check_certifies_each_row_once(tmp_path, capsys,
@@ -1320,22 +1359,38 @@ def test_residue_check_refuses_a_grid_past_the_cap_before_any_node(
     assert nodes == []
 
 
-def test_failed_witness_solve_is_named(tmp_path, capsys):
-    # a weight of 1e300 leaves the Laurent Gram matrix's last pivot below
-    # the fixed point's resolution at every tag; the exit 3 names the
-    # extremal witness solve and its n
+def test_failed_witness_solve_is_named(tmp_path, capsys, monkeypatch):
+    # a weight of 1e300 left the Laurent Gram matrix's last pivot below the
+    # fixed point's resolution at every tag; the closed-form element takes
+    # it, and the identity holds
     measure = write_json(tmp_path / "mu.json", {
         "psi": [[1, 0]], "masses": [[1.5, 0, 1e300]], "precision_bits": 128})
     man = write_json(tmp_path / "man.json", {
         "measure_file": measure, "n_grid": [4],
         "out_dir": str(tmp_path / "out")})
     code, out = run_main(capsys, "residue-check", "--manifest", man)
+    assert code == 0, out
+    rows = read_rows(str(tmp_path / "out"))
+    assert len(rows) == 2 and all(float(r["abs_diff"]) <= 1e-8 for r in rows)
+    # a Gram-witness row (2n - 1 < deg psi) that fails at every tag exits 3
+    # naming the extremal witness solve and its n
+    def fail(g, frac=None):
+        raise NotPositiveDefinite(g.dim - 1)
+
+    monkeypatch.setattr(mo, "_extremal", fail)
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1, 0], [0.3, -0.2], [0, 0.1]], "masses": [[1.5, 0.8, 0.3]],
+        "precision_bits": 128})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [1],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "residue-check", "--manifest", man)
     assert code == 3, out
     err = json.loads(out, parse_constant=refuse_constant)["error"]
     assert err["type"] == "PrecisionExhausted"
     assert err["message"] == (
-        "the extremal witness solve at n = 4: not positive definite at any "
-        "of (128, 256, 512) bits (last failing pivot 2)")
+        "the extremal witness solve at n = 1: not positive definite at any "
+        "of (128, 256, 512) bits (last failing pivot 1)")
 
 
 def test_module_entry_point(tmp_path):

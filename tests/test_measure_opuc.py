@@ -434,6 +434,27 @@ def test_psi_floor_keeps_its_rounding_margin():
     assert 0 < Fraction(floor) <= 1 - Fraction(2) ** -70
 
 
+def sampled_constant_floor(c, radius):
+    """What _psi_floor's sampling pass gives for the constant psi = c: at
+    each of its 1,024 samples, |psi| less the margin 2^-47 |c|, and no
+    Taylor term beyond the constant."""
+    y = radius * np.exp(2j * math.pi * np.arange(mo._PSI_SAMPLES + 1)
+                        / mo._PSI_SAMPLES)
+    b = np.broadcast_to(LaurentPolynomial(0, [c])(y), y.shape)
+    return float(np.min(np.abs(b[:-1]) - 2.0 ** -47 * abs(c)))
+
+
+@pytest.mark.parametrize("radius", [0.5, 1.0, 3.0])
+def test_constant_psi_floor_is_the_sampled_floor_without_sampling(radius):
+    # a constant psi's floor is |psi(0)| less its rounding margin, the float
+    # the sampling pass returns, bit for bit, from 1e-300 to 1e300
+    for c in [10.0 ** e * m for e in range(-300, 301, 25)
+              for m in (1.0, 1.7, 3.3)] + [2.0 ** -1000, 0.5, 1.0]:
+        floor = mo._psi_floor(np.array([c], dtype=complex), radius)
+        assert floor == sampled_constant_floor(complex(c), radius), c
+        assert floor < c
+
+
 @pytest.mark.parametrize("zero, degree", [
     (1.05, 7), (1.02, 6), (1.01, 5),
     # minimum 2.6e-11, certified as 9.5e-12
@@ -1216,6 +1237,124 @@ def test_orthonormal_element_is_orthonormal():
     assert mp.im(lead) == 0
 
 
+# the route measures, and a mass near the circle and one far from it, for
+# the closed-form element
+ELEMENT_MEASURES = dict(ROUTE_MEASURES, **{
+    "near-circle-mass": ([1.0, -0.3], ((0.63 + 0.84j, 0.4),)),
+    "mass-at-three": ([1.0, -0.5], ((3.0, 1.0),)),
+})
+
+
+def element_measure(name, bits):
+    coeffs, masses = ELEMENT_MEASURES[name]
+    return MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                       PointSpectrum(masses), bits)
+
+
+def closed_form_element(mu, n):
+    """The closed-form Laurent element of degree n at f = bits + 32
+    fractional bits, as exact mpc coefficients of z^-(n-1)..z^n."""
+    f = mu.precision + 32
+    ctx = context(mu.precision)
+    return [fixed_to_mpc(ctx, re, im, f)
+            for re, im in mo._closed_form_element(mu, n, f)]
+
+
+@pytest.mark.parametrize("bits", [256, 128])
+@pytest.mark.parametrize("name", sorted(ELEMENT_MEASURES))
+def test_closed_form_element_matches_the_extremal_witness(name, bits):
+    # Uvarov's element against the extremal witness of the Laurent Gram
+    # matrix, relative to the largest coefficient: 1e-30 at 256 bits and
+    # 1e-20 at 128 (the witness's own error grows with the Gram matrix's
+    # condition); the z^n coefficient is the closed form's eta_n
+    mu = element_measure(name, bits)
+    tol = mp.mpf(1e-30) if bits == 256 else mp.mpf(1e-20)
+    d = mu.weight.psi.hi
+    for n in sorted({max(1, d), 4, 12, 20, *((48,) if bits == 256 else ())}):
+        got = closed_form_element(mu, n)
+        want = extremal_element(mu, n, laurent=True)
+        assert len(got) == len(want) == 2 * n
+        top = max(abs(c) for c in want)
+        assert max(abs(a - b) for a, b in zip(got, want)) <= tol * top, n
+        assert abs(got[-1] - eta_n(mu, n)) <= 2 * tol * got[-1].real, n
+
+
+@pytest.mark.parametrize("name", sorted(ELEMENT_MEASURES))
+def test_closed_form_element_has_unit_norm(name):
+    # v^H G v = 1 for the Gram matrix of the one entry rule, at 256 bits
+    mu = element_measure(name, 256)
+    for n in (4, 12, 48):
+        v = closed_form_element(mu, n)
+        lower, e = mo._inner_products(mu, range(1 - n, n + 1), 256)
+        with mp.workprec(600):
+            unit = mp.mpf(2) ** e
+            norm = mp.mpc(0)
+            for r, row in enumerate(lower):
+                for c, (re, im) in enumerate(row):
+                    g = mp.mpc(re, im) * unit  # <z^(e_c), z^(e_r)>
+                    norm += mp.conj(v[r]) * g * v[c]
+                    if c < r:
+                        norm += mp.conj(v[c]) * mp.conj(g) * v[r]
+            assert abs(norm - 1) <= mp.mpf(1e-30), n
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_closed_form_element_matches_the_exact_oracle(bits):
+    # against the exact last column of the inverse of the measure's exact
+    # Gram matrix: v_i = x_i / sqrt(x_N) within 2^(8 - bits) of v_N
+    mu = exact_measure("readme_two_mass", bits)
+    for n in (1, 2, 4, 8):
+        want = exact_last_column("readme_two_mass", tuple(range(1 - n, n + 1)))
+        x_nn = want[-1][0]
+        f = bits + 32
+        got = mo._closed_form_element(mu, n, f)
+        eta = Fraction(got[-1][0], 2 ** f)
+        assert (eta * eta - x_nn) ** 2 <= (x_nn * Fraction(2) ** (8 - bits)) ** 2
+        for (gr, gi), (xr, xi) in zip(got, want):
+            # v_i v_N = x_i, so compare v_i eta against x_i
+            dr = Fraction(gr, 2 ** f) * eta - xr
+            di = Fraction(gi, 2 ** f) * eta - xi
+            assert dr * dr + di * di <= (x_nn * Fraction(2) ** (8 - bits)) ** 2, n
+
+
+@pytest.mark.parametrize("bits", [53, 256])
+def test_mass_free_element_is_psi_itself(bits):
+    # without masses the element is z^-(n-1) phi_(2n-1), psi's coefficients
+    # c_j at z^(n-j), exactly; the Gram witness agrees far below the tag
+    psi = [1.0, 0.3 - 0.2j, 0.1j]
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
+                     PointSpectrum.empty(), bits)
+    for n in (2, 4, 9):
+        got = closed_form_element(mu, n)
+        assert got == [0] * (2 * n - 3) + [mp.mpc(c) for c in psi[::-1]]
+        nodes = ResidueNodes(mu, [(n, 0)])
+        assert nodes._witnesses[n] == [(0, 0)] * (2 * n - 3) + list(
+            nodes._psi[::-1])
+    want = extremal_element(mu, 4, laurent=True)
+    assert max(abs(a - b) for a, b in
+               zip(closed_form_element(mu, 4), want)) < 2.0 ** (8 - bits)
+
+
+def test_residue_row_below_deg_psi_takes_the_gram_witness(monkeypatch):
+    # the closed form needs 2n - 1 >= deg psi: with deg psi = 2 the row
+    # n = 1 takes the extremal witness of its Gram matrix, solved once, and
+    # n = 2 the closed form (the CLI test holds that no other row builds a
+    # Gram matrix)
+    solves = []
+    real = mo._extremal
+
+    def counted(g, frac=None):
+        solves.append(g.dim)
+        return real(g, frac)
+
+    monkeypatch.setattr(mo, "_extremal", counted)
+    nodes = ResidueNodes(COMPLEX_PSI, [(1, 0), (1, 1), (2, 0)])
+    assert solves == [2]
+    want = extremal_element(COMPLEX_PSI, 1, laurent=True)
+    got = table_witness(nodes, 1)
+    assert max(abs(a - b) for a, b in zip(got, want)) < 2.0 ** -120
+
+
 # ----------------------------------------------------------------------
 # precision escalation
 
@@ -1323,11 +1462,23 @@ def test_residue_records_do_not_depend_on_the_scale_of_psi(bits):
                 key: repr(v) for key, v in ref.items()}, (scale, rec["n"])
 
 
+class RecordedColumn(list):
+    """A numerator column that logs the slot of every write."""
+
+    def __init__(self, values, log):
+        super().__init__(values)
+        self.log = log
+
+    def __setitem__(self, index, value):
+        self.log.append(index)
+        super().__setitem__(index, value)
+
+
 def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
     # one table shared by every (n, k): psi and the Blaschke prefix products
     # are evaluated once per node of the finest grid, the element once per
-    # node per n (a doubled grid reuses the nodes of the coarser one), four
-    # numerators per call, at the nodes p + j G/4 of the table's G
+    # node per n (a doubled grid reuses the nodes of the coarser one): each
+    # numerator slot of the table's G is filled once, four or eight per call
     dens, nums = [], {}
     real_dens, real_num = mo._node_values, ResidueNodes._numerators
 
@@ -1336,11 +1487,14 @@ def test_residue_quadrature_evaluates_each_node_once(monkeypatch):
         return real_dens(x, psi, factors, f)
 
     def counted_num(self, p):
-        quarter = self.grid // 4
-        assert p < quarter
+        assert p < self.grid // 4
+        log = []
+        self._num = [RecordedColumn(col, log) for col in self._num]
+        real_num(self, p)
+        slots = sorted(set(log))
+        assert len(slots) in (4, 8) and len(log) == 2 * len(slots)
         nums.setdefault(self._n, []).extend(
-            (self._x[0][q], self._x[1][q]) for q in range(p, self.grid, quarter))
-        return real_num(self, p)
+            (self._x[0][q], self._x[1][q]) for q in slots)
 
     mu = two_mass()
     rows = [(n, k) for n in (4, 6) for k in (0, 1, 2)]
@@ -1406,6 +1560,26 @@ def test_residue_numerators_match_horner(mu, n, trimmed):
         got = fixed_to_mpc(ctx, nodes._num[0][p], nodes._num[1][p],
                            nodes._f - nodes._s)
         assert abs(got - want) <= tol * abs(want), p
+
+
+@pytest.mark.parametrize("mu, n", [
+    (COMPLEX_PSI, 8), (two_mass(256), 12), (two_mass(53), 3)],
+    ids=["complex-psi-128", "two-mass-256", "two-mass-53"])
+def test_residue_numerators_are_the_direct_sums_rounded_once(mu, n):
+    # every numerator, whichever quartet filled it (its own sums or the
+    # conjugate sums of G/4 - p), equals the one exact sum; COMPLEX_PSI's
+    # element has complex coefficients, so every part of those sums counts
+    # sum_e a_e x_((e p) mod G), rounded once to f bits
+    nodes = ResidueNodes(mu, [(n, 0)])
+    nodes.mean(0, 1024)
+    size, f = nodes.grid, nodes._f
+    (cr, ci), (x_re, x_im) = nodes._coeffs, nodes._x
+    for p in range(size):
+        idx = [(1 - 2 * n + j) * p % size for j in range(2 * n)]
+        re, im = xlinalg._dot(cr, ci, [x_re[i] for i in idx],
+                              [x_im[i] for i in idx])
+        assert nodes._num[0][p] == (re + (1 << f - 1)) >> f, p
+        assert nodes._num[1][p] == (im + (1 << f - 1)) >> f, p
 
 
 @pytest.mark.parametrize("mu, rows", [

@@ -18,6 +18,7 @@ from szego_lab.xlinalg import (
     schur_leading,
     toeplitz_leading,
     _cholesky_fixed,
+    _circle_nodes,
     _dot,
     _fixed,
     _horner,
@@ -636,3 +637,24 @@ def test_quotient_series_matches_the_plain_recurrence(f):
                 want = reference_quotient_series(num, den, count, f)
                 assert _quotient_series(num, den, count, f) == want, (
                     d, lead, count)
+
+
+@pytest.mark.parametrize("f", [85, 160, 288, 544])
+def test_circle_nodes_come_in_exact_conjugate_pairs(f):
+    # node G - q is node q conjugated, bit for bit, on every grid; each node
+    # is within one unit of exp(2 pi i q / G), whichever way it was made;
+    # a doubled grid's odd nodes and a direct grid give the same pairs
+    ctx = context(f + 16)
+    for size in (4, 8, 16, 64, 256, 1 << 12):
+        nodes = _circle_nodes(size, 0, 1, f)
+        assert len(nodes) == size
+        for q in range(size):
+            re, im = nodes[-q % size]
+            assert nodes[q] == (re, -im), (size, q)
+        for q in range(0, size, max(1, size // 64)):
+            want = ctx.expjpi(ctx.mpf(2 * q) / size) * 2 ** f
+            assert abs(nodes[q][0] - want.real) <= 1, (size, q)
+            assert abs(nodes[q][1] - want.imag) <= 1, (size, q)
+        if size > 4:
+            assert _circle_nodes(size, 1, 2, f) == nodes[1::2]
+            assert _circle_nodes(size // 2, 0, 1, f) == nodes[::2]
