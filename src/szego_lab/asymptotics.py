@@ -652,8 +652,10 @@ def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
                            which: str = "both") -> dict:
     """Exact leading coefficients against the limit over an n-grid.
 
-    Computes the exact optimum per n and its error against the limit, and
-    flags whether the error sequence is nonincreasing up to a factor 2.
+    Computes the exact optimum per n and its error against the limit, with
+    the closed form's guard bits and certified relative radius (None where
+    the Gram route gives the value), and flags whether the error sequence
+    is nonincreasing up to a factor 2.
     """
     ns = [int(n) for n in n_grid]
     if ns != sorted(set(ns)):
@@ -666,12 +668,16 @@ def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
     rows = []
     for n in ns:
         row: dict = {"n": n}
-        if want_tau:
-            row["tau"] = float(tau_n(mu, n))
-            row["tau_error"] = abs(row["tau"] - target)
-        if want_eta and n >= 1:
-            row["eta"] = float(eta_n(mu, n))
-            row["eta_error"] = abs(row["eta"] - target)
+        for key, want, leading in (("tau", want_tau, tau_n),
+                                   ("eta", want_eta and n >= 1, eta_n)):
+            if want:
+                # the closed form's guard bits and certified relative
+                # radius; None on the Gram route
+                record = {"guard_bits": None, "relative_radius": None}
+                row[key] = float(leading(mu, n, record))
+                row[f"{key}_error"] = abs(row[key] - target)
+                row[f"{key}_guard_bits"] = record["guard_bits"]
+                row[f"{key}_relative_radius"] = record["relative_radius"]
         rows.append(row)
 
     def trend(key: str) -> bool:

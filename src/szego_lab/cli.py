@@ -440,10 +440,15 @@ def _run_opuc(man: RunManifest):
     columns = ["n", "tau_n", "eta_n", "target", "tau_error", "eta_error"]
     rows = []
     for r in rec["rows"]:
-        rows.append({"n": r["n"], "tau_n": r.get("tau"),
-                     "eta_n": r.get("eta"), "target": rec["target"],
-                     "tau_error": r.get("tau_error"),
-                     "eta_error": r.get("eta_error")})
+        row = {"n": r["n"], "tau_n": r.get("tau"), "eta_n": r.get("eta"),
+               "target": rec["target"], "tau_error": r.get("tau_error"),
+               "eta_error": r.get("eta_error")}
+        # report.json only: the guard bits and certified relative radius
+        # of each closed-form value
+        for key in ("tau_guard_bits", "tau_relative_radius",
+                    "eta_guard_bits", "eta_relative_radius"):
+            row[key] = r.get(key)
+        rows.append(row)
     return columns, rows, {"target": rec["target"], "which": rec["which"],
                            "trend": rec["trend"]}
 

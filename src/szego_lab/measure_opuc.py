@@ -51,9 +51,11 @@ reflected.
 Precision escalation is explicit: the Gram route starts at the
 first tag that holds its entries (at least the measure's tag), a failure
 there is retried at the next tag, and the failure is reported, never
-hidden.  The closed form adds guard bits above the measure's tag, 32 and
-then twice as many each time, until two runs agree, and raises
-NotPositiveDefinite if its system loses positivity at every try.
+hidden.  The closed form runs once, at 32 guard bits above the measure's
+tag, with a certified error radius, and keeps the run when its ball
+decides the rounding (Ziv's test); otherwise it runs again at twice the
+guard bits, and raises NotPositiveDefinite if no run is decided by
+_GUARD_CAP.
 """
 
 from __future__ import annotations
@@ -78,6 +80,9 @@ from szego_lab.xlinalg import (
     HermitianMatrix,
     NotPositiveDefinite,
     PrecisionTag,
+    _balance,
+    _ball_to_mpf,
+    _bound_err,
     _circle_nodes,
     _cholesky_fixed,
     _cdiv,
@@ -87,12 +92,20 @@ from szego_lab.xlinalg import (
     _extremal,
     _extremal_of_factor,
     _dyadic,
+    _float_up,
     _horner,
+    _horner_err,
+    _mag,
+    _mags,
+    _mul_err,
+    _pow_err,
     _quotient_series,
     _rdiv,
     _rdiv_sqrt,
     _reflect,
     _round_bits,
+    _scale_up,
+    _schur_ball,
     _shift,
     _to_mpc,
     _to_mpf,
@@ -497,30 +510,71 @@ def _mass_terms(psi: tuple, masses: tuple, f: int) -> tuple:
     return coeffs, tuple(out)
 
 
+# radii, in units of 2^-f, of the values _uvarov_terms rounds from z (see
+# there)
+_E_ZETA, _E_U, _E_R, _E_R2 = 2.0, 3.0, 2.0, 3.0
+
+
 @functools.lru_cache(maxsize=8)
 def _uvarov_terms(psi: tuple, masses: tuple, f: int) -> tuple:
-    """Per mass, the degree-free parts of Uvarov's system at f, from
-    _mass_terms: (z, u, r, 1/|z|^2, 1/m, w, q), w = psi(1/z) and
-    q = sum_j conj(c_j) u^j r^(d-j) = r^d p(z) by Horner, neither growing
-    with |z|; cached, so every n and both coefficients share them."""
-    coeffs, terms = _mass_terms(psi, masses, f)
+    """The degree-free parts of Uvarov's system at f, with psi held at its
+    own scale: psi times 2^-s, psi(0) 2^-s in [1, 2), as ResidueNodes holds
+    it.  That is the measure times 2^(2s), whose masses are m_i 2^(2s),
+    whose tau_n / psi(0) is the measure's own and whose orthonormal
+    elements are the measure's times 2^-s.  Returns (coeffs, psi_sum, terms):
+    the scaled psi's coefficients c_j at f, constant first, a bound
+    S >= sum_j |c_j|,
+    and per mass (z, zeta, u, r, 1/|z|^2, 2^(-2s)/m, w, q, radii) from
+    _mass_terms, w = psi(1/z) and q = sum_j conj(c_j) u^j r^(d-j) = r^d p(z)
+    by Horner, neither growing with |z|; cached, so every n and both
+    coefficients share them.
+
+    radii is (|z|, 1/|z|, e_w, e_q), with w and q within e_w and e_q units
+    of 2^-f of the exact values.  _mass_terms reads psi's coefficients and
+    z within half a unit per part (exactly where they are dyadic at f), so
+    within 1; a value rounded once from z moves with z by at most its
+    derivative, so zeta = 1/conj(z) and r = 1/|z| are within 2 (_E_ZETA,
+    _E_R), u = z/|z| (each part one isqrt, within 1) and 1/|z|^2 within 3
+    (_E_U, _E_R2), and 2^(-2s)/m, m read exactly, within 1.  Each Horner step
+    adds a rounded product (_bound_err), every partial sum of modulus at
+    most S and the argument at most 1, and a coefficient's error.
+    """
+    s = math.frexp(psi[0].real)[1] - 1
+    coeffs = _mass_terms(psi, (), f - s)[0]
+    psi_sum = sum(_mag(c, f) for c in coeffs)
     out = []
-    for z, (xr, xi), u, r, _, inv_m in terms:
+    for (point, m), (z, (xr, xi), u, r, _, _) in zip(
+            masses, _mass_terms(psi, masses, f)[1]):
+        p, q = m.as_integer_ratio()
         b, rj = [], (1 << f, 0)  # conj(c_j) r^(d-j), from j = d down
+        e_rj = e_b = 0.0
         for cr, ci in reversed(coeffs):
             b.append(_cmul((cr, -ci), rj, f))
+            e_b = max(e_b, _bound_err(psi_sum, 1.0, 1.0, e_rj, f))
             rj = _cmul(rj, (r, 0), f)
-        out.append((z, u, r, _rdiv(1 << 3 * f, z[0] ** 2 + z[1] ** 2), inv_m,
-                    _horner(coeffs, (xr, -xi), f), _horner(b[::-1], u, f)))
-    return tuple(out)
+            e_rj = _bound_err(1.0, e_rj, 1.0, _E_R, f)
+        e_w, e_q = 1.0, e_b
+        for _ in coeffs[1:]:
+            e_w = _bound_err(psi_sum, e_w, 1.0, _E_ZETA, f) + 1.0
+            e_q = _bound_err(psi_sum, e_q, 1.0, _E_U, f) + e_b
+        z_abs = abs(point)
+        out.append((z, (xr, xi), u, r,
+                    _rdiv(1 << 3 * f, z[0] ** 2 + z[1] ** 2),
+                    _rdiv(q << max(f - 2 * s, 0), p << max(2 * s - f, 0)),
+                    _horner(coeffs, (xr, -xi), f), _horner(b[::-1], u, f),
+                    (z_abs, 1.0 / z_abs, e_w, e_q)))
+    return coeffs, psi_sum, tuple(out)
 
 
 def _uvarov_system(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     """Uvarov's system [[S, f], [f^H, 1]] at bits (see
-    _closed_form_leading), on integers: (rows, points), rows its lower
-    triangle at f = bits + 32 fractional bits as _cholesky_fixed(rows, -f,
-    bits) reads it, and per mass the pair (p, phi_n) at z_i, each times
-    |z_i|^-(n+1).
+    _closed_form_leading), on integers, with psi at its own scale
+    (_uvarov_terms): (rows, points, radius), rows its lower triangle at
+    f = bits + 32 fractional bits as _cholesky_fixed(rows, -f, bits) reads
+    it, per mass (p, phi_n, e_p, e_f), the pair p and phi_n at z_i, each
+    times |z_i|^-(n+1), within e_p and e_f units of 2^-f, and radius[i][j]
+    a bound on entry (i, j)'s error in units of 2^-f, scaled as
+    _cholesky_fixed scales the system (xlinalg._balance).
 
     Row and column i are scaled by |z_i|^-(n+1), so the entries stay
     bounded as n grows: with the terms of _uvarov_terms at f,
@@ -528,26 +582,43 @@ def _uvarov_system(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     phi_(n+1)(z) |z|^-(n+1) = u^(n+1) w, and the reweighted 1/m is
     |z|^-2(n+1-shift) / m.  Each kernel entry is the exact numerator
     divided once by the exact 1 - z_i conj(z_l).
+
+    Each entry's radius comes from its own rounding and its inputs' radii,
+    a priori.  Every exact input has modulus at most S (p, phi_n, phi_(n+1))
+    or 1 (u^n, r^(n+1-d)); the powers are _cpow chains (xlinalg._pow_err).
+    A kernel entry N'/D' from the computed N' and D' is within
+    (|N' - N| + |N'/D'| |D' - D|) / |D| of N/D, and |D' - D| <= |z_i| + |z_l|
+    + 1 units, as z is read within one.
     """
     f = bits + _GUARD_BITS
     d = mu.weight.psi.hi
-    # per mass: z, p, f and phi_(n+1) at z, each times |z|^-(n+1), and the
-    # reweighted 1/m
+    coeffs, psi_sum, terms = _uvarov_terms(mu.weight.coeff_key(),
+                                        mu.spectrum.masses, f)
+    # per mass: z, p, f and phi_(n+1) at z, each times |z|^-(n+1), the
+    # reweighted 1/m, and the radii
     points = []
-    for z, u, r, r2, inv_m, w, q in _uvarov_terms(
-            mu.weight.coeff_key(), mu.spectrum.masses, f):
+    e_un = _pow_err(_E_U, n, 1.0, f)
+    for z, _, u, r, r2, inv_m, w, q, (z_abs, r_f, e_w, e_q) in terms:
         uw = _cmul(_cpow(u, n, f), w, f)
-        r_pow = _cpow((r, 0), n + 1 - d, f)
+        e_uw = _bound_err(1.0, e_un, psi_sum, e_w, f)
+        e_rp = _pow_err(_E_R, n + 1 - d, r_f, f)
+        e_r2p = _pow_err(_E_R2, n + 1 - shift, r_f * r_f, f)
         r2_pow = _cpow((r2, 0), n + 1 - shift, f)
-        points.append((z, _cmul(q, r_pow, f), _cmul(uw, (r, 0), f),
-                       _cmul(uw, u, f), _cmul((inv_m, 0), r2_pow, f)[0]))
+        points.append((
+            z, _cmul(q, _cpow((r, 0), n + 1 - d, f), f), _cmul(uw, (r, 0), f),
+            _cmul(uw, u, f), _cmul((inv_m, 0), r2_pow, f)[0],
+            _bound_err(psi_sum, e_q, 1.0, e_rp, f),
+            _bound_err(psi_sum, e_uw, 1.0, _E_R, f),
+            _bound_err(psi_sum, e_uw, 1.0, _E_U, f), z_abs, inv_m, e_r2p))
     # G's lower triangle at f: S_il = [i == l]/m_i + K(z_i, z_l), and the
-    # last row conj(f_l) and 1
+    # last row conj(f_l) and 1; beside it, each kernel entry's radius
     one = 1 << 2 * f
-    rows = []
-    for i, ((zr, zi), (pr, pi), _, (hr, hi), inv_m) in enumerate(points):
-        row = []
-        for (lr, li), (qr, qi), _, (gr, gi), _ in points[: i + 1]:
+    rows, kernel = [], []
+    for i, ((zr, zi), (pr, pi), _, (hr, hi), inv_m, e_p, _, e_h, z_abs,
+            *_) in enumerate(points):
+        row, rad = [], []
+        for (lr, li), (qr, qi), _, (gr, gi), _, e_pl, _, e_hl, zl_abs, *_ in (
+                points[: i + 1]):
             # p_i conj(p_l) - phi_i conj(phi_l) over 1 - z_i conj(z_l)
             nr = pr * qr + pi * qi - hr * gr - hi * gi
             ni = pi * qr - pr * qi - hi * gr + hr * gi
@@ -555,31 +626,71 @@ def _uvarov_system(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
             den = dr * dr + di * di
             row.append((_rdiv((nr * dr + ni * di) << f, den),
                         _rdiv((ni * dr - nr * di) << f, den)))
+            e_den = z_abs + zl_abs + 1.0
+            # |N' - N|, |D' - D| and a bound below |D|
+            rad.append((psi_sum * (e_p + e_pl + e_h + e_hl)
+                        + math.ldexp(e_p * e_pl + e_h * e_hl, -f), e_den,
+                        math.sqrt(_float_up(den, -4 * f))
+                        - math.ldexp(e_den, -f)))
+        kernel.append([(e_num + size * e_den) / low + 1.0 if low > 0.0
+                       else math.inf for (e_num, e_den, low), size in zip(
+                           rad, _mags(row, f))])
         row[-1] = (row[-1][0] + inv_m, 0)
         rows.append(row)
-    rows.append([(fr, -fi) for _, _, (fr, fi), _, _ in points] + [(1 << f, 0)])
-    return rows, [(p, fv) for _, p, fv, _, _ in points]
+    rows.append([(fr, -fi) for _, _, (fr, fi), *_ in points] + [(1 << f, 0)])
+    scale = [_balance(row[-1][0], -f) for row in rows]
+    radius = [[_scale_up(e, -k - scale[l]) for l, e in enumerate(rad)]
+              for k, rad in zip(scale, kernel)]
+    for i, (k, (*_, inv_m, e_r2p)) in enumerate(zip(scale, points)):
+        # the reweighted 1/m: 1/m within one unit, |z|^-2(n+1-shift) <= 1
+        # within e_r2p, the product rounded once
+        radius[i][i] += (_float_up(inv_m, -f - 2 * k) * e_r2p
+                         + _scale_up(2.0 + math.ldexp(e_r2p, -f), -2 * k))
+    radius.append([_scale_up(e_f, -scale[-1] - k)
+                   for k, (*_, e_f, _, _, _, _) in zip(scale, points)] + [0.0])
+    return rows, [(p, fv, e_p, e_f)
+                  for _, p, fv, _, _, e_p, e_f, *_ in points], radius
+
+
+def _uvarov_factor(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
+    """Uvarov's system at bits (_uvarov_system), equilibrated and factored by
+    xlinalg._cholesky_fixed as the Gram route's matrices are, which raises
+    NotPositiveDefinite as on the Gram route: (factor, points, ball), ball
+    the certified bound of xlinalg._schur_ball on the factor, or None."""
+    rows, points, radius = _uvarov_system(mu, n, shift, bits)
+    factor = _cholesky_fixed(rows, -bits - _GUARD_BITS, bits)
+    return factor, points, _schur_ball(factor, radius, bits)
 
 
 def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading),
-    on integers: (man, exp) with the ratio man 2^exp, before any rounding
-    to an mpmath number.  The system (_uvarov_system) is equilibrated and
-    factored by xlinalg._cholesky_fixed, as the Gram route's matrices are;
-    its last pivot is the ratio, and it raises NotPositiveDefinite as on
-    the Gram route.
+    on integers: (man, exp, radius), the ratio man 2^exp before any rounding
+    to an mpmath number, the factor's last pivot, and radius a float bound
+    on its relative error (inf where _schur_ball cannot tell).  With the
+    pivot l = man 2^-f of the equilibrated system and eps its Schur ball,
+    the exact pivot is within eps 2^-f / l of l, so the relative radius is
+    eps 2^-f / l^2, taken from man's leading bits and its length, so that
+    no step leaves the float range.
     """
     f = bits + _GUARD_BITS
-    *_, diag, scale = _cholesky_fixed(
-        _uvarov_system(mu, n, shift, bits)[0], -f, bits)
-    return diag[-1], scale[-1] - f
+    (*_, diag, scale), _, ball = _uvarov_factor(mu, n, shift, bits)
+    man = diag[-1]
+    if ball is None:
+        return man, scale[-1] - f, math.inf
+    length = man.bit_length()
+    lead = _float_up(man, -length)  # man 2^-length, in [1/2, 1]
+    radius = math.ldexp(ball[0] / (lead * lead), f - 2 * length)
+    return man, scale[-1] - f, max(radius, math.ulp(0.0)) * (1 + 2.0 ** -20)
 
 
-def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> list:
+def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     """phi_n, n >= deg psi, of the measure with each mass m_i reweighted by
-    |z_i|^(-2 shift), on integers: its coefficients of 1, z, ..., z^n as
+    |z_i|^(-2 shift), times 2^-s for psi at its own scale (_uvarov_terms),
+    on integers: (coeffs, radius), its coefficients of 1, z, ..., z^n as
     pairs at f = bits + 32 fractional bits, from the one factor of the
-    ratio's system (see _closed_form_leading).
+    ratio's system (see _closed_form_leading), and a bound on every
+    coefficient's error in units of 2^-f (inf where _schur_ball cannot
+    tell).
 
     For A = [[S, f], [f^H, 1]] of _uvarov_system, x = A^-1 e_K has
     x_K = 1/sigma, sigma = 1 - f^H S^-1 f, and x_i = -(S - f f^H)^-1 f for
@@ -595,18 +706,36 @@ def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> list:
     b_(m-1) = (b_m - a_m) zeta_i for the coefficients a_m of N_i, each
     product rounded once: |zeta_i| < 1 shrinks every earlier rounding, so
     the division is stable.  O(K n) after the O(K^3) factor.
+
+    The radius.  In the equilibrated system v_i = 2^-k_i w_i sqrt(x_K),
+    against 2^-k_i w'_i / sqrt(sigma') exactly.  The ball (_schur_ball)
+    bounds sigma' within eps units of l^2 and the computed w within delta
+    plus the back substitution's cols_i l^2 units of w', so apart from
+    sqrt(x_K) v_i is within 2^-k_i (cols_i l^2 + delta) / l units, plus its
+    own rounding.  sqrt(x_K), after x_K's two roundings, is within
+    1 + sqrt(2) eps / l^2 units relative of 1 / sqrt(sigma'); it scales
+    every v_i alike, so it moves the mass terms' sum, the element less
+    sqrt(sigma) psi, by that relative error as a whole.  The products
+    alpha_i = v_i conj(p_i), beta_i = v_i conj(f_i) and each a_m follow
+    _bound_err; the division carries an error through G_i =
+    min(n, 1 / (1 - |zeta_i|)) steps at most, each adding
+    |b - a| e_zeta + |zeta_i| e_a + 1 units with |b - a| <= A (1 + G_i),
+    A >= |a_m|.  The ratio sqrt(sigma) is within 2^k_K eps / l units.
     """
     f = bits + _GUARD_BITS
-    coeffs, terms = _mass_terms(mu.weight.coeff_key(), mu.spectrum.masses, f)
+    coeffs, psi_sum, terms = _uvarov_terms(mu.weight.coeff_key(),
+                                        mu.spectrum.masses, f)
     d = len(coeffs) - 1
-    rows, points = _uvarov_system(mu, n, shift, bits)
-    factor = _cholesky_fixed(rows, -f, bits)
-    ratio = (_shift(factor[2][-1], factor[3][-1]), 0)  # sqrt(sigma) at f
+    factor, points, ball = _uvarov_factor(mu, n, shift, bits)
+    _, _, diag, scale = factor
+    ratio = (_shift(diag[-1], scale[-1]), 0)  # sqrt(sigma) at f
     out = [(0, 0)] * (n - d) + [_cmul(ratio, c, f) for c in coeffs[::-1]]
-    for v, (pv, fv), (_, zeta, *_) in zip(
-            _extremal_of_factor(factor, bits, f), points, terms):
-        alpha = _cmul(v, (pv[0], -pv[1]), f)  # v_i conj(p_i)
-        beta = _cmul(v, (fv[0], -fv[1]), f)  # v_i conj(f_i)
+    v = _extremal_of_factor(factor, bits, f)
+    parts = []  # per mass, (alpha, beta): what the radius reads
+    for vi, (pv, fv, _, _), (_, zeta, *_) in zip(v, points, terms):
+        alpha = _cmul(vi, (pv[0], -pv[1]), f)  # v_i conj(p_i)
+        beta = _cmul(vi, (fv[0], -fv[1]), f)  # v_i conj(f_i)
+        parts.append((alpha, beta))
         br, bi = 0, 0
         for m in range(n, 0, -1):
             # a_m = alpha conj(c_m) [m <= d] - beta c_(n-m) [n - m <= d]
@@ -618,34 +747,59 @@ def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> list:
                 ar, ai = ar - cr, ai - ci
             br, bi = _cmul((br - ar, bi - ai), zeta, f)
             out[m - 1] = out[m - 1][0] + br, out[m - 1][1] + bi
-    return out
+    if ball is None:
+        return out, math.inf
+    eps, _, delta, cols = ball
+    low = _float_up(diag[-1], -f)
+    if not _scale_up(low * low, f) > 2.0 * eps:
+        return out, math.inf
+    c_top = max(_mag(c, f) for c in coeffs)
+    # the ratio's error, and sqrt(x_K)'s, which moves every v_i by the same
+    # factor and so the mass terms' sum, out - ratio psi, as a whole
+    top = _float_up(max(max(abs(re), abs(im)) for re, im in out), 1 - f)
+    radius = (_bound_err(1.0, _scale_up(eps / low, scale[-1]), c_top, 1.0, f)
+              + (1.0 + 1.5 * eps / (low * low)) * (top + c_top))
+    for vi, (_, _, e_p, e_f), (*_, (_, r_f, _, _)), (alpha, beta), k, ci in (
+            zip(v, points, terms, parts, scale, cols)):
+        e_v = _scale_up((ci * low * low + delta) / low, -k) + 1.5
+        v_mag, a_mag, b_mag = _mag(vi, f), _mag(alpha, f), _mag(beta, f)
+        e_a = (_bound_err(a_mag, _bound_err(v_mag, e_v, psi_sum, e_p, f),
+                          c_top, 1.0, f)
+               + _bound_err(b_mag, _bound_err(v_mag, e_v, psi_sum, e_f, f),
+                            c_top, 1.0, f))
+        reach = min(n, 1.0 / (1.0 - r_f))
+        big_a = (a_mag + b_mag) * c_top
+        radius += reach * (big_a * (1.0 + reach) * _E_ZETA + r_f * e_a + 1.0)
+    return out, radius * (1 + 2.0 ** -20)
 
 
 _GUARD_CAP = 1 << 14
 
 
-def _settle(mu: MeasureSpec, run, agree, unsettled):
-    """run(bits) at mu.precision plus 32, 64, ... guard bits until
-    agree(prev, cur) holds for two runs in a row; the later run's result.
-    A run's NotPositiveDefinite is retried with more guard bits; past
-    _GUARD_CAP guard bits the last run's failure, or unsettled(cur), is
-    raised."""
-    guard, prev = 32, None
+def _certify(mu: MeasureSpec, run):
+    """One certified run: run(bits) at mu.precision plus 32 guard bits,
+    and at twice as many each time it returns None, Ziv's test on its
+    radius having failed, or raises NotPositiveDefinite: (result, guard).
+    Past _GUARD_CAP guard bits the last run's failure is raised, a failed
+    test as NotPositiveDefinite(number of masses)."""
+    guard = 32
     while True:
         try:
-            cur = run(mu.precision + guard)
+            out, failed = run(mu.precision + guard), None
         except NotPositiveDefinite as err:
-            cur, failed = None, err
-        if cur is not None and prev is not None and agree(prev, cur):
-            return cur
+            out, failed = None, err
+        if out is not None:
+            return out, guard
         if guard >= _GUARD_CAP:
-            raise failed if cur is None else unsettled(cur)
-        prev, guard = cur, 2 * guard
+            raise failed or NotPositiveDefinite(len(mu.spectrum))
+        guard *= 2
 
 
-def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
+def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0) -> tuple:
     """Uvarov's formula for tau_n, n >= deg psi, with each mass m_i
     reweighted by |z_i|^(-2 shift); O(K^3 + K^2 d) for K masses, any n.
+    Returns (tau_n, guard, radius): the mpf at mu's precision, the guard
+    bits of the run that certified it and its certified relative radius.
 
     Writing psi = sum_j c_j z^j, the Gram route's continuous part (see
     moment) has weight 1/|p|^2, p(z) = sum_j conj(c_j) z^j, and orthonormal
@@ -659,22 +813,28 @@ def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0):
 
     1 - f^H S^-1 f is about prod |z_i|^-2 at large n and is computed as 1
     minus a sum near 1; masses near the circle cancel in the kernel's
-    numerator and denominator.  So no fixed number of guard bits suffices:
-    the value is computed with 32, 64, ... guard bits until two runs agree
-    to mu.precision + 8 bits, and the later one is rounded to mu.precision
-    (_settle).  If the runs have not settled by _GUARD_CAP guard bits, the
-    last pivot is not told apart from zero and NotPositiveDefinite is
-    raised.
+    numerator and denominator.  So no fixed number of guard bits suffices.
+    The value is computed once, at 32 guard bits, with a certified radius
+    (_uvarov_ratio), and accepted by Ziv's test: the ball of psi(0) times
+    the ratio, on integers, rounds to a single mpf at mu.precision, which is
+    the value.  Otherwise it is run again at twice the guard bits
+    (_certify); past _GUARD_CAP the last pivot is not told apart from zero
+    and NotPositiveDefinite is raised.
     """
+    p0, q0 = mu.weight.psi0.as_integer_ratio()
+    ctx = context(mu.precision)
+
     def run(bits):
-        return _to_mpf(context(bits), *_uvarov_ratio(mu, n, shift, bits))
+        man, exp, radius = _uvarov_ratio(mu, n, shift, bits)
+        if not math.isfinite(radius):
+            return None
+        a, b = radius.as_integer_ratio()
+        value = _ball_to_mpf(ctx, p0 * man, -(-p0 * man * a // b),
+                             exp + 1 - q0.bit_length())
+        return None if value is None else (value, radius)
 
-    def agree(prev, cur):
-        return abs(cur - prev) <= cur * 2 ** -(mu.precision + 8)
-
-    cur = _settle(mu, run, agree, lambda cur: NotPositiveDefinite(
-        len(mu.spectrum), cur ** 2))
-    return context(mu.precision).mpf(mu.weight.psi0 * cur)
+    (value, radius), guard = _certify(mu, run)
+    return value, guard, radius
 
 
 def _closed_form_element(mu: MeasureSpec, n: int, frac: int) -> list:
@@ -685,52 +845,58 @@ def _closed_form_element(mu: MeasureSpec, n: int, frac: int) -> list:
     It is z^-(n-1) phi_(2n-1) of the measure whose masses are reweighted by
     |z_i|^(-2(n-1)), the measure eta_n's closed form reads.  Without masses
     that is psi's coefficients, exactly: c_j at z^(n-j).  With masses it is
-    _uvarov_element under the closed form's guard policy (_settle): runs at
-    32, 64, ... guard bits until every coefficient of two runs agrees to
-    mu.precision + 8 bits of the largest, which must not be 0.
+    _uvarov_element under the closed form's policy (_certify): one run,
+    accepted by Ziv's test when every coefficient's radius is at most
+    2^-(mu.precision + 8) of the largest, which must not be 0.
     """
     coeffs = _mass_terms(mu.weight.coeff_key(), (), frac)[0]
     if not mu.spectrum.masses:
         return [(0, 0)] * (2 * n - len(coeffs)) + list(coeffs[::-1])
 
     def run(bits):
-        return bits + _GUARD_BITS, _uvarov_element(mu, 2 * n - 1, n - 1, bits)
+        element, radius = _uvarov_element(mu, 2 * n - 1, n - 1, bits)
+        top = max(max(abs(re), abs(im)) for re, im in element)
+        return element if _scale_up(radius, mu.precision + 8) <= top else None
 
-    def agree(prev, cur):
-        (f_prev, old), (f_cur, new) = prev, cur
-        new = [(_shift(re, f_prev - f_cur), _shift(im, f_prev - f_cur))
-               for re, im in new]
-        top = max(max(abs(re), abs(im)) for re, im in new)
-        gap = max(max(abs(a - b), abs(c - e))
-                  for (a, c), (b, e) in zip(new, old))
-        return top > 0 and gap << mu.precision + 8 <= top
-
-    f, element = _settle(mu, run, agree,
-                         lambda cur: NotPositiveDefinite(len(mu.spectrum)))
-    return [(_shift(re, frac - f), _shift(im, frac - f)) for re, im in element]
+    element, guard = _certify(mu, run)
+    # psi at its own scale: the element times 2^-s at f fractional bits
+    s = math.frexp(mu.weight.psi0)[1] - 1
+    move = frac + s - mu.precision - guard - _GUARD_BITS
+    return [(_shift(re, move), _shift(im, move)) for re, im in element]
 
 
-def tau_n(mu: MeasureSpec, n: int):
+def _leading(mu: MeasureSpec, n: int, shift: int, record: dict | None):
+    """The closed form's tau_n at degree n and shift, its guard bits and
+    relative radius put in record if one is given."""
+    value, guard, radius = _closed_form_leading(mu, n, shift)
+    if record is not None:
+        record.update(guard_bits=guard, relative_radius=radius)
+    return value
+
+
+def tau_n(mu: MeasureSpec, n: int, record: dict | None = None):
     """Leading coefficient of the degree-n orthonormal polynomial (mpf).
 
-    With masses and n >= deg psi, by the closed form (_closed_form_leading);
-    otherwise by the Gram route (_gram_leading).
+    With masses and n >= deg psi, by the closed form (_closed_form_leading),
+    which puts the guard bits it settled at and its certified relative
+    radius in record, if one is given; otherwise by the Gram route
+    (_gram_leading).
     """
     if mu.spectrum.masses and n >= mu.weight.psi.hi:
-        return _closed_form_leading(mu, n)
+        return _leading(mu, n, 0, record)
     return _gram_leading(mu, n, laurent=False)
 
 
-def eta_n(mu: MeasureSpec, n: int):
+def eta_n(mu: MeasureSpec, n: int, record: dict | None = None):
     """Leading coefficient of the orthonormal Laurent element (mpf).
 
     Multiplying the span {z^-(n-1), ..., z^n} by z^(n-1) makes eta_n the
     tau_(2n-1) of the measure with masses m_i |z_i|^(-2(n-1)); with masses
-    and 2n - 1 >= deg psi that goes through the closed form, otherwise
-    through the Gram route.
+    and 2n - 1 >= deg psi that goes through the closed form, recorded as
+    tau_n's, otherwise through the Gram route.
     """
     if mu.spectrum.masses and n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
-        return _closed_form_leading(mu, 2 * n - 1, shift=n - 1)
+        return _leading(mu, 2 * n - 1, n - 1, record)
     return _gram_leading(mu, n, laurent=True)
 
 
@@ -749,47 +915,22 @@ _PSI_SAMPLES = 1024
 _PSI_BLOCK = 1 << 14
 
 
-def _float_up(x: int, e: int) -> float:
-    """x 2^e for an integer x >= 0, rounded up to a float; inf past the
-    float range."""
-    shift = max(x.bit_length() - 53, 0)
-    try:
-        return math.ldexp((x >> shift) + 1, e + shift)
-    except OverflowError:
-        return math.inf
-
-
-def _mag(a: tuple, f: int) -> float:
-    """|a| for a pair at f fractional bits, rounded up to a float."""
-    return _float_up(math.isqrt(a[0] * a[0] + a[1] * a[1]) + 1, -f)
-
-
-def _mul_err(a: tuple, ea: float, b: tuple, eb: float, f: int) -> float:
-    """The error of _cmul(a, b, f) against the exact product, in units of
-    2^-f, for pairs a and b within ea and eb units of exact values A and B:
-    |a b - A B| <= |a| eb + |B| ea <= |a| eb + |b| ea + ea eb 2^-f, plus
-    the rounding's unit (each part rounded to within half a unit)."""
-    return _mag(a, f) * eb + _mag(b, f) * ea + math.ldexp(ea * eb, -f) + 1.0
-
-
-def _horner_err(coeffs: Sequence, x: tuple, ex: float, f: int) -> tuple:
-    """(_horner(coeffs, x, f), its error in units of 2^-f) for coefficients
-    each within one unit and x within ex units of the exact ones: a Horner
-    step is one rounded product (_mul_err) plus a coefficient."""
-    acc, err = coeffs[-1], 1.0
-    for cr, ci in coeffs[-2::-1]:
-        err = _mul_err(acc, err, x, ex, f) + 1.0
-        pr, pi = _cmul(acc, x, f)
-        acc = pr + cr, pi + ci
-    return acc, err
-
-
 def _log_sum(logs: list) -> float:
     """log sum_j e^(l_j), for a nonempty list."""
     top = max(logs)
     if not math.isfinite(top):
         return top
     return top + math.log(sum(math.exp(v - top) for v in logs))
+
+
+def _psi_margin(psi: np.ndarray, binom: np.ndarray, radius: float):
+    """_psi_floor's rounding margin for each float |b_m| on the circle
+    |y| = radius, binom holding the C(j, m): 64 (d + 1) u S_m, u = 2^-53
+    and S_m = sum_j C(j, m) |c_j| radius^j (see _psi_floor)."""
+    with np.errstate(all="ignore"):
+        err = len(psi) * 2.0 ** -47 * binom @ (
+            radius ** np.arange(len(psi)) * np.abs(psi))
+    return err
 
 
 def _psi_floor(psi: np.ndarray, radius: float) -> float:
@@ -827,8 +968,7 @@ def _psi_floor(psi: np.ndarray, radius: float) -> float:
     # b_m / y_k^m, of modulus |b_m| radius^-m
     shifts = [LaurentPolynomial(0, binom[m, m:] * psi[m:]) for m in js]
     ms = js[1:, None]  # the orders m >= 1 of the sums
-    with np.errstate(all="ignore"):
-        err = len(psi) * 2.0 ** -47 * binom @ (radius ** js * np.abs(psi))
+    err = _psi_margin(psi, binom, radius)
     if len(psi) == 1:  # every sample is psi(0), and no term bounds a step
         return float(abs(psi[0]) - err[0])
     size = _PSI_SAMPLES

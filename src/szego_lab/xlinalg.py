@@ -27,6 +27,13 @@ substitution from e_N / l_NN (_extremal, constrained_max_leading).  For a Toepli
 matrix the Szego recursion gives the same Schur complement in O(N^2)
 (toeplitz_leading); the factor's last pivot is its oracle.
 
+Error radii ride beside the fixed point where a caller certifies a result:
+a value's error in units of 2^-f as a float rounded up (_float_up, _mag,
+_bound_err, _mul_err, _horner_err, _pow_err), the package's one (value,
+radius) calculus.  A factor's own rounding is bounded a posteriori, from
+the factor, by _schur_ball; a ball decides an mpf by Ziv's test
+(_ball_to_mpf).
+
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
 it.  The contexts are never mutated, so threads share them without a lock,
@@ -38,6 +45,7 @@ caller decides whether to retry higher.
 from __future__ import annotations
 
 import functools
+import math
 from dataclasses import dataclass
 from math import isqrt
 from operator import mul
@@ -290,9 +298,99 @@ def _circle_nodes(size: int, start: int, step: int, f: int) -> list:
             + [(-re, -im) for re, im in first] + [(im, -re) for re, im in first])
 
 
+# ----------------------------------------------------------------------
+# error radii of the fixed point: a value's error in units of 2^-f beside
+# it, as a float that every step rounds up (to within the floats' own
+# rounding, which each caller covers by a factor 1 + 2^-20)
+
+
+def _float_up(x: int, e: int) -> float:
+    """x 2^e for an integer x >= 0, rounded up to a float; inf past the
+    float range."""
+    shift = max(x.bit_length() - 53, 0)
+    try:
+        return math.ldexp((x >> shift) + 1, e + shift)
+    except OverflowError:
+        return math.inf
+
+
+def _scale_up(x: float, e: int) -> float:
+    """x 2^e for a float x >= 0; inf past the float range."""
+    try:
+        return math.ldexp(x, e)
+    except OverflowError:
+        return math.inf
+
+
+def _mag(a: tuple, f: int) -> float:
+    """|a| for a pair at f fractional bits, rounded up to a float."""
+    return _float_up(isqrt(a[0] * a[0] + a[1] * a[1]) + 1, -f)
+
+
+def _mags(pairs: Sequence, f: int) -> list:
+    """|a| for each pair a at f fractional bits, moduli below 2^900, as
+    floats rounded up to within the floats' own rounding: each part is cut
+    to its bits above 2^-62 and one unit of them added, cheaper than _mag's
+    isqrt where many small moduli are read."""
+    cut = max(f - 62, 0)
+    unit = math.ldexp(1.0, cut - f)
+    return [math.hypot((abs(re) >> cut) + 1, (abs(im) >> cut) + 1) * unit
+            for re, im in pairs]
+
+
+def _bound_err(ma: float, ea: float, mb: float, eb: float, f: int) -> float:
+    """The error of _cmul(a, b, f) against the exact product, in units of
+    2^-f, for pairs a and b within ea and eb units of exact values A and B
+    with |a| <= ma and |b| <= mb: |a b - A B| <= |a| eb + |B| ea <=
+    ma eb + mb ea + ea eb 2^-f, plus the rounding's unit (each part rounded
+    to within half a unit)."""
+    return ma * eb + mb * ea + math.ldexp(ea * eb, -f) + 1.0
+
+
+def _mul_err(a: tuple, ea: float, b: tuple, eb: float, f: int) -> float:
+    """_bound_err with the moduli read from the pairs a and b."""
+    return _bound_err(_mag(a, f), ea, _mag(b, f), eb, f)
+
+
+def _horner_err(coeffs: Sequence, x: tuple, ex: float, f: int) -> tuple:
+    """(_horner(coeffs, x, f), its error in units of 2^-f) for coefficients
+    each within one unit and x within ex units of the exact ones: a Horner
+    step is one rounded product (_mul_err) plus a coefficient."""
+    acc, err = coeffs[-1], 1.0
+    for cr, ci in coeffs[-2::-1]:
+        err = _mul_err(acc, err, x, ex, f) + 1.0
+        pr, pi = _cmul(acc, x, f)
+        acc = pr + cr, pi + ci
+    return acc, err
+
+
+def _pow_err(ex: float, e: int, rho: float, f: int) -> float:
+    """The error of _cpow(x, e, f) in units of 2^-f, for x within ex units
+    of an exact X with |X| <= rho <= 1: x's own error gives
+    e rho^(e-1) ex, every rounded product (fewer than 2 bitlen(e)) at most
+    one unit, carried on by factors of modulus at most 1, and each product
+    of two errors (_bound_err) at most E^2 2^-f for the first-order total E.
+    """
+    if e == 0:
+        return 0.0
+    steps = 2 * e.bit_length()
+    big = e * rho ** (e - 1) * ex + steps
+    return big + steps * math.ldexp(big * big, -f)
+
+
 def _to_mpf(ctx: MPContext, x: int, e: int):
     """x 2^e rounded once to an mpf of ctx."""
     return ctx.make_mpf(from_man_exp(x, e, ctx.prec, round_nearest))
+
+
+def _ball_to_mpf(ctx: MPContext, x: int, r: int, e: int):
+    """The mpf of ctx that every point of the ball (x +- r) 2^e rounds to,
+    for integers x > 0 and r >= 0: None where the ball reaches 0 or its
+    ends round apart (Ziv's test)."""
+    value = from_man_exp(x + r, e, ctx.prec, round_nearest)
+    if r < x and value == from_man_exp(x - r, e, ctx.prec, round_nearest):
+        return ctx.make_mpf(value)
+    return None
 
 
 def _to_mpc(ctx: MPContext, re: int, im: int, e: int):
@@ -303,6 +401,12 @@ def _to_mpc(ctx: MPContext, re: int, im: int, e: int):
 
 # ----------------------------------------------------------------------
 # factorizations
+
+
+def _balance(d: int, e: int) -> int:
+    """The k with d 2^e 2^(-2k) in [1/4, 1), for an integer d > 0: the
+    equilibration of a diagonal entry d 2^e."""
+    return (e + d.bit_length() + 1) // 2
 
 
 def _cholesky_fixed(lower: Sequence, e: int, bits: int) -> tuple:
@@ -325,7 +429,7 @@ def _cholesky_fixed(lower: Sequence, e: int, bits: int) -> tuple:
         d = row[i][0]
         if d <= 0:
             raise NotPositiveDefinite(i, _to_mpf(context(bits), d, e))
-        k_i = (e + d.bit_length() + 1) // 2
+        k_i = _balance(d, e)
         re_i, im_i = [], []
         for j, ((a_re, a_im), k_j) in enumerate(zip(row, scale)):
             # (a_ij 2^f) 2^f - sum_m l_im conj(l_jm) 2^(2f)
@@ -344,6 +448,78 @@ def _cholesky_fixed(lower: Sequence, e: int, bits: int) -> tuple:
         diag.append(isqrt(pivot))
         scale.append(k_i)
     return res, ims, diag, scale
+
+
+def _schur_ball(factor: tuple, radius: Sequence, bits: int):
+    """A certified bound, a posteriori, on what the last pivot of a
+    _cholesky_fixed factor and the back substitution from it miss, in O(N^3)
+    floats; None where the bound cannot tell.
+
+    factor is (re, im, diag, scale) of A = S G S at f = bits + 32, and
+    radius[i][j], j <= i, bounds |A_ij - A'_ij| in units of 2^-f for the
+    exact matrix A' that G's entries stand for, scaled as A is.  The
+    factor's own product M = L L^H is then within radius + 2 units of A'
+    entrywise (Delta): a_ij is rounded within 1/sqrt(2) of a unit, each
+    quotient l_ij leaves l_jj / sqrt(2), and each isqrt under 2 l_ii.  Split
+    M = [[S, c], [c^H, m]] at its last coordinate; the Schur complement
+    sigma = m - c^H S^-1 c is min over w of (w, 1)^H M (w, 1), reached at
+    w* = -S^-1 c = -L_S^-H l (l the factor's last row), and is l_NN^2.
+
+    With v >= |(w*, 1)| entrywise, R = radius + 2, mu <= lambda_min(S) and
+    rho >= ||R||: comparing the two minima gives
+    |sigma' - sigma| <= v^T R v + ||R v||^2 2^-f / (mu - rho 2^-f) = eps,
+    and w' - w* = S'^-1 (Delta (w*, 1))_S gives
+    ||w' - w*|| <= ||R v|| / (mu - rho 2^-f) = delta, in units of 2^-f.
+    The comparison matrix of L_S has an inverse N >= |L_S^-1| entrywise,
+    by a forward substitution on nonnegative numbers, so |w*| <= N^T |l|,
+    mu = 1 / ||N||_F^2 and rho = ||R||_F.  A back substitution from e_N
+    (_extremal_of_factor) leaves residuals within one unit, which move
+    w* by at most (N^T 1)_i / x_N units.  Returns (eps, w, delta, cols), w
+    bounding |w*| and cols the column sums of N, or None unless
+    mu > 2 rho 2^-f.  The floats are each within 2^-50 of a bound, which
+    the caller's factor 1 + 2^-20 covers.
+    """
+    res, ims, diag, _ = factor
+    f = bits + _GUARD_BITS
+    n = len(diag) - 1
+    inv: list = []  # N, by rows, lower triangle
+    w, cols = [0.0] * n, [0.0] * n
+    for i in range(n + 1):
+        mags = _mags(zip(res[i], ims[i]), f)
+        if i == n:  # the last row: w = N^T |l|
+            for j, row in enumerate(inv):
+                for m, x in enumerate(row):
+                    w[m] += x * mags[j]
+                    cols[m] += x
+            break
+        scale = 1.0 / _float_up(diag[i], -f)
+        row = []
+        for j in range(i):
+            acc = 0.0
+            for m in range(j, i):
+                acc += mags[m] * inv[m][j]
+            row.append(acc * scale)
+        row.append(scale)
+        inv.append(row)
+    v = w + [1.0]
+    rv, full = [0.0] * (n + 1), []
+    for i, row in enumerate(radius):
+        for j, r in enumerate(row):
+            r += 2.0
+            rv[i] += r * v[j]
+            if j < i:
+                rv[j] += r * v[i]
+                full.append(r)  # for entry (j, i)
+            full.append(r)
+    # the norms by hypot, so that no square leaves the float range;
+    # mu = 1 / ||N||_F^2, and room = mu in units of 2^-f
+    beta, rho = math.hypot(*rv), math.hypot(*full)
+    size = math.hypot(*(x for row in inv for x in row))
+    room = _scale_up(1.0 / size, f) / size
+    if not room > 2.0 * rho:
+        return None
+    eps = sum(map(mul, v, rv)) + beta * (beta / (room - rho))
+    return eps, w, beta * size * size / (1.0 - rho / room), cols
 
 
 def schur_leading(g: HermitianMatrix):
@@ -387,7 +563,7 @@ def toeplitz_leading(g: HermitianMatrix):
     d = g.lower[0][0][0]
     if d <= 0:
         raise NotPositiveDefinite(0, _to_mpf(ctx, d, e))
-    s = (e + d.bit_length() + 1) // 2
+    s = _balance(d, e)
     # c_1..c_(N-1) of A, from G's first column
     c_re = [_round_away(row[0][0], e + f - 2 * s) for row in g.lower[1:]]
     c_im = [_round_away(row[0][1], e + f - 2 * s) for row in g.lower[1:]]

@@ -87,6 +87,16 @@ MUTANTS = (
     ("psi-floor-const-margin", MEASURE,
      "return float(abs(psi[0]) - err[0])", "return float(abs(psi[0]))",
      MEASURE_TESTS, False),
+    ("psi-floor-margin-shrunk", MEASURE,
+     "err = len(psi) * 2.0 ** -47 *", "err = len(psi) * 2.0 ** -53 *",
+     MEASURE_TESTS, False),
+    ("radius-dropped", MEASURE,
+     "return man, scale[-1] - f, max(radius, math.ulp(0.0)) * (1 + 2.0 ** -20)",
+     "return man, scale[-1] - f, 0.0", MEASURE_TESTS, False),
+    ("radius-shrunk", XLINALG,
+     "eps = sum(map(mul, v, rv)) + beta * (beta / (room - rho))",
+     "eps = (sum(map(mul, v, rv)) + beta * (beta / (room - rho))) / 64",
+     MEASURE_TESTS, False),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

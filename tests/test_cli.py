@@ -150,6 +150,32 @@ def test_vs_bound_report_records_the_sampling_sizes(tmp_path, capsys):
     assert not {"truncation_degree", "alias_grid", "trim_degree"} & set(header)
 
 
+def test_opuc_report_records_each_values_guard_and_radius(tmp_path, capsys):
+    # psi = (1 - z/5)(1 - z/(10/3)) with the README's masses, 128 bits:
+    # tau_1 and eta_1 come from the Gram route (degree below deg psi) and
+    # record none; every closed-form value certifies in one run, at 32
+    # guard bits, its relative radius below 2^-(128 + 32).  report.json only
+    measure = write_json(tmp_path / "mu.json", dict(
+        TWO_MASS_JSON, psi=[[1.0, 0.0], [-0.5, 0.0], [0.06, 0.0]],
+        precision_bits=128))
+    man = write_json(tmp_path / "man.json", {
+        "command": "opuc", "measure_file": measure, "n_grid": [1, 4, 48],
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "opuc", "--manifest", man)
+    assert code == 0, out
+    rows = read_report(str(tmp_path / "out"))["rows"]
+    assert [rows[0][key] for key in ("tau_guard_bits", "tau_relative_radius",
+                                     "eta_guard_bits", "eta_relative_radius")
+            ] == [None] * 4
+    for row in rows[1:]:
+        for key in ("tau", "eta"):
+            assert row[f"{key}_guard_bits"] == 32, (row["n"], key)
+            assert 0.0 < row[f"{key}_relative_radius"] < 2.0 ** -160
+    header = list(read_rows(str(tmp_path / "out"))[0])
+    assert header == ["n", "tau_n", "eta_n", "target", "tau_error",
+                      "eta_error"]
+
+
 def test_vs_bound_report_records_the_besov_blocks_sized(tmp_path, capsys):
     # n = 256, eps = 1, seed 1: of the nonzero dyadic blocks (besov_blocks)
     # only those whose l1 norm can still reach the largest weighted sup take

@@ -8,6 +8,7 @@ coefficients are sqrt(1 - a^2) at degree zero and exactly 1 afterwards.
 """
 
 import functools
+import importlib.util
 import json
 import math
 import sys
@@ -432,6 +433,32 @@ def test_psi_floor_keeps_its_rounding_margin():
     # the float sample rounds to 1 and the Taylor terms are below 2^-70
     floor = mo._psi_floor(np.array([1.0, -2.0 ** -70], dtype=complex), 1.0)
     assert 0 < Fraction(floor) <= 1 - Fraction(2) ** -70
+
+
+@pytest.mark.parametrize("coeffs", [[1.0, -0.5], [1.0, -0.9],
+                                    [1.0, -0.7 - 0.7j]])
+def test_psi_floor_margin_covers_each_samples_rounding(coeffs):
+    # the margin against what it covers: at each of the 1,024 samples of the
+    # unit circle, every float |b_m| (the sum at the float node, as
+    # _psi_floor takes it) against the exact b_m at the exact node.  The
+    # error reads 2.5 to 3.5 u S_m here, above (d + 1) u S_m, so a margin
+    # 64 times smaller would not cover it
+    psi = np.array(coeffs, dtype=complex)
+    js = np.arange(len(psi))
+    binom = np.array([[float(math.comb(j, m)) for j in js] for m in js])
+    margin = mo._psi_margin(psi, binom, 1.0)
+    size = mo._PSI_SAMPLES
+    y = np.exp(2j * math.pi * np.arange(size) / size)
+    ref = context(160)
+    for m in js:
+        sums = LaurentPolynomial(0, binom[m, m:] * psi[m:])(y)
+        got = np.abs(np.broadcast_to(sums, y.shape))
+        exact = [ref.mpc(c) * math.comb(j, m) for j, c in enumerate(coeffs)]
+        for k in range(size):
+            node = ref.expjpi(ref.mpf(2 * k) / size)
+            want = abs(ref.fsum(c * node ** (j - m)
+                                for j, c in enumerate(exact) if j >= m))
+            assert abs(want - got[k]) <= margin[m], (m, k)
 
 
 def sampled_constant_floor(c, radius):
@@ -1020,8 +1047,8 @@ def test_closed_form_raises_on_an_indefinite_system():
 def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
     # the Woodbury system [[S, f], [f^H, 1]] of K masses goes through
     # xlinalg's integer Cholesky core, the Gram route's factor, at the
-    # measure's precision plus the guard bits, 32 and then 64, which agree
-    # on the README's two-mass measure
+    # measure's precision plus 32 guard bits, once: on the README's two-mass
+    # measure the first run's radius decides the rounding
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.5])),
                      PointSpectrum(((1.5, 0.3), (-1.25, 0.1))), 256)
     seen = []
@@ -1033,7 +1060,7 @@ def test_closed_form_factors_with_the_gram_routes_cholesky(monkeypatch):
 
     monkeypatch.setattr(mo, "_cholesky_fixed", spy)
     tau_n(mu, 8)
-    assert seen == [(3, 256 + 32), (3, 256 + 64)]
+    assert seen == [(3, 256 + 32)]
 
 
 def uvarov_ratio_by_mpc(mu, n, shift, bits):
@@ -1064,29 +1091,20 @@ def uvarov_ratio_by_mpc(mu, n, shift, bits):
 
 
 def closed_form_by_mpc(mu, n, shift=0):
-    """_closed_form_leading's guard policy on the mpc oracle."""
-    guard, prev = 32, None
-    while True:
-        try:
-            cur = uvarov_ratio_by_mpc(mu, n, shift, mu.precision + guard)
-        except NotPositiveDefinite as err:
-            cur, failed = None, err
-        if (cur is not None and prev is not None
-                and abs(cur - prev) <= cur * 2 ** -(mu.precision + 8)):
-            return context(mu.precision).mpf(mu.weight.psi0 * cur)
-        if guard >= mo._GUARD_CAP:
-            raise failed if cur is None else NotPositiveDefinite(
-                len(mu.spectrum), cur ** 2)
-        prev, guard = cur, 2 * guard
+    """tau_n by the mpc oracle at 1,024 guard bits, more than any of these
+    measures loses (the farthest mass, at 1e30, about 400), rounded once
+    to the measure's precision."""
+    ratio = uvarov_ratio_by_mpc(mu, n, shift, mu.precision + 1024)
+    return context(mu.precision).mpf(ratio.context.mpf(mu.weight.psi0) * ratio)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256])
 @pytest.mark.parametrize("name", sorted(ROUTE_MEASURES)
                          + sorted(FAR_AND_NEAR_MEASURES))
 def test_integer_closed_form_matches_the_mpc_oracle(name, bits):
-    # the integer system and its mpc oracle settle on the same guard bits
-    # and round to the same mpf, for tau (shift 0) and eta (shift n - 1 at
-    # degree 2n - 1), up to n = 10^6
+    # the integer system's certified run and the mpc oracle at a high
+    # guard round to the same mpf, for tau (shift 0) and eta (shift n - 1
+    # at degree 2n - 1), up to n = 10^6
     if name in ROUTE_MEASURES:
         mu = route_measure(name, bits)
     else:
@@ -1098,14 +1116,15 @@ def test_integer_closed_form_matches_the_mpc_oracle(name, bits):
         for degree, shift in ((n, 0), (2 * n - 1, n - 1)):
             if degree >= max(d, 1):
                 want = closed_form_by_mpc(mu, degree, shift)
-                got = mo._closed_form_leading(mu, degree, shift)
+                got = mo._closed_form_leading(mu, degree, shift)[0]
                 assert got == want and got.context.prec == bits, (n, shift)
 
 
 def test_closed_form_system_makes_no_mpmath_number(monkeypatch):
     # the Woodbury system is built and factored on integers: with no mpmath
     # context to be had, _uvarov_ratio still returns the last pivot, as an
-    # integer mantissa and exponent that _closed_form_leading rounds once
+    # integer mantissa and exponent that _closed_form_leading rounds once,
+    # and its radius
     mu = route_measure("deg2-three-mass", 256)
     want = {(n, shift): mo._uvarov_ratio(mu, n, shift, 288)
             for n, shift in ((2, 0), (39, 19), (10 ** 6, 0))}
@@ -1118,9 +1137,9 @@ def test_closed_form_system_makes_no_mpmath_number(monkeypatch):
     mo._mass_terms.cache_clear()
     mo._uvarov_terms.cache_clear()
     for (n, shift), pivot in want.items():
-        man, exp = mo._uvarov_ratio(mu, n, shift, 288)
+        man, exp, radius = mo._uvarov_ratio(mu, n, shift, 288)
         assert type(man) is int and type(exp) is int and man > 0
-        assert (man, exp) == pivot
+        assert (man, exp, radius) == pivot
 
 
 def test_mass_terms_are_shared_across_degrees():
@@ -1132,9 +1151,212 @@ def test_mass_terms_are_shared_across_degrees():
     for n in (4, 8, 16):
         tau_n(mu, n)
         eta_n(mu, n)
-    # guard bits 32 and 64 on every call
+    # one run, at 32 guard bits, on every call: _mass_terms reads the
+    # masses, and psi at its own scale, once each
     assert mo._mass_terms.cache_info().misses == 2
-    assert mo._uvarov_terms.cache_info().misses == 2
+    assert mo._uvarov_terms.cache_info().misses == 1
+
+
+# ----------------------------------------------------------------------
+# the closed form's certified radius (one run per value, Ziv's test)
+
+
+def ratio_ball(mu, n, shift, guard):
+    """The ball of tau_n / psi(0) from one run of _uvarov_ratio at guard
+    bits past the tag, as exact Fractions (centre, radius)."""
+    man, exp, radius = mo._uvarov_ratio(mu, n, shift, mu.precision + guard)
+    centre = man * Fraction(2) ** exp
+    return centre, Fraction(radius) * centre
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(EXACT_MEASURES))
+def test_closed_form_ball_holds_the_exact_value(name, bits):
+    # the first run's ball, at 32 guard bits, holds the exact
+    # tau_n / psi(0) = sqrt((G^-1)_NN) / psi(0) of the exact oracle, for
+    # tau_n and eta_n up to n = 8, and is narrow enough to decide the
+    # rounding: below 2^-(bits + 16) relative.  complex_two_mass's Laurent
+    # spans stop at n = 4 (see test_integer_witness_matches_the_exact_oracle)
+    mu = exact_measure(name, bits)
+    d = mu.weight.psi.hi
+    psi0 = Fraction(mu.weight.psi0)
+    for n in range(1, 9):
+        for laurent in (False, True):
+            degree, shift = (2 * n - 1, n - 1) if laurent else (n, 0)
+            if degree < d or laurent and name == "complex_two_mass" and n > 4:
+                continue
+            exps = tuple(range(1 - n, n + 1) if laurent else range(n + 1))
+            x_nn = exact_last_column(name, exps)[-1][0]  # tau_n^2
+            centre, radius = ratio_ball(mu, degree, shift, 32)
+            assert 0 < radius <= centre * Fraction(2) ** -(bits + 16)
+            assert ((centre - radius) * psi0) ** 2 <= x_nn, (n, laurent)
+            assert x_nn <= ((centre + radius) * psi0) ** 2, (n, laurent)
+
+
+@pytest.mark.parametrize("name", sorted(FAR_AND_NEAR_MEASURES))
+def test_closed_form_ball_holds_the_value_where_runs_lose_bits(name):
+    # masses far out or next to the circle, where a run loses up to ~400
+    # bits: at every guard whose run factors, the ball holds the mpc
+    # oracle's ratio at 2,048 guard bits, also where it is too wide to
+    # decide the rounding.  The radius is a bound, not an estimate: the
+    # error reads at least 1/60 of it somewhere here, so a radius 64 times
+    # too small would not hold
+    psi, masses, ns = FAR_AND_NEAR_MEASURES[name]
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
+                     PointSpectrum(masses), 53)
+    worst = 0.0
+    for n in ns:
+        for degree, shift in ((n, 0), (2 * n - 1, n - 1)):
+            exact = uvarov_ratio_by_mpc(mu, degree, shift, 53 + 2048)
+            for guard in (32, 64, 128, 256, 512):
+                try:
+                    centre, radius = ratio_ball(mu, degree, shift, guard)
+                except NotPositiveDefinite:
+                    continue
+                if math.isinf(radius):
+                    continue
+                ctx = exact.context
+                gap = abs(ctx.mpf(centre.numerator) / centre.denominator - exact)
+                bound = ctx.mpf(radius.numerator) / radius.denominator
+                assert gap <= bound, (n, shift, guard)
+                worst = max(worst, float(gap / bound))
+    assert worst >= 1 / 60
+
+
+def test_closed_form_element_ball_holds_a_high_guard_element():
+    # the element's radius holds the element of a run at 2,048 guard bits,
+    # on the element measures and a far mass, from the first run on
+    cases = [element_measure(name, 128) for name in sorted(ELEMENT_MEASURES)]
+    cases.append(MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.5])),
+                             PointSpectrum(((3e4, 1.0), (1.5, 0.3))), 128))
+    for mu in cases:
+        for n in (4, 12):
+            want, _ = mo._uvarov_element(mu, 2 * n - 1, n - 1, 128 + 2048)
+            for guard in (32, 64):
+                got, radius = mo._uvarov_element(mu, 2 * n - 1, n - 1,
+                                                 128 + guard)
+                move = 2048 - guard
+                gap = max(max(abs((gr << move) - wr), abs((gi << move) - wi))
+                          for (gr, gi), (wr, wi) in zip(got, want))
+                # the high-guard run's own error is below one of its units
+                assert gap <= (math.ceil(radius) << move) + 2, (n, guard)
+
+
+def closed_form_guards(monkeypatch):
+    """The guard bits of every run of Uvarov's system, as they happen."""
+    guards = []
+    system = mo._uvarov_system
+
+    def spy(mu, n, shift, bits):
+        guards.append(bits - mu.precision)
+        return system(mu, n, shift, bits)
+
+    monkeypatch.setattr(mo, "_uvarov_system", spy)
+    return guards
+
+
+@functools.lru_cache(maxsize=None)
+def bench_workloads():
+    """bench/workloads.py, which makes the benchmark's requests, as a module."""
+    path = Path(__file__).resolve().parents[1] / "bench" / "workloads.py"
+    spec = importlib.util.spec_from_file_location("bench_workloads", path)
+    module = sys.modules[spec.name] = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def benchmark_requests(seed):
+    """The first 48 opuc-exact requests of the benchmark for a seed."""
+    return bench_workloads().build_requests("opuc-exact", seed, 48)
+
+
+@pytest.mark.parametrize("seed", [1, 2, 3])
+def test_closed_form_takes_one_run_per_value_on_the_benchmark(
+        seed, monkeypatch):
+    # every closed-form tau_n, eta_n and residue element of the
+    # benchmark's opuc-exact requests is certified by one run of Uvarov's
+    # system, at 32 guard bits
+    guards = closed_form_guards(monkeypatch)
+    values = 0
+    for req in benchmark_requests(seed):
+        mu = MeasureSpec.from_json(req.measure)
+        if not mu.spectrum.masses:
+            continue
+        d = mu.weight.psi.hi
+        for n in req.manifest["n_grid"]:
+            if req.command == "opuc":
+                tau_n(mu, n)
+                eta_n(mu, n)
+                values += (n >= d) + (2 * n - 1 >= d)
+            elif 2 * n - 1 >= d:
+                mo._closed_form_element(mu, n, mu.precision + 32)
+                values += 1
+    assert values > 100 and guards == [32] * values
+
+
+def test_closed_form_runs_again_only_where_ziv_asks(monkeypatch):
+    # a mass at 1e10 or 1e30 loses more than the 64 bits a first run
+    # carries past the tag, so its values take more than one run; a mass
+    # at 1 + 1e-12 loses about 36, and takes one
+    guards = closed_form_guards(monkeypatch)
+    for name, runs in (("far", 3), ("far-complex", 3), ("farther", 5),
+                       ("near-circle", 1)):
+        psi, masses, ns = FAR_AND_NEAR_MEASURES[name]
+        mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
+                         PointSpectrum(masses), 53)
+        for n in ns:
+            guards.clear()
+            value, guard, _ = mo._closed_form_leading(mu, n)
+            assert guards == [32 << k for k in range(runs)], (name, n)
+            assert guard == guards[-1]
+
+
+def test_closed_form_keeps_its_radius_in_the_float_range():
+    # a mass at 1e150 costs about 2,000 bits: the run that decides tau_4
+    # has f past 2,000, where 2^-f, the entry radii in its units (past
+    # 1e300) and the last pivot's square times 2^f all leave the float
+    # range, so every float step is scaled to stay inside it.  The value is
+    # the mpc oracle's at 4,096 guard bits
+    mu = MeasureSpec(OuterWeight.constant_one(),
+                     PointSpectrum(((1e150, 0.3),)), 53)
+    value, guard, radius = mo._closed_form_leading(mu, 4)
+    assert guard == 2048 and 0 < radius < 2.0 ** -60
+    ratio = uvarov_ratio_by_mpc(mu, 4, 0, 53 + 4096)
+    assert value == context(53).mpf(ratio.real)
+
+
+@pytest.mark.parametrize("c", [1e-300, 2.0 ** -40, 1.0, 1e300])
+def test_closed_form_holds_psi_at_its_own_scale(c, monkeypatch):
+    # psi = c (1 - z/2) with two masses, 128 bits: Uvarov's system holds
+    # psi times 2^-s, psi(0) 2^-s in [1, 2), and the weights times 2^(2s),
+    # so every value and element takes one run at any scale of psi
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [c, -c / 2])),
+                     PointSpectrum(((1.5, 0.3), (-2 + 1j, 0.2))), 128)
+    guards = closed_form_guards(monkeypatch)
+    for n in (4, 8, 12):
+        tau_n(mu, n)
+        eta_n(mu, n)
+    rows = [(n, k) for n in (4, 8, 12) for k in range(3)]
+    nodes = ResidueNodes(mu, rows)
+    assert guards == [32] * 9
+    for n, k in rows:
+        assert residue_identity_check(mu, n, k, nodes)["abs_diff"] < 1e-40
+
+
+def test_closed_form_element_vanishes_where_the_masses_outweigh_psi():
+    # psi = 1e300 (1 - z/2) makes the circle part 1e600 times lighter than
+    # the masses, so the orthonormal element vanishes at them.  With psi
+    # held at an absolute scale the mass terms' witness rounded to 0 and
+    # the element was psi's own, off by its own size at z = 1.5
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1e300, -5e299])),
+                     PointSpectrum(((1.5, 0.3), (-2 + 1j, 0.2))), 128)
+    ctx = context(256)
+    for n in (4, 8, 12):
+        element = mo._closed_form_element(mu, n, 160)
+        for z, _ in mu.spectrum.masses:
+            terms = [ctx.mpc(re, im) * ctx.mpc(z) ** e
+                     for (re, im), e in zip(element, range(1 - n, n + 1))]
+            assert abs(ctx.fsum(terms)) <= 1e-30 * max(map(abs, terms)), n
 
 
 # masses from next to the circle to far out, on and off the real axis
