@@ -55,11 +55,11 @@ from szego_lab.circle_fourier import (
     modified_vp,
     sup_norm_certified,
 )
+from szego_lab.contract import ScheduleViolation, _as_float
 from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
     PointSpectrum,
-    _as_float,
     _mass_terms,
     _trig_moments,
     target_limit,
@@ -91,10 +91,6 @@ __all__ = [
     "pipeline_certificates",
     "convergence_experiment",
 ]
-
-
-class ScheduleViolation(ValueError):
-    """A schedule parameter failed its slow-growth requirements."""
 
 
 # ----------------------------------------------------------------------

@@ -19,20 +19,11 @@ import functools
 import json
 import math
 import os
-import subprocess
 import sys
 from dataclasses import dataclass, field, fields
 
 import numpy as np
 
-from szego_lab.asymptotics import (
-    PipelineCertificate,
-    ScheduleParams,
-    ScheduleViolation,
-    convergence_experiment,
-    pipeline_certificates,
-    validate_schedule,
-)
 from szego_lab.blaschke import (
     _GRID_CAP,
     PoleProximityError,
@@ -43,23 +34,19 @@ from szego_lab.blaschke import (
 )
 from szego_lab.circle_fourier import (
     GridCapError,
-    KernelDomainError,
     NonFiniteGridError,
     kernel_identity_vk_vpn,
 )
-from szego_lab.measure_opuc import (
+from szego_lab.contract import (
+    PRECISION_BITS,
     FieldError,
-    MeasureSpec,
+    NotPositiveDefinite,
     PrecisionExhausted,
     QuadratureError,
-    ResidueNodes,
+    ScheduleViolation,
     _as_float,
     _as_int,
-    log_condition_report,
-    residue_identity_check,
-    target_limit,
 )
-from szego_lab.xlinalg import PRECISION_BITS, NotPositiveDefinite
 
 __all__ = ["COMMANDS", "ManifestError", "RunManifest", "generate_zeros",
            "run", "main"]
@@ -134,6 +121,11 @@ _S_MAX = math.floor(_LN_MAX / math.log(2.0 ** 26))
 _A_MAX = math.floor(_LN_MAX / math.log(math.log(_GRID_CAP)))
 
 
+def _read_schedule(v):
+    from szego_lab.asymptotics import ScheduleParams
+    return ScheduleParams.from_json(_typed(dict)(v))
+
+
 def _n_grid_rule(man):
     ns = man.n_grid
     if list(ns) != sorted(set(ns)):
@@ -199,8 +191,9 @@ class RunManifest:
         and "two exponents agree to 6 digits, so their columns share a name")
     n_max: int = _row(_as_int, 4096, lambda n: 2 <= n <= _GRID_CAP,
                       f"in [2, {_GRID_CAP}]")
-    schedule: ScheduleParams | None = _row(
-        lambda v: ScheduleParams.from_json(_typed(dict)(v)))
+    # asymptotics.ScheduleParams and measure_opuc.MeasureSpec, named here
+    # only as annotations: the runners that use them import them
+    schedule: ScheduleParams | None = _row(_read_schedule)
     measure: MeasureSpec | None = field(default=None, compare=False)
 
 
@@ -257,6 +250,8 @@ def load_manifest(command: str, path: str | None, overrides: dict) -> RunManifes
 
 
 def _load_measure(man: RunManifest) -> MeasureSpec:
+    from szego_lab.measure_opuc import MeasureSpec
+
     if man.measure_file is None:
         raise ManifestError("measure_file", "required for this command")
     mu = MeasureSpec.from_json(_read_json(man.measure_file, "measure_file"))
@@ -349,6 +344,8 @@ def _write_outputs(man: RunManifest, columns, rows, extra: dict) -> dict:
 
 @functools.cache
 def _version_string() -> str:
+    import subprocess
+
     try:
         from importlib.metadata import version
         base = version("szego-lab")
@@ -372,8 +369,9 @@ def _reproducibility(man: RunManifest) -> dict:
     if man.measure is not None:
         bits = man.measure.precision
     sched = man.schedule
-    if man.command == "pipeline":
-        sched = sched or ScheduleParams.default()
+    if man.command == "pipeline" and sched is None:
+        from szego_lab.asymptotics import ScheduleParams
+        sched = ScheduleParams.default()
     return {
         "seed": man.seed,
         "precision_bits": bits,
@@ -435,6 +433,8 @@ def _run_besov(man: RunManifest):
 
 
 def _run_opuc(man: RunManifest):
+    from szego_lab.asymptotics import convergence_experiment
+
     mu = man.measure
     rec = convergence_experiment(mu, man.n_grid, which=man.which)
     columns = ["n", "tau_n", "eta_n", "target", "tau_error", "eta_error"]
@@ -454,6 +454,14 @@ def _run_opuc(man: RunManifest):
 
 
 def _run_pipeline(man: RunManifest):
+    from szego_lab.asymptotics import (
+        PipelineCertificate,
+        ScheduleParams,
+        pipeline_certificates,
+        validate_schedule,
+    )
+    from szego_lab.measure_opuc import target_limit
+
     mu = man.measure
     sched = man.schedule or ScheduleParams.default()
     if len(man.n_grid) >= 2:
@@ -470,6 +478,8 @@ def _run_pipeline(man: RunManifest):
 
 
 def _run_residue_check(man: RunManifest):
+    from szego_lab.measure_opuc import ResidueNodes, residue_identity_check
+
     mu = man.measure
     n_masses = len(mu.spectrum)
     ks = man.k_list or tuple(range(min(2, n_masses) + 1))
@@ -498,6 +508,8 @@ def _run_residue_check(man: RunManifest):
 
 
 def _run_log_condition(man: RunManifest):
+    from szego_lab.measure_opuc import log_condition_report
+
     rep = log_condition_report(man.measure.spectrum, man.exponents, man.n_max)
     weight_cols = [f"weighted_A{a:g}" for a in man.exponents]
     rows = []
@@ -575,8 +587,8 @@ def main(argv=None) -> int:
         _emit_error(4, exc)
         return 4
     except (PrecisionExhausted, NotPositiveDefinite, QuadratureError,
-            TaylorToleranceError, PoleProximityError,
-            KernelDomainError, NonFiniteGridError, GridCapError) as exc:
+            TaylorToleranceError, PoleProximityError, NonFiniteGridError,
+            GridCapError) as exc:
         _emit_error(3, exc)
         return 3
     print(f"wrote {result['csv']} and {result['json']} "

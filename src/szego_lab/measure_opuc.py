@@ -74,6 +74,12 @@ from szego_lab.circle_fourier import (
     _certified_grid,
     _next_pow2,
 )
+from szego_lab.contract import (
+    FieldError,
+    PrecisionExhausted,
+    QuadratureError,
+    _as_int,
+)
 from szego_lab.xlinalg import (
     _GUARD_BITS,
     PRECISION_BITS,
@@ -132,46 +138,6 @@ __all__ = [
     "residue_identity_check",
     "log_condition_report",
 ]
-
-
-class FieldError(ValueError):
-    """Invalid input: a missing or malformed field, named by field."""
-
-    def __init__(self, field_name: str, message: str):
-        super().__init__(message)
-        self.field = field_name
-
-
-def _as_int(v) -> int:
-    """v as an int, for an int or an integer-valued float; ValueError for
-    anything else, so that 8.7, true and "8" are not read as integers."""
-    if isinstance(v, bool) or not (isinstance(v, int) or isinstance(
-            v, float) and v.is_integer()):
-        raise ValueError(f"{v!r} is not an integer")
-    return int(v)
-
-
-def _as_float(v) -> float:
-    """v as a float, for an int or a float; TypeError for anything else, so
-    that true and "1.0" are not read as numbers."""
-    if isinstance(v, bool) or not isinstance(v, (int, float)):
-        raise TypeError(f"{v!r} is not a number")
-    return float(v)
-
-
-class QuadratureError(ArithmeticError):
-    """Grid quadrature failed to converge before the node cap."""
-
-
-class PrecisionExhausted(ArithmeticError):
-    """Factorization failed at every precision tag; carries the report."""
-
-    def __init__(self, bits_tried: tuple, last_pivot: int, solve: str):
-        self.bits_tried = bits_tried
-        self.last_pivot = last_pivot
-        super().__init__(
-            f"{solve}: not positive definite at any of {bits_tried} bits "
-            f"(last failing pivot {last_pivot})")
 
 
 @dataclass(frozen=True)
@@ -837,32 +803,37 @@ def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0) -> tuple:
     return value, guard, radius
 
 
-def _closed_form_element(mu: MeasureSpec, n: int, frac: int) -> list:
+def _closed_form_element(mu: MeasureSpec, n: int, frac: int) -> tuple:
     """The orthonormal Laurent element of degree n, 2n - 1 >= deg psi, in
-    closed form: its coefficients of z^-(n-1)..z^n as integer pairs at frac
-    fractional bits, each rounded once.
+    closed form: (pairs, radius), its coefficients of z^-(n-1)..z^n as
+    integer pairs at frac fractional bits, each rounded once, and a bound on
+    every coefficient's error in units of 2^-frac.
 
     It is z^-(n-1) phi_(2n-1) of the measure whose masses are reweighted by
     |z_i|^(-2(n-1)), the measure eta_n's closed form reads.  Without masses
     that is psi's coefficients, exactly: c_j at z^(n-j).  With masses it is
     _uvarov_element under the closed form's policy (_certify): one run,
     accepted by Ziv's test when every coefficient's radius is at most
-    2^-(mu.precision + 8) of the largest, which must not be 0.
+    2^-(mu.precision + 8) of the largest, which must not be 0.  That
+    radius, moved to frac, plus one unit for the rounding, is the bound;
+    without masses the bound is the one unit.
     """
     coeffs = _mass_terms(mu.weight.coeff_key(), (), frac)[0]
     if not mu.spectrum.masses:
-        return [(0, 0)] * (2 * n - len(coeffs)) + list(coeffs[::-1])
+        return [(0, 0)] * (2 * n - len(coeffs)) + list(coeffs[::-1]), 1.0
 
     def run(bits):
         element, radius = _uvarov_element(mu, 2 * n - 1, n - 1, bits)
         top = max(max(abs(re), abs(im)) for re, im in element)
-        return element if _scale_up(radius, mu.precision + 8) <= top else None
+        return ((element, radius)
+                if _scale_up(radius, mu.precision + 8) <= top else None)
 
-    element, guard = _certify(mu, run)
+    (element, radius), guard = _certify(mu, run)
     # psi at its own scale: the element times 2^-s at f fractional bits
     s = math.frexp(mu.weight.psi0)[1] - 1
     move = frac + s - mu.precision - guard - _GUARD_BITS
-    return [(_shift(re, move), _shift(im, move)) for re, im in element]
+    return ([(_shift(re, move), _shift(im, move)) for re, im in element],
+            _scale_up(radius, move) + 1.0)
 
 
 def _leading(mu: MeasureSpec, n: int, shift: int, record: dict | None):
@@ -1076,16 +1047,19 @@ class ResidueNodes:
     unshared table give the same mean bit for bit.
 
     Error bound.  Let eps = 2^-f.  Every input (a node, a coefficient c_j
-    of psi, a reflected zero zeta_i and its rotation, a coefficient a_j of
-    the element) is held within eps in modulus, and every rounding adds at
-    most eps.  Write L for the number of element coefficients,
-    A = sum |a_j|, d = deg psi, S = sum |c_j|, delta = min |psi| on the
-    circle and rho_i = 1 - |zeta_i|.  To first order in eps a numerator is
-    within (A + L + 1) eps, the weight w[k] within E_k eps with
+    of psi, a reflected zero zeta_i and its rotation) is held within eps in
+    modulus, each coefficient a_j of the element within e_a eps, and every
+    rounding adds at most eps: e_a is 1 for psi's own coefficients and the
+    Gram witness, and the certified radius of a closed-form run plus its
+    rounding otherwise (_closed_form_element).  Write L for the number of
+    element coefficients, A = sum |a_j|, d = deg psi, S = sum |c_j|,
+    delta = min |psi| on the circle and rho_i = 1 - |zeta_i|.  To first
+    order in eps a numerator is within (A + L e_a + 1) eps, the weight w[k]
+    within E_k eps with
     E_k = (1 + d (S + 2)) / delta^2 + 1 + sum_(i <= k) (8 / (delta rho_i) + 1),
     and so every term and the unrounded mean within
-    (A E_k + (A + L + 1) / delta) eps of the exact trapezoidal sum of the
-    element as given.  The mean's rounding adds a relative 2^-bits, at most
+    (A E_k + (A + L e_a + 1) / delta) eps of the exact trapezoidal sum of
+    the exact element.  The mean's rounding adds a relative 2^-bits, at most
     2^-bits A / delta.  _sides computes this bracket for each row, from the
     row's element, the masses and a certified delta (_psi_floor); it is
     part of the row's quad_bound.
@@ -1144,6 +1118,7 @@ class ResidueNodes:
         self._w: list = [[[], []] for _ in range(k_max + 1)]
         self._num: list = [[], []]
         self._witnesses: dict = {}  # n -> the element's integer pairs
+        self._radii: dict = {}  # n -> its coefficients' error bound, in units
         self._n = 0  # no element in use
         self._rows: dict = {}  # (n, k) -> _sides(k) of the element of n
         for n, k in rows:
@@ -1168,9 +1143,9 @@ class ResidueNodes:
         """Make the Laurent element of degree n (its coefficients of
         z^-(n-1)..z^n) the one whose numerators the table holds, each
         coefficient times 2^-s rounded once to f bits, computed once per n:
-        in closed form where 2n - 1 >= deg psi (_closed_form_element),
-        else as the integer extremal witness of its Gram matrix (_extremal,
-        escalated as needed)."""
+        in closed form where 2n - 1 >= deg psi (_closed_form_element, with
+        its certified radius), else as the integer extremal witness of its
+        Gram matrix (_extremal, escalated as needed, within one unit)."""
         if n == self._n:
             return
         self._n, frac = n, self._f - self._s
@@ -1179,8 +1154,10 @@ class ResidueNodes:
                 self.mu, n, lambda bits: _extremal(_gram_from_exponents(
                     self.mu, range(1 - n, n + 1), bits), frac)[0],
                 "the extremal witness solve")
+            self._radii[n] = 1.0
         elif n not in self._witnesses:
-            self._witnesses[n] = _closed_form_element(self.mu, n, frac)
+            self._witnesses[n], self._radii[n] = _closed_form_element(
+                self.mu, n, frac)
         pairs = self._witnesses[n]
         self._coeffs = cr, ci = tuple(map(list, zip(*pairs)))
         # the coefficients by their exponent e = 1 - 2n + j mod 4, for the
@@ -1222,7 +1199,7 @@ class ResidueNodes:
         pass _GRID_CAP.
         """
         n, f, bits = self._n, self._f, self.mu.precision
-        one, terms = 1 << f, self._terms[:k]
+        one, terms, e_a = 1 << f, self._terms[:k], self._radii[self._n]
         # closed-form side, on the table's integers at f: psi and the
         # element times 2^-s, which cancels in every term, each quotient
         # rounded once
@@ -1231,7 +1208,8 @@ class ResidueNodes:
         rhs_re, rhs_im = _rdiv(rev[0][0] << (k + 1) * f, den), 0  # eta/(B^k(0) psi(0))
         majorant, outer = 0, []
         # beside each value, its error in units of 2^-f (_mul_err): z_i is
-        # exact, every other input within one unit
+        # exact, each element coefficient within e_a units, every other
+        # input within one
         for i, (z, zeta, u, r, _, inv_m) in enumerate(terms):
             w = (zeta[0], -zeta[1])  # 1/z_i
             # B^k_*'(z_i) = p/q: conj(rot_i) (-conj(zeta_i)^2) / (1 - |zeta_i|^2)
@@ -1255,7 +1233,7 @@ class ResidueNodes:
             # q B^k_*'(z_i) conj(psi(zeta_i))
             d, ed = _cmul(p, (pr, -pi), f), _mul_err(p, ep, (pr, -pi), epsi, f)
             # t_i = R_n(z_i) z_i^-(n+1) / (B^k_*'(z_i) conj(psi(zeta_i)))
-            h, eh = _horner_err(rev, w, 1, f)
+            h, eh = _horner_err(rev, w, 1, f, e_a)
             h, eh = _cmul(h, w, f), _mul_err(h, eh, w, 1, f)
             h, eh = _cmul(h, q, f), _mul_err(h, eh, q, eq, f)
             tr, ti = _cdiv(h, d, f)
@@ -1283,7 +1261,8 @@ class ResidueNodes:
         if delta > 0.0 and all(gaps):
             e_k = ((1 + (len(self._psi) - 1) * (self._psi_sum + 2)) / delta ** 2
                    + 1 + sum(8 / (delta * rho) + 1 for rho in gaps))
-            rounding = ((big_a * e_k + (big_a + len(self._moduli) + 1) / delta)
+            rounding = ((big_a * e_k
+                         + (big_a + len(self._moduli) * e_a + 1) / delta)
                         * 2.0 ** -f + big_a / delta * 2.0 ** -bits)
         else:
             rounding = math.inf

@@ -51,8 +51,10 @@ from math import isqrt
 from operator import mul
 from typing import Sequence
 
-from mpmath import MPContext, mp
+from mpmath import MPContext
 from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
+
+from szego_lab.contract import PRECISION_BITS, NotPositiveDefinite
 
 __all__ = [
     "PRECISION_BITS",
@@ -65,8 +67,6 @@ __all__ = [
     "toeplitz_leading",
     "constrained_max_leading",
 ]
-
-PRECISION_BITS = (53, 128, 256, 512)
 
 
 @functools.lru_cache(maxsize=64)
@@ -96,16 +96,6 @@ def next_tag(bits: int) -> int | None:
         if b > bits:
             return b
     return None
-
-
-class NotPositiveDefinite(ArithmeticError):
-    """Pivot <= 0 during factorization; carries the failing pivot index."""
-
-    def __init__(self, pivot: int, value=None):
-        self.pivot = pivot
-        self.value = value
-        super().__init__(f"nonpositive pivot at index {pivot}" +
-                         (f" (value {mp.nstr(value, 8)})" if value is not None else ""))
 
 
 class HermitianMatrix:
@@ -352,13 +342,15 @@ def _mul_err(a: tuple, ea: float, b: tuple, eb: float, f: int) -> float:
     return _bound_err(_mag(a, f), ea, _mag(b, f), eb, f)
 
 
-def _horner_err(coeffs: Sequence, x: tuple, ex: float, f: int) -> tuple:
+def _horner_err(coeffs: Sequence, x: tuple, ex: float, f: int,
+                ec: float = 1.0) -> tuple:
     """(_horner(coeffs, x, f), its error in units of 2^-f) for coefficients
-    each within one unit and x within ex units of the exact ones: a Horner
-    step is one rounded product (_mul_err) plus a coefficient."""
-    acc, err = coeffs[-1], 1.0
+    each within ec units (one by default) and x within ex units of the
+    exact ones: a Horner step is one rounded product (_mul_err) plus a
+    coefficient."""
+    acc, err = coeffs[-1], ec
     for cr, ci in coeffs[-2::-1]:
-        err = _mul_err(acc, err, x, ex, f) + 1.0
+        err = _mul_err(acc, err, x, ex, f) + ec
         pr, pi = _cmul(acc, x, f)
         acc = pr + cr, pi + ci
     return acc, err

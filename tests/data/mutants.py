@@ -35,12 +35,24 @@ CIRCLE = "src/szego_lab/circle_fourier.py"
 MEASURE = "src/szego_lab/measure_opuc.py"
 ASYMPTOTICS = "src/szego_lab/asymptotics.py"
 XLINALG = "src/szego_lab/xlinalg.py"
+CLI = "src/szego_lab/cli.py"
+PACKAGE = "src/szego_lab/__init__.py"
 SERIES_ERROR = "return _tail_bound(env, big_n, s) + alias + rounding"
 CORRECTOR_TESTS = ("tests/test_blaschke.py", "tests/test_acceptance.py")
 CIRCLE_TESTS = ("tests/test_circle_fourier.py",)
 MEASURE_TESTS = ("tests/test_measure_opuc.py",)
 CLI_TESTS = ("tests/test_cli.py",)
 XLINALG_TESTS = ("tests/test_xlinalg.py",)
+IMPORT_TESTS = ("tests/test_imports.py",)
+EAGER_FROM = """from szego_lab import {0}
+
+__version__ = "0.1.0"
+
+_MODULES = ("asymptotics", "blaschke", "circle_fourier", "measure_opuc",
+            "xlinalg")
+
+for _module in ({0}):
+"""
 
 # (name, file, old, new, test files, known survivor)
 MUTANTS = (
@@ -97,6 +109,17 @@ MUTANTS = (
      "eps = sum(map(mul, v, rv)) + beta * (beta / (room - rho))",
      "eps = (sum(map(mul, v, rv)) + beta * (beta / (room - rho))) / 64",
      MEASURE_TESTS, False),
+    # FieldError read from measure_opuc, which re-exports it
+    ("cli-imports-measure-opuc", CLI,
+     "from szego_lab.contract import (\n    PRECISION_BITS,\n    FieldError,\n",
+     "from szego_lab.measure_opuc import FieldError\n"
+     "from szego_lab.contract import (\n    PRECISION_BITS,\n",
+     IMPORT_TESTS, False),
+    # every library module imported, and its names bound, with the package
+    ("package-imports-eagerly", PACKAGE,
+     EAGER_FROM.format("blaschke, circle_fourier"), EAGER_FROM.format(
+         "asymptotics, blaschke, circle_fourier, measure_opuc, xlinalg"),
+     IMPORT_TESTS, False),
 )
 
 _IGNORE = shutil.ignore_patterns(".git", "__pycache__", ".pytest_cache",

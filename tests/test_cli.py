@@ -1254,7 +1254,7 @@ def test_pipeline_defect_grid_past_the_cap_exits_3(tmp_path, capsys,
 def test_numeric_failure_exit_code(tmp_path, capsys, monkeypatch):
     def boom(*args, **kwargs):
         raise QuadratureError("did not converge")
-    monkeypatch.setattr(cli, "residue_identity_check", boom)
+    monkeypatch.setattr(mo, "residue_identity_check", boom)
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
     man = write_json(tmp_path / "man.json", {
         "measure_file": measure, "n_grid": [4], "k_list": [0],

@@ -6,12 +6,19 @@ debris a deletion left behind.  Every name that a module's __all__ (and
 the package's) exports must resolve.  No module reads the environment.  A
 function, method or class that no other package code refers to, that no
 __all__ lists and that the README's "API kept on purpose" list does not
-name is dead code.
+name is dead code.  The command line starts on the numpy half alone: a
+fresh interpreter that imports szego_lab.cli loads neither mpmath nor the
+exact-arithmetic modules, and its corrector commands run with mpmath
+refused.
 """
 
 import ast
 import importlib
+import json
+import os
 import re
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -121,6 +128,156 @@ def test_the_numpy_layers_import_no_mpmath(module):
             if m.split(".")[0] == "mpmath"
             or (m.split(".")[0] == "szego_lab"
                 and m != "szego_lab.circle_fourier")] == []
+
+
+# what the corrector half must not load: mpmath and the modules that
+# compute in it
+_EXACT = ("mpmath", "szego_lab.xlinalg", "szego_lab.measure_opuc",
+          "szego_lab.asymptotics")
+
+
+def module_level_imports(source: str) -> set:
+    """The dotted names a module imports when it loads: each import outside
+    a function body, with each name a from-import binds appended to its
+    module."""
+    out = set()
+
+    def visit(node):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef,
+                                  ast.Lambda)):
+                continue
+            if isinstance(child, ast.Import):
+                out.update(alias.name for alias in child.names)
+            elif isinstance(child, ast.ImportFrom) and child.module:
+                out.add(child.module)
+                out.update(f"{child.module}.{alias.name}"
+                           for alias in child.names)
+            visit(child)
+
+    visit(ast.parse(source))
+    return out
+
+
+def test_the_checker_sees_a_module_level_import():
+    source = ("import os\nfrom szego_lab import xlinalg\n"
+              "class A:\n    import json\n"
+              "def f():\n    import mpmath\n")
+    assert module_level_imports(source) == {
+        "os", "szego_lab", "szego_lab.xlinalg", "json"}
+
+
+@pytest.mark.parametrize("module", ["cli", "__init__", "contract"])
+def test_the_command_line_loads_no_exact_module(module):
+    # cli, the package and the leaf cli reads its exit-code classes from
+    # import those modules only inside the functions that need them
+    source = (SRC / f"{module}.py").read_text(encoding="utf-8")
+    assert sorted(m for m in module_level_imports(source)
+                  if any(m == e or m.startswith(e + ".") for e in _EXACT)) == []
+
+
+def _fresh(code: str, *args) -> dict:
+    """The JSON object that code, run in a fresh interpreter on the
+    package's sources with args as sys.argv[1:], prints last."""
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent),
+               PYTHONDONTWRITEBYTECODE="1")
+    done = subprocess.run([sys.executable, "-c", code, *map(str, args)],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert done.returncode == 0, done.stderr
+    return json.loads(done.stdout.strip().splitlines()[-1])
+
+
+_CORRECTOR_RUN = """
+import json, sys
+import szego_lab.cli as cli
+loaded = sorted(m for m in sys.modules if m in {exact!r})
+sys.modules["mpmath"] = None  # any import of it now raises ImportError
+codes = [cli.main([cmd, "--manifest", path])
+         for cmd, path in zip(sys.argv[1::2], sys.argv[2::2])]
+print(json.dumps({{"loaded": loaded, "codes": codes}}))
+"""
+
+
+def test_the_corrector_commands_run_with_mpmath_refused(tmp_path):
+    # a fresh import of the CLI loads none of the exact modules, and
+    # vs-bound and besov, with mpmath refused, write the bytes of an
+    # unrefused run
+    from szego_lab import cli
+
+    runs = [("vs-bound", {"n_grid": [4, 8], "kinds": ["radial_line"]}),
+            ("besov", {"n_grid": [8, 16]})]
+    args = []
+    for command, fields in runs:
+        for tag in ("fresh", "here"):
+            path = tmp_path / f"{command}-{tag}.json"
+            path.write_text(json.dumps(dict(
+                fields, out_dir=str(tmp_path / f"{command}-{tag}"))))
+        args += [command, tmp_path / f"{command}-fresh.json"]
+    got = _fresh(_CORRECTOR_RUN.format(exact=_EXACT), *args)
+    assert got == {"loaded": [], "codes": [0, 0]}
+    for command, _ in runs:
+        assert cli.main([command, "--manifest",
+                         str(tmp_path / f"{command}-here.json")]) == 0
+        assert ((tmp_path / f"{command}-fresh" / "certificates.csv").read_bytes()
+                == (tmp_path / f"{command}-here" / "certificates.csv").read_bytes())
+
+
+def test_an_exact_command_loads_what_it_needs(tmp_path):
+    # opuc in a fresh interpreter imports the exact modules in its runner,
+    # and only there
+    measure = tmp_path / "mu.json"
+    measure.write_text(json.dumps({"psi": [[1.0, 0.0], [-0.5, 0.0]],
+                                   "masses": [[1.5, 0.0, 0.3]],
+                                   "precision_bits": 128}))
+    manifest = tmp_path / "man.json"
+    manifest.write_text(json.dumps({"measure_file": str(measure),
+                                    "n_grid": [2, 4],
+                                    "out_dir": str(tmp_path / "out")}))
+    code = ("import json, sys\nimport szego_lab.cli as cli\n"
+            f"before = sorted(set(sys.modules) & set({_EXACT!r}))\n"
+            "code = cli.main(['opuc', '--manifest', sys.argv[1]])\n"
+            f"after = sorted(set(sys.modules) & set({_EXACT!r}))\n"
+            "print(json.dumps({'before': before, 'code': code, "
+            "'after': after}))")
+    assert _fresh(code, manifest) == {"before": [], "code": 0,
+                                      "after": sorted(_EXACT)}
+    assert len((tmp_path / "out" / "certificates.csv").read_text()
+               .splitlines()) == 3
+
+
+_LIBRARY = ("asymptotics", "blaschke", "circle_fourier", "measure_opuc",
+            "xlinalg")
+
+
+@pytest.mark.parametrize("first", [
+    "szego_lab.tau_n", "dir(szego_lab)", "exec('from szego_lab import *', {})"])
+def test_the_package_resolves_every_export_on_first_access(first):
+    # the package alone loads none of the exact modules; whichever access
+    # comes first loads them, after which the package holds every name of
+    # the five __all__ lists, in module order
+    code = ("import json, sys, szego_lab\n"
+            f"before = sorted(set(sys.modules) & set({_EXACT!r}))\n"
+            f"{first}\n"
+            "star = {}\nexec('from szego_lab import *', star)\n"
+            "print(json.dumps({'before': before, 'all': szego_lab.__all__, "
+            "'dir': dir(szego_lab), 'star': sorted(star)}))")
+    got = _fresh(code)
+    assert got["before"] == []
+    names = ["__version__"] + [name for stem in _LIBRARY for name in
+                               importlib.import_module(f"szego_lab.{stem}").__all__]
+    assert got["all"] == names
+    assert set(names) <= set(got["dir"])
+    assert set(names) <= set(got["star"])
+
+
+@pytest.mark.parametrize("module, name", [
+    ("measure_opuc", "FieldError"), ("measure_opuc", "QuadratureError"),
+    ("measure_opuc", "PrecisionExhausted"), ("xlinalg", "NotPositiveDefinite"),
+    ("xlinalg", "PRECISION_BITS"), ("asymptotics", "ScheduleViolation")])
+def test_each_moved_name_is_the_leafs_object(module, name):
+    contract = importlib.import_module("szego_lab.contract")
+    assert getattr(importlib.import_module(f"szego_lab.{module}"), name) is (
+        getattr(contract, name))
 
 
 def test_measure_opuc_imports_no_mpmath():

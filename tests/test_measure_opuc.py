@@ -1352,7 +1352,7 @@ def test_closed_form_element_vanishes_where_the_masses_outweigh_psi():
                      PointSpectrum(((1.5, 0.3), (-2 + 1j, 0.2))), 128)
     ctx = context(256)
     for n in (4, 8, 12):
-        element = mo._closed_form_element(mu, n, 160)
+        element, _ = mo._closed_form_element(mu, n, 160)
         for z, _ in mu.spectrum.masses:
             terms = [ctx.mpc(re, im) * ctx.mpc(z) ** e
                      for (re, im), e in zip(element, range(1 - n, n + 1))]
@@ -1479,7 +1479,7 @@ def closed_form_element(mu, n):
     f = mu.precision + 32
     ctx = context(mu.precision)
     return [fixed_to_mpc(ctx, re, im, f)
-            for re, im in mo._closed_form_element(mu, n, f)]
+            for re, im in mo._closed_form_element(mu, n, f)[0]]
 
 
 @pytest.mark.parametrize("bits", [256, 128])
@@ -1529,7 +1529,7 @@ def test_closed_form_element_matches_the_exact_oracle(bits):
         want = exact_last_column("readme_two_mass", tuple(range(1 - n, n + 1)))
         x_nn = want[-1][0]
         f = bits + 32
-        got = mo._closed_form_element(mu, n, f)
+        got, _ = mo._closed_form_element(mu, n, f)
         eta = Fraction(got[-1][0], 2 ** f)
         assert (eta * eta - x_nn) ** 2 <= (x_nn * Fraction(2) ** (8 - bits)) ** 2
         for (gr, gi), (xr, xi) in zip(got, want):
@@ -1929,6 +1929,33 @@ def test_quad_bound_holds_against_a_four_times_finer_grid(name, bits):
         assert rec["quad_bound"] <= 2.0 ** (14 - bits), (n, k)
         finer = nodes.mean(k, 4 * rec["grid"])
         assert abs(rec["lhs"] - finer) <= rec["quad_bound"], (n, k)
+
+
+def test_residue_table_charges_the_closed_form_elements_radius():
+    # with a far mass at 1e3, the element a closed-form run keeps at 32
+    # guard bits is 25-64 units of the table's 2^-f off the element of a
+    # 2,048-guard run, and its numerators up to about 110 units: more than
+    # the (A + L + 1) units one unit per coefficient gives.  The table
+    # charges the run's certified radius e_a instead, (A + L e_a + 1)
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, [1.0, -0.5])),
+                     PointSpectrum(((1e3, 1.0), (1.5, 0.3))), 128)
+    ns = (4, 8, 12)
+    nodes = ResidueNodes(mu, [(n, 2) for n in ns])
+    x = np.exp(2j * np.pi * np.arange(1024) / 1024)
+    move = 2048  # the high-guard run's f past the table's bits + 32
+    for n in ns:
+        want, _ = mo._uvarov_element(mu, 2 * n - 1, n - 1, 128 + 2048)
+        gaps = [complex(((gr << move) - wr) / 2 ** move,
+                        ((gi << move) - wi) / 2 ** move)
+                for (gr, gi), (wr, wi) in zip(nodes._witnesses[n], want)]
+        worst = max(max(abs(g.real), abs(g.imag)) for g in gaps)
+        assert 16 < worst <= nodes._radii[n], n
+        nodes._use(n)
+        numerator = np.abs(sum(g * x ** e for g, e in
+                               zip(gaps, range(1 - n, n + 1)))).max()
+        big_a, length = sum(nodes._moduli), len(nodes._moduli)
+        assert big_a + length + 1 < numerator, n
+        assert numerator <= big_a + length * nodes._radii[n] + 1, n
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
