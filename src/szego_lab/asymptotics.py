@@ -18,15 +18,20 @@ weight is a polynomial, so its product series is exact through the order
 the kernel sees: nothing is truncated, and the certificate's inverse_tail
 is always 0.
 
-The exact part runs on Python integers at bits_pipe + 32 fractional bits
-(xlinalg's fixed point): the product's series, the kernel's rational
-multipliers, whose outputs are the certified approximant, and the norm
-bookkeeping, each output rounded once.  psi, the masses and their
-reflections enter it only through measure_opuc._mass_terms, so the series
-and the norms see the same reflected points.  The defect is read from the
-same series, run on past the approximant's degree until its Cauchy tail is
-below double rounding: its coefficients are the exact differences, each
-rounded once, and its sup is circle_fourier.sup_norm_certified's value.
+The exact part runs on Python integers at f = bits_pipe + 32 fractional
+bits (xlinalg's fixed point): the product's series and the kernel's
+rational multipliers, whose outputs are the certified approximant.  The
+norm bookkeeping runs at max(precision, f) bits and keeps its sums as exact
+integers to the end; xlinalg._to_float rounds each of ac_norm,
+inside_mass_sum and tail_mass_sum once to the precision and once to a
+double, and total_norm from an isqrt of its square, so the module makes no
+mpmath number.  psi, the masses and their reflections enter it only
+through measure_opuc._mass_terms, so the series and the norms see the same
+reflected points.  The defect is read from the same series, run on past
+the approximant's degree until its Cauchy tail is below double rounding:
+its coefficients are the exact differences, each rounded once at psi's own
+scale, and its sup is circle_fourier.sup_norm_certified's value.  The a
+priori defect bounds |p| on |z| = R by sum |p_j| R^j.
 """
 
 from __future__ import annotations
@@ -50,7 +55,6 @@ from szego_lab.circle_fourier import (
     LaurentPolynomial,
     _multiplier_scaled,
     dirichlet,
-    grid_nodes,
     kernel_support,
     modified_vp,
     sup_norm_certified,
@@ -75,8 +79,7 @@ from szego_lab.xlinalg import (
     _rdiv,
     _reflect,
     _shift,
-    _to_mpf,
-    context,
+    _to_float,
 )
 
 __all__ = [
@@ -284,19 +287,19 @@ def _times_linear(poly: list, c0: tuple, c1: tuple, f: int) -> list:
 
 
 def _series_degree(corrector: DilatedCorrector | None,
-                   weight_poly: LaurentPolynomial) -> int:
+                   p_abs: LaurentPolynomial) -> int:
     """The degree D past which the series of B phi0 p sums to at most 2^-53
     of its bound on |z| = R; a route that reads the series through order
     upto runs _bphi_series to max(upto, D).
 
+    p_abs is sum |p_j| z^j, whose value at rho bounds |p| on |z| = rho.
     The bound is the Cauchy envelope of B phi0 (blaschke._tail_envelope),
-    each log A plus log sum |p_j| rho^j, and D is _truncation_degree's for
-    it.  Without a corrector the series is p itself, of degree p.hi.
+    each log A plus log p_abs(rho), and D is _truncation_degree's for it.
+    Without a corrector the series is p itself, of degree p.hi.
     """
     if corrector is None:
-        return weight_poly.hi
-    p = LaurentPolynomial(weight_poly.lo, np.abs(weight_poly.coeffs))
-    env = [(log_rho, log_a + math.log(float(p(math.exp(log_rho)).real)))
+        return p_abs.hi
+    env = [(log_rho, log_a + math.log(float(p_abs(math.exp(log_rho)).real)))
            for log_rho, log_a in _tail_envelope(corrector)]
     tol = 2.0 ** -53 * math.exp(env[0][1])
     return _truncation_degree(corrector, 0, tol, env)
@@ -345,9 +348,10 @@ class PipelineCertificate:
 PipelineCertificate.FIELDS = tuple(f.name for f in fields(PipelineCertificate))
 
 
-def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
-    """Exact integral of |Q|^2/|p|^2 over the circle, Q = sum_k q_k z^k with
-    the q_k integer pairs at bits fractional bits; an mpf of context(bits).
+def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int) -> int:
+    """The integral of |Q|^2/|p|^2 over the circle, Q = sum_k q_k z^k with
+    the q_k integer pairs at bits fractional bits, as an integer at
+    3 * bits fractional bits.
 
     p(z) = sum_j conj(c_j) z^j is the weight polynomial that the moment
     table integrates against (see measure_opuc.moment); it is zero-free on
@@ -358,10 +362,10 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
     where A_D is the head as a polynomial, so the rest of Q/p is
     z^(D+1) h/p, orthogonal to A_D: its squared norm is h^H T h, with T the
     d-by-d Toeplitz block of the moments t_0..t_(d-1), each shifted once
-    to bits fractional bits.  Both sums are exact and the result is rounded
-    once.  O(D d + d^2) in all, and nothing is truncated.
+    to bits fractional bits.  Both sums are exact, and so is their total.
+    O(D d + d^2) in all, and nothing is truncated.
     """
-    ctx, f = context(bits), bits
+    f = bits
     p = [(re, -im) for re, im in _mass_terms(weight.coeff_key(), (), f)[0]]
     d = len(p) - 1
     top = len(q) - 1
@@ -369,7 +373,7 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
     a_re, a_im = ([0] * d + list(part) for part in zip(*a))
     head = sum(map(mul, a_re, a_re)) + sum(map(mul, a_im, a_im))
     if d == 0:
-        return _to_mpf(ctx, head, -2 * f)
+        return head << f
     p_re, p_im = map(list, zip(*p))
     half = 1 << (f - 1)
     # h_i = -sum_j p_(i+1+j) a_(D-j), rounded once to f bits
@@ -384,7 +388,7 @@ def _circle_norm_sq(weight: OuterWeight, q: Sequence, bits: int):
             tr, ti = t[c - r] if c >= r else (t[r - c][0], -t[r - c][1])
             # Re(conj(h_r) h_c t_(c-r)), at 3f
             rest += (rr * cr + ri * ci) * tr - (rr * ci - ri * cr) * ti
-    return _to_mpf(ctx, (head << f) + rest, -3 * f)
+    return (head << f) + rest
 
 
 def _laurent_value(coeffs: Sequence, lo: int, x: tuple, f: int) -> tuple:
@@ -405,7 +409,9 @@ def _laurent_value(coeffs: Sequence, lo: int, x: tuple, f: int) -> tuple:
 
 def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum, r_small: list,
                  lo: int, selected: list, tail: list, bits: int):
-    """Norm bookkeeping in fixed point at bits fractional bits.
+    """Norm bookkeeping in fixed point at bits fractional bits: (ac, inside,
+    tail, total), the circle part, the inside and tail mass sums and the
+    competitor's squared norm, each exact at 3 * bits fractional bits.
 
     r_small lists the pairs of z^lo, z^(lo+1), ...; the competitor,
     conj(r_small(1/conj(z))), lists their conjugates in reverse.  The
@@ -413,13 +419,13 @@ def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum, r_small: list,
     squared norm is evaluated at the mass points themselves; the
     inside/tail split is evaluated independently at the reflected points
     through r_small.  Each value is a two-sided Horner sum
-    (_laurent_value), and each sum of m |value|^2 is exact and rounded
-    once.  The points z, the reflected points zeta = 1/conj(z) and the
-    weights m are measure_opuc._mass_terms at bits, so both evaluations
-    see the same point up to one rounding; their agreement then certifies
-    the reflection step rather than the rounding of the points.
+    (_laurent_value), and each sum of m |value|^2 is exact.  The points z,
+    the reflected points zeta = 1/conj(z) and the weights m are
+    measure_opuc._mass_terms at bits, so both evaluations see the same
+    point up to one rounding; their agreement then certifies the
+    reflection step rather than the rounding of the points.
     """
-    ctx, f = context(bits), bits
+    f = bits
     competitor = [(re, -im) for re, im in reversed(r_small)]
     ac = _circle_norm_sq(weight, competitor, bits)
     key = weight.coeff_key()
@@ -429,14 +435,12 @@ def _norm_pieces(weight: OuterWeight, spectrum: PointSpectrum, r_small: list,
         for z, zeta, _, _, m, _ in _mass_terms(key, tuple(masses), f)[1]:
             vr, vi = _laurent_value(coeffs, lo, zeta if reflect else z, f)
             total += m * (vr * vr + vi * vi)
-        return _to_mpf(ctx, total, -3 * f)
+        return total
 
-    total_sq = ac + mass_sum(competitor, 1 - lo - len(r_small),
-                             spectrum.masses, False)
-    inside = mass_sum(r_small, lo, selected, True)
-    tail_sum = mass_sum(r_small, lo, tail, True)
-    return (float(ac), float(inside), float(tail_sum),
-            float(ctx.sqrt(total_sq)))
+    return (ac, mass_sum(r_small, lo, selected, True),
+            mass_sum(r_small, lo, tail, True),
+            ac + mass_sum(competitor, 1 - lo - len(r_small),
+                          spectrum.masses, False))
 
 
 # the radii of the Schwarz check's circles, and its random points on each
@@ -501,13 +505,14 @@ def _pipeline_base(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     # coefficients: the moment table integrates against 1/|p|^2 (see
     # measure_opuc.moment)
     weight_f = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
-    trunc = _series_degree(corrector, weight_f)
+    # sum |p_j| rho^j bounds |p| on |z| = rho: for the series' envelope, and
+    # at rho = R for the a priori defect
+    p_abs = LaurentPolynomial(0, np.abs(weight_f.coeffs))
+    trunc = _series_degree(corrector, p_abs)
     series = _bphi_series(zeros, radius, max(upto, trunc), f,
                           [(re, -im) for re, im in psi])
 
-    rho_nodes = radius * grid_nodes(2048)
-    m_radius = radius ** len(selected) * float(
-        np.max(np.abs(weight_f(rho_nodes))))
+    m_radius = radius ** len(selected) * float(p_abs(radius).real)
     apriori = m_radius * radius ** (-(n + 1)) / (1.0 - 1.0 / radius)
 
     c_run = sched.c_bound
@@ -540,7 +545,8 @@ def _schwarz_excess(approx: LaurentPolynomial, base: _PipelineBase,
 
 def _finish(base: _PipelineBase, spectrum: PointSpectrum, weight: OuterWeight,
             route: str, precision: int):
-    """One route's approximant and certificate on the base of its n."""
+    """One route's approximant and certificate on the base of its n, and
+    the bits its norms ran at."""
     n, f = base.n, base.f
     upto = _route_upto(route, n)
     kernel = modified_vp(n) if route == "vp" else dirichlet(n)
@@ -560,16 +566,30 @@ def _finish(base: _PipelineBase, spectrum: PointSpectrum, weight: OuterWeight,
     defect = series
     for j, (re, im) in enumerate(coeffs, lo):
         defect[j] = (defect[j][0] - re, defect[j][1] - im)
-    sup_defect = sup_norm_certified(LaurentPolynomial(0, [
-        complex(re / scale, im / scale) for re, im in defect])).value
+    # its sup at psi's own scale, psi(0) 2^-s in [1, 2) as ResidueNodes
+    # holds it, so that no float step of the sup overflows; scaled back
+    s = math.frexp(weight.psi0)[1] - 1
+    at_psi = 1 << (f + s)
+    sup_defect = math.ldexp(sup_norm_certified(LaurentPolynomial(0, [
+        complex(re / at_psi, im / at_psi) for re, im in defect])).value, s)
 
     leading_gap = abs(complex(approx.coefficient(0)) - base.limit)
 
     # r_small = approx z^(-n): exponents lo-n <= 0 <= hi-n, at the norm's bits
     bits = max(precision, f)
     r_small = [(re << (bits - f), im << (bits - f)) for re, im in coeffs]
-    ac, inside, tail_sum, total_norm = _norm_pieces(
+    *pieces, total_sq = _norm_pieces(
         weight, spectrum, r_small, lo - n, base.selected, base.tail, bits)
+    ac, inside, tail_sum = (_to_float(x, -3 * bits, bits) for x in pieces)
+    # total_norm from an isqrt to at least bits + 64 bits, its last bit set
+    # where the root is inexact: the root then lies strictly inside
+    # (root, root + 1), and the set bit makes a tie at bits round up, as
+    # the root's own rounding does
+    shift = max(0, 2 * bits + 128 - total_sq.bit_length())
+    shift += (3 * bits + shift) & 1
+    root = math.isqrt(total_sq << shift)
+    root |= root * root != total_sq << shift
+    total_norm = _to_float(root, -((3 * bits + shift) // 2), bits)
 
     excess = _schwarz_excess(approx, base, sup_defect)
     cert = PipelineCertificate(
@@ -585,7 +605,7 @@ def _finish(base: _PipelineBase, spectrum: PointSpectrum, weight: OuterWeight,
         # keeps its strength
         schwarz_excess=excess,
         schwarz_pass=excess <= 1e-9 * min(1.0, weight.psi0))
-    return approx, cert
+    return approx, cert, bits
 
 
 def vp_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
@@ -600,7 +620,7 @@ def vp_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     sched = sched or ScheduleParams.default()
     base = _pipeline_base(spectrum, weight, n, sched, seed,
                           _route_upto("vp", n))
-    return _finish(base, spectrum, weight, "vp", precision)
+    return _finish(base, spectrum, weight, "vp", precision)[:2]
 
 
 def taylor_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
@@ -614,7 +634,7 @@ def taylor_approximant(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     sched = sched or ScheduleParams.default()
     base = _pipeline_base(spectrum, weight, n, sched, seed,
                           _route_upto("taylor", n))
-    return _finish(base, spectrum, weight, "taylor", precision)
+    return _finish(base, spectrum, weight, "taylor", precision)[:2]
 
 
 def pipeline_certificates(spectrum: PointSpectrum, weight: OuterWeight,
@@ -623,7 +643,8 @@ def pipeline_certificates(spectrum: PointSpectrum, weight: OuterWeight,
                           precision: int = 256) -> list:
     """The certificates of each route ("vp" or "taylor") over n_grid,
     route by route, each the one vp_approximant or taylor_approximant
-    gives.  Each n's base is built once, where the first route reaches it,
+    gives, as (certificate, working bits f, norm bits max(precision, f)).
+    Each n's base is built once, where the first route reaches it,
     with the series run for the longest route, and dropped after the last
     route's run; so the runs raise in the same order as the one-route
     calls would."""
@@ -636,7 +657,8 @@ def pipeline_certificates(spectrum: PointSpectrum, weight: OuterWeight,
                     spectrum, weight, n, sched, seed,
                     max(_route_upto(r, n) for r in routes))
             base = bases.pop(n) if route == routes[-1] else bases[n]
-            certs.append(_finish(base, spectrum, weight, route, precision)[1])
+            _, cert, bits = _finish(base, spectrum, weight, route, precision)
+            certs.append((cert, base.f, bits))
     return certs
 
 

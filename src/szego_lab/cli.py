@@ -467,9 +467,11 @@ def _run_pipeline(man: RunManifest):
     if len(man.n_grid) >= 2:
         validate_schedule(sched, man.n_grid)
     routes = ("vp", "taylor") if man.route == "both" else (man.route,)
-    rows = [cert.to_row() for cert in pipeline_certificates(
-        mu.spectrum, mu.weight, man.n_grid, sched, routes, man.seed,
-        mu.precision)]
+    # report.json only: the working bits of each run and its norms' bits
+    rows = [dict(cert.to_row(), working_bits=f, norm_bits=bits)
+            for cert, f, bits in pipeline_certificates(
+                mu.spectrum, mu.weight, man.n_grid, sched, routes, man.seed,
+                mu.precision)]
     columns = list(PipelineCertificate.FIELDS)
     summary = {"target_limit": target_limit(mu),
                "best_lower_bound": max(r["lower_bound_achieved"] for r in rows),

@@ -5,10 +5,11 @@ integers: a real number x is the integer round(x 2^f) at f fractional bits,
 a complex one a pair of them (real, imaginary).  Sums and products of such
 integers are exact; a product goes back to f bits by a rounded shift, a
 quotient by _rdiv or _cdiv, and a result to an mpmath number by one
-rounding (_to_mpf, _to_mpc).  The helpers are shared with measure_opuc and
-the lower-bound pipeline (asymptotics); their one recurrence,
-_quotient_series, gives the moments of 1/|psi|^2 as N/psi and the
-pipeline's series and norms.
+rounding (_to_mpf, _to_mpc), or to a double by one rounding to a precision
+and one to 53 bits (_to_float), as float() of that mpmath number would.
+The helpers are shared with measure_opuc and the lower-bound pipeline
+(asymptotics); their one recurrence, _quotient_series, gives the moments of
+1/|psi|^2 as N/psi and the pipeline's series and norms.
 
 A HermitianMatrix holds its lower triangle as integer pairs at one
 exponent, each part rounded to a precision tag by the Gram builder that
@@ -36,7 +37,10 @@ the factor, by _schur_ball; a ball decides an mpf by Ziv's test
 
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
-it.  The contexts are never mutated, so threads share them without a lock,
+it; _to_mpf, _to_mpc and _ball_to_mpf build theirs through the context they
+are given.  mpmath itself is imported only by context and by _circle_nodes'
+cos/sin, so the fixed point and the doubles it rounds to load without it.
+The contexts are never mutated, so threads share them without a lock,
 and nothing here reads or sets mpmath.mp's precision.  Precision never
 escalates silently: a failed pivot raises NotPositiveDefinite and the
 caller decides whether to retry higher.
@@ -50,9 +54,6 @@ from dataclasses import dataclass
 from math import isqrt
 from operator import mul
 from typing import Sequence
-
-from mpmath import MPContext
-from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
 
 from szego_lab.contract import PRECISION_BITS, NotPositiveDefinite
 
@@ -70,12 +71,15 @@ __all__ = [
 
 
 @functools.lru_cache(maxsize=64)
-def context(bits: int) -> MPContext:
+def context(bits: int):
     """The shared mpmath context with prec = bits; callers must not mutate it.
 
     An evicted context stays valid for the numbers that hold it, and a new
-    one at the same precision rounds identically.
+    one at the same precision rounds identically.  mpmath is imported here
+    and in _circle_nodes only, so the fixed point loads without it.
     """
+    from mpmath import MPContext
+
     ctx = MPContext()
     ctx.prec = bits
     return ctx
@@ -222,6 +226,18 @@ def _round_bits(x: int, bits: int) -> int:
     return -q if x < 0 else q
 
 
+def _to_float(x: int, e: int, bits: int) -> float:
+    """x 2^e rounded once to bits significant bits and that once to a
+    double, each nearest with ties to even, as float(_to_mpf(context(bits),
+    x, e)) rounds it; +-inf past the float range."""
+    m = _round_bits(_round_bits(x, bits), 53)
+    cut = max(abs(m).bit_length() - 53, 0)  # m's low cut bits are zero
+    try:
+        return math.ldexp(m >> cut, e + cut)
+    except OverflowError:
+        return math.inf if x > 0 else -math.inf
+
+
 def _cmul(a: tuple, b: tuple, f: int) -> tuple:
     """a b for pairs at f fractional bits, each part rounded once."""
     half = 1 << (f - 1)
@@ -273,6 +289,8 @@ def _circle_nodes(size: int, start: int, step: int, f: int) -> list:
     value depends only on p/size, so every grid that holds a node gives the
     same pair.
     """
+    from mpmath.libmp import from_man_exp, mpf_cos_sin_pi, round_nearest
+
     quarter = size // 4
     scale = size.bit_length() - 2  # 2p/size = p 2^-scale
     direct = {}  # q <= size/8 -> (cos, sin) of 2 pi q / size
@@ -370,25 +388,24 @@ def _pow_err(ex: float, e: int, rho: float, f: int) -> float:
     return big + steps * math.ldexp(big * big, -f)
 
 
-def _to_mpf(ctx: MPContext, x: int, e: int):
-    """x 2^e rounded once to an mpf of ctx."""
-    return ctx.make_mpf(from_man_exp(x, e, ctx.prec, round_nearest))
+def _to_mpf(ctx, x: int, e: int):
+    """x 2^e rounded once to an mpf of ctx (nearest, at ctx.prec)."""
+    return ctx.mpf((x, e))
 
 
-def _ball_to_mpf(ctx: MPContext, x: int, r: int, e: int):
+def _ball_to_mpf(ctx, x: int, r: int, e: int):
     """The mpf of ctx that every point of the ball (x +- r) 2^e rounds to,
     for integers x > 0 and r >= 0: None where the ball reaches 0 or its
     ends round apart (Ziv's test)."""
-    value = from_man_exp(x + r, e, ctx.prec, round_nearest)
-    if r < x and value == from_man_exp(x - r, e, ctx.prec, round_nearest):
-        return ctx.make_mpf(value)
+    value = ctx.mpf((x + r, e))
+    if r < x and value == ctx.mpf((x - r, e)):
+        return value
     return None
 
 
-def _to_mpc(ctx: MPContext, re: int, im: int, e: int):
+def _to_mpc(ctx, re: int, im: int, e: int):
     """(re + i im) 2^e, each part rounded once, as an mpc of ctx."""
-    return ctx.make_mpc((from_man_exp(re, e, ctx.prec, round_nearest),
-                         from_man_exp(im, e, ctx.prec, round_nearest)))
+    return ctx.mpc(ctx.mpf((re, e)), ctx.mpf((im, e)))
 
 
 # ----------------------------------------------------------------------

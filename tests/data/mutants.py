@@ -109,6 +109,16 @@ MUTANTS = (
      "eps = sum(map(mul, v, rv)) + beta * (beta / (room - rho))",
      "eps = (sum(map(mul, v, rv)) + beta * (beta / (room - rho))) / 64",
      MEASURE_TESTS, False),
+    # the integer-to-double helper rounds straight to 53 bits
+    ("float-skips-bits", XLINALG,
+     "m = _round_bits(_round_bits(x, bits), 53)", "m = _round_bits(x, 53)",
+     XLINALG_TESTS, False),
+    # mpmath imported when xlinalg loads
+    ("xlinalg-imports-mpmath", XLINALG,
+     "from szego_lab.contract import PRECISION_BITS, NotPositiveDefinite\n",
+     "from mpmath import MPContext\n"
+     "from szego_lab.contract import PRECISION_BITS, NotPositiveDefinite\n",
+     IMPORT_TESTS, False),
     # FieldError read from measure_opuc, which re-exports it
     ("cli-imports-measure-opuc", CLI,
      "from szego_lab.contract import (\n    PRECISION_BITS,\n    FieldError,\n",

@@ -42,7 +42,7 @@ from szego_lab.blaschke import (
     eval_blaschke,
     taylor_coeffs,
 )
-from szego_lab.circle_fourier import LaurentPolynomial
+from szego_lab.circle_fourier import LaurentPolynomial, grid_nodes
 from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
@@ -56,6 +56,7 @@ from szego_lab.xlinalg import _fixed, _to_mpc, context
 import szego_lab.asymptotics as asym
 import szego_lab.measure_opuc as mo
 import szego_lab.xlinalg as xlinalg
+from test_cli import _make_frozen
 from test_xlinalg import fixed_pair
 
 DEFECTS = Path(__file__).parents[1] / "bench" / "defects"
@@ -319,7 +320,8 @@ def test_series_makes_no_mpmath_number(monkeypatch):
     def refuse(bits):
         raise AssertionError(f"an mpmath context at {bits} bits")
 
-    for module in (asym, mo, xlinalg):
+    # asymptotics holds no context: only the modules that do are patched
+    for module in (mo, xlinalg):
         monkeypatch.setattr(module, "context", refuse)
     mo._mass_terms.cache_clear()
     assert run() == want
@@ -568,12 +570,13 @@ def _captured_runs(monkeypatch, obj):
 
     def spy(weight, q, bits):
         # mpc values in context(bits), as mpmath rounds at the context of
-        # the left operand
+        # the left operand; the norm, an integer at 3 bits fractional bits,
+        # rounded once to an mpf of the same context
         ctx = context(bits)
         norm = real(weight, q, bits)
         seen.append((weight, [ctx.make_mpc((from_man_exp(re, -bits),
                                             from_man_exp(im, -bits)))
-                              for re, im in q], norm))
+                              for re, im in q], ctx.mpf((norm, -3 * bits))))
         return norm
 
     monkeypatch.setattr(asym, "_circle_norm_sq", spy)
@@ -603,6 +606,57 @@ def test_circle_norm_matches_a_grid_mean(monkeypatch):
         pf = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
         mean = float(np.mean(np.abs(qf(nodes)) ** 2 / np.abs(pf(nodes)) ** 2))
         assert mean == pytest.approx(cert.ac_norm, rel=1e-10)
+
+
+@pytest.mark.parametrize("name", ["readme_two_mass_128", "complex_two_mass",
+                                  "d3"])
+def test_total_norm_is_the_double_of_the_exact_root(monkeypatch, name):
+    # the norms stay integers to the end: total_norm is the exact squared
+    # norm's root, rounded once to the norm bits and once to a double, the
+    # same double as mpmath's root at 512 bits gives
+    mu = MeasureSpec.from_json(_make_frozen().PIPELINE_MEASURES[name])
+    seen = []
+    real = asym._norm_pieces
+
+    def spy(*args):
+        pieces = real(*args)
+        seen.append((pieces[-1], args[-1]))
+        return pieces
+
+    monkeypatch.setattr(asym, "_norm_pieces", spy)
+    for route in (vp_approximant, taylor_approximant):
+        for n in (8, 64):
+            _, cert = route(mu.spectrum, mu.weight, n, precision=mu.precision)
+            total_sq, bits = seen[-1]
+            exact = context(total_sq.bit_length()).mpf((total_sq, -3 * bits))
+            assert float(context(512).sqrt(exact)) == cert.total_norm
+
+
+def test_apriori_defect_bounds_p_between_the_nodes():
+    # psi = 1 + 0.5 e^(i pi/2048) z: |p| on |z| = R peaks halfway between
+    # two of 2048 nodes, and on a node of 2^16; the a priori defect holds
+    # the peak, so it is at least the same expression at the 2^16-node max
+    weight = OuterWeight(LaurentPolynomial(
+        0, [1.0, 0.5 * complex(math.cos(math.pi / 2048),
+                               math.sin(math.pi / 2048))]))
+    p = LaurentPolynomial(0, np.conj(weight.psi.coeffs))
+    for n in (8, 16, 32):
+        _, cert = vp_approximant(TWO_MASS, weight, n)
+        r = cert.radius
+        peak = float(np.max(np.abs(p(r * grid_nodes(1 << 16)))))
+        fine = r ** cert.selected_count * peak * r ** -(n + 1) / (1.0 - 1.0 / r)
+        assert cert.apriori_defect >= fine
+
+
+@pytest.mark.parametrize("psi", [(1.0, -0.5), (1.0, 0.3 - 0.2j, 0.1j)])
+def test_sup_defect_is_taken_at_psis_own_scale(psi):
+    # the defect's sup runs on psi 2^-s, psi(0) 2^-s in [1, 2), and is
+    # scaled back: psi 2^600 gives exactly 2^600 times psi's sup
+    for route in (vp_approximant, taylor_approximant):
+        _, small = route(TWO_MASS, OuterWeight(LaurentPolynomial(0, psi)), 16)
+        _, big = route(TWO_MASS, OuterWeight(LaurentPolynomial(
+            0, [c * 2.0 ** 600 for c in psi])), 16)
+        assert big.sup_defect == math.ldexp(small.sup_defect, 600)
 
 
 def test_vp_bound_at_large_n():

@@ -704,7 +704,11 @@ def test_pipeline_matches_frozen_csv(capsys):
     # target_limit, which rounds each 1/|z| where the frozen run rounded
     # |1/z|: the limit, below 1 on these measures, moves by a few units in
     # its last place, and the gap with it (5.6e-17 on complex_two_mass), so
-    # the gap is also allowed 2^-52 absolute
+    # the gap is also allowed 2^-52 absolute.  apriori_defect took sup |p|
+    # on |z| = R as a max over 2048 nodes, which can miss a peak between
+    # them; it now takes the bound sum |p_j| R^j, so each value is that
+    # closed form, never below the frozen one, and equal to it where the
+    # peak sat on a node (the two real-psi measures)
     make_frozen = _make_frozen()
     name = "pipeline_frozen.csv"
     got = make_frozen.frozen_text(
@@ -731,6 +735,16 @@ def test_pipeline_matches_frozen_csv(capsys):
                 elif key == "leading_gap":
                     floor = 2.0 ** -52
                 assert abs(a - b) <= 1e-13 * abs(b) + floor, (where, key)
+            elif key == "apriori_defect":
+                psi = make_frozen.PIPELINE_MEASURES[old["measure"]]["psi"]
+                r, k, n = (float(new["radius"]), int(new["selected_count"]),
+                           int(new["n"]))
+                p_abs = sum(math.hypot(*c) * r ** j for j, c in enumerate(psi))
+                bound = r ** k * p_abs * r ** -(n + 1) / (1.0 - 1.0 / r)
+                a, b = float(a), float(b)
+                assert a == pytest.approx(bound, rel=1e-15) and a >= b, where
+                if old["measure"] != "complex_two_mass":
+                    assert a == b, where
             else:
                 assert a == b, (where, key)
 
@@ -740,6 +754,51 @@ CONST_PSI_THREE_MASS = {"psi": [[1.0, 0.0]],
                         "masses": [[1.5, 0.0, 0.3], [-1.25, 0.0, 0.2],
                                    [0.4, 1.3, 0.1]],
                         "precision_bits": 256}
+
+
+def test_pipeline_at_psi_1e300_runs_with_warnings_as_errors(tmp_path):
+    # the defect's sup runs at psi's own scale, psi(0) 2^-s in [1, 2), so
+    # the refiner's Newton step no longer overflows at psi(0) = 1e300
+    measure = write_json(tmp_path / "mu.json", {
+        "psi": [[1e300, 0]], "masses": [[1.5, 0, 0.3]], "precision_bits": 128})
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [8, 16], "route": "vp",
+        "out_dir": str(tmp_path / "out")})
+    src = os.path.dirname(os.path.dirname(cli.__file__))
+    proc = subprocess.run(
+        [sys.executable, "-W", "error::RuntimeWarning", "-m", "szego_lab.cli",
+         "pipeline", "--manifest", man], capture_output=True, text=True,
+        env={**os.environ, "PYTHONPATH": src})
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert proc.stderr == ""
+    for row in read_rows(str(tmp_path / "out")):
+        assert 0 < float(row["sup_defect"]) < math.inf, row
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+def test_report_names_the_bits_of_each_pipeline_row(tmp_path, capsys, bits):
+    # report.json only: each row's working bits f = bits_pipe + 32 and its
+    # norms' bits max(precision, f); both masses are selected, so
+    # bits_pipe = max(128, 64 + ceil(n log2 1.5)), 128, 139, 214 and 364
+    measure = write_json(tmp_path / "mu.json",
+                         dict(TWO_MASS_JSON, precision_bits=bits))
+    man = write_json(tmp_path / "man.json", {
+        "measure_file": measure, "n_grid": [16, 128, 256, 512], "route": "vp",
+        "out_dir": str(tmp_path / "out")})
+    code, out = run_main(capsys, "pipeline", "--manifest", man)
+    assert code == 0, out
+    rows = read_report(str(tmp_path / "out"))["rows"]
+    assert [r["selected_count"] for r in rows] == [2, 2, 2, 2]
+    working = [160, 171, 246, 396]
+    assert [r["working_bits"] for r in rows] == working
+    assert [r["norm_bits"] for r in rows] == [max(bits, f) for f in working]
+    # certificates.csv keeps the benchmark's columns
+    path = os.path.join(os.path.dirname(__file__), "..", "bench", "checks.py")
+    spec = importlib.util.spec_from_file_location("bench_checks", path)
+    checks = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(checks)
+    header = (tmp_path / "out" / "certificates.csv").read_text().split("\n")[0]
+    assert header.split(",") == checks.PIPELINE_COLUMNS
 
 
 def _pipeline_csv(tmp_path, capsys, measure, route, n_grid):

@@ -9,7 +9,9 @@ __all__ lists and that the README's "API kept on purpose" list does not
 name is dead code.  The command line starts on the numpy half alone: a
 fresh interpreter that imports szego_lab.cli loads neither mpmath nor the
 exact-arithmetic modules, and its corrector commands run with mpmath
-refused.
+refused.  mpmath sits behind one door: only xlinalg.context and
+xlinalg._circle_nodes import it, so the exact modules load without it, and
+pipeline and log-condition run with it refused too.
 """
 
 import ast
@@ -187,7 +189,7 @@ def _fresh(code: str, *args) -> dict:
     return json.loads(done.stdout.strip().splitlines()[-1])
 
 
-_CORRECTOR_RUN = """
+_REFUSED_RUN = """
 import json, sys
 import szego_lab.cli as cli
 loaded = sorted(m for m in sys.modules if m in {exact!r})
@@ -198,14 +200,12 @@ print(json.dumps({{"loaded": loaded, "codes": codes}}))
 """
 
 
-def test_the_corrector_commands_run_with_mpmath_refused(tmp_path):
-    # a fresh import of the CLI loads none of the exact modules, and
-    # vs-bound and besov, with mpmath refused, write the bytes of an
-    # unrefused run
+def _runs_with_mpmath_refused(tmp_path, runs) -> None:
+    """Each (command, manifest fields) of runs in a fresh interpreter that
+    has imported the CLI, with none of the exact modules, and then refused
+    mpmath; each exits 0 and writes the bytes of an in-process run."""
     from szego_lab import cli
 
-    runs = [("vs-bound", {"n_grid": [4, 8], "kinds": ["radial_line"]}),
-            ("besov", {"n_grid": [8, 16]})]
     args = []
     for command, fields in runs:
         for tag in ("fresh", "here"):
@@ -213,13 +213,92 @@ def test_the_corrector_commands_run_with_mpmath_refused(tmp_path):
             path.write_text(json.dumps(dict(
                 fields, out_dir=str(tmp_path / f"{command}-{tag}"))))
         args += [command, tmp_path / f"{command}-fresh.json"]
-    got = _fresh(_CORRECTOR_RUN.format(exact=_EXACT), *args)
-    assert got == {"loaded": [], "codes": [0, 0]}
+    got = _fresh(_REFUSED_RUN.format(exact=_EXACT), *args)
+    assert got == {"loaded": [], "codes": [0] * len(runs)}
     for command, _ in runs:
         assert cli.main([command, "--manifest",
                          str(tmp_path / f"{command}-here.json")]) == 0
         assert ((tmp_path / f"{command}-fresh" / "certificates.csv").read_bytes()
                 == (tmp_path / f"{command}-here" / "certificates.csv").read_bytes())
+
+
+def test_the_corrector_commands_run_with_mpmath_refused(tmp_path):
+    # a fresh import of the CLI loads none of the exact modules, and
+    # vs-bound and besov, with mpmath refused, write the bytes of an
+    # unrefused run
+    _runs_with_mpmath_refused(tmp_path, [
+        ("vs-bound", {"n_grid": [4, 8], "kinds": ["radial_line"]}),
+        ("besov", {"n_grid": [8, 16]})])
+
+
+def test_pipeline_and_log_condition_run_with_mpmath_refused(tmp_path):
+    # the pipeline's norms go from integers straight to doubles, so pipeline
+    # and log-condition, with mpmath refused, write the bytes of an
+    # unrefused run too (opuc, which needs it, loads it in
+    # test_an_exact_command_loads_what_it_needs)
+    measure = tmp_path / "mu.json"
+    measure.write_text(json.dumps({
+        "psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
+        "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2], [1.02, 0.0, 0.1]],
+        "precision_bits": 128}))
+    _runs_with_mpmath_refused(tmp_path, [
+        ("pipeline", {"measure_file": str(measure), "n_grid": [8, 16],
+                      "route": "both"}),
+        ("log-condition", {"measure_file": str(measure), "n_max": 64})])
+
+
+def mpmath_importers(source: str) -> list:
+    """(line, enclosing function or None) for each import of mpmath or of
+    one of its modules."""
+    out = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                visit(child, child.name)
+                continue
+            names = ([alias.name for alias in child.names]
+                     if isinstance(child, ast.Import) else
+                     [child.module or ""] if isinstance(child, ast.ImportFrom)
+                     else [])
+            if any(name.split(".")[0] == "mpmath" for name in names):
+                out.append((child.lineno, where))
+            visit(child, where)
+
+    visit(ast.parse(source), None)
+    return out
+
+
+def test_the_checker_sees_every_mpmath_import():
+    source = ("import mpmath.libmp\nif x:\n    from mpmath import mp\n"
+              "def f():\n    import mpmath\n"
+              "class A:\n    def g(self):\n        from mpmath.libmp import x\n")
+    assert mpmath_importers(source) == [(1, None), (3, None), (5, "f"),
+                                        (8, "g")]
+
+
+def test_mpmath_has_one_door():
+    # no module imports mpmath when it loads; only the mpmath context and
+    # the residue nodes' cos/sin import it at all, and the pipeline holds
+    # none of the helpers that make mpmath numbers
+    found = {module: mpmath_importers((SRC / f"{module}.py").read_text(
+        encoding="utf-8")) for module in MODULES}
+    assert {(module, where) for module, hits in found.items()
+            for _, where in hits} == {("xlinalg", "context"),
+                                      ("xlinalg", "_circle_nodes")}
+    source = (SRC / "asymptotics.py").read_text(encoding="utf-8")
+    held = {alias.name for node in ast.walk(ast.parse(source))
+            if isinstance(node, ast.ImportFrom) for alias in node.names}
+    assert held & {"context", "_to_mpf", "_to_mpc", "_ball_to_mpf"} == set()
+
+
+def test_the_exact_modules_load_without_mpmath():
+    code = ("import json, sys\n"
+            "import szego_lab.xlinalg, szego_lab.measure_opuc, "
+            "szego_lab.asymptotics\n"
+            "print(json.dumps(sorted(m for m in sys.modules "
+            "if m.split('.')[0] == 'mpmath')))")
+    assert _fresh(code) == []
 
 
 def test_an_exact_command_loads_what_it_needs(tmp_path):

@@ -26,6 +26,7 @@ from szego_lab.xlinalg import (
     _rdiv,
     _reflect,
     _round_bits,
+    _to_float,
     _to_mpc,
     _to_mpf,
 )
@@ -548,6 +549,40 @@ def test_round_bits_is_the_tag_rounding(bits):
         m = abs(got)  # at most bits significant bits
         assert m == 0 or m.bit_length() - (m & -m).bit_length() < bits
         assert _to_mpf(ctx, got, -7) == _to_mpf(ctx, x, -7), x
+
+
+@pytest.mark.parametrize("bits", PRECISION_BITS + (200,))
+def test_to_float_is_float_of_to_mpf(bits):
+    # one rounding to bits, then one to a double, as float(mpf) rounds: on
+    # random integers over the whole double range and past it, on ties at
+    # bits, on values past the double range directly or by rounding up to
+    # 2^1024, and on values a nudge off a tie at 53 bits
+    ctx = context(bits)
+    rng = random.Random(bits)
+    cases = []
+    for _ in range(400):
+        x = rng.getrandbits(rng.randrange(1, 1200))
+        cases.append((x, rng.randrange(-1200 - x.bit_length(), 1100)))
+    for q in range(2 ** (bits - 1), 2 ** (bits - 1) + 4):
+        cases.append(((q << 5) + 16, -bits - 5))  # halfway at bits
+    cases += [(1, 1024), (3, 5000), ((1 << 53) - 1, 971), ((1 << 60) - 1, 964)]
+    # (m + 1/2) 2^-52 nudged by 2^-(bits + 62): one rounding to 53 bits
+    # follows the nudge, but the rounding to bits first lands on the tie,
+    # which goes to the even m
+    nudged = [(m, nudge, ((2 * m + 1) << (bits + 10)) + nudge)
+              for m in (2 ** 52, 2 ** 52 + 1, 2 ** 53 - 2, 2 ** 53 - 1)
+              for nudge in (1, -1)]
+    cases += [(x, -bits - 63) for _, _, x in nudged]
+    for x, e in cases:
+        for v in (x, -x):
+            assert _to_float(v, e, bits) == float(_to_mpf(ctx, v, e)), (v, e)
+    assert _to_float(1, 1024, bits) == math.inf
+    assert _to_float(-((1 << 60) - 1), 964, bits) == -math.inf
+    for m, nudge, x in nudged:
+        once = float(Fraction(x, 1 << (bits + 63)))
+        twice = _to_float(x, -bits - 63, bits)
+        assert twice == ((m + (m & 1)) * 2.0 ** -52 if bits > 53 else once)
+        assert (twice != once) == (bits > 53 and (m & 1) == (nudge < 0))
 
 
 def test_rdiv_rounds_to_nearest_with_ties_up():
