@@ -33,13 +33,15 @@ mpmath number once.  Mass-free measures, where the closed form is the
 constant psi(0), and lower degrees take the Gram route: 1/sqrt of the
 Schur complement of z^n in the Gram matrix, held and factored on integers.
 Without masses that matrix is Toeplitz, and the Szego recursion on its
-first column gives the Schur complement in O(n^2) (toeplitz_leading); with
-masses the Cholesky factor's last pivot gives it in O(n^3)
-(schur_leading), which stays the oracle for the recursion and for the
-closed form.  The residue check's orthonormal Laurent elements come from
-the same closed form where 2n - 1 >= deg psi: Uvarov's element, one back
-substitution on the ratio's factor and a Christoffel-Darboux division per
-mass, O(K n); without masses psi's own coefficients.  Below that degree
+first column gives the Schur complement in O(n^2) (toeplitz_leading); a
+mass-free eta_n is tau_(2n-1), and tau_n is tau_(min(n, deg psi)), so the
+recursion runs on at most deg psi + 1 rows.  With masses the Cholesky
+factor's last pivot gives it in O(n^3) (schur_leading), which stays the
+oracle for the recursion and for the closed form.  The residue check's
+orthonormal Laurent elements come from the same closed form where
+2n - 1 >= deg psi: Uvarov's element, one back substitution on the ratio's
+factor and a Christoffel-Darboux division per mass, O(K n); without masses
+psi's own coefficients.  Below that degree
 they are the extremal witnesses of the Laurent Gram matrices, one integer
 back substitution each, which stay the tests' oracle.  The entries with
 masses, and moment, follow one integer rule (_inner_products).  A measure
@@ -447,9 +449,11 @@ def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
     """tau_n (or eta_n with laurent) by the Gram route, under the escalation
     protocol: 1/sqrt of the Schur complement of the pivot z^n.  Without
     masses the Gram matrix is Toeplitz and the Szego recursion gives it in
-    O(N^2) (toeplitz_leading); with masses, where the route serves n < deg
-    psi and is the oracle for the closed form, the Cholesky factor's last
-    pivot does (schur_leading), and it stays the oracle for the recursion."""
+    O(N^2) (toeplitz_leading); tau_n and eta_n call it there at degree at
+    most deg psi, and at any n it is their tests' oracle.  With masses,
+    where the route serves n < deg psi and is the oracle for the closed
+    form, the Cholesky factor's last pivot does (schur_leading), and it
+    stays the oracle for the recursion."""
     gram = gram_laurent if laurent else gram_polynomial
     leading = schur_leading if mu.spectrum.masses else toeplitz_leading
     return _escalate(mu, n, lambda b: leading(gram(mu, n, b)),
@@ -851,9 +855,14 @@ def tau_n(mu: MeasureSpec, n: int, record: dict | None = None):
     With masses and n >= deg psi, by the closed form (_closed_form_leading),
     which puts the guard bits it settled at and its certified relative
     radius in record, if one is given; otherwise by the Gram route
-    (_gram_leading).
+    (_gram_leading).  Without masses dm/|psi|^2 is a Bernstein-Szego
+    weight: its Verblunsky coefficients vanish from index deg psi on, so
+    tau_n = tau_(deg psi) for n >= deg psi, and the Gram route runs at
+    degree min(n, deg psi), on at most deg psi + 1 rows.
     """
-    if mu.spectrum.masses and n >= mu.weight.psi.hi:
+    if not mu.spectrum.masses:
+        return _gram_leading(mu, min(n, mu.weight.psi.hi), laurent=False)
+    if n >= mu.weight.psi.hi:
         return _leading(mu, n, 0, record)
     return _gram_leading(mu, n, laurent=False)
 
@@ -864,9 +873,14 @@ def eta_n(mu: MeasureSpec, n: int, record: dict | None = None):
     Multiplying the span {z^-(n-1), ..., z^n} by z^(n-1) makes eta_n the
     tau_(2n-1) of the measure with masses m_i |z_i|^(-2(n-1)); with masses
     and 2n - 1 >= deg psi that goes through the closed form, recorded as
-    tau_n's, otherwise through the Gram route.
+    tau_n's, otherwise through the Gram route.  Without masses the
+    reweighting is void and the Laurent span's Gram matrix is the Toeplitz
+    matrix of the polynomials of degree 2n - 1, so eta_n is tau_n(mu, 2n - 1)
+    bit for bit.
     """
-    if mu.spectrum.masses and n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
+    if n >= 1 and not mu.spectrum.masses:
+        return tau_n(mu, 2 * n - 1)
+    if n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
         return _leading(mu, 2 * n - 1, n - 1, record)
     return _gram_leading(mu, n, laurent=True)
 

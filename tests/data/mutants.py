@@ -109,6 +109,14 @@ MUTANTS = (
      "eps = sum(map(mul, v, rv)) + beta * (beta / (room - rho))",
      "eps = (sum(map(mul, v, rv)) + beta * (beta / (room - rho))) / 64",
      MEASURE_TESTS, False),
+    # a mass-free eta_n read one degree too high
+    ("eta-reads-tau-2n", MEASURE,
+     "return tau_n(mu, 2 * n - 1)", "return tau_n(mu, 2 * n)",
+     MEASURE_TESTS, False),
+    # the Bernstein-Szego reduction stopping one degree short of deg psi
+    ("bernstein-szego-short", MEASURE,
+     "min(n, mu.weight.psi.hi)", "min(n, mu.weight.psi.hi - 1)",
+     MEASURE_TESTS, False),
     # the integer-to-double helper rounds straight to 53 bits
     ("float-skips-bits", XLINALG,
      "m = _round_bits(_round_bits(x, bits), 53)", "m = _round_bits(x, 53)",

@@ -1008,3 +1008,23 @@ def test_vs_bound_matches_the_corrector_frozen_csv(tmp_path, capsys):
         assert new["kind"] == old["kind"]
         for key in list(old)[1:]:
             assert float(new[key]) == pytest.approx(float(old[key]), rel=1e-9), key
+
+
+@pytest.mark.parametrize("kind", ["uniform_disk", "boundary_cluster",
+                                  "radial_line"])
+def test_corrector_ratios_obey_schwarz_pick(kind):
+    # B phi0 = R^n Bt(z/R) with Bt a Blaschke product, so on the circle
+    # Schwarz-Pick gives |(B phi0)'| <= R^(n+1)/(R^2 - 1) and Ruscheweyh's
+    # second-order bound |(B phi0)''| <= 2 R^(n+1)/((R - 1)(R^2 - 1)), for
+    # every zero set.  The largest shares seen are 0.887 and 0.593
+    # (boundary_cluster, n = 256, seed 2)
+    for eps, ns in ((1.0, (4, 16, 64, 256)), (0.1, (16, 64))):
+        for n in ns:
+            for seed in (1, 2):
+                corr = build_corrector(generate_zeros(kind, n, seed), eps)
+                cert = corrector_certificate(corr, (1, 2), 16)
+                r = corr.radius_R
+                s1 = r ** (n + 1) / (n * (r * r - 1))
+                s2 = 2 * r ** (n + 1) / (n * n * (r - 1) * (r * r - 1))
+                assert cert["ratio_s1"] <= s1, (eps, n, seed)
+                assert cert["ratio_s2"] <= s2, (eps, n, seed)

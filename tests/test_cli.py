@@ -302,6 +302,31 @@ def test_opuc_at_any_scale_of_psi(tmp_path, capsys, c0):
         assert float(row["eta_n"]) == pytest.approx(c0, rel=1e-14)
 
 
+def test_opuc_builds_gram_matrices_only_up_to_deg_psi(tmp_path, capsys,
+                                                     monkeypatch):
+    # without masses each value is one Gram build of at most deg psi + 1
+    # exponents (tau_n = tau_(min(n, deg psi)), eta_n = tau_(2n-1)); with
+    # masses and n >= deg psi the closed form builds none
+    builds = []
+
+    def spy(mu, exps, bits, real=mo._gram_from_exponents):
+        builds.append(len(exps))
+        return real(mu, exps, bits)
+
+    monkeypatch.setattr(mo, "_gram_from_exponents", spy)
+    psi = [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]]
+    for masses, want in (([], [3] * 6), ([[1.5, 0.8, 0.3]], [])):
+        builds.clear()
+        measure = write_json(tmp_path / "mu.json", {
+            "psi": psi, "masses": masses, "precision_bits": 128})
+        man = write_json(tmp_path / "man.json", {
+            "measure_file": measure, "n_grid": [16, 32, 48], "which": "both",
+            "out_dir": str(tmp_path / "out")})
+        code, out = run_main(capsys, "opuc", "--manifest", man)
+        assert code == 0, out
+        assert builds == want, masses
+
+
 def test_version_probe_runs_once_per_process(tmp_path, monkeypatch):
     calls = []
 

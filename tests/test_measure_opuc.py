@@ -936,7 +936,9 @@ def mass_free(name, bits):
 @pytest.mark.parametrize("name", sorted(MASS_FREE_PSI))
 def test_szego_recursion_matches_the_schur_complement(name, bits):
     # without masses the Gram route runs the Szego recursion on the
-    # Toeplitz Gram matrix; the Cholesky factor's last pivot is its oracle
+    # Toeplitz Gram matrix; the Cholesky factor's last pivot is its oracle.
+    # tau_n and eta_n run it at degree min(n, deg psi) and 2n - 1, and
+    # agree with the full-size route bit for bit
     mu = mass_free(name, bits)
     d = mu.weight.psi.hi
     for n in sorted({d, d + 1, 7, 20, 48}):
@@ -944,6 +946,7 @@ def test_szego_recursion_matches_the_schur_complement(name, bits):
             g = (gram_laurent if laurent else gram_polynomial)(mu, n)
             got, want = toeplitz_leading(g), schur_leading(g)
             assert mo._gram_leading(mu, n, laurent) == got
+            assert (eta_n if laurent else tau_n)(mu, n) == got, (n, laurent)
             if bits >= 256:
                 assert abs(got - want) <= 1e-60 * want, (n, laurent)
             else:
@@ -964,6 +967,51 @@ def test_szego_recursion_gives_psi0_past_deg_psi(name, bits):
         assert abs(tau_n(mu, n) - psi0) <= ulp, ("tau", n)
         if n:
             assert abs(eta_n(mu, n) - psi0) <= ulp, ("eta", n)
+
+
+# mass-free psi of degree 1 to 4 for the exact solves
+EXACT_MASS_FREE_PSI = {
+    "d1": MASS_FREE_PSI["d1"],
+    "d2": MASS_FREE_PSI["d2"],
+    "d3": MASS_FREE_PSI["d3"],
+    "d4": [1.1, 0.2 - 0.1j, 0.1j, -0.05, 0.02 + 0.01j],
+}
+
+
+@pytest.mark.parametrize("bits", [128, 256])
+@pytest.mark.parametrize("name", sorted(EXACT_MASS_FREE_PSI))
+def test_mass_free_values_match_the_exact_oracle(name, bits):
+    # without masses tau_n and eta_n read tau_m for m <= deg psi only, so
+    # those values, tau_(deg psi) among them, are held to the exact
+    # tau_m = sqrt((G^-1)_NN) of the measure's Gram matrix: within one ulp
+    coeffs = EXACT_MASS_FREE_PSI[name]
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                     PointSpectrum.empty(), bits)
+    for m in range(mu.weight.psi.hi + 1):
+        exps = tuple(range(m + 1))
+        want = last_column_of_inverse(exact_gram(coeffs, (), exps), m + 1)[-1][0]
+        got = tau_n(mu, m)
+        ulp = Fraction(2) ** (mp.frexp(got)[1] - bits)
+        got = as_fraction(got)
+        assert (got - ulp) ** 2 <= want <= (got + ulp) ** 2, m
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+@pytest.mark.parametrize("coeffs, n, value", [
+    (MASS_FREE_PSI["d2"], 1, 1.2961481396815722),
+    ([1.0, 0.0, 0.0, 0.0, 0.01], 2, 0.9999499987499375),
+], ids=["d2-n1", "d4-n2"])
+def test_mass_free_eta_below_deg_psi_is_the_laurent_gram_route(coeffs, n,
+                                                                value, bits):
+    # at 2n - 1 < deg psi eta_n = tau_(2n-1) is not psi(0) yet; it is still
+    # the Szego recursion on the Laurent span's Gram matrix, bit for bit.
+    # psi = 1 + z^4/100 has t_1 = t_2 = t_3 = 0, so eta_2 = sqrt(1 - 10^-4)
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                     PointSpectrum.empty(), bits)
+    assert 2 * n - 1 < mu.weight.psi.hi
+    got = eta_n(mu, n)
+    assert got == toeplitz_leading(gram_laurent(mu, n))
+    assert float(got) == pytest.approx(value, rel=1e-15)
 
 
 def test_gram_route_dispatches_on_the_masses(monkeypatch):
