@@ -31,24 +31,21 @@ a K-by-K system for K masses, whatever n is.  That system is built and
 factored on Python integers (xlinalg._cholesky_fixed) and rounded to an
 mpmath number once.  Mass-free measures, where the closed form is the
 constant psi(0), and lower degrees take the Gram route: 1/sqrt of the
-Schur complement of z^n in the Gram matrix, held and factored on integers.
-Without masses that matrix is Toeplitz, and the Szego recursion on its
-first column gives the Schur complement in O(n^2) (toeplitz_leading); a
-mass-free eta_n is tau_(2n-1), and tau_n is tau_(min(n, deg psi)), so the
-recursion runs on at most deg psi + 1 rows.  With masses the Cholesky
-factor's last pivot gives it in O(n^3) (schur_leading), which stays the
-oracle for the recursion and for the closed form.  The residue check's
-orthonormal Laurent elements come from the same closed form where
+Schur complement of z^n in the Gram matrix, held and factored on integers,
+the Cholesky factor's last pivot (schur_leading).  A mass-free eta_n is
+tau_(2n-1), and tau_n is tau_(min(n, deg psi)), so every Gram matrix the
+route factors has at most deg psi + 1 rows; the full-size route stays the
+tests' oracle for the reduced values and for the closed form.  The residue
+check's orthonormal Laurent elements come from the same closed form where
 2n - 1 >= deg psi: Uvarov's element, one back substitution on the ratio's
 factor and a Christoffel-Darboux division per mass, O(K n); without masses
-psi's own coefficients.  Below that degree
-they are the extremal witnesses of the Laurent Gram matrices, one integer
-back substitution each, which stay the tests' oracle.  The entries with
-masses, and moment, follow one integer rule (_inner_products).  A measure
-enters the fixed point in one place, _mass_terms, which the Gram entries,
-the closed form, the residue check and the lower-bound pipeline
-(asymptotics) all read: psi and the masses read exactly, the masses
-reflected.
+psi's own coefficients.  Below that degree they are the extremal witnesses
+of the Laurent Gram matrices, one integer back substitution each, which
+stay the tests' oracle.  The entries with masses, and moment, follow one
+integer rule (_inner_products).  A measure enters the fixed point in one
+place, _mass_terms, which the Gram entries, the closed form, the residue
+check and the lower-bound pipeline (asymptotics) all read: psi and the
+masses read exactly, the masses reflected.
 
 Precision escalation is explicit: the Gram route starts at the
 first tag that holds its entries (at least the measure's tag), a failure
@@ -120,7 +117,6 @@ from szego_lab.xlinalg import (
     context,
     next_tag,
     schur_leading,
-    toeplitz_leading,
 )
 
 __all__ = [
@@ -447,16 +443,11 @@ def _escalate(mu: MeasureSpec, n: int, build_and_solve, solve: str):
 
 def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
     """tau_n (or eta_n with laurent) by the Gram route, under the escalation
-    protocol: 1/sqrt of the Schur complement of the pivot z^n.  Without
-    masses the Gram matrix is Toeplitz and the Szego recursion gives it in
-    O(N^2) (toeplitz_leading); tau_n and eta_n call it there at degree at
-    most deg psi, and at any n it is their tests' oracle.  With masses,
-    where the route serves n < deg psi and is the oracle for the closed
-    form, the Cholesky factor's last pivot does (schur_leading), and it
-    stays the oracle for the recursion."""
+    protocol: 1/sqrt of the Schur complement of the pivot z^n, the
+    Cholesky factor's last pivot (schur_leading).  tau_n and eta_n call it
+    at degree at most deg psi; at any n it is their tests' oracle."""
     gram = gram_laurent if laurent else gram_polynomial
-    leading = schur_leading if mu.spectrum.masses else toeplitz_leading
-    return _escalate(mu, n, lambda b: leading(gram(mu, n, b)),
+    return _escalate(mu, n, lambda b: schur_leading(gram(mu, n, b)),
                      "the Gram route's Schur complement")
 
 

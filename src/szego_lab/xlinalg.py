@@ -24,9 +24,7 @@ NotPositiveDefinite.  The constrained leading-coefficient extremal problem
 has two routes on that factor, kept distinct so their agreement is a
 check, not a tautology: the Schur complement of the last coordinate, the
 factor's last pivot (schur_leading), and the maximizer G^-1 e_N by a back
-substitution from e_N / l_NN (_extremal, constrained_max_leading).  For a Toeplitz Gram
-matrix the Szego recursion gives the same Schur complement in O(N^2)
-(toeplitz_leading); the factor's last pivot is its oracle.
+substitution from e_N / l_NN (_extremal, constrained_max_leading).
 
 Error radii ride beside the fixed point where a caller certifies a result:
 a value's error in units of 2^-f as a float rounded up (_float_up, _mag,
@@ -65,7 +63,6 @@ __all__ = [
     "HermitianMatrix",
     "NotPositiveDefinite",
     "schur_leading",
-    "toeplitz_leading",
     "constrained_max_leading",
 ]
 
@@ -542,60 +539,6 @@ def schur_leading(g: HermitianMatrix):
     *_, diag, scale = _cholesky_fixed(g.lower, g.exp, g.bits)
     return 1 / _to_mpf(context(g.bits), diag[-1],
                        scale[-1] - g.bits - _GUARD_BITS)
-
-
-def toeplitz_leading(g: HermitianMatrix):
-    """schur_leading of a Hermitian Toeplitz G in O(N^2), by the Szego
-    recursion on G's first column.
-
-    G_jk = c_(j-k), c_j = G_j0 and c_(-j) = conj(c_j), is the Gram matrix
-    <z^j, z^k> of a circle measure.  The monic Phi_k orthogonal to
-    1, ..., z^(k-1) has E_k = ||Phi_k||^2 = det G_(k+1) / det G_k, the
-    square of the Cholesky factor's pivot k, and (Levinson's algorithm)
-    Phi_(k+1) = z Phi_k - gamma_k Phi_k^*,  gamma_k = <z Phi_k, 1> / E_k,
-    E_(k+1) = E_k (1 - |gamma_k|^2),  <z Phi_k, 1> = sum_j p_j c_(j+1)
-    for Phi_k = sum_j p_j z^j.  Returns 1/sqrt(E_(N-1)), an mpf.
-
-    Fixed point as in _cholesky_fixed: G is equilibrated to A = 2^-2s G with
-    c_0 in [1/4, 1) after scaling, the c_j and p_j are integers at
-    f = bits + 32 fractional bits and E_k at 2f.  Each <z Phi_k, 1> is
-    exact, gamma_k and each p_j are rounded once, and
-    E_(k+1) = E_k - |<z Phi_k, 1>|^2 / E_k is rounded once.  Raises
-    NotPositiveDefinite(k) at the first E_k at or below 2^-f, the threshold
-    and pivot index of _cholesky_fixed.  The root is taken by isqrt and
-    rounded once to the tag, as schur_leading's is.  G's Toeplitz structure is the
-    caller's promise; only its first column is read.
-    """
-    n, bits, e = g.dim, g.bits, g.exp
-    f = bits + _GUARD_BITS
-    ctx = context(bits)
-    d = g.lower[0][0][0]
-    if d <= 0:
-        raise NotPositiveDefinite(0, _to_mpf(ctx, d, e))
-    s = _balance(d, e)
-    # c_1..c_(N-1) of A, from G's first column
-    c_re = [_round_away(row[0][0], e + f - 2 * s) for row in g.lower[1:]]
-    c_im = [_round_away(row[0][1], e + f - 2 * s) for row in g.lower[1:]]
-    half = 1 << (f - 1)
-    p_re, p_im = [1 << f], [0]  # Phi_k 2^f, constant coefficient first
-    err = _round_away(d, e + 2 * f - 2 * s)  # E_k 2^(2f)
-    for k in range(n):
-        if err <= 1 << f:
-            raise NotPositiveDefinite(k, _to_mpf(ctx, err, 2 * s - 2 * f))
-        if k == n - 1:
-            break
-        # <z Phi_k, 1> 2^(2f)
-        d_re, d_im = _dot(c_re[: k + 1], c_im[: k + 1], p_re, p_im)
-        if k < n - 2:
-            # gamma_k 2^f; Phi_k^* has the coefficients conj(p_(k-j))
-            g_re, g_im = _rdiv(d_re << f, err), _rdiv(d_im << f, err)
-            q_re, q_im = p_re[::-1], p_im[::-1]
-            p_re = [a - ((g_re * qr + g_im * qi + half) >> f)
-                    for a, qr, qi in zip([0] + p_re, q_re, q_im)] + [1 << f]
-            p_im = [a - ((g_im * qr - g_re * qi + half) >> f)
-                    for a, qr, qi in zip([0] + p_im, q_re, q_im)] + [0]
-        err -= _rdiv(d_re * d_re + d_im * d_im, err)
-    return 1 / _to_mpf(ctx, isqrt(err), s - f)
 
 
 def _extremal(g: HermitianMatrix, frac: int | None = None) -> tuple:

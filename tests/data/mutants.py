@@ -5,12 +5,13 @@ test holds.
     python tests/data/mutants.py [NAME ...]
 
 Each entry of MUTANTS is one exact string replacement in one file of the
-tree this script sits in, with the test files that should kill it.  Every
-pattern must match its file exactly once, or the script refuses to run
-(exit 2).  The named test files first run on an unmutated copy, and must
-pass.  Then, for each mutant, the tree is copied to a temporary directory,
-the replacement applied, and ``pytest -q -x`` run on its test files; the
-script prints the mutant, killed or survived, and the first failing test.
+tree this script sits in, with the test files (or pytest node ids) that
+should kill it.  Every pattern must match its file exactly once, or the
+script refuses to run (exit 2).  The named tests first run on an unmutated
+copy, and must pass.  Then, for each mutant, the tree is copied to a
+temporary directory, the replacement applied, and ``pytest -q -x`` run on
+its tests; the script prints the mutant, killed or survived, and the first
+failing test.
 It exits 1 if a mutant survives that the table does not mark as a known
 survivor, else 0.  With NAME arguments only those mutants run.
 
@@ -117,6 +118,12 @@ MUTANTS = (
     ("bernstein-szego-short", MEASURE,
      "min(n, mu.weight.psi.hi)", "min(n, mu.weight.psi.hi - 1)",
      MEASURE_TESTS, False),
+    # the Gram route's one solver reads the pivot one row early
+    ("schur-pivot-one-row-early", XLINALG,
+     "return 1 / _to_mpf(context(g.bits), diag[-1],",
+     "return 1 / _to_mpf(context(g.bits), diag[-2],",
+     ("tests/test_measure_opuc.py::"
+      "test_mass_free_values_match_the_exact_oracle",), False),
     # the integer-to-double helper rounds straight to 53 bits
     ("float-skips-bits", XLINALG,
      "m = _round_bits(_round_bits(x, bits), 53)", "m = _round_bits(x, 53)",

@@ -664,12 +664,17 @@ def test_residue_check_matches_frozen_csv(tmp_path, capsys):
         assert float(row["abs_diff"]) <= tol, where
 
 
-def _make_frozen():
-    path = os.path.join(os.path.dirname(__file__), "data", "make_frozen.py")
-    spec = importlib.util.spec_from_file_location("make_frozen", path)
+def _data_script(name):
+    """The script tests/data/NAME.py, loaded as a module."""
+    path = os.path.join(os.path.dirname(__file__), "data", f"{name}.py")
+    spec = importlib.util.spec_from_file_location(name, path)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     return module
+
+
+def _make_frozen():
+    return _data_script("make_frozen")
 
 
 def test_opuc_matches_frozen_csv(capsys):
@@ -902,6 +907,14 @@ def test_compare_summarises_each_moved_column(capsys):
         "f.csv: sup_defect: 2 cells, largest change 1.00e-06 absolute, "
         "1.00e+00 relative",
         "f.csv: schwarz_pass: 1 cells, not numbers"]
+
+
+def test_every_mutant_pattern_matches_once():
+    # tests/data/mutants.py refuses to run a table with a pattern that does
+    # not match its file exactly once, so an edit that moves or deletes the
+    # code a mutant names shows here, not only when the table next runs
+    mutants = _data_script("mutants")
+    assert mutants.check_patterns(mutants.MUTANTS) == []
 
 
 def test_log_condition_artifacts(tmp_path, capsys):

@@ -45,7 +45,6 @@ from szego_lab.xlinalg import (
     constrained_max_leading,
     context,
     schur_leading,
-    toeplitz_leading,
 )
 
 import szego_lab.measure_opuc as mo
@@ -935,22 +934,17 @@ def mass_free(name, bits):
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
 @pytest.mark.parametrize("name", sorted(MASS_FREE_PSI))
 def test_szego_recursion_matches_the_schur_complement(name, bits):
-    # without masses the Gram route runs the Szego recursion on the
-    # Toeplitz Gram matrix; the Cholesky factor's last pivot is its oracle.
-    # tau_n and eta_n run it at degree min(n, deg psi) and 2n - 1, and
-    # agree with the full-size route bit for bit
+    # without masses the Szego recursion's Verblunsky coefficients vanish
+    # from index deg psi on, so tau_n and eta_n factor the Toeplitz Gram
+    # matrix of degree min(n, deg psi) and 2n - 1 only; they equal the
+    # full-size Schur complement (schur_leading) bit for bit
     mu = mass_free(name, bits)
     d = mu.weight.psi.hi
     for n in sorted({d, d + 1, 7, 20, 48}):
         for laurent in (False, True) if n else (False,):
-            g = (gram_laurent if laurent else gram_polynomial)(mu, n)
-            got, want = toeplitz_leading(g), schur_leading(g)
-            assert mo._gram_leading(mu, n, laurent) == got
-            assert (eta_n if laurent else tau_n)(mu, n) == got, (n, laurent)
-            if bits >= 256:
-                assert abs(got - want) <= 1e-60 * want, (n, laurent)
-            else:
-                assert float(got) == float(want), (n, laurent)
+            gram = gram_laurent if laurent else gram_polynomial
+            want = schur_leading(gram(mu, n))
+            assert (eta_n if laurent else tau_n)(mu, n) == want, (n, laurent)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
@@ -1004,26 +998,14 @@ def test_mass_free_values_match_the_exact_oracle(name, bits):
 def test_mass_free_eta_below_deg_psi_is_the_laurent_gram_route(coeffs, n,
                                                                 value, bits):
     # at 2n - 1 < deg psi eta_n = tau_(2n-1) is not psi(0) yet; it is still
-    # the Szego recursion on the Laurent span's Gram matrix, bit for bit.
+    # the Schur complement of the Laurent span's Gram matrix, bit for bit.
     # psi = 1 + z^4/100 has t_1 = t_2 = t_3 = 0, so eta_2 = sqrt(1 - 10^-4)
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
                      PointSpectrum.empty(), bits)
     assert 2 * n - 1 < mu.weight.psi.hi
     got = eta_n(mu, n)
-    assert got == toeplitz_leading(gram_laurent(mu, n))
+    assert got == schur_leading(gram_laurent(mu, n))
     assert float(got) == pytest.approx(value, rel=1e-15)
-
-
-def test_gram_route_dispatches_on_the_masses(monkeypatch):
-    calls = []
-    for name in ("schur_leading", "toeplitz_leading"):
-        def spy(g, real=getattr(mo, name), name=name):
-            calls.append(name)
-            return real(g)
-        monkeypatch.setattr(mo, name, spy)
-    mo._gram_leading(mass_free("d2", 128), 4, laurent=True)
-    mo._gram_leading(route_measure("deg2-three-mass", 128), 1, laurent=False)
-    assert calls == ["toeplitz_leading", "schur_leading"]
 
 
 @pytest.mark.parametrize("bits", [256, 128, 53])
@@ -1636,6 +1618,34 @@ def test_escalation_recovers_ill_conditioned_case():
         schur_leading(gram_polynomial(mu, 60, 53))
     v = mo._gram_leading(mu, 60, laurent=False)
     assert abs(v - mp.mpf(2) / 3) < 1e-8
+
+
+def test_escalation_is_reached_on_a_valid_mass_free_input(monkeypatch):
+    # psi = (1 - z/1.05)^8 loads (min |psi| 2.6e-11), and its Toeplitz Gram
+    # matrices, of condition up to about 1/min |psi|^2, lose positivity at
+    # 53 bits from degree 5 on: tau_m builds once at 53 bits for m <= 4,
+    # at 53 and then 128 bits for m = 5..8, and once at 128 bits for every
+    # m, the escalated value being the 128-bit run's
+    builds = []
+
+    def spy(mu, exps, bits, real=mo._gram_from_exponents):
+        builds.append(bits)
+        return real(mu, exps, bits)
+
+    monkeypatch.setattr(mo, "_gram_from_exponents", spy)
+    weight = OuterWeight(LaurentPolynomial(
+        0, [math.comb(8, j) * (-1 / 1.05) ** j for j in range(9)]))
+    low, high = (MeasureSpec(weight, PointSpectrum.empty(), bits)
+                 for bits in (53, 128))
+    for m in range(9):
+        builds.clear()
+        got = tau_n(low, m)
+        assert builds == ([53] if m <= 4 else [53, 128]), m
+        builds.clear()
+        want = tau_n(high, m)
+        assert builds == [128], m
+        if m > 4:
+            assert got == want and got.context.prec == 128, m
 
 
 def test_precision_floor_follows_mass_growth():

@@ -16,7 +16,6 @@ from szego_lab.xlinalg import (
     context,
     next_tag,
     schur_leading,
-    toeplitz_leading,
     _cholesky_fixed,
     _circle_nodes,
     _dot,
@@ -196,11 +195,10 @@ def test_identity_holds_tag_entries(bits):
     g = identity(3, bits)
     l = factor(g)
     eta, wit = constrained_max_leading(g)
-    values = ([v for r in l for v in r] + list(wit)
-              + [schur_leading(g), toeplitz_leading(g), eta])
+    values = [v for r in l for v in r] + list(wit) + [schur_leading(g), eta]
     assert all(v.context.prec == bits for v in values)
     assert l == ((1,), (0, 1), (0, 0, 1)) and wit == (0, 0, 1)
-    assert schur_leading(g) == toeplitz_leading(g) == eta == 1
+    assert schur_leading(g) == eta == 1
 
 
 # ------------------------------------------------------------------ cholesky
@@ -439,29 +437,11 @@ def random_toeplitz(rng, n, bits, shift=0.0, masses=None):
     return tagged(cols, bits)
 
 
-def test_toeplitz_leading_examples():
-    assert toeplitz_leading(identity(4)) == 1.0
-    assert toeplitz_leading(from_rows([[4.0]])) == 0.5
-    # [[2, 1], [1, 2]]: Schur complement 2 - 1/2 = 3/2
-    v = toeplitz_leading(from_rows([[2.0, 1.0], [1.0, 2.0]], 128))
-    ref = context(192)
-    assert abs(v - 1 / ref.sqrt(ref.mpf(1.5))) < ref.ldexp(1, -127)
-
-
-@pytest.mark.parametrize("bits", PRECISION_BITS)
-def test_toeplitz_leading_matches_the_factor_pivot(bits):
-    # the recursion and the Cholesky factor's last pivot (schur_leading)
-    # round the same Schur complement once, at the same guard bits
-    rng = np.random.default_rng(41 + bits)
-    ctx = context(bits + 64)
-    for n in (1, 2, 5, 17, 40):
-        for shift in (1.0, 1e-3):
-            g = random_toeplitz(rng, n, bits, shift)
-            got, want = toeplitz_leading(g), schur_leading(g)
-            assert abs(ctx.mpf(got) - want) <= want * ctx.ldexp(1, 4 - bits), (n, shift)
-
-
-def test_toeplitz_indefinite_raises_at_the_cholesky_pivot():
+def test_schur_leading_raises_on_an_indefinite_toeplitz():
+    # shifted below zero, the moments of fewer point masses than rows make
+    # an indefinite Toeplitz matrix; schur_leading raises at its first
+    # failing pivot, which varies with the rank, and at the fixed pivots
+    # of small examples
     rng = np.random.default_rng(43)
     pivots = set()
     for bits in PRECISION_BITS:
@@ -469,39 +449,37 @@ def test_toeplitz_indefinite_raises_at_the_cholesky_pivot():
             n = 12
             g = random_toeplitz(rng, n, bits, -float(rng.uniform(0.01, 1.0)),
                                 int(rng.integers(1, n)))
-            with pytest.raises(NotPositiveDefinite) as want:
-                factor(g)
-            with pytest.raises(NotPositiveDefinite) as got:
-                toeplitz_leading(g)
-            assert got.value.pivot == want.value.pivot
-            pivots.add(got.value.pivot)
+            with pytest.raises(NotPositiveDefinite) as e:
+                schur_leading(g)
+            pivots.add(e.value.pivot)
     assert len(pivots) > 1
     for rows, pivot in (([[-1.0]], 0), ([[0.0, 0.0], [0.0, 0.0]], 0),
                         ([[1.0, 2.0], [2.0, 1.0]], 1),
                         ([[1.0, 1.0, 1.0], [1.0, 1.0, 1.0], [1.0, 1.0, 1.0]], 1)):
         with pytest.raises(NotPositiveDefinite) as e:
-            toeplitz_leading(from_rows(rows))
+            schur_leading(from_rows(rows))
         assert e.value.pivot == pivot
 
 
-def test_toeplitz_pivot_below_the_resolution_raises():
+def test_schur_leading_pivot_below_the_resolution_raises():
     # [[1, c], [conj(c), 1]], c = 1 - 2^-83 + i b, has the pivot
     # 1 - |c|^2 = 2^-82 - b^2 - 2^-166, and a quarter of it once scaled to
-    # c_0 = 1/4.  At 53 bits both routes resolve 2^-85 of the scaled
-    # matrix: b = 0 leaves about 2^-84 and factors; b = 2^-41 - 2^-83
-    # leaves about 2^-125, above zero but below the resolution, and raises
+    # c_0 = 1/4.  At 53 bits the factor resolves 2^-85 of the scaled
+    # matrix: b = 0 leaves about 2^-84 and factors, its isqrt good to
+    # 2^-43 relative; b = 2^-41 - 2^-83 leaves about 2^-125, above zero
+    # but below the resolution, and raises
     fine = context(128)
     one = fine.mpc(1)
     for b, fails in ((0, False), (fine.ldexp(1, -41) - fine.ldexp(1, -83), True)):
         c = fine.mpc(1 - fine.ldexp(1, -83), b)
         g = trusted([[one, fine.conj(c)], [c, one]], 53)
         if fails:
-            for leading in (toeplitz_leading, schur_leading):
-                with pytest.raises(NotPositiveDefinite) as e:
-                    leading(g)
-                assert e.value.pivot == 1
+            with pytest.raises(NotPositiveDefinite) as e:
+                schur_leading(g)
+            assert e.value.pivot == 1
         else:
-            assert toeplitz_leading(g) == schur_leading(g)
+            want = 1 / fine.sqrt(fine.ldexp(1, -82) - fine.ldexp(1, -166))
+            assert abs(schur_leading(g) - want) <= want * fine.ldexp(1, -42)
 
 
 def test_escalation_is_explicit():
