@@ -671,9 +671,9 @@ def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
     """Exact leading coefficients against the limit over an n-grid.
 
     Computes the exact optimum per n and its error against the limit, with
-    the closed form's guard bits and certified relative radius (None where
-    the Gram route gives the value), and flags whether the error sequence
-    is nonincreasing up to a factor 2.
+    the guard bits and certified relative radius of the run that decided
+    it, and flags whether the error sequence is nonincreasing up to a
+    factor 2.
     """
     ns = [int(n) for n in n_grid]
     if ns != sorted(set(ns)):
@@ -689,9 +689,8 @@ def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
         for key, want, leading in (("tau", want_tau, tau_n),
                                    ("eta", want_eta and n >= 1, eta_n)):
             if want:
-                # the closed form's guard bits and certified relative
-                # radius; None on the Gram route
-                record = {"guard_bits": None, "relative_radius": None}
+                # the guard bits and certified relative radius of its run
+                record: dict = {}
                 row[key] = float(leading(mu, n, record))
                 row[f"{key}_error"] = abs(row[key] - target)
                 row[f"{key}_guard_bits"] = record["guard_bits"]

@@ -41,7 +41,6 @@ from szego_lab.contract import (
     PRECISION_BITS,
     FieldError,
     NotPositiveDefinite,
-    PrecisionExhausted,
     QuadratureError,
     ScheduleViolation,
     _as_float,
@@ -444,7 +443,7 @@ def _run_opuc(man: RunManifest):
                "target": rec["target"], "tau_error": r.get("tau_error"),
                "eta_error": r.get("eta_error")}
         # report.json only: the guard bits and certified relative radius
-        # of each closed-form value
+        # of each value's run
         for key in ("tau_guard_bits", "tau_relative_radius",
                     "eta_guard_bits", "eta_relative_radius"):
             row[key] = r.get(key)
@@ -588,9 +587,8 @@ def main(argv=None) -> int:
     except ScheduleViolation as exc:
         _emit_error(4, exc)
         return 4
-    except (PrecisionExhausted, NotPositiveDefinite, QuadratureError,
-            TaylorToleranceError, PoleProximityError, NonFiniteGridError,
-            GridCapError) as exc:
+    except (NotPositiveDefinite, QuadratureError, TaylorToleranceError,
+            PoleProximityError, NonFiniteGridError, GridCapError) as exc:
         _emit_error(3, exc)
         return 3
     print(f"wrote {result['csv']} and {result['json']} "

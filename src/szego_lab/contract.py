@@ -40,17 +40,6 @@ class QuadratureError(ArithmeticError):
     """Grid quadrature failed to converge before the node cap."""
 
 
-class PrecisionExhausted(ArithmeticError):
-    """Factorization failed at every precision tag; carries the report."""
-
-    def __init__(self, bits_tried: tuple, last_pivot: int, solve: str):
-        self.bits_tried = bits_tried
-        self.last_pivot = last_pivot
-        super().__init__(
-            f"{solve}: not positive definite at any of {bits_tried} bits "
-            f"(last failing pivot {last_pivot})")
-
-
 class NotPositiveDefinite(ArithmeticError):
     """Pivot <= 0 during factorization; carries the failing pivot index and,
     if given, the pivot's value as an mpmath number, formatted by its own

@@ -12,49 +12,30 @@ accumulating at the circle.
 
 The residue identity's quadrature evaluates its integrand at the nodes of
 one power-of-two circle grid per (n, k), in fixed point on Python
-integers.  A ResidueNodes table belongs to one measure and the rows (n, k)
-of one run, and certifies every row's grid before any node is evaluated
-(see the class).  It holds each node and its weights B^k/conj(psi) as
-integer pairs at bits + 32 fractional bits, psi in its own scale, so the
-checks of all its rows evaluate psi and the Blaschke factors once per node
-and each Laurent element once per node.  Since every power of a
-node is another node of the grid, each numerator R_n(x) x^(-n) is one
-exact integer dot product of the element's coefficients against table
-nodes, rounded once, and each grid mean is the exact integer sum of its
-terms, rounded once to the measure's precision, as is the right-hand side
-from the same integers.
+integers: a ResidueNodes table (see the class) certifies every row's grid
+before any node is evaluated, and evaluates psi, the Blaschke factors and
+each Laurent element once per node, each grid mean the exact integer sum
+of its terms rounded once.
 
-tau_n and eta_n have two routes.  With masses and degree at least deg psi
-they come from Uvarov's closed form: the Bernstein-Szego orthonormal
-polynomials and their Christoffel-Darboux kernel reduce the Gram solve to
-a K-by-K system for K masses, whatever n is.  That system is built and
-factored on Python integers (xlinalg._cholesky_fixed) and rounded to an
-mpmath number once.  Mass-free measures, where the closed form is the
-constant psi(0), and lower degrees take the Gram route: 1/sqrt of the
-Schur complement of z^n in the Gram matrix, held and factored on integers,
-the Cholesky factor's last pivot (schur_leading).  A mass-free eta_n is
-tau_(2n-1), and tau_n is tau_(min(n, deg psi)), so every Gram matrix the
-route factors has at most deg psi + 1 rows; the full-size route stays the
-tests' oracle for the reduced values and for the closed form.  The residue
-check's orthonormal Laurent elements come from the same closed form where
-2n - 1 >= deg psi: Uvarov's element, one back substitution on the ratio's
-factor and a Christoffel-Darboux division per mass, O(K n); without masses
-psi's own coefficients.  Below that degree they are the extremal witnesses
-of the Laurent Gram matrices, one integer back substitution each, which
-stay the tests' oracle.  The entries with masses, and moment, follow one
-integer rule (_inner_products).  A measure enters the fixed point in one
-place, _mass_terms, which the Gram entries, the closed form, the residue
-check and the lower-bound pipeline (asymptotics) all read: psi and the
-masses read exactly, the masses reflected.
+tau_n and eta_n have two routes.  With masses and degree at least deg psi,
+Uvarov's closed form: the Bernstein-Szego orthonormal polynomials and
+their Christoffel-Darboux kernel reduce the Gram solve to a K-by-K system
+for K masses, whatever n is.  Otherwise the Gram route: 1/sqrt of the
+Schur complement of z^n in the Gram matrix, its factor's last pivot.  A
+mass-free eta_n is tau_(2n-1) and tau_n is tau_(min(n, deg psi)), so no
+Gram matrix the route factors has more than deg psi + 1 rows.  The
+residue check's Laurent elements follow the same split: Uvarov's element
+where 2n - 1 >= deg psi (psi's own coefficients without masses), the
+extremal witness of the Laurent Gram matrix below.  The entries with
+masses, and moment, follow one integer rule (_inner_products), and a
+measure enters the fixed point in one place, _mass_terms.
 
-Precision escalation is explicit: the Gram route starts at the
-first tag that holds its entries (at least the measure's tag), a failure
-there is retried at the next tag, and the failure is reported, never
-hidden.  The closed form runs once, at 32 guard bits above the measure's
-tag, with a certified error radius, and keeps the run when its ball
-decides the rounding (Ziv's test); otherwise it runs again at twice the
-guard bits, and raises NotPositiveDefinite if no run is decided by
-_GUARD_CAP.
+Every system is factored on Python integers (xlinalg._cholesky_fixed)
+under one precision policy (_certify): one run at 32 guard bits above the
+measure's tag, with a certified radius (each entry's a priori, then the
+factor's Schur ball, xlinalg._schur_ball), kept when its ball decides the
+rounding (Ziv's test); otherwise again at twice the guard bits, and
+NotPositiveDefinite past _GUARD_CAP.
 """
 
 from __future__ import annotations
@@ -75,13 +56,11 @@ from szego_lab.circle_fourier import (
 )
 from szego_lab.contract import (
     FieldError,
-    PrecisionExhausted,
     QuadratureError,
     _as_int,
 )
 from szego_lab.xlinalg import (
     _GUARD_BITS,
-    PRECISION_BITS,
     HermitianMatrix,
     NotPositiveDefinite,
     PrecisionTag,
@@ -94,7 +73,6 @@ from szego_lab.xlinalg import (
     _cmul,
     _cpow,
     _dot,
-    _extremal,
     _extremal_of_factor,
     _dyadic,
     _float_up,
@@ -115,8 +93,6 @@ from szego_lab.xlinalg import (
     _to_mpc,
     _to_mpf,
     context,
-    next_tag,
-    schur_leading,
 )
 
 __all__ = [
@@ -126,7 +102,6 @@ __all__ = [
     "FieldError",
     "ResidueNodes",
     "QuadratureError",
-    "PrecisionExhausted",
     "moment",
     "gram_polynomial",
     "gram_laurent",
@@ -406,51 +381,6 @@ def gram_laurent(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianM
     return _gram_from_exponents(mu, range(-(n - 1), n + 1), bits)
 
 
-def _precision_floor(mu: MeasureSpec, n: int) -> int:
-    """First tag that holds the Gram entries of degree n, at least mu's.
-
-    Entries reach |z_k|^(2n), so 64 + 2n log2 max|z_k| bits keep 64 bits
-    after that cancellation; a tag too short for it can fail silently, with
-    every pivot positive and a wrong leading coefficient.  Capped at the top
-    tag.
-    """
-    need = mu.precision
-    if mu.spectrum.masses:
-        z_max = max(abs(z) for z, _ in mu.spectrum.masses)
-        need = max(need, 64 + math.ceil(2 * n * math.log2(z_max)))
-    for bits in PRECISION_BITS:
-        if bits >= need:
-            return bits
-    return PRECISION_BITS[-1]
-
-
-def _escalate(mu: MeasureSpec, n: int, build_and_solve, solve: str):
-    """Run build_and_solve(bits) under the explicit escalation protocol,
-    starting at the precision floor for degree n; PrecisionExhausted names
-    the solve and n."""
-    tried = []
-    bits = _precision_floor(mu, n)
-    last = None
-    while bits is not None:
-        tried.append(bits)
-        try:
-            return build_and_solve(bits)
-        except NotPositiveDefinite as err:
-            last = err
-            bits = next_tag(bits)
-    raise PrecisionExhausted(tuple(tried), last.pivot, f"{solve} at n = {n}")
-
-
-def _gram_leading(mu: MeasureSpec, n: int, laurent: bool):
-    """tau_n (or eta_n with laurent) by the Gram route, under the escalation
-    protocol: 1/sqrt of the Schur complement of the pivot z^n, the
-    Cholesky factor's last pivot (schur_leading).  tau_n and eta_n call it
-    at degree at most deg psi; at any n it is their tests' oracle."""
-    gram = gram_laurent if laurent else gram_polynomial
-    return _escalate(mu, n, lambda b: schur_leading(gram(mu, n, b)),
-                     "the Gram route's Schur complement")
-
-
 @functools.lru_cache(maxsize=8)
 def _mass_terms(psi: tuple, masses: tuple, f: int) -> tuple:
     """The measure at f fractional bits, on integers: (coeffs, terms) with
@@ -614,34 +544,55 @@ def _uvarov_system(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
 
 
 def _uvarov_factor(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
-    """Uvarov's system at bits (_uvarov_system), equilibrated and factored by
-    xlinalg._cholesky_fixed as the Gram route's matrices are, which raises
-    NotPositiveDefinite as on the Gram route: (factor, points, ball), ball
-    the certified bound of xlinalg._schur_ball on the factor, or None."""
+    """Uvarov's system at bits (_uvarov_system) factored as _gram_factor
+    factors a Gram matrix: (factor, points, ball)."""
     rows, points, radius = _uvarov_system(mu, n, shift, bits)
     factor = _cholesky_fixed(rows, -bits - _GUARD_BITS, bits)
     return factor, points, _schur_ball(factor, radius, bits)
 
 
-def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
-    """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading),
-    on integers: (man, exp, radius), the ratio man 2^exp before any rounding
-    to an mpmath number, the factor's last pivot, and radius a float bound
-    on its relative error (inf where _schur_ball cannot tell).  With the
-    pivot l = man 2^-f of the equilibrated system and eps its Schur ball,
-    the exact pivot is within eps 2^-f / l of l, so the relative radius is
-    eps 2^-f / l^2, taken from man's leading bits and its length, so that
-    no step leaves the float range.
-    """
-    f = bits + _GUARD_BITS
-    (*_, diag, scale), _, ball = _uvarov_factor(mu, n, shift, bits)
-    man = diag[-1]
+def _pivot_radius(man: int, ball, f: int) -> float:
+    """The relative radius of a factor's last pivot l = man 2^-f from its
+    Schur ball (inf for None): the exact l^2 is within eps units of 2^-f,
+    so l within eps 2^-f / l^2 relative, read from man's leading bits and
+    its length so that no step leaves the float range."""
     if ball is None:
-        return man, scale[-1] - f, math.inf
+        return math.inf
     length = man.bit_length()
     lead = _float_up(man, -length)  # man 2^-length, in [1/2, 1]
     radius = math.ldexp(ball[0] / (lead * lead), f - 2 * length)
-    return man, scale[-1] - f, max(radius, math.ulp(0.0)) * (1 + 2.0 ** -20)
+    return max(radius, math.ulp(0.0)) * (1 + 2.0 ** -20)
+
+
+def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
+    """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading),
+    on integers: (man, exp, radius), the ratio man 2^exp before any rounding
+    to an mpmath number, the factor's last pivot, and radius its relative
+    radius (_pivot_radius)."""
+    f = bits + _GUARD_BITS
+    (*_, diag, scale), _, ball = _uvarov_factor(mu, n, shift, bits)
+    return diag[-1], scale[-1] - f, _pivot_radius(diag[-1], ball, f)
+
+
+def _witness_error(factor: tuple, ball, f: int):
+    """The error of the witness v = x / sqrt(x_K) of _extremal_of_factor
+    at f, by the factor's Schur ball: (e_v, rel, low), or None where the
+    ball cannot tell.  v_i = 2^-k_i w_i sqrt(x_K), against 2^-k_i w'_i /
+    sqrt(sigma') exactly; the ball bounds sigma' within eps units of l^2
+    and w within delta plus the back substitution's cols_i l^2 units of w',
+    so apart from sqrt(x_K), v_i (i < K) is within e_v[i] = 2^-k_i
+    (cols_i l^2 + delta) / l units with its own rounding.  sqrt(x_K) is
+    within rel = 1 + sqrt(2) eps / l^2 units relative of 1 / sqrt(sigma'),
+    alike for every v_i.  low is l rounded up."""
+    if ball is None:
+        return None
+    eps, _, delta, cols = ball
+    _, _, diag, scale = factor
+    low = _float_up(diag[-1], -f)
+    if not _scale_up(low * low, f) > 2.0 * eps:
+        return None
+    return ([_scale_up((ci * low * low + delta) / low, -k) + 1.5
+             for k, ci in zip(scale, cols)], 1.0 + 1.5 * eps / (low * low), low)
 
 
 def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
@@ -649,9 +600,8 @@ def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     |z_i|^(-2 shift), times 2^-s for psi at its own scale (_uvarov_terms),
     on integers: (coeffs, radius), its coefficients of 1, z, ..., z^n as
     pairs at f = bits + 32 fractional bits, from the one factor of the
-    ratio's system (see _closed_form_leading), and a bound on every
-    coefficient's error in units of 2^-f (inf where _schur_ball cannot
-    tell).
+    ratio's system (see _closed_form_leading), and every coefficient's
+    error bound in units of 2^-f (inf where _schur_ball cannot tell).
 
     For A = [[S, f], [f^H, 1]] of _uvarov_system, x = A^-1 e_K has
     x_K = 1/sigma, sigma = 1 - f^H S^-1 f, and x_i = -(S - f f^H)^-1 f for
@@ -668,20 +618,14 @@ def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     product rounded once: |zeta_i| < 1 shrinks every earlier rounding, so
     the division is stable.  O(K n) after the O(K^3) factor.
 
-    The radius.  In the equilibrated system v_i = 2^-k_i w_i sqrt(x_K),
-    against 2^-k_i w'_i / sqrt(sigma') exactly.  The ball (_schur_ball)
-    bounds sigma' within eps units of l^2 and the computed w within delta
-    plus the back substitution's cols_i l^2 units of w', so apart from
-    sqrt(x_K) v_i is within 2^-k_i (cols_i l^2 + delta) / l units, plus its
-    own rounding.  sqrt(x_K), after x_K's two roundings, is within
-    1 + sqrt(2) eps / l^2 units relative of 1 / sqrt(sigma'); it scales
-    every v_i alike, so it moves the mass terms' sum, the element less
-    sqrt(sigma) psi, by that relative error as a whole.  The products
-    alpha_i = v_i conj(p_i), beta_i = v_i conj(f_i) and each a_m follow
-    _bound_err; the division carries an error through G_i =
-    min(n, 1 / (1 - |zeta_i|)) steps at most, each adding
-    |b - a| e_zeta + |zeta_i| e_a + 1 units with |b - a| <= A (1 + G_i),
-    A >= |a_m|.  The ratio sqrt(sigma) is within 2^k_K eps / l units.
+    The radius.  Each v_i is within e_v[i] units but for the common factor
+    sqrt(x_K) (_witness_error), whose relative error moves the mass terms'
+    sum, the element less sqrt(sigma) psi, as a whole.  alpha_i =
+    v_i conj(p_i), beta_i = v_i conj(f_i) and each a_m follow _bound_err;
+    the division carries an error through G_i = min(n, 1 / (1 - |zeta_i|))
+    steps at most, each adding |b - a| e_zeta + |zeta_i| e_a + 1 units,
+    |b - a| <= A (1 + G_i) for A >= |a_m|.  The ratio sqrt(sigma) is within
+    2^k_K eps / l units.
     """
     f = bits + _GUARD_BITS
     coeffs, psi_sum, terms = _uvarov_terms(mu.weight.coeff_key(),
@@ -708,21 +652,18 @@ def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
                 ar, ai = ar - cr, ai - ci
             br, bi = _cmul((br - ar, bi - ai), zeta, f)
             out[m - 1] = out[m - 1][0] + br, out[m - 1][1] + bi
-    if ball is None:
+    errors = _witness_error(factor, ball, f)
+    if errors is None:
         return out, math.inf
-    eps, _, delta, cols = ball
-    low = _float_up(diag[-1], -f)
-    if not _scale_up(low * low, f) > 2.0 * eps:
-        return out, math.inf
+    e_vs, rel, low = errors
     c_top = max(_mag(c, f) for c in coeffs)
     # the ratio's error, and sqrt(x_K)'s, which moves every v_i by the same
     # factor and so the mass terms' sum, out - ratio psi, as a whole
     top = _float_up(max(max(abs(re), abs(im)) for re, im in out), 1 - f)
-    radius = (_bound_err(1.0, _scale_up(eps / low, scale[-1]), c_top, 1.0, f)
-              + (1.0 + 1.5 * eps / (low * low)) * (top + c_top))
-    for vi, (_, _, e_p, e_f), (*_, (_, r_f, _, _)), (alpha, beta), k, ci in (
-            zip(v, points, terms, parts, scale, cols)):
-        e_v = _scale_up((ci * low * low + delta) / low, -k) + 1.5
+    radius = (_bound_err(1.0, _scale_up(ball[0] / low, scale[-1]), c_top, 1.0, f)
+              + rel * (top + c_top))
+    for vi, (_, _, e_p, e_f), (*_, (_, r_f, _, _)), (alpha, beta), e_v in (
+            zip(v, points, terms, parts, e_vs)):
         v_mag, a_mag, b_mag = _mag(vi, f), _mag(alpha, f), _mag(beta, f)
         e_a = (_bound_err(a_mag, _bound_err(v_mag, e_v, psi_sum, e_p, f),
                           c_top, 1.0, f)
@@ -734,25 +675,97 @@ def _uvarov_element(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     return out, radius * (1 + 2.0 ** -20)
 
 
+def _gram_radius(mu: MeasureSpec, exps: Sequence[int], g: HermitianMatrix,
+                 scale: Sequence[int]) -> list:
+    """Each entry's error in g, the Gram matrix of the z^e, e in exps, of
+    _gram_from_exponents, against the exact one: radius[r][c], c <= r, in
+    units of 2^-f, f = g.bits + 32, times 2^-(k_r + k_c) for the k of
+    scale, as _cholesky_fixed scales g and _uvarov_system its radius.  The
+    rounding to g.bits (_round_bits) is within |g_rc| 2^-bits.  The moments
+    of psi 2^-s at f (_trig_moments): N_k and c_j are read within a unit
+    and t_k = (N_k - sum_(j>=1) c_j t_(k-j)) / c_0 rounded once, so with
+    |t_m| <= t_0 <= g_00 + 3 units (g_00 >= the computed t_0), t_k is within
+    e_k = (1 + (min(k, d) + 1) t_0 + sum_(j>=1) |c_j| e_(k-j)) / c_0 + 1.
+    Each power of a mass point is a chain of rounded products (_bound_err)
+    from z and m read within a unit and 1/z within _E_ZETA, so the term
+    m z^(e_c) conj(z)^(e_r) is within |z^(e_c)| |z^(e_r)| (m's unit) +
+    m (|z^(e_c)| e_r + |z^(e_r)| e_c), for bounds |z^e| on the computed
+    and exact powers and e_e on their errors."""
+    bits, f = g.bits, g.bits + _GUARD_BITS
+    s = math.frexp(mu.weight.psi0)[1] - 1
+    c = [math.ldexp(abs(cj), -s) + math.ldexp(1.0, -f) for cj in mu.weight.psi.coeffs]
+    top = _float_up(g.lower[0][0][0], g.exp + 2 * s) + math.ldexp(3.0, -f)
+    moments = []  # e_k, units of 2^-f of the moments of psi 2^-s
+    for k in range(max(exps) - min(exps) + 1):
+        near = range(1, min(k, len(c) - 1) + 1)
+        moments.append((1.0 + (len(near) + 1) * top
+                        + sum(c[j] * moments[k - j] for j in near)) / c[0] + 1.0)
+    masses = []  # per mass, m and per row (|z^e|, e_e), each times 2^-k
+    for point, m in mu.spectrum.masses:
+        size, pw = abs(point), {0: (1.0, 0.0)}
+        for p in range(1, max(exps) + 1):
+            x, e = pw[p - 1]
+            pw[p] = x * size, _bound_err(x + math.ldexp(e, -f), e, size, 1.0, f)
+        for p in range(-1, min(exps) - 1, -1):
+            x, e = pw[p + 1]
+            pw[p] = x / size, _bound_err(x + math.ldexp(e, -f), e, 1.0 / size,
+                                         _E_ZETA, f)
+        masses.append((m, [(_scale_up(pw[p][0] + math.ldexp(pw[p][1], -f), -k),
+                            _scale_up(pw[p][1], -k)) for p, k in zip(exps, scale)]))
+    radius = [[] for _ in scale]
+    for r, (row, k_r) in enumerate(zip(g.lower, scale)):
+        for col, ((re, im), k_c) in enumerate(zip(row, scale)):
+            err = (_float_up(abs(re) + abs(im), g.exp + f - bits - k_r - k_c)
+                   + _scale_up(moments[abs(exps[r] - exps[col])], -2 * s - k_r - k_c))
+            for m, rows in masses:
+                (x_r, e_r), (x_c, e_c) = rows[r], rows[col]
+                err += x_r * x_c + m * (x_c * e_r + x_r * e_c)
+            radius[r].append(err)
+    return radius
+
+
+def _gram_factor(mu: MeasureSpec, exps: Sequence[int], bits: int) -> tuple:
+    """The Gram matrix of the z^e, e in exps, at bits (_gram_from_exponents),
+    equilibrated and factored by xlinalg._cholesky_fixed, which raises
+    NotPositiveDefinite: (factor, ball), ball xlinalg._schur_ball's bound on
+    the factor from each entry's radius (_gram_radius), or None."""
+    g = _gram_from_exponents(mu, exps, bits)
+    factor = _cholesky_fixed(g.lower, g.exp, bits)
+    return factor, _schur_ball(factor, _gram_radius(mu, exps, g, factor[3]), bits)
+
+
+def _gram_element(mu: MeasureSpec, exps: Sequence[int], bits: int) -> tuple:
+    """The extremal witness of the Gram matrix of the z^e, e in exps
+    (_gram_factor), times 2^-s as _uvarov_element's: (coeffs, radius), its
+    integer pairs at f = bits + 32, each rounded once, and every
+    coefficient's error bound in units of 2^-f (_witness_error's, w_N
+    being exactly 1; inf where the ball cannot tell)."""
+    f, s = bits + _GUARD_BITS, math.frexp(mu.weight.psi0)[1] - 1
+    factor, ball = _gram_factor(mu, exps, bits)
+    out = _extremal_of_factor(factor, bits, f - s)
+    errors = _witness_error(factor, ball, f)
+    if errors is None:
+        return out, math.inf
+    e_vs, rel, _ = errors
+    return out, max(_scale_up(e_v, -s) + rel * _mag(c, f) + 1.0
+                    for e_v, c in zip(e_vs + [1.5], out)) * (1 + 2.0 ** -20)
+
+
 _GUARD_CAP = 1 << 14
 
 
 def _certify(mu: MeasureSpec, run):
-    """One certified run: run(bits) at mu.precision plus 32 guard bits,
-    and at twice as many each time it returns None, Ziv's test on its
-    radius having failed, or raises NotPositiveDefinite: (result, guard).
-    Past _GUARD_CAP guard bits the last run's failure is raised, a failed
-    test as NotPositiveDefinite(number of masses)."""
+    """The one precision policy: run(bits) at mu.precision plus 32 guard
+    bits, and at twice as many each time it raises NotPositiveDefinite (a
+    failed factor, or Ziv's test on its radius): (result, guard).  Past
+    _GUARD_CAP guard bits the last run's failure is raised."""
     guard = 32
     while True:
         try:
-            out, failed = run(mu.precision + guard), None
-        except NotPositiveDefinite as err:
-            out, failed = None, err
-        if out is not None:
-            return out, guard
-        if guard >= _GUARD_CAP:
-            raise failed or NotPositiveDefinite(len(mu.spectrum))
+            return run(mu.precision + guard), guard
+        except NotPositiveDefinite:
+            if guard >= _GUARD_CAP:
+                raise
         guard *= 2
 
 
@@ -772,69 +785,91 @@ def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0) -> tuple:
     tau_n^2 = c_0^2 (1 - f^H S^-1 f), S_il = [i == l]/m_i + K_n(z_i, z_l),
     f_i = phi_n(z_i).
 
-    1 - f^H S^-1 f is about prod |z_i|^-2 at large n and is computed as 1
-    minus a sum near 1; masses near the circle cancel in the kernel's
-    numerator and denominator.  So no fixed number of guard bits suffices.
-    The value is computed once, at 32 guard bits, with a certified radius
-    (_uvarov_ratio), and accepted by Ziv's test: the ball of psi(0) times
-    the ratio, on integers, rounds to a single mpf at mu.precision, which is
-    the value.  Otherwise it is run again at twice the guard bits
-    (_certify); past _GUARD_CAP the last pivot is not told apart from zero
-    and NotPositiveDefinite is raised.
+    1 - f^H S^-1 f, about prod |z_i|^-2 at large n, is 1 minus a sum near
+    1, and masses near the circle cancel in the kernel, so no fixed number
+    of guard bits suffices: under _certify, the ball of psi(0) times the
+    ratio (_uvarov_ratio) must round to a single mpf at mu.precision.
     """
     p0, q0 = mu.weight.psi0.as_integer_ratio()
     ctx = context(mu.precision)
 
     def run(bits):
         man, exp, radius = _uvarov_ratio(mu, n, shift, bits)
-        if not math.isfinite(radius):
-            return None
-        a, b = radius.as_integer_ratio()
-        value = _ball_to_mpf(ctx, p0 * man, -(-p0 * man * a // b),
-                             exp + 1 - q0.bit_length())
-        return None if value is None else (value, radius)
+        value = None
+        if math.isfinite(radius):
+            a, b = radius.as_integer_ratio()
+            value = _ball_to_mpf(ctx, p0 * man, -(-p0 * man * a // b),
+                                 exp + 1 - q0.bit_length())
+        if value is None:
+            raise NotPositiveDefinite(len(mu.spectrum))
+        return value, radius
 
     (value, radius), guard = _certify(mu, run)
     return value, guard, radius
 
 
-def _closed_form_element(mu: MeasureSpec, n: int, frac: int) -> tuple:
-    """The orthonormal Laurent element of degree n, 2n - 1 >= deg psi, in
-    closed form: (pairs, radius), its coefficients of z^-(n-1)..z^n as
-    integer pairs at frac fractional bits, each rounded once, and a bound on
-    every coefficient's error in units of 2^-frac.
+def _gram_leading(mu: MeasureSpec, n: int, laurent: bool,
+                  record: dict | None = None):
+    """tau_n (or eta_n with laurent) by the Gram route under _certify: 1/l,
+    l the last pivot of the Gram matrix's factor (_gram_factor), within
+    rho / (1 - rho) <= rho + 2 rho^2 relative for l's radius rho <= 1/2
+    (_pivot_radius), kept when that ball, on integers, rounds to one mpf at
+    mu.precision; recorded in record, if one is given."""
+    exps = range(1 - n, n + 1) if laurent else range(n + 1)
+    ctx = context(mu.precision)
 
-    It is z^-(n-1) phi_(2n-1) of the measure whose masses are reweighted by
-    |z_i|^(-2(n-1)), the measure eta_n's closed form reads.  Without masses
-    that is psi's coefficients, exactly: c_j at z^(n-j).  With masses it is
-    _uvarov_element under the closed form's policy (_certify): one run,
-    accepted by Ziv's test when every coefficient's radius is at most
-    2^-(mu.precision + 8) of the largest, which must not be 0.  That
-    radius, moved to frac, plus one unit for the rounding, is the bound;
-    without masses the bound is the one unit.
-    """
+    def run(bits):
+        f = bits + _GUARD_BITS
+        (*_, diag, scale), ball = _gram_factor(mu, exps, bits)
+        man, radius, value = diag[-1], _pivot_radius(diag[-1], ball, f), None
+        if radius <= 0.5:
+            radius += 2.0 * radius * radius
+            t = man.bit_length() + f
+            x = _rdiv(1 << t, man)  # 2^t / man, within half a unit
+            a, b = radius.as_integer_ratio()
+            value = _ball_to_mpf(ctx, x, -(-x * a // b) + 1, f - scale[-1] - t)
+        if value is None:
+            raise NotPositiveDefinite(len(diag) - 1)
+        return value, radius
+
+    (value, radius), guard = _certify(mu, run)
+    return _recorded(value, guard, radius, record)
+
+
+def _laurent_element(mu: MeasureSpec, n: int, frac: int) -> tuple:
+    """The orthonormal Laurent element of degree n: (pairs, radius), its
+    coefficients of z^-(n-1)..z^n as integer pairs at frac fractional bits,
+    each rounded once, and every coefficient's error bound in units of
+    2^-frac.  Where 2n - 1 >= deg psi it is z^-(n-1) phi_(2n-1) of the
+    measure with masses m_i |z_i|^(-2(n-1)), the one eta_n's closed form
+    reads: psi's coefficients without masses (c_j at z^(n-j), within the
+    rounding's unit), else _uvarov_element; below, the Laurent Gram
+    matrix's witness (_gram_element).  Either runs under _certify, kept
+    when every coefficient's radius is at most 2^-(mu.precision + 8) of the
+    largest, which must not be 0; moved to frac, plus one unit, it is the
+    bound."""
+    closed = 2 * n - 1 >= mu.weight.psi.hi
     coeffs = _mass_terms(mu.weight.coeff_key(), (), frac)[0]
-    if not mu.spectrum.masses:
+    if closed and not mu.spectrum.masses:
         return [(0, 0)] * (2 * n - len(coeffs)) + list(coeffs[::-1]), 1.0
 
     def run(bits):
-        element, radius = _uvarov_element(mu, 2 * n - 1, n - 1, bits)
+        element, radius = (_uvarov_element(mu, 2 * n - 1, n - 1, bits) if closed
+                           else _gram_element(mu, range(1 - n, n + 1), bits))
         top = max(max(abs(re), abs(im)) for re, im in element)
-        return ((element, radius)
-                if _scale_up(radius, mu.precision + 8) <= top else None)
+        if not _scale_up(radius, mu.precision + 8) <= top:
+            raise NotPositiveDefinite(len(mu.spectrum) if closed else 2 * n - 1)
+        return element, radius
 
     (element, radius), guard = _certify(mu, run)
     # psi at its own scale: the element times 2^-s at f fractional bits
-    s = math.frexp(mu.weight.psi0)[1] - 1
-    move = frac + s - mu.precision - guard - _GUARD_BITS
+    move = frac + math.frexp(mu.weight.psi0)[1] - 1 - mu.precision - guard - _GUARD_BITS
     return ([(_shift(re, move), _shift(im, move)) for re, im in element],
             _scale_up(radius, move) + 1.0)
 
 
-def _leading(mu: MeasureSpec, n: int, shift: int, record: dict | None):
-    """The closed form's tau_n at degree n and shift, its guard bits and
-    relative radius put in record if one is given."""
-    value, guard, radius = _closed_form_leading(mu, n, shift)
+def _recorded(value, guard: int, radius: float, record: dict | None):
+    """value, with its guard bits and relative radius put in record."""
     if record is not None:
         record.update(guard_bits=guard, relative_radius=radius)
     return value
@@ -844,36 +879,34 @@ def tau_n(mu: MeasureSpec, n: int, record: dict | None = None):
     """Leading coefficient of the degree-n orthonormal polynomial (mpf).
 
     With masses and n >= deg psi, by the closed form (_closed_form_leading),
-    which puts the guard bits it settled at and its certified relative
-    radius in record, if one is given; otherwise by the Gram route
-    (_gram_leading).  Without masses dm/|psi|^2 is a Bernstein-Szego
-    weight: its Verblunsky coefficients vanish from index deg psi on, so
-    tau_n = tau_(deg psi) for n >= deg psi, and the Gram route runs at
-    degree min(n, deg psi), on at most deg psi + 1 rows.
+    otherwise by the Gram route (_gram_leading), each recording its run's
+    guard bits and relative radius in record, if one is given.  Without
+    masses dm/|psi|^2 is a Bernstein-Szego weight, whose Verblunsky
+    coefficients vanish from index deg psi on, so tau_n = tau_(deg psi)
+    for n >= deg psi.
     """
     if not mu.spectrum.masses:
-        return _gram_leading(mu, min(n, mu.weight.psi.hi), laurent=False)
+        return _gram_leading(mu, min(n, mu.weight.psi.hi), False, record)
     if n >= mu.weight.psi.hi:
-        return _leading(mu, n, 0, record)
-    return _gram_leading(mu, n, laurent=False)
+        return _recorded(*_closed_form_leading(mu, n), record)
+    return _gram_leading(mu, n, False, record)
 
 
 def eta_n(mu: MeasureSpec, n: int, record: dict | None = None):
     """Leading coefficient of the orthonormal Laurent element (mpf).
 
     Multiplying the span {z^-(n-1), ..., z^n} by z^(n-1) makes eta_n the
-    tau_(2n-1) of the measure with masses m_i |z_i|^(-2(n-1)); with masses
-    and 2n - 1 >= deg psi that goes through the closed form, recorded as
-    tau_n's, otherwise through the Gram route.  Without masses the
-    reweighting is void and the Laurent span's Gram matrix is the Toeplitz
-    matrix of the polynomials of degree 2n - 1, so eta_n is tau_n(mu, 2n - 1)
-    bit for bit.
+    tau_(2n-1) of the measure with masses m_i |z_i|^(-2(n-1)): the closed
+    form with masses and 2n - 1 >= deg psi, else the Gram route, recorded
+    as tau_n's.  Without masses the reweighting is void and the Laurent
+    span's Gram matrix is the Toeplitz one of degree 2n - 1, so eta_n is
+    tau_n(mu, 2n - 1) bit for bit.
     """
     if n >= 1 and not mu.spectrum.masses:
-        return tau_n(mu, 2 * n - 1)
+        return tau_n(mu, 2 * n - 1, record)
     if n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
-        return _leading(mu, 2 * n - 1, n - 1, record)
-    return _gram_leading(mu, n, laurent=True)
+        return _recorded(*_closed_form_leading(mu, 2 * n - 1, n - 1), record)
+    return _gram_leading(mu, n, True, record)
 
 
 # ----------------------------------------------------------------------
@@ -1054,9 +1087,9 @@ class ResidueNodes:
     Error bound.  Let eps = 2^-f.  Every input (a node, a coefficient c_j
     of psi, a reflected zero zeta_i and its rotation) is held within eps in
     modulus, each coefficient a_j of the element within e_a eps, and every
-    rounding adds at most eps: e_a is 1 for psi's own coefficients and the
-    Gram witness, and the certified radius of a closed-form run plus its
-    rounding otherwise (_closed_form_element).  Write L for the number of
+    rounding adds at most eps: e_a is 1 for psi's own coefficients, and
+    the certified radius of the element's run plus its rounding otherwise
+    (_laurent_element).  Write L for the number of
     element coefficients, A = sum |a_j|, d = deg psi, S = sum |c_j|,
     delta = min |psi| on the circle and rho_i = 1 - |zeta_i|.  To first
     order in eps a numerator is within (A + L e_a + 1) eps, the weight w[k]
@@ -1147,22 +1180,14 @@ class ResidueNodes:
     def _use(self, n: int) -> None:
         """Make the Laurent element of degree n (its coefficients of
         z^-(n-1)..z^n) the one whose numerators the table holds, each
-        coefficient times 2^-s rounded once to f bits, computed once per n:
-        in closed form where 2n - 1 >= deg psi (_closed_form_element, with
-        its certified radius), else as the integer extremal witness of its
-        Gram matrix (_extremal, escalated as needed, within one unit)."""
+        coefficient times 2^-s rounded once to f bits, computed once per n,
+        with its certified radius (_laurent_element)."""
         if n == self._n:
             return
-        self._n, frac = n, self._f - self._s
-        if n not in self._witnesses and 2 * n - 1 < len(self._psi) - 1:
-            self._witnesses[n] = _escalate(
-                self.mu, n, lambda bits: _extremal(_gram_from_exponents(
-                    self.mu, range(1 - n, n + 1), bits), frac)[0],
-                "the extremal witness solve")
-            self._radii[n] = 1.0
-        elif n not in self._witnesses:
-            self._witnesses[n], self._radii[n] = _closed_form_element(
-                self.mu, n, frac)
+        self._n = n
+        if n not in self._witnesses:
+            self._witnesses[n], self._radii[n] = _laurent_element(
+                self.mu, n, self._f - self._s)
         pairs = self._witnesses[n]
         self._coeffs = cr, ci = tuple(map(list, zip(*pairs)))
         # the coefficients by their exponent e = 1 - 2n + j mod 4, for the

@@ -21,10 +21,9 @@ entry has modulus below 1 (van der Sluis's scaling, within a factor 2),
 and works at bits + 32 fractional bits; a pivot at or below 2^-(bits + 32)
 of the scaled diagonal is not told apart from zero and raises
 NotPositiveDefinite.  The constrained leading-coefficient extremal problem
-has two routes on that factor, kept distinct so their agreement is a
-check, not a tautology: the Schur complement of the last coordinate, the
-factor's last pivot (schur_leading), and the maximizer G^-1 e_N by a back
-substitution from e_N / l_NN (_extremal, constrained_max_leading).
+has two routes on that factor, the tests' oracles: the factor's last pivot
+(schur_leading) and the maximizer G^-1 e_N by a back substitution
+(_extremal, constrained_max_leading).
 
 Error radii ride beside the fixed point where a caller certifies a result:
 a value's error in units of 2^-f as a float rounded up (_float_up, _mag,
@@ -39,9 +38,8 @@ it; _to_mpf, _to_mpc and _ball_to_mpf build theirs through the context they
 are given.  mpmath itself is imported only by context and by _circle_nodes'
 cos/sin, so the fixed point and the doubles it rounds to load without it.
 The contexts are never mutated, so threads share them without a lock,
-and nothing here reads or sets mpmath.mp's precision.  Precision never
-escalates silently: a failed pivot raises NotPositiveDefinite and the
-caller decides whether to retry higher.
+and nothing here reads or sets mpmath.mp's precision.  A failed pivot
+raises NotPositiveDefinite; measure_opuc._certify decides what runs next.
 """
 
 from __future__ import annotations
@@ -59,7 +57,6 @@ __all__ = [
     "PRECISION_BITS",
     "PrecisionTag",
     "context",
-    "next_tag",
     "HermitianMatrix",
     "NotPositiveDefinite",
     "schur_leading",
@@ -89,14 +86,6 @@ class PrecisionTag:
     def __post_init__(self):
         if self.bits not in PRECISION_BITS:
             raise ValueError(f"bits must be one of {PRECISION_BITS}")
-
-
-def next_tag(bits: int) -> int | None:
-    """The next escalation step above bits, or None at the top."""
-    for b in PRECISION_BITS:
-        if b > bits:
-            return b
-    return None
 
 
 class HermitianMatrix:
@@ -521,7 +510,7 @@ def _schur_ball(factor: tuple, radius: Sequence, bits: int):
     # mu = 1 / ||N||_F^2, and room = mu in units of 2^-f
     beta, rho = math.hypot(*rv), math.hypot(*full)
     size = math.hypot(*(x for row in inv for x in row))
-    room = _scale_up(1.0 / size, f) / size
+    room = _scale_up(1.0 / size, f) / size if size else math.inf
     if not room > 2.0 * rho:
         return None
     eps = sum(map(mul, v, rv)) + beta * (beta / (room - rho))

@@ -104,24 +104,29 @@ MUTANTS = (
      "err = len(psi) * 2.0 ** -47 *", "err = len(psi) * 2.0 ** -53 *",
      MEASURE_TESTS, False),
     ("radius-dropped", MEASURE,
-     "return man, scale[-1] - f, max(radius, math.ulp(0.0)) * (1 + 2.0 ** -20)",
-     "return man, scale[-1] - f, 0.0", MEASURE_TESTS, False),
+     "return max(radius, math.ulp(0.0)) * (1 + 2.0 ** -20)",
+     "return 0.0", MEASURE_TESTS, False),
+    # the Gram entries' radius without their rounding to the run's bits
+    ("gram-entry-rounding-dropped", MEASURE,
+     "err = (_float_up(abs(re) + abs(im), g.exp + f - bits - k_r - k_c)",
+     "err = (0.0", ("tests/test_measure_opuc.py::"
+                    "test_steep_psi_reads_its_exact_values[53]",), False),
     ("radius-shrunk", XLINALG,
      "eps = sum(map(mul, v, rv)) + beta * (beta / (room - rho))",
      "eps = (sum(map(mul, v, rv)) + beta * (beta / (room - rho))) / 64",
      MEASURE_TESTS, False),
     # a mass-free eta_n read one degree too high
     ("eta-reads-tau-2n", MEASURE,
-     "return tau_n(mu, 2 * n - 1)", "return tau_n(mu, 2 * n)",
+     "return tau_n(mu, 2 * n - 1, record)", "return tau_n(mu, 2 * n, record)",
      MEASURE_TESTS, False),
     # the Bernstein-Szego reduction stopping one degree short of deg psi
     ("bernstein-szego-short", MEASURE,
      "min(n, mu.weight.psi.hi)", "min(n, mu.weight.psi.hi - 1)",
      MEASURE_TESTS, False),
-    # the Gram route's one solver reads the pivot one row early
-    ("schur-pivot-one-row-early", XLINALG,
-     "return 1 / _to_mpf(context(g.bits), diag[-1],",
-     "return 1 / _to_mpf(context(g.bits), diag[-2],",
+    # the Gram route reads the pivot one row early
+    ("schur-pivot-one-row-early", MEASURE,
+     "man, radius, value = diag[-1], _pivot_radius(diag[-1], ball, f), None",
+     "man, radius, value = diag[-2], _pivot_radius(diag[-2], ball, f), None",
      ("tests/test_measure_opuc.py::"
       "test_mass_free_values_match_the_exact_oracle",), False),
     # the integer-to-double helper rounds straight to 53 bits

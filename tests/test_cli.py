@@ -26,7 +26,6 @@ import pytest
 from szego_lab.asymptotics import PipelineCertificate
 from szego_lab.measure_opuc import QuadratureError
 from szego_lab.cli import generate_zeros, main
-from szego_lab.xlinalg import NotPositiveDefinite
 
 import szego_lab.asymptotics as asym
 import szego_lab.blaschke as blaschke
@@ -152,9 +151,10 @@ def test_vs_bound_report_records_the_sampling_sizes(tmp_path, capsys):
 
 def test_opuc_report_records_each_values_guard_and_radius(tmp_path, capsys):
     # psi = (1 - z/5)(1 - z/(10/3)) with the README's masses, 128 bits:
-    # tau_1 and eta_1 come from the Gram route (degree below deg psi) and
-    # record none; every closed-form value certifies in one run, at 32
-    # guard bits, its relative radius below 2^-(128 + 32).  report.json only
+    # every value certifies in one run, at 32 guard bits.  tau_1 and eta_1
+    # come from the Gram route (degree below deg psi), whose entries are
+    # rounded to 128 + 32 bits: relative radius below 2^-150; every
+    # closed-form value's is below 2^-(128 + 32).  report.json only
     measure = write_json(tmp_path / "mu.json", dict(
         TWO_MASS_JSON, psi=[[1.0, 0.0], [-0.5, 0.0], [0.06, 0.0]],
         precision_bits=128))
@@ -164,13 +164,12 @@ def test_opuc_report_records_each_values_guard_and_radius(tmp_path, capsys):
     code, out = run_main(capsys, "opuc", "--manifest", man)
     assert code == 0, out
     rows = read_report(str(tmp_path / "out"))["rows"]
-    assert [rows[0][key] for key in ("tau_guard_bits", "tau_relative_radius",
-                                     "eta_guard_bits", "eta_relative_radius")
-            ] == [None] * 4
-    for row in rows[1:]:
+    assert rows[0]["n"] == 1
+    for row in rows:
         for key in ("tau", "eta"):
+            top = -150 if row["n"] == 1 else -160
             assert row[f"{key}_guard_bits"] == 32, (row["n"], key)
-            assert 0.0 < row[f"{key}_relative_radius"] < 2.0 ** -160
+            assert 0.0 < row[f"{key}_relative_radius"] < 2.0 ** top
     header = list(read_rows(str(tmp_path / "out"))[0])
     assert header == ["n", "tau_n", "eta_n", "target", "tau_error",
                       "eta_error"]
@@ -532,13 +531,13 @@ def test_residue_check_solves_one_element_per_n(tmp_path, capsys,
     # the node table takes the closed-form element of each n once and keeps
     # it for every k
     solves = []
-    real = mo._closed_form_element
+    real = mo._laurent_element
 
     def counted(mu, n, frac):
         solves.append(n)
         return real(mu, n, frac)
 
-    monkeypatch.setattr(mo, "_closed_form_element", counted)
+    monkeypatch.setattr(mo, "_laurent_element", counted)
     measure = write_json(tmp_path / "mu.json", TWO_MASS_JSON)
     man = write_json(tmp_path / "man.json", {
         "measure_file": measure, "n_grid": [4, 6], "k_list": [0, 1, 2],
@@ -556,7 +555,7 @@ def test_residue_check_builds_no_gram_matrix(tmp_path, capsys, monkeypatch):
         raise AssertionError("a Gram matrix was built")
 
     monkeypatch.setattr(mo, "_gram_from_exponents", refuse)
-    monkeypatch.setattr(mo, "_extremal", refuse)
+    monkeypatch.setattr(mo, "_gram_element", refuse)
     measures = dict(RESIDUE_FROZEN_MEASURES, mass_free={
         "psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]], "precision_bits": 128})
     for label, measure in measures.items():
@@ -1495,12 +1494,10 @@ def test_failed_witness_solve_is_named(tmp_path, capsys, monkeypatch):
     assert code == 0, out
     rows = read_rows(str(tmp_path / "out"))
     assert len(rows) == 2 and all(float(r["abs_diff"]) <= 1e-8 for r in rows)
-    # a Gram-witness row (2n - 1 < deg psi) that fails at every tag exits 3
-    # naming the extremal witness solve and its n
-    def fail(g, frac=None):
-        raise NotPositiveDefinite(g.dim - 1)
-
-    monkeypatch.setattr(mo, "_extremal", fail)
+    # a Gram-witness row (2n - 1 < deg psi) whose ball never decides exits
+    # 3 after the run at _GUARD_CAP guard bits, naming the Laurent Gram
+    # matrix's last pivot
+    monkeypatch.setattr(mo, "_schur_ball", lambda *args: None)
     measure = write_json(tmp_path / "mu.json", {
         "psi": [[1, 0], [0.3, -0.2], [0, 0.1]], "masses": [[1.5, 0.8, 0.3]],
         "precision_bits": 128})
@@ -1510,10 +1507,8 @@ def test_failed_witness_solve_is_named(tmp_path, capsys, monkeypatch):
     code, out = run_main(capsys, "residue-check", "--manifest", man)
     assert code == 3, out
     err = json.loads(out, parse_constant=refuse_constant)["error"]
-    assert err["type"] == "PrecisionExhausted"
-    assert err["message"] == (
-        "the extremal witness solve at n = 1: not positive definite at any "
-        "of (128, 256, 512) bits (last failing pivot 1)")
+    assert err["type"] == "NotPositiveDefinite"
+    assert err["message"] == "nonpositive pivot at index 1"
 
 
 def test_module_entry_point(tmp_path):

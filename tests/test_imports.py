@@ -351,7 +351,7 @@ def test_the_package_resolves_every_export_on_first_access(first):
 
 @pytest.mark.parametrize("module, name", [
     ("measure_opuc", "FieldError"), ("measure_opuc", "QuadratureError"),
-    ("measure_opuc", "PrecisionExhausted"), ("xlinalg", "NotPositiveDefinite"),
+    ("xlinalg", "NotPositiveDefinite"),
     ("xlinalg", "PRECISION_BITS"), ("asymptotics", "ScheduleViolation")])
 def test_each_moved_name_is_the_leafs_object(module, name):
     contract = importlib.import_module("szego_lab.contract")

@@ -28,7 +28,6 @@ from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
     PointSpectrum,
-    PrecisionExhausted,
     QuadratureError,
     ResidueNodes,
     eta_n,
@@ -350,15 +349,16 @@ def test_moment_cache_is_bounded(monkeypatch):
         eta_n(mu, 12)
     assert len(heads) == 20
     assert len(mo._moment_cache) <= 8
-    first = mo._trig_moments(mus[-1].weight, 23, 256)
-    assert mo._trig_moments(mus[-1].weight, 12, 256)[0] is first[0]
+    # the Gram route's one run builds at 256 + 32 guard bits
+    first = mo._trig_moments(mus[-1].weight, 23, 288)
+    assert mo._trig_moments(mus[-1].weight, 12, 288)[0] is first[0]
     eta_n(mus[-1], 24)
     assert len(heads) == 20
-    mo._trig_moments(mus[12].weight, 4, 256)  # the oldest entry, a hit
-    mo._trig_moments(OuterWeight(LaurentPolynomial(0, [1.0, 0.25j])), 4, 256)
+    mo._trig_moments(mus[12].weight, 4, 288)  # the oldest entry, a hit
+    mo._trig_moments(OuterWeight(LaurentPolynomial(0, [1.0, 0.25j])), 4, 288)
     assert len(heads) == 21
-    assert (mus[12].weight.coeff_key(), 256) in mo._moment_cache
-    assert (mus[13].weight.coeff_key(), 256) not in mo._moment_cache
+    assert (mus[12].weight.coeff_key(), 288) in mo._moment_cache
+    assert (mus[13].weight.coeff_key(), 288) not in mo._moment_cache
 
 
 def test_moment_cache_evicts_safely_from_threads(monkeypatch):
@@ -936,15 +936,15 @@ def mass_free(name, bits):
 def test_szego_recursion_matches_the_schur_complement(name, bits):
     # without masses the Szego recursion's Verblunsky coefficients vanish
     # from index deg psi on, so tau_n and eta_n factor the Toeplitz Gram
-    # matrix of degree min(n, deg psi) and 2n - 1 only; they equal the
-    # full-size Schur complement (schur_leading) bit for bit
+    # matrix of degree min(n, deg psi) and 2n - 1 only; for n >= deg psi
+    # both are the exact psi(0), a double, rounded once to the tag: psi(0)
     mu = mass_free(name, bits)
     d = mu.weight.psi.hi
     for n in sorted({d, d + 1, 7, 20, 48}):
         for laurent in (False, True) if n else (False,):
-            gram = gram_laurent if laurent else gram_polynomial
-            want = schur_leading(gram(mu, n))
-            assert (eta_n if laurent else tau_n)(mu, n) == want, (n, laurent)
+            got = (eta_n if laurent else tau_n)(mu, n)
+            assert got == mu.weight.psi0 and got.context.prec == bits, (
+                n, laurent)
 
 
 @pytest.mark.parametrize("bits", [53, 128, 256, 512])
@@ -997,14 +997,16 @@ def test_mass_free_values_match_the_exact_oracle(name, bits):
 ], ids=["d2-n1", "d4-n2"])
 def test_mass_free_eta_below_deg_psi_is_the_laurent_gram_route(coeffs, n,
                                                                 value, bits):
-    # at 2n - 1 < deg psi eta_n = tau_(2n-1) is not psi(0) yet; it is still
-    # the Schur complement of the Laurent span's Gram matrix, bit for bit.
-    # psi = 1 + z^4/100 has t_1 = t_2 = t_3 = 0, so eta_2 = sqrt(1 - 10^-4)
+    # at 2n - 1 < deg psi eta_n = tau_(2n-1) is not psi(0) yet; it is the
+    # Schur complement of the Laurent span's Gram matrix, the exact value
+    # rounded once.  psi = 1 + z^4/100 has t_1 = t_2 = t_3 = 0, so
+    # eta_2 = sqrt(1 - 10^-4)
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
                      PointSpectrum.empty(), bits)
     assert 2 * n - 1 < mu.weight.psi.hi
     got = eta_n(mu, n)
-    assert got == schur_leading(gram_laurent(mu, n))
+    assert correctly_rounded(got, exact_tau_squared(
+        tuple(coeffs), (), tuple(range(1 - n, n + 1))))
     assert float(got) == pytest.approx(value, rel=1e-15)
 
 
@@ -1319,7 +1321,7 @@ def test_closed_form_takes_one_run_per_value_on_the_benchmark(
                 eta_n(mu, n)
                 values += (n >= d) + (2 * n - 1 >= d)
             elif 2 * n - 1 >= d:
-                mo._closed_form_element(mu, n, mu.precision + 32)
+                mo._laurent_element(mu, n, mu.precision + 32)
                 values += 1
     assert values > 100 and guards == [32] * values
 
@@ -1382,7 +1384,7 @@ def test_closed_form_element_vanishes_where_the_masses_outweigh_psi():
                      PointSpectrum(((1.5, 0.3), (-2 + 1j, 0.2))), 128)
     ctx = context(256)
     for n in (4, 8, 12):
-        element, _ = mo._closed_form_element(mu, n, 160)
+        element, _ = mo._laurent_element(mu, n, 160)
         for z, _ in mu.spectrum.masses:
             terms = [ctx.mpc(re, im) * ctx.mpc(z) ** e
                      for (re, im), e in zip(element, range(1 - n, n + 1))]
@@ -1438,13 +1440,25 @@ def test_mass_terms_make_no_mpmath_number(monkeypatch):
 
 def extremal_element(mu, n, laurent=False):
     """The orthonormal element of degree n as the extremal witness of its
-    Gram matrix (constrained_max_leading), under the Gram route's
-    escalation: its mpc coefficients of z^lo..z^n, lo = -(n - 1) for the
-    Laurent element and 0 for the polynomial, untrimmed, the z^n
-    coefficient last."""
-    gram = gram_laurent if laurent else gram_polynomial
-    return mo._escalate(mu, n, lambda bits: constrained_max_leading(
-        gram(mu, n, bits))[1], "the extremal witness solve")
+    Gram matrix (mo._gram_element, as the residue check takes it), under
+    the one precision policy (mo._certify), with every coefficient's radius
+    at most 2^-(bits + 64) of the largest: its mpc coefficients of
+    z^lo..z^n, lo = -(n - 1) for the Laurent element and 0 for the
+    polynomial, untrimmed, the z^n coefficient last."""
+    (gram_laurent if laurent else gram_polynomial)(mu, n)  # n's range
+    exps = range(1 - n if laurent else 0, n + 1)
+
+    def run(bits):
+        pairs, radius = mo._gram_element(mu, exps, bits)
+        top = max(max(abs(re), abs(im)) for re, im in pairs)
+        if not radius * 2.0 ** (mu.precision + 64) <= top:
+            raise NotPositiveDefinite(len(exps) - 1)
+        return pairs
+
+    pairs, guard = mo._certify(mu, run)
+    frac = mu.precision + guard + 32 - (math.frexp(mu.weight.psi0)[1] - 1)
+    ctx = context(mu.precision + 64)
+    return tuple(fixed_to_mpc(ctx, re, im, frac) for re, im in pairs)
 
 
 def test_orthonormal_element_lebesgue_monomial():
@@ -1509,7 +1523,7 @@ def closed_form_element(mu, n):
     f = mu.precision + 32
     ctx = context(mu.precision)
     return [fixed_to_mpc(ctx, re, im, f)
-            for re, im in mo._closed_form_element(mu, n, f)[0]]
+            for re, im in mo._laurent_element(mu, n, f)[0]]
 
 
 @pytest.mark.parametrize("bits", [256, 128])
@@ -1559,7 +1573,7 @@ def test_closed_form_element_matches_the_exact_oracle(bits):
         want = exact_last_column("readme_two_mass", tuple(range(1 - n, n + 1)))
         x_nn = want[-1][0]
         f = bits + 32
-        got, _ = mo._closed_form_element(mu, n, f)
+        got, _ = mo._laurent_element(mu, n, f)
         eta = Fraction(got[-1][0], 2 ** f)
         assert (eta * eta - x_nn) ** 2 <= (x_nn * Fraction(2) ** (8 - bits)) ** 2
         for (gr, gi), (xr, xi) in zip(got, want):
@@ -1593,13 +1607,13 @@ def test_residue_row_below_deg_psi_takes_the_gram_witness(monkeypatch):
     # n = 2 the closed form (the CLI test holds that no other row builds a
     # Gram matrix)
     solves = []
-    real = mo._extremal
+    real = mo._gram_from_exponents
 
-    def counted(g, frac=None):
-        solves.append(g.dim)
-        return real(g, frac)
+    def counted(mu, exps, bits):
+        solves.append(len(exps))
+        return real(mu, exps, bits)
 
-    monkeypatch.setattr(mo, "_extremal", counted)
+    monkeypatch.setattr(mo, "_gram_from_exponents", counted)
     nodes = ResidueNodes(COMPLEX_PSI, [(1, 0), (1, 1), (2, 0)])
     assert solves == [2]
     want = extremal_element(COMPLEX_PSI, 1, laurent=True)
@@ -1620,41 +1634,98 @@ def test_escalation_recovers_ill_conditioned_case():
     assert abs(v - mp.mpf(2) / 3) < 1e-8
 
 
+# psi = (1 - z/1.05)^8 by its binomial coefficients (min |psi| 2.6e-11)
+STEEP_PSI = [math.comb(8, j) * (-1 / 1.05) ** j for j in range(9)]
+
+
+def correctly_rounded(got, want):
+    """Whether the mpf got is want^(1/2), for a Fraction want > 0, rounded
+    to nearest at got's precision."""
+    man, exp = mp.frexp(got)
+    ulp = Fraction(2) ** (exp - got.context.prec)
+    below = ulp / 2 if man == 0.5 else ulp  # the spacing below a power of 2
+    x = as_fraction(got)
+    return (x - below / 2) ** 2 <= want <= (x + ulp / 2) ** 2
+
+
+@functools.lru_cache(maxsize=None)
+def exact_tau_squared(coeffs, masses, exps):
+    """The exact (G^-1)_NN = tau^2 of the measure's Gram matrix of the
+    z^e, e in exps."""
+    return last_column_of_inverse(exact_gram(coeffs, masses, exps),
+                                  len(exps))[-1][0]
+
+
 def test_escalation_is_reached_on_a_valid_mass_free_input(monkeypatch):
-    # psi = (1 - z/1.05)^8 loads (min |psi| 2.6e-11), and its Toeplitz Gram
-    # matrices, of condition up to about 1/min |psi|^2, lose positivity at
-    # 53 bits from degree 5 on: tau_m builds once at 53 bits for m <= 4,
-    # at 53 and then 128 bits for m = 5..8, and once at 128 bits for every
-    # m, the escalated value being the 128-bit run's
+    # (1 - z/1.05)^8's Toeplitz Gram matrices, of condition up to about
+    # 1/min |psi|^2, lose bits to conditioning: the certified runs take
+    # 32 guard bits for tau_m, m <= 2, 32 then 64 for m = 3, 4 and 32, 64
+    # then 128 for m = 5..8, at 53 and at 128 bits, one build per run, and
+    # each value is the exact one rounded once
     builds = []
 
     def spy(mu, exps, bits, real=mo._gram_from_exponents):
-        builds.append(bits)
+        builds.append(bits - mu.precision)
         return real(mu, exps, bits)
 
     monkeypatch.setattr(mo, "_gram_from_exponents", spy)
-    weight = OuterWeight(LaurentPolynomial(
-        0, [math.comb(8, j) * (-1 / 1.05) ** j for j in range(9)]))
-    low, high = (MeasureSpec(weight, PointSpectrum.empty(), bits)
-                 for bits in (53, 128))
-    for m in range(9):
-        builds.clear()
-        got = tau_n(low, m)
-        assert builds == ([53] if m <= 4 else [53, 128]), m
-        builds.clear()
-        want = tau_n(high, m)
-        assert builds == [128], m
-        if m > 4:
-            assert got == want and got.context.prec == 128, m
+    weight = OuterWeight(LaurentPolynomial(0, STEEP_PSI))
+    for bits in (53, 128):
+        mu = MeasureSpec(weight, PointSpectrum.empty(), bits)
+        for m in range(9):
+            builds.clear()
+            record = {}
+            got = tau_n(mu, m, record)
+            want = [32, 64, 128][:1 + (m > 2) + (m > 4)]
+            assert builds == want and record["guard_bits"] == want[-1], m
+            assert correctly_rounded(got, exact_tau_squared(
+                tuple(STEEP_PSI), (), tuple(range(m + 1)))), (bits, m)
 
 
-def test_precision_floor_follows_mass_growth():
-    # Gram entries reach |z|^(2n): 64 + 2n log2|z| bits, rounded up to a tag
-    assert mo._precision_floor(one_mass(53), 2) == 128
-    assert mo._precision_floor(one_mass(53), 60) == 256
-    assert mo._precision_floor(one_mass(512), 2) == 512
-    empty = MeasureSpec(OuterWeight.constant_one(), PointSpectrum.empty(), 53)
-    assert mo._precision_floor(empty, 1000) == 53
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+def test_steep_psi_reads_its_exact_values(bits):
+    # the uncertified Gram route read tau_8 = tau_16 = eta_8 = 1 - 2^-53 at
+    # 53 and 128 bits and tau_3 2.3e-6 relative from exact, with exit 0
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, STEEP_PSI)),
+                     PointSpectrum.empty(), bits)
+    assert tau_n(mu, 8) == tau_n(mu, 16) == eta_n(mu, 8) == 1
+    assert float(tau_n(mu, 3)) == 4.132423201551642e-05
+    assert float(eta_n(mu, 2)) == 4.132423201551642e-05
+    assert float(tau_n(mu, 4)) == 0.0009701769961720885
+
+
+# psi of degree 1 to 4 and 0 to 3 masses, for the values below deg psi
+GRAM_ORACLE_MEASURES = {
+    "d1-m0": ([0.8, 0.4 - 0.3j], ()),
+    "d2-m1": ([1.0, -0.5, 0.06], ((1.5, 0.3),)),
+    "d3-m2": ([0.7, 0.2 + 0.1j, -0.05j, 0.03 - 0.02j],
+              ((1.5 + 0.8j, 0.3), (-1.2 + 0.9j, 0.2))),
+    "d4-m3": ([1.1, 0.2 - 0.1j, 0.1j, -0.05, 0.02 + 0.01j],
+              ((2.0, 0.5), (-1.25, 0.1), (0.5 - 1.5j, 0.25))),
+    "d4-m0": ([1.1, 0.2 - 0.1j, 0.1j, -0.05, 0.02 + 0.01j], ()),
+}
+
+
+@pytest.mark.parametrize("bits", [53, 128, 256, 512])
+@pytest.mark.parametrize("name", sorted(GRAM_ORACLE_MEASURES))
+def test_gram_route_values_are_the_exact_values_rounded_once(name, bits):
+    # every tau_n and eta_n the Gram route gives, n < deg psi (2n - 1 for
+    # eta_n), is the exact oracle's value rounded once to the tag, bit for
+    # bit; without masses n >= deg psi gives psi(0) exactly
+    coeffs, masses = GRAM_ORACLE_MEASURES[name]
+    mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
+                     PointSpectrum(masses), bits)
+    d = mu.weight.psi.hi
+    for n in range(d):
+        want = exact_tau_squared(tuple(coeffs), masses, tuple(range(n + 1)))
+        assert correctly_rounded(tau_n(mu, n), want), ("tau", n)
+        if n and 2 * n - 1 < d:
+            want = exact_tau_squared(tuple(coeffs), masses,
+                                     tuple(range(1 - n, n + 1)))
+            assert correctly_rounded(eta_n(mu, n), want), ("eta", n)
+    if not masses:
+        for n in (d, d + 1, 9):
+            assert tau_n(mu, n) == eta_n(mu, n) == coeffs[0], n
 
 
 def test_128_bit_request_starts_above_the_floor():
@@ -1673,15 +1744,22 @@ def test_128_bit_request_starts_above_the_floor():
     assert float(eta_n(mu, 48)) == float(eta)
 
 
-def test_precision_exhausted_reports_ladder(monkeypatch):
-    def always_fail(g):
-        raise NotPositiveDefinite(g.dim - 1, mp.mpf(-1))
+def test_gram_route_raises_past_the_guard_cap(monkeypatch):
+    # a ball that never decides: the Gram route runs at 32, 64, ...,
+    # _GUARD_CAP guard bits, one build each, and then raises
+    # NotPositiveDefinite at the last pivot
+    builds = []
 
-    monkeypatch.setattr(mo, "schur_leading", always_fail)
-    with pytest.raises(PrecisionExhausted) as info:
+    def spy(mu, exps, bits, real=mo._gram_from_exponents):
+        builds.append(bits - mu.precision)
+        return real(mu, exps, bits)
+
+    monkeypatch.setattr(mo, "_gram_from_exponents", spy)
+    monkeypatch.setattr(mo, "_schur_ball", lambda *args: None)
+    with pytest.raises(NotPositiveDefinite) as info:
         mo._gram_leading(one_mass(256), 2, laurent=False)
-    assert info.value.bits_tried == (256, 512)
-    assert info.value.last_pivot == 2
+    assert builds == [32 << j for j in range(10)]
+    assert builds[-1] == mo._GUARD_CAP and info.value.pivot == 2
 
 
 # ----------------------------------------------------------------------
