@@ -26,12 +26,13 @@ del _module
 
 def _load() -> None:
     """Import the five modules, bind their public names here and set the
-    package's __all__, in module order."""
+    package's __all__, in module order, each name once (asymptotics
+    re-exports measure_opuc's convergence_experiment)."""
     names = ["__version__"]
     for stem in _MODULES:
         module = importlib.import_module(f"{__name__}.{stem}")
         globals().update((name, getattr(module, name)) for name in module.__all__)
-        names += module.__all__
+        names += [name for name in module.__all__ if name not in names]
     globals()["__all__"] = names
 
 

@@ -59,16 +59,15 @@ from szego_lab.circle_fourier import (
     modified_vp,
     sup_norm_certified,
 )
-from szego_lab.contract import ScheduleViolation, _as_float
+from szego_lab.contract import ScheduleViolation, _as_float, seeded_uniforms
 from szego_lab.measure_opuc import (
     MeasureSpec,
     OuterWeight,
     PointSpectrum,
     _mass_terms,
     _trig_moments,
+    convergence_experiment,
     target_limit,
-    tau_n,
-    eta_n,
 )
 from szego_lab.xlinalg import (
     _GUARD_BITS,
@@ -92,6 +91,7 @@ __all__ = [
     "vp_approximant",
     "taylor_approximant",
     "pipeline_certificates",
+    # measure_opuc's, re-exported
     "convergence_experiment",
 ]
 
@@ -525,9 +525,9 @@ def _pipeline_base(spectrum: PointSpectrum, weight: OuterWeight, n: int,
     except OverflowError:
         majorant = math.inf if tail_mu else 0.0
 
-    rng = np.random.default_rng(seed)
     radii = np.repeat(_SCHWARZ_RADII, _SCHWARZ_COUNT)
-    points = radii * np.exp(1j * (2.0 * np.pi * rng.random(radii.size)))
+    points = radii * np.exp(1j * (2.0 * np.pi * np.fromiter(
+        seeded_uniforms(seed), float, radii.size)))
     at_points = eval_B_phi(corrector, points) if corrector is not None else 1.0
     return _PipelineBase(
         n=n, cap=cap, margin=margin, radius=radius, selected=selected,
@@ -660,52 +660,3 @@ def pipeline_certificates(spectrum: PointSpectrum, weight: OuterWeight,
             _, cert, bits = _finish(base, spectrum, weight, route, precision)
             certs.append((cert, base.f, bits))
     return certs
-
-
-# ----------------------------------------------------------------------
-# convergence experiments
-
-
-def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
-                           which: str = "both") -> dict:
-    """Exact leading coefficients against the limit over an n-grid.
-
-    Computes the exact optimum per n and its error against the limit, with
-    the guard bits and certified relative radius of the run that decided
-    it, and flags whether the error sequence is nonincreasing up to a
-    factor 2.
-    """
-    ns = [int(n) for n in n_grid]
-    if ns != sorted(set(ns)):
-        raise ValueError("n_grid must be strictly increasing")
-    if which not in ("tau", "eta", "both"):
-        raise ValueError("which must be tau, eta, or both")
-    want_tau = which in ("tau", "both")
-    want_eta = which in ("eta", "both")
-    target = target_limit(mu)
-    rows = []
-    for n in ns:
-        row: dict = {"n": n}
-        for key, want, leading in (("tau", want_tau, tau_n),
-                                   ("eta", want_eta and n >= 1, eta_n)):
-            if want:
-                # the guard bits and certified relative radius of its run
-                record: dict = {}
-                row[key] = float(leading(mu, n, record))
-                row[f"{key}_error"] = abs(row[key] - target)
-                row[f"{key}_guard_bits"] = record["guard_bits"]
-                row[f"{key}_relative_radius"] = record["relative_radius"]
-        rows.append(row)
-
-    def trend(key: str) -> bool:
-        errs = [r[key] for r in rows if key in r]
-        return all(errs[i + 1] <= 2.0 * errs[i] + 1e-15
-                   for i in range(len(errs) - 1))
-
-    flags = {}
-    if want_tau:
-        flags["tau"] = trend("tau_error")
-    if want_eta:
-        flags["eta"] = trend("eta_error")
-    return {"target": target, "which": which, "n_grid": ns,
-            "rows": rows, "trend": flags}

@@ -24,6 +24,7 @@ from dataclasses import dataclass, field, fields
 
 import numpy as np
 
+from szego_lab import __version__
 from szego_lab.blaschke import (
     _GRID_CAP,
     PoleProximityError,
@@ -45,6 +46,7 @@ from szego_lab.contract import (
     ScheduleViolation,
     _as_float,
     _as_int,
+    seeded_uniforms,
 )
 
 __all__ = ["COMMANDS", "ManifestError", "RunManifest", "generate_zeros",
@@ -269,22 +271,24 @@ def generate_zeros(kind: str, n: int, seed: int) -> ZeroSet:
     uniform_disk is area-uniform; boundary_cluster draws moduli in
     [max(0, 1 - 4/n), 1 - 1/(4n)] to stress the derivative bounds;
     radial_line places the geometric string {r, r^2, ..., r^n} on a seeded
-    ray.
+    ray.  The draws are numpy's default_rng(seed) stream, reproduced on
+    integers by contract.seeded_uniforms: n radii, then n angles, or the
+    ray's modulus and angle.
     """
     if n < 1:
         raise ValueError("n must be at least 1")
-    rng = np.random.default_rng(seed)
+    draw = seeded_uniforms(seed)
     if kind == "uniform_disk":
-        radii = np.sqrt(rng.random(n))
-        angles = 2.0 * np.pi * rng.random(n)
+        radii = np.sqrt(np.fromiter(draw, float, n))
+        angles = 2.0 * np.pi * np.fromiter(draw, float, n)
     elif kind == "boundary_cluster":
         lo = max(0.0, 1.0 - 4.0 / n)
         hi = 1.0 - 1.0 / (4.0 * n)
-        radii = lo + (hi - lo) * rng.random(n)
-        angles = 2.0 * np.pi * rng.random(n)
+        radii = lo + (hi - lo) * np.fromiter(draw, float, n)
+        angles = 2.0 * np.pi * np.fromiter(draw, float, n)
     elif kind == "radial_line":
-        r = 0.3 + 0.65 * rng.random()
-        theta = 2.0 * np.pi * rng.random()
+        r = 0.3 + 0.65 * next(draw)
+        theta = 2.0 * np.pi * next(draw)
         radii = r ** np.arange(1, n + 1)
         angles = np.full(n, theta)
     else:
@@ -343,14 +347,10 @@ def _write_outputs(man: RunManifest, columns, rows, extra: dict) -> dict:
 
 @functools.cache
 def _version_string() -> str:
+    """szego-lab-<__version__>, with +g<git describe> in a git checkout."""
     import subprocess
 
-    try:
-        from importlib.metadata import version
-        base = version("szego-lab")
-    except Exception:
-        base = "0.1.0"
-    tag = f"szego-lab-{base}"
+    tag = f"szego-lab-{__version__}"
     try:
         probe = subprocess.run(
             ["git", "describe", "--always", "--dirty"],
@@ -432,7 +432,7 @@ def _run_besov(man: RunManifest):
 
 
 def _run_opuc(man: RunManifest):
-    from szego_lab.asymptotics import convergence_experiment
+    from szego_lab.measure_opuc import convergence_experiment
 
     mu = man.measure
     rec = convergence_experiment(mu, man.n_grid, which=man.which)

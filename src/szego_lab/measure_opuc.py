@@ -5,7 +5,8 @@ masses at |z_k| > 1, psi a zero-free-on-the-closed-disk Taylor polynomial
 with psi(0) > 0.  This module computes trigonometric moments (cached, on
 integers: the Taylor coefficients of N/psi, xlinalg._quotient_series), Gram
 matrices over polynomial and Laurent spans, the leading coefficients tau_n
-and eta_n of the orthonormal elements, a contour-integral residue identity
+and eta_n of the orthonormal elements and their convergence to the limit
+over an n-grid (convergence_experiment), a contour-integral residue identity
 connecting the Laurent leading coefficient to point evaluations at the
 masses, and the slow-decay condition report for mass sequences
 accumulating at the circle.
@@ -107,6 +108,7 @@ __all__ = [
     "gram_laurent",
     "tau_n",
     "eta_n",
+    "convergence_experiment",
     "target_limit",
     "residue_identity_check",
     "log_condition_report",
@@ -907,6 +909,51 @@ def eta_n(mu: MeasureSpec, n: int, record: dict | None = None):
     if n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
         return _recorded(*_closed_form_leading(mu, 2 * n - 1, n - 1), record)
     return _gram_leading(mu, n, True, record)
+
+
+def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
+                           which: str = "both") -> dict:
+    """Exact leading coefficients against the limit over an n-grid.
+
+    Computes the exact optimum per n and its error against the limit, with
+    the guard bits and certified relative radius of the run that decided
+    it, and flags whether the error sequence is nonincreasing up to a
+    factor 2.
+    """
+    ns = [int(n) for n in n_grid]
+    if ns != sorted(set(ns)):
+        raise ValueError("n_grid must be strictly increasing")
+    if which not in ("tau", "eta", "both"):
+        raise ValueError("which must be tau, eta, or both")
+    want_tau = which in ("tau", "both")
+    want_eta = which in ("eta", "both")
+    target = target_limit(mu)
+    rows = []
+    for n in ns:
+        row: dict = {"n": n}
+        for key, want, leading in (("tau", want_tau, tau_n),
+                                   ("eta", want_eta and n >= 1, eta_n)):
+            if want:
+                # the guard bits and certified relative radius of its run
+                record: dict = {}
+                row[key] = float(leading(mu, n, record))
+                row[f"{key}_error"] = abs(row[key] - target)
+                row[f"{key}_guard_bits"] = record["guard_bits"]
+                row[f"{key}_relative_radius"] = record["relative_radius"]
+        rows.append(row)
+
+    def trend(key: str) -> bool:
+        errs = [r[key] for r in rows if key in r]
+        return all(errs[i + 1] <= 2.0 * errs[i] + 1e-15
+                   for i in range(len(errs) - 1))
+
+    flags = {}
+    if want_tau:
+        flags["tau"] = trend("tau_error")
+    if want_eta:
+        flags["eta"] = trend("eta_error")
+    return {"target": target, "which": which, "n_grid": ns,
+            "rows": rows, "trend": flags}
 
 
 # ----------------------------------------------------------------------

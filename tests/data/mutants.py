@@ -37,6 +37,7 @@ MEASURE = "src/szego_lab/measure_opuc.py"
 ASYMPTOTICS = "src/szego_lab/asymptotics.py"
 XLINALG = "src/szego_lab/xlinalg.py"
 CLI = "src/szego_lab/cli.py"
+CONTRACT = "src/szego_lab/contract.py"
 PACKAGE = "src/szego_lab/__init__.py"
 SERIES_ERROR = "return _tail_bound(env, big_n, s) + alias + rounding"
 CORRECTOR_TESTS = ("tests/test_blaschke.py", "tests/test_acceptance.py")
@@ -133,6 +134,17 @@ MUTANTS = (
     ("float-skips-bits", XLINALG,
      "m = _round_bits(_round_bits(x, bits), 53)", "m = _round_bits(x, 53)",
      XLINALG_TESTS, False),
+    # the seed read as its lowest 32-bit word alone
+    ("seed-low-word-only", CONTRACT,
+     "words = [seed >> s & _M32 for s in range(0, max(seed.bit_length(), 1), 32)]",
+     "words = [seed & _M32]",
+     ("tests/test_seeded_stream.py::"
+      "test_stream_is_numpys_default_rng[4294967296]",), False),
+    # PCG64's output without its XSL-RR rotation
+    ("xsl-rr-unrotated", CONTRACT,
+     "(x >> rot | x << 64 - rot) & _M64", "x",
+     ("tests/test_blaschke.py::test_vs_bound_matches_the_frozen_csv",
+      "tests/test_seeded_stream.py"), False),
     # mpmath imported when xlinalg loads
     ("xlinalg-imports-mpmath", XLINALG,
      "from szego_lab.contract import PRECISION_BITS, NotPositiveDefinite\n",

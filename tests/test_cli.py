@@ -27,6 +27,7 @@ from szego_lab.asymptotics import PipelineCertificate
 from szego_lab.measure_opuc import QuadratureError
 from szego_lab.cli import generate_zeros, main
 
+import szego_lab
 import szego_lab.asymptotics as asym
 import szego_lab.blaschke as blaschke
 import szego_lab.circle_fourier as circle_fourier
@@ -343,10 +344,20 @@ def test_version_probe_runs_once_per_process(tmp_path, monkeypatch):
             cli.run(cli.load_manifest("besov", path, {}))
             version = read_report(str(tmp_path / name))[
                 "reproducibility"]["version"]
-            assert version.endswith("+gabc1234")
+            assert version == f"szego-lab-{szego_lab.__version__}+gabc1234"
     finally:
         cli._version_string.cache_clear()
     assert len(calls) <= 1
+
+
+def test_version_is_pyprojects():
+    # the report's version comes from the package's one constant; read with
+    # a regex, as Python 3.10 has no tomllib
+    path = os.path.join(os.path.dirname(__file__), "..", "pyproject.toml")
+    with open(path, encoding="utf-8") as fh:
+        project = fh.read().split("\n[project]\n", 1)[1].split("\n[", 1)[0]
+    assert re.findall(r'^version = "([^"]*)"$', project, re.M) == [
+        szego_lab.__version__]
 
 
 def test_pipeline_artifacts(tmp_path, capsys):

@@ -11,7 +11,9 @@ fresh interpreter that imports szego_lab.cli loads neither mpmath nor the
 exact-arithmetic modules, and its corrector commands run with mpmath
 refused.  mpmath sits behind one door: only xlinalg.context and
 xlinalg._circle_nodes import it, so the exact modules load without it, and
-pipeline and log-condition run with it refused too.
+pipeline and log-condition run with it refused too.  No module names
+numpy.random, and the seeded commands run with it and importlib.metadata
+refused.
 """
 
 import ast
@@ -192,18 +194,20 @@ def _fresh(code: str, *args) -> dict:
 _REFUSED_RUN = """
 import json, sys
 import szego_lab.cli as cli
-loaded = sorted(m for m in sys.modules if m in {exact!r})
-sys.modules["mpmath"] = None  # any import of it now raises ImportError
+loaded = sorted(m for m in sys.modules if m in {unloaded!r})
+for name in {refused!r}:
+    sys.modules[name] = None  # any import of it now raises ImportError
 codes = [cli.main([cmd, "--manifest", path])
          for cmd, path in zip(sys.argv[1::2], sys.argv[2::2])]
 print(json.dumps({{"loaded": loaded, "codes": codes}}))
 """
 
 
-def _runs_with_mpmath_refused(tmp_path, runs) -> None:
+def _runs_with_refused(tmp_path, runs, refused=("mpmath",)) -> None:
     """Each (command, manifest fields) of runs in a fresh interpreter that
-    has imported the CLI, with none of the exact modules, and then refused
-    mpmath; each exits 0 and writes the bytes of an in-process run."""
+    has imported the CLI, with none of the exact modules and none of
+    refused, and then refused each module of refused; each exits 0 and
+    writes the bytes of an in-process run."""
     from szego_lab import cli
 
     args = []
@@ -213,7 +217,8 @@ def _runs_with_mpmath_refused(tmp_path, runs) -> None:
             path.write_text(json.dumps(dict(
                 fields, out_dir=str(tmp_path / f"{command}-{tag}"))))
         args += [command, tmp_path / f"{command}-fresh.json"]
-    got = _fresh(_REFUSED_RUN.format(exact=_EXACT), *args)
+    got = _fresh(_REFUSED_RUN.format(unloaded=_EXACT + tuple(refused),
+                                     refused=tuple(refused)), *args)
     assert got == {"loaded": [], "codes": [0] * len(runs)}
     for command, _ in runs:
         assert cli.main([command, "--manifest",
@@ -226,7 +231,7 @@ def test_the_corrector_commands_run_with_mpmath_refused(tmp_path):
     # a fresh import of the CLI loads none of the exact modules, and
     # vs-bound and besov, with mpmath refused, write the bytes of an
     # unrefused run
-    _runs_with_mpmath_refused(tmp_path, [
+    _runs_with_refused(tmp_path, [
         ("vs-bound", {"n_grid": [4, 8], "kinds": ["radial_line"]}),
         ("besov", {"n_grid": [8, 16]})])
 
@@ -241,10 +246,39 @@ def test_pipeline_and_log_condition_run_with_mpmath_refused(tmp_path):
         "psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
         "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2], [1.02, 0.0, 0.1]],
         "precision_bits": 128}))
-    _runs_with_mpmath_refused(tmp_path, [
+    _runs_with_refused(tmp_path, [
         ("pipeline", {"measure_file": str(measure), "n_grid": [8, 16],
                       "route": "both"}),
         ("log-condition", {"measure_file": str(measure), "n_max": 64})])
+
+
+def test_seeded_commands_run_without_numpy_random_or_metadata(tmp_path):
+    # the zero sets and the Schwarz points draw from contract's stream on
+    # integers, and the version is the package's constant, so vs-bound (each
+    # kind) and pipeline (both routes) run with numpy.random and
+    # importlib.metadata refused, and mpmath too, and write the bytes of an
+    # unrefused run
+    measure = tmp_path / "mu.json"
+    measure.write_text(json.dumps({
+        "psi": [[1.0, 0.0], [-0.5, 0.0]],
+        "masses": [[1.5, 0.0, 0.3], [-1.25, 0.0, 0.1]],
+        "precision_bits": 128}))
+    _runs_with_refused(tmp_path, [
+        ("vs-bound", {"n_grid": [4, 16], "seed": 3, "seeds": 2,
+                      "kinds": ["uniform_disk", "boundary_cluster",
+                                "radial_line"]}),
+        ("pipeline", {"measure_file": str(measure), "n_grid": [8, 16],
+                      "route": "both", "seed": 5})],
+        ("mpmath", "numpy.random", "importlib.metadata"))
+
+
+def test_no_module_names_numpy_random():
+    # contract.seeded_uniforms is the one source of seeded draws
+    found = [(module, line) for module in MODULES
+             for line in (SRC / f"{module}.py").read_text(
+                 encoding="utf-8").splitlines()
+             if re.search(r"\b(?:np|numpy)\.random\b", line)]
+    assert found == []
 
 
 def mpmath_importers(source: str) -> list:
@@ -302,8 +336,8 @@ def test_the_exact_modules_load_without_mpmath():
 
 
 def test_an_exact_command_loads_what_it_needs(tmp_path):
-    # opuc in a fresh interpreter imports the exact modules in its runner,
-    # and only there
+    # opuc in a fresh interpreter imports the exact modules it needs in its
+    # runner, and only there
     measure = tmp_path / "mu.json"
     measure.write_text(json.dumps({"psi": [[1.0, 0.0], [-0.5, 0.0]],
                                    "masses": [[1.5, 0.0, 0.3]],
@@ -318,8 +352,11 @@ def test_an_exact_command_loads_what_it_needs(tmp_path):
             f"after = sorted(set(sys.modules) & set({_EXACT!r}))\n"
             "print(json.dumps({'before': before, 'code': code, "
             "'after': after}))")
-    assert _fresh(code, manifest) == {"before": [], "code": 0,
-                                      "after": sorted(_EXACT)}
+    # convergence_experiment lives in measure_opuc, so asymptotics stays
+    # unloaded
+    assert _fresh(code, manifest) == {
+        "before": [], "code": 0,
+        "after": ["mpmath", "szego_lab.measure_opuc", "szego_lab.xlinalg"]}
     assert len((tmp_path / "out" / "certificates.csv").read_text()
                .splitlines()) == 3
 
@@ -333,7 +370,7 @@ _LIBRARY = ("asymptotics", "blaschke", "circle_fourier", "measure_opuc",
 def test_the_package_resolves_every_export_on_first_access(first):
     # the package alone loads none of the exact modules; whichever access
     # comes first loads them, after which the package holds every name of
-    # the five __all__ lists, in module order
+    # the five __all__ lists, in module order and each once
     code = ("import json, sys, szego_lab\n"
             f"before = sorted(set(sys.modules) & set({_EXACT!r}))\n"
             f"{first}\n"
@@ -342,11 +379,21 @@ def test_the_package_resolves_every_export_on_first_access(first):
             "'dir': dir(szego_lab), 'star': sorted(star)}))")
     got = _fresh(code)
     assert got["before"] == []
-    names = ["__version__"] + [name for stem in _LIBRARY for name in
-                               importlib.import_module(f"szego_lab.{stem}").__all__]
+    names = ["__version__"]
+    for stem in _LIBRARY:
+        names += [name for name in importlib.import_module(
+            f"szego_lab.{stem}").__all__ if name not in names]
     assert got["all"] == names
     assert set(names) <= set(got["dir"])
     assert set(names) <= set(got["star"])
+
+
+def test_convergence_experiment_is_one_object_listed_once():
+    # measure_opuc's, re-exported by asymptotics under the same name
+    package = importlib.import_module("szego_lab")
+    assert (importlib.import_module("szego_lab.asymptotics").convergence_experiment
+            is importlib.import_module("szego_lab.measure_opuc").convergence_experiment)
+    assert package.__all__.count("convergence_experiment") == 1
 
 
 @pytest.mark.parametrize("module, name", [
