@@ -43,15 +43,14 @@ class QuadratureError(ArithmeticError):
 
 class NotPositiveDefinite(ArithmeticError):
     """Pivot <= 0 during factorization; carries the failing pivot index and,
-    if given, the pivot's value as an mpmath number, formatted by its own
-    context."""
+    if given, the pivot's value as a double, rounded once from the
+    factor's integers (xlinalg._to_float)."""
 
-    def __init__(self, pivot: int, value=None):
+    def __init__(self, pivot: int, value: float | None = None):
         self.pivot = pivot
         self.value = value
         super().__init__(f"nonpositive pivot at index {pivot}" + (
-            "" if value is None
-            else f" (value {value.context.nstr(value, 8)})"))
+            "" if value is None else f" (value {value:.8g})"))
 
 
 class ScheduleViolation(ValueError):

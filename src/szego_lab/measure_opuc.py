@@ -27,16 +27,18 @@ mass-free eta_n is tau_(2n-1) and tau_n is tau_(min(n, deg psi)), so no
 Gram matrix the route factors has more than deg psi + 1 rows.  The
 residue check's Laurent elements follow the same split: Uvarov's element
 where 2n - 1 >= deg psi (psi's own coefficients without masses), the
-extremal witness of the Laurent Gram matrix below.  The entries with
-masses, and moment, follow one integer rule (_inner_products), and a
-measure enters the fixed point in one place, _mass_terms.
+extremal witness of the Laurent Gram matrix below.  Every Gram entry, and
+moment, follows one integer rule (_inner_products), and a measure enters
+the fixed point in one place, _mass_terms.
 
 Every system is factored on Python integers (xlinalg._cholesky_fixed)
 under one precision policy (_certify): one run at 32 guard bits above the
 measure's tag, with a certified radius (each entry's a priori, then the
 factor's Schur ball, xlinalg._schur_ball), kept when its ball decides the
-rounding (Ziv's test); otherwise again at twice the guard bits, and
-NotPositiveDefinite past _GUARD_CAP.
+rounding (Ziv's test on integers, xlinalg._ziv); otherwise again at twice
+the guard bits, and NotPositiveDefinite past _GUARD_CAP.  A value leaves
+the one dispatch (_leading) as an integer at the tag: tau_n makes it an
+mpf exactly, convergence_experiment a double, so opuc makes no mpmath one.
 """
 
 from __future__ import annotations
@@ -66,7 +68,6 @@ from szego_lab.xlinalg import (
     NotPositiveDefinite,
     PrecisionTag,
     _balance,
-    _ball_to_mpf,
     _bound_err,
     _circle_nodes,
     _cholesky_fixed,
@@ -91,8 +92,10 @@ from szego_lab.xlinalg import (
     _scale_up,
     _schur_ball,
     _shift,
+    _to_float,
     _to_mpc,
     _to_mpf,
+    _ziv,
     context,
 )
 
@@ -353,16 +356,8 @@ def _inner_products(mu: MeasureSpec, exps: Sequence[int], bits: int) -> tuple:
 
 
 def _gram_from_exponents(mu: MeasureSpec, exps: Sequence[int], bits: int) -> HermitianMatrix:
-    if mu.spectrum.masses:
-        return HermitianMatrix(*_inner_products(mu, exps, bits), bits)
-    # every entry is a moment's conjugate: round each moment once (rounding
-    # commutes with conj) for all entries; the exponents are consecutive,
-    # so row r is conj(t_r), ..., conj(t_0)
-    n = len(exps)
-    values, e = _trig_moments(mu.weight, n - 1, bits)
-    conj = [(_round_bits(re, bits), -_round_bits(im, bits))
-            for re, im in values[:n]]
-    return HermitianMatrix([conj[r::-1] for r in range(n)], e, bits)
+    """The Gram matrix of the z^e, e in exps, at bits (_inner_products)."""
+    return HermitianMatrix(*_inner_products(mu, exps, bits), bits)
 
 
 def gram_polynomial(mu: MeasureSpec, n: int, bits: int | None = None) -> HermitianMatrix:
@@ -568,9 +563,9 @@ def _pivot_radius(man: int, ball, f: int) -> float:
 
 def _uvarov_ratio(mu: MeasureSpec, n: int, shift: int, bits: int) -> tuple:
     """tau_n / c_0 = sqrt(1 - f^H S^-1 f) at bits (see _closed_form_leading),
-    on integers: (man, exp, radius), the ratio man 2^exp before any rounding
-    to an mpmath number, the factor's last pivot, and radius its relative
-    radius (_pivot_radius)."""
+    on integers: (man, exp, radius), the ratio man 2^exp before any
+    rounding, the factor's last pivot, and radius its relative radius
+    (_pivot_radius)."""
     f = bits + _GUARD_BITS
     (*_, diag, scale), _, ball = _uvarov_factor(mu, n, shift, bits)
     return diag[-1], scale[-1] - f, _pivot_radius(diag[-1], ball, f)
@@ -771,11 +766,31 @@ def _certify(mu: MeasureSpec, run):
         guard *= 2
 
 
+def _certified_leading(mu: MeasureSpec, pivot: int, ball) -> tuple:
+    """Both routes' run body under _certify: ball(bits) is (x, e, radius,
+    slack), x 2^e within radius relative (inf: cannot tell) plus slack
+    units, kept when Ziv's test (xlinalg._ziv) rounds it to one value at
+    mu.precision, else NotPositiveDefinite(pivot).  Returns (man, exp,
+    guard, radius): man 2^exp the value, man rounded to the tag."""
+
+    def run(bits):
+        x, e, radius, slack = ball(bits)
+        man = None
+        if math.isfinite(radius):
+            a, b = radius.as_integer_ratio()
+            man = _ziv(x, -(-x * a // b) + slack, mu.precision)
+        if man is None:
+            raise NotPositiveDefinite(pivot)
+        return man, e, radius
+
+    (man, exp, radius), guard = _certify(mu, run)
+    return man, exp, guard, radius
+
+
 def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0) -> tuple:
     """Uvarov's formula for tau_n, n >= deg psi, with each mass m_i
     reweighted by |z_i|^(-2 shift); O(K^3 + K^2 d) for K masses, any n.
-    Returns (tau_n, guard, radius): the mpf at mu's precision, the guard
-    bits of the run that certified it and its certified relative radius.
+    Returns _certified_leading's (man, exp, guard, radius).
 
     Writing psi = sum_j c_j z^j, the Gram route's continuous part (see
     moment) has weight 1/|p|^2, p(z) = sum_j conj(c_j) z^j, and orthonormal
@@ -789,53 +804,35 @@ def _closed_form_leading(mu: MeasureSpec, n: int, shift: int = 0) -> tuple:
 
     1 - f^H S^-1 f, about prod |z_i|^-2 at large n, is 1 minus a sum near
     1, and masses near the circle cancel in the kernel, so no fixed number
-    of guard bits suffices: under _certify, the ball of psi(0) times the
-    ratio (_uvarov_ratio) must round to a single mpf at mu.precision.
+    of guard bits suffices: the ball is psi(0) times the ratio
+    (_uvarov_ratio), psi(0) = p0 / q0 exact with q0 a power of two.
     """
     p0, q0 = mu.weight.psi0.as_integer_ratio()
-    ctx = context(mu.precision)
 
-    def run(bits):
+    def ball(bits):
         man, exp, radius = _uvarov_ratio(mu, n, shift, bits)
-        value = None
-        if math.isfinite(radius):
-            a, b = radius.as_integer_ratio()
-            value = _ball_to_mpf(ctx, p0 * man, -(-p0 * man * a // b),
-                                 exp + 1 - q0.bit_length())
-        if value is None:
-            raise NotPositiveDefinite(len(mu.spectrum))
-        return value, radius
+        return p0 * man, exp + 1 - q0.bit_length(), radius, 0
 
-    (value, radius), guard = _certify(mu, run)
-    return value, guard, radius
+    return _certified_leading(mu, len(mu.spectrum), ball)
 
 
-def _gram_leading(mu: MeasureSpec, n: int, laurent: bool,
-                  record: dict | None = None):
-    """tau_n (or eta_n with laurent) by the Gram route under _certify: 1/l,
-    l the last pivot of the Gram matrix's factor (_gram_factor), within
+def _gram_leading(mu: MeasureSpec, n: int, laurent: bool) -> tuple:
+    """tau_n (or eta_n with laurent) by the Gram route: 1/l, l the last
+    pivot of the Gram matrix's factor (_gram_factor), within
     rho / (1 - rho) <= rho + 2 rho^2 relative for l's radius rho <= 1/2
-    (_pivot_radius), kept when that ball, on integers, rounds to one mpf at
-    mu.precision; recorded in record, if one is given."""
+    (_pivot_radius), plus the unit of 1/l's one rounding.  Returns
+    _certified_leading's (man, exp, guard, radius)."""
     exps = range(1 - n, n + 1) if laurent else range(n + 1)
-    ctx = context(mu.precision)
 
-    def run(bits):
+    def ball(bits):
         f = bits + _GUARD_BITS
-        (*_, diag, scale), ball = _gram_factor(mu, exps, bits)
-        man, radius, value = diag[-1], _pivot_radius(diag[-1], ball, f), None
-        if radius <= 0.5:
-            radius += 2.0 * radius * radius
-            t = man.bit_length() + f
-            x = _rdiv(1 << t, man)  # 2^t / man, within half a unit
-            a, b = radius.as_integer_ratio()
-            value = _ball_to_mpf(ctx, x, -(-x * a // b) + 1, f - scale[-1] - t)
-        if value is None:
-            raise NotPositiveDefinite(len(diag) - 1)
-        return value, radius
+        (*_, diag, scale), schur = _gram_factor(mu, exps, bits)
+        man, rho = diag[-1], _pivot_radius(diag[-1], schur, f)
+        t = man.bit_length() + f
+        radius = rho + 2.0 * rho * rho if rho <= 0.5 else math.inf
+        return _rdiv(1 << t, man), f - scale[-1] - t, radius, 1
 
-    (value, radius), guard = _certify(mu, run)
-    return _recorded(value, guard, radius, record)
+    return _certified_leading(mu, len(exps) - 1, ball)
 
 
 def _laurent_element(mu: MeasureSpec, n: int, frac: int) -> tuple:
@@ -870,45 +867,32 @@ def _laurent_element(mu: MeasureSpec, n: int, frac: int) -> tuple:
             _scale_up(radius, move) + 1.0)
 
 
-def _recorded(value, guard: int, radius: float, record: dict | None):
-    """value, with its guard bits and relative radius put in record."""
-    if record is not None:
-        record.update(guard_bits=guard, relative_radius=radius)
-    return value
-
-
-def tau_n(mu: MeasureSpec, n: int, record: dict | None = None):
-    """Leading coefficient of the degree-n orthonormal polynomial (mpf).
-
-    With masses and n >= deg psi, by the closed form (_closed_form_leading),
-    otherwise by the Gram route (_gram_leading), each recording its run's
-    guard bits and relative radius in record, if one is given.  Without
-    masses dm/|psi|^2 is a Bernstein-Szego weight, whose Verblunsky
-    coefficients vanish from index deg psi on, so tau_n = tau_(deg psi)
-    for n >= deg psi.
-    """
+def _leading(mu: MeasureSpec, n: int, laurent: bool) -> tuple:
+    """tau_n, or eta_n with laurent, as _certified_leading's (man, exp,
+    guard, radius).  eta_n is the tau_(2n-1) of the measure with masses
+    m_i |z_i|^(-2(n-1)) (the span times z^(n-1)): by the closed form with
+    masses from deg psi on, else the Gram route.  Without masses that
+    reweighting is void, and dm/|psi|^2 is a Bernstein-Szego weight, whose
+    Verblunsky coefficients vanish from index deg psi on, so the Gram route
+    at min(degree, deg psi) decides both."""
+    degree, shift = (2 * n - 1, n - 1) if laurent else (n, 0)
     if not mu.spectrum.masses:
-        return _gram_leading(mu, min(n, mu.weight.psi.hi), False, record)
-    if n >= mu.weight.psi.hi:
-        return _recorded(*_closed_form_leading(mu, n), record)
-    return _gram_leading(mu, n, False, record)
+        return _gram_leading(mu, min(degree, mu.weight.psi.hi), False)
+    if degree >= mu.weight.psi.hi:
+        return _closed_form_leading(mu, degree, shift)
+    return _gram_leading(mu, n, laurent)
 
 
-def eta_n(mu: MeasureSpec, n: int, record: dict | None = None):
-    """Leading coefficient of the orthonormal Laurent element (mpf).
+def tau_n(mu: MeasureSpec, n: int):
+    """Leading coefficient of the degree-n orthonormal polynomial: an mpf at
+    mu's precision, the certified value of _leading rounded exactly."""
+    return _to_mpf(context(mu.precision), *_leading(mu, n, False)[:2])
 
-    Multiplying the span {z^-(n-1), ..., z^n} by z^(n-1) makes eta_n the
-    tau_(2n-1) of the measure with masses m_i |z_i|^(-2(n-1)): the closed
-    form with masses and 2n - 1 >= deg psi, else the Gram route, recorded
-    as tau_n's.  Without masses the reweighting is void and the Laurent
-    span's Gram matrix is the Toeplitz one of degree 2n - 1, so eta_n is
-    tau_n(mu, 2n - 1) bit for bit.
-    """
-    if n >= 1 and not mu.spectrum.masses:
-        return tau_n(mu, 2 * n - 1, record)
-    if n >= 1 and 2 * n - 1 >= mu.weight.psi.hi:
-        return _recorded(*_closed_form_leading(mu, 2 * n - 1, n - 1), record)
-    return _gram_leading(mu, n, True, record)
+
+def eta_n(mu: MeasureSpec, n: int):
+    """Leading coefficient of the orthonormal Laurent element of the span
+    {z^-(n-1), ..., z^n}, n >= 1: an mpf at mu's precision, as tau_n's."""
+    return _to_mpf(context(mu.precision), *_leading(mu, n, True)[:2])
 
 
 def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
@@ -925,33 +909,24 @@ def convergence_experiment(mu: MeasureSpec, n_grid: Sequence[int],
         raise ValueError("n_grid must be strictly increasing")
     if which not in ("tau", "eta", "both"):
         raise ValueError("which must be tau, eta, or both")
-    want_tau = which in ("tau", "both")
-    want_eta = which in ("eta", "both")
+    keys = ("tau", "eta") if which == "both" else (which,)
     target = target_limit(mu)
     rows = []
     for n in ns:
         row: dict = {"n": n}
-        for key, want, leading in (("tau", want_tau, tau_n),
-                                   ("eta", want_eta and n >= 1, eta_n)):
-            if want:
-                # the guard bits and certified relative radius of its run
-                record: dict = {}
-                row[key] = float(leading(mu, n, record))
+        for key in keys:
+            if key == "tau" or n >= 1:
+                man, exp, guard, radius = _leading(mu, n, key == "eta")
+                row[key] = _to_float(man, exp, mu.precision)
                 row[f"{key}_error"] = abs(row[key] - target)
-                row[f"{key}_guard_bits"] = record["guard_bits"]
-                row[f"{key}_relative_radius"] = record["relative_radius"]
+                # the guard bits and certified relative radius of its run
+                row[f"{key}_guard_bits"] = guard
+                row[f"{key}_relative_radius"] = radius
         rows.append(row)
-
-    def trend(key: str) -> bool:
-        errs = [r[key] for r in rows if key in r]
-        return all(errs[i + 1] <= 2.0 * errs[i] + 1e-15
-                   for i in range(len(errs) - 1))
-
     flags = {}
-    if want_tau:
-        flags["tau"] = trend("tau_error")
-    if want_eta:
-        flags["eta"] = trend("eta_error")
+    for key in keys:
+        errs = [r[f"{key}_error"] for r in rows if key in r]
+        flags[key] = all(b <= 2.0 * a + 1e-15 for a, b in zip(errs, errs[1:]))
     return {"target": target, "which": which, "n_grid": ns,
             "rows": rows, "trend": flags}
 

@@ -29,17 +29,19 @@ Error radii ride beside the fixed point where a caller certifies a result:
 a value's error in units of 2^-f as a float rounded up (_float_up, _mag,
 _bound_err, _mul_err, _horner_err, _pow_err), the package's one (value,
 radius) calculus.  A factor's own rounding is bounded a posteriori, from
-the factor, by _schur_ball; a ball decides an mpf by Ziv's test
-(_ball_to_mpf).
+the factor, by _schur_ball; a ball decides its rounding to a precision by
+Ziv's test on integers (_ziv), whose result _to_mpf or _to_float rounds
+exactly.
 
 Precision is a value, not ambient state: context(bits) is the mpmath
 context that rounds at bits, and every number keeps the context that made
-it; _to_mpf, _to_mpc and _ball_to_mpf build theirs through the context they
-are given.  mpmath itself is imported only by context and by _circle_nodes'
-cos/sin, so the fixed point and the doubles it rounds to load without it.
-The contexts are never mutated, so threads share them without a lock,
-and nothing here reads or sets mpmath.mp's precision.  A failed pivot
-raises NotPositiveDefinite; measure_opuc._certify decides what runs next.
+it; _to_mpf and _to_mpc build theirs through the context they are given.
+mpmath itself is imported only by context and by _circle_nodes' cos/sin,
+so the fixed point and the doubles it rounds to load without it.  The
+contexts are never mutated, so threads share them without a lock, and
+nothing here reads or sets mpmath.mp's precision.  A failed pivot raises
+NotPositiveDefinite with the pivot as a double; measure_opuc._certify
+decides what runs next.
 """
 
 from __future__ import annotations
@@ -212,6 +214,15 @@ def _round_bits(x: int, bits: int) -> int:
     return -q if x < 0 else q
 
 
+def _ziv(x: int, r: int, bits: int) -> int | None:
+    """The integer that every point of the ball x +- r rounds to at bits
+    significant bits (_round_bits), kept at x's exponent, for integers
+    x > 0 and r >= 0: None where the ball reaches 0 or its ends round apart
+    (Ziv's test)."""
+    top = _round_bits(x + r, bits)
+    return top if r < x and top == _round_bits(x - r, bits) else None
+
+
 def _to_float(x: int, e: int, bits: int) -> float:
     """x 2^e rounded once to bits significant bits and that once to a
     double, each nearest with ties to even, as float(_to_mpf(context(bits),
@@ -379,16 +390,6 @@ def _to_mpf(ctx, x: int, e: int):
     return ctx.mpf((x, e))
 
 
-def _ball_to_mpf(ctx, x: int, r: int, e: int):
-    """The mpf of ctx that every point of the ball (x +- r) 2^e rounds to,
-    for integers x > 0 and r >= 0: None where the ball reaches 0 or its
-    ends round apart (Ziv's test)."""
-    value = ctx.mpf((x + r, e))
-    if r < x and value == ctx.mpf((x - r, e)):
-        return value
-    return None
-
-
 def _to_mpc(ctx, re: int, im: int, e: int):
     """(re + i im) 2^e, each part rounded once, as an mpc of ctx."""
     return ctx.mpc(ctx.mpf((re, e)), ctx.mpf((im, e)))
@@ -423,7 +424,7 @@ def _cholesky_fixed(lower: Sequence, e: int, bits: int) -> tuple:
     for i, row in enumerate(lower):
         d = row[i][0]
         if d <= 0:
-            raise NotPositiveDefinite(i, _to_mpf(context(bits), d, e))
+            raise NotPositiveDefinite(i, _to_float(d, e, bits))
         k_i = _balance(d, e)
         re_i, im_i = [], []
         for j, ((a_re, a_im), k_j) in enumerate(zip(row, scale)):
@@ -436,7 +437,7 @@ def _cholesky_fixed(lower: Sequence, e: int, bits: int) -> tuple:
                  - sum(map(mul, re_i, re_i)) - sum(map(mul, im_i, im_i)))
         if pivot <= 1 << f:
             raise NotPositiveDefinite(
-                i, _to_mpf(context(bits), pivot, 2 * k_i - 2 * f))
+                i, _to_float(pivot, 2 * k_i - 2 * f, bits))
         res.append(re_i)
         ims.append(im_i)
         cims.append([-v for v in im_i])

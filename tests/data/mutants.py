@@ -118,18 +118,24 @@ MUTANTS = (
      MEASURE_TESTS, False),
     # a mass-free eta_n read one degree too high
     ("eta-reads-tau-2n", MEASURE,
-     "return tau_n(mu, 2 * n - 1, record)", "return tau_n(mu, 2 * n, record)",
-     MEASURE_TESTS, False),
+     "min(degree, mu.weight.psi.hi), False)",
+     "min(degree + laurent, mu.weight.psi.hi), False)", MEASURE_TESTS, False),
     # the Bernstein-Szego reduction stopping one degree short of deg psi
     ("bernstein-szego-short", MEASURE,
-     "min(n, mu.weight.psi.hi)", "min(n, mu.weight.psi.hi - 1)",
+     "min(degree, mu.weight.psi.hi)", "min(degree, mu.weight.psi.hi - 1)",
      MEASURE_TESTS, False),
     # the Gram route reads the pivot one row early
     ("schur-pivot-one-row-early", MEASURE,
-     "man, radius, value = diag[-1], _pivot_radius(diag[-1], ball, f), None",
-     "man, radius, value = diag[-2], _pivot_radius(diag[-2], ball, f), None",
+     "man, rho = diag[-1], _pivot_radius(diag[-1], schur, f)",
+     "man, rho = diag[-2], _pivot_radius(diag[-2], schur, f)",
      ("tests/test_measure_opuc.py::"
       "test_mass_free_values_match_the_exact_oracle",), False),
+    # Ziv's test reads only the upper end of the ball
+    ("ziv-upper-end-only", XLINALG,
+     "return top if r < x and top == _round_bits(x - r, bits) else None",
+     "return top if r < x else None",
+     ("tests/test_xlinalg.py::test_ziv_on_integers_decides_as_mpmath_rounds",),
+     False),
     # the integer-to-double helper rounds straight to 53 bits
     ("float-skips-bits", XLINALG,
      "m = _round_bits(_round_bits(x, bits), 53)", "m = _round_bits(x, 53)",

@@ -11,7 +11,8 @@ fresh interpreter that imports szego_lab.cli loads neither mpmath nor the
 exact-arithmetic modules, and its corrector commands run with mpmath
 refused.  mpmath sits behind one door: only xlinalg.context and
 xlinalg._circle_nodes import it, so the exact modules load without it, and
-pipeline and log-condition run with it refused too.  No module names
+opuc, pipeline and log-condition run with it refused too: only
+residue-check loads it.  No module names
 numpy.random, and the seeded commands run with it and importlib.metadata
 refused.
 """
@@ -19,6 +20,7 @@ refused.
 import ast
 import importlib
 import json
+import math
 import os
 import re
 import subprocess
@@ -207,24 +209,25 @@ def _runs_with_refused(tmp_path, runs, refused=("mpmath",)) -> None:
     """Each (command, manifest fields) of runs in a fresh interpreter that
     has imported the CLI, with none of the exact modules and none of
     refused, and then refused each module of refused; each exits 0 and
-    writes the bytes of an in-process run."""
+    writes the bytes of an in-process run, whose output directory is
+    tmp_path / f"{i}-{command}-here" for the i-th run."""
     from szego_lab import cli
 
     args = []
-    for command, fields in runs:
+    for i, (command, fields) in enumerate(runs):
         for tag in ("fresh", "here"):
-            path = tmp_path / f"{command}-{tag}.json"
-            path.write_text(json.dumps(dict(
-                fields, out_dir=str(tmp_path / f"{command}-{tag}"))))
-        args += [command, tmp_path / f"{command}-fresh.json"]
+            name = f"{i}-{command}-{tag}"
+            (tmp_path / f"{name}.json").write_text(json.dumps(dict(
+                fields, out_dir=str(tmp_path / name))))
+        args += [command, tmp_path / f"{i}-{command}-fresh.json"]
     got = _fresh(_REFUSED_RUN.format(unloaded=_EXACT + tuple(refused),
                                      refused=tuple(refused)), *args)
     assert got == {"loaded": [], "codes": [0] * len(runs)}
-    for command, _ in runs:
-        assert cli.main([command, "--manifest",
-                         str(tmp_path / f"{command}-here.json")]) == 0
-        assert ((tmp_path / f"{command}-fresh" / "certificates.csv").read_bytes()
-                == (tmp_path / f"{command}-here" / "certificates.csv").read_bytes())
+    for i, (command, _) in enumerate(runs):
+        name = tmp_path / f"{i}-{command}"
+        assert cli.main([command, "--manifest", f"{name}-here.json"]) == 0
+        assert (Path(f"{name}-fresh", "certificates.csv").read_bytes()
+                == Path(f"{name}-here", "certificates.csv").read_bytes())
 
 
 def test_the_corrector_commands_run_with_mpmath_refused(tmp_path):
@@ -239,8 +242,7 @@ def test_the_corrector_commands_run_with_mpmath_refused(tmp_path):
 def test_pipeline_and_log_condition_run_with_mpmath_refused(tmp_path):
     # the pipeline's norms go from integers straight to doubles, so pipeline
     # and log-condition, with mpmath refused, write the bytes of an
-    # unrefused run too (opuc, which needs it, loads it in
-    # test_an_exact_command_loads_what_it_needs)
+    # unrefused run too
     measure = tmp_path / "mu.json"
     measure.write_text(json.dumps({
         "psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
@@ -250,6 +252,59 @@ def test_pipeline_and_log_condition_run_with_mpmath_refused(tmp_path):
         ("pipeline", {"measure_file": str(measure), "n_grid": [8, 16],
                       "route": "both"}),
         ("log-condition", {"measure_file": str(measure), "n_max": 64})])
+
+
+# psi = (1 - z/1.05)^8 by its binomial coefficients, whose mass-free Gram
+# route takes up to 128 guard bits at 53 bits
+STEEP_PSI = [[math.comb(8, j) * (-1 / 1.05) ** j, 0.0] for j in range(9)]
+OPUC_MEASURES = {
+    "mass-free": {"psi": STEEP_PSI, "precision_bits": 53},
+    "complex-two-mass": {"psi": [[1.0, 0.0], [0.3, -0.2], [0.0, 0.1]],
+                         "masses": [[1.5, 0.8, 0.3], [-1.2, 0.9, 0.2]],
+                         "precision_bits": 128},
+    # a mass at 1e10 loses about 132 bits: its values fail Ziv's test at
+    # 32 and 64 guard bits; one at 1e30 fails the factorization itself
+    "far": {"psi": [[1.0, 0.0]], "masses": [[1e10, 0.0, 1.0]],
+            "precision_bits": 53},
+    "farther": {"psi": [[1.0, 0.0]], "masses": [[1e30, 0.0, 1.0]],
+                "precision_bits": 53},
+}
+
+
+def test_opuc_runs_with_mpmath_refused(tmp_path, monkeypatch):
+    # each value is Ziv's test on integers and one rounding to a double,
+    # and a failed pivot carries a double, so opuc with mpmath refused
+    # writes the bytes of an unrefused run: mass-free, with complex psi and
+    # masses, and where the first runs fail Ziv's test or the factor, so
+    # that _certify runs again (a spy on the in-process runs sees both)
+    import szego_lab.measure_opuc as mo
+
+    raised = []
+    real = mo._cholesky_fixed
+
+    def spy(lower, e, bits):
+        try:
+            return real(lower, e, bits)
+        except mo.NotPositiveDefinite as exc:
+            raised.append(exc.value)
+            raise
+
+    monkeypatch.setattr(mo, "_cholesky_fixed", spy)
+    runs = []
+    for name, measure in OPUC_MEASURES.items():
+        (tmp_path / f"{name}.json").write_text(json.dumps(measure))
+        runs.append(("opuc", {"measure_file": str(tmp_path / f"{name}.json"),
+                              "n_grid": [1, 2, 3, 8]}))
+    _runs_with_refused(tmp_path, runs)
+    guards = {}
+    for i, name in enumerate(OPUC_MEASURES):
+        rows = json.loads((tmp_path / f"{i}-opuc-here" / "report.json")
+                          .read_text())["rows"]
+        guards[name] = max(row[key] for row in rows
+                           for key in ("tau_guard_bits", "eta_guard_bits"))
+    assert guards == {"mass-free": 128, "complex-two-mass": 32, "far": 128,
+                      "farther": 512}
+    assert raised and all(type(value) is float for value in raised)
 
 
 def test_seeded_commands_run_without_numpy_random_or_metadata(tmp_path):
@@ -323,7 +378,7 @@ def test_mpmath_has_one_door():
     source = (SRC / "asymptotics.py").read_text(encoding="utf-8")
     held = {alias.name for node in ast.walk(ast.parse(source))
             if isinstance(node, ast.ImportFrom) for alias in node.names}
-    assert held & {"context", "_to_mpf", "_to_mpc", "_ball_to_mpf"} == set()
+    assert held & {"context", "_to_mpf", "_to_mpc"} == set()
 
 
 def test_the_exact_modules_load_without_mpmath():
@@ -337,7 +392,8 @@ def test_the_exact_modules_load_without_mpmath():
 
 def test_an_exact_command_loads_what_it_needs(tmp_path):
     # opuc in a fresh interpreter imports the exact modules it needs in its
-    # runner, and only there
+    # runner, and only there; it makes no mpmath number, so mpmath stays
+    # unloaded
     measure = tmp_path / "mu.json"
     measure.write_text(json.dumps({"psi": [[1.0, 0.0], [-0.5, 0.0]],
                                    "masses": [[1.5, 0.0, 0.3]],
@@ -356,7 +412,7 @@ def test_an_exact_command_loads_what_it_needs(tmp_path):
     # unloaded
     assert _fresh(code, manifest) == {
         "before": [], "code": 0,
-        "after": ["mpmath", "szego_lab.measure_opuc", "szego_lab.xlinalg"]}
+        "after": ["szego_lab.measure_opuc", "szego_lab.xlinalg"]}
     assert len((tmp_path / "out" / "certificates.csv").read_text()
                .splitlines()) == 3
 

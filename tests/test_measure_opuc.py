@@ -620,6 +620,12 @@ ROUTE_MEASURES = {
 }
 
 
+def rounded(mu, leading):
+    """A certified (man, exp, guard, radius) of the two routes as the mpf
+    at mu's precision that tau_n and eta_n make of it."""
+    return context(mu.precision).mpf(tuple(leading[:2]))
+
+
 def route_measure(name, bits):
     coeffs, masses = ROUTE_MEASURES[name]
     return MeasureSpec(OuterWeight(LaurentPolynomial(0, coeffs)),
@@ -1023,7 +1029,7 @@ def test_closed_form_schur_and_witness_agree(name, bits):
     for n in sorted({d, d + 1, 7, 20, *top}):
         for laurent in (False, True) if n else (False,):
             closed = (eta_n if laurent else tau_n)(mu, n)
-            schur = mo._gram_leading(mu, n, laurent)
+            schur = rounded(mu, mo._gram_leading(mu, n, laurent))
             witness = extremal_element(mu, n, laurent)[-1]
             assert mp.im(witness) == 0
             if bits == 256:
@@ -1063,8 +1069,9 @@ def test_closed_form_keeps_the_precision_of_the_gram_route(name):
     mu = MeasureSpec(OuterWeight(LaurentPolynomial(0, psi)),
                      PointSpectrum(masses), 53)
     for n in ns:
-        assert float(tau_n(mu, n)) == float(mo._gram_leading(mu, n, False)), n
-        assert float(eta_n(mu, n)) == float(mo._gram_leading(mu, n, True)), n
+        for laurent, leading in ((False, tau_n), (True, eta_n)):
+            assert float(leading(mu, n)) == float(
+                rounded(mu, mo._gram_leading(mu, n, laurent))), (n, laurent)
 
 
 def test_closed_form_raises_on_an_indefinite_system():
@@ -1148,7 +1155,7 @@ def test_integer_closed_form_matches_the_mpc_oracle(name, bits):
         for degree, shift in ((n, 0), (2 * n - 1, n - 1)):
             if degree >= max(d, 1):
                 want = closed_form_by_mpc(mu, degree, shift)
-                got = mo._closed_form_leading(mu, degree, shift)[0]
+                got = rounded(mu, mo._closed_form_leading(mu, degree, shift))
                 assert got == want and got.context.prec == bits, (n, shift)
 
 
@@ -1338,7 +1345,7 @@ def test_closed_form_runs_again_only_where_ziv_asks(monkeypatch):
                          PointSpectrum(masses), 53)
         for n in ns:
             guards.clear()
-            value, guard, _ = mo._closed_form_leading(mu, n)
+            *_, guard, _ = mo._closed_form_leading(mu, n)
             assert guards == [32 << k for k in range(runs)], (name, n)
             assert guard == guards[-1]
 
@@ -1351,10 +1358,11 @@ def test_closed_form_keeps_its_radius_in_the_float_range():
     # the mpc oracle's at 4,096 guard bits
     mu = MeasureSpec(OuterWeight.constant_one(),
                      PointSpectrum(((1e150, 0.3),)), 53)
-    value, guard, radius = mo._closed_form_leading(mu, 4)
+    leading = mo._closed_form_leading(mu, 4)
+    guard, radius = leading[2:]
     assert guard == 2048 and 0 < radius < 2.0 ** -60
     ratio = uvarov_ratio_by_mpc(mu, 4, 0, 53 + 4096)
-    assert value == context(53).mpf(ratio.real)
+    assert rounded(mu, leading) == context(53).mpf(ratio.real)
 
 
 @pytest.mark.parametrize("c", [1e-300, 2.0 ** -40, 1.0, 1e300])
@@ -1630,7 +1638,7 @@ def test_escalation_recovers_ill_conditioned_case():
     mu = one_mass(53)
     with pytest.raises(NotPositiveDefinite):
         schur_leading(gram_polynomial(mu, 60, 53))
-    v = mo._gram_leading(mu, 60, laurent=False)
+    v = rounded(mu, mo._gram_leading(mu, 60, laurent=False))
     assert abs(v - mp.mpf(2) / 3) < 1e-8
 
 
@@ -1674,10 +1682,10 @@ def test_escalation_is_reached_on_a_valid_mass_free_input(monkeypatch):
         mu = MeasureSpec(weight, PointSpectrum.empty(), bits)
         for m in range(9):
             builds.clear()
-            record = {}
-            got = tau_n(mu, m, record)
+            leading = mo._leading(mu, m, False)
+            got = rounded(mu, leading)
             want = [32, 64, 128][:1 + (m > 2) + (m > 4)]
-            assert builds == want and record["guard_bits"] == want[-1], m
+            assert builds == want and leading[2] == want[-1], m
             assert correctly_rounded(got, exact_tau_squared(
                 tuple(STEEP_PSI), (), tuple(range(m + 1)))), (bits, m)
 
@@ -1734,8 +1742,8 @@ def test_128_bit_request_starts_above_the_floor():
     # pivot and return eta_48 < tau_48
     mu = MeasureSpec.from_json(json.loads(D1_MEASURE.read_text()))
     assert mu.precision == 128
-    tau = mo._gram_leading(mu, 48, laurent=False)
-    eta = mo._gram_leading(mu, 48, laurent=True)
+    tau = rounded(mu, mo._gram_leading(mu, 48, laurent=False))
+    eta = rounded(mu, mo._gram_leading(mu, 48, laurent=True))
     assert tau <= eta
     assert abs(tau - mp.mpf("0.3333333381")) < 1e-9
     assert abs(eta - mp.mpf("0.3333333399")) < 1e-9

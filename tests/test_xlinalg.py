@@ -27,6 +27,7 @@ from szego_lab.xlinalg import (
     _to_float,
     _to_mpc,
     _to_mpf,
+    _ziv,
 )
 
 
@@ -145,7 +146,7 @@ def oracle_cholesky(g):
         s = ctx.fdot(r, r, conjugate=True) if r else ctx.mpf(0)
         pivot = ctx.re(entry(g, i, i) - s)
         if pivot <= 0:
-            raise NotPositiveDefinite(i, pivot)
+            raise NotPositiveDefinite(i, float(pivot))
         r.append(ctx.sqrt(pivot))
         rows.append(tuple(r))
     return tuple(rows)
@@ -667,3 +668,45 @@ def test_circle_nodes_come_in_exact_conjugate_pairs(f):
         if size > 4:
             assert _circle_nodes(size, 1, 2, f) == nodes[1::2]
             assert _circle_nodes(size // 2, 0, 1, f) == nodes[::2]
+
+
+def ziv_by_mpf(ctx, x, r, e):
+    """Ziv's test as mpmath rounds: the mpf of ctx that both ends of the
+    ball (x +- r) 2^e round to, or None where they differ or the ball
+    reaches 0."""
+    value = ctx.mpf((x + r, e))
+    return value if r < x and value == ctx.mpf((x - r, e)) else None
+
+
+@pytest.mark.parametrize("bits", PRECISION_BITS)
+def test_ziv_on_integers_decides_as_mpmath_rounds(bits):
+    # the integer test keeps the ball where mpmath's rounding of its two
+    # ends agrees, and its integer is that mpf bit for bit: on random
+    # balls of radius 2^1 to 2^66 units, on balls that straddle a tie at
+    # bits or lie a unit to either side of it, on r = 0 at a tie (to even)
+    # and on balls with r >= x
+    ctx = context(bits)
+    rng = random.Random(1000 + bits)
+    cases = []
+    for _ in range(2000):
+        x = rng.getrandbits(rng.randrange(bits + 2, bits + 100)) | 1
+        cases.append((x, rng.getrandbits(rng.randrange(1, 67))))
+    for _ in range(100):
+        drop = rng.randrange(2, 70)
+        tie = ((rng.getrandbits(bits - 1) | 1 << (bits - 1)) << drop
+               | 1 << (drop - 1))
+        for shift in (-1, 0, 1):
+            cases += [(tie + shift, 0), (tie + shift, 1), (tie - 2, 1),
+                      (tie + 2, 1)]
+    cases += [(5, 5), (5, 6), (1, 1), (1 << bits, 1 << bits), (3, 2)]
+    decided = 0
+    for x, r in cases:
+        e = rng.randrange(-bits - 200, 200)
+        want, got = ziv_by_mpf(ctx, x, r, e), _ziv(x, r, bits)
+        assert (got is None) == (want is None), (x, r)
+        if got is not None:
+            decided += 1
+            assert got.bit_length() - (got & -got).bit_length() < bits
+            assert _to_mpf(ctx, got, e) == want, (x, r)
+    assert 500 < decided < len(cases) - 200
+
